@@ -7,12 +7,9 @@
 
 use tracer_bench::{banner, f, json_result, row, timed};
 use tracer_core::prelude::*;
-use tracer_sim::{ArraySim, Device, QueueDiscipline};
 
 fn build(discipline: QueueDiscipline) -> ArraySim {
-    let (mut cfg, devices): (_, Vec<Device>) = tracer_sim::ArraySpec::hdd_raid5(4).parts();
-    cfg.queue_discipline = discipline;
-    ArraySim::new(cfg, devices)
+    ArraySpec::hdd_raid5(4).queue(discipline).build()
 }
 
 fn scattered_backlog(n: u64) -> Trace {

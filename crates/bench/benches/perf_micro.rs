@@ -163,9 +163,7 @@ fn bench_request_store(c: &mut Criterion) {
 /// An elevator-disciplined array with `depth` scattered requests queued in
 /// one burst, so every dispatch walks the per-disk sector index.
 fn elevator_backlog(depth: u64) -> ArraySim {
-    let (mut cfg, devices) = ArraySpec::hdd_raid5(6).parts();
-    cfg.queue_discipline = QueueDiscipline::Elevator;
-    let mut sim = ArraySim::new(cfg, devices);
+    let mut sim = ArraySpec::hdd_raid5(6).queue(QueueDiscipline::Elevator).build();
     for i in 0..depth {
         let req = ArrayRequest::new((i * 48_271) % 400_000 * 256, 4096, OpKind::Read);
         sim.submit(SimTime::ZERO, req).expect("submit");

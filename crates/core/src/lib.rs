@@ -105,8 +105,8 @@ pub mod prelude {
         ProportionalFilter, RealTimeReplayer, ReplayConfig,
     };
     pub use tracer_sim::{
-        presets, ArrayConfig, ArrayRequest, ArraySim, ArraySpec, Completion, DeviceSpec, Geometry,
-        Layout, PowerPolicy, QueueDiscipline, SimDuration, SimTime,
+        ArrayConfig, ArrayRequest, ArraySim, ArraySpec, Completion, DeviceSpec, Geometry, Layout,
+        PowerPolicy, QueueDiscipline, SimDuration, SimTime,
     };
     pub use tracer_trace::{
         sweep, Bunch, IoPackage, OpKind, Trace, TraceRepository, TraceStats, WorkloadMode,

@@ -17,7 +17,7 @@ use crate::cache::{CacheConfig, ControllerCache};
 use crate::device::{Device, DeviceModel, DiskOp, ServicePlan};
 use crate::equeue::{CalendarQueue, EventQueue};
 use crate::error::SimError;
-use crate::powerlog::{ArrayPowerLog, PowerTimeline};
+use crate::powerlog::ArrayPowerLog;
 use crate::raid::{extents_disk_mask, DiskExtent, Geometry};
 use crate::soa::{ReqStore, Slot, F_COMPLETED_EARLY};
 use crate::time::{SimDuration, SimTime};
@@ -141,7 +141,8 @@ pub struct ArrayConfig {
     pub controller_overhead_us: f64,
     /// Controller XOR engine rate for parity computation, MB/s.
     pub xor_mbps: f64,
-    /// Per-device queue service order.
+    /// Per-device queue service order. Read once, by [`ArraySim::new`], to
+    /// pick each member queue's container.
     pub queue_discipline: QueueDiscipline,
     /// When set, idle devices are sent to standby after this long (for
     /// evaluating MAID-style conservation policies). `None` = always on.
@@ -224,66 +225,88 @@ enum Event {
     RebuildNext,
 }
 
-/// A member disk's pending foreground ops, organised for its discipline.
-///
-/// FIFO traffic lives in a deque; elevator traffic lives in a `BTreeMap`
-/// keyed by `(sector, enqueue seq)` so C-LOOK dispatch is one `range` probe —
-/// O(log n) at any queue depth instead of the old O(n) scan — while the
-/// secondary key preserves the scan's tie-break (submission order at equal
-/// sectors). Ops land in the structure matching the discipline at enqueue
-/// time, so flipping the discipline mid-run simply drains both.
-#[derive(Debug, Default)]
-struct DeviceQueue {
-    fifo: VecDeque<(Slot, DiskOp)>,
-    elevator: BTreeMap<(u64, u64), (Slot, DiskOp)>,
-    enq_seq: u64,
-    /// C-LOOK probes answered by the forward `range` (no wrap). Plain `u64`s:
-    /// they cost nothing on the hot path and are published to `tracer-obs`
-    /// only by [`ArraySim::obs_flush`].
-    elevator_hits: u64,
-    /// C-LOOK probes that wrapped back to the lowest sector.
-    elevator_wraps: u64,
+/// A member disk's pending foreground ops, in the one container its
+/// discipline needs. The discipline is fixed at construction
+/// ([`ArraySim::new`] reads it from the config once).
+#[derive(Debug)]
+enum DeviceQueue {
+    /// Arrival order.
+    Fifo(VecDeque<(Slot, DiskOp)>),
+    /// C-LOOK over a `BTreeMap` keyed by `(sector, enqueue seq)`: dispatch is
+    /// one `range` probe — O(log n) at any queue depth — and the secondary
+    /// key breaks ties between equal sectors in submission order.
+    Elevator {
+        index: BTreeMap<(u64, u64), (Slot, DiskOp)>,
+        enq_seq: u64,
+        /// Probes answered by the forward `range` (no wrap). Plain `u64`s:
+        /// they cost nothing on the hot path and are published to
+        /// `tracer-obs` only by [`ArraySim::obs_flush`].
+        hits: u64,
+        /// Probes that wrapped back to the lowest sector.
+        wraps: u64,
+    },
 }
 
 impl DeviceQueue {
-    fn push(&mut self, discipline: QueueDiscipline, slot: Slot, op: DiskOp) {
+    fn new(discipline: QueueDiscipline) -> Self {
         match discipline {
-            QueueDiscipline::Fifo => self.fifo.push_back((slot, op)),
+            QueueDiscipline::Fifo => DeviceQueue::Fifo(VecDeque::new()),
             QueueDiscipline::Elevator => {
-                self.enq_seq += 1;
-                self.elevator.insert((op.sector, self.enq_seq), (slot, op));
+                DeviceQueue::Elevator { index: BTreeMap::new(), enq_seq: 0, hits: 0, wraps: 0 }
             }
         }
     }
 
-    /// Next op to dispatch given the head position, honouring the discipline
-    /// the op was enqueued under.
-    fn pop(&mut self, discipline: QueueDiscipline, head: u64) -> Option<(Slot, DiskOp)> {
-        match discipline {
-            QueueDiscipline::Fifo => self.fifo.pop_front().or_else(|| self.pop_elevator(head)),
-            QueueDiscipline::Elevator => self.pop_elevator(head).or_else(|| self.fifo.pop_front()),
+    fn push(&mut self, slot: Slot, op: DiskOp) {
+        match self {
+            DeviceQueue::Fifo(q) => q.push_back((slot, op)),
+            DeviceQueue::Elevator { index, enq_seq, .. } => {
+                *enq_seq += 1;
+                index.insert((op.sector, *enq_seq), (slot, op));
+            }
         }
     }
 
-    /// C-LOOK: nearest sector at/after `head`, else wrap to the lowest;
-    /// earliest-enqueued wins among equal sectors.
-    fn pop_elevator(&mut self, head: u64) -> Option<(Slot, DiskOp)> {
-        let key = match self.elevator.range((head, 0)..).next() {
-            Some((k, _)) => {
-                self.elevator_hits += 1;
-                *k
+    /// Next op to dispatch given the head position. C-LOOK: nearest sector
+    /// at/after `head`, else wrap to the lowest; earliest-enqueued wins among
+    /// equal sectors.
+    fn pop(&mut self, head: u64) -> Option<(Slot, DiskOp)> {
+        match self {
+            DeviceQueue::Fifo(q) => q.pop_front(),
+            DeviceQueue::Elevator { index, hits, wraps, .. } => {
+                let key = match index.range((head, 0)..).next() {
+                    Some((k, _)) => {
+                        *hits += 1;
+                        *k
+                    }
+                    None => {
+                        let k = *index.keys().next()?;
+                        *wraps += 1;
+                        k
+                    }
+                };
+                index.remove(&key)
             }
-            None => {
-                let k = *self.elevator.iter().next()?.0;
-                self.elevator_wraps += 1;
-                k
-            }
-        };
-        self.elevator.remove(&key)
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            DeviceQueue::Fifo(q) => q.len(),
+            DeviceQueue::Elevator { index, .. } => index.len(),
+        }
     }
 
     fn is_empty(&self) -> bool {
-        self.fifo.is_empty() && self.elevator.is_empty()
+        self.len() == 0
+    }
+
+    /// `(hits, wraps)` of the C-LOOK probes so far; zero for FIFO.
+    fn elevator_counters(&self) -> (u64, u64) {
+        match self {
+            DeviceQueue::Fifo(_) => (0, 0),
+            DeviceQueue::Elevator { hits, wraps, .. } => (*hits, *wraps),
+        }
     }
 }
 
@@ -303,7 +326,6 @@ struct DesObs {
     published_wraps: u64,
     published_rollovers: u64,
     published_spills: u64,
-    published_waves: u64,
     published_spindowns: u64,
 }
 
@@ -330,7 +352,6 @@ impl DesObs {
                 published_wraps: 0,
                 published_rollovers: 0,
                 published_spills: 0,
-                published_waves: 0,
                 published_spindowns: 0,
             })
         })
@@ -349,17 +370,9 @@ pub struct ArraySim {
     events: CalendarQueue<Event>,
     seq: u64,
     requests: ReqStore,
-    /// Per-disk conservative lookahead: a disk dispatching at `t` cannot
-    /// produce an event before `t + lookahead[disk]` (device lower bound).
-    lookahead: Vec<SimDuration>,
-    /// Wave lanes used by `run_until`/`run_to_idle` when > 1 (see
-    /// [`ArraySim::with_parallelism`]).
-    parallelism: usize,
     /// Disks touched by the phase being fanned out (reused across events so
     /// `on_phase_ready` allocates nothing in steady state).
     scratch_disks: Vec<usize>,
-    /// Waves executed (a wave covers ≥ 2 events; serial steps count 0).
-    waves: u64,
     next_id: RequestId,
     now: SimTime,
     link_busy_until: SimTime,
@@ -382,60 +395,6 @@ struct RebuildState {
     inflight: Option<RequestId>,
 }
 
-/// Per-disk state a wave lane owns exclusively while it services one
-/// `DiskFree` event: the zipped `&mut` bundles are disjoint by construction
-/// (one lane per distinct disk), so lanes may run on separate threads.
-struct Lane<'a> {
-    disk: usize,
-    at: SimTime,
-    discipline: QueueDiscipline,
-    device: &'a mut Device,
-    queue: &'a mut DeviceQueue,
-    background: &'a mut VecDeque<(Slot, DiskOp)>,
-    busy: &'a mut bool,
-    idle_since: &'a mut SimTime,
-    last_sector: &'a mut u64,
-    timeline: &'a mut PowerTimeline,
-    out: LaneOut,
-}
-
-/// What a lane hands back for the serial merge.
-#[derive(Debug, Clone, Copy, Default)]
-struct LaneOut {
-    /// `(slot, service time)` of the op the lane dispatched, if any.
-    dispatched: Option<(Slot, SimDuration)>,
-    /// Physical bytes the dispatched op moves.
-    bytes: u64,
-}
-
-/// Mirror of the dispatch half of `on_disk_free` + `try_dispatch`, restricted
-/// to per-disk state. Runs on lane threads, so it must not touch anything
-/// outside the [`Lane`] — the controller-side half (outstanding bookkeeping,
-/// event scheduling, global stats) happens at the serial merge.
-fn run_lane(lane: &mut Lane<'_>) {
-    *lane.busy = false;
-    *lane.idle_since = lane.at;
-    let head = *lane.last_sector;
-    let Some((slot, op)) =
-        lane.queue.pop(lane.discipline, head).or_else(|| lane.background.pop_front())
-    else {
-        return;
-    };
-    *lane.busy = true;
-    let plan = lane.device.service(&op);
-    let mut t = lane.at;
-    for phase in &plan.phases {
-        if phase.duration.is_zero() {
-            continue;
-        }
-        lane.timeline.set(t, phase.watts);
-        t += phase.duration;
-    }
-    lane.timeline.set(t, lane.device.idle_watts());
-    *lane.last_sector = op.sector + op.sectors;
-    lane.out = LaneOut { dispatched: Some((slot, plan.total_duration())), bytes: op.bytes() };
-}
-
 impl ArraySim {
     /// Build a simulator from a config and its member devices. Panics if the
     /// device count does not match the geometry.
@@ -448,14 +407,13 @@ impl ArraySim {
             cfg.geometry.disks
         );
         let idle: Vec<f64> = devices.iter().map(|d| d.idle_watts()).collect();
-        let lookahead: Vec<SimDuration> = devices.iter().map(|d| d.min_service_time()).collect();
         let n = devices.len();
         let mut sim = Self {
             power: ArrayPowerLog::new(cfg.chassis_watts, &idle),
             cache: cfg.cache.map(ControllerCache::new),
+            queues: (0..n).map(|_| DeviceQueue::new(cfg.queue_discipline)).collect(),
             cfg,
             devices,
-            queues: (0..n).map(|_| DeviceQueue::default()).collect(),
             background_queues: (0..n).map(|_| VecDeque::new()).collect(),
             busy: vec![false; n],
             idle_since: vec![SimTime::ZERO; n],
@@ -463,10 +421,7 @@ impl ArraySim {
             events: CalendarQueue::new(),
             seq: 0,
             requests: ReqStore::default(),
-            lookahead,
-            parallelism: 1,
             scratch_disks: Vec::new(),
-            waves: 0,
             next_id: 0,
             now: SimTime::ZERO,
             link_busy_until: SimTime::ZERO,
@@ -493,34 +448,6 @@ impl ArraySim {
     /// Controller-cache view (hit/miss counters), when a cache is configured.
     pub fn cache(&self) -> Option<&ControllerCache> {
         self.cache.as_ref()
-    }
-
-    /// Enable conservative per-disk parallel simulation with up to `n` lanes
-    /// (clamped to ≥ 1). `run_until` and `run_to_idle` then execute *waves* —
-    /// maximal runs of independent `DiskFree` events on distinct disks within
-    /// the stripe-derived lookahead horizon — with the per-disk halves on
-    /// worker threads and the controller merge serial, in event order.
-    ///
-    /// Results are byte-identical to serial at any `n` **by construction**:
-    /// a wave only ever contains events whose handlers touch disjoint
-    /// per-disk state, the merge replays their controller side in exactly
-    /// the serial `(time, seq)` order, and any event that could interact
-    /// (phase completions, controller events, spin-down timers, op-log or
-    /// live-obs instrumentation, arrays past 64 members) falls back to the
-    /// serial path. `n = 1` *is* the serial engine.
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
-        self
-    }
-
-    /// The configured wave-lane count (1 = serial).
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Waves executed so far (each covered ≥ 2 events in one merge).
-    pub fn waves(&self) -> u64 {
-        self.waves
     }
 
     /// Size the event queue for roughly `expected` concurrently pending
@@ -749,9 +676,7 @@ impl ArraySim {
         self.events.peek_time()
     }
 
-    /// Process a single event (always serially, whatever the parallelism —
-    /// single-stepping is the debugging/inspection interface). Returns
-    /// `false` when no events remain.
+    /// Process a single event. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
         let Some((t, _, ev)) = self.events.pop() else {
             return false;
@@ -776,8 +701,11 @@ impl ArraySim {
     /// harmless. No-op when instrumentation was disabled at construction.
     pub fn obs_flush(&mut self) {
         let Some(obs) = self.obs.as_mut() else { return };
-        let hits: u64 = self.queues.iter().map(|q| q.elevator_hits).sum();
-        let wraps: u64 = self.queues.iter().map(|q| q.elevator_wraps).sum();
+        let (hits, wraps) = self
+            .queues
+            .iter()
+            .map(DeviceQueue::elevator_counters)
+            .fold((0, 0), |(h, w), (dh, dw)| (h + dh, w + dw));
         let pairs = [
             ("des.events", self.events_processed, &mut obs.published_events),
             ("des.dispatches", self.stats.disk_ops, &mut obs.published_dispatches),
@@ -785,7 +713,6 @@ impl ArraySim {
             ("des.elevator_wraps", wraps, &mut obs.published_wraps),
             ("des.equeue_rollovers", self.events.rollovers(), &mut obs.published_rollovers),
             ("des.equeue_spills", self.events.ladder_spills(), &mut obs.published_spills),
-            ("des.waves", self.waves, &mut obs.published_waves),
             ("power.spindowns", self.stats.spin_downs, &mut obs.published_spindowns),
         ];
         for (name, current, published) in pairs {
@@ -798,15 +725,11 @@ impl ArraySim {
 
     /// Process every event up to and including `t`, then set the clock to `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.parallelism > 1 {
-            while self.step_wave(Some(t)) {}
-        } else {
-            while let Some((at, _, ev)) = self.events.pop_at_or_before(t) {
-                debug_assert!(at >= self.now, "event queue went backwards");
-                self.now = at;
-                self.events_processed += 1;
-                self.handle(ev);
-            }
+        while let Some((at, _, ev)) = self.events.pop_at_or_before(t) {
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
+            self.events_processed += 1;
+            self.handle(ev);
         }
         if t > self.now {
             self.now = t;
@@ -815,11 +738,7 @@ impl ArraySim {
 
     /// Run until the event queue drains (all submitted work finished).
     pub fn run_to_idle(&mut self) {
-        if self.parallelism > 1 {
-            while self.step_wave(None) {}
-        } else {
-            while self.step() {}
-        }
+        while self.step() {}
     }
 
     /// Take the completions recorded so far (in completion-time order).
@@ -916,7 +835,6 @@ impl ArraySim {
         self.requests.disk_mask[i] = extents_disk_mask(&phase);
         // Internal (rebuild) work queues behind foreground traffic.
         let background = self.requests.internal(slot);
-        let discipline = self.cfg.queue_discipline;
         // The scratch buffer preserves extent order for the dispatch sweep
         // (dispatch order assigns event seqs, so it is determinism-bearing)
         // without allocating per phase.
@@ -927,7 +845,7 @@ impl ArraySim {
             if background {
                 self.background_queues[ext.disk].push_back((slot, op));
             } else {
-                self.queues[ext.disk].push(discipline, slot, op);
+                self.queues[ext.disk].push(slot, op);
             }
             touched.push(ext.disk);
         }
@@ -944,22 +862,12 @@ impl ArraySim {
         // Depth the dispatched op saw: foreground + background backlog,
         // including itself. Sampled 1-in-64 (see `DesObs::sample_depth`) so
         // the histogram stays cheap on the dispatch hot path.
-        let depth = match self.obs.as_mut() {
-            Some(obs) => {
-                if obs.sample_depth() {
-                    let q = &self.queues[disk];
-                    Some(q.fifo.len() + q.elevator.len() + self.background_queues[disk].len())
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
+        let depth = self.obs.as_mut().and_then(|obs| {
+            obs.sample_depth().then(|| self.queues[disk].len() + self.background_queues[disk].len())
+        });
         let head = self.last_sector[disk];
-        let discipline = self.cfg.queue_discipline;
-        let Some((slot, op)) = self.queues[disk]
-            .pop(discipline, head)
-            .or_else(|| self.background_queues[disk].pop_front())
+        let Some((slot, op)) =
+            self.queues[disk].pop(head).or_else(|| self.background_queues[disk].pop_front())
         else {
             return;
         };
@@ -1106,185 +1014,6 @@ impl ArraySim {
         let dur = SimDuration::from_secs_f64(bytes as f64 / (self.cfg.link_mbps * 1e6));
         self.link_busy_until = start + dur;
         self.link_busy_until
-    }
-
-    /// Whether waves may form at all. Each excluded feature has a handler
-    /// side effect that could interleave with a later wave member in serial
-    /// order: spin-down checks schedule timers at `t + after`, the op log
-    /// records dispatch order globally, live obs samples 1-in-64 dispatches,
-    /// and arrays past 64 members overflow the wave's disk bitmask.
-    fn wave_capable(&self) -> bool {
-        self.parallelism > 1
-            && self.devices.len() <= 64
-            && self.cfg.spin_down_after.is_none()
-            && self.op_log.is_none()
-            && self.obs.is_none()
-    }
-
-    /// Process the next event — as the head of a parallel wave when it is a
-    /// `DiskFree` whose neighbours commute, serially otherwise. Returns
-    /// `false` when no event remains at or before `bound`.
-    ///
-    /// A wave is a maximal run of consecutive events in `(time, seq)` order
-    /// that are all `DiskFree`s on *distinct* disks, none of which completes
-    /// its request's phase, within the conservative horizon
-    /// `min over accepted (tᵢ + lookahead(diskᵢ))`. Those handlers touch
-    /// disjoint per-disk state plus controller bookkeeping that
-    /// [`ArraySim::run_wave`] replays serially in the same order, so the
-    /// result is byte-identical to stepping them one by one.
-    fn step_wave(&mut self, bound: Option<SimTime>) -> bool {
-        let first = match bound {
-            Some(b) => self.events.pop_at_or_before(b),
-            None => self.events.pop(),
-        };
-        let Some((t0, _, ev0)) = first else {
-            return false;
-        };
-        debug_assert!(t0 >= self.now, "event queue went backwards");
-        let (disk0, slot0) = match ev0 {
-            // A `DiskFree` that would drop its request's outstanding count to
-            // zero schedules `PhaseReady`/`RequestDone` — possibly at times
-            // before later wave members — so it is a wave barrier.
-            Event::DiskFree { disk, slot }
-                if self.wave_capable() && self.requests.outstanding[slot as usize] > 1 =>
-            {
-                (disk, slot)
-            }
-            _ => {
-                self.now = t0;
-                self.events_processed += 1;
-                self.handle(ev0);
-                return true;
-            }
-        };
-
-        let mut wave: Vec<(SimTime, usize, Slot)> = vec![(t0, disk0, slot0)];
-        let mut mask: u64 = 1 << disk0;
-        let mut horizon = t0 + self.lookahead[disk0];
-        loop {
-            let limit = match bound {
-                Some(b) if b < horizon => b,
-                _ => horizon,
-            };
-            let Some((t, seq, ev)) = self.events.pop_at_or_before(limit) else { break };
-            let accept = match ev {
-                Event::DiskFree { disk, slot } if mask & (1 << disk) == 0 => {
-                    // Earlier members of this wave also decrement the slot:
-                    // count them so the *cumulative* decrement still leaves
-                    // the phase incomplete.
-                    let dups = wave.iter().filter(|&&(_, _, s)| s == slot).count() as u32;
-                    self.requests.outstanding[slot as usize] > dups + 1
-                }
-                _ => false,
-            };
-            if !accept {
-                // First ineligible event: put it back under its ORIGINAL seq
-                // so it stays exactly where serial order had it.
-                self.events.schedule(t, seq, ev);
-                break;
-            }
-            let Event::DiskFree { disk, slot } = ev else { unreachable!() };
-            mask |= 1 << disk;
-            let h = t + self.lookahead[disk];
-            if h < horizon {
-                horizon = h;
-            }
-            wave.push((t, disk, slot));
-        }
-
-        if wave.len() == 1 {
-            self.now = t0;
-            self.events_processed += 1;
-            self.on_disk_free(disk0, slot0);
-        } else {
-            self.run_wave(&wave);
-        }
-        true
-    }
-
-    /// Execute a wave: per-disk halves ([`run_lane`]) on up to
-    /// `parallelism` threads, then the controller merge serially in wave
-    /// (= serial event) order. The merge performs exactly one `schedule`
-    /// call per dispatching lane, in wave order, so seq assignment — and
-    /// therefore every downstream tie-break — matches serial execution.
-    fn run_wave(&mut self, wave: &[(SimTime, usize, Slot)]) {
-        self.waves += 1;
-        let mut at_by_disk = [SimTime::ZERO; 64];
-        let mut mask = 0u64;
-        for &(t, disk, _) in wave {
-            at_by_disk[disk] = t;
-            mask |= 1 << disk;
-        }
-        let discipline = self.cfg.queue_discipline;
-        let mut lanes: Vec<Lane<'_>> = self
-            .devices
-            .iter_mut()
-            .zip(self.queues.iter_mut())
-            .zip(self.background_queues.iter_mut())
-            .zip(self.busy.iter_mut())
-            .zip(self.idle_since.iter_mut())
-            .zip(self.last_sector.iter_mut())
-            .zip(self.power.devices.iter_mut())
-            .enumerate()
-            .filter(|&(disk, _)| mask & (1 << disk) != 0)
-            .map(
-                |(
-                    disk,
-                    ((((((device, queue), background), busy), idle_since), last_sector), timeline),
-                )| Lane {
-                    disk,
-                    at: at_by_disk[disk],
-                    discipline,
-                    device,
-                    queue,
-                    background,
-                    busy,
-                    idle_since,
-                    last_sector,
-                    timeline,
-                    out: LaneOut::default(),
-                },
-            )
-            .collect();
-
-        let workers = self.parallelism.min(lanes.len());
-        if workers > 1 {
-            let chunk = lanes.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                for chunk_lanes in lanes.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for lane in chunk_lanes {
-                            run_lane(lane);
-                        }
-                    });
-                }
-            });
-        } else {
-            for lane in &mut lanes {
-                run_lane(lane);
-            }
-        }
-        // Copy out the lane results; dropping the lanes ends their borrows.
-        let outs: Vec<(usize, LaneOut)> = lanes.into_iter().map(|l| (l.disk, l.out)).collect();
-
-        for &(t, disk, slot) in wave {
-            self.now = t;
-            self.events_processed += 1;
-            let out = outs.iter().find(|&&(d, _)| d == disk).map(|&(_, o)| o).unwrap_or_default();
-            if let Some((dslot, dur)) = out.dispatched {
-                self.stats.disk_ops += 1;
-                self.stats.physical_bytes += out.bytes;
-                self.stats.busy_ns[disk] += dur.as_nanos();
-                self.schedule(t + dur, Event::DiskFree { disk, slot: dslot });
-            }
-            let i = slot as usize;
-            debug_assert!(self.requests.outstanding[i] > 0);
-            self.requests.outstanding[i] -= 1;
-            debug_assert!(
-                self.requests.outstanding[i] > 0,
-                "a wave member completed its phase — eligibility check is broken"
-            );
-        }
     }
 }
 
@@ -1480,8 +1209,7 @@ mod tests {
     #[test]
     fn elevator_reduces_seek_time_under_backlog() {
         let run = |disc: QueueDiscipline| {
-            let mut sim = small_hdd_array(3);
-            sim.cfg.queue_discipline = disc;
+            let mut sim = ArraySpec::hdd_raid5(3).queue(disc).build();
             // A deep backlog of scattered single-sector reads.
             for i in 0..200u64 {
                 let sector = (i * 48_271) % 500_000 * 256; // scattered strips
@@ -1875,17 +1603,16 @@ mod tests {
 
     #[test]
     fn elevator_counters_track_hits_and_wraps() {
-        let mut q = DeviceQueue::default();
+        let mut q = DeviceQueue::new(QueueDiscipline::Elevator);
         for sector in [100u64, 200, 300] {
-            q.push(QueueDiscipline::Elevator, 0, DiskOp::new(sector, 8, OpKind::Read));
+            q.push(0, DiskOp::new(sector, 8, OpKind::Read));
         }
         // Head at 150: 200 then 300 dispatch forward, then wrap back to 100.
-        assert_eq!(q.pop_elevator(150).unwrap().1.sector, 200);
-        assert_eq!(q.pop_elevator(208).unwrap().1.sector, 300);
-        assert_eq!(q.pop_elevator(308).unwrap().1.sector, 100);
-        assert!(q.pop_elevator(0).is_none());
-        assert_eq!(q.elevator_hits, 2);
-        assert_eq!(q.elevator_wraps, 1);
+        assert_eq!(q.pop(150).unwrap().1.sector, 200);
+        assert_eq!(q.pop(208).unwrap().1.sector, 300);
+        assert_eq!(q.pop(308).unwrap().1.sector, 100);
+        assert!(q.pop(0).is_none());
+        assert_eq!(q.elevator_counters(), (2, 1));
     }
 
     #[test]
@@ -1917,32 +1644,37 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_builder_clamps_and_reports() {
-        let sim = small_hdd_array(4).with_parallelism(0);
-        assert_eq!(sim.parallelism(), 1);
-        let sim = small_hdd_array(4).with_parallelism(4);
-        assert_eq!(sim.parallelism(), 4);
-        assert_eq!(sim.waves(), 0);
-    }
-
-    #[test]
-    fn parallel_run_forms_waves_on_wide_reads() {
-        // A full-stripe read fans out to every member; the resulting
-        // same-phase DiskFrees are wave candidates.
-        let mut serial = small_hdd_array(6);
-        let mut parallel = small_hdd_array(6).with_parallelism(2);
-        for sim in [&mut serial, &mut parallel] {
-            let mut at = SimTime::ZERO;
-            for i in 0..50u64 {
-                at += SimDuration::from_millis(2);
-                sim.submit(at, ArrayRequest::new(i * 2048, 512 * 1024, OpKind::Read)).unwrap();
+    fn run_until_boundaries_do_not_change_results() {
+        // The replay engine calls `run_until` once per bunch: chopping a
+        // workload into many windows must compute exactly what one
+        // `run_to_idle` does.
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let run = |chop: bool| {
+            let mut sim = ArraySpec::hdd_raid5(6).build();
+            let mut rng = StdRng::seed_from_u64(23);
+            let cap = sim.data_capacity_sectors();
+            for i in 0..150u64 {
+                let at = SimTime::from_micros(i * 800);
+                let sector = rng.random_range(0..cap - 2048);
+                sim.submit(at, ArrayRequest::new(sector, 512 * 1024, OpKind::Read)).unwrap();
+            }
+            if chop {
+                for ms in 1..400u64 {
+                    sim.run_until(SimTime::from_millis(ms));
+                }
             }
             sim.run_to_idle();
-        }
-        assert!(parallel.waves() > 0, "wide reads never formed a wave");
-        assert_eq!(serial.events_processed(), parallel.events_processed());
-        assert_eq!(serial.drain_completions(), parallel.drain_completions());
-        assert_eq!(serial.stats().busy_ns, parallel.stats().busy_ns);
+            // `now` differs (run_until advances the clock to each bound);
+            // everything observable about the workload must not.
+            (
+                sim.drain_completions(),
+                sim.stats().clone(),
+                sim.power_log().devices.clone(),
+                sim.events_processed(),
+            )
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -1992,15 +1724,15 @@ mod tests {
             pop_every in 2usize..6,
         ) {
             let mut reference: VecDeque<(u32, DiskOp)> = VecDeque::new();
-            let mut indexed = DeviceQueue::default();
+            let mut indexed = DeviceQueue::new(QueueDiscipline::Elevator);
             let mut head = 0u64;
             for (i, &(sector, sectors)) in ops.iter().enumerate() {
                 let op = DiskOp::new(sector, sectors, OpKind::Read);
                 reference.push_back((i as u32, op));
-                indexed.push(QueueDiscipline::Elevator, i as u32, op);
+                indexed.push(i as u32, op);
                 if i % pop_every == 0 {
                     let want = scan_pick(&mut reference, head);
-                    let got = indexed.pop(QueueDiscipline::Elevator, head);
+                    let got = indexed.pop(head);
                     prop_assert_eq!(got, want);
                     if let Some((_, op)) = got {
                         head = op.sector + op.sectors;
@@ -2010,7 +1742,7 @@ mod tests {
             // Drain both completely.
             loop {
                 let want = scan_pick(&mut reference, head);
-                let got = indexed.pop(QueueDiscipline::Elevator, head);
+                let got = indexed.pop(head);
                 prop_assert_eq!(got, want);
                 match got {
                     Some((_, op)) => head = op.sector + op.sectors,
@@ -2019,20 +1751,5 @@ mod tests {
             }
             prop_assert!(indexed.is_empty());
         }
-    }
-
-    #[test]
-    fn discipline_flip_mid_run_drains_both_structures() {
-        let mut q = DeviceQueue::default();
-        q.push(QueueDiscipline::Fifo, 0, DiskOp::new(500, 8, OpKind::Read));
-        q.push(QueueDiscipline::Elevator, 1, DiskOp::new(100, 8, OpKind::Read));
-        assert!(!q.is_empty());
-        // Under Elevator the indexed op dispatches first, then the FIFO one.
-        let (id, _) = q.pop(QueueDiscipline::Elevator, 0).unwrap();
-        assert_eq!(id, 1);
-        let (id, _) = q.pop(QueueDiscipline::Elevator, 0).unwrap();
-        assert_eq!(id, 0);
-        assert!(q.is_empty());
-        assert!(q.pop(QueueDiscipline::Fifo, 0).is_none());
     }
 }

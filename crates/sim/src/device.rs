@@ -104,16 +104,6 @@ pub trait DeviceModel: Send {
     /// Plan service for `op`, updating internal head/sequentiality state.
     fn service(&mut self, op: &DiskOp) -> ServicePlan;
 
-    /// A lower bound on the duration of *any* plan [`DeviceModel::service`]
-    /// can return, independent of the device's current state. Conservative
-    /// parallel simulation uses this as the per-disk lookahead: once a disk
-    /// dispatches at time `t`, no event it produces can precede
-    /// `t + min_service_time()`. `ZERO` (the default) is always sound — it
-    /// just yields no lookahead.
-    fn min_service_time(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-
     /// Enter standby (no-op for devices without a standby state). The next
     /// `service` call must include any wake-up cost.
     fn enter_standby(&mut self) {}
@@ -178,15 +168,6 @@ impl DeviceModel for Device {
             Device::Ssd(d) => d.service(op),
             Device::Nvme(d) => d.service(op),
             Device::Tiered(d) => d.service(op),
-        }
-    }
-
-    fn min_service_time(&self) -> SimDuration {
-        match self {
-            Device::Hdd(d) => d.min_service_time(),
-            Device::Ssd(d) => d.min_service_time(),
-            Device::Nvme(d) => d.min_service_time(),
-            Device::Tiered(d) => d.min_service_time(),
         }
     }
 

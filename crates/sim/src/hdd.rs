@@ -291,12 +291,6 @@ impl DeviceModel for HddModel {
         ServicePlan { phases }
     }
 
-    fn min_service_time(&self) -> SimDuration {
-        // Every plan starts with the firmware overhead phase; seeks,
-        // rotation, transfer, and spin-up only add to it.
-        SimDuration::from_micros_f64(self.params.overhead_us)
-    }
-
     fn enter_standby(&mut self) {
         self.standby = true;
         self.last_end_sector = None;

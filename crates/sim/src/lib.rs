@@ -19,7 +19,7 @@
 //! * **exact power accounting** ([`powerlog`]) — piecewise-constant per-device
 //!   power timelines integrated without sampling error.
 //!
-//! [`presets`] builds the paper's Table II testbed configurations.
+//! [`ArraySpec`] builds the paper's Table II testbed configurations.
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@ pub mod hdd;
 pub mod nvme;
 pub mod power;
 pub mod powerlog;
-pub mod presets;
 pub mod raid;
 pub(crate) mod soa;
 pub mod spec;

@@ -135,10 +135,6 @@ impl DeviceModel for NvmeModel {
         }
     }
 
-    fn min_service_time(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.params.read_latency_us.min(self.params.write_latency_us))
-    }
-
     fn name(&self) -> &str {
         &self.params.name
     }

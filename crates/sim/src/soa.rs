@@ -55,7 +55,7 @@ pub(crate) struct ReqStore {
     /// completion path).
     pub(crate) xor_pending: Vec<SimDuration>,
     /// Bitmask of member disks touched by the current phase (disks ≥ 64 all
-    /// share the top bit; the mask is advisory for lookahead/diagnostics).
+    /// share the top bit; the mask only backs a debug assertion at disk-free).
     pub(crate) disk_mask: Vec<u64>,
     /// `F_*` bits.
     pub(crate) flags: Vec<u8>,

@@ -201,12 +201,6 @@ impl DeviceModel for SsdModel {
         ServicePlan { phases }
     }
 
-    fn min_service_time(&self) -> SimDuration {
-        // Every plan starts with a command-latency phase (turnaround and GC
-        // only add); the transfer phase is strictly positive on top.
-        SimDuration::from_micros_f64(self.params.read_latency_us.min(self.params.write_latency_us))
-    }
-
     fn name(&self) -> &str {
         &self.params.name
     }

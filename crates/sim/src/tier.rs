@@ -25,7 +25,6 @@
 use crate::device::{DeviceModel, DiskOp, OpKind, ServicePlan};
 use crate::hdd::HddModel;
 use crate::ssd::SsdModel;
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Placement-policy parameters of a tiered hybrid device.
@@ -206,10 +205,6 @@ impl DeviceModel for TieredModel {
         }
         phases.extend(self.hdd.service(op).phases);
         ServicePlan { phases }
-    }
-
-    fn min_service_time(&self) -> SimDuration {
-        self.ssd.min_service_time().min(self.hdd.min_service_time())
     }
 
     fn enter_standby(&mut self) {
