@@ -11,7 +11,7 @@ use crate::db::{Database, PowerData, TestRecord};
 use crate::messages::{parse_command, HostCommand};
 use crate::metrics::EfficiencyMetrics;
 use tracer_power::{Channel, PowerAnalyzer};
-use tracer_replay::{replay, LoadControl, ReplayConfig, ReplayReport};
+use tracer_replay::{try_replay_observed, LoadControl, ReplayConfig, ReplayReport};
 use tracer_sim::{ArraySim, SimDuration};
 use tracer_trace::{BunchSource, Trace, TraceHandle, WorkloadMode};
 
@@ -29,7 +29,8 @@ pub struct EvaluationHost {
 pub struct TestOutcome {
     /// Id of the record stored in the database.
     pub record_id: u64,
-    /// The replay report (completions, per-cycle samples).
+    /// The replay report (summary, per-cycle samples; `completions` is empty
+    /// — a measured cell streams them through the monitor and keeps none).
     pub report: ReplayReport,
     /// The computed efficiency metrics.
     pub metrics: EfficiencyMetrics,
@@ -46,7 +47,8 @@ pub struct TestOutcome {
 pub struct MeasuredTest {
     /// The record to store (id unassigned).
     pub record: TestRecord,
-    /// The replay report (completions, per-cycle samples).
+    /// The replay report (summary, per-cycle samples; `completions` is empty
+    /// — a measured cell streams them through the monitor and keeps none).
     pub report: ReplayReport,
     /// The computed efficiency metrics.
     pub metrics: EfficiencyMetrics,
@@ -87,6 +89,10 @@ impl EvaluationHost {
     /// The source is any [`BunchSource`]: an in-memory [`Trace`], or an
     /// mmap-backed view handed out by `TraceRepository::load_view`, which
     /// replays straight off the mapped file.
+    ///
+    /// The run is metered as it happens and nothing of it is kept: afterwards
+    /// `sim` holds no completions and its power log only the breakpoints
+    /// around the window's end (at most two per device).
     pub fn measure_test<S: BunchSource + ?Sized>(
         meter_cycle_ms: u64,
         sim: &mut ArraySim,
@@ -100,15 +106,23 @@ impl EvaluationHost {
             load: LoadControl { proportion_pct: mode.load_pct, intensity_pct },
             ..Default::default()
         };
-        let report = replay(sim, trace, &cfg);
 
-        // Arm and finalize the analyzer over the replay window, like the
-        // host's init/finalize commands around a physical run.
+        // Arm the analyzer before the replay and finalize it over the replay
+        // window, like the host's init/finalize commands around a physical
+        // run. In between it meters each batch of the run as it completes and
+        // the simulator forgets the power history already metered, so the
+        // cell holds O(meter cycles), not O(IOs).
         let mut analyzer = PowerAnalyzer::new();
         let mut channel = Channel::ac_220v(sim.config().name.clone());
         channel.meter.cycle = SimDuration::from_millis(meter_cycle_ms.max(1));
         analyzer.add_channel(channel);
-        analyzer.start(report.started);
+        analyzer.start(sim.now());
+        let report = try_replay_observed(sim, trace, &cfg, |sim, batch| {
+            let upto = batch.last().expect("batches are never empty").completed;
+            let needed = analyzer.advance(upto, &[sim.power_log()]);
+            sim.discard_power_before(needed);
+        })
+        .unwrap_or_else(|e| panic!("trace source failed during replay: {e}"));
         let window_end = if report.finished > report.started {
             report.finished
         } else {
@@ -118,6 +132,7 @@ impl EvaluationHost {
             .finalize(window_end, &[sim.power_log()])
             .pop()
             .expect("one channel configured");
+        sim.discard_power_before(window_end);
 
         let metrics = EfficiencyMetrics::from_parts(&report.summary, &energy);
         let record = TestRecord {

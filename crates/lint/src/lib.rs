@@ -26,6 +26,11 @@ pub const REQUIRED_TAGS: &[(&str, &[&str])] = &[
     ("crates/sim/src/tier.rs", &["deterministic"]),
     ("crates/sim/src/power.rs", &["deterministic"]),
     ("crates/sim/src/spec.rs", &["deterministic"]),
+    ("crates/sim/src/powerlog.rs", &["deterministic"]),
+    ("crates/power/src/analyzer.rs", &["deterministic"]),
+    ("crates/power/src/meter.rs", &["deterministic"]),
+    ("crates/replay/src/monitor.rs", &["deterministic"]),
+    ("crates/replay/src/engine.rs", &["deterministic"]),
     ("crates/core/src/scenario.rs", &["deterministic"]),
     ("crates/replay/src/plan.rs", &["deterministic", "zero-copy"]),
     ("crates/trace/src/v3.rs", &["deterministic"]),

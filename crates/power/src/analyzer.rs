@@ -6,10 +6,11 @@
 //! (§III-A3). A [`PowerAnalyzer`] owns a set of named channels; a measurement
 //! is started, the workload runs, and finalizing yields an [`EnergyReport`]
 //! per channel carrying the sampled records plus the exact integral.
+#![doc = "tracer-invariant: deterministic"]
 
-use crate::meter::{PowerMeter, PowerSample};
+use crate::meter::{PowerMeter, PowerSample, SampleCursor};
 use serde::{Deserialize, Serialize};
-use tracer_sim::{ArrayPowerLog, SimDuration, SimTime};
+use tracer_sim::{ArrayEnergyCursor, ArrayPowerLog, SimDuration, SimTime};
 
 /// Supply type of a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -103,6 +104,20 @@ impl EnergyReport {
 pub struct PowerAnalyzer {
     channels: Vec<Channel>,
     armed_at: Option<SimTime>,
+    /// Per-channel progress of the running measurement; empty until the
+    /// first [`PowerAnalyzer::advance`] or [`PowerAnalyzer::finalize`].
+    progress: Vec<ChannelProgress>,
+    /// Latest `upto` handed to [`PowerAnalyzer::advance`].
+    advanced_to: SimTime,
+}
+
+/// What one channel has metered so far: the records of the finished cycles
+/// and the exact integral over the finished segments.
+#[derive(Debug, Clone)]
+struct ChannelProgress {
+    meter: SampleCursor,
+    samples: Vec<PowerSample>,
+    energy: ArrayEnergyCursor,
 }
 
 impl PowerAnalyzer {
@@ -126,6 +141,8 @@ impl PowerAnalyzer {
     /// power analyzer" command).
     pub fn start(&mut self, at: SimTime) {
         self.armed_at = Some(at);
+        self.progress.clear();
+        self.advanced_to = at;
     }
 
     /// Whether a measurement is in progress.
@@ -133,29 +150,76 @@ impl PowerAnalyzer {
         self.armed_at.is_some()
     }
 
-    /// Finalize the measurement at `to`, producing one report per channel.
-    /// `logs` supplies, per channel index, the power log it observes.
+    /// The armed instant and the per-channel progress, created on first use
+    /// (the device count is only known once the logs are).
+    fn running(&mut self, logs: &[&ArrayPowerLog]) -> SimTime {
+        let from = self.armed_at.expect("analyzer was never started");
+        assert_eq!(logs.len(), self.channels.len(), "one log per channel required");
+        if self.progress.is_empty() {
+            self.progress = (self.channels.iter().zip(logs))
+                .map(|(ch, log)| ChannelProgress {
+                    meter: ch.meter.cursor(from),
+                    samples: Vec::new(),
+                    energy: log.energy_cursor(from),
+                })
+                .collect();
+        }
+        from
+    }
+
+    /// Meter what is final so far, while the workload is still running:
+    /// `upto` is an instant the observed simulators have reached and the
+    /// measurement will not end before (the latest completion seen). Emits
+    /// the record of every sampling cycle ending at or before `upto` and
+    /// advances the exact integral over the whole segments ending before it —
+    /// never a part of one, so the final figures have the bits the one-shot
+    /// [`PowerAnalyzer::finalize`] gives.
+    ///
+    /// Returns the earliest instant still needed: the caller may discard
+    /// each log before the segment containing it
+    /// ([`ArrayPowerLog::discard_before`]).
     ///
     /// # Panics
-    /// Panics if the analyzer was never started, if `to` precedes the start,
-    /// or if `logs` does not match the channel count.
+    /// Panics if the analyzer was never started or if `logs` does not match
+    /// the channel count.
+    pub fn advance(&mut self, upto: SimTime, logs: &[&ArrayPowerLog]) -> SimTime {
+        self.running(logs);
+        self.advanced_to = self.advanced_to.max(upto);
+        // Every unfinished segment contains or follows the instant just
+        // before `upto`; an unfinished cycle may start earlier still.
+        let mut needed = SimTime::from_nanos(upto.as_nanos().saturating_sub(1));
+        for ((ch, log), p) in self.channels.iter().zip(logs).zip(&mut self.progress) {
+            ch.meter.sample_whole_cycles(&mut p.meter, log, upto, &mut p.samples);
+            log.integrate_whole_segments(&mut p.energy, upto);
+            needed = needed.min(p.meter.next());
+        }
+        needed
+    }
+
+    /// Finalize the measurement at `to`, producing one report per channel.
+    /// `logs` supplies, per channel index, the power log it observes — whole,
+    /// or trimmed as [`PowerAnalyzer::advance`] allowed.
+    ///
+    /// # Panics
+    /// Panics if the analyzer was never started, if `to` precedes the start
+    /// or an `upto` already advanced to, or if `logs` does not match the
+    /// channel count.
     pub fn finalize(&mut self, to: SimTime, logs: &[&ArrayPowerLog]) -> Vec<EnergyReport> {
-        let from = self.armed_at.take().expect("finalize without start");
-        assert!(to >= from, "measurement end precedes start");
-        assert_eq!(logs.len(), self.channels.len(), "one log per channel required");
-        self.channels
-            .iter()
-            .zip(logs)
-            .map(|(ch, log)| {
-                let samples = ch.meter.sample(log, from, to);
-                let sampled_joules = PowerMeter::sampled_energy(&samples);
-                let exact_joules = log.energy_joules(from, to);
+        let from = self.running(logs);
+        assert!(to >= self.advanced_to, "measurement end precedes start or an advance");
+        self.armed_at = None;
+        let progress = std::mem::take(&mut self.progress);
+        (self.channels.iter().zip(logs).zip(progress))
+            .map(|((ch, log), mut p)| {
+                ch.meter.sample_to(&mut p.meter, log, to, &mut p.samples);
+                let sampled_joules = PowerMeter::sampled_energy(&p.samples);
+                let exact_joules = log.integrate_to(&mut p.energy, to);
                 let span = (to - from).as_secs_f64();
                 EnergyReport {
                     channel: ch.name.clone(),
                     from,
                     to,
-                    samples,
+                    samples: p.samples,
                     sampled_joules,
                     exact_joules,
                     avg_watts: if span > 0.0 { exact_joules / span } else { 0.0 },
@@ -223,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finalize without start")]
+    #[should_panic(expected = "analyzer was never started")]
     fn finalize_requires_start() {
         let l = log(1.0);
         PowerAnalyzer::new().finalize(SimTime::from_secs(1), &[&l]);

@@ -7,6 +7,7 @@
 //! current reading is derived from the supply voltage (`amps = watts / volts`)
 //! exactly as the paper's record schema stores it (average current, voltage,
 //! and power per record, §III-A1).
+#![doc = "tracer-invariant: deterministic"]
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -44,6 +45,21 @@ pub struct NoiseModel {
     pub seed: u64,
 }
 
+/// Resumable state of one [`PowerMeter::sample`] pass: the start of the next
+/// cycle to report and the noise generator's position.
+#[derive(Debug, Clone)]
+pub(crate) struct SampleCursor {
+    next: SimTime,
+    rng: Option<StdRng>,
+}
+
+impl SampleCursor {
+    /// Start of the next cycle to report; the pass needs nothing earlier.
+    pub(crate) fn next(&self) -> SimTime {
+        self.next
+    }
+}
+
 /// The sampling meter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerMeter {
@@ -74,31 +90,61 @@ impl PowerMeter {
     /// reported with its true, shorter length so that summed sample energy
     /// equals integrated energy when noise is disabled.
     pub fn sample(&self, log: &ArrayPowerLog, from: SimTime, to: SimTime) -> Vec<PowerSample> {
-        assert!(!self.cycle.is_zero(), "sampling cycle must be positive");
-        let mut rng = self.noise.map(|n| StdRng::seed_from_u64(n.seed));
+        let mut cursor = self.cursor(from);
         let mut out = Vec::new();
-        let mut cursor = from;
-        while cursor < to {
-            let end = (cursor + self.cycle).min(to);
-            let cycle = end - cursor;
-            let mut watts = log.avg_watts(cursor, end);
-            if let (Some(rng), Some(noise)) = (rng.as_mut(), self.noise.as_ref()) {
-                watts *= 1.0 + gaussian(rng) * noise.relative_sigma;
-                watts = watts.max(0.0);
-            }
-            if self.resolution_w > 0.0 {
-                watts = (watts / self.resolution_w).round() * self.resolution_w;
-            }
-            out.push(PowerSample {
-                at: cursor,
-                cycle,
-                volts: self.volts,
-                amps: watts / self.volts,
-                watts,
-            });
-            cursor = end;
-        }
+        self.sample_to(&mut cursor, log, to, &mut out);
         out
+    }
+
+    /// Start a resumable [`PowerMeter::sample`] pass at `from`.
+    pub(crate) fn cursor(&self, from: SimTime) -> SampleCursor {
+        assert!(!self.cycle.is_zero(), "sampling cycle must be positive");
+        SampleCursor { next: from, rng: self.noise.map(|n| StdRng::seed_from_u64(n.seed)) }
+    }
+
+    /// Append the record of every whole cycle ending at or before `upto`.
+    /// `log` must be final before `upto` (no later than the clock of the
+    /// simulator writing it); what it held before `cursor.next()` may already
+    /// be discarded.
+    pub(crate) fn sample_whole_cycles(
+        &self,
+        cursor: &mut SampleCursor,
+        log: &ArrayPowerLog,
+        upto: SimTime,
+        out: &mut Vec<PowerSample>,
+    ) {
+        while cursor.next + self.cycle <= upto {
+            out.push(self.record(cursor, log, cursor.next + self.cycle));
+        }
+    }
+
+    /// Finish `cursor`'s pass at `to`: the remaining whole cycles, then the
+    /// partial one clipped at `to`.
+    pub(crate) fn sample_to(
+        &self,
+        cursor: &mut SampleCursor,
+        log: &ArrayPowerLog,
+        to: SimTime,
+        out: &mut Vec<PowerSample>,
+    ) {
+        while cursor.next < to {
+            out.push(self.record(cursor, log, (cursor.next + self.cycle).min(to)));
+        }
+    }
+
+    /// The meter record of `[cursor.next, end)`; moves the cursor to `end`.
+    fn record(&self, cursor: &mut SampleCursor, log: &ArrayPowerLog, end: SimTime) -> PowerSample {
+        let at = cursor.next;
+        let mut watts = log.avg_watts(at, end);
+        if let (Some(rng), Some(noise)) = (cursor.rng.as_mut(), self.noise.as_ref()) {
+            watts *= 1.0 + gaussian(rng) * noise.relative_sigma;
+            watts = watts.max(0.0);
+        }
+        if self.resolution_w > 0.0 {
+            watts = (watts / self.resolution_w).round() * self.resolution_w;
+        }
+        cursor.next = end;
+        PowerSample { at, cycle: end - at, volts: self.volts, amps: watts / self.volts, watts }
     }
 
     /// Total energy of a sample series, joules.

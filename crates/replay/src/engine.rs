@@ -12,6 +12,7 @@
 //! space while preserving run contiguity (the paper replays traces "to test
 //! any disk device whose bandwidth is equal to or smaller" — address
 //! translation is implicit in their tooling).
+#![doc = "tracer-invariant: deterministic"]
 
 use crate::monitor::{PerfSample, PerfSummary, PerformanceMonitor};
 use crate::plan::ReplayPlan;
@@ -60,7 +61,9 @@ pub struct ReplayReport {
     pub issued_bytes: u64,
     /// Requests skipped by [`AddressPolicy::Skip`].
     pub skipped_ios: u64,
-    /// All completions, in completion order.
+    /// All completions, in completion order — collected by [`replay`],
+    /// [`try_replay`], [`replay_prepared`] and [`replay_afap`]; left empty by
+    /// [`try_replay_observed`], whose observer has already seen them.
     pub completions: Vec<Completion>,
     /// Whole-run summary over `[started, finished)`.
     pub summary: PerfSummary,
@@ -111,12 +114,45 @@ pub fn try_replay<S: BunchSource + ?Sized>(
     source: &S,
     cfg: &ReplayConfig,
 ) -> Result<ReplayReport, TraceError> {
+    collecting(|observe| try_replay_observed(sim, source, cfg, observe))
+}
+
+/// [`try_replay`] for a caller that consumes the run as it happens instead
+/// of keeping it: `observe` is handed the simulator and each batch of
+/// completions (never empty; in completion order, every completion exactly
+/// once) while the replay is still going, and the report's `completions`
+/// stay empty.
+/// Between calls the simulator holds at most a batch of completions, and the
+/// observer may trim its power log ([`ArraySim::discard_power_before`]) up to
+/// the batch's last completion — so a cell's memory is bounded by what the
+/// observer keeps, not by the trace's length. `summary` and `samples` are
+/// the same bits [`try_replay`] reports.
+///
+/// # Panics
+/// Panics if `cfg.load.intensity_pct` is zero.
+pub fn try_replay_observed<S: BunchSource + ?Sized>(
+    sim: &mut ArraySim,
+    source: &S,
+    cfg: &ReplayConfig,
+    observe: impl FnMut(&mut ArraySim, &[Completion]),
+) -> Result<ReplayReport, TraceError> {
     let plan = {
         let _span = tracer_obs::span("replay.plan_ns");
         ReplayPlan::new(source, cfg.load)
     };
     sim.reserve_events(event_estimate(source.bunch_count()));
-    replay_bunches(sim, |f| plan.try_for_each(f), cfg.address_policy, cfg.warmup)
+    replay_bunches(sim, |f| plan.try_for_each(f), cfg.address_policy, cfg.warmup, observe)
+}
+
+/// Run the driver with the observer that keeps every completion, and put
+/// them in the report: the collecting form of every public replay entry.
+fn collecting<E>(
+    run: impl FnOnce(&mut dyn FnMut(&mut ArraySim, &[Completion])) -> Result<ReplayReport, E>,
+) -> Result<ReplayReport, E> {
+    let mut completions = Vec::new();
+    let mut report = run(&mut |_, batch| completions.extend_from_slice(batch))?;
+    report.completions = completions;
+    Ok(report)
 }
 
 /// How many events to pre-size the simulator's queue for: the trace's bunch
@@ -147,19 +183,28 @@ pub fn replay_prepared_with_warmup(
     warmup: SimDuration,
 ) -> ReplayReport {
     sim.reserve_events(event_estimate(trace.bunches.len()));
-    let result: Result<ReplayReport, std::convert::Infallible> = replay_bunches(
-        sim,
-        |f| {
-            for b in &trace.bunches {
-                f(b.timestamp, b.ios.as_slice());
-            }
-            Ok(())
-        },
-        address_policy,
-        warmup,
-    );
+    let result: Result<ReplayReport, std::convert::Infallible> = collecting(|observe| {
+        replay_bunches(
+            sim,
+            |f| {
+                for b in &trace.bunches {
+                    f(b.timestamp, b.ios.as_slice());
+                }
+                Ok(())
+            },
+            address_policy,
+            warmup,
+            observe,
+        )
+    });
     result.unwrap_or_else(|e| match e {})
 }
+
+/// Completions the driver lets the simulator accumulate before handing them
+/// to the monitor and the observer. Large enough that a batch amortizes the
+/// hand-off, small enough that a batch and the power breakpoints written
+/// alongside it stay cache-sized.
+const DRAIN_BATCH: usize = 4096;
 
 /// The replay loop shared by the zero-copy, prepared, and mmap-view paths:
 /// `drive` pushes `(timestamp, IO packages)` pairs into the engine's sink,
@@ -167,11 +212,16 @@ pub fn replay_prepared_with_warmup(
 /// paths cannot diverge behaviourally. Internal iteration (rather than an
 /// `Iterator`) lets streaming sources reuse one scratch buffer per bunch and
 /// propagate decode errors without boxing.
+///
+/// The output side is streamed: completions leave the simulator in batches
+/// of [`DRAIN_BATCH`] (and once more when it is idle), feed the performance
+/// monitor, and go to `observe`; the report carries none of them.
 fn replay_bunches<E>(
     sim: &mut ArraySim,
     drive: impl FnOnce(&mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), E>,
     address_policy: AddressPolicy,
     warmup: SimDuration,
+    mut observe: impl FnMut(&mut ArraySim, &[Completion]),
 ) -> Result<ReplayReport, E> {
     let _span = tracer_obs::span("replay.drive_ns");
     let started = sim.now();
@@ -179,11 +229,24 @@ fn replay_bunches<E>(
     let mut issued_ios = 0u64;
     let mut issued_bytes = 0u64;
     let mut skipped = 0u64;
+    let mut monitor = PerformanceMonitor::default().accumulate(started + warmup);
+    let mut finished = started;
+    let mut batch = Vec::new();
+    let mut flush = |sim: &mut ArraySim| {
+        sim.drain_completions_into(&mut batch);
+        let Some(last) = batch.last() else { return };
+        finished = last.completed;
+        batch.iter().for_each(|c| monitor.push(c));
+        observe(sim, &batch);
+    };
 
     drive(&mut |timestamp, ios| {
         let at = started + SimDuration::from_nanos(timestamp);
         // Advance the engine so submissions cannot land in the past.
         sim.run_until(at);
+        if sim.completions().len() >= DRAIN_BATCH {
+            flush(sim);
+        }
         for io in ios {
             let sectors = io.sectors().max(1);
             let sector = match address_policy {
@@ -209,15 +272,12 @@ fn replay_bunches<E>(
         }
     })?;
     sim.run_to_idle();
+    flush(sim);
     publish_issue_tallies(sim, issued_ios, issued_bytes, skipped);
-    let completions = sim.drain_completions();
-    let finished = completions.last().map_or(started, |c| c.completed);
     // A warm-up covering the whole replay measures nothing (clamped just
     // past the final completion, outside the half-open window).
-    let measured_from = (started + warmup).min(bump(finished));
-
-    let summary = PerformanceMonitor::summarize(&completions, measured_from, bump(finished));
-    let samples = PerformanceMonitor::default().bin(&completions, measured_from, bump(finished));
+    let to = bump(finished);
+    let measured_from = (started + warmup).min(to);
 
     Ok(ReplayReport {
         started,
@@ -226,9 +286,9 @@ fn replay_bunches<E>(
         issued_ios,
         issued_bytes,
         skipped_ios: skipped,
-        completions,
-        summary,
-        samples,
+        completions: Vec::new(),
+        summary: monitor.summary(to),
+        samples: monitor.samples(to),
     })
 }
 
@@ -296,23 +356,21 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
             break;
         }
     }
-    let mut consumed = 0usize;
+    let mut completions = Vec::new();
+    let mut batch = Vec::new();
     loop {
-        while sim.completions().len() == consumed {
-            if !sim.step() {
-                break;
-            }
-        }
-        if sim.completions().len() == consumed {
+        while sim.completions().is_empty() && sim.step() {}
+        sim.drain_completions_into(&mut batch);
+        if batch.is_empty() {
             break;
         }
-        let at = sim.completions()[consumed].completed;
-        consumed += 1;
-        issue(sim, at, &mut next);
+        for c in &batch {
+            issue(sim, c.completed, &mut next);
+        }
+        completions.extend_from_slice(&batch);
     }
 
     publish_issue_tallies(sim, issued_ios, issued_bytes, skipped);
-    let completions = sim.drain_completions();
     let finished = completions.last().map_or(started, |c| c.completed);
     let summary = PerformanceMonitor::summarize(&completions, started, bump(finished));
     let samples = PerformanceMonitor::default().bin(&completions, started, bump(finished));

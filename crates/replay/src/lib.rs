@@ -47,11 +47,11 @@ pub mod realtime;
 pub mod scale;
 
 pub use engine::{
-    replay, replay_afap, replay_prepared, replay_prepared_with_warmup, try_replay, AddressPolicy,
-    ReplayConfig, ReplayReport,
+    replay, replay_afap, replay_prepared, replay_prepared_with_warmup, try_replay,
+    try_replay_observed, AddressPolicy, ReplayConfig, ReplayReport,
 };
 pub use filter::{ProportionalFilter, RandomFilter};
-pub use monitor::{PerfSample, PerfSummary, PerformanceMonitor};
+pub use monitor::{PerfAccumulator, PerfSample, PerfSummary, PerformanceMonitor};
 pub use plan::{trace_materializations, ReplayPlan};
 pub use realtime::{MemTarget, RealTimeReplayer, RealTimeReport, SimTarget, StorageTarget};
 pub use scale::{scale_intensity, LoadControl};

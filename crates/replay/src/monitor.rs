@@ -6,6 +6,7 @@
 //! response time" (§III-A2). The monitor bins completions into sampling cycles
 //! (default one second, matching the power meter) and computes the summary
 //! figures every experiment reports.
+#![doc = "tracer-invariant: deterministic"]
 
 use serde::{Deserialize, Serialize};
 use tracer_sim::{Completion, SimDuration, SimTime};
@@ -76,78 +77,155 @@ impl PerformanceMonitor {
         Self { cycle }
     }
 
+    /// Start accumulating completions at or after `from`, as they arrive.
+    pub fn accumulate(&self, from: SimTime) -> PerfAccumulator {
+        assert!(!self.cycle.is_zero(), "cycle must be positive");
+        PerfAccumulator {
+            from,
+            cycle: self.cycle,
+            total_bytes: 0,
+            read_ios: 0,
+            max_response_ms: 0.0,
+            latencies_ms: Vec::new(),
+            cycles: Vec::new(),
+        }
+    }
+
     /// Bin `completions` over `[from, to)`. Completions outside the window
     /// are ignored; the final cycle may be shorter.
     pub fn bin(&self, completions: &[Completion], from: SimTime, to: SimTime) -> Vec<PerfSample> {
-        assert!(!self.cycle.is_zero(), "cycle must be positive");
-        let mut out = Vec::new();
-        let mut cursor = from;
-        while cursor < to {
-            let end = (cursor + self.cycle).min(to);
-            out.push(PerfSample {
-                at: cursor,
-                cycle: end - cursor,
-                ios: 0,
-                bytes: 0,
-                iops: 0.0,
-                mbps: 0.0,
-                avg_response_ms: 0.0,
-            });
-            cursor = end;
-        }
-        let mut resp_sums = vec![0.0f64; out.len()];
-        for c in completions {
-            if c.completed < from || c.completed >= to {
-                continue;
-            }
-            let idx = ((c.completed - from).as_nanos() / self.cycle.as_nanos()) as usize;
-            let idx = idx.min(out.len() - 1);
-            out[idx].ios += 1;
-            out[idx].bytes += u64::from(c.bytes);
-            resp_sums[idx] += c.latency().as_millis_f64();
-        }
-        for (s, resp) in out.iter_mut().zip(resp_sums) {
-            let secs = s.cycle.as_secs_f64();
-            s.iops = s.ios as f64 / secs;
-            s.mbps = s.bytes as f64 / 1e6 / secs;
-            s.avg_response_ms = if s.ios > 0 { resp / s.ios as f64 } else { 0.0 };
-        }
-        out
+        self.accumulate_slice(completions, from, to).samples(to)
     }
 
     /// Summarise completions over `[from, to)`, including latency
     /// percentiles (nearest-rank).
     pub fn summarize(completions: &[Completion], from: SimTime, to: SimTime) -> PerfSummary {
-        let window_s = to.saturating_since(from).as_secs_f64();
-        let mut s = PerfSummary { window_s, ..Default::default() };
-        let mut latencies = Vec::new();
-        for c in completions {
-            if c.completed < from || c.completed >= to {
-                continue;
-            }
-            s.total_ios += 1;
-            s.total_bytes += u64::from(c.bytes);
-            let ms = c.latency().as_millis_f64();
-            latencies.push(ms);
-            if ms > s.max_response_ms {
-                s.max_response_ms = ms;
-            }
-            if c.kind.is_read() {
-                s.read_ios += 1;
-            }
+        Self::default().accumulate_slice(completions, from, to).summary(to)
+    }
+
+    fn accumulate_slice(
+        &self,
+        completions: &[Completion],
+        from: SimTime,
+        to: SimTime,
+    ) -> PerfAccumulator {
+        let mut acc = self.accumulate(from);
+        for c in completions.iter().filter(|c| c.completed < to) {
+            acc.push(c);
         }
+        acc
+    }
+}
+
+/// The monitor's running state: what [`PerformanceMonitor::summarize`] and
+/// [`PerformanceMonitor::bin`] compute, built up one completion at a time in
+/// completion order — O(cycles) tallies plus one 8-byte latency per measured
+/// request, which the exact nearest-rank percentiles need.
+///
+/// The window's end need not be known while accumulating: every completion
+/// pushed must precede the `to` eventually given to
+/// [`PerfAccumulator::summary`] and [`PerfAccumulator::samples`] (a replay's
+/// window ends just past its last completion, so this holds by construction).
+#[derive(Debug, Clone)]
+pub struct PerfAccumulator {
+    from: SimTime,
+    cycle: SimDuration,
+    total_bytes: u64,
+    read_ios: u64,
+    max_response_ms: f64,
+    latencies_ms: Vec<f64>,
+    cycles: Vec<CycleTally>,
+}
+
+/// One sampling cycle's running figures.
+#[derive(Debug, Clone, Copy, Default)]
+struct CycleTally {
+    ios: u64,
+    bytes: u64,
+    response_ms_sum: f64,
+}
+
+impl PerfAccumulator {
+    /// Account one completion; those before the window start are ignored.
+    pub fn push(&mut self, c: &Completion) {
+        if c.completed < self.from {
+            return;
+        }
+        let ms = c.latency().as_millis_f64();
+        self.total_bytes += u64::from(c.bytes);
+        self.latencies_ms.push(ms);
+        if ms > self.max_response_ms {
+            self.max_response_ms = ms;
+        }
+        if c.kind.is_read() {
+            self.read_ios += 1;
+        }
+        let idx = ((c.completed - self.from).as_nanos() / self.cycle.as_nanos()) as usize;
+        if idx >= self.cycles.len() {
+            self.cycles.resize(idx + 1, CycleTally::default());
+        }
+        let cycle = &mut self.cycles[idx];
+        cycle.ios += 1;
+        cycle.bytes += u64::from(c.bytes);
+        cycle.response_ms_sum += ms;
+    }
+
+    /// The window actually measured: a start past `to` measures nothing.
+    fn window_start(&self, to: SimTime) -> SimTime {
+        self.from.min(to)
+    }
+
+    /// Whole-window summary over `[from, to)`. Sorts the latency column in
+    /// place (the mean is taken first, in completion order).
+    pub fn summary(&mut self, to: SimTime) -> PerfSummary {
+        let window_s = (to - self.window_start(to)).as_secs_f64();
+        let mut s = PerfSummary {
+            window_s,
+            total_ios: self.latencies_ms.len() as u64,
+            total_bytes: self.total_bytes,
+            max_response_ms: self.max_response_ms,
+            read_ios: self.read_ios,
+            ..Default::default()
+        };
         if window_s > 0.0 {
             s.iops = s.total_ios as f64 / window_s;
             s.mbps = s.total_bytes as f64 / 1e6 / window_s;
         }
+        let latencies = &mut self.latencies_ms;
         if !latencies.is_empty() {
             s.avg_response_ms = latencies.iter().sum::<f64>() / latencies.len() as f64;
             latencies.sort_by(f64::total_cmp);
-            s.p50_response_ms = percentile(&latencies, 50.0);
-            s.p95_response_ms = percentile(&latencies, 95.0);
-            s.p99_response_ms = percentile(&latencies, 99.0);
+            s.p50_response_ms = percentile(latencies, 50.0);
+            s.p95_response_ms = percentile(latencies, 95.0);
+            s.p99_response_ms = percentile(latencies, 99.0);
         }
         s
+    }
+
+    /// Per-cycle samples over `[from, to)`; the final cycle may be shorter.
+    pub fn samples(&self, to: SimTime) -> Vec<PerfSample> {
+        let mut out = Vec::new();
+        let mut cursor = self.window_start(to);
+        while cursor < to {
+            let end = (cursor + self.cycle).min(to);
+            let tally = self.cycles.get(out.len()).copied().unwrap_or_default();
+            let secs = (end - cursor).as_secs_f64();
+            out.push(PerfSample {
+                at: cursor,
+                cycle: end - cursor,
+                ios: tally.ios,
+                bytes: tally.bytes,
+                iops: tally.ios as f64 / secs,
+                mbps: tally.bytes as f64 / 1e6 / secs,
+                avg_response_ms: if tally.ios > 0 {
+                    tally.response_ms_sum / tally.ios as f64
+                } else {
+                    0.0
+                },
+            });
+            cursor = end;
+        }
+        out
     }
 }
 

@@ -188,24 +188,32 @@ impl StorageTarget for MemTarget {
 /// replayer for fidelity at scale).
 #[derive(Debug)]
 pub struct SimTarget {
-    sim: Mutex<tracer_sim::ArraySim>,
+    state: Mutex<SimState>,
+}
+
+/// The simulator plus the buffer its completions are drained through.
+#[derive(Debug)]
+struct SimState {
+    sim: tracer_sim::ArraySim,
+    drained: Vec<tracer_sim::Completion>,
 }
 
 impl SimTarget {
     /// Wrap a simulator.
     pub fn new(sim: tracer_sim::ArraySim) -> Self {
-        Self { sim: Mutex::new(sim) }
+        Self { state: Mutex::new(SimState { sim, drained: Vec::new() }) }
     }
 
     /// Recover the simulator (for power-log inspection) after the replay.
     pub fn into_inner(self) -> tracer_sim::ArraySim {
-        self.sim.into_inner()
+        self.state.into_inner().sim
     }
 }
 
 impl StorageTarget for SimTarget {
     fn execute(&self, io: &IoPackage) -> Result<(), String> {
-        let mut sim = self.sim.lock();
+        let mut state = self.state.lock();
+        let SimState { sim, drained } = &mut *state;
         let capacity = sim.data_capacity_sectors();
         let sectors = io.sectors().max(1);
         if sectors > capacity {
@@ -216,8 +224,11 @@ impl StorageTarget for SimTarget {
         let id = sim
             .submit(now, tracer_sim::ArrayRequest::new(sector, io.bytes, io.kind))
             .map_err(|e| e.to_string())?;
+        // Requests are serialised, so the only completion still to come is
+        // this one: drain as the simulator steps and look in what came out.
         loop {
-            if sim.completions().iter().any(|c| c.id == id) {
+            sim.drain_completions_into(drained);
+            if drained.iter().any(|c| c.id == id) {
                 return Ok(());
             }
             if !sim.step() {
@@ -350,7 +361,7 @@ mod tests {
         // A request bigger than the whole array fails cleanly.
         let huge = IoPackage::read(0, u32::MAX);
         let sim_capacity_bytes =
-            target.sim.lock().data_capacity_sectors() * tracer_trace::SECTOR_BYTES;
+            target.state.lock().sim.data_capacity_sectors() * tracer_trace::SECTOR_BYTES;
         if u64::from(u32::MAX) > sim_capacity_bytes {
             assert!(target.execute(&huge).is_err());
         }

@@ -751,6 +751,22 @@ impl ArraySim {
         &self.completions
     }
 
+    /// [`ArraySim::drain_completions`] through a caller-owned buffer: `batch`
+    /// is cleared and swapped with the internal list, so a consumer draining
+    /// in a loop reuses the same two allocations for the whole run.
+    pub fn drain_completions_into(&mut self, batch: &mut Vec<Completion>) {
+        batch.clear();
+        std::mem::swap(&mut self.completions, batch);
+    }
+
+    /// Forget the power log before the segment containing `t`
+    /// ([`ArrayPowerLog::discard_before`]) — for a consumer that has already
+    /// metered it. Every write to the log is at or after [`ArraySim::now`],
+    /// so the discarded prefix can never change again.
+    pub fn discard_power_before(&mut self, t: SimTime) {
+        self.power.discard_before(t);
+    }
+
     fn schedule(&mut self, at: SimTime, ev: Event) {
         self.seq += 1;
         self.events.schedule(at, self.seq, ev);

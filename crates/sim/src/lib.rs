@@ -63,7 +63,7 @@ pub use device::{Device, DeviceModel, DiskOp, Phase, PhaseLabel, ServicePlan};
 pub use error::SimError;
 pub use nvme::{NvmeModel, NvmeParams};
 pub use power::PowerPolicy;
-pub use powerlog::{ArrayPowerLog, PowerTimeline};
+pub use powerlog::{ArrayEnergyCursor, ArrayPowerLog, PowerTimeline};
 pub use raid::{DiskExtent, Geometry, IoPlan, Redundancy};
 pub use spec::{ArraySpec, DeviceSpec, Layout};
 pub use stripe::StripeLayout;

@@ -5,6 +5,7 @@
 //! truth the power-analyzer emulation (crate `tracer-power`) samples and
 //! integrates. Because the timeline is exact, measured energy is free of
 //! sampling error — the sampled meter view adds that error back on purpose.
+#![doc = "tracer-invariant: deterministic"]
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -12,10 +13,31 @@ use serde::{Deserialize, Serialize};
 /// A piecewise-constant power signal: breakpoints of `(time, watts)`.
 ///
 /// The signal holds `points[i].1` watts from `points[i].0` until
-/// `points[i+1].0`. Timelines always start at `t = 0`.
+/// `points[i+1].0`. A timeline starts at `t = 0` until
+/// [`PowerTimeline::discard_before`] trims a consumed prefix; before its first
+/// retained breakpoint it reads as that breakpoint's level.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerTimeline {
     points: Vec<(SimTime, f64)>,
+}
+
+/// Resumable state of one [`PowerTimeline::energy_joules`] pass: the signal
+/// before `at` is already integrated into `joules`.
+///
+/// Advancing a cursor segment by segment adds exactly the terms the one-shot
+/// pass adds, in the same order, so the result has the same bits however the
+/// pass is cut up — as long as no segment is split (`w·(a+b)` is not
+/// `w·a + w·b` in floating point).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct EnergyCursor {
+    at: SimTime,
+    joules: f64,
+}
+
+impl EnergyCursor {
+    fn new(from: SimTime) -> Self {
+        Self { at: from, joules: 0.0 }
+    }
 }
 
 impl PowerTimeline {
@@ -44,42 +66,64 @@ impl PowerTimeline {
         }
     }
 
+    /// Index of the segment containing `t` (the first one when `t` precedes
+    /// every retained breakpoint).
+    fn segment_at(&self, t: SimTime) -> usize {
+        match self.points.binary_search_by(|p| p.0.cmp(&t)) {
+            Ok(i) => i,
+            Err(i) => i.saturating_sub(1),
+        }
+    }
+
     /// Power level at instant `t` (the signal is right-continuous).
     pub fn watts_at(&self, t: SimTime) -> f64 {
-        match self.points.binary_search_by(|p| p.0.cmp(&t)) {
-            Ok(i) => self.points[i].1,
-            Err(0) => self.points[0].1,
-            Err(i) => self.points[i - 1].1,
+        self.points[self.segment_at(t)].1
+    }
+
+    /// Advance `cur` over every whole segment that ends strictly before
+    /// `before`, never splitting one. With `before` no later than the clock
+    /// of the simulator writing this timeline those segments are final:
+    /// [`PowerTimeline::set`] only touches breakpoints at or after its `at`.
+    /// Returns the index of the segment the cursor stops in.
+    fn integrate_whole_segments(&self, cur: &mut EnergyCursor, before: SimTime) -> usize {
+        let mut i = self.segment_at(cur.at);
+        while let Some(&(end, _)) = self.points.get(i + 1) {
+            if end >= before {
+                break;
+            }
+            cur.joules += self.points[i].1 * (end - cur.at).as_secs_f64();
+            cur.at = end;
+            i += 1;
+        }
+        i
+    }
+
+    /// Finish `cur`'s pass at `to`: the remaining whole segments, then the
+    /// open one clipped at `to` (the signal extends at its last level).
+    fn integrate_to(&self, cur: &mut EnergyCursor, to: SimTime) {
+        let i = self.integrate_whole_segments(cur, to);
+        if cur.at < to {
+            cur.joules += self.points[i].1 * (to - cur.at).as_secs_f64();
+            cur.at = to;
         }
     }
 
     /// Exact energy in joules over `[from, to)`.
     pub fn energy_joules(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from {
-            return 0.0;
+        let mut cur = EnergyCursor::new(from);
+        self.integrate_to(&mut cur, to);
+        cur.joules
+    }
+
+    /// Drop the breakpoints before the segment containing `t`: the signal
+    /// from `t` on is unchanged, what came before is forgotten. The last two
+    /// breakpoints always stay — [`PowerTimeline::set`]'s replace-and-collapse
+    /// reads both.
+    pub fn discard_before(&mut self, t: SimTime) {
+        let keep_from = self.segment_at(t).min(self.points.len().saturating_sub(2));
+        if keep_from > 0 {
+            self.points.drain(..keep_from);
         }
-        let mut total = 0.0;
-        // Index of the segment containing `from`.
-        let mut i = match self.points.binary_search_by(|p| p.0.cmp(&from)) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        let mut cursor = from;
-        while cursor < to {
-            let seg_end = self.points.get(i + 1).map_or(to, |p| p.0.min(to));
-            if seg_end > cursor {
-                total += self.points[i].1 * (seg_end - cursor).as_secs_f64();
-                cursor = seg_end;
-            }
-            i += 1;
-            if i >= self.points.len() && cursor < to {
-                // Signal extends at its last level.
-                total += self.points[self.points.len() - 1].1 * (to - cursor).as_secs_f64();
-                break;
-            }
-        }
-        total
     }
 
     /// Mean power in watts over `[from, to)`; zero-length windows yield the
@@ -132,14 +176,51 @@ impl ArrayPowerLog {
         self.chassis_watts + self.devices.iter().map(|d| d.watts_at(t)).sum::<f64>()
     }
 
-    /// Exact total energy in joules over `[from, to)`.
-    pub fn energy_joules(&self, from: SimTime, to: SimTime) -> f64 {
+    /// Chassis plus per-device joules over `[from, to)`: the one combining
+    /// expression behind the one-shot and the resumable total.
+    fn total_joules(&self, from: SimTime, to: SimTime, devices: impl Iterator<Item = f64>) -> f64 {
         if to <= from {
             return 0.0;
         }
-        let span = (to - from).as_secs_f64();
-        self.chassis_watts * span
-            + self.devices.iter().map(|d| d.energy_joules(from, to)).sum::<f64>()
+        self.chassis_watts * (to - from).as_secs_f64() + devices.sum::<f64>()
+    }
+
+    /// Exact total energy in joules over `[from, to)`.
+    pub fn energy_joules(&self, from: SimTime, to: SimTime) -> f64 {
+        self.total_joules(from, to, self.devices.iter().map(|d| d.energy_joules(from, to)))
+    }
+
+    /// Start a resumable [`ArrayPowerLog::energy_joules`] pass at `from`.
+    pub fn energy_cursor(&self, from: SimTime) -> ArrayEnergyCursor {
+        ArrayEnergyCursor { from, devices: vec![EnergyCursor::new(from); self.devices.len()] }
+    }
+
+    /// Advance every device of `cur` over the whole segments ending strictly
+    /// before `before`, never splitting one. With `before` no later than the clock of
+    /// the simulator writing this log those segments are final:
+    /// [`PowerTimeline::set`] only touches breakpoints at or after its `at`.
+    pub fn integrate_whole_segments(&self, cur: &mut ArrayEnergyCursor, before: SimTime) {
+        for (d, c) in self.devices.iter().zip(&mut cur.devices) {
+            d.integrate_whole_segments(c, before);
+        }
+    }
+
+    /// Finish `cur`'s pass at `to`: exactly `energy_joules(from, to)`, bit for
+    /// bit, however the pass was cut up and whatever prefix was discarded.
+    pub fn integrate_to(&self, cur: &mut ArrayEnergyCursor, to: SimTime) -> f64 {
+        let devices = self.devices.iter().zip(&mut cur.devices).map(|(d, c)| {
+            d.integrate_to(c, to);
+            c.joules
+        });
+        self.total_joules(cur.from, to, devices)
+    }
+
+    /// Forget every device's signal before the segment containing `t`
+    /// ([`PowerTimeline::discard_before`]).
+    pub fn discard_before(&mut self, t: SimTime) {
+        for d in &mut self.devices {
+            d.discard_before(t);
+        }
     }
 
     /// Mean total power over `[from, to)`.
@@ -158,6 +239,14 @@ impl ArrayPowerLog {
             self.devices.iter().map(|d| d.energy_joules(from, to)).collect(),
         )
     }
+}
+
+/// Resumable state of one [`ArrayPowerLog::energy_joules`] pass: one
+/// [`EnergyCursor`] per device over a window starting at `from`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArrayEnergyCursor {
+    from: SimTime,
+    devices: Vec<EnergyCursor>,
 }
 
 /// Convenience: watts → joules over a duration.
@@ -203,6 +292,27 @@ mod tests {
         assert_eq!(tl.len(), 1);
         tl.set(SimTime::from_secs(2), 5.0); // no-op: same level
         assert_eq!(tl.len(), 1);
+    }
+
+    #[test]
+    fn discard_keeps_the_segment_containing_t_and_the_last_two_points() {
+        let mut tl = PowerTimeline::new(5.0);
+        for i in 1..=6u64 {
+            tl.set(SimTime::from_secs(i), if i % 2 == 0 { 5.0 } else { 10.0 });
+        }
+        let whole = tl.clone();
+        tl.discard_before(SimTime::from_millis(3_500));
+        assert_eq!(tl.points(), &whole.points()[3..], "segment [3 s, 4 s) contains t");
+        let (from, to) = (SimTime::from_millis(3_500), SimTime::from_secs(9));
+        assert_eq!(tl.energy_joules(from, to).to_bits(), whole.energy_joules(from, to).to_bits());
+        // Far past the end: the last two points stay, so a same-instant write
+        // that restores the previous level still collapses.
+        tl.discard_before(SimTime::from_secs(100));
+        assert_eq!(tl.points(), &whole.points()[5..]);
+        tl.set(SimTime::from_secs(6), 10.0);
+        assert_eq!(tl.points(), &[(SimTime::from_secs(5), 10.0)]);
+        tl.discard_before(SimTime::from_secs(100));
+        assert_eq!(tl.len(), 1, "a single point is never dropped");
     }
 
     #[test]
@@ -257,6 +367,26 @@ mod tests {
             let whole = tl.energy_joules(SimTime::ZERO, end);
             let parts = tl.energy_joules(SimTime::ZERO, mid) + tl.energy_joules(mid, end);
             prop_assert!((whole - parts).abs() < 1e-6);
+        }
+
+        /// However eagerly the prefix is discarded, later writes leave the
+        /// same breakpoints the untrimmed timeline ends with.
+        #[test]
+        fn prop_discard_never_changes_what_set_does_next(
+            writes in proptest::collection::vec((0u64..3, 0usize..3, 0u64..8), 1..60),
+        ) {
+            let levels = [5.0, 8.25, 11.4];
+            let mut whole = PowerTimeline::new(levels[0]);
+            let mut live = whole.clone();
+            let mut at = SimTime::ZERO;
+            for (dt, level, discard_ahead) in writes {
+                at += SimDuration::from_millis(dt);
+                whole.set(at, levels[level]);
+                live.set(at, levels[level]);
+                live.discard_before(at + SimDuration::from_millis(discard_ahead));
+                prop_assert!(live.len() <= 2);
+                prop_assert_eq!(live.points(), &whole.points()[whole.len() - live.len()..]);
+            }
         }
 
         #[test]

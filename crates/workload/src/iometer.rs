@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tracer_sim::{ArrayRequest, ArraySim, Completion, SimDuration, SimTime};
+use tracer_sim::{ArrayRequest, ArraySim, SimDuration, SimTime};
 use tracer_trace::{Bunch, IoPackage, OpKind, Trace, WorkloadMode};
 
 /// Configuration of one IOmeter-style run.
@@ -50,8 +50,11 @@ pub struct GeneratedWorkload {
     /// The trace a block-level tracer would have recorded (arrival times of
     /// issued requests, grouped into bunches by arrival instant).
     pub trace: Trace,
-    /// Completions observed during the run (including drain).
-    pub completions: Vec<Completion>,
+    /// Requests completed during the run (including drain) — every issued
+    /// request completes, so this equals the trace's IO count.
+    pub completed_ios: u64,
+    /// Bytes completed within the issue window.
+    pub window_bytes: u64,
     /// Requests completed per second within the issue window.
     pub peak_iops: f64,
     /// Megabytes per second within the issue window.
@@ -162,9 +165,16 @@ impl MixedRequestFactory {
     }
 }
 
+/// Completions between trims of the generator simulator's power log.
+const POWER_TRIM_EVERY: u64 = 4096;
+
 /// Drive `sim` with a closed-loop workload from an arbitrary request source.
 /// This is the generic engine behind [`run_peak_workload`] and
 /// [`run_peak_workload_mixed`].
+///
+/// The simulator here is a load source, not a device under measurement:
+/// completions are consumed as they land and its power history is trimmed
+/// along the way, so generating a trace costs memory for the trace only.
 pub fn run_closed_loop(
     sim: &mut ArraySim,
     next_request: &mut dyn FnMut() -> ArrayRequest,
@@ -174,48 +184,55 @@ pub fn run_closed_loop(
     let base = sim.now();
     let deadline = base + duration;
 
-    let mut arrivals: Vec<(SimTime, IoPackage)> = Vec::new();
-    let mut issue = |sim: &mut ArraySim, at: SimTime, arrivals: &mut Vec<(SimTime, IoPackage)>| {
+    // Issue instants never decrease, so the trace is bunched as it is issued.
+    let mut trace = Trace::new(sim.config().name.clone());
+    let mut issue = |sim: &mut ArraySim, at: SimTime| {
         let req = next_request();
         sim.submit(at, req).expect("generated request must be in range");
-        arrivals.push((at, IoPackage::new(req.sector, req.bytes, req.kind)));
+        let io = IoPackage::new(req.sector, req.bytes, req.kind);
+        let timestamp = (at - base).as_nanos();
+        match trace.bunches.last_mut() {
+            Some(bunch) if bunch.timestamp == timestamp => bunch.ios.push(io),
+            _ => trace.push_bunch(Bunch::new(timestamp, vec![io])),
+        }
     };
 
     for _ in 0..outstanding.max(1) {
-        issue(sim, base, &mut arrivals);
+        issue(sim, base);
     }
 
-    let mut consumed = 0;
+    let mut completed_ios = 0u64;
+    // Peak rates are measured over the issue window only (the drain tail
+    // would otherwise dilute them).
+    let mut window_ios = 0u64;
+    let mut window_bytes = 0u64;
+    let mut batch = Vec::new();
     loop {
-        while sim.completions().len() == consumed {
-            if !sim.step() {
-                break;
-            }
-        }
-        if sim.completions().len() == consumed {
+        while sim.completions().is_empty() && sim.step() {}
+        sim.drain_completions_into(&mut batch);
+        if batch.is_empty() {
             break; // drained
         }
-        let done_at = sim.completions()[consumed].completed;
-        consumed += 1;
-        if done_at < deadline {
-            issue(sim, done_at, &mut arrivals);
+        for done in &batch {
+            completed_ios += 1;
+            if done.completed < deadline {
+                window_ios += 1;
+                window_bytes += u64::from(done.bytes);
+                issue(sim, done.completed);
+            }
+            if completed_ios % POWER_TRIM_EVERY == 0 {
+                sim.discard_power_before(done.completed);
+            }
         }
     }
 
-    let completions = sim.drain_completions();
-    // Peak rates measured over the issue window only (the drain tail would
-    // otherwise dilute them).
     let window = duration.as_secs_f64();
-    let in_window: Vec<&Completion> =
-        completions.iter().filter(|c| c.completed < deadline).collect();
-    let peak_iops = in_window.len() as f64 / window;
-    let peak_mbps = in_window.iter().map(|c| f64::from(c.bytes)).sum::<f64>() / 1e6 / window;
-
     GeneratedWorkload {
-        trace: bunch_arrivals(&sim.config().name.clone(), base, arrivals),
-        completions,
-        peak_iops,
-        peak_mbps,
+        trace,
+        completed_ios,
+        window_bytes,
+        peak_iops: window_ios as f64 / window,
+        peak_mbps: window_bytes as f64 / 1e6 / window,
     }
 }
 
@@ -242,29 +259,6 @@ pub fn run_peak_workload(sim: &mut ArraySim, cfg: &IometerConfig) -> GeneratedWo
     let span = cfg.span_sectors.min(sim.data_capacity_sectors());
     let mut factory = RequestFactory::new(cfg.mode, span, cfg.seed);
     run_closed_loop(sim, &mut || factory.next_request(), cfg.outstanding, cfg.duration)
-}
-
-/// Group `(arrival, io)` pairs into bunches of identical (rebased) arrival
-/// instants.
-fn bunch_arrivals(device: &str, base: SimTime, arrivals: Vec<(SimTime, IoPackage)>) -> Trace {
-    let mut trace = Trace::new(device);
-    let mut current: Option<(u64, Vec<IoPackage>)> = None;
-    for (at, io) in arrivals {
-        let ts = (at - base).as_nanos();
-        match current.as_mut() {
-            Some((t, ios)) if *t == ts => ios.push(io),
-            Some(_) => {
-                let (t, ios) = current.take().expect("checked above");
-                trace.push_bunch(Bunch::new(t, ios));
-                current = Some((ts, vec![io]));
-            }
-            None => current = Some((ts, vec![io])),
-        }
-    }
-    if let Some((t, ios)) = current {
-        trace.push_bunch(Bunch::new(t, ios));
-    }
-    trace
 }
 
 #[cfg(test)]
@@ -341,7 +335,7 @@ mod tests {
         assert!(out.peak_iops > 100.0, "sequential 64K peak IOPS = {}", out.peak_iops);
         assert!(out.peak_mbps > 10.0, "peak MBPS = {}", out.peak_mbps);
         // The trace records every issued request.
-        assert_eq!(out.trace.io_count(), out.completions.len());
+        assert_eq!(out.trace.io_count() as u64, out.completed_ios);
         let stats = TraceStats::compute(&out.trace);
         assert!((stats.read_ratio - 1.0).abs() < 1e-9);
         assert!((stats.avg_request_bytes - 65536.0).abs() < 1.0);

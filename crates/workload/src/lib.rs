@@ -34,7 +34,7 @@
 //! };
 //! let out = run_peak_workload(&mut sim, &cfg);
 //! assert!(out.peak_iops > 0.0);
-//! assert_eq!(out.trace.io_count(), out.completions.len());
+//! assert_eq!(out.trace.io_count() as u64, out.completed_ios);
 //! ```
 
 pub mod collector;
