@@ -14,9 +14,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use tracer_bench::json_result;
 use tracer_core::{EvaluationHost, SweepBuilder, SweepExecutor};
-use tracer_replay::{
-    replay, replay_prepared, AddressPolicy, LoadControl, ProportionalFilter, ReplayConfig,
-};
+use tracer_replay::{replay, LoadControl, ProportionalFilter, ReplayConfig};
 use tracer_sim::{
     ArrayRequest, ArraySim, ArraySpec, Geometry, QueueDiscipline, SimDuration, SimTime,
 };
@@ -109,7 +107,7 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("replay_8k_ios_raid5_hdd6", |b| {
         b.iter_batched(
             || ArraySpec::hdd_raid5(6).build(),
-            |mut sim| black_box(replay_prepared(&mut sim, &trace, AddressPolicy::Wrap)),
+            |mut sim| black_box(replay(&mut sim, &trace, &ReplayConfig::default())),
             BatchSize::SmallInput,
         )
     });
@@ -418,7 +416,7 @@ fn bench_replay_plan(c: &mut Criterion) {
             || ArraySpec::hdd_raid5(6).build(),
             |mut sim| {
                 let prepared = load.apply(&trace);
-                black_box(replay_prepared(&mut sim, &prepared, AddressPolicy::Wrap))
+                black_box(replay(&mut sim, &prepared, &ReplayConfig::default()))
             },
             BatchSize::SmallInput,
         )
@@ -441,7 +439,7 @@ fn bench_replay_plan(c: &mut Criterion) {
     let mut sim = ArraySpec::hdd_raid5(6).build();
     let t0 = Instant::now();
     let prepared = load.apply(&trace);
-    let mat_report = replay_prepared(&mut sim, &prepared, AddressPolicy::Wrap);
+    let mat_report = replay(&mut sim, &prepared, &ReplayConfig::default());
     let mat = t0.elapsed().as_secs_f64();
     let rss_after_materialized = peak_rss_kb();
     assert_eq!(zc_report.issued_ios, mat_report.issued_ios, "paths must agree");

@@ -67,22 +67,11 @@ struct JobResult {
 
 /// Run all jobs in parallel (one worker per core), measure each on its own
 /// analyzer channel, and store one record per job in `host`'s database.
-/// Returns the record ids in job order.
+/// Returns the record ids in job order. For a bounded pool use
+/// `SweepBuilder::new().executor(exec).jobs(host, jobs)`; records are
+/// inserted in job order at any worker count.
 pub fn run_parallel(host: &mut EvaluationHost, jobs: Vec<EvaluationJob>) -> Vec<u64> {
     crate::orchestrate::SweepBuilder::new().executor(SweepExecutor::auto()).jobs(host, jobs)
-}
-
-/// [`run_parallel`] on an explicit executor: the jobs are fanned out over a
-/// *bounded* worker pool instead of one thread per job, so a fleet of
-/// hundreds of systems does not oversubscribe the machine. Records are still
-/// inserted in job order regardless of completion order.
-#[deprecated(since = "0.1.0", note = "use `SweepBuilder::new().executor(*exec).jobs(host, jobs)`")]
-pub fn run_parallel_with(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    jobs: Vec<EvaluationJob>,
-) -> Vec<u64> {
-    crate::orchestrate::SweepBuilder::new().executor(*exec).jobs(host, jobs)
 }
 
 /// The fan-out/merge implementation behind
@@ -266,7 +255,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the shim's equivalence to the wide pool stays asserted
     fn bounded_pool_matches_one_thread_per_job() {
         let make_jobs = || {
             (0..6)
@@ -283,7 +271,7 @@ mod tests {
         let mut wide = EvaluationHost::new();
         run_parallel(&mut wide, make_jobs());
         let mut bounded = EvaluationHost::new();
-        run_parallel_with(&mut bounded, &SweepExecutor::new(2), make_jobs());
+        crate::orchestrate::SweepBuilder::new().workers(2).jobs(&mut bounded, make_jobs());
         assert_eq!(wide.db.records(), bounded.db.records());
     }
 

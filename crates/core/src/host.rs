@@ -3,7 +3,8 @@
 //! The evaluation host is "a kernel control part of the entire system"
 //! (§III-A1): it configures the workload generator, arms the power analyzer,
 //! runs the test, and stores an energy-efficiency record in the database.
-//! [`EvaluationHost::run_test`] is that sequence against a simulated array;
+//! [`EvaluationHost::measure_test`] + [`EvaluationHost::commit`] is that
+//! sequence against a simulated array;
 //! [`CommandSession`] drives it through the GUI text protocol (parser →
 //! messenger), which is how the paper's GUI front-end reaches the machinery.
 
@@ -13,7 +14,7 @@ use crate::metrics::EfficiencyMetrics;
 use tracer_power::{Channel, PowerAnalyzer};
 use tracer_replay::{try_replay_observed, LoadControl, ReplayConfig, ReplayReport};
 use tracer_sim::{ArraySim, SimDuration};
-use tracer_trace::{BunchSource, Trace, TraceHandle, WorkloadMode};
+use tracer_trace::{BunchSource, TraceHandle, WorkloadMode};
 
 /// Orchestrates tests and owns the results database.
 #[derive(Debug, Default)]
@@ -38,8 +39,8 @@ pub struct TestOutcome {
 
 /// A finished measurement that has not been committed to a database yet.
 ///
-/// This is the worker-thread half of [`EvaluationHost::run_test`]: everything
-/// except the record-id assignment, which the sweep executor's merge step
+/// This is the worker-thread half of a test run: everything except the
+/// record-id assignment, which the sweep executor's merge step
 /// performs in deterministic cell order (see [`crate::executor`]). The
 /// embedded record carries `id == 0` until [`EvaluationHost::commit`] stores
 /// it.
@@ -60,35 +61,16 @@ impl EvaluationHost {
         Self { db: Database::new(), meter_cycle_ms: 1000 }
     }
 
-    /// Run one test: apply the mode's load proportion (and `intensity_pct`
-    /// pacing) to `trace`, replay it into `sim`, measure power over the replay
-    /// window, and store a [`TestRecord`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EvaluationHost::measure_test` + `EvaluationHost::commit`, the canonical \
-                single-cell entry points"
-    )]
-    pub fn run_test(
-        &mut self,
-        sim: &mut ArraySim,
-        trace: &Trace,
-        mode: WorkloadMode,
-        intensity_pct: u32,
-        label: &str,
-    ) -> TestOutcome {
-        let measured =
-            Self::measure_test(self.meter_cycle_ms, sim, trace, mode, intensity_pct, label);
-        self.commit(measured)
-    }
-
-    /// The measurement half of [`EvaluationHost::run_test`], free of host
-    /// state so sweep workers can run it concurrently: replay, meter, and
-    /// package the record — without storing it. Pair with
-    /// [`EvaluationHost::commit`] on the merging thread.
+    /// Measure one test: apply the mode's load proportion (and
+    /// `intensity_pct` pacing) to `trace`, replay it into `sim`, measure power
+    /// over the replay window, and package a [`TestRecord`] — without storing
+    /// it. Free of host state so sweep workers can run it concurrently; pair
+    /// with [`EvaluationHost::commit`] on the merging thread.
     ///
-    /// The source is any [`BunchSource`]: an in-memory [`Trace`], or an
-    /// mmap-backed view handed out by `TraceRepository::load_view`, which
-    /// replays straight off the mapped file.
+    /// The source is any [`BunchSource`]: an in-memory
+    /// [`Trace`](tracer_trace::Trace), or an mmap-backed view handed out by
+    /// `TraceRepository::load_view`, which replays straight off the mapped
+    /// file.
     ///
     /// The run is metered as it happens and nothing of it is kept: afterwards
     /// `sim` holds no completions and its power log only the breakpoints
@@ -153,7 +135,7 @@ impl EvaluationHost {
     }
 
     /// Store a finished measurement, assigning its record id. The merge half
-    /// of [`EvaluationHost::run_test`].
+    /// of a test run.
     pub fn commit(&mut self, measured: MeasuredTest) -> TestOutcome {
         let MeasuredTest { record, report, metrics } = measured;
         let record_id = self.db.insert(record);
@@ -293,7 +275,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tracer_sim::ArraySpec;
-    use tracer_trace::{Bunch, IoPackage};
+    use tracer_trace::{Bunch, IoPackage, Trace};
 
     fn test_trace(n: usize) -> Trace {
         Trace::from_bunches(
@@ -309,13 +291,23 @@ mod tests {
         )
     }
 
+    /// Measure one test and commit it, like a sweep cell.
+    fn run_test(
+        host: &mut EvaluationHost,
+        sim: &mut ArraySim,
+        trace: &Trace,
+        mode: WorkloadMode,
+        label: &str,
+    ) -> TestOutcome {
+        host.commit(EvaluationHost::measure_test(host.meter_cycle_ms, sim, trace, mode, 100, label))
+    }
+
     #[test]
-    #[allow(deprecated)] // run_test stays covered while it remains a shim
     fn run_test_stores_record_with_metrics() {
         let mut host = EvaluationHost::new();
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let mode = WorkloadMode::peak(4096, 50, 100).at_load(50);
-        let outcome = host.run_test(&mut sim, &test_trace(100), mode, 100, "unit");
+        let outcome = run_test(&mut host, &mut sim, &test_trace(100), mode, "unit");
         assert_eq!(outcome.report.issued_ios, 50);
         assert!(outcome.metrics.avg_watts > 30.0, "watts {}", outcome.metrics.avg_watts);
         assert!(outcome.metrics.iops_per_watt > 0.0);
@@ -335,12 +327,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // run_test stays covered while it remains a shim
     fn empty_trace_test_does_not_divide_by_zero() {
         let mut host = EvaluationHost::new();
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let mode = WorkloadMode::peak(4096, 0, 0);
-        let outcome = host.run_test(&mut sim, &Trace::new("empty"), mode, 100, "empty");
+        let outcome = run_test(&mut host, &mut sim, &Trace::new("empty"), mode, "empty");
         assert_eq!(outcome.metrics.iops, 0.0);
         assert!(outcome.metrics.iops_per_watt.is_finite());
     }

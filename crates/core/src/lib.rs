@@ -82,11 +82,6 @@ pub use orchestrate::{
 };
 pub use scenario::{run_scenario, ScenarioCell, ScenarioOutcome, ScenarioSpec, WorkloadSpec};
 pub use techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
-#[allow(deprecated)]
-pub use {
-    distributed::run_parallel_with,
-    orchestrate::{load_sweep_with, repeated_trials_with, run_sweep_with},
-};
 
 /// Everything an application typically needs, including the lower layers.
 pub mod prelude {
@@ -97,8 +92,6 @@ pub mod prelude {
         LoadSweepResult, MeasuredTest, ScenarioCell, ScenarioOutcome, ScenarioSpec, SweepBuilder,
         SweepConfig, SweepExecutor, TestRecord, TracerError,
     };
-    #[allow(deprecated)]
-    pub use crate::{load_sweep_with, run_sweep_with};
     pub use tracer_power::{Channel, EnergyReport, NoiseModel, PowerAnalyzer, PowerMeter};
     pub use tracer_replay::{
         replay, scale_intensity, AddressPolicy, LoadControl, PerformanceMonitor,

@@ -14,9 +14,7 @@
 //!
 //! [`SweepBuilder`] is the single entry point for every sweep shape: it
 //! composes loads × modes × trials × workers × progress × observability sink
-//! behind one builder, and its outputs are bit-identical to the legacy
-//! `load_sweep_with` / `run_sweep_with` / `repeated_trials_with` /
-//! `run_parallel_with` functions, which remain as thin deprecated shims.
+//! behind one builder.
 
 use crate::distributed::EvaluationJob;
 use crate::executor::SweepExecutor;
@@ -143,34 +141,6 @@ where
     SweepBuilder::new().loads(loads).label(label).load_sweep(host, build_array, trace, mode)
 }
 
-/// [`load_sweep`] with the load levels fanned out over `exec`'s workers.
-/// Record ids are assigned at merge time, in ascending level order, so the
-/// database contents are bit-identical to the serial run.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SweepBuilder::new().executor(*exec).loads(loads).label(label).load_sweep(..)`"
-)]
-pub fn load_sweep_with<F, S>(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    build_array: F,
-    trace: &S,
-    mode: WorkloadMode,
-    loads: &[u32],
-    label: &str,
-) -> LoadSweepResult
-where
-    F: Fn() -> ArraySim + Sync,
-    S: BunchSource + Sync + ?Sized,
-{
-    SweepBuilder::new().executor(*exec).loads(loads).label(label).load_sweep(
-        host,
-        build_array,
-        trace,
-        mode,
-    )
-}
-
 /// Configuration of a synthetic mode × load sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepConfig {
@@ -196,18 +166,10 @@ impl SweepConfig {
 /// The single entry point for every sweep shape: loads × modes × trials ×
 /// workers × progress × observability sink, composed as a builder.
 ///
-/// One builder replaces the four legacy `*_with` entry points:
-///
-/// | legacy | builder |
-/// |---|---|
-/// | `load_sweep_with(h, e, b, t, m, loads, label)` | `.executor(*e).loads(loads).label(label).load_sweep(h, b, t, m)` |
-/// | `run_sweep_with(h, e, b, tm, cfg, p)` | `.executor(*e).on_progress(p).sweep(h, b, tm, cfg)` |
-/// | `repeated_trials_with(h, e, b, ts, m, n, label)` | `.executor(*e).label(label).trials(h, b, ts, m, n)` |
-/// | `run_parallel_with(h, e, jobs)` | `.executor(*e).jobs(h, jobs)` |
-///
-/// Outputs are bit-identical to the legacy functions (asserted in
-/// `tests/sweep_builder.rs`): the builder only routes, it never reorders the
-/// deterministic merge.
+/// Cells fan out over the executor's workers, but results merge — and
+/// database record ids are assigned — in deterministic cell order, so every
+/// shape is bit-identical at any worker count (asserted in
+/// `tests/parallel_sweep.rs`).
 ///
 /// With [`SweepBuilder::obs`] set, `tracer-obs` instrumentation is enabled
 /// for the duration of the run and a JSON-lines snapshot (counters, span
@@ -275,7 +237,7 @@ impl<'a> SweepBuilder<'a> {
 
     /// Load levels for [`SweepBuilder::load_sweep`] (the 100 % baseline is
     /// always added). [`SweepBuilder::sweep`] takes its levels from the
-    /// [`SweepConfig`] instead, like the legacy API.
+    /// [`SweepConfig`] instead.
     pub fn loads(mut self, loads: &[u32]) -> Self {
         self.loads = loads.to_vec();
         self
@@ -373,6 +335,9 @@ impl<'a> SweepBuilder<'a> {
     }
 
     /// Terminal: run the full mode × load grid of `cfg` (see [`run_sweep`]).
+    /// Traces resolve on the caller's thread in mode order. Under
+    /// parallelism modes finish out of order, so progress reports the
+    /// *count* of completed modes, not which one.
     pub fn sweep<F, T, A>(
         mut self,
         host: &mut EvaluationHost,
@@ -547,41 +512,6 @@ where
     SweepBuilder::new().on_progress(progress).sweep(host, build_array, trace_for_mode, cfg)
 }
 
-/// [`run_sweep`] with every (mode × load) cell of the grid fanned out over
-/// `exec`'s workers.
-///
-/// Trace resolution stays on the caller's thread (mode order), and results
-/// are merged — record ids assigned — in mode-major, level-ascending order,
-/// exactly the serial path's order, so the database and every
-/// [`LoadSweepResult`] are bit-identical to a serial run. `progress` fires on
-/// the caller's thread each time a mode's last cell completes; under
-/// parallelism modes finish out of order, so it reports the *count* of
-/// completed modes, not which one.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SweepBuilder::new().executor(*exec).on_progress(progress).sweep(..)`"
-)]
-pub fn run_sweep_with<F, T, A>(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    build_array: F,
-    trace_for_mode: T,
-    cfg: &SweepConfig,
-    progress: impl FnMut(usize, usize),
-) -> Vec<LoadSweepResult>
-where
-    F: Fn() -> ArraySim + Sync,
-    T: FnMut(&WorkloadMode) -> A,
-    A: Into<TraceHandle>,
-{
-    SweepBuilder::new().executor(*exec).on_progress(progress).sweep(
-        host,
-        build_array,
-        trace_for_mode,
-        cfg,
-    )
-}
-
 /// Mean ± standard deviation of a repeated measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrialStat {
@@ -710,36 +640,6 @@ where
     SweepBuilder::new().label(label).trials(host, build_array, trace_for_seed, mode, trials)
 }
 
-/// [`repeated_trials`] with the trials fanned out over `exec`'s workers.
-/// Trace generation stays serial (seed order) and records are committed in
-/// trial order, so the result is bit-identical to the serial run.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SweepBuilder::new().executor(*exec).label(label).trials(..)`"
-)]
-pub fn repeated_trials_with<F, T, A>(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    build_array: F,
-    trace_for_seed: T,
-    mode: WorkloadMode,
-    trials: usize,
-    label: &str,
-) -> TrialSummary
-where
-    F: Fn() -> ArraySim + Sync,
-    T: FnMut(u64) -> A,
-    A: Into<TraceHandle>,
-{
-    SweepBuilder::new().executor(*exec).label(label).trials(
-        host,
-        build_array,
-        trace_for_seed,
-        mode,
-        trials,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -799,7 +699,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the shim's equivalence to serial stays asserted
     fn parallel_load_sweep_is_bit_identical_to_serial() {
         let trace = fixed_trace(120, 8192);
         let mode = WorkloadMode::peak(8192, 50, 50);
@@ -813,15 +712,11 @@ mod tests {
             "det",
         );
         let mut par_host = EvaluationHost::new();
-        let parallel = load_sweep_with(
-            &mut par_host,
-            &SweepExecutor::new(4),
-            || ArraySpec::hdd_raid5(4).build(),
-            &trace,
-            mode,
-            &sweep::LOAD_PCTS,
-            "det",
-        );
+        let parallel = SweepBuilder::new()
+            .workers(4)
+            .loads(&sweep::LOAD_PCTS)
+            .label("det")
+            .load_sweep(&mut par_host, || ArraySpec::hdd_raid5(4).build(), &trace, mode);
         assert_eq!(serial, parallel);
         assert_eq!(serial_host.db.records(), par_host.db.records());
     }
@@ -848,7 +743,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the shim's progress contract stays asserted
     fn parallel_mini_sweep_reports_progress_per_mode() {
         let mut host = EvaluationHost::new();
         let cfg = SweepConfig {
@@ -860,14 +754,10 @@ mod tests {
             loads: vec![50, 100],
         };
         let mut calls = Vec::new();
-        let results = run_sweep_with(
-            &mut host,
-            &SweepExecutor::new(4),
-            || ArraySpec::hdd_raid5(3).build(),
-            |_| fixed_trace(30, 4096),
-            &cfg,
-            |done, total| calls.push((done, total)),
-        );
+        let results = SweepBuilder::new()
+            .workers(4)
+            .on_progress(|done, total| calls.push((done, total)))
+            .sweep(&mut host, || ArraySpec::hdd_raid5(3).build(), |_| fixed_trace(30, 4096), &cfg);
         assert_eq!(results.len(), 3);
         // Completion order varies, but each mode reports exactly once and the
         // done-count climbs 1..=3.
@@ -908,24 +798,21 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the shim's equivalence to serial stays asserted
     fn parallel_trials_match_serial_trials() {
         let mode = WorkloadMode::peak(4096, 50, 100);
-        let run = |exec: &SweepExecutor| {
+        let run = |exec: SweepExecutor| {
             let mut host = EvaluationHost::new();
-            let summary = repeated_trials_with(
+            let summary = SweepBuilder::new().executor(exec).label("ptrials").trials(
                 &mut host,
-                exec,
                 || ArraySpec::hdd_raid5(4).build(),
                 |seed| fixed_trace(60 + seed as usize, 4096),
                 mode,
                 3,
-                "ptrials",
             );
             (summary, host.db.records().to_vec())
         };
-        let (serial, serial_records) = run(&SweepExecutor::serial());
-        let (parallel, parallel_records) = run(&SweepExecutor::new(4));
+        let (serial, serial_records) = run(SweepExecutor::serial());
+        let (parallel, parallel_records) = run(SweepExecutor::new(4));
         assert_eq!(serial, parallel);
         assert_eq!(serial_records, parallel_records);
     }

@@ -22,6 +22,7 @@ pub const REQUIRED_TAGS: &[(&str, &[&str])] = &[
     ("crates/sim/src/equeue.rs", &["deterministic"]),
     ("crates/sim/src/soa.rs", &["deterministic"]),
     ("crates/sim/src/stripe.rs", &["deterministic"]),
+    ("crates/sim/src/raid.rs", &["deterministic"]),
     ("crates/sim/src/nvme.rs", &["deterministic"]),
     ("crates/sim/src/tier.rs", &["deterministic"]),
     ("crates/sim/src/power.rs", &["deterministic"]),

@@ -19,7 +19,7 @@ use crate::plan::ReplayPlan;
 use crate::scale::LoadControl;
 use serde::{Deserialize, Serialize};
 use tracer_sim::{ArrayRequest, ArraySim, Completion, SimDuration, SimTime};
-use tracer_trace::{BunchSource, IoPackage, Nanos, Trace, TraceError};
+use tracer_trace::{BunchSource, IoPackage, Nanos, TraceError};
 
 /// How trace sectors outside the array's data space are handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -62,7 +62,7 @@ pub struct ReplayReport {
     /// Requests skipped by [`AddressPolicy::Skip`].
     pub skipped_ios: u64,
     /// All completions, in completion order — collected by [`replay`],
-    /// [`try_replay`], [`replay_prepared`] and [`replay_afap`]; left empty by
+    /// [`try_replay`] and [`replay_afap`]; left empty by
     /// [`try_replay_observed`], whose observer has already seen them.
     pub completions: Vec<Completion>,
     /// Whole-run summary over `[started, finished)`.
@@ -80,16 +80,19 @@ impl ReplayReport {
 
 /// Replay a bunch source into `sim` under `cfg.load`.
 ///
+/// An already load-controlled trace replays with the default (100 %) load:
+/// the filter then selects every bunch and timestamps stay unscaled.
+///
 /// The load control is applied lazily through a [`ReplayPlan`]: selection and
 /// timestamp scaling happen per bunch during iteration, so no bunch is ever
 /// cloned — the report is nonetheless bit-identical to materializing the
 /// controlled trace first (property-tested in `tests/plan_oracle.rs`).
 ///
-/// The source may be an in-memory [`Trace`] or an mmap-backed
-/// `TraceView`/`TraceHandle`; views stream straight off the mapped file
-/// without materializing any bunch. The simulator is left at the completion
-/// instant of the final request, so its power log covers exactly the replay
-/// window.
+/// The source may be an in-memory [`Trace`](tracer_trace::Trace) or an
+/// mmap-backed `TraceView`/`TraceHandle`; views stream straight off the
+/// mapped file without materializing any bunch. The simulator is left at the
+/// completion instant of the final request, so its power log covers exactly
+/// the replay window.
 ///
 /// # Panics
 /// Panics if `cfg.load.intensity_pct` is zero, or if the source reports
@@ -114,7 +117,11 @@ pub fn try_replay<S: BunchSource + ?Sized>(
     source: &S,
     cfg: &ReplayConfig,
 ) -> Result<ReplayReport, TraceError> {
-    collecting(|observe| try_replay_observed(sim, source, cfg, observe))
+    let mut completions = Vec::new();
+    let mut report =
+        try_replay_observed(sim, source, cfg, |_, batch| completions.extend_from_slice(batch))?;
+    report.completions = completions;
+    Ok(report)
 }
 
 /// [`try_replay`] for a caller that consumes the run as it happens instead
@@ -144,17 +151,6 @@ pub fn try_replay_observed<S: BunchSource + ?Sized>(
     replay_bunches(sim, |f| plan.try_for_each(f), cfg.address_policy, cfg.warmup, observe)
 }
 
-/// Run the driver with the observer that keeps every completion, and put
-/// them in the report: the collecting form of every public replay entry.
-fn collecting<E>(
-    run: impl FnOnce(&mut dyn FnMut(&mut ArraySim, &[Completion])) -> Result<ReplayReport, E>,
-) -> Result<ReplayReport, E> {
-    let mut completions = Vec::new();
-    let mut report = run(&mut |_, batch| completions.extend_from_slice(batch))?;
-    report.completions = completions;
-    Ok(report)
-}
-
 /// How many events to pre-size the simulator's queue for: the trace's bunch
 /// count, clamped to something sane. Pending events at any instant track the
 /// in-flight request population, which the bunch count bounds loosely from
@@ -165,64 +161,29 @@ fn event_estimate(bunches: usize) -> usize {
     bunches.clamp(64, 65_536)
 }
 
-/// Replay an already load-controlled trace (no warm-up trimming).
-pub fn replay_prepared(
-    sim: &mut ArraySim,
-    trace: &Trace,
-    address_policy: AddressPolicy,
-) -> ReplayReport {
-    replay_prepared_with_warmup(sim, trace, address_policy, SimDuration::ZERO)
-}
-
-/// Replay an already load-controlled trace, excluding `warmup` from the
-/// measurement window.
-pub fn replay_prepared_with_warmup(
-    sim: &mut ArraySim,
-    trace: &Trace,
-    address_policy: AddressPolicy,
-    warmup: SimDuration,
-) -> ReplayReport {
-    sim.reserve_events(event_estimate(trace.bunches.len()));
-    let result: Result<ReplayReport, std::convert::Infallible> = collecting(|observe| {
-        replay_bunches(
-            sim,
-            |f| {
-                for b in &trace.bunches {
-                    f(b.timestamp, b.ios.as_slice());
-                }
-                Ok(())
-            },
-            address_policy,
-            warmup,
-            observe,
-        )
-    });
-    result.unwrap_or_else(|e| match e {})
-}
-
 /// Completions the driver lets the simulator accumulate before handing them
 /// to the monitor and the observer. Large enough that a batch amortizes the
 /// hand-off, small enough that a batch and the power breakpoints written
 /// alongside it stay cache-sized.
 const DRAIN_BATCH: usize = 4096;
 
-/// The replay loop shared by the zero-copy, prepared, and mmap-view paths:
-/// `drive` pushes `(timestamp, IO packages)` pairs into the engine's sink,
-/// whatever they borrow from. All public entry points funnel here, so the
-/// paths cannot diverge behaviourally. Internal iteration (rather than an
-/// `Iterator`) lets streaming sources reuse one scratch buffer per bunch and
-/// propagate decode errors without boxing.
+/// The timed replay loop behind every timestamp-paced entry point, for
+/// in-memory traces and mmap views alike: `drive` pushes
+/// `(timestamp, IO packages)` pairs into the engine's sink, whatever they
+/// borrow from. Internal iteration (rather than an `Iterator`) lets streaming
+/// sources reuse one scratch buffer per bunch and propagate decode errors
+/// without boxing.
 ///
 /// The output side is streamed: completions leave the simulator in batches
 /// of [`DRAIN_BATCH`] (and once more when it is idle), feed the performance
 /// monitor, and go to `observe`; the report carries none of them.
-fn replay_bunches<E>(
+fn replay_bunches(
     sim: &mut ArraySim,
-    drive: impl FnOnce(&mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), E>,
+    drive: impl FnOnce(&mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), TraceError>,
     address_policy: AddressPolicy,
     warmup: SimDuration,
     mut observe: impl FnMut(&mut ArraySim, &[Completion]),
-) -> Result<ReplayReport, E> {
+) -> Result<ReplayReport, TraceError> {
     let _span = tracer_obs::span("replay.drive_ns");
     let started = sim.now();
     let capacity = sim.data_capacity_sectors();
@@ -248,22 +209,9 @@ fn replay_bunches<E>(
             flush(sim);
         }
         for io in ios {
-            let sectors = io.sectors().max(1);
-            let sector = match address_policy {
-                AddressPolicy::Wrap => {
-                    if sectors > capacity {
-                        skipped += 1;
-                        continue;
-                    }
-                    io.sector % (capacity - sectors + 1)
-                }
-                AddressPolicy::Skip => {
-                    if io.sector + sectors > capacity {
-                        skipped += 1;
-                        continue;
-                    }
-                    io.sector
-                }
+            let Some(sector) = translate(io, capacity, address_policy) else {
+                skipped += 1;
+                continue;
             };
             sim.submit(at, ArrayRequest::new(sector, io.bytes, io.kind))
                 .expect("translated request must be valid");
@@ -325,22 +273,9 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
         while *next < ios.len() {
             let io = ios[*next];
             *next += 1;
-            let sectors = io.sectors().max(1);
-            let sector = match address_policy {
-                AddressPolicy::Wrap => {
-                    if sectors > capacity {
-                        skipped += 1;
-                        continue;
-                    }
-                    io.sector % (capacity - sectors + 1)
-                }
-                AddressPolicy::Skip => {
-                    if io.sector + sectors > capacity {
-                        skipped += 1;
-                        continue;
-                    }
-                    io.sector
-                }
+            let Some(sector) = translate(&io, capacity, address_policy) else {
+                skipped += 1;
+                continue;
             };
             sim.submit(at, ArrayRequest::new(sector, io.bytes, io.kind))
                 .expect("translated request must be valid");
@@ -387,6 +322,16 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
     }
 }
 
+/// The array sector `io` is submitted at on an array of `capacity` data
+/// sectors under `policy`, or `None` if the request is skipped.
+fn translate(io: &IoPackage, capacity: u64, policy: AddressPolicy) -> Option<u64> {
+    let sectors = io.sectors().max(1);
+    match policy {
+        AddressPolicy::Wrap => (sectors <= capacity).then(|| io.sector % (capacity - sectors + 1)),
+        AddressPolicy::Skip => (io.sector + sectors <= capacity).then_some(io.sector),
+    }
+}
+
 /// One nanosecond past `t`, so half-open windows include the final completion.
 fn bump(t: SimTime) -> SimTime {
     t + SimDuration::from_nanos(1)
@@ -412,7 +357,7 @@ mod tests {
     use super::*;
     use crate::filter::ProportionalFilter;
     use tracer_sim::ArraySpec;
-    use tracer_trace::{Bunch, IoPackage, OpKind};
+    use tracer_trace::{Bunch, IoPackage, OpKind, Trace};
 
     fn uniform_trace(n: usize, gap_ms: u64, bytes: u32) -> Trace {
         Trace::from_bunches(
@@ -640,7 +585,7 @@ mod tests {
             &ReplayConfig { load: LoadControl::proportion(50), ..Default::default() },
         );
         let mut sim_b = ArraySpec::hdd_raid5(4).build();
-        let b = replay_prepared(&mut sim_b, &filtered, AddressPolicy::Wrap);
+        let b = replay(&mut sim_b, &filtered, &ReplayConfig::default());
         assert_eq!(a.issued_ios, b.issued_ios);
         assert_eq!(a.summary.total_bytes, b.summary.total_bytes);
     }

@@ -47,8 +47,7 @@ pub mod realtime;
 pub mod scale;
 
 pub use engine::{
-    replay, replay_afap, replay_prepared, replay_prepared_with_warmup, try_replay,
-    try_replay_observed, AddressPolicy, ReplayConfig, ReplayReport,
+    replay, replay_afap, try_replay, try_replay_observed, AddressPolicy, ReplayConfig, ReplayReport,
 };
 pub use filter::{ProportionalFilter, RandomFilter};
 pub use monitor::{PerfAccumulator, PerfSample, PerfSummary, PerformanceMonitor};

@@ -1,18 +1,16 @@
 //! Oracle tests for the zero-copy replay plan: the lazy path must produce
-//! reports **byte-identical** to the old materialize-then-replay path
-//! (`LoadControl::apply` → `replay_prepared`) for arbitrary traces at any
-//! (proportion, intensity) pair — the same oracle technique the elevator
-//! index used against the linear scan.
+//! reports **byte-identical** to the materialize-then-replay path
+//! (`LoadControl::apply`, then a replay of the copy at the default 100 %
+//! load, which selects every bunch and leaves timestamps unscaled) for
+//! arbitrary traces at any (proportion, intensity) pair — the same oracle
+//! technique the elevator index used against the linear scan.
 //!
 //! "Byte-identical" is literal: the two [`ReplayReport`]s are serialized
 //! with `serde_json` and the strings compared, so every completion instant,
 //! sample bin, and summary float must match bit for bit.
 
 use proptest::prelude::*;
-use tracer_replay::{
-    replay, replay_prepared, replay_prepared_with_warmup, AddressPolicy, LoadControl, ReplayConfig,
-    ReplayPlan,
-};
+use tracer_replay::{replay, AddressPolicy, LoadControl, ReplayConfig, ReplayPlan};
 use tracer_sim::{ArraySpec, SimDuration};
 use tracer_trace::{Bunch, IoPackage, Trace};
 
@@ -67,7 +65,8 @@ proptest! {
         // controlled trace, then replay the copy.
         let controlled = load.apply(&trace);
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let materialized = replay_prepared(&mut sim, &controlled, policy);
+        let prepared = ReplayConfig { address_policy: policy, ..Default::default() };
+        let materialized = replay(&mut sim, &controlled, &prepared);
 
         prop_assert_eq!(
             serde_json::to_string(&zero_copy).unwrap(),
@@ -93,8 +92,8 @@ proptest! {
 
         let controlled = load.apply(&trace);
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let materialized =
-            replay_prepared_with_warmup(&mut sim, &controlled, AddressPolicy::Wrap, warmup);
+        let prepared = ReplayConfig { warmup, ..Default::default() };
+        let materialized = replay(&mut sim, &controlled, &prepared);
 
         prop_assert_eq!(
             serde_json::to_string(&zero_copy).unwrap(),

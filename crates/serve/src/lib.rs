@@ -905,7 +905,8 @@ mod tests {
         // it drains in (priority desc, submission asc) order — visible in
         // the shared database's insertion order.
         let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 8 });
-        let _blocker = service.submit(job("blocker", 3000, 100)).unwrap();
+        // Long enough that the 5 ms poll below cannot miss it running.
+        let _blocker = service.submit(job("blocker", 30_000, 100)).unwrap();
         // Give the worker time to pop the blocker so the queue order below
         // is exactly the submission set.
         let deadline = Instant::now() + Duration::from_secs(30);

@@ -11,8 +11,9 @@
 //!   power-state machine (standby / idle / seek / transfer / spin-up);
 //! * **SLC SSD behaviour** ([`ssd`]) — command latency plus streaming rate,
 //!   deterministic garbage-collection stalls on random writes;
-//! * **RAID-5 geometry** ([`raid`]) — left-symmetric rotating parity with
-//!   read-modify-write vs. reconstruct-write planning (128 KB strip);
+//! * **RAID geometry** ([`raid`]) — RAID-0/1/5/6/10; left-symmetric rotating
+//!   parity with read-modify-write vs. reconstruct-write planning, one
+//!   planner for any parity count (128 KB strip);
 //! * **array engine** ([`mod@array`]) — per-device queues (FIFO or C-LOOK
 //!   elevator), a shared 4 Gbps FC host link, controller overhead and XOR
 //!   timing, optional idle spin-down for MAID-style policies;

@@ -1,12 +1,18 @@
-//! Array geometry: striping and RAID-5 parity placement.
+#![doc = "tracer-invariant: deterministic"]
+//! Array geometry: striping, mirroring and rotated-parity placement.
 //!
 //! The paper's testbed is a RAID-5 array with a 128 KB strip (§VI); writes on
 //! such an array pay the classic small-write penalty (read-modify-write)
 //! unless they cover a full stripe. The geometry module is pure address
 //! arithmetic: it turns a logical request into per-disk extents and, for
-//! writes, into a two-phase plan (old-data/parity reads, then data/parity
-//! writes) choosing between read-modify-write and reconstruct-write by which
-//! needs fewer disk reads.
+//! parity-RAID writes, into a two-phase plan (old-data/parity reads, then
+//! data/parity writes) choosing between read-modify-write and
+//! reconstruct-write by which needs fewer disk reads.
+//!
+//! RAID-5 and RAID-6 are one planner: the level is only the number `k` of
+//! parity strips per stripe ([`StripeLayout::parity_strips`], 1 or 2), so
+//! the same stripe walk plans both. RAID-1 and RAID-10 are one planner over
+//! a mirror group (every member, or a pair).
 
 use crate::stripe::StripeLayout;
 use serde::{Deserialize, Serialize};
@@ -69,13 +75,14 @@ pub struct DiskExtent {
 
 /// A request decomposed into disk operations.
 ///
-/// `pre_reads` must complete before `ops` may issue (the RAID-5 write
+/// `pre_reads` must complete before `ops` may issue (the parity-RAID write
 /// two-phase); for reads `pre_reads` is empty.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IoPlan {
     /// Phase 1: old data / parity / peer reads needed to compute parity.
     pub pre_reads: Vec<DiskExtent>,
-    /// Phase 2: the data transfers (plus parity writes for RAID-5 writes).
+    /// Phase 2: the data transfers (plus parity writes for parity-RAID
+    /// writes).
     pub ops: Vec<DiskExtent>,
     /// Bytes passed through the controller's XOR engine for this request.
     pub parity_xor_bytes: u64,
@@ -212,21 +219,24 @@ impl Geometry {
 
     /// Decompose a logical request into a per-disk plan.
     ///
-    /// Reads simply fan out. RAID-5 writes are planned per stripe:
-    /// full-stripe writes compute parity from the new data (no reads); partial
-    /// writes choose read-modify-write (read touched strips + parity) or
-    /// reconstruct-write (read untouched strips), whichever reads less.
+    /// Reads simply fan out. Parity-RAID (RAID-5, RAID-6) writes are planned
+    /// per stripe: full-stripe writes compute the parities from the new data
+    /// (no reads); partial writes choose read-modify-write (read touched
+    /// strips + parities) or reconstruct-write (read untouched strips),
+    /// whichever reads less. Mirrored writes go to every copy.
     pub fn plan(&self, logical_sector: u64, sectors: u64, kind: OpKind) -> IoPlan {
         self.plan_with_failure(logical_sector, sectors, kind, None)
     }
 
-    /// [`Geometry::plan`] with an optional failed member (degraded RAID-5).
+    /// [`Geometry::plan`] with an optional failed member (degraded array).
     ///
     /// Degraded operation is the mechanism behind redundancy-based energy
-    /// conservation (eRAID spins a disk down and serves through parity):
-    /// reads on the failed disk reconstruct from all surviving strips; writes
-    /// touching the failed disk fold the lost data into the parity; stripes
-    /// whose parity lives on the failed disk simply skip the parity update.
+    /// conservation (eRAID spins a disk down and serves through parity or a
+    /// mirror). On parity RAID, reads on the failed disk reconstruct from P
+    /// and the surviving data strips; writes touching the failed disk fold
+    /// the lost data into the surviving parities; a failed parity member
+    /// simply drops its update. On mirrors, reads hop to the next copy and
+    /// writes skip the failed one.
     ///
     /// # Panics
     /// Panics if a failure is given for a RAID-0 geometry (no redundancy) or
@@ -247,144 +257,88 @@ impl Geometry {
                 "RAID-0 has no redundancy to run degraded on"
             );
         }
-        match (self.redundancy, kind, failed) {
-            (_, OpKind::Read, None) | (Redundancy::Raid0, OpKind::Write, None) => IoPlan {
+        let Some(layout) = self.layout() else {
+            return self.plan_mirrored(logical_sector, sectors, kind, failed);
+        };
+        match (kind, failed) {
+            (OpKind::Write, _) if layout.parity_strips > 0 => {
+                self.plan_parity_write(layout, logical_sector, sectors, failed)
+            }
+            (OpKind::Read, Some(f)) => self.plan_degraded_read(layout, logical_sector, sectors, f),
+            _ => IoPlan {
                 pre_reads: Vec::new(),
                 ops: merge_extents(self.map_extent(logical_sector, sectors, kind)),
                 parity_xor_bytes: 0,
             },
-            (Redundancy::Raid5, OpKind::Read, Some(f)) => {
-                self.plan_degraded_read(logical_sector, sectors, f)
-            }
-            (Redundancy::Raid5, OpKind::Write, failed) => {
-                self.plan_raid5_write(logical_sector, sectors, failed)
-            }
-            (Redundancy::Raid6, OpKind::Read, Some(f)) => {
-                self.plan_raid6_degraded_read(logical_sector, sectors, f)
-            }
-            (Redundancy::Raid6, OpKind::Write, failed) => {
-                self.plan_raid6_write(logical_sector, sectors, failed)
-            }
-            (Redundancy::Raid1, OpKind::Read, Some(f)) => {
-                // Reads on the failed member hop to the cyclically next
-                // surviving copy (same disk sector on every member).
-                let ops = self
-                    .map_extent(logical_sector, sectors, OpKind::Read)
-                    .into_iter()
-                    .map(|mut e| {
-                        if e.disk == f {
-                            e.disk = (f + 1) % self.disks;
-                        }
-                        e
-                    })
-                    .collect();
-                IoPlan { pre_reads: Vec::new(), ops: merge_extents(ops), parity_xor_bytes: 0 }
-            }
-            (Redundancy::Raid1, OpKind::Write, failed) => {
-                // Write every copy; a failed member just drops its copy.
-                let mut ops = Vec::new();
-                for e in self.map_extent(logical_sector, sectors, OpKind::Write) {
-                    for disk in 0..self.disks {
-                        if failed != Some(disk) {
-                            ops.push(DiskExtent { disk, ..e });
-                        }
-                    }
-                }
-                IoPlan { pre_reads: Vec::new(), ops: merge_extents(ops), parity_xor_bytes: 0 }
-            }
-            (Redundancy::Raid10, OpKind::Read, Some(f)) => {
-                // Reads on the failed member hop to its mirror — no
-                // reconstruction math, just redirection.
-                let ops = self
-                    .map_extent(logical_sector, sectors, OpKind::Read)
-                    .into_iter()
-                    .map(|mut e| {
-                        if e.disk == f {
-                            e.disk = f ^ 1;
-                        }
-                        e
-                    })
-                    .collect();
-                IoPlan { pre_reads: Vec::new(), ops: merge_extents(ops), parity_xor_bytes: 0 }
-            }
-            (Redundancy::Raid10, OpKind::Write, failed) => {
-                // Write both copies; a failed member just drops its copy.
-                let mut ops = Vec::new();
-                for e in self.map_extent(logical_sector, sectors, OpKind::Write) {
-                    let mirror = e.disk ^ 1;
-                    if failed != Some(e.disk) {
-                        ops.push(e);
-                    }
-                    if failed != Some(mirror) {
-                        ops.push(DiskExtent { disk: mirror, ..e });
-                    }
-                }
-                IoPlan { pre_reads: Vec::new(), ops: merge_extents(ops), parity_xor_bytes: 0 }
-            }
-            (Redundancy::Raid0, _, Some(_)) => unreachable!("checked above"),
         }
     }
 
-    fn plan_degraded_read(&self, logical_sector: u64, sectors: u64, failed: usize) -> IoPlan {
-        let strip = self.strip_sectors;
+    /// RAID-1 / RAID-10: every extent belongs to a mirror group — all members
+    /// for RAID-1, the extent's pair for RAID-10. Reads go to the primary, or
+    /// to the next copy in the group when the primary is the failed member;
+    /// writes go to every surviving copy. No reconstruction math.
+    fn plan_mirrored(
+        &self,
+        logical_sector: u64,
+        sectors: u64,
+        kind: OpKind,
+        failed: Option<usize>,
+    ) -> IoPlan {
         let mut ops = Vec::new();
-        let mut xor_bytes = 0u64;
+        for e in self.map_extent(logical_sector, sectors, kind) {
+            let (first, copies) = if self.redundancy == Redundancy::Raid1 {
+                (0, self.disks)
+            } else {
+                (e.disk & !1, 2)
+            };
+            match kind {
+                OpKind::Read if failed == Some(e.disk) => {
+                    ops.push(DiskExtent { disk: first + (e.disk - first + 1) % copies, ..e })
+                }
+                OpKind::Read => ops.push(e),
+                OpKind::Write => ops.extend(
+                    (first..first + copies)
+                        .filter(|&d| failed != Some(d))
+                        .map(|disk| DiskExtent { disk, ..e }),
+                ),
+            }
+        }
+        IoPlan { pre_reads: Vec::new(), ops: merge_extents(ops), parity_xor_bytes: 0 }
+    }
+
+    /// Parity-RAID degraded read: the lost rows are rebuilt from P plus
+    /// every other data member. Q never takes part in a single-failure
+    /// rebuild — plain XOR suffices — which keeps the reconstruction
+    /// brute-force checkable.
+    fn plan_degraded_read(
+        &self,
+        layout: StripeLayout,
+        logical_sector: u64,
+        sectors: u64,
+        failed: usize,
+    ) -> IoPlan {
+        let mut ops = Vec::new();
+        let mut xor_sectors = 0u64;
         for ext in self.map_extent(logical_sector, sectors, OpKind::Read) {
             if ext.disk != failed {
                 ops.push(ext);
                 continue;
             }
-            // Reconstruct the lost rows from every surviving member (peer
-            // data strips plus parity).
-            let stripe = ext.sector / strip;
-            let rows = ext.sectors;
-            for disk in 0..self.disks {
-                if disk == failed {
-                    continue;
-                }
-                ops.push(DiskExtent {
-                    disk,
-                    sector: ext.sector,
-                    sectors: rows,
-                    kind: OpKind::Read,
-                });
-            }
-            xor_bytes += rows * (self.disks as u64 - 1) * tracer_trace::SECTOR_BYTES;
-            let _ = stripe;
+            let stripe = ext.sector / self.strip_sectors;
+            let is_q =
+                |d: usize| (1..layout.parity_strips).any(|k| layout.parity_member(stripe, k) == d);
+            ops.extend(
+                (0..self.disks)
+                    .filter(|&d| d != failed && !is_q(d))
+                    .map(|disk| DiskExtent { disk, ..ext }),
+            );
+            xor_sectors += ext.sectors * (self.disks - layout.parity_strips) as u64;
         }
-        IoPlan { pre_reads: Vec::new(), ops: merge_extents(ops), parity_xor_bytes: xor_bytes }
-    }
-
-    /// RAID-6 single-failure degraded read: lost rows are reconstructed from
-    /// P plus the surviving data strips. Q never participates in a
-    /// single-failure rebuild — plain XOR suffices, exactly as in RAID-5 —
-    /// which keeps the reconstruction brute-force checkable.
-    fn plan_raid6_degraded_read(&self, logical_sector: u64, sectors: u64, failed: usize) -> IoPlan {
-        let strip = self.strip_sectors;
-        let mut ops = Vec::new();
-        let mut xor_bytes = 0u64;
-        for ext in self.map_extent(logical_sector, sectors, OpKind::Read) {
-            if ext.disk != failed {
-                ops.push(ext);
-                continue;
-            }
-            let stripe = ext.sector / strip;
-            let q = self.q_disk(stripe).expect("raid6 has Q");
-            let rows = ext.sectors;
-            for disk in 0..self.disks {
-                if disk == failed || disk == q {
-                    continue;
-                }
-                ops.push(DiskExtent {
-                    disk,
-                    sector: ext.sector,
-                    sectors: rows,
-                    kind: OpKind::Read,
-                });
-            }
-            xor_bytes += rows * (self.disks as u64 - 2) * tracer_trace::SECTOR_BYTES;
+        IoPlan {
+            pre_reads: Vec::new(),
+            ops: merge_extents(ops),
+            parity_xor_bytes: xor_sectors * tracer_trace::SECTOR_BYTES,
         }
-        IoPlan { pre_reads: Vec::new(), ops: merge_extents(ops), parity_xor_bytes: xor_bytes }
     }
 
     /// Fan a logical extent out to per-disk extents (no parity handling).
@@ -403,290 +357,111 @@ impl Geometry {
         out
     }
 
-    fn plan_raid5_write(&self, logical_sector: u64, sectors: u64, failed: Option<usize>) -> IoPlan {
+    /// Parity-RAID write planning for `k = layout.parity_strips` parity
+    /// strips per stripe, one stripe segment at a time. Only the surviving
+    /// ("live") parity members are maintained: full-stripe writes compute
+    /// each from the new data alone; partial writes use read-modify-write
+    /// (old data + live parities) when it reads no more than
+    /// reconstruct-write (untouched data strips) or when the failed member is
+    /// an untouched data strip; a write to the failed member folds its new
+    /// data into the live parities by reconstruct-write.
+    fn plan_parity_write(
+        &self,
+        layout: StripeLayout,
+        logical_sector: u64,
+        sectors: u64,
+        failed: Option<usize>,
+    ) -> IoPlan {
         let strip = self.strip_sectors;
-        let data = self.data_disks() as u64;
+        let data = layout.data_strips() as u64;
         let stripe_sectors = strip * data;
         let mut pre_reads = Vec::new();
         let mut ops = Vec::new();
-        let mut xor_bytes = 0u64;
+        let mut xor_sectors = 0u64;
 
         let mut cur = logical_sector;
         let end = logical_sector + sectors;
         while cur < end {
             let stripe = cur / stripe_sectors;
-            let stripe_start = stripe * stripe_sectors;
-            let stripe_end = stripe_start + stripe_sectors;
-            let seg_end = end.min(stripe_end);
-            let parity = self.parity_disk(stripe).expect("raid5 has parity");
+            let seg_end = end.min((stripe + 1) * stripe_sectors);
 
-            // Data extents written in this stripe, and the union row range
-            // (strip-relative) the parity update must cover.
-            let mut writes = Vec::new();
-            let mut row_min = u64::MAX;
-            let mut row_max = 0u64;
-            let mut c = cur;
-            while c < seg_end {
-                let loc = self.locate(c);
-                let within = strip - (c % strip);
-                let take = within.min(seg_end - c);
+            // Data writes of this segment (appended to `ops` from `first`),
+            // and the union row range (strip-relative) the parities cover.
+            let first = ops.len();
+            let (mut row_min, mut row_max) = (u64::MAX, 0u64);
+            while cur < seg_end {
+                let loc = self.locate(cur);
+                let take = (strip - cur % strip).min(seg_end - cur);
                 let row0 = loc.disk_sector % strip;
                 row_min = row_min.min(row0);
                 row_max = row_max.max(row0 + take);
-                writes.push(DiskExtent {
+                ops.push(DiskExtent {
                     disk: loc.disk,
                     sector: loc.disk_sector,
                     sectors: take,
                     kind: OpKind::Write,
                 });
-                c += take;
+                cur += take;
             }
             let rows = row_max - row_min;
-            let parity_sector = stripe * strip + row_min;
-            let touched = writes.len() as u64;
-            let full_stripe =
-                touched == data && rows == strip && writes.iter().all(|w| w.sectors == strip);
+            let rows_on = |disk, kind| DiskExtent {
+                disk,
+                sector: stripe * strip + row_min,
+                sectors: rows,
+                kind,
+            };
 
-            if let Some(f) = failed {
-                if parity == f {
-                    // Parity member is down: plain data writes, no parity
-                    // maintenance possible for this stripe.
-                    ops.extend(writes);
-                    cur = seg_end;
-                    continue;
+            // Geometry levels carry at most two parity strips (P, Q).
+            let mut live = [0usize; 2];
+            let mut n_live = 0;
+            for k in 0..layout.parity_strips {
+                let d = layout.parity_member(stripe, k);
+                if failed != Some(d) {
+                    live[n_live] = d;
+                    n_live += 1;
                 }
-                let lost: Vec<&DiskExtent> = writes.iter().filter(|w| w.disk == f).collect();
-                if lost.is_empty() {
-                    // RMW is always valid here (touched strips and parity are
-                    // all healthy); reconstruct-write would need the failed
-                    // untouched strip.
-                    for w in &writes {
-                        pre_reads.push(DiskExtent { kind: OpKind::Read, ..*w });
-                    }
-                    pre_reads.push(DiskExtent {
-                        disk: parity,
-                        sector: parity_sector,
-                        sectors: rows,
-                        kind: OpKind::Read,
-                    });
-                    xor_bytes += (2 * touched + 2) * rows * tracer_trace::SECTOR_BYTES;
-                } else {
-                    // The lost strip's new data is folded into the parity:
-                    // read the untouched healthy strips, then write the
-                    // surviving data strips and the parity.
-                    for idx in 0..data as usize {
-                        let disk = (parity + 1 + idx) % self.disks;
-                        if disk == f || writes.iter().any(|w| w.disk == disk) {
-                            continue;
-                        }
-                        pre_reads.push(DiskExtent {
-                            disk,
-                            sector: parity_sector,
-                            sectors: rows,
-                            kind: OpKind::Read,
-                        });
-                    }
-                    xor_bytes += (data + 1) * rows * tracer_trace::SECTOR_BYTES;
-                    writes.retain(|w| w.disk != f);
-                }
-                ops.extend(writes);
-                ops.push(DiskExtent {
-                    disk: parity,
-                    sector: parity_sector,
-                    sectors: rows,
-                    kind: OpKind::Write,
-                });
-                cur = seg_end;
+            }
+            let live = &live[..n_live];
+            if live.is_empty() {
+                // Only reachable with k = 1 and P failed: plain data writes,
+                // no parity maintenance possible for this stripe.
                 continue;
             }
+            let live_n = live.len() as u64;
 
-            if full_stripe {
-                // Parity computed from the new data alone.
-                xor_bytes += stripe_sectors * tracer_trace::SECTOR_BYTES;
-            } else {
-                // Small write: RMW reads touched strips + parity; reconstruct
-                // reads the untouched strips. Choose fewer disk reads.
-                let rmw_reads = touched + 1;
-                let reconstruct_reads = data - touched;
-                if rmw_reads <= reconstruct_reads {
-                    for w in &writes {
-                        pre_reads.push(DiskExtent { kind: OpKind::Read, ..*w });
-                    }
-                    pre_reads.push(DiskExtent {
-                        disk: parity,
-                        sector: parity_sector,
-                        sectors: rows,
-                        kind: OpKind::Read,
-                    });
-                    xor_bytes += (2 * touched + 2) * rows * tracer_trace::SECTOR_BYTES;
-                } else {
-                    let touched_disks: Vec<usize> = writes.iter().map(|w| w.disk).collect();
-                    for idx in 0..data as usize {
-                        let disk = (parity + 1 + idx) % self.disks;
-                        if touched_disks.contains(&disk) {
-                            continue;
-                        }
-                        pre_reads.push(DiskExtent {
-                            disk,
-                            sector: parity_sector,
-                            sectors: rows,
-                            kind: OpKind::Read,
-                        });
-                    }
-                    xor_bytes += (data + 1) * rows * tracer_trace::SECTOR_BYTES;
-                }
-            }
-
-            ops.extend(writes);
-            ops.push(DiskExtent {
-                disk: parity,
-                sector: parity_sector,
-                sectors: rows,
-                kind: OpKind::Write,
-            });
-            cur = seg_end;
-        }
-
-        IoPlan {
-            pre_reads: merge_extents(pre_reads),
-            ops: merge_extents(ops),
-            parity_xor_bytes: xor_bytes,
-        }
-    }
-
-    /// RAID-6 write planning. The structure mirrors [`Self::plan_raid5_write`]
-    /// with two parity strips per stripe: full-stripe writes compute P and Q
-    /// from the new data alone; partial writes choose read-modify-write
-    /// (touched strips + P + Q) or reconstruct-write (untouched strips) by
-    /// which reads less. Degraded, a failed parity member is simply skipped
-    /// (the survivor keeps the stripe recoverable) and a failed data member's
-    /// new data is folded into both parities.
-    fn plan_raid6_write(&self, logical_sector: u64, sectors: u64, failed: Option<usize>) -> IoPlan {
-        let strip = self.strip_sectors;
-        let data = self.data_disks() as u64;
-        let stripe_sectors = strip * data;
-        let mut pre_reads = Vec::new();
-        let mut ops = Vec::new();
-        let mut xor_bytes = 0u64;
-
-        let mut cur = logical_sector;
-        let end = logical_sector + sectors;
-        while cur < end {
-            let stripe = cur / stripe_sectors;
-            let stripe_start = stripe * stripe_sectors;
-            let stripe_end = stripe_start + stripe_sectors;
-            let seg_end = end.min(stripe_end);
-            let parity = self.parity_disk(stripe).expect("raid6 has parity");
-            let q = self.q_disk(stripe).expect("raid6 has Q");
-            // Parity members that survive and therefore must be maintained.
-            let live_parity: Vec<usize> =
-                [parity, q].into_iter().filter(|&d| failed != Some(d)).collect();
-
-            let mut writes = Vec::new();
-            let mut row_min = u64::MAX;
-            let mut row_max = 0u64;
-            let mut c = cur;
-            while c < seg_end {
-                let loc = self.locate(c);
-                let within = strip - (c % strip);
-                let take = within.min(seg_end - c);
-                let row0 = loc.disk_sector % strip;
-                row_min = row_min.min(row0);
-                row_max = row_max.max(row0 + take);
-                writes.push(DiskExtent {
-                    disk: loc.disk,
-                    sector: loc.disk_sector,
-                    sectors: take,
-                    kind: OpKind::Write,
-                });
-                c += take;
-            }
-            let rows = row_max - row_min;
-            let parity_sector = stripe * strip + row_min;
+            let writes = &ops[first..];
             let touched = writes.len() as u64;
-            let full_stripe =
-                touched == data && rows == strip && writes.iter().all(|w| w.sectors == strip);
-            let lost_data = failed.is_some_and(|f| writes.iter().any(|w| w.disk == f));
-
-            if full_stripe {
-                // Each surviving parity strip is computed from the new data.
-                xor_bytes += live_parity.len() as u64 * stripe_sectors * tracer_trace::SECTOR_BYTES;
-            } else if lost_data {
-                // The lost strip's new data is folded into the surviving
-                // parities: read the untouched healthy data strips.
-                for idx in 0..data as usize {
-                    let disk = self.layout().expect("rotated layout").data_member(stripe, idx);
-                    if failed == Some(disk) || writes.iter().any(|w| w.disk == disk) {
-                        continue;
-                    }
-                    pre_reads.push(DiskExtent {
-                        disk,
-                        sector: parity_sector,
-                        sectors: rows,
-                        kind: OpKind::Read,
-                    });
-                }
-                xor_bytes += (data + live_parity.len() as u64) * rows * tracer_trace::SECTOR_BYTES;
+            let lost = writes.iter().position(|w| failed == Some(w.disk));
+            if touched == data && rows == strip && writes.iter().all(|w| w.sectors == strip) {
+                xor_sectors += live_n * stripe_sectors;
+            } else if lost.is_none()
+                && (touched + live_n <= data - touched
+                    // An untouched failed data strip rules reconstruct out.
+                    || failed.is_some_and(|f| !layout.is_parity_member(stripe, f)))
+            {
+                pre_reads.extend(writes.iter().map(|w| DiskExtent { kind: OpKind::Read, ..*w }));
+                pre_reads.extend(live.iter().map(|&p| rows_on(p, OpKind::Read)));
+                xor_sectors += 2 * (touched + live_n) * rows;
             } else {
-                // Small write: RMW reads touched strips + surviving parities;
-                // reconstruct reads the untouched strips. A failed untouched
-                // data member makes reconstruct impossible, forcing RMW.
-                let failed_data_member = failed.is_some_and(|f| f != parity && f != q);
-                let rmw_reads = touched + live_parity.len() as u64;
-                let reconstruct_reads = data - touched;
-                if rmw_reads <= reconstruct_reads || failed_data_member {
-                    for w in &writes {
-                        pre_reads.push(DiskExtent { kind: OpKind::Read, ..*w });
+                for idx in 0..layout.data_strips() {
+                    let disk = layout.data_member(stripe, idx);
+                    if failed != Some(disk) && !writes.iter().any(|w| w.disk == disk) {
+                        pre_reads.push(rows_on(disk, OpKind::Read));
                     }
-                    for &p in &live_parity {
-                        pre_reads.push(DiskExtent {
-                            disk: p,
-                            sector: parity_sector,
-                            sectors: rows,
-                            kind: OpKind::Read,
-                        });
-                    }
-                    xor_bytes += (2 * touched + 2 * live_parity.len() as u64)
-                        * rows
-                        * tracer_trace::SECTOR_BYTES;
-                } else {
-                    let touched_disks: Vec<usize> = writes.iter().map(|w| w.disk).collect();
-                    for idx in 0..data as usize {
-                        let disk = self.layout().expect("rotated layout").data_member(stripe, idx);
-                        if touched_disks.contains(&disk) {
-                            continue;
-                        }
-                        pre_reads.push(DiskExtent {
-                            disk,
-                            sector: parity_sector,
-                            sectors: rows,
-                            kind: OpKind::Read,
-                        });
-                    }
-                    xor_bytes +=
-                        (data + live_parity.len() as u64) * rows * tracer_trace::SECTOR_BYTES;
                 }
+                xor_sectors += (data + live_n) * rows;
             }
 
-            if let Some(f) = failed {
-                writes.retain(|w| w.disk != f);
+            if let Some(i) = lost {
+                ops.swap_remove(first + i);
             }
-            ops.extend(writes);
-            for &p in &live_parity {
-                ops.push(DiskExtent {
-                    disk: p,
-                    sector: parity_sector,
-                    sectors: rows,
-                    kind: OpKind::Write,
-                });
-            }
-            cur = seg_end;
+            ops.extend(live.iter().map(|&p| rows_on(p, OpKind::Write)));
         }
 
         IoPlan {
             pre_reads: merge_extents(pre_reads),
             ops: merge_extents(ops),
-            parity_xor_bytes: xor_bytes,
+            parity_xor_bytes: xor_sectors * tracer_trace::SECTOR_BYTES,
         }
     }
 }
@@ -1058,6 +833,23 @@ mod tests {
     }
 
     #[test]
+    fn degraded_full_stripe_write_charges_the_healthy_parity_xor() {
+        // A full-stripe write computes each live parity from the new data
+        // alone, whether or not a data member is down: k · data · strip.
+        for (g, k) in [(Geometry::raid5(5), 1u64), (Geometry::raid6(6), 2)] {
+            let data = g.data_disks() as u64;
+            let stripe_sectors = data * g.strip_sectors;
+            let lost = g.locate(0).disk;
+            let healthy = g.plan(0, stripe_sectors, OpKind::Write);
+            let degraded = g.plan_with_failure(0, stripe_sectors, OpKind::Write, Some(lost));
+            assert_eq!(degraded.parity_xor_bytes, k * data * g.strip_sectors * 512);
+            assert_eq!(degraded.parity_xor_bytes, healthy.parity_xor_bytes);
+            assert!(degraded.pre_reads.is_empty());
+            assert!(degraded.ops.iter().all(|e| e.disk != lost));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least 4 disks")]
     fn raid6_rejects_small_arrays() {
         Geometry::raid6(3);
@@ -1069,21 +861,19 @@ mod tests {
         ls.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ 0xDEAD_BEEF
     }
 
-    /// Brute-force content of `(disk, disk_sector)` under a RAID-6 geometry:
+    /// Brute-force content of `(disk, disk_sector)` under a parity geometry:
     /// data strips carry [`sector_value`], P is the XOR of the stripe row,
-    /// and Q is a deliberately different mix so a plan that wrongly reads Q
-    /// fails the oracle instead of passing by luck.
-    fn raid6_disk_value(g: &Geometry, disk: usize, dsector: u64) -> u64 {
+    /// and RAID-6's Q is a deliberately different mix so a plan that wrongly
+    /// reads Q fails the oracle instead of passing by luck.
+    fn parity_disk_value(g: &Geometry, disk: usize, dsector: u64) -> u64 {
         let strip = g.strip_sectors;
         let stripe = dsector / strip;
         let row = dsector % strip;
         let data = g.data_disks() as u64;
-        let p = g.parity_disk(stripe).unwrap();
-        let q = g.q_disk(stripe).unwrap();
         let logical_of = |index: u64| (stripe * data + index) * strip + row;
-        if disk == p {
+        if Some(disk) == g.parity_disk(stripe) {
             (0..data).fold(0u64, |acc, i| acc ^ sector_value(logical_of(i)))
-        } else if disk == q {
+        } else if Some(disk) == g.q_disk(stripe) {
             (0..data).fold(0u64, |acc, i| acc ^ sector_value(logical_of(i)).wrapping_mul(i + 2))
         } else {
             let idx = (0..data)
@@ -1096,12 +886,14 @@ mod tests {
     proptest! {
         #[test]
         fn prop_raid6_degraded_read_reconstructs_exact_content(
-            disks in 4usize..8,
+            k in 1usize..3,
+            disks in 3usize..8,
             failed in 0usize..8,
             ls in 0u64..200_000,
         ) {
-            prop_assume!(failed < disks);
-            let g = Geometry::raid6(disks);
+            // k parity strips: RAID-5 (P) or RAID-6 (P + Q).
+            prop_assume!(failed < disks && disks >= k + 2);
+            let g = if k == 1 { Geometry::raid5(disks) } else { Geometry::raid6(disks) };
             let loc = g.locate(ls);
             let plan = g.plan_with_failure(ls, 1, OpKind::Read, Some(failed));
             if loc.disk != failed {
@@ -1112,7 +904,7 @@ mod tests {
                 for e in &plan.ops {
                     prop_assert_eq!(e.sectors, 1);
                     prop_assert_eq!(e.kind, OpKind::Read);
-                    acc ^= raid6_disk_value(&g, e.disk, e.sector);
+                    acc ^= parity_disk_value(&g, e.disk, e.sector);
                 }
                 prop_assert_eq!(acc, sector_value(ls),
                     "XOR of the surviving reads must reproduce the lost sector");

@@ -4,7 +4,6 @@
 
 use tracer_core::prelude::*;
 use tracer_power::NoiseModel;
-use tracer_replay::replay_prepared;
 
 #[test]
 fn simultaneous_submissions_are_served_deterministically_in_order() {
@@ -107,7 +106,7 @@ fn sub_sector_and_multi_megabyte_requests_replay() {
         ],
     );
     let mut sim = ArraySpec::hdd_raid5(6).build();
-    let report = replay_prepared(&mut sim, &trace, AddressPolicy::Wrap);
+    let report = replay(&mut sim, &trace, &ReplayConfig::default());
     assert_eq!(report.completions.len(), 3);
     // The 8 MiB read fans out over many strips and beats serial time.
     let big = report.completions.iter().find(|c| c.bytes == 8 << 20).unwrap();
@@ -130,7 +129,7 @@ fn single_disk_target_works_end_to_end() {
             .collect(),
     );
     let mut sim = ArraySpec::single_hdd().build();
-    let report = replay_prepared(&mut sim, &trace, AddressPolicy::Wrap);
+    let report = replay(&mut sim, &trace, &ReplayConfig::default());
     assert_eq!(report.completions.len(), 100);
     assert!((sim.stats().write_amplification() - 1.0).abs() < 1e-9, "no parity on one disk");
 }

@@ -80,7 +80,7 @@ fn virtual_and_realtime_replayers_issue_identical_workloads() {
 
     // Virtual replay.
     let mut sim = ArraySpec::hdd_raid5(4).build();
-    let report = tracer_replay::replay_prepared(&mut sim, &filtered, AddressPolicy::Wrap);
+    let report = replay(&mut sim, &filtered, &ReplayConfig::default());
 
     // Real-time replay of the same filtered trace against a memory target.
     let target = MemTarget::instant();

@@ -89,3 +89,28 @@ fn parallel_trials_match_serial_bit_for_bit() {
     assert_eq!(format!("{want:?}"), format!("{got:?}"));
     assert_eq!(par.db.records(), serial.db.records());
 }
+
+#[test]
+fn parallel_jobs_match_serial_bit_for_bit() {
+    let jobs = || -> Vec<EvaluationJob> {
+        (0..5)
+            .map(|i| {
+                EvaluationJob::new(
+                    format!("job{i}"),
+                    || ArraySpec::hdd_raid5(4).build(),
+                    trace(30 + i),
+                    WorkloadMode::peak(8192, 50, 100).at_load(100 - (i as u32) * 10),
+                )
+            })
+            .collect()
+    };
+    let run = |workers: usize| {
+        let mut host = EvaluationHost::new();
+        let ids = SweepBuilder::new().workers(workers).jobs(&mut host, jobs());
+        (ids, host)
+    };
+    let (want, serial) = run(1);
+    let (got, par) = run(4);
+    assert_eq!(got, want, "record ids diverged");
+    assert_eq!(par.db.records(), serial.db.records());
+}

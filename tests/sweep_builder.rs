@@ -1,15 +1,8 @@
-//! PR-5 API-redesign contract: `SweepBuilder` is the single sweep entry
-//! point, and every legacy `*_with` function is a thin shim over it. Each
-//! shim must stay byte-identical to the builder at 1 and 4 workers — same
-//! results, same database records, same ids — and turning the `tracer-obs`
-//! instrumentation on must not perturb any report bit.
-
-// The legacy shims are deliberately exercised: this file is their
-// bit-compatibility guarantee.
-#![allow(deprecated)]
+//! `SweepBuilder` observability contract: turning the `tracer-obs`
+//! instrumentation on must not perturb any report bit. (The builder's
+//! worker-count determinism is asserted in `tests/parallel_sweep.rs`.)
 
 use tracer_core::prelude::*;
-use tracer_core::{repeated_trials_with, run_parallel_with};
 
 fn trace(n: u64) -> Trace {
     Trace::from_bunches(
@@ -18,112 +11,6 @@ fn trace(n: u64) -> Trace {
             .map(|i| Bunch::new(i * 6_000_000, vec![IoPackage::read((i * 48_271) % 100_000, 8192)]))
             .collect(),
     )
-}
-
-#[test]
-fn builder_load_sweep_matches_legacy_shim_bit_for_bit() {
-    let mode = WorkloadMode::peak(8192, 50, 100);
-    let loads = [20, 40, 60, 80];
-    for workers in [1usize, 4] {
-        let mut legacy_host = EvaluationHost::new();
-        let legacy = load_sweep_with(
-            &mut legacy_host,
-            &SweepExecutor::new(workers),
-            || ArraySpec::hdd_raid5(4).build(),
-            &trace(60),
-            mode,
-            &loads,
-            "sb",
-        );
-        let mut host = EvaluationHost::new();
-        let built = SweepBuilder::new().workers(workers).loads(&loads).label("sb").load_sweep(
-            &mut host,
-            || ArraySpec::hdd_raid5(4).build(),
-            &trace(60),
-            mode,
-        );
-        assert_eq!(built, legacy, "load_sweep diverged at {workers} workers");
-        assert_eq!(host.db.records(), legacy_host.db.records(), "db diverged at {workers} workers");
-    }
-}
-
-#[test]
-fn builder_sweep_matches_legacy_shim_bit_for_bit() {
-    let cfg = SweepConfig {
-        modes: vec![WorkloadMode::peak(4096, 0, 100), WorkloadMode::peak(16384, 100, 0)],
-        loads: vec![30, 60],
-    };
-    for workers in [1usize, 4] {
-        let mut legacy_host = EvaluationHost::new();
-        let legacy = run_sweep_with(
-            &mut legacy_host,
-            &SweepExecutor::new(workers),
-            || ArraySpec::hdd_raid5(4).build(),
-            |mode| trace(40 + u64::from(mode.request_bytes / 4096)),
-            &cfg,
-            |_, _| {},
-        );
-        let mut host = EvaluationHost::new();
-        let built = SweepBuilder::new().workers(workers).sweep(
-            &mut host,
-            || ArraySpec::hdd_raid5(4).build(),
-            |mode| trace(40 + u64::from(mode.request_bytes / 4096)),
-            &cfg,
-        );
-        assert_eq!(built, legacy, "sweep diverged at {workers} workers");
-        assert_eq!(host.db.records(), legacy_host.db.records(), "db diverged at {workers} workers");
-    }
-}
-
-#[test]
-fn builder_trials_match_legacy_shim_bit_for_bit() {
-    let mode = WorkloadMode::peak(8192, 50, 100);
-    for workers in [1usize, 4] {
-        let mut legacy_host = EvaluationHost::new();
-        let legacy = repeated_trials_with(
-            &mut legacy_host,
-            &SweepExecutor::new(workers),
-            || ArraySpec::hdd_raid5(4).build(),
-            |seed| trace(25 + seed),
-            mode,
-            4,
-            "trial",
-        );
-        let mut host = EvaluationHost::new();
-        let built = SweepBuilder::new().workers(workers).label("trial").trials(
-            &mut host,
-            || ArraySpec::hdd_raid5(4).build(),
-            |seed| trace(25 + seed),
-            mode,
-            4,
-        );
-        assert_eq!(format!("{built:?}"), format!("{legacy:?}"), "trials at {workers} workers");
-        assert_eq!(host.db.records(), legacy_host.db.records(), "db diverged at {workers} workers");
-    }
-}
-
-#[test]
-fn builder_jobs_match_legacy_shim_bit_for_bit() {
-    let jobs = || -> Vec<EvaluationJob> {
-        (0..5)
-            .map(|i| {
-                EvaluationJob::new(
-                    format!("job{i}"),
-                    || ArraySpec::hdd_raid5(4).build(),
-                    trace(30 + i),
-                    WorkloadMode::peak(8192, 50, 100).at_load(100 - (i as u32) * 10),
-                )
-            })
-            .collect()
-    };
-    for workers in [1usize, 4] {
-        let mut legacy_host = EvaluationHost::new();
-        let legacy = run_parallel_with(&mut legacy_host, &SweepExecutor::new(workers), jobs());
-        let mut host = EvaluationHost::new();
-        let built = SweepBuilder::new().workers(workers).jobs(&mut host, jobs());
-        assert_eq!(built, legacy, "record ids diverged at {workers} workers");
-        assert_eq!(host.db.records(), legacy_host.db.records(), "db diverged at {workers} workers");
-    }
 }
 
 #[test]

@@ -12,9 +12,7 @@ use std::sync::Arc;
 use tracer_core::executor::SweepExecutor;
 use tracer_core::host::EvaluationHost;
 use tracer_core::orchestrate::{SweepBuilder, SweepConfig};
-use tracer_replay::{
-    replay, replay_prepared, trace_materializations, AddressPolicy, LoadControl, ReplayConfig,
-};
+use tracer_replay::{replay, trace_materializations, LoadControl, ReplayConfig};
 use tracer_sim::ArraySpec;
 use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
 
@@ -100,7 +98,7 @@ fn sweeps_replay_without_materializing_the_trace() {
     let mut sim_plan = ArraySpec::hdd_raid5(4).build();
     let plan_report = replay(&mut sim_plan, &trace, &ReplayConfig { load, ..Default::default() });
     let mut sim_mat = ArraySpec::hdd_raid5(4).build();
-    let mat_report = replay_prepared(&mut sim_mat, &materialized, AddressPolicy::default());
+    let mat_report = replay(&mut sim_mat, &materialized, &ReplayConfig::default());
     assert_eq!(
         serde_json::to_string(&plan_report).unwrap(),
         serde_json::to_string(&mat_report).unwrap(),
