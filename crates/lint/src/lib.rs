@@ -19,6 +19,9 @@ use std::path::{Path, PathBuf};
 /// Dropping a tag in a refactor is itself a violation (`missing-tag`).
 pub const REQUIRED_TAGS: &[(&str, &[&str])] = &[
     ("crates/sim/src/array.rs", &["deterministic"]),
+    ("crates/sim/src/device.rs", &["deterministic"]),
+    ("crates/sim/src/hdd.rs", &["deterministic"]),
+    ("crates/sim/src/ssd.rs", &["deterministic"]),
     ("crates/sim/src/equeue.rs", &["deterministic"]),
     ("crates/sim/src/soa.rs", &["deterministic"]),
     ("crates/sim/src/stripe.rs", &["deterministic"]),

@@ -147,18 +147,7 @@ pub fn try_replay_observed<S: BunchSource + ?Sized>(
         let _span = tracer_obs::span("replay.plan_ns");
         ReplayPlan::new(source, cfg.load)
     };
-    sim.reserve_events(event_estimate(source.bunch_count()));
     replay_bunches(sim, |f| plan.try_for_each(f), cfg.address_policy, cfg.warmup, observe)
-}
-
-/// How many events to pre-size the simulator's queue for: the trace's bunch
-/// count, clamped to something sane. Pending events at any instant track the
-/// in-flight request population, which the bunch count bounds loosely from
-/// above; the queue re-sizes itself if the estimate is off, so this is purely
-/// a hint (replaces the old fixed 1024-slot pre-size, which deep traces
-/// outgrew through repeated doublings).
-fn event_estimate(bunches: usize) -> usize {
-    bunches.clamp(64, 65_536)
 }
 
 /// Completions the driver lets the simulator accumulate before handing them
@@ -255,8 +244,6 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
     let started = sim.now();
     let capacity = sim.data_capacity_sectors();
     let depth = depth.max(1);
-    // Closed loop: pending events track the configured depth, not the trace.
-    sim.reserve_events(depth.saturating_mul(4).clamp(64, 65_536));
     let mut skipped = 0u64;
     let mut issued_ios = 0u64;
     let mut issued_bytes = 0u64;

@@ -817,6 +817,11 @@ mod tests {
         )
     }
 
+    /// Bunches in a job that must still be running when a test thread, which
+    /// may be descheduled for tens of milliseconds on a busy box, polls for
+    /// it or submits behind it.
+    const BLOCKER_BUNCHES: u64 = 300_000;
+
     fn job(name: &str, bunches: u64, load: u32) -> EvaluationJob {
         EvaluationJob::new(
             name,
@@ -856,7 +861,7 @@ mod tests {
         // occupying the only worker with jobs that cannot finish instantly.
         let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 2 });
         // Occupy the worker long enough to keep the queue full.
-        service.submit(job("long", 4000, 100)).unwrap();
+        service.submit(job("long", BLOCKER_BUNCHES, 100)).unwrap();
         // These two sit in the queue...
         let mut accepted = 1;
         let mut rejected = 0;
@@ -880,7 +885,7 @@ mod tests {
     #[test]
     fn deferred_admission_parks_beyond_the_strict_bound() {
         let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 2 });
-        service.submit(job("long", 4000, 100)).unwrap();
+        service.submit(job("long", BLOCKER_BUNCHES, 100)).unwrap();
         // Fill the strict bound, then verify a prioritised job still parks.
         let mut strict_accepted = 0;
         for i in 0..6 {
@@ -905,8 +910,7 @@ mod tests {
         // it drains in (priority desc, submission asc) order — visible in
         // the shared database's insertion order.
         let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 8 });
-        // Long enough that the 5 ms poll below cannot miss it running.
-        let _blocker = service.submit(job("blocker", 30_000, 100)).unwrap();
+        let _blocker = service.submit(job("blocker", BLOCKER_BUNCHES, 100)).unwrap();
         // Give the worker time to pop the blocker so the queue order below
         // is exactly the submission set.
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -935,7 +939,7 @@ mod tests {
     #[test]
     fn deadlines_expire_queued_jobs_instead_of_running_them() {
         let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 8 });
-        let blocker = service.submit(job("blocker", 4000, 100)).unwrap();
+        let blocker = service.submit(job("blocker", BLOCKER_BUNCHES, 100)).unwrap();
         let doomed = service
             .submit_opts(
                 job("doomed", 20, 100),
@@ -953,7 +957,7 @@ mod tests {
     #[test]
     fn queued_jobs_cancel_but_finished_jobs_do_not() {
         let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 4 });
-        let blocker = service.submit(job("blocker", 4000, 100)).unwrap();
+        let blocker = service.submit(job("blocker", BLOCKER_BUNCHES, 100)).unwrap();
         let victim = service.submit(job("victim", 4000, 100)).unwrap();
         // `victim` sits behind `blocker` on the single worker.
         assert_eq!(service.cancel(victim), Ok(CancelOutcome::Cancelled));
@@ -974,7 +978,7 @@ mod tests {
     #[test]
     fn cancel_while_running_discards_the_result_at_the_commit_boundary() {
         let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 4 });
-        let id = service.submit(job("victim", 4000, 100)).unwrap();
+        let id = service.submit(job("victim", BLOCKER_BUNCHES, 100)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(30);
         while service.status(id).unwrap().state != JobState::Running {
             assert!(Instant::now() < deadline, "job never started");

@@ -14,12 +14,12 @@
 #![doc = "tracer-invariant: deterministic"]
 
 use crate::cache::{CacheConfig, ControllerCache};
-use crate::device::{Device, DeviceModel, DiskOp, ServicePlan};
+use crate::device::{Device, DeviceModel, DiskOp, Phase};
 use crate::equeue::{CalendarQueue, EventQueue};
 use crate::error::SimError;
 use crate::powerlog::ArrayPowerLog;
 use crate::raid::{extents_disk_mask, DiskExtent, Geometry};
-use crate::soa::{ReqStore, Slot, F_COMPLETED_EARLY};
+use crate::soa::{ReqStore, Slot, F_COMPLETED_EARLY, STAGE_OPS, STAGE_PRE_READS};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -326,6 +326,7 @@ struct DesObs {
     published_wraps: u64,
     published_rollovers: u64,
     published_spills: u64,
+    published_rebuilds: u64,
     published_spindowns: u64,
 }
 
@@ -352,6 +353,7 @@ impl DesObs {
                 published_wraps: 0,
                 published_rollovers: 0,
                 published_spills: 0,
+                published_rebuilds: 0,
                 published_spindowns: 0,
             })
         })
@@ -373,6 +375,9 @@ pub struct ArraySim {
     /// Disks touched by the phase being fanned out (reused across events so
     /// `on_phase_ready` allocates nothing in steady state).
     scratch_disks: Vec<usize>,
+    /// The dispatched op's service phases (reused across dispatches so
+    /// `try_dispatch` allocates nothing in steady state).
+    scratch_phases: Vec<Phase>,
     next_id: RequestId,
     now: SimTime,
     link_busy_until: SimTime,
@@ -422,6 +427,7 @@ impl ArraySim {
             seq: 0,
             requests: ReqStore::default(),
             scratch_disks: Vec::new(),
+            scratch_phases: Vec::new(),
             next_id: 0,
             now: SimTime::ZERO,
             link_busy_until: SimTime::ZERO,
@@ -448,15 +454,6 @@ impl ArraySim {
     /// Controller-cache view (hit/miss counters), when a cache is configured.
     pub fn cache(&self) -> Option<&ControllerCache> {
         self.cache.as_ref()
-    }
-
-    /// Size the event queue for roughly `expected` concurrently pending
-    /// events. Replay engines know the plan's bunch count up front; passing
-    /// it here lets the calendar pre-size its bucket array instead of
-    /// growing through O(log n) doublings mid-run. Purely a hint — results
-    /// never depend on it.
-    pub fn reserve_events(&mut self, expected: usize) {
-        self.events.reserve_events(expected);
     }
 
     /// Start recording every dispatched device op (diagnostics; unbounded
@@ -587,19 +584,6 @@ impl ArraySim {
         self.next_id += 1;
         rb.inflight = Some(id);
 
-        // Reconstruct: read the stripe's rows from every survivor, XOR, then
-        // write the regenerated strip onto the replacement.
-        let reads: Vec<DiskExtent> = (0..disks)
-            .filter(|&d| d != disk)
-            .map(|d| DiskExtent {
-                disk: d,
-                sector: stripe * strip,
-                sectors: strip,
-                kind: OpKind::Read,
-            })
-            .collect();
-        let writes =
-            vec![DiskExtent { disk, sector: stripe * strip, sectors: strip, kind: OpKind::Write }];
         let xor_bytes = (disks as u64 - 1) * strip * tracer_trace::SECTOR_BYTES;
         let xor_pending = if self.cfg.xor_mbps > 0.0 {
             SimDuration::from_secs_f64(xor_bytes as f64 / (self.cfg.xor_mbps * 1e6))
@@ -610,8 +594,16 @@ impl ArraySim {
         let slot = self.requests.insert(id, req, self.now, true);
         let i = slot as usize;
         self.requests.xor_pending[i] = xor_pending;
-        self.requests.phases[i].push_back(reads);
-        self.requests.phases[i].push_back(writes);
+        // Reconstruct: read the stripe's rows from every survivor, XOR, then
+        // write the regenerated strip onto the replacement.
+        let rows_on =
+            |disk, kind| DiskExtent { disk, sector: stripe * strip, sectors: strip, kind };
+        let plan = &mut self.requests.plans[i];
+        plan.pre_reads.clear();
+        plan.pre_reads.extend((0..disks).filter(|&d| d != disk).map(|d| rows_on(d, OpKind::Read)));
+        plan.ops.clear();
+        plan.ops.push(rows_on(disk, OpKind::Write));
+        self.requests.stage[i] = STAGE_PRE_READS;
         self.schedule(self.now, Event::PhaseReady(slot));
     }
 
@@ -664,8 +656,8 @@ impl ArraySim {
         }
         let id = self.next_id;
         self.next_id += 1;
-        // The slot's retained phase deque is filled at arrival, when the
-        // phases are planned.
+        // The slot's retained plan is filled at arrival, when the phases are
+        // planned.
         let slot = self.requests.insert(id, req, at, false);
         self.schedule(at, Event::Arrival(slot));
         Ok(id)
@@ -696,8 +688,10 @@ impl ArraySim {
 
     /// Publish this simulator's DES tallies to the global `tracer-obs`
     /// registry: `des.events`, `des.dispatches`, `des.elevator_hits`,
-    /// `des.elevator_wraps` (the `des.queue_depth` histogram is sampled live
-    /// at dispatch). Deltas since the previous flush, so calling it twice is
+    /// `des.elevator_wraps`, the event queue's `des.equeue_rollovers`,
+    /// `des.equeue_spills` and `des.equeue_rebuilds`, and
+    /// `power.spindowns` (the `des.queue_depth` histogram is sampled live at
+    /// dispatch). Deltas since the previous flush, so calling it twice is
     /// harmless. No-op when instrumentation was disabled at construction.
     pub fn obs_flush(&mut self) {
         let Some(obs) = self.obs.as_mut() else { return };
@@ -713,6 +707,7 @@ impl ArraySim {
             ("des.elevator_wraps", wraps, &mut obs.published_wraps),
             ("des.equeue_rollovers", self.events.rollovers(), &mut obs.published_rollovers),
             ("des.equeue_spills", self.events.ladder_spills(), &mut obs.published_spills),
+            ("des.equeue_rebuilds", self.events.rebuilds(), &mut obs.published_rebuilds),
             ("power.spindowns", self.stats.spin_downs, &mut obs.published_spindowns),
         ];
         for (name, current, published) in pairs {
@@ -816,24 +811,18 @@ impl ArraySim {
             return;
         }
 
-        let plan = self.cfg.geometry.plan_with_failure(
-            req.sector,
-            req.sectors(),
-            req.kind,
-            self.effective_failure(req.sector, req.sectors()),
-        );
+        let i = slot as usize;
+        debug_assert!(self.requests.phases_done(slot), "arrival into a slot with phases");
+        let failed = self.effective_failure(req.sector, req.sectors());
+        let plan = &mut self.requests.plans[i];
+        self.cfg.geometry.plan_into(req.sector, req.sectors(), req.kind, failed, plan);
         let xor_time = if plan.parity_xor_bytes > 0 && self.cfg.xor_mbps > 0.0 {
             SimDuration::from_secs_f64(plan.parity_xor_bytes as f64 / (self.cfg.xor_mbps * 1e6))
         } else {
             SimDuration::ZERO
         };
-        let i = slot as usize;
-        let phases = &mut self.requests.phases[i];
-        debug_assert!(phases.is_empty(), "arrival into a slot with phases");
-        if !plan.pre_reads.is_empty() {
-            phases.push_back(plan.pre_reads);
-        }
-        phases.push_back(plan.ops);
+        self.requests.stage[i] =
+            if plan.pre_reads.is_empty() { STAGE_OPS } else { STAGE_PRE_READS };
         self.requests.xor_pending[i] = xor_time;
         self.schedule(ready, Event::PhaseReady(slot));
         if write_back_ack {
@@ -845,12 +834,18 @@ impl ArraySim {
     fn on_phase_ready(&mut self, slot: Slot) {
         let i = slot as usize;
         debug_assert!(self.requests.occupied(slot), "phase for unknown request");
-        let phase = self.requests.phases[i].pop_front().expect("phase ready with no phases");
-        debug_assert!(!phase.is_empty(), "empty phase");
-        self.requests.outstanding[i] = phase.len() as u32;
-        self.requests.disk_mask[i] = extents_disk_mask(&phase);
         // Internal (rebuild) work queues behind foreground traffic.
         let background = self.requests.internal(slot);
+        let stage = self.requests.stage[i];
+        let phase = match stage {
+            STAGE_PRE_READS => &self.requests.plans[i].pre_reads,
+            STAGE_OPS => &self.requests.plans[i].ops,
+            _ => panic!("phase ready with no phases"),
+        };
+        debug_assert!(!phase.is_empty(), "empty phase");
+        self.requests.stage[i] = stage + 1;
+        self.requests.outstanding[i] = phase.len() as u32;
+        self.requests.disk_mask[i] = extents_disk_mask(phase);
         // The scratch buffer preserves extent order for the dispatch sweep
         // (dispatch order assigns event seqs, so it is determinism-bearing)
         // without allocating per phase.
@@ -891,9 +886,11 @@ impl ArraySim {
             obs.queue_depth.record(depth as u64);
         }
         self.busy[disk] = true;
-        let plan = self.devices[disk].service(&op);
-        self.log_plan(disk, &plan);
-        let dur = plan.total_duration();
+        let mut phases = std::mem::take(&mut self.scratch_phases);
+        phases.clear();
+        self.devices[disk].service_into(&op, &mut phases);
+        let dur = self.log_plan(disk, &phases);
+        self.scratch_phases = phases;
         self.stats.disk_ops += 1;
         self.stats.physical_bytes += op.bytes();
         self.stats.busy_ns[disk] += dur.as_nanos();
@@ -913,12 +910,12 @@ impl ArraySim {
         self.schedule(self.now + dur, Event::DiskFree { disk, slot });
     }
 
-    /// Append a service plan's power phases to `disk`'s timeline and restore
-    /// idle power at the end.
-    fn log_plan(&mut self, disk: usize, plan: &ServicePlan) {
+    /// Append an op's service phases to `disk`'s power timeline, restore idle
+    /// power at the end, and return the service time walked.
+    fn log_plan(&mut self, disk: usize, phases: &[Phase]) -> SimDuration {
         let mut t = self.now;
         let tl = &mut self.power.devices[disk];
-        for phase in &plan.phases {
+        for phase in phases {
             if phase.duration.is_zero() {
                 continue;
             }
@@ -926,6 +923,7 @@ impl ArraySim {
             t += phase.duration;
         }
         tl.set(t, self.devices[disk].idle_watts());
+        t - self.now
     }
 
     fn on_disk_free(&mut self, disk: usize, slot: Slot) {
@@ -951,7 +949,7 @@ impl ArraySim {
         }
         let xor = self.requests.xor_pending[i];
         self.requests.xor_pending[i] = SimDuration::ZERO;
-        if self.requests.phases[i].is_empty() {
+        if self.requests.phases_done(slot) {
             if self.requests.completed_early(slot) {
                 // Write-back destage finished; the host was acked earlier.
                 self.requests.retire(slot);
@@ -1003,7 +1001,7 @@ impl ArraySim {
         // A write-back ack fires while destage phases are still pending: keep
         // the state so the background work can drain, but report completion
         // now.
-        if self.requests.outstanding[i] > 0 || !self.requests.phases[i].is_empty() {
+        if self.requests.outstanding[i] > 0 || !self.requests.phases_done(slot) {
             self.requests.flags[i] |= F_COMPLETED_EARLY;
         } else {
             self.requests.retire(slot);
@@ -1691,25 +1689,6 @@ mod tests {
             )
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn reserve_events_is_behaviour_neutral() {
-        let mut a = small_hdd_array(4);
-        let mut b = small_hdd_array(4);
-        b.reserve_events(8192);
-        for sim in [&mut a, &mut b] {
-            for i in 0..20u64 {
-                sim.submit(
-                    SimTime::from_millis(i),
-                    ArrayRequest::new(i * 4096, 64 * 1024, OpKind::Write),
-                )
-                .unwrap();
-            }
-            sim.run_to_idle();
-        }
-        assert_eq!(a.drain_completions(), b.drain_completions());
-        assert_eq!(a.events_processed(), b.events_processed());
     }
 
     /// Reference implementation: the previous O(n) C-LOOK scan over a

@@ -1,11 +1,13 @@
 //! Device abstraction shared by the HDD and SSD models.
 //!
 //! A device is a serial server: the array engine hands it one [`DiskOp`] at a
-//! time and receives a [`ServicePlan`] — an ordered list of power/duration
-//! phases (seek, rotation, transfer, garbage collection, spin-up…). The device
+//! time and receives an ordered list of power/duration [`Phase`]s (seek,
+//! rotation, transfer, garbage collection, spin-up…), appended to a buffer
+//! the engine owns and reuses, so serving an op allocates nothing. The device
 //! updates its own internal state (head position, sequential-run detection,
 //! spin state) as part of planning, so plans must be requested in dispatch
 //! order.
+#![doc = "tracer-invariant: deterministic"]
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -63,7 +65,9 @@ pub enum PhaseLabel {
     SpinUp,
 }
 
-/// The plan for serving one op: phases execute back to back.
+/// The plan for serving one op, owned: phases execute back to back. The
+/// engine never builds one (it calls [`DeviceModel::service_into`]); this is
+/// the convenient form for tests and diagnostics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServicePlan {
     /// Ordered power/duration phases.
@@ -101,8 +105,20 @@ pub trait DeviceModel: Send {
         self.idle_watts()
     }
 
-    /// Plan service for `op`, updating internal head/sequentiality state.
-    fn service(&mut self, op: &DiskOp) -> ServicePlan;
+    /// Plan service for `op`, updating internal head/sequentiality state, by
+    /// **appending** its phases, in execution order, to `phases`. Existing
+    /// entries are left alone (a composite device appends its members'
+    /// phases into one buffer), so a caller wanting only this op's phases
+    /// clears the buffer first. The caller reuses `phases` across ops, so an
+    /// implementation should allocate nothing per op in steady state.
+    fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>);
+
+    /// [`DeviceModel::service_into`] into a fresh [`ServicePlan`].
+    fn service(&mut self, op: &DiskOp) -> ServicePlan {
+        let mut phases = Vec::new();
+        self.service_into(op, &mut phases);
+        ServicePlan { phases }
+    }
 
     /// Enter standby (no-op for devices without a standby state). The next
     /// `service` call must include any wake-up cost.
@@ -162,12 +178,12 @@ impl DeviceModel for Device {
         }
     }
 
-    fn service(&mut self, op: &DiskOp) -> ServicePlan {
+    fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
         match self {
-            Device::Hdd(d) => d.service(op),
-            Device::Ssd(d) => d.service(op),
-            Device::Nvme(d) => d.service(op),
-            Device::Tiered(d) => d.service(op),
+            Device::Hdd(d) => d.service_into(op, phases),
+            Device::Ssd(d) => d.service_into(op, phases),
+            Device::Nvme(d) => d.service_into(op, phases),
+            Device::Tiered(d) => d.service_into(op, phases),
         }
     }
 

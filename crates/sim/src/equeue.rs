@@ -140,16 +140,20 @@ const MAX_SHIFT: u32 = 40;
 /// * Every ladder entry lies at or beyond `year_end` (rollover folds newly
 ///   in-year entries back into buckets), so the buckets' minimum beats the
 ///   ladder's whenever any bucket entry exists.
-/// * A push behind the cursor (never produced by the engine, whose event
-///   times are monotone, but reachable by adversarial schedules) triggers a
-///   full rebuild anchored at the new minimum rather than a silent misfile.
+/// * A push behind the cursor is routine for the engine: `run_until(b)`
+///   settles the cursor on the first event past `b`, and the replay engine
+///   then submits at `b`. When the push lies within one year before
+///   `year_end` the cursor is simply parked on its bucket — every entry
+///   then lies in `[floor(t), year_end)`, at most one lap, so the in-year
+///   invariant holds. An older push triggers a full rebuild anchored at the
+///   new minimum rather than a silent misfile.
 ///
 /// Hot-path engineering (ladder-queue style): when the cursor settles on a
 /// non-empty bucket, that bucket is sorted *descending* by `(time, seq)`
 /// exactly once, so each pop is an O(1) `Vec::pop` from its tail; pushes
 /// that land on the settled bucket binary-insert to keep the order. Rebuilds
-/// recycle the emptied bucket vectors, so steady-state operation performs no
-/// allocation at all.
+/// recycle the emptied bucket vectors and a retained transit buffer, so
+/// steady-state operation performs no allocation at all.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     buckets: Vec<Vec<Entry<T>>>,
@@ -170,8 +174,12 @@ pub struct CalendarQueue<T> {
     len: usize,
     /// Entries currently filed in buckets (`len - ladder.len()`).
     in_year: usize,
+    /// Transit buffer for [`CalendarQueue::rebuild`], kept empty between
+    /// rebuilds so its capacity is reused.
+    scratch: Vec<Entry<T>>,
     rollovers: u64,
     spills: u64,
+    rebuilds: u64,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -199,8 +207,10 @@ impl<T> CalendarQueue<T> {
             ladder: Vec::new(),
             len: 0,
             in_year: 0,
+            scratch: Vec::new(),
             rollovers: 0,
             spills: 0,
+            rebuilds: 0,
         }
     }
 
@@ -213,6 +223,13 @@ impl<T> CalendarQueue<T> {
     /// Events that were filed on the far-future ladder rather than a bucket.
     pub fn ladder_spills(&self) -> u64 {
         self.spills
+    }
+
+    /// Full rebuilds performed so far: resizes, plus pushes older than the
+    /// current year (an observability metric: each one re-files every
+    /// pending event).
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
     }
 
     /// Current bucket count (diagnostics / tests).
@@ -314,10 +331,13 @@ impl<T> CalendarQueue<T> {
 
     /// Rebuild with `n` buckets, re-calibrating the width from the live
     /// population and re-anchoring at its minimum time. The emptied bucket
-    /// vectors are recycled, so a rebuild moves entries but rarely allocates.
+    /// vectors and the transit buffer are recycled, so a rebuild moves
+    /// entries but rarely allocates.
     fn rebuild(&mut self, n: usize) {
+        self.rebuilds += 1;
         let n = n.clamp(MIN_BUCKETS, MAX_BUCKETS).next_power_of_two();
-        let mut all: Vec<Entry<T>> = Vec::with_capacity(self.len);
+        let mut all = std::mem::take(&mut self.scratch);
+        debug_assert!(all.is_empty());
         for b in &mut self.buckets {
             all.append(b);
         }
@@ -350,7 +370,7 @@ impl<T> CalendarQueue<T> {
         self.bucket_start = (anchor >> self.shift) << self.shift;
         self.cursor = self.bucket_of(anchor);
         self.year_end = self.bucket_start.saturating_add(self.year_len());
-        for e in all {
+        for e in all.drain(..) {
             if e.0 < self.year_end {
                 let b = self.bucket_of(e.0);
                 self.buckets[b].push(e);
@@ -359,6 +379,11 @@ impl<T> CalendarQueue<T> {
                 self.ladder.push(e);
             }
         }
+        // The next rebuild sees at most 2n + 1 entries (`schedule` grows past
+        // 2 per bucket), so sizing the buffer for that now keeps rebuilds at
+        // this bucket count from allocating.
+        all.reserve(2 * n + 1);
+        self.scratch = all;
     }
 }
 
@@ -374,12 +399,23 @@ impl<T> EventQueue<T> for CalendarQueue<T> {
         }
         self.len += 1;
         if t < self.bucket_start {
-            // Behind the cursor: only adversarial schedules do this (engine
-            // time is monotone). Re-anchor at the new minimum via a rebuild.
-            self.buckets[0].push((t, seq, ev));
-            self.in_year += 1; // transient; rebuild re-files everything
-            self.rebuild(self.buckets.len());
-            return;
+            // Behind the cursor: `run_until` peeked past its bound and the
+            // engine now schedules at the bound.
+            if t >= self.year_end.saturating_sub(self.year_len()) {
+                // Park the cursor on t's bucket. `year_end - year_len` is
+                // bucket-aligned, so every entry lies in
+                // [floor(t), year_end) — at most one lap — and the in-year
+                // invariant holds without re-filing anything.
+                self.bucket_start = (t >> self.shift) << self.shift;
+                self.cursor = self.bucket_of(t);
+                self.cursor_sorted = false;
+            } else {
+                // Older than the year: re-anchor at the new minimum.
+                self.buckets[0].push((t, seq, ev));
+                self.in_year += 1; // transient; rebuild re-files everything
+                self.rebuild(self.buckets.len());
+                return;
+            }
         }
         if t >= self.year_end {
             self.spills += 1;
@@ -477,6 +513,7 @@ impl<T> EventQueue<T> for CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
 
     fn drain<Q: EventQueue<u32>>(q: &mut Q) -> Vec<(u64, u64, u32)> {
@@ -513,6 +550,39 @@ mod tests {
         }
         assert_eq!(drain(&mut cal), drain(&mut heap), "drain diverged");
         assert!(cal.is_empty() && heap.is_empty());
+    }
+
+    /// Drive the calendar and the heap with the replay engine's pattern and
+    /// assert every observation matches: per step, advance the bound by
+    /// `gap`, drain with `pop_at_or_before(bound)` (each handled event
+    /// schedules one successor `delay` later while `fanout` lasts, like the
+    /// DES handlers), then schedule at the bound itself — which lands behind
+    /// a cursor the drain has already moved past it.
+    fn run_until_pattern(steps: &[(u64, u64, u8)]) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
+        let (mut bound, mut seq) = (0u64, 0u64);
+        for &(gap, delay, fanout) in steps {
+            bound += gap;
+            let b = SimTime::from_nanos(bound);
+            loop {
+                let got = cal.pop_at_or_before(b);
+                assert_eq!(got, heap.pop_at_or_before(b), "bounded pop diverged");
+                let Some((t, _, hops)) = got else { break };
+                if hops > 0 {
+                    seq += 1;
+                    let at = SimTime::from_nanos(t.as_nanos() + delay);
+                    cal.schedule(at, seq, hops - 1);
+                    heap.schedule(at, seq, hops - 1);
+                }
+            }
+            seq += 1;
+            cal.schedule(b, seq, u32::from(fanout));
+            heap.schedule(b, seq, u32::from(fanout));
+            assert_eq!(cal.peek_time(), heap.peek_time());
+            assert_eq!(cal.len(), heap.len());
+        }
+        assert_eq!(drain(&mut cal), drain(&mut heap), "drain diverged");
     }
 
     #[test]
@@ -558,13 +628,40 @@ mod tests {
         for _ in 0..32 {
             q.pop();
         }
-        // …then schedule before the cursor (adversarial: the engine never
-        // rewinds time). Order must survive.
+        // …then schedule far before the cursor, older than the whole year:
+        // that re-anchors through a rebuild. Order must survive.
+        let rebuilds = q.rebuilds();
         q.schedule(SimTime::from_nanos(5), 1000, 999);
+        assert_eq!(q.rebuilds(), rebuilds + 1);
         let first = q.pop().unwrap();
         assert_eq!((first.0.as_nanos(), first.2), (5, 999));
         // 64 scheduled − 32 drained + 1 late arrival − 1 popped.
         assert_eq!(q.len(), 32);
+    }
+
+    #[test]
+    fn schedule_at_the_run_until_bound_parks_the_cursor_without_rebuilding() {
+        // The replay engine's pattern: the event at `t` has been handled and
+        // its successor at t+10 ms is pending; `run_until(t+1 ms)` peeks
+        // (settling the cursor on t+10 ms) and returns nothing, then the
+        // engine submits at t+1 ms — behind the cursor, inside the year.
+        let t = SimTime::from_secs(5);
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
+        for q in [&mut cal as &mut dyn EventQueue<u32>, &mut heap] {
+            q.schedule(t, 1, 1);
+            q.schedule(t + SimDuration::from_millis(10), 2, 2);
+            assert_eq!(q.pop().map(|e| e.2), Some(1));
+        }
+        let rebuilds = cal.rebuilds();
+        let bound = t + SimDuration::from_millis(1);
+        assert_eq!(cal.pop_at_or_before(bound), None);
+        assert_eq!(heap.pop_at_or_before(bound), None);
+        cal.schedule(bound, 3, 3);
+        heap.schedule(bound, 3, 3);
+        assert_eq!(cal.peek_time(), Some(bound));
+        assert_eq!(drain(&mut cal), drain(&mut heap));
+        assert_eq!(cal.rebuilds(), rebuilds, "a push inside the year must not rebuild");
     }
 
     #[test]
@@ -651,6 +748,18 @@ mod tests {
                 })
                 .collect();
             differential(&schedule, pop_every);
+        }
+
+        /// The engine's `run_until(bound)` + schedule-at-bound interleaving,
+        /// with gaps and service delays spanning sub-bucket to multi-year.
+        #[test]
+        fn calendar_matches_heap_oracle_run_until_pattern(
+            steps in proptest::collection::vec(
+                (0u64..20_000_000, 1u64..40_000_000, 0u8..4),
+                1..200,
+            ),
+        ) {
+            run_until_pattern(&steps);
         }
     }
 }

@@ -14,8 +14,9 @@
 //! rotation/overhead at idle power, seek at seek power, transfer at transfer
 //! power, spin-up at spin-up power. Spin-down support exists so that
 //! MAID-style energy-conservation policies can be evaluated on top of TRACER.
+#![doc = "tracer-invariant: deterministic"]
 
-use crate::device::{DeviceModel, DiskOp, Phase, PhaseLabel, ServicePlan};
+use crate::device::{DeviceModel, DiskOp, Phase, PhaseLabel};
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -244,9 +245,8 @@ impl DeviceModel for HddModel {
         self.params.standby_w
     }
 
-    fn service(&mut self, op: &DiskOp) -> ServicePlan {
+    fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
         let p = &self.params;
-        let mut phases = Vec::with_capacity(5);
 
         if self.standby {
             phases.push(Phase {
@@ -287,8 +287,6 @@ impl DeviceModel for HddModel {
 
         self.head_cylinder = self.cylinder_of(op.sector + op.sectors.saturating_sub(1));
         self.last_end_sector = Some(op.sector + op.sectors);
-
-        ServicePlan { phases }
     }
 
     fn enter_standby(&mut self) {

@@ -15,7 +15,7 @@
 //! background garbage collection — enterprise-class overprovisioning is
 //! assumed to hide it, keeping replay runs bit-reproducible.
 
-use crate::device::{DeviceModel, DiskOp, Phase, PhaseLabel, ServicePlan};
+use crate::device::{DeviceModel, DiskOp, Phase, PhaseLabel};
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -110,7 +110,7 @@ impl DeviceModel for NvmeModel {
         self.params.idle_w
     }
 
-    fn service(&mut self, op: &DiskOp) -> ServicePlan {
+    fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
         let p = &self.params;
         let (latency_us, rate_mbps, chan_w) = if op.kind.is_read() {
             (p.read_latency_us, p.channel_read_mbps, p.channel_read_w)
@@ -119,20 +119,18 @@ impl DeviceModel for NvmeModel {
         };
         let (busy, busiest_sectors) = self.spread(op);
         let busiest_bytes = busiest_sectors * tracer_trace::SECTOR_BYTES;
-        ServicePlan {
-            phases: vec![
-                Phase {
-                    duration: SimDuration::from_micros_f64(latency_us),
-                    watts: p.idle_w + chan_w,
-                    label: PhaseLabel::Overhead,
-                },
-                Phase {
-                    duration: SimDuration::from_secs_f64(busiest_bytes as f64 / (rate_mbps * 1e6)),
-                    watts: p.idle_w + chan_w * busy as f64,
-                    label: PhaseLabel::Transfer,
-                },
-            ],
-        }
+        phases.extend([
+            Phase {
+                duration: SimDuration::from_micros_f64(latency_us),
+                watts: p.idle_w + chan_w,
+                label: PhaseLabel::Overhead,
+            },
+            Phase {
+                duration: SimDuration::from_secs_f64(busiest_bytes as f64 / (rate_mbps * 1e6)),
+                watts: p.idle_w + chan_w * busy as f64,
+                label: PhaseLabel::Transfer,
+            },
+        ]);
     }
 
     fn name(&self) -> &str {

@@ -77,7 +77,7 @@ pub struct DiskExtent {
 ///
 /// `pre_reads` must complete before `ops` may issue (the parity-RAID write
 /// two-phase); for reads `pre_reads` is empty.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IoPlan {
     /// Phase 1: old data / parity / peer reads needed to compute parity.
     pub pre_reads: Vec<DiskExtent>,
@@ -248,6 +248,23 @@ impl Geometry {
         kind: OpKind,
         failed: Option<usize>,
     ) -> IoPlan {
+        let mut plan = IoPlan::default();
+        self.plan_into(logical_sector, sectors, kind, failed, &mut plan);
+        plan
+    }
+
+    /// [`Geometry::plan_with_failure`] into a caller-owned plan: `plan`'s
+    /// extent vectors are cleared and refilled, so a caller that keeps one
+    /// plan per in-flight request plans without allocating once their
+    /// capacity has grown to the largest request seen.
+    pub(crate) fn plan_into(
+        &self,
+        logical_sector: u64,
+        sectors: u64,
+        kind: OpKind,
+        failed: Option<usize>,
+        plan: &mut IoPlan,
+    ) {
         assert!(sectors > 0, "zero-length request");
         if let Some(f) = failed {
             assert!(f < self.disks, "failed disk index out of range");
@@ -257,20 +274,21 @@ impl Geometry {
                 "RAID-0 has no redundancy to run degraded on"
             );
         }
-        let Some(layout) = self.layout() else {
-            return self.plan_mirrored(logical_sector, sectors, kind, failed);
-        };
-        match (kind, failed) {
-            (OpKind::Write, _) if layout.parity_strips > 0 => {
-                self.plan_parity_write(layout, logical_sector, sectors, failed)
+        plan.pre_reads.clear();
+        plan.ops.clear();
+        plan.parity_xor_bytes = 0;
+        match (self.layout(), kind, failed) {
+            (None, ..) => self.plan_mirrored(logical_sector, sectors, kind, failed, &mut plan.ops),
+            (Some(layout), OpKind::Write, _) if layout.parity_strips > 0 => {
+                self.plan_parity_write(layout, logical_sector, sectors, failed, plan)
             }
-            (OpKind::Read, Some(f)) => self.plan_degraded_read(layout, logical_sector, sectors, f),
-            _ => IoPlan {
-                pre_reads: Vec::new(),
-                ops: merge_extents(self.map_extent(logical_sector, sectors, kind)),
-                parity_xor_bytes: 0,
-            },
+            (Some(layout), OpKind::Read, Some(f)) => {
+                self.plan_degraded_read(layout, logical_sector, sectors, f, plan)
+            }
+            _ => plan.ops.extend(self.map_extent(logical_sector, sectors, kind)),
         }
+        merge_extents(&mut plan.pre_reads);
+        merge_extents(&mut plan.ops);
     }
 
     /// RAID-1 / RAID-10: every extent belongs to a mirror group — all members
@@ -283,8 +301,8 @@ impl Geometry {
         sectors: u64,
         kind: OpKind,
         failed: Option<usize>,
-    ) -> IoPlan {
-        let mut ops = Vec::new();
+        ops: &mut Vec<DiskExtent>,
+    ) {
         for e in self.map_extent(logical_sector, sectors, kind) {
             let (first, copies) = if self.redundancy == Redundancy::Raid1 {
                 (0, self.disks)
@@ -303,7 +321,6 @@ impl Geometry {
                 ),
             }
         }
-        IoPlan { pre_reads: Vec::new(), ops: merge_extents(ops), parity_xor_bytes: 0 }
     }
 
     /// Parity-RAID degraded read: the lost rows are rebuilt from P plus
@@ -316,45 +333,46 @@ impl Geometry {
         logical_sector: u64,
         sectors: u64,
         failed: usize,
-    ) -> IoPlan {
-        let mut ops = Vec::new();
+        plan: &mut IoPlan,
+    ) {
         let mut xor_sectors = 0u64;
         for ext in self.map_extent(logical_sector, sectors, OpKind::Read) {
             if ext.disk != failed {
-                ops.push(ext);
+                plan.ops.push(ext);
                 continue;
             }
             let stripe = ext.sector / self.strip_sectors;
             let is_q =
                 |d: usize| (1..layout.parity_strips).any(|k| layout.parity_member(stripe, k) == d);
-            ops.extend(
+            plan.ops.extend(
                 (0..self.disks)
                     .filter(|&d| d != failed && !is_q(d))
                     .map(|disk| DiskExtent { disk, ..ext }),
             );
             xor_sectors += ext.sectors * (self.disks - layout.parity_strips) as u64;
         }
-        IoPlan {
-            pre_reads: Vec::new(),
-            ops: merge_extents(ops),
-            parity_xor_bytes: xor_sectors * tracer_trace::SECTOR_BYTES,
-        }
+        plan.parity_xor_bytes = xor_sectors * tracer_trace::SECTOR_BYTES;
     }
 
-    /// Fan a logical extent out to per-disk extents (no parity handling).
-    fn map_extent(&self, logical_sector: u64, sectors: u64, kind: OpKind) -> Vec<DiskExtent> {
+    /// Fan a logical extent out to per-disk extents (no parity handling),
+    /// one per strip it crosses.
+    fn map_extent(
+        &self,
+        logical_sector: u64,
+        sectors: u64,
+        kind: OpKind,
+    ) -> impl Iterator<Item = DiskExtent> + '_ {
         let strip = self.strip_sectors;
-        let mut out = Vec::new();
-        let mut cur = logical_sector;
         let end = logical_sector + sectors;
-        while cur < end {
-            let loc = self.locate(cur);
-            let within = strip - (cur % strip);
-            let take = within.min(end - cur);
-            out.push(DiskExtent { disk: loc.disk, sector: loc.disk_sector, sectors: take, kind });
-            cur += take;
-        }
-        out
+        let mut cur = logical_sector;
+        std::iter::from_fn(move || {
+            (cur < end).then(|| {
+                let loc = self.locate(cur);
+                let take = (strip - cur % strip).min(end - cur);
+                cur += take;
+                DiskExtent { disk: loc.disk, sector: loc.disk_sector, sectors: take, kind }
+            })
+        })
     }
 
     /// Parity-RAID write planning for `k = layout.parity_strips` parity
@@ -371,12 +389,12 @@ impl Geometry {
         logical_sector: u64,
         sectors: u64,
         failed: Option<usize>,
-    ) -> IoPlan {
+        plan: &mut IoPlan,
+    ) {
         let strip = self.strip_sectors;
         let data = layout.data_strips() as u64;
         let stripe_sectors = strip * data;
-        let mut pre_reads = Vec::new();
-        let mut ops = Vec::new();
+        let IoPlan { pre_reads, ops, .. } = plan;
         let mut xor_sectors = 0u64;
 
         let mut cur = logical_sector;
@@ -457,12 +475,7 @@ impl Geometry {
             }
             ops.extend(live.iter().map(|&p| rows_on(p, OpKind::Write)));
         }
-
-        IoPlan {
-            pre_reads: merge_extents(pre_reads),
-            ops: merge_extents(ops),
-            parity_xor_bytes: xor_sectors * tracer_trace::SECTOR_BYTES,
-        }
+        plan.parity_xor_bytes = xor_sectors * tracer_trace::SECTOR_BYTES;
     }
 }
 
@@ -486,23 +499,19 @@ pub fn extents_disk_mask(extents: &[DiskExtent]) -> u64 {
     extents.iter().fold(0u64, |m, e| m | 1u64 << e.disk.min(63))
 }
 
-/// Merge extents that are contiguous on the same disk with the same kind.
-fn merge_extents(mut extents: Vec<DiskExtent>) -> Vec<DiskExtent> {
+/// Sort extents by `(disk, sector)` — stably, so equal keys keep planning
+/// order — and merge, in place, those contiguous on the same disk with the
+/// same kind.
+fn merge_extents(extents: &mut Vec<DiskExtent>) {
     extents.sort_by_key(|e| (e.disk, e.sector));
-    let mut out: Vec<DiskExtent> = Vec::with_capacity(extents.len());
-    for e in extents {
-        match out.last_mut() {
-            Some(last)
-                if last.disk == e.disk
-                    && last.kind == e.kind
-                    && last.sector + last.sectors == e.sector =>
-            {
-                last.sectors += e.sectors;
-            }
-            _ => out.push(e),
+    extents.dedup_by(|e, last| {
+        let adjacent =
+            last.disk == e.disk && last.kind == e.kind && last.sector + last.sectors == e.sector;
+        if adjacent {
+            last.sectors += e.sectors;
         }
-    }
-    out
+        adjacent
+    });
 }
 
 #[cfg(test)]
@@ -1084,7 +1093,8 @@ mod tests {
                 .map(|(d, s, n)| DiskExtent { disk: d, sector: s, sectors: n, kind: OpKind::Read })
                 .collect();
             let before: u64 = exts.iter().map(|e| e.sectors).sum();
-            let merged = merge_extents(exts);
+            let mut merged = exts;
+            merge_extents(&mut merged);
             let after: u64 = merged.iter().map(|e| e.sectors).sum();
             prop_assert_eq!(before, after);
             // No two adjacent mergeable extents remain.

@@ -6,19 +6,20 @@
 //! it, so every event dragged a whole `ReqState` cache line in to read one
 //! counter. Here each field lives in its own column indexed by the same
 //! recycled [`Slot`] numbers the events carry, so the hot fields of
-//! neighbouring in-flight requests pack contiguously and the phase deques —
-//! cold until a phase boundary — stay out of the way.
+//! neighbouring in-flight requests pack contiguously and the plans — cold
+//! until a phase boundary — stay out of the way.
 //!
-//! Retired slots keep their phase deque allocated, so steady-state traffic
-//! reuses warm containers instead of allocating per arrival (this replaces
-//! the old shared phase pool: retention is per-slot, bounded by the maximum
+//! Each slot owns one [`IoPlan`] that the geometry plans into at arrival
+//! (`pre_reads`, then `ops`) and a `stage` byte saying which of the two
+//! dispatches next. Retired slots keep their plan's extent vectors
+//! allocated, so steady-state traffic reuses warm containers instead of
+//! allocating per arrival (retention is per-slot, bounded by the maximum
 //! concurrency).
 #![doc = "tracer-invariant: deterministic"]
 
 use crate::array::{ArrayRequest, RequestId};
-use crate::raid::DiskExtent;
+use crate::raid::IoPlan;
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 use tracer_trace::OpKind;
 
 /// Index of a request's columns. Slots are recycled, so a slot is only
@@ -33,6 +34,19 @@ pub(crate) const F_INTERNAL: u8 = 1 << 1;
 /// `flags` bit: completion already reported (write-back ack); remaining
 /// phases are background destage work.
 pub(crate) const F_COMPLETED_EARLY: u8 = 1 << 2;
+
+/// Slots the store starts with at its first insert.
+const MIN_SLOTS: usize = 8;
+/// Extents each new slot's `pre_reads` and `ops` have room for: a small
+/// parity write (RAID-6 read-modify-write: data + P + Q) fits.
+const PLAN_EXTENTS: usize = 4;
+
+/// `stage`: the plan's `pre_reads` dispatch at the next phase-ready.
+pub(crate) const STAGE_PRE_READS: u8 = 0;
+/// `stage`: the plan's `ops` dispatch at the next phase-ready.
+pub(crate) const STAGE_OPS: u8 = 1;
+/// `stage`: no phase is left to dispatch (also the state of a fresh slot).
+pub(crate) const STAGE_DONE: u8 = 2;
 
 /// The SoA request store. Columns are `pub(crate)`: the array engine indexes
 /// them directly on the event hot path (bounds checks aside, a column read is
@@ -59,16 +73,20 @@ pub(crate) struct ReqStore {
     pub(crate) disk_mask: Vec<u64>,
     /// `F_*` bits.
     pub(crate) flags: Vec<u8>,
-    /// Remaining phases, front first (cold: touched only at phase edges).
-    pub(crate) phases: Vec<VecDeque<Vec<DiskExtent>>>,
+    /// The request's disk phases (cold: touched only at phase edges).
+    /// Retained across occupants; only meaningful while `stage` is not
+    /// [`STAGE_DONE`].
+    pub(crate) plans: Vec<IoPlan>,
+    /// `STAGE_*`: which of the plan's phases dispatches next.
+    pub(crate) stage: Vec<u8>,
     free: Vec<Slot>,
     live: usize,
 }
 
 impl ReqStore {
-    /// File a new in-flight request and return its slot. The slot's phase
-    /// deque is empty (freshly pushed or retained from the slot's previous
-    /// occupant) — the caller fills it when the phases are planned.
+    /// File a new in-flight request and return its slot, at [`STAGE_DONE`]
+    /// with the slot's retained plan — the caller plans into it and sets the
+    /// stage when the phases are known.
     pub(crate) fn insert(
         &mut self,
         id: RequestId,
@@ -76,46 +94,61 @@ impl ReqStore {
         submitted: SimTime,
         internal: bool,
     ) -> Slot {
-        self.live += 1;
-        let flags = F_OCCUPIED | if internal { F_INTERNAL } else { 0 };
-        match self.free.pop() {
-            Some(slot) => {
-                let i = slot as usize;
-                debug_assert_eq!(self.flags[i] & F_OCCUPIED, 0, "insert into occupied slot");
-                debug_assert!(self.phases[i].is_empty(), "retained phase deque not drained");
-                self.id[i] = id;
-                self.sector[i] = req.sector;
-                self.bytes[i] = req.bytes;
-                self.kind[i] = req.kind;
-                self.submitted[i] = submitted;
-                self.outstanding[i] = 0;
-                self.xor_pending[i] = SimDuration::ZERO;
-                self.disk_mask[i] = 0;
-                self.flags[i] = flags;
-                slot
-            }
-            None => {
-                self.id.push(id);
-                self.sector.push(req.sector);
-                self.bytes.push(req.bytes);
-                self.kind.push(req.kind);
-                self.submitted.push(submitted);
-                self.outstanding.push(0);
-                self.xor_pending.push(SimDuration::ZERO);
-                self.disk_mask.push(0);
-                self.flags.push(flags);
-                self.phases.push(VecDeque::new());
-                Slot::try_from(self.id.len() - 1).expect("more than u32::MAX requests in flight")
-            }
+        if self.free.is_empty() {
+            self.grow();
         }
+        let slot = self.free.pop().expect("grow refills the free list");
+        self.live += 1;
+        let i = slot as usize;
+        debug_assert_eq!(self.flags[i] & F_OCCUPIED, 0, "insert into occupied slot");
+        debug_assert_eq!(self.stage[i], STAGE_DONE, "retained plan not drained");
+        self.id[i] = id;
+        self.sector[i] = req.sector;
+        self.bytes[i] = req.bytes;
+        self.kind[i] = req.kind;
+        self.submitted[i] = submitted;
+        self.outstanding[i] = 0;
+        self.xor_pending[i] = SimDuration::ZERO;
+        self.disk_mask[i] = 0;
+        self.flags[i] = F_OCCUPIED | if internal { F_INTERNAL } else { 0 };
+        slot
     }
 
-    /// Retire a slot, recycling it (and its phase deque's capacity) for the
-    /// next insert.
+    /// Double the slot count (to at least [`MIN_SLOTS`]) and file the new
+    /// slots on the free list lowest-on-top, so slots are handed out in
+    /// exactly the order one-at-a-time growth would use. New plans come with
+    /// room for a small request's extents, and the free list with room for
+    /// every slot, so neither a slot's first plan nor any retire allocates:
+    /// the store allocates only when concurrency crosses a power of two.
+    fn grow(&mut self) {
+        let old = self.id.len();
+        let new = (old * 2).max(MIN_SLOTS);
+        assert!(new - 1 <= Slot::MAX as usize, "more than u32::MAX requests in flight");
+        self.id.resize(new, 0);
+        self.sector.resize(new, 0);
+        self.bytes.resize(new, 0);
+        self.kind.resize(new, OpKind::Read);
+        self.submitted.resize(new, SimTime::ZERO);
+        self.outstanding.resize(new, 0);
+        self.xor_pending.resize(new, SimDuration::ZERO);
+        self.disk_mask.resize(new, 0);
+        self.flags.resize(new, 0);
+        self.plans.resize_with(new, || IoPlan {
+            pre_reads: Vec::with_capacity(PLAN_EXTENTS),
+            ops: Vec::with_capacity(PLAN_EXTENTS),
+            parity_xor_bytes: 0,
+        });
+        self.stage.resize(new, STAGE_DONE);
+        self.free.reserve(new - self.free.len());
+        self.free.extend((old..new).rev().map(|i| i as Slot));
+    }
+
+    /// Retire a slot, recycling it (and its plan's capacity) for the next
+    /// insert.
     pub(crate) fn retire(&mut self, slot: Slot) {
         let i = slot as usize;
         debug_assert_ne!(self.flags[i] & F_OCCUPIED, 0, "retire of vacant request slot");
-        debug_assert!(self.phases[i].is_empty(), "retired request still has phases");
+        debug_assert_eq!(self.stage[i], STAGE_DONE, "retired request still has phases");
         self.flags[i] = 0;
         self.free.push(slot);
         self.live -= 1;
@@ -134,6 +167,11 @@ impl ReqStore {
     /// Whether the slot's completion was already reported (write-back ack).
     pub(crate) fn completed_early(&self, slot: Slot) -> bool {
         self.flags[slot as usize] & F_COMPLETED_EARLY != 0
+    }
+
+    /// Whether every phase of the slot's plan has been dispatched.
+    pub(crate) fn phases_done(&self, slot: Slot) -> bool {
+        self.stage[slot as usize] == STAGE_DONE
     }
 
     /// The slot's request, reassembled from the columns.
@@ -170,29 +208,37 @@ mod tests {
     }
 
     #[test]
-    fn insert_retire_recycles_slots_and_deques() {
+    fn insert_retire_recycles_slots_and_plans() {
         let mut store = ReqStore::default();
         let a = store.insert(0, req(10), SimTime::ZERO, false);
         let b = store.insert(1, req(20), SimTime::from_millis(1), true);
         assert_eq!(store.len(), 2);
         assert!(store.occupied(a) && store.occupied(b));
         assert!(!store.internal(a) && store.internal(b));
+        assert!(store.phases_done(a), "a fresh slot has no phases to dispatch");
 
-        // Give slot `a` a phase deque with capacity, drain it, retire.
-        store.phases[a as usize].push_back(vec![]);
-        store.phases[a as usize].pop_front();
+        // Plan into slot `a`, walk its stages to done, retire.
+        let i = a as usize;
+        crate::raid::Geometry::raid5(4).plan_into(0, 8, OpKind::Write, None, &mut store.plans[i]);
+        store.stage[i] = STAGE_PRE_READS;
+        assert!(!store.phases_done(a));
+        store.stage[i] = STAGE_OPS;
+        store.stage[i] = STAGE_DONE;
+        let capacity = store.plans[i].ops.capacity();
         store.retire(a);
         assert!(!store.occupied(a));
         assert_eq!(store.len(), 1);
 
-        // The freed slot (and its warm deque) is reused before any growth.
+        // The freed slot (and its warm plan) is reused before any other.
         let c = store.insert(2, req(30), SimTime::from_millis(2), false);
         assert_eq!(c, a);
-        assert_eq!(store.slot_count(), 2);
+        assert_eq!(store.slot_count(), MIN_SLOTS);
         assert_eq!(store.id[c as usize], 2);
         assert_eq!(store.request(c), req(30));
         assert_eq!(store.outstanding[c as usize], 0);
         assert!(!store.completed_early(c));
+        assert!(store.phases_done(c));
+        assert!(capacity > 0 && store.plans[c as usize].ops.capacity() == capacity);
     }
 
     #[test]
@@ -212,5 +258,22 @@ mod tests {
         assert_eq!(store.disk_mask[i], 0);
         assert!(!store.completed_early(b));
         assert_eq!(store.submitted[i], SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn growth_hands_out_slots_in_one_at_a_time_order() {
+        // Fresh slots come out lowest first across every doubling, and a
+        // retired slot is always reused before a fresh one.
+        let mut store = ReqStore::default();
+        let slots: Vec<Slot> =
+            (0..20).map(|id| store.insert(id, req(id), SimTime::ZERO, false)).collect();
+        assert_eq!(slots, (0..20).collect::<Vec<Slot>>());
+        assert_eq!(store.slot_count(), 4 * MIN_SLOTS);
+        store.retire(7);
+        store.retire(3);
+        assert_eq!(store.insert(20, req(0), SimTime::ZERO, false), 3);
+        assert_eq!(store.insert(21, req(0), SimTime::ZERO, false), 7);
+        assert_eq!(store.insert(22, req(0), SimTime::ZERO, false), 20);
+        assert_eq!(store.len(), 21);
     }
 }

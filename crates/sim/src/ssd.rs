@@ -14,8 +14,9 @@
 //!
 //! The GC model is deterministic (every `gc_period`-th random write pays
 //! `gc_ms`), keeping simulations reproducible run to run.
+#![doc = "tracer-invariant: deterministic"]
 
-use crate::device::{DeviceModel, DiskOp, Phase, PhaseLabel, ServicePlan};
+use crate::device::{DeviceModel, DiskOp, Phase, PhaseLabel};
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -145,10 +146,8 @@ impl DeviceModel for SsdModel {
         self.params.idle_w
     }
 
-    fn service(&mut self, op: &DiskOp) -> ServicePlan {
+    fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
         let p = &self.params;
-        let mut phases = Vec::with_capacity(3);
-
         let (latency_us, rate_mbps, active_w) = if op.kind.is_read() {
             (p.read_latency_us, p.read_mbps, p.read_w)
         } else {
@@ -198,7 +197,6 @@ impl DeviceModel for SsdModel {
         });
 
         self.last_kind = Some(op.kind);
-        ServicePlan { phases }
     }
 
     fn name(&self) -> &str {

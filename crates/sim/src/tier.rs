@@ -5,9 +5,10 @@
 //! the classic energy trade the MAID/PDC literature the paper cites builds
 //! on: flash absorbs the random traffic that would otherwise keep the spindle
 //! seeking, while the HDD provides the capacity. The model composes the two
-//! existing device models rather than re-deriving their physics — a service
-//! plan is the concatenation of the sub-device phases involved, so power
-//! accounting stays exact.
+//! existing device models rather than re-deriving their physics — the
+//! members append their phases straight into the caller's buffer, so a
+//! service plan is the concatenation of the sub-device phases involved and
+//! power accounting stays exact.
 //!
 //! Placement policy (deterministic, no clocks, no randomness):
 //!
@@ -22,7 +23,7 @@
 //! past four times the cache capacity, which keeps the model O(cache) while
 //! remaining a pure function of the op sequence.
 
-use crate::device::{DeviceModel, DiskOp, OpKind, ServicePlan};
+use crate::device::{DeviceModel, DiskOp, OpKind, Phase};
 use crate::hdd::HddModel;
 use crate::ssd::SsdModel;
 use serde::{Deserialize, Serialize};
@@ -125,17 +126,17 @@ impl TieredModel {
         self.resident.iter().position(|r| r.region == region)
     }
 
-    /// Evict the LRU resident region, returning the freed slot and charging
-    /// the write-back cost to `plan` if the region was dirty.
-    fn demote_lru(&mut self, plan: &mut Vec<crate::device::Phase>) -> usize {
+    /// Evict the LRU resident region, returning the freed slot and appending
+    /// the write-back cost to `phases` if the region was dirty.
+    fn demote_lru(&mut self, phases: &mut Vec<Phase>) -> usize {
         let victim = self.resident.pop().expect("cache not empty");
         self.demotions += 1;
         if victim.dirty {
             let sectors = self.cfg.region_sectors;
             let flash = DiskOp::new(victim.slot as u64 * sectors, sectors, OpKind::Read);
-            plan.extend(self.ssd.service(&flash).phases);
+            self.ssd.service_into(&flash, phases);
             let disk = DiskOp::new(victim.region * sectors, sectors, OpKind::Write);
-            plan.extend(self.hdd.service(&disk).phases);
+            self.hdd.service_into(&disk, phases);
         }
         victim.slot
     }
@@ -154,9 +155,8 @@ impl DeviceModel for TieredModel {
         self.ssd.idle_watts() + self.hdd.standby_watts()
     }
 
-    fn service(&mut self, op: &DiskOp) -> ServicePlan {
+    fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
         let region = op.sector / self.cfg.region_sectors;
-        let mut phases = Vec::new();
 
         if let Some(pos) = self.resident_pos(region) {
             // Hit: serve from flash and refresh recency.
@@ -164,8 +164,8 @@ impl DeviceModel for TieredModel {
             entry.dirty |= !op.kind.is_read();
             let flash = self.flash_op(entry.slot, op);
             self.resident.insert(0, entry);
-            phases.extend(self.ssd.service(&flash).phases);
-            return ServicePlan { phases };
+            self.ssd.service_into(&flash, phases);
+            return;
         }
 
         // Miss: count the touch and decide on promotion.
@@ -176,22 +176,22 @@ impl DeviceModel for TieredModel {
                 self.heat.swap_remove(i);
             }
             let slot = if self.resident.len() >= self.cfg.cache_regions {
-                self.demote_lru(&mut phases)
+                self.demote_lru(phases)
             } else {
                 self.resident.len()
             };
             // Migrate the whole region disk → flash, then serve from flash.
             let sectors = self.cfg.region_sectors;
             let fill = DiskOp::new(region * sectors, sectors, OpKind::Read);
-            phases.extend(self.hdd.service(&fill).phases);
+            self.hdd.service_into(&fill, phases);
             let store = DiskOp::new(slot as u64 * sectors, sectors, OpKind::Write);
-            phases.extend(self.ssd.service(&store).phases);
+            self.ssd.service_into(&store, phases);
             self.promotions += 1;
             let entry = Resident { region, slot, dirty: !op.kind.is_read() };
             let flash = self.flash_op(slot, op);
             self.resident.insert(0, entry);
-            phases.extend(self.ssd.service(&flash).phases);
-            return ServicePlan { phases };
+            self.ssd.service_into(&flash, phases);
+            return;
         }
 
         match heat_pos {
@@ -203,8 +203,7 @@ impl DeviceModel for TieredModel {
             // counting epoch (deterministically).
             self.heat.clear();
         }
-        phases.extend(self.hdd.service(op).phases);
-        ServicePlan { phases }
+        self.hdd.service_into(op, phases);
     }
 
     fn enter_standby(&mut self) {
