@@ -16,12 +16,16 @@ use tracer_replay::{try_replay_observed, LoadControl, ReplayConfig, ReplayReport
 use tracer_sim::{ArraySim, SimDuration};
 use tracer_trace::{BunchSource, TraceHandle, WorkloadMode};
 
+/// The paper's power-analyzer sampling cycle in milliseconds.
+pub const DEFAULT_METER_CYCLE_MS: u64 = 1000;
+
 /// Orchestrates tests and owns the results database.
 #[derive(Debug, Default)]
 pub struct EvaluationHost {
     /// The results database.
     pub db: Database,
-    /// Power-analyzer sampling cycle in milliseconds (paper default: 1000).
+    /// Power-analyzer sampling cycle in milliseconds (paper default:
+    /// [`DEFAULT_METER_CYCLE_MS`]).
     pub meter_cycle_ms: u64,
 }
 
@@ -58,7 +62,7 @@ pub struct MeasuredTest {
 impl EvaluationHost {
     /// Host with the paper's defaults.
     pub fn new() -> Self {
-        Self { db: Database::new(), meter_cycle_ms: 1000 }
+        Self { db: Database::new(), meter_cycle_ms: DEFAULT_METER_CYCLE_MS }
     }
 
     /// Measure one test: apply the mode's load proportion (and

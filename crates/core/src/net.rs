@@ -21,7 +21,8 @@
 
 use crate::host::{CommandSession, SessionError};
 use crate::messages::{format_job_command, parse_reply, JobCommand, Reply};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::borrow::Cow;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,6 +30,70 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tracer_sim::ArraySim;
 use tracer_trace::{TraceHandle, WorkloadMode};
+
+/// Longest request line a server accepts, newline included. A peer that
+/// sends more without a newline is answered `err line too long` and
+/// disconnected, so no connection buffers more than this.
+pub const MAX_LINE: usize = 64 * 1024;
+
+/// What one [`LineReader::next_line`] call produced.
+#[derive(Debug)]
+pub enum LineRead<'a> {
+    /// A complete request line (newline included), or the unterminated last
+    /// line before the peer hung up.
+    Line(Cow<'a, str>),
+    /// The read timed out mid-line or between lines; the bytes so far are
+    /// kept for the next call.
+    Pending,
+    /// The peer hung up or the connection failed.
+    Closed,
+    /// [`MAX_LINE`] bytes arrived without a newline.
+    TooLong,
+}
+
+/// Request-line reader for a server connection with a read timeout.
+///
+/// The buffer outlives timeouts: a command split across one is reassembled,
+/// not cut in two, and it is cleared only when the next call starts after a
+/// complete line. Reads go through [`Read::take`], so the buffer never holds
+/// more than [`MAX_LINE`] bytes.
+pub struct LineReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+    complete: bool,
+}
+
+impl<R: BufRead> LineReader<R> {
+    /// Wrap a buffered connection reader.
+    pub fn new(inner: R) -> Self {
+        Self { inner, buf: Vec::new(), complete: false }
+    }
+
+    /// Read toward the next request line. Invalid UTF-8 is replaced, so the
+    /// command parser answers it with an `err` line.
+    pub fn next_line(&mut self) -> LineRead<'_> {
+        if self.complete {
+            self.buf.clear();
+            self.complete = false;
+        }
+        let room = MAX_LINE.saturating_sub(self.buf.len()) as u64;
+        match self.inner.by_ref().take(room).read_until(b'\n', &mut self.buf) {
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                return LineRead::Pending;
+            }
+            Err(_) => return LineRead::Closed,
+            Ok(_) if self.buf.is_empty() => return LineRead::Closed,
+            Ok(_) if !self.buf.ends_with(b"\n") && self.buf.len() >= MAX_LINE => {
+                return LineRead::TooLong;
+            }
+            Ok(_) => {}
+        }
+        self.complete = true;
+        LineRead::Line(String::from_utf8_lossy(&self.buf))
+    }
+}
 
 /// The workload-generator machine: accepts one evaluation host at a time and
 /// executes its commands.
@@ -103,7 +168,7 @@ where
     // `err busy`) with serving the active one.
     listener.set_nonblocking(true)?;
     let mut session = CommandSession::new(build_array, load_trace);
-    let mut active: Option<(BufReader<TcpStream>, BufWriter<TcpStream>)> = None;
+    let mut active: Option<(LineReader<BufReader<TcpStream>>, BufWriter<TcpStream>)> = None;
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -120,7 +185,7 @@ where
                     // A finite read timeout lets the server notice a shutdown
                     // request and waiting clients while this one sits idle.
                     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-                    let reader = BufReader::new(stream.try_clone()?);
+                    let reader = LineReader::new(BufReader::new(stream.try_clone()?));
                     active = Some((reader, BufWriter::new(stream)));
                 }
             }
@@ -133,23 +198,19 @@ where
             std::thread::sleep(Duration::from_millis(5));
             continue;
         };
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                active = None; // client hung up cleanly
+        let line = match reader.next_line() {
+            LineRead::Line(line) => line,
+            LineRead::Pending => continue,
+            LineRead::Closed => {
+                active = None; // client hung up or vanished mid-line
                 continue;
             }
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            LineRead::TooLong => {
+                let _ = writer.write_all(b"err line too long\n").and_then(|()| writer.flush());
+                active = None;
                 continue;
             }
-            Err(_) => {
-                active = None; // client vanished mid-line
-                continue;
-            }
-        }
+        };
         let body = line.trim();
         if body.is_empty() {
             continue;
@@ -428,6 +489,64 @@ mod tests {
                 Err(_) => {}
             }
             assert!(std::time::Instant::now() < deadline, "server wedged after abrupt disconnect");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        server.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_command_split_across_a_read_timeout_is_reassembled() {
+        let server = spawn_server();
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(b"init-ana").unwrap();
+        // Longer than the server's 100 ms read timeout: the prefix must
+        // survive the timed-out reads in between.
+        std::thread::sleep(Duration::from_millis(250));
+        raw.write_all(b"lyzer cycle=1000\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&raw).read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("ok"), "{reply:?}");
+        server.shutdown().unwrap();
+    }
+
+    #[test]
+    fn an_overlong_line_is_refused_and_the_next_host_is_served() {
+        let server = spawn_server();
+        let hostile = TcpStream::connect(server.addr()).unwrap();
+        hostile.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // From a thread: once the server stops reading, this write only
+        // returns when the connection is torn down.
+        let mut flood = hostile.try_clone().unwrap();
+        let flooder = std::thread::spawn(move || {
+            let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+        });
+        // Another host is answered meanwhile: turned away busy while the
+        // flood holds the session, served once it was refused.
+        let mut second = HostClient::connect(server.addr()).unwrap();
+        if let Ok(r) = second.send_line("init-analyzer cycle=1000") {
+            assert!(r == "err busy" || r.starts_with("ok"), "{r}");
+        }
+        drop(second);
+        // Answered and disconnected instead of buffered while the server
+        // waits for a newline. Closing with the flood's tail unread resets
+        // the connection, which may overtake the reply.
+        let mut reply = String::new();
+        match BufReader::new(&hostile).read_line(&mut reply) {
+            Ok(_) => assert!(reply.is_empty() || reply == "err line too long\n", "{reply:?}"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset, "{e}"),
+        }
+        flooder.join().unwrap();
+        // The session slot is free again for the next host.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut next = HostClient::connect(server.addr()).unwrap();
+            match next.send_line("init-analyzer cycle=1000") {
+                Ok(r) if r.starts_with("ok") => break,
+                Ok(r) => assert_eq!(r, "err busy", "unexpected reply {r}"),
+                Err(_) => {}
+            }
+            assert!(std::time::Instant::now() < deadline, "server never freed the slot");
             std::thread::sleep(Duration::from_millis(20));
         }
         server.shutdown().unwrap();

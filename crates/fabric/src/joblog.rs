@@ -4,7 +4,7 @@
 //! file as a checksummed frame — submitted, started, and its terminal state
 //! (done with the full [`TestRecord`], failed, cancelled, expired). On
 //! restart the log is replayed: fully committed results are restored to the
-//! results database without re-running anything, jobs that were queued or
+//! service's job registry without re-running anything, jobs that were queued or
 //! in flight when the process died are re-resolved and re-enqueued under
 //! their original ids, and a torn tail frame (the write the crash
 //! interrupted) is detected by checksum and truncated away. `kill -9`
@@ -23,6 +23,7 @@
 #![doc = "tracer-invariant: no-panic-wire"]
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -242,10 +243,7 @@ impl JobLog {
         file.read_to_end(&mut data)?;
 
         let (records, good_end) = decode_frames(&data);
-        let mut recovery = Recovery::default();
-        for record in records {
-            apply(&mut recovery, record);
-        }
+        let mut recovery = recover(records);
         if good_end < data.len() {
             recovery.torn_frames = 1;
             file.set_len(good_end as u64)?;
@@ -277,14 +275,28 @@ impl JobLog {
     }
 }
 
+/// Fold the replayed records, in log order, into the recovery state.
+fn recover(records: Vec<LogRecord>) -> Recovery {
+    let mut recovery = Recovery::default();
+    // Job id → its position in `recovery.jobs`, so each lifecycle frame
+    // finds its job in O(log jobs) rather than by a scan.
+    let mut index = BTreeMap::new();
+    for record in records {
+        apply(&mut recovery, &mut index, record);
+    }
+    recovery
+}
+
 /// Fold one replayed record into the recovery state. Lifecycle records for
-/// ids that never had a `Submitted` frame are ignored (possible only under
-/// external tampering; replay must still not panic).
-fn apply(recovery: &mut Recovery, record: LogRecord) {
+/// ids that never had a `Submitted` frame are ignored, and a repeated
+/// `Submitted` frame adds a job that later frames never reach (both possible
+/// only under external tampering; replay must still not panic).
+fn apply(recovery: &mut Recovery, index: &mut BTreeMap<u64, usize>, record: LogRecord) {
     let id = record.id();
     recovery.next_id = recovery.next_id.max(id + 1);
     let state = match record {
         LogRecord::Submitted { id, spec } => {
+            index.entry(id).or_insert(recovery.jobs.len());
             recovery.jobs.push(RecoveredJob { id, spec, state: RecoveredState::Queued });
             return;
         }
@@ -296,7 +308,7 @@ fn apply(recovery: &mut Recovery, record: LogRecord) {
         LogRecord::Cancelled { .. } => RecoveredState::Cancelled,
         LogRecord::Expired { .. } => RecoveredState::Expired,
     };
-    if let Some(job) = recovery.jobs.iter_mut().find(|j| j.id == id) {
+    if let Some(job) = index.get(&id).and_then(|&pos| recovery.jobs.get_mut(pos)) {
         job.state = state;
     }
 }
@@ -363,6 +375,67 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tracer_joblog_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// The fold recovery used before the id index: every lifecycle frame
+    /// scans the job list for the first job with its id.
+    fn linear_recover(records: Vec<LogRecord>) -> Recovery {
+        let mut recovery = Recovery::default();
+        for record in records {
+            let id = record.id();
+            recovery.next_id = recovery.next_id.max(id + 1);
+            let state = match record {
+                LogRecord::Submitted { id, spec } => {
+                    recovery.jobs.push(RecoveredJob { id, spec, state: RecoveredState::Queued });
+                    continue;
+                }
+                LogRecord::Started { .. } => RecoveredState::Started,
+                LogRecord::Done { record, queue_ms, run_ms, .. } => {
+                    RecoveredState::Done { record: Box::new(record), queue_ms, run_ms }
+                }
+                LogRecord::Failed { reason, .. } => RecoveredState::Failed(reason),
+                LogRecord::Cancelled { .. } => RecoveredState::Cancelled,
+                LogRecord::Expired { .. } => RecoveredState::Expired,
+            };
+            if let Some(job) = recovery.jobs.iter_mut().find(|j| j.id == id) {
+                job.state = state;
+            }
+        }
+        recovery
+    }
+
+    fn frame(id: u64, kind: u8) -> LogRecord {
+        match kind {
+            0 | 1 => LogRecord::Submitted { id, spec: spec(&format!("j{id}")) },
+            2 => LogRecord::Started { id },
+            3 => LogRecord::Done { id, record: record(id), queue_ms: id % 7, run_ms: id % 11 },
+            4 => LogRecord::Failed { id, reason: format!("boom {id}") },
+            5 => LogRecord::Cancelled { id },
+            _ => LogRecord::Expired { id },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 24,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Frames for up to 2 000 jobs in any order — lifecycle frames before
+        /// their submission, for unknown ids, repeated submissions — recover
+        /// exactly as the linear fold does.
+        #[test]
+        fn indexed_recovery_matches_the_linear_fold(
+            frames in proptest::collection::vec((0u64..2000, 0u8..7), 0..6000),
+        ) {
+            let records: Vec<LogRecord> =
+                frames.iter().map(|&(id, kind)| frame(id, kind)).collect();
+            let got = recover(records.clone());
+            let want = linear_recover(records);
+            proptest::prop_assert_eq!(got.jobs, want.jobs);
+            proptest::prop_assert_eq!(got.next_id, want.next_id);
+            proptest::prop_assert_eq!(got.torn_frames, want.torn_frames);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use tracer_core::db::{Database, TestRecord};
+use tracer_core::db::TestRecord;
 use tracer_core::distributed::EvaluationJob;
 use tracer_fabric::joblog::{JobLog, JobSpec, LogRecord, RecoveredState};
 use tracer_serve::{EvalService, JobState, ServiceConfig};
@@ -212,13 +212,14 @@ fn recovery_restores_done_jobs_and_reruns_pending_ones_exactly_once() {
     names.sort();
     assert_eq!(names, vec!["cell-1", "cell-3", "cell-4"]);
 
-    // The committed job is done *immediately*, with its journalled record in
-    // the shared database — no re-run.
+    // The committed job is done *immediately*, answering with its journalled
+    // metrics and timings — no re-run. It is the first restored job in log
+    // order, so it takes record id 0.
     let done = service.status(2).expect("job 2 restored");
     assert_eq!(done.state, JobState::Done);
-    assert!(done.metrics.is_some());
-    let rid = done.record_id.expect("restored record id");
-    assert!(service.with_db(|db| db.get(rid).map(|r| r.label.clone())) == Some("cell-2".into()));
+    assert_eq!(done.metrics, Some(committed_record(2).efficiency));
+    assert_eq!((done.queue_ms, done.run_ms), (Some(3), Some(41)));
+    assert_eq!(done.record_id, Some(0));
 
     // Fresh submissions continue after the journalled id space.
     let fresh = service
@@ -236,9 +237,33 @@ fn recovery_restores_done_jobs_and_reruns_pending_ones_exactly_once() {
     for id in [1u64, 3, 4] {
         assert_eq!(service.status(id).unwrap().state, JobState::Done, "re-run job {id}");
     }
-    // 1 restored + 3 re-run + 1 fresh — exactly once each.
-    assert_eq!(service.with_db(Database::len), 5);
+    // 1 restored + 3 re-run + 1 fresh — exactly once each: five distinct
+    // record ids, the restored one first, the rest in commit order after it.
+    let snapshot = service.snapshot();
     drop(service);
+    let mut record_ids: Vec<u64> =
+        snapshot.iter().map(|s| s.record_id.expect("every job done")).collect();
+    record_ids.sort_unstable();
+    assert_eq!(record_ids, vec![0, 1, 2, 3, 4]);
+
+    // The log holds one Done frame per journalled job: job 2's from the
+    // crashed session (restoring it wrote none), and one per re-run carrying
+    // its full record under the id the registry answers with. The fresh job
+    // has no spec, so it is not journalled.
+    let (frames, _) = tracer_fabric::joblog::decode_frames(&fs::read(&path).unwrap());
+    let mut done_ids: Vec<u64> = Vec::new();
+    for frame in frames {
+        let LogRecord::Done { id, record, .. } = frame else { continue };
+        done_ids.push(id);
+        if id != 2 {
+            let snap = snapshot.iter().find(|s| s.id == id).expect("journalled job");
+            assert_eq!(Some(record.id), snap.record_id, "job {id}");
+            assert_eq!(Some(record.efficiency), snap.metrics, "job {id}");
+            assert_eq!(record.label, format!("cell-{id}"));
+        }
+    }
+    done_ids.sort_unstable();
+    assert_eq!(done_ids, vec![1, 2, 3, 4]);
 
     // The journal now reflects the completed session: all 4 jobs terminal,
     // nothing pending for a third incarnation to redo.
@@ -321,12 +346,13 @@ fn wire_submissions_are_journalled_and_replayable() {
     }
     server.shutdown().unwrap();
 
-    // The log round-trips: one job, done, with the committed record inline.
+    // The log round-trips: one job, done, with the committed record inline
+    // under the server's first record id.
     let (_log, recovery) = JobLog::open(&path).unwrap();
     assert_eq!(recovery.jobs.len(), 1);
     assert_eq!(recovery.jobs[0].spec.name, "wire-a");
     assert!(
-        matches!(&recovery.jobs[0].state, RecoveredState::Done { record, .. } if record.label == "wire-a")
+        matches!(&recovery.jobs[0].state, RecoveredState::Done { record, .. } if record.label == "wire-a" && record.id == 0)
     );
     fs::remove_file(&path).unwrap();
 }

@@ -5,10 +5,15 @@
 //! serves a single session and turns extra hosts away with `err busy`. This
 //! crate scales that deployment up: many hosts submit evaluation jobs over
 //! TCP, a **bounded priority queue** admits or rejects them (no unbounded
-//! buffering), and a **worker pool** — each worker owning its own
-//! [`ArraySim`](tracer_sim::ArraySim) factory and [`EvaluationHost`] —
-//! drains the queue and persists every result in one shared results
-//! [`Database`].
+//! buffering), and a **worker pool** drains the queue, building a fresh
+//! [`ArraySim`](tracer_sim::ArraySim) per job and measuring it with
+//! [`EvaluationHost::measure_test`].
+//!
+//! A finished job lives in two places only: its registry entry, which
+//! answers `status`/`result` (record id, metrics, phase timings), and — with
+//! a [`JobLog`] attached — the journal's `Done` frame, which carries the full
+//! record. Record ids are assigned at the commit point in commit order,
+//! starting at 0, as a results database would number them.
 //!
 //! Lifecycle of a job: `submit` → *queued* → *running* → *done* / *failed*,
 //! with *cancelled* reachable from *queued* (never runs) and from *running*
@@ -46,9 +51,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tracer_core::db::Database;
 use tracer_core::distributed::EvaluationJob;
-use tracer_core::host::EvaluationHost;
+use tracer_core::host::{EvaluationHost, DEFAULT_METER_CYCLE_MS};
 use tracer_core::metrics::EfficiencyMetrics;
 use tracer_fabric::joblog::{JobLog, JobSpec, LogRecord, RecoveredState};
 
@@ -59,7 +63,7 @@ const DEFERRED_FACTOR: usize = 16;
 /// Tuning knobs of the service.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Worker threads, each with its own [`EvaluationHost`].
+    /// Worker threads; each runs one job at a time.
     pub workers: usize,
     /// Bounded queue capacity; submissions beyond it are rejected busy.
     pub queue_capacity: usize,
@@ -89,7 +93,7 @@ pub enum JobState {
     Queued,
     /// A worker is replaying it.
     Running,
-    /// Finished; metrics and a database record exist.
+    /// Finished; metrics and a record id exist.
     Done,
     /// The evaluation panicked; the error text is kept.
     Failed,
@@ -122,7 +126,7 @@ pub struct JobSnapshot {
     pub name: String,
     /// Current lifecycle state.
     pub state: JobState,
-    /// Record id in the shared database once done.
+    /// Record id once done: the job's position in commit order, from 0.
     pub record_id: Option<u64>,
     /// Efficiency metrics once done.
     pub metrics: Option<EfficiencyMetrics>,
@@ -299,7 +303,7 @@ struct Queue {
 }
 
 /// The evaluation engine: bounded priority queue + worker pool + job
-/// registry + shared results database (+ optional durable journal).
+/// registry (+ optional durable journal).
 pub struct EvalService {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -313,7 +317,9 @@ struct Shared {
     // BTreeMap, not HashMap: snapshots and stats iterate this registry, and
     // anything feeding a report must iterate in a stable (id) order.
     jobs: Mutex<BTreeMap<u64, JobEntry>>,
-    db: Mutex<Database>,
+    // Next record id. Only taken while holding `jobs`, so ids follow commit
+    // order exactly.
+    next_record: AtomicU64,
     queue: Queue,
     journal: Option<Arc<JobLog>>,
 }
@@ -340,11 +346,11 @@ impl EvalService {
 
     /// Start the worker pool with a durable journal at `log_path`, replaying
     /// whatever a previous process left there: finished jobs come back as
-    /// *done* (their committed records re-enter the shared database, nothing
-    /// re-runs), and jobs that were queued or in flight are re-resolved via
-    /// `resolve` and re-enqueued under their original ids. Specs that no
-    /// longer resolve (device renamed, trace gone) are marked failed instead
-    /// of silently dropped.
+    /// *done* (journalled metrics and timings, record ids re-numbered from 0
+    /// in log order, nothing re-runs), and jobs that were queued or in
+    /// flight are re-resolved via `resolve` and re-enqueued under their
+    /// original ids. Specs that no longer resolve (device renamed, trace
+    /// gone) are marked failed instead of silently dropped.
     pub fn start_recovered(
         config: ServiceConfig,
         log_path: &Path,
@@ -356,17 +362,14 @@ impl EvalService {
         service.shared.next_id.store(recovery.next_id.max(1), Ordering::SeqCst);
         {
             let mut jobs = service.shared.jobs.lock();
-            let mut db = service.shared.db.lock();
             for rj in &recovery.jobs {
                 let mut entry = JobEntry::new(rj.spec.name.clone(), true);
                 match &rj.state {
                     RecoveredState::Queued | RecoveredState::Started => continue,
                     RecoveredState::Done { record, queue_ms, run_ms } => {
-                        let mut restored = (**record).clone();
-                        restored.id = 0; // the shared db re-assigns ids
-                        let rid = db.insert(restored);
                         entry.state = JobState::Done;
-                        entry.record_id = Some(rid);
+                        entry.record_id =
+                            Some(service.shared.next_record.fetch_add(1, Ordering::SeqCst));
                         entry.metrics = Some(record.efficiency);
                         entry.queue_ms = Some(*queue_ms);
                         entry.run_ms = Some(*run_ms);
@@ -417,7 +420,7 @@ impl EvalService {
             accepting: AtomicBool::new(true),
             next_id: AtomicU64::new(1),
             jobs: Mutex::new(BTreeMap::new()),
-            db: Mutex::new(Database::new()),
+            next_record: AtomicU64::new(0),
             queue: Queue {
                 state: StdMutex::new(QueueState { heap: BinaryHeap::new(), seq: 0, closed: false }),
                 cv: Condvar::new(),
@@ -624,11 +627,6 @@ impl EvalService {
             .collect()
     }
 
-    /// Run a closure against the shared results database.
-    pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.shared.db.lock())
-    }
-
     /// Stop admitting jobs and close the queue; workers keep draining what is
     /// already queued.
     pub fn begin_shutdown(&self) {
@@ -664,10 +662,9 @@ impl Drop for EvalService {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Each worker is a generator machine in miniature: its own host, its own
-    // analyzer per test (inside measure_test), results copied into the
-    // shared db, phase timings recorded on the registry entry.
-    let mut host = EvaluationHost::new();
+    // Each worker is a generator machine in miniature: its own array and
+    // analyzer per test (inside measure_test). A result is committed to the
+    // registry entry and moved into the journal's Done frame, nowhere else.
     loop {
         let pending = {
             // Queue state stays consistent across a panicking holder (every
@@ -721,11 +718,10 @@ fn worker_loop(shared: &Shared) {
         }
         let EvaluationJob { name, build, trace, mode, intensity_pct } = job;
         let started = Instant::now();
-        let meter_cycle_ms = host.meter_cycle_ms;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut sim = build();
             EvaluationHost::measure_test(
-                meter_cycle_ms,
+                DEFAULT_METER_CYCLE_MS,
                 &mut sim,
                 &trace,
                 mode,
@@ -752,30 +748,15 @@ fn worker_loop(shared: &Shared) {
                     shared.journal(journaled, &LogRecord::Cancelled { id });
                     continue;
                 }
-                let out = host.commit(measured);
-                let Some(record) = host.db.get(out.record_id).cloned() else {
-                    // `commit` just stored this id; its absence means the
-                    // worker-local db broke an invariant. Fail the job —
-                    // don't take the worker (and its queue share) down.
-                    entry.state = JobState::Failed;
-                    let reason = "internal: committed record missing from worker db".to_string();
-                    entry.error = Some(reason.clone());
-                    drop(jobs);
-                    shared.journal(journaled, &LogRecord::Failed { id, reason });
-                    continue;
-                };
-                // Lock order: jobs → db (never the reverse).
-                let shared_record = shared.db.lock().insert(record);
+                let mut record = measured.record;
+                record.id = shared.next_record.fetch_add(1, Ordering::SeqCst);
                 entry.state = JobState::Done;
-                entry.record_id = Some(shared_record);
-                entry.metrics = Some(out.metrics);
+                entry.record_id = Some(record.id);
+                entry.metrics = Some(measured.metrics);
                 let queue_ms = entry.queue_ms.unwrap_or(0);
                 let run_ms = entry.run_ms.unwrap_or(0);
-                let journal_record = shared.db.lock().get(shared_record).cloned();
                 drop(jobs);
-                if let Some(record) = journal_record {
-                    shared.journal(journaled, &LogRecord::Done { id, record, queue_ms, run_ms });
-                }
+                shared.journal(journaled, &LogRecord::Done { id, record, queue_ms, run_ms });
             }
             Err(panic) => {
                 entry.state = JobState::Failed;
@@ -803,6 +784,9 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use tracer_core::db::TestRecord;
+    use tracer_fabric::joblog::decode_frames;
     use tracer_sim::ArraySpec;
     use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
 
@@ -831,20 +815,87 @@ mod tests {
         )
     }
 
+    /// A service journalling to a fresh log under the temp dir.
+    fn journaled_service(tag: &str, config: ServiceConfig) -> (EvalService, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("tracer_serve_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{tag}.log"));
+        let _ = std::fs::remove_file(&path);
+        let (service, _) = EvalService::start_recovered(config, &path, |_| None).unwrap();
+        (service, path)
+    }
+
+    /// Submit with a wire-level spec, so the job is journalled.
+    fn submit_journaled(service: &EvalService, job: EvaluationJob, opts: SubmitOpts) -> u64 {
+        let spec = JobSpec {
+            device: "raid5-hdd4".into(),
+            mode: job.mode,
+            intensity_pct: job.intensity_pct,
+            name: job.name.clone(),
+            priority: opts.priority,
+            deadline_ms: opts.deadline.map(|d| d.as_millis() as u64),
+        };
+        service.submit_opts(job, SubmitOpts { spec: Some(spec), ..opts }).unwrap()
+    }
+
+    /// The journal's `Done` frames, in log order; the log is removed.
+    fn take_done_frames(path: &Path) -> Vec<(u64, TestRecord)> {
+        let (records, _) = decode_frames(&std::fs::read(path).unwrap());
+        std::fs::remove_file(path).unwrap();
+        records
+            .into_iter()
+            .filter_map(|r| match r {
+                LogRecord::Done { id, record, .. } => Some((id, record)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn jobs_run_to_done_and_results_land_in_the_shared_db() {
-        let service = EvalService::start(ServiceConfig { workers: 2, queue_capacity: 8 });
-        let a = service.submit(job("a", 50, 100)).unwrap();
-        let b = service.submit(job("b", 50, 50)).unwrap();
+    fn jobs_run_to_done_with_distinct_record_ids_and_journalled_records() {
+        let (service, log) =
+            journaled_service("done", ServiceConfig { workers: 2, queue_capacity: 8 });
+        let loads = [(100, "a"), (50, "b")];
+        let ids: Vec<u64> = loads
+            .iter()
+            .map(|&(load, name)| {
+                submit_journaled(&service, job(name, 50, load), Default::default())
+            })
+            .collect();
         service.shutdown();
-        for id in [a, b] {
+        let frames = take_done_frames(&log);
+        let mut record_ids = Vec::new();
+        for (&id, &(load, name)) in ids.iter().zip(&loads) {
             let snap = service.status(id).unwrap();
             assert_eq!(snap.state, JobState::Done, "job {id}");
-            assert!(snap.metrics.unwrap().iops > 0.0);
-            let record = snap.record_id.unwrap();
-            assert!(service.with_db(|db| db.get(record).is_some()));
+            let metrics = snap.metrics.unwrap();
+            // Bit-equal to measuring the same job serially.
+            let mut sim = ArraySpec::hdd_raid5(4).build();
+            let mode = WorkloadMode::peak(4096, 50, 100).at_load(load);
+            let serial = EvaluationHost::measure_test(
+                DEFAULT_METER_CYCLE_MS,
+                &mut sim,
+                &small_trace(50),
+                mode,
+                100,
+                name,
+            );
+            assert_eq!(metrics, serial.metrics, "job {id}");
+            // The full record lives in the journal's `Done` frame, under the
+            // id the registry answers with.
+            let record_id = snap.record_id.unwrap();
+            let done: Vec<_> = frames.iter().filter(|(job, _)| *job == id).collect();
+            assert_eq!(done.len(), 1, "job {id} journals exactly one Done frame");
+            let record = &done[0].1;
+            assert_eq!(record.id, record_id);
+            assert_eq!(record.label, name);
+            assert_eq!(record.efficiency, metrics);
+            record_ids.push(record_id);
         }
-        assert_eq!(service.with_db(Database::len), 2);
+        // Two commits take the first two ids, one each.
+        record_ids.sort_unstable();
+        assert_eq!(record_ids, vec![0, 1]);
+        assert_eq!(frames.len(), 2);
     }
 
     #[test]
@@ -908,9 +959,9 @@ mod tests {
     fn priorities_run_before_earlier_low_priority_submissions() {
         // One worker, blocked by the first job; everything submitted after
         // it drains in (priority desc, submission asc) order — visible in
-        // the shared database's insertion order.
+        // the record ids, which follow commit order.
         let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 8 });
-        let _blocker = service.submit(job("blocker", BLOCKER_BUNCHES, 100)).unwrap();
+        let blocker = service.submit(job("blocker", BLOCKER_BUNCHES, 100)).unwrap();
         // Give the worker time to pop the blocker so the queue order below
         // is exactly the submission set.
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -926,39 +977,41 @@ mod tests {
             .submit_opts(job("mid", 20, 100), SubmitOpts { priority: 4, ..Default::default() })
             .unwrap();
         service.shutdown();
-        let order: Vec<String> =
-            service.with_db(|db| db.records().iter().map(|r| r.label.clone()).collect());
-        let pos = |label: &str| order.iter().position(|l| l == label).unwrap();
-        assert!(pos("high") < pos("mid"), "order {order:?}");
-        assert!(pos("mid") < pos("low"), "order {order:?}");
-        for id in [low, high, mid] {
-            assert_eq!(service.status(id).unwrap().state, JobState::Done);
-        }
+        let record = |id: u64| service.status(id).unwrap().record_id.unwrap();
+        assert_eq!(record(blocker), 0);
+        assert_eq!([record(high), record(mid), record(low)], [1, 2, 3]);
     }
 
     #[test]
     fn deadlines_expire_queued_jobs_instead_of_running_them() {
-        let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 8 });
-        let blocker = service.submit(job("blocker", BLOCKER_BUNCHES, 100)).unwrap();
-        let doomed = service
-            .submit_opts(
-                job("doomed", 20, 100),
-                SubmitOpts { deadline: Some(Duration::from_millis(1)), ..Default::default() },
-            )
-            .unwrap();
+        let (service, log) =
+            journaled_service("expire", ServiceConfig { workers: 1, queue_capacity: 8 });
+        let blocker =
+            submit_journaled(&service, job("blocker", BLOCKER_BUNCHES, 100), Default::default());
+        let doomed = submit_journaled(
+            &service,
+            job("doomed", 20, 100),
+            SubmitOpts { deadline: Some(Duration::from_millis(1)), ..Default::default() },
+        );
         // The blocker occupies the worker far longer than the deadline.
         service.shutdown();
         assert_eq!(service.status(blocker).unwrap().state, JobState::Done);
-        assert_eq!(service.status(doomed).unwrap().state, JobState::Expired);
+        let snap = service.status(doomed).unwrap();
+        assert_eq!(snap.state, JobState::Expired);
         assert_eq!(service.stats().expired, 1);
-        assert_eq!(service.with_db(Database::len), 1, "expired jobs leave no record");
+        // Expired jobs leave no record: no record id, no Done frame.
+        assert!(snap.record_id.is_none() && snap.metrics.is_none());
+        let done: Vec<u64> = take_done_frames(&log).iter().map(|(id, _)| *id).collect();
+        assert_eq!(done, vec![blocker]);
     }
 
     #[test]
     fn queued_jobs_cancel_but_finished_jobs_do_not() {
-        let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 4 });
-        let blocker = service.submit(job("blocker", BLOCKER_BUNCHES, 100)).unwrap();
-        let victim = service.submit(job("victim", 4000, 100)).unwrap();
+        let (service, log) =
+            journaled_service("cancel_queued", ServiceConfig { workers: 1, queue_capacity: 4 });
+        let blocker =
+            submit_journaled(&service, job("blocker", BLOCKER_BUNCHES, 100), Default::default());
+        let victim = submit_journaled(&service, job("victim", 4000, 100), Default::default());
         // `victim` sits behind `blocker` on the single worker.
         assert_eq!(service.cancel(victim), Ok(CancelOutcome::Cancelled));
         assert_eq!(service.status(victim).unwrap().state, JobState::Cancelled);
@@ -967,18 +1020,19 @@ mod tests {
         assert_eq!(service.status(blocker).unwrap().state, JobState::Done);
         // Terminal states refuse cancellation.
         assert!(matches!(service.cancel(blocker), Err(CancelError::NotCancellable(_))));
-        assert_eq!(
-            service.status(victim).unwrap().state,
-            JobState::Cancelled,
-            "cancelled job must never run"
-        );
-        assert_eq!(service.with_db(Database::len), 1);
+        let snap = service.status(victim).unwrap();
+        assert_eq!(snap.state, JobState::Cancelled, "cancelled job must never run");
+        assert!(snap.record_id.is_none() && snap.run_ms.is_none());
+        let done: Vec<u64> = take_done_frames(&log).iter().map(|(id, _)| *id).collect();
+        assert_eq!(done, vec![blocker]);
     }
 
     #[test]
     fn cancel_while_running_discards_the_result_at_the_commit_boundary() {
-        let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 4 });
-        let id = service.submit(job("victim", BLOCKER_BUNCHES, 100)).unwrap();
+        let (service, log) =
+            journaled_service("cancel_running", ServiceConfig { workers: 1, queue_capacity: 4 });
+        let id =
+            submit_journaled(&service, job("victim", BLOCKER_BUNCHES, 100), Default::default());
         let deadline = Instant::now() + Duration::from_secs(30);
         while service.status(id).unwrap().state != JobState::Running {
             assert!(Instant::now() < deadline, "job never started");
@@ -990,9 +1044,10 @@ mod tests {
         service.shutdown();
         let snap = service.status(id).unwrap();
         assert_eq!(snap.state, JobState::Cancelled, "result discarded at the commit boundary");
+        // The discarded result leaves no record: no record id, no Done frame.
         assert!(snap.metrics.is_none());
         assert!(snap.record_id.is_none());
-        assert_eq!(service.with_db(Database::len), 0, "discarded result leaves no record");
+        assert!(take_done_frames(&log).is_empty());
         // A second cancel on the now-terminal job refuses.
         assert_eq!(service.cancel(id), Err(CancelError::NotCancellable(JobState::Cancelled)));
     }

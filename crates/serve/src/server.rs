@@ -20,7 +20,7 @@ use crate::{
     CancelError, CancelOutcome, EvalService, JobState, RecoveryReport, ServiceConfig, SubmitError,
     SubmitOpts,
 };
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,6 +29,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tracer_core::distributed::EvaluationJob;
 use tracer_core::messages::{parse_job_command, JobCommand};
+use tracer_core::net::{LineRead, LineReader};
 use tracer_fabric::joblog::JobSpec;
 use tracer_sim::ArraySim;
 use tracer_trace::{TraceHandle, WorkloadMode};
@@ -117,7 +118,7 @@ impl JobServer {
         self.addr
     }
 
-    /// Shared handle to the underlying service (status, database access).
+    /// Shared handle to the underlying service (status, snapshots, stats).
     pub fn service(&self) -> Arc<EvalService> {
         Arc::clone(&self.service)
     }
@@ -187,28 +188,24 @@ fn handle_client(
     stop: &Arc<AtomicBool>,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = LineReader::new(BufReader::new(stream.try_clone()?));
     let mut writer = BufWriter::new(stream);
     loop {
-        // Checked here, not only on read timeouts: a killed node must go
+        // Checked on every pass, timeouts included: a killed node must go
         // dark even when a chatty client keeps the connection busy.
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
+        let line = match reader.next_line() {
+            LineRead::Line(line) => line,
+            LineRead::Pending => continue,
+            LineRead::Closed => return Ok(()), // client hung up or vanished mid-line
+            LineRead::TooLong => {
+                writer.write_all(b"err line too long\n")?;
+                writer.flush()?;
+                return Ok(());
             }
-            Err(_) => return Ok(()), // client vanished mid-line
-        }
+        };
         let body = line.trim();
         if body.is_empty() {
             continue;

@@ -7,14 +7,14 @@
 //! metrics bit-identical to a serial baseline run of the same
 //! (trace, mode, load) job.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracer_core::host::EvaluationHost;
 use tracer_core::net::HostClient;
 use tracer_serve::server::{BuildArray, JobServer, LoadTrace};
-use tracer_serve::ServiceConfig;
+use tracer_serve::{JobState, ServiceConfig};
 use tracer_sim::ArraySpec;
 use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
 
@@ -194,9 +194,16 @@ fn concurrent_clients_fill_the_queue_and_match_the_serial_baseline() {
     assert!(r.contains(" cancelled=1"), "{r}");
     assert!(r.contains(" queued=0") && r.contains(" running=0"), "{r}");
 
-    // Every completed job also persisted a record in the shared database.
+    // Every completed job took one record id at its commit, and only they
+    // did: the ids are exactly 0..done, whatever order the workers finished
+    // in, and the cancelled job holds none.
     let service = server.service();
-    assert_eq!(service.with_db(|db| db.len()), submitted.len());
+    let snapshot = service.snapshot();
+    let mut record_ids: Vec<u64> = snapshot.iter().filter_map(|s| s.record_id).collect();
+    record_ids.sort_unstable();
+    assert_eq!(record_ids, (0..submitted.len() as u64).collect::<Vec<_>>());
+    assert!(snapshot.iter().all(|s| (s.state == JobState::Done) == s.record_id.is_some()));
+    assert_eq!(service.status(cancelled).expect("known").record_id, None);
     server.shutdown().expect("graceful shutdown");
 }
 
@@ -248,6 +255,49 @@ fn protocol_errors_are_reported_and_survivable() {
 }
 
 #[test]
+fn a_command_split_across_a_read_timeout_is_reassembled() {
+    let server = spawn_server(1, 2);
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    raw.write_all(b"sta").expect("first half");
+    // Longer than the server's 100 ms read timeout: the prefix must survive
+    // the timed-out reads in between.
+    std::thread::sleep(Duration::from_millis(250));
+    raw.write_all(b"ts\n").expect("second half");
+    let mut reply = String::new();
+    BufReader::new(&raw).read_line(&mut reply).expect("reply");
+    assert!(reply.starts_with("ok stats workers=1 capacity=2 "), "{reply:?}");
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn an_overlong_line_is_refused_while_other_clients_are_served() {
+    let server = spawn_server(1, 2);
+    let addr = server.addr();
+    let hostile = TcpStream::connect(addr).expect("connect hostile");
+    hostile.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    // From a thread: once the server stops reading, this write only returns
+    // when the connection is torn down.
+    let mut flood = hostile.try_clone().expect("clone");
+    let flooder = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut client = HostClient::connect(addr).expect("connect client");
+    assert!(client.ping().expect("io"), "a second client is served meanwhile");
+    // The flood is answered and disconnected instead of buffered while the
+    // server waits for a newline. Closing with the flood's tail unread
+    // resets the connection, which may overtake the reply.
+    let mut reply = String::new();
+    match BufReader::new(&hostile).read_line(&mut reply) {
+        Ok(_) => assert!(reply.is_empty() || reply == "err line too long\n", "{reply:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    flooder.join().expect("flood thread");
+    assert!(client.ping().expect("io"), "the server outlives the hostile peer");
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
 fn wire_shutdown_drains_and_stops() {
     let server = spawn_server(2, 4);
     let addr = server.addr();
@@ -262,7 +312,7 @@ fn wire_shutdown_drains_and_stops() {
     for id in [a, b] {
         assert_eq!(
             service.status(id).expect("known").state,
-            tracer_serve::JobState::Done,
+            JobState::Done,
             "job {id} must drain before the shutdown reply"
         );
     }
