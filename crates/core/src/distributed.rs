@@ -65,19 +65,12 @@ struct JobResult {
     window: (SimTime, SimTime),
 }
 
-/// Run all jobs in parallel (one worker per core), measure each on its own
-/// analyzer channel, and store one record per job in `host`'s database.
-/// Returns the record ids in job order. For a bounded pool use
-/// `SweepBuilder::new().executor(exec).jobs(host, jobs)`; records are
-/// inserted in job order at any worker count.
-pub fn run_parallel(host: &mut EvaluationHost, jobs: Vec<EvaluationJob>) -> Vec<u64> {
-    crate::orchestrate::SweepBuilder::new().executor(SweepExecutor::auto()).jobs(host, jobs)
-}
-
-/// The fan-out/merge implementation behind
+/// Run `jobs` on `exec`, measure each on its own analyzer channel, and
+/// store one record per job in `host`'s database, in job order at any
+/// worker count. Returns the record ids in job order; `progress` fires on
+/// the caller's thread per completed job. Behind
 /// [`SweepBuilder::jobs`](crate::orchestrate::SweepBuilder::jobs).
-/// `progress` fires on the caller's thread per completed job.
-pub(crate) fn run_parallel_impl(
+pub(crate) fn run_jobs(
     host: &mut EvaluationHost,
     exec: &SweepExecutor,
     jobs: Vec<EvaluationJob>,
@@ -171,6 +164,7 @@ pub(crate) fn run_parallel_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestrate::SweepBuilder;
     use tracer_sim::ArraySpec;
     use tracer_trace::{Bunch, IoPackage, Trace};
 
@@ -211,7 +205,7 @@ mod tests {
                 WorkloadMode::peak(8192, 50, 100).at_load(50),
             ),
         ];
-        let ids = run_parallel(&mut host, jobs);
+        let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut host, jobs);
         assert_eq!(ids.len(), 3);
         assert_eq!(host.db.len(), 3);
         let hdd = host.db.get(ids[0]).unwrap();
@@ -228,7 +222,7 @@ mod tests {
     fn parallel_matches_sequential_results() {
         // Determinism: the same job run on a thread or inline must agree.
         let mut host = EvaluationHost::new();
-        let ids = run_parallel(
+        let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(
             &mut host,
             vec![EvaluationJob::new(
                 "par",
@@ -269,16 +263,19 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut wide = EvaluationHost::new();
-        run_parallel(&mut wide, make_jobs());
+        SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut wide, make_jobs());
         let mut bounded = EvaluationHost::new();
-        crate::orchestrate::SweepBuilder::new().workers(2).jobs(&mut bounded, make_jobs());
+        SweepBuilder::new().workers(2).jobs(&mut bounded, make_jobs());
         assert_eq!(wide.db.records(), bounded.db.records());
     }
 
     #[test]
     fn empty_job_list() {
         let mut host = EvaluationHost::new();
-        assert!(run_parallel(&mut host, vec![]).is_empty());
+        assert!(SweepBuilder::new()
+            .executor(SweepExecutor::auto())
+            .jobs(&mut host, vec![])
+            .is_empty());
         assert!(host.db.is_empty());
     }
 }

@@ -69,7 +69,7 @@ pub use analysis::{
     coefficient_of_variation, linear_fit, mean, pearson, relative_spread, LinearFit,
 };
 pub use db::{Database, DbError, PowerData, TestRecord};
-pub use distributed::{run_parallel, EvaluationJob};
+pub use distributed::EvaluationJob;
 pub use error::TracerError;
 pub use executor::SweepExecutor;
 pub use host::{CommandSession, EvaluationHost, MeasuredTest, SessionError, TestOutcome};
@@ -87,8 +87,8 @@ pub use techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
 pub mod prelude {
     pub use crate::techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
     pub use crate::{
-        load_accuracy, load_proportion, load_sweep, run_parallel, run_scenario, run_sweep,
-        AccuracyRow, CommandSession, Database, EfficiencyMetrics, EvaluationHost, EvaluationJob,
+        load_accuracy, load_proportion, load_sweep, run_scenario, run_sweep, AccuracyRow,
+        CommandSession, Database, EfficiencyMetrics, EvaluationHost, EvaluationJob,
         LoadSweepResult, MeasuredTest, ScenarioCell, ScenarioOutcome, ScenarioSpec, SweepBuilder,
         SweepConfig, SweepExecutor, TestRecord, TracerError,
     };

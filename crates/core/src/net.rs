@@ -1,4 +1,5 @@
-//! The communicator: evaluation host ↔ workload generator over TCP.
+//! The communicator: evaluation host ↔ workload generator over TCP, and the
+//! one line server every TCP endpoint of the workspace runs on.
 //!
 //! In the paper's architecture "the communicator in the evaluation host
 //! interacts with the communicator in the workload generator through the TCP
@@ -11,53 +12,63 @@
 //!
 //! The wire format is the GUI text protocol, one command per line; responses
 //! are `ok …` or `err …` lines. The extra verb `quit` (wire-only; not part of
-//! the command grammar) ends the server's accept loop.
+//! the command grammar) stops the generator.
 //!
-//! A generator drives one array and therefore serves **one host at a time**:
+//! [`LineServer`] is the only accept-and-connection loop: the generator, the
+//! `tracer-serve` job server and the fleet registrar are each a handler on
+//! it and differ only in what they answer and in `capacity`. A generator
+//! drives one array and therefore serves **one host at a time** (capacity 1):
 //! while a connection is active, any further connection is answered with a
 //! single `err busy` line and closed immediately rather than silently queued
 //! behind the active session. Hosts that need concurrency use the job service
 //! in the `tracer-serve` crate instead.
+//!
+//! Wire discipline: a panic in a connection thread drops a host mid-session,
+//! so nothing on the accept/read/reply path may `unwrap`, `expect`, index, or
+//! `panic!`; a hostile peer gets an `err …` line or a closed connection.
+#![doc = "tracer-invariant: no-panic-wire"]
 
-use crate::host::{CommandSession, SessionError};
+use crate::host::CommandSession;
 use crate::messages::{format_job_command, parse_reply, JobCommand, Reply};
 use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tracer_sim::ArraySim;
 use tracer_trace::{TraceHandle, WorkloadMode};
 
-/// Longest request line a server accepts, newline included. A peer that
-/// sends more without a newline is answered `err line too long` and
-/// disconnected, so no connection buffers more than this.
+/// Longest line a server accepts or a client reads, newline included. A
+/// peer that sends more without a newline is answered `err line too long`
+/// and disconnected, so no connection buffers more than this.
 pub const MAX_LINE: usize = 64 * 1024;
 
 /// What one [`LineReader::next_line`] call produced.
 #[derive(Debug)]
-pub enum LineRead<'a> {
-    /// A complete request line (newline included), or the unterminated last
-    /// line before the peer hung up.
+enum LineRead<'a> {
+    /// A complete line (newline included), or the unterminated last line
+    /// before the peer hung up.
     Line(Cow<'a, str>),
     /// The read timed out mid-line or between lines; the bytes so far are
     /// kept for the next call.
     Pending,
-    /// The peer hung up or the connection failed.
+    /// The peer hung up.
     Closed,
+    /// The connection failed (reset, broken pipe, …).
+    Failed(io::Error),
     /// [`MAX_LINE`] bytes arrived without a newline.
     TooLong,
 }
 
-/// Request-line reader for a server connection with a read timeout.
+/// Line reader for a connection with a read timeout.
 ///
 /// The buffer outlives timeouts: a command split across one is reassembled,
 /// not cut in two, and it is cleared only when the next call starts after a
 /// complete line. Reads go through [`Read::take`], so the buffer never holds
 /// more than [`MAX_LINE`] bytes.
-pub struct LineReader<R> {
+struct LineReader<R> {
     inner: R,
     buf: Vec<u8>,
     complete: bool,
@@ -65,13 +76,13 @@ pub struct LineReader<R> {
 
 impl<R: BufRead> LineReader<R> {
     /// Wrap a buffered connection reader.
-    pub fn new(inner: R) -> Self {
+    fn new(inner: R) -> Self {
         Self { inner, buf: Vec::new(), complete: false }
     }
 
-    /// Read toward the next request line. Invalid UTF-8 is replaced, so the
-    /// command parser answers it with an `err` line.
-    pub fn next_line(&mut self) -> LineRead<'_> {
+    /// Read toward the next line. Invalid UTF-8 is replaced, so the command
+    /// parser answers it with an `err` line.
+    fn next_line(&mut self) -> LineRead<'_> {
         if self.complete {
             self.buf.clear();
             self.complete = false;
@@ -83,7 +94,7 @@ impl<R: BufRead> LineReader<R> {
             {
                 return LineRead::Pending;
             }
-            Err(_) => return LineRead::Closed,
+            Err(e) => return LineRead::Failed(e),
             Ok(_) if self.buf.is_empty() => return LineRead::Closed,
             Ok(_) if !self.buf.ends_with(b"\n") && self.buf.len() >= MAX_LINE => {
                 return LineRead::TooLong;
@@ -95,12 +106,180 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
-/// The workload-generator machine: accepts one evaluation host at a time and
-/// executes its commands.
-pub struct GeneratorServer {
+/// What a connection does after its handler answered a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Then {
+    /// Read the next line.
+    Continue,
+    /// Close this connection; the server keeps serving.
+    Close,
+    /// Close this connection and stop the whole server.
+    Stop,
+}
+
+type Handler = dyn Fn(&str) -> (Option<String>, Then) + Send + Sync;
+
+/// How long a connection read waits before rechecking the stop flag.
+const READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// Accept-loop sleep while no connection is waiting.
+const ACCEPT_IDLE: Duration = Duration::from_millis(5);
+
+/// A line-protocol TCP server on `127.0.0.1`: one non-blocking accept loop
+/// plus one thread per connection, all answering through one handler.
+///
+/// A connection beyond `capacity` is answered `err busy` and closed. Each
+/// connection reads through a bounded line reader with a 100 ms timeout and
+/// rechecks the stop flag on every pass, so a stopped server goes dark even
+/// while a client keeps talking. Blank lines get no reply; an overlong line
+/// is answered `err line too long` and closes the connection, as does a
+/// failed reply write. Dropping the server stops it and joins every thread.
+pub struct LineServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<io::Result<()>>>,
+}
+
+impl LineServer {
+    /// Bind `127.0.0.1:port` (0 = ephemeral) and [`LineServer::serve`] on it.
+    pub fn bind(
+        port: u16,
+        capacity: usize,
+        handler: impl Fn(&str) -> (Option<String>, Then) + Send + Sync + 'static,
+    ) -> io::Result<Self> {
+        Self::serve(TcpListener::bind(("127.0.0.1", port))?, capacity, handler)
+    }
+
+    /// Serve an already-bound `listener` on a background thread, at most
+    /// `capacity` connections at once. `handler` answers one trimmed,
+    /// non-blank request line: the reply to send (without its newline), if
+    /// any, and what the connection does next.
+    pub fn serve(
+        listener: TcpListener,
+        capacity: usize,
+        handler: impl Fn(&str) -> (Option<String>, Then) + Send + Sync + 'static,
+    ) -> io::Result<Self> {
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let handler: Arc<Handler> = Arc::new(handler);
+        let handle = std::thread::spawn(move || accept_loop(&listener, capacity, &flag, &handler));
+        Ok(Self { addr, stop, handle: Some(handle) })
+    }
+
+    /// The address clients connect to.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Ask the server to stop: it refuses new connections at once and every
+    /// connection closes within one read timeout. Does not wait.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+    }
+
+    /// Block until the server stopped — by [`LineServer::stop`] or a
+    /// handler's [`Then::Stop`] — and every connection thread exited.
+    pub fn join(mut self) -> io::Result<()> {
+        self.join_loop()
+    }
+
+    fn join_loop(&mut self) -> io::Result<()> {
+        match self.handle.take() {
+            Some(h) => h.join().map_err(|_| io::Error::other("accept loop panicked"))?,
+            None => Ok(()),
+        }
+    }
+}
+
+impl Drop for LineServer {
+    fn drop(&mut self) {
+        self.stop();
+        let _ = self.join_loop();
+    }
+}
+
+fn accept_loop(
+    listener: &TcpListener,
+    capacity: usize,
+    stop: &Arc<AtomicBool>,
+    handler: &Arc<Handler>,
+) -> io::Result<()> {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    let result = loop {
+        if stop.load(Ordering::SeqCst) {
+            break Ok(());
+        }
+        match listener.accept() {
+            Ok((stream, _)) => {
+                connections.retain(|h| !h.is_finished());
+                if connections.len() >= capacity {
+                    // Tell the extra peer it lost the race instead of
+                    // queueing it silently.
+                    let _ = (&stream).write_all(b"err busy\n");
+                    continue;
+                }
+                let handler = Arc::clone(handler);
+                let stop = Arc::clone(stop);
+                connections.push(std::thread::spawn(move || {
+                    let _ = serve_connection(&stream, &*handler, &stop);
+                }));
+            }
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::Interrupted =>
+            {
+                std::thread::sleep(ACCEPT_IDLE);
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    // However the loop ended, the connections must notice before the join.
+    stop.store(true, Ordering::SeqCst);
+    for handle in connections {
+        let _ = handle.join();
+    }
+    result
+}
+
+fn serve_connection(stream: &TcpStream, handler: &Handler, stop: &AtomicBool) -> io::Result<()> {
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    let mut reader = LineReader::new(BufReader::new(stream));
+    let mut writer = stream;
+    while !stop.load(Ordering::SeqCst) {
+        let line = match reader.next_line() {
+            LineRead::Line(line) => line,
+            LineRead::Pending => continue,
+            // Peer hung up, vanished mid-line or reset the connection.
+            LineRead::Closed | LineRead::Failed(_) => break,
+            LineRead::TooLong => return writer.write_all(b"err line too long\n"),
+        };
+        let body = line.trim();
+        if body.is_empty() {
+            continue;
+        }
+        let (reply, then) = handler(body);
+        let sent = reply.map_or(Ok(()), |mut reply| {
+            reply.push('\n');
+            writer.write_all(reply.as_bytes())
+        });
+        // A stop holds even when its reply could not be delivered.
+        if then == Then::Stop {
+            stop.store(true, Ordering::SeqCst);
+        }
+        // A peer gone between command and reply drops only its own
+        // connection.
+        if then != Then::Continue || sent.is_err() {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// The workload-generator machine: accepts one evaluation host at a time and
+/// executes its commands.
+pub struct GeneratorServer {
+    server: LineServer,
 }
 
 impl GeneratorServer {
@@ -115,131 +294,44 @@ impl GeneratorServer {
         B: FnMut(&str) -> Option<ArraySim> + Send + 'static,
         L: FnMut(&str, &WorkloadMode) -> Option<TraceHandle> + Send + 'static,
     {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || serve(listener, flag, build_array, load_trace));
-        Ok(Self { addr, stop, handle: Some(handle) })
+        // One long-lived session: results accumulate across connections, like
+        // the generator machine's process does.
+        let session = Mutex::new(CommandSession::new(build_array, load_trace));
+        let server = LineServer::bind(0, 1, move |line: &str| {
+            if line == "quit" {
+                return (None, Then::Stop);
+            }
+            // A panicking test drops only its host's connection. Results
+            // are committed only after measuring, so the next host finds
+            // every earlier result intact; at most the `tests_run` counter
+            // behind the record labels has advanced.
+            let mut session = session.lock().unwrap_or_else(PoisonError::into_inner);
+            (Some(session.handle_line(line).unwrap_or_else(|e| format!("err {e}"))), Then::Continue)
+        })?;
+        Ok(Self { server })
     }
 
     /// The address the host connects to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Block until a client ends the server with the `quit` verb (the
     /// foreground deployment of `tracer serve`).
-    pub fn shutdown_on_quit(mut self) -> io::Result<()> {
-        match self.handle.take() {
-            Some(h) => h.join().map_err(|_| io::Error::other("server thread panicked"))?,
-            None => Ok(()),
-        }
+    pub fn shutdown_on_quit(self) -> io::Result<()> {
+        self.server.join()
     }
 
-    /// Stop the server (even mid-connection) and join its thread.
-    pub fn shutdown(mut self) -> io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock a parked accept; a busy server notices the flag on its
-        // read timeout instead.
-        if let Ok(mut stream) = TcpStream::connect(self.addr) {
-            let _ = stream.write_all(b"quit\n");
-        }
-        match self.handle.take() {
-            Some(h) => h.join().map_err(|_| io::Error::other("server thread panicked"))?,
-            None => Ok(()),
-        }
+    /// Stop the server (even mid-connection) and join its threads.
+    pub fn shutdown(self) -> io::Result<()> {
+        self.server.stop();
+        self.server.join()
     }
-}
-
-fn serve<B, L>(
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    build_array: B,
-    load_trace: L,
-) -> io::Result<()>
-where
-    B: FnMut(&str) -> Option<ArraySim>,
-    L: FnMut(&str, &WorkloadMode) -> Option<TraceHandle>,
-{
-    // One long-lived session: results accumulate across connections, like the
-    // generator machine's process does. The listener is non-blocking so the
-    // loop can interleave admission control (rejecting extra connections with
-    // `err busy`) with serving the active one.
-    listener.set_nonblocking(true)?;
-    let mut session = CommandSession::new(build_array, load_trace);
-    let mut active: Option<(LineReader<BufReader<TcpStream>>, BufWriter<TcpStream>)> = None;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if active.is_some() {
-                    // Documented single-session contract: tell the extra host
-                    // it lost the race instead of queueing it silently.
-                    let mut writer = BufWriter::new(stream);
-                    let _ = writer.write_all(b"err busy\n");
-                    let _ = writer.flush();
-                } else {
-                    // A finite read timeout lets the server notice a shutdown
-                    // request and waiting clients while this one sits idle.
-                    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-                    let reader = LineReader::new(BufReader::new(stream.try_clone()?));
-                    active = Some((reader, BufWriter::new(stream)));
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        let Some((reader, writer)) = active.as_mut() else {
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        };
-        let line = match reader.next_line() {
-            LineRead::Line(line) => line,
-            LineRead::Pending => continue,
-            LineRead::Closed => {
-                active = None; // client hung up or vanished mid-line
-                continue;
-            }
-            LineRead::TooLong => {
-                let _ = writer.write_all(b"err line too long\n").and_then(|()| writer.flush());
-                active = None;
-                continue;
-            }
-        };
-        let body = line.trim();
-        if body.is_empty() {
-            continue;
-        }
-        if body == "quit" {
-            break;
-        }
-        let reply = match session.handle_line(body) {
-            Ok(ok) => ok,
-            Err(SessionError::Parse(e)) => format!("err {e}"),
-            Err(e) => format!("err {e}"),
-        };
-        // A failed write means the client disconnected between command and
-        // response (e.g. abruptly mid-exchange); drop the connection and keep
-        // serving — the generator process must outlive any one host.
-        let sent = writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if sent.is_err() {
-            active = None;
-        }
-    }
-    Ok(())
 }
 
 /// The evaluation-host side of the communicator.
 pub struct HostClient {
-    reader: BufReader<TcpStream>,
+    reader: LineReader<BufReader<TcpStream>>,
     writer: BufWriter<TcpStream>,
 }
 
@@ -247,7 +339,7 @@ impl HostClient {
     /// Connect to a generator.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        let reader = LineReader::new(BufReader::new(stream.try_clone()?));
         Ok(Self { reader, writer: BufWriter::new(stream) })
     }
 
@@ -255,20 +347,28 @@ impl HostClient {
     /// The fabric coordinator sets this so a hung node surfaces as an I/O
     /// error — its heartbeat — instead of wedging the whole campaign.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
+        self.writer.get_ref().set_read_timeout(timeout)
     }
 
-    /// Send one protocol line and wait for the response line.
+    /// Send one protocol line and wait for the response line. A reply over
+    /// [`MAX_LINE`] is [`io::ErrorKind::InvalidData`]; no reply within the
+    /// read timeout is [`io::ErrorKind::TimedOut`].
     pub fn send_line(&mut self, line: &str) -> io::Result<String> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "generator closed"));
+        match self.reader.next_line() {
+            LineRead::Line(reply) => Ok(reply.trim_end().to_string()),
+            LineRead::Pending => Err(io::Error::new(io::ErrorKind::TimedOut, "no reply in time")),
+            LineRead::Closed => {
+                Err(io::Error::new(io::ErrorKind::UnexpectedEof, "generator closed"))
+            }
+            LineRead::Failed(e) => Err(e),
+            LineRead::TooLong => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("reply longer than {MAX_LINE} bytes"),
+            )),
         }
-        Ok(reply.trim_end().to_string())
     }
 
     /// Send a typed command (formatted onto the wire protocol).
@@ -550,6 +650,50 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         server.shutdown().unwrap();
+    }
+
+    #[test]
+    fn an_overlong_reply_is_an_error_not_a_buffered_string() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&peer).read_line(&mut request).unwrap();
+            // 1 MiB with no newline, then hang up.
+            let _ = peer.write_all(&vec![b'x'; 1 << 20]);
+        });
+        let mut client = HostClient::connect(addr).unwrap();
+        let err = client.send_line("stats").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        drop(client);
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn a_silent_server_times_out() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut client = HostClient::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let err = client.send_line("ping").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+    }
+
+    #[test]
+    fn a_reset_connection_keeps_its_error_kind() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (peer, _) = listener.accept().unwrap();
+            // Closing with the request still unread makes the kernel send a
+            // reset instead of a clean end of stream.
+            std::thread::sleep(Duration::from_millis(100));
+            drop(peer);
+        });
+        let mut client = HostClient::connect(addr).unwrap();
+        let err = client.send_line("stats").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "{err}");
+        fake.join().unwrap();
     }
 
     #[test]

@@ -390,14 +390,14 @@ impl<'a> SweepBuilder<'a> {
     }
 
     /// Terminal: run heterogeneous [`EvaluationJob`]s in parallel and merge
-    /// them on one multi-channel analyzer (see
-    /// [`run_parallel`](crate::distributed::run_parallel)). Returns record
+    /// them on one multi-channel analyzer (§III-C's distributed deployment;
+    /// `SweepExecutor::auto()` gives one worker per core). Returns record
     /// ids in job order.
     pub fn jobs(mut self, host: &mut EvaluationHost, jobs: Vec<EvaluationJob>) -> Vec<u64> {
         let n = jobs.len();
         let was = self.obs_begin("jobs", n);
         let mut progress = self.take_progress();
-        let ids = crate::distributed::run_parallel_impl(host, &self.exec, jobs, &mut progress);
+        let ids = crate::distributed::run_jobs(host, &self.exec, jobs, &mut progress);
         self.obs_end(was, "jobs", n);
         ids
     }

@@ -30,14 +30,15 @@
 
 use crate::joblog::JobSpec;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 use tracer_core::error::TracerError;
 use tracer_core::host::EvaluationHost;
 use tracer_core::messages::{parse_job_command, JobCommand, Reply};
 use tracer_core::metrics::EfficiencyMetrics;
-use tracer_core::net::HostClient;
+use tracer_core::net::{HostClient, LineServer, Then};
 use tracer_sim::ArraySim;
 use tracer_trace::{TraceHandle, WorkloadMode};
 
@@ -533,80 +534,68 @@ pub fn fleet_stats(nodes: &[String], timeout: Duration) -> AggregateStats {
     agg
 }
 
+/// Connections the registrar serves at once; one more is answered `err busy`.
+/// A node's registration is one short connection, so this bounds a flood's
+/// threads without slowing a fleet that registers all at once.
+const REGISTRAR_CONNECTIONS: usize = 64;
+
 /// Registration listener: nodes started with `--join` announce themselves
 /// here, and the coordinator waits until the expected fleet size is
-/// reached.
+/// reached. Listens from [`Registrar::bind`] until [`Registrar::wait_for`]
+/// returns; every connection may send any number of `join` and `ping` lines.
 pub struct Registrar {
-    listener: TcpListener,
-    addr: SocketAddr,
+    server: LineServer,
+    joined: Arc<(Mutex<Vec<String>>, Condvar)>,
 }
 
 impl Registrar {
     /// Bind the registration port (0 = ephemeral).
     pub fn bind(port: u16) -> io::Result<Self> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        Ok(Self { listener, addr })
+        let joined = Arc::new((Mutex::new(Vec::<String>::new()), Condvar::new()));
+        let record = Arc::clone(&joined);
+        let server = LineServer::bind(port, REGISTRAR_CONNECTIONS, move |line: &str| {
+            let reply = match parse_job_command(line) {
+                Ok(JobCommand::Join { addr, workers: _ }) => {
+                    let (nodes, cv) = &*record;
+                    let mut nodes = nodes.lock().unwrap_or_else(PoisonError::into_inner);
+                    if !nodes.contains(&addr) {
+                        nodes.push(addr);
+                        cv.notify_all();
+                    }
+                    format!("ok joined nodes={}", nodes.len())
+                }
+                Ok(JobCommand::Ping) => "ok pong".to_string(),
+                Ok(_) => "err not-a-node".to_string(),
+                Err(e) => format!("err {e}"),
+            };
+            (Some(reply), Then::Continue)
+        })?;
+        Ok(Self { server, joined })
     }
 
     /// The address nodes `--join`.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
-    /// Accept `join` announcements until `expect` distinct node addresses
-    /// registered or `timeout` elapsed (then an error naming the shortfall).
-    /// `ping` is answered too, so nodes can probe the coordinator.
+    /// Wait until `expect` distinct node addresses registered or `timeout`
+    /// elapsed (then an error naming the shortfall), and stop listening.
+    /// Returns the nodes in join order. `ping` is answered too, so nodes can
+    /// probe the coordinator.
     pub fn wait_for(&self, expect: usize, timeout: Duration) -> io::Result<Vec<String>> {
-        let deadline = Instant::now() + timeout;
-        let mut nodes: Vec<String> = Vec::new();
-        while nodes.len() < expect {
-            if Instant::now() >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("only {}/{expect} nodes joined", nodes.len()),
-                ));
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if let Err(e) = self.greet(stream, &mut nodes) {
-                        // A malformed joiner must not kill registration.
-                        let _ = e;
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::Interrupted =>
-                {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
-            }
+        let (nodes, cv) = &*self.joined;
+        let nodes = nodes.lock().unwrap_or_else(PoisonError::into_inner);
+        let (nodes, _) = cv
+            .wait_timeout_while(nodes, timeout, |nodes| nodes.len() < expect)
+            .unwrap_or_else(PoisonError::into_inner);
+        self.server.stop();
+        if nodes.len() < expect {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("only {}/{expect} nodes joined", nodes.len()),
+            ));
         }
-        Ok(nodes)
-    }
-
-    fn greet(&self, stream: TcpStream, nodes: &mut Vec<String>) -> io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let reply = match parse_job_command(line.trim()) {
-            Ok(JobCommand::Join { addr, workers: _ }) => {
-                if !nodes.contains(&addr) {
-                    nodes.push(addr);
-                }
-                format!("ok joined nodes={}", nodes.len())
-            }
-            Ok(JobCommand::Ping) => "ok pong".to_string(),
-            Ok(_) => "err not-a-node".to_string(),
-            Err(e) => format!("err {e}"),
-        };
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()
+        Ok(nodes.clone())
     }
 }
 
@@ -675,14 +664,9 @@ mod tests {
         let registrar = Registrar::bind(0).unwrap();
         let addr = registrar.addr();
         let joiner = std::thread::spawn(move || {
+            // One connection carries any number of lines.
             let mut c = HostClient::connect(addr).unwrap();
             assert!(c.ping().unwrap());
-            let r = c.send_job(&JobCommand::Join { addr: "127.0.0.1:7777".into(), workers: 2 });
-            // The registrar closes after one line per connection; a second
-            // command on the ping connection may hit EOF, so join uses its
-            // own connection.
-            drop(r);
-            let mut c = HostClient::connect(addr).unwrap();
             let reply = c
                 .send_job(&JobCommand::Join { addr: "127.0.0.1:7777".into(), workers: 2 })
                 .unwrap();
@@ -691,6 +675,71 @@ mod tests {
         let nodes = registrar.wait_for(1, Duration::from_secs(10)).unwrap();
         joiner.join().unwrap();
         assert_eq!(nodes, vec!["127.0.0.1:7777".to_string()]);
+    }
+
+    #[test]
+    fn registrar_refuses_a_newline_less_flood() {
+        use std::io::{BufRead, BufReader, Write};
+        let registrar = Registrar::bind(0).unwrap();
+        let addr = registrar.addr();
+        let waiter = std::thread::spawn(move || registrar.wait_for(1, Duration::from_secs(3)));
+        let hostile = std::net::TcpStream::connect(addr).unwrap();
+        hostile.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // From a thread: once the registrar stops reading, this write only
+        // returns when the connection is torn down. The socket stays open.
+        let mut flood = hostile.try_clone().unwrap();
+        let flooder = std::thread::spawn(move || {
+            let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+        });
+        let mut reply = String::new();
+        BufReader::new(&hostile).read_line(&mut reply).unwrap();
+        assert_eq!(reply, "err line too long\n");
+        // Registration still works for a well-behaved node.
+        let mut node = HostClient::connect(addr).unwrap();
+        let joined =
+            node.send_job(&JobCommand::Join { addr: "127.0.0.1:7001".into(), workers: 1 }).unwrap();
+        assert!(joined.ok, "{joined:?}");
+        assert_eq!(waiter.join().unwrap().unwrap(), vec!["127.0.0.1:7001".to_string()]);
+        flooder.join().unwrap();
+    }
+
+    #[test]
+    fn silent_connections_do_not_delay_a_join() {
+        let registrar = Registrar::bind(0).unwrap();
+        let addr = registrar.addr();
+        let silent: Vec<_> = (0..3).map(|_| std::net::TcpStream::connect(addr).unwrap()).collect();
+        let joiner = std::thread::spawn(move || {
+            let mut node = HostClient::connect(addr).unwrap();
+            node.send_job(&JobCommand::Join { addr: "127.0.0.1:7002".into(), workers: 1 })
+        });
+        let nodes = registrar.wait_for(1, Duration::from_secs(1)).unwrap();
+        assert_eq!(nodes, vec!["127.0.0.1:7002".to_string()]);
+        assert!(joiner.join().unwrap().unwrap().ok);
+        drop(silent);
+    }
+
+    #[test]
+    fn registrar_bounds_its_connections() {
+        use std::io::{BufRead, BufReader};
+        let registrar = Registrar::bind(0).unwrap();
+        let addr = registrar.addr();
+        let mut held: Vec<_> = (0..REGISTRAR_CONNECTIONS)
+            .map(|_| {
+                let c = HostClient::connect(addr).unwrap();
+                c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                c
+            })
+            .collect();
+        // Every held connection is served, so the next one is over capacity.
+        for c in &mut held {
+            assert!(c.ping().unwrap());
+        }
+        let extra = std::net::TcpStream::connect(addr).unwrap();
+        extra.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reply = String::new();
+        BufReader::new(&extra).read_line(&mut reply).unwrap();
+        assert_eq!(reply, "err busy\n");
+        drop(held);
     }
 
     #[test]

@@ -356,3 +356,41 @@ fn wire_submissions_are_journalled_and_replayable() {
     );
     fs::remove_file(&path).unwrap();
 }
+
+/// A node started on a port that is already taken must fail before it opens
+/// its log: no torn tail truncated, no queued job re-run, no `Done` frame
+/// appended to a journal another node may still be writing.
+#[test]
+fn an_occupied_port_fails_before_the_log_is_touched() {
+    use tracer_serve::server::{BuildArray, JobServer, LoadTrace};
+
+    let path = tmp("occupied");
+    {
+        let (log, _) = JobLog::open(&path).unwrap();
+        log.append(&LogRecord::Submitted { id: 1, spec: spec(1, "recdev") }).unwrap();
+    }
+    // A torn tail: recovery would truncate it.
+    let mut bytes = fs::read(&path).unwrap();
+    bytes.extend_from_slice(&[7, 0, 0]);
+    fs::write(&path, &bytes).unwrap();
+
+    let taken = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let port = taken.local_addr().unwrap().port();
+    let build: BuildArray =
+        Arc::new(|req: &str| (req == "recdev").then(|| ArraySpec::hdd_raid5(4).build()));
+    let load: LoadTrace = {
+        let t = rec_trace();
+        Arc::new(move |dev: &str, _mode| (dev == "recdev").then(|| Arc::clone(&t).into()))
+    };
+    let spawned = JobServer::spawn_with(
+        ServiceConfig { workers: 1, queue_capacity: 8 },
+        build,
+        load,
+        port,
+        Some(&path),
+    );
+    assert!(spawned.is_err(), "bound a port that is taken");
+    assert_eq!(fs::read(&path).unwrap(), bytes, "log touched by a node that failed to bind");
+    drop(taken);
+    fs::remove_file(&path).unwrap();
+}

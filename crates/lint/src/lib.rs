@@ -42,6 +42,7 @@ pub const REQUIRED_TAGS: &[(&str, &[&str])] = &[
     ("crates/core/src/report.rs", &["deterministic"]),
     ("crates/fabric/src/joblog.rs", &["deterministic", "no-panic-wire"]),
     ("crates/serve/src/server.rs", &["no-panic-wire"]),
+    ("crates/core/src/net.rs", &["no-panic-wire"]),
 ];
 
 /// Aggregated result of a lint run.

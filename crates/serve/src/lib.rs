@@ -638,10 +638,11 @@ impl EvalService {
         self.shared.queue.cv.notify_all();
     }
 
-    /// Wait for the workers to finish every remaining job and exit.
+    /// Wait for the workers to finish every remaining job and exit. The
+    /// joins run under the lock, so a concurrent caller (the wire `shutdown`
+    /// verb racing [`EvalService::shutdown`]) also returns only once drained.
     pub fn await_drain(&self) {
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
-        for handle in handles {
+        for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
         }
     }

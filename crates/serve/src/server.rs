@@ -6,9 +6,10 @@
 //! graceful server shutdown (refuse new jobs, drain the queue, reply once
 //! everything finished, stop accepting).
 //!
-//! Unlike the single-session [`tracer_core::net::GeneratorServer`], every
-//! client gets its own connection thread; concurrency control happens at the
-//! job queue (`err busy`), not at the accept loop.
+//! The server is a handler on [`tracer_core::net::LineServer`], the loop the
+//! single-session generator also runs on, here with no connection cap:
+//! concurrency control happens at the job queue (`err busy queue=N`), not at
+//! the accept loop.
 //!
 //! Wire discipline: a panic in a connection thread takes the whole node out
 //! of the fleet, so nothing on the command/reply path may `unwrap`, `expect`,
@@ -20,16 +21,14 @@ use crate::{
     CancelError, CancelOutcome, EvalService, JobState, RecoveryReport, ServiceConfig, SubmitError,
     SubmitOpts,
 };
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 use tracer_core::distributed::EvaluationJob;
 use tracer_core::messages::{parse_job_command, JobCommand};
-use tracer_core::net::{LineRead, LineReader};
+use tracer_core::net::{LineServer, Then};
 use tracer_fabric::joblog::JobSpec;
 use tracer_sim::ArraySim;
 use tracer_trace::{TraceHandle, WorkloadMode};
@@ -44,10 +43,8 @@ pub type LoadTrace = Arc<dyn Fn(&str, &WorkloadMode) -> Option<TraceHandle> + Se
 
 /// The multi-client job server.
 pub struct JobServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    server: LineServer,
     service: Arc<EvalService>,
-    accept_handle: Option<JoinHandle<()>>,
 }
 
 impl JobServer {
@@ -68,9 +65,9 @@ impl JobServer {
         port: u16,
         log: Option<&Path>,
     ) -> io::Result<(Self, RecoveryReport)> {
+        // Bind before the log is opened: a port already taken must fail
+        // before recovery can truncate a torn tail or re-run a job.
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let (service, report) = match log {
             None => (EvalService::start(config), RecoveryReport::default()),
             Some(path) => {
@@ -96,13 +93,17 @@ impl JobServer {
             }
         };
         let service = Arc::new(service);
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_handle = {
-            let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(&listener, &stop, &service, &build, &load))
-        };
-        Ok((Self { addr, stop, service, accept_handle: Some(accept_handle) }, report))
+        let handler_service = Arc::clone(&service);
+        let server = LineServer::serve(listener, usize::MAX, move |line: &str| match line {
+            "quit" => (None, Then::Close),
+            "shutdown" => {
+                handler_service.shutdown();
+                let done = handler_service.stats().done;
+                (Some(format!("ok stopped done={done}")), Then::Stop)
+            }
+            _ => (Some(dispatch(line, &handler_service, &build, &load)), Then::Continue),
+        })?;
+        Ok((Self { server, service }, report))
     }
 
     /// Abrupt stop for fleet tests: drop every connection and stop accepting
@@ -110,12 +111,12 @@ impl JobServer {
     /// node goes dark mid-sweep, exactly like a crashed process. The worker
     /// pool itself still drains when the server value is dropped.
     pub fn kill(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.server.stop();
     }
 
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Shared handle to the underlying service (status, snapshots, stats).
@@ -125,114 +126,18 @@ impl JobServer {
 
     /// Block until a client issues `shutdown` (or [`JobServer::shutdown`] is
     /// called from another thread), then join the worker pool.
-    pub fn wait(mut self) -> io::Result<()> {
-        if let Some(handle) = self.accept_handle.take() {
-            handle.join().map_err(|_| io::Error::other("accept loop panicked"))?;
-        }
+    pub fn wait(self) -> io::Result<()> {
+        self.server.join()?;
         self.service.await_drain();
         Ok(())
     }
 
     /// Programmatic graceful shutdown: refuse new jobs, drain the queue, stop
     /// accepting connections, join everything.
-    pub fn shutdown(mut self) -> io::Result<()> {
-        self.service.begin_shutdown();
-        self.service.await_drain();
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
-            handle.join().map_err(|_| io::Error::other("accept loop panicked"))?;
-        }
-        Ok(())
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &Arc<AtomicBool>,
-    service: &Arc<EvalService>,
-    build: &BuildArray,
-    load: &LoadTrace,
-) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let service = Arc::clone(service);
-                let build = Arc::clone(build);
-                let load = Arc::clone(load);
-                let stop = Arc::clone(stop);
-                connections.push(std::thread::spawn(move || {
-                    let _ = handle_client(stream, &service, &build, &load, &stop);
-                }));
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-        connections.retain(|h| !h.is_finished());
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-fn handle_client(
-    stream: TcpStream,
-    service: &Arc<EvalService>,
-    build: &BuildArray,
-    load: &LoadTrace,
-    stop: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut reader = LineReader::new(BufReader::new(stream.try_clone()?));
-    let mut writer = BufWriter::new(stream);
-    loop {
-        // Checked on every pass, timeouts included: a killed node must go
-        // dark even when a chatty client keeps the connection busy.
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let line = match reader.next_line() {
-            LineRead::Line(line) => line,
-            LineRead::Pending => continue,
-            LineRead::Closed => return Ok(()), // client hung up or vanished mid-line
-            LineRead::TooLong => {
-                writer.write_all(b"err line too long\n")?;
-                writer.flush()?;
-                return Ok(());
-            }
-        };
-        let body = line.trim();
-        if body.is_empty() {
-            continue;
-        }
-        if body == "quit" {
-            return Ok(());
-        }
-        if body == "shutdown" {
-            service.begin_shutdown();
-            while service.outstanding() > 0 {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let done =
-                service.snapshot().iter().filter(|s| s.state == crate::JobState::Done).count();
-            writer.write_all(format!("ok stopped done={done}\n").as_bytes())?;
-            writer.flush()?;
-            stop.store(true, Ordering::SeqCst);
-            return Ok(());
-        }
-        let reply = dispatch(body, service, build, load);
-        let sent = writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if sent.is_err() {
-            return Ok(()); // client gone between command and reply
-        }
+    pub fn shutdown(self) -> io::Result<()> {
+        self.service.shutdown();
+        self.server.stop();
+        self.server.join()
     }
 }
 

@@ -42,7 +42,7 @@ fn main() {
             EvaluationJob::new(name, build, oltp.clone(), WorkloadMode::peak(4096, 80, 66))
         })
         .collect();
-    for id in run_parallel(&mut host, jobs) {
+    for id in SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut host, jobs) {
         let r = host.db.get(id).expect("record").clone();
         println!(
             "{:<16} {:>10.1} {:>10.2} {:>10.2} {:>12.3}",

@@ -43,7 +43,7 @@ fn main() {
         let mode = WorkloadMode::peak(16 * 1024, random, 50);
         let hdd_trace = peak_trace(|| ArraySpec::hdd_raid5(6).build(), mode, 5);
         let ssd_trace = peak_trace(|| ArraySpec::ssd_raid5(4).build(), mode, 5);
-        let ids = run_parallel(
+        let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(
             &mut host,
             vec![
                 EvaluationJob::new(
@@ -72,7 +72,7 @@ fn main() {
         let mode = WorkloadMode::peak(16 * 1024, 0, read);
         let hdd_trace = peak_trace(|| ArraySpec::hdd_raid5(6).build(), mode, 5);
         let ssd_trace = peak_trace(|| ArraySpec::ssd_raid5(4).build(), mode, 5);
-        let ids = run_parallel(
+        let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(
             &mut host,
             vec![
                 EvaluationJob::new(

@@ -28,7 +28,7 @@ fn heterogeneous_fleet_evaluates_in_parallel() {
             mode.at_load(50),
         ),
     ];
-    let ids = run_parallel(&mut host, jobs);
+    let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut host, jobs);
     assert_eq!(ids.len(), 4);
 
     let by_label = |l: &str| {
@@ -56,7 +56,7 @@ fn heterogeneous_fleet_evaluates_in_parallel() {
 fn distributed_results_match_sequential_bit_for_bit() {
     let mode = WorkloadMode::peak(16384, 100, 0);
     let mut host_par = EvaluationHost::new();
-    let ids = run_parallel(
+    let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(
         &mut host_par,
         vec![
             EvaluationJob::new("a", || ArraySpec::hdd_raid5(4).build(), trace(40, 16384), mode),
@@ -124,7 +124,7 @@ fn many_small_jobs_scale() {
             )
         })
         .collect();
-    let ids = run_parallel(&mut host, jobs);
+    let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut host, jobs);
     assert_eq!(ids.len(), 16);
     let first = host.db.get(ids[0]).unwrap().perf;
     for id in &ids[1..] {
