@@ -18,7 +18,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 use tracer_bench::{banner, json_result};
-use tracer_trace::compact::{encode_body, BunchDecoder};
+use tracer_trace::compact::{self, encode_body, BunchDecoder};
 use tracer_trace::{replay_format, v3, Bunch, BunchSource, IoPackage, Trace, TraceView};
 
 /// Synthetic trace shaped like a collected block trace: mostly-sequential
@@ -69,7 +69,8 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create bench dir");
     let v2_path = dir.join("bench.replay");
     let v3_path = dir.join("bench.replay3");
-    replay_format::write_file(&trace, &v2_path).expect("write v2");
+    // The v2 side is a legacy file, written through the reference encoder.
+    replay_format::write_bytes_atomic(&compact::to_bytes(&trace), &v2_path).expect("write v2");
     v3::write_file(&trace, &v3_path).expect("write v3");
 
     // In-memory v2 body for the scan loop: the decoder is measured against

@@ -74,7 +74,7 @@ fn main() {
             .sweep(
                 &mut host,
                 || ArraySpec::hdd_raid5(6).build(),
-                |mode| repo.load(&device, mode).expect("collected"),
+                |mode| repo.load_view(&device, mode).expect("collected"),
                 &cfg,
             )
     });

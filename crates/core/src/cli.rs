@@ -12,7 +12,7 @@
 //!                  [--loads a,b,c|all] [--workers N] [--intensity PCT] [--array NAME]
 //! tracer sweep     --repo DIR [--modes N] [--seconds S] [--workers N] [--array NAME]
 //! tracer sweep     --scenario FILE [--db FILE] [--obs FILE]
-//! tracer convert   (--srt FILE | --file FILE) [--name NAME --repo DIR] [--v3]
+//! tracer convert   (--srt FILE | --file FILE) [--name NAME --repo DIR]
 //! tracer stats     --name NAME --repo DIR
 //! tracer policies  [--seconds S]
 //! ```
@@ -139,8 +139,8 @@ pub enum Command {
         /// governs testbed, workload, loads and workers.
         scenario: Option<PathBuf>,
     },
-    /// Convert a trace into the repository: an `.srt` source, or an existing
-    /// `.replay` file re-encoded (e.g. migrated to the v3 columnar format).
+    /// Convert a trace to the v3 columnar format: an `.srt` source named into
+    /// the repository, or an existing `.replay` file of any version migrated.
     Convert {
         /// Source `.srt` path (exclusive with `file`).
         srt: Option<PathBuf>,
@@ -151,8 +151,6 @@ pub enum Command {
         name: Option<String>,
         /// Repository directory (required with `name`).
         repo: Option<PathBuf>,
-        /// Store in the v3 columnar format (mmap-backed zero-copy replay).
-        v3: bool,
     },
     /// Print statistics of a stored trace (Table III style), or summarize a
     /// `tracer-obs` snapshot written by `--obs`.
@@ -260,7 +258,7 @@ USAGE:
   tracer sweep    --repo DIR [--modes N] [--seconds S] [--workers N]
                   [--array hdd4|hdd6|ssd4] [--db FILE] [--obs FILE]
   tracer sweep    --scenario FILE [--db FILE] [--obs FILE]
-  tracer convert  (--srt FILE | --file FILE) [--name NAME --repo DIR] [--v3]
+  tracer convert  (--srt FILE | --file FILE) [--name NAME --repo DIR]
   tracer stats    --name NAME --repo DIR | --obs FILE
   tracer policies [--seconds S] [--db FILE]
   tracer report   --db FILE
@@ -275,9 +273,9 @@ USAGE:
 
 Convert ingests an .srt source (--srt, named into a repository) or
 re-encodes an existing .replay file of any version (--file; in place
-unless --name/--repo give it a new home). With --v3 the output is the
+unless --name/--repo give it a new home). The output is always the
 columnar v3 format, which replay maps and streams without decoding to
-heap — the repository negotiates the format transparently on load.
+heap; the repository still loads older v1/v2 files transparently.
 Replay accepts --db FILE to append its record to a results database, and
 --loads (comma-separated percentages, or `all` for the paper's ten) to run
 a whole load sweep and print the accuracy table. Sweep replays every
@@ -312,12 +310,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(CliError(format!("expected --flag, got {flag:?}")));
         };
-        // Boolean switches take no value; everything else does.
-        let value = if key == "v3" {
-            "true".to_string()
-        } else {
-            iter.next().ok_or_else(|| CliError(format!("flag --{key} needs a value")))?.clone()
-        };
+        // Convert refuses flags it does not take, so a stray switch such as
+        // `--v3` fails instead of swallowing the next argument as its value.
+        if verb == "convert" && !matches!(key, "srt" | "file" | "name" | "repo") {
+            return Err(CliError(format!("unknown flag --{key} for convert")));
+        }
+        let value =
+            iter.next().ok_or_else(|| CliError(format!("flag --{key} needs a value")))?.clone();
         if flags.insert(key.to_string(), value).is_some() {
             return Err(CliError(format!("duplicate flag --{key}")));
         }
@@ -466,7 +465,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if name.is_some() && repo.is_none() {
                 return Err(CliError("convert --name needs --repo".into()));
             }
-            Ok(Command::Convert { srt, file, name, repo, v3: flags.contains_key("v3") })
+            Ok(Command::Convert { srt, file, name, repo })
         }
         "stats" => {
             let obs = flags.get("obs").map(PathBuf::from);
@@ -595,7 +594,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                     ..IometerConfig::two_minutes(mode, 0x7ace)
                 },
             );
-            let path = repo.store(&mode, &out.trace).map_err(io_err)?;
+            let path = repo.store_v3(&mode, &out.trace).map_err(io_err)?;
             println!(
                 "collected {} IOs at peak {:.1} IOPS / {:.2} MBPS -> {}",
                 out.trace.io_count(),
@@ -609,7 +608,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             let repo = TraceRepository::open(&repo).map_err(io_err)?;
             let device = array.build().config().name.clone();
             // Format-negotiating load: v3 files map as zero-copy views,
-            // v1/v2 decode into the shared heap cache.
+            // legacy v1/v2 files decode into the shared cache.
             let trace = repo.load_view(&device, &mode).map_err(io_err)?;
             if let Some(depth) = afap_depth {
                 let mut sim = array.build();
@@ -618,7 +617,8 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                     &trace,
                     depth,
                     tracer_replay::AddressPolicy::Wrap,
-                );
+                )
+                .map_err(io_err)?;
                 println!(
                     "afap depth {depth}: {:.1} IOPS, {:.2} MBPS, avg {:.2} ms, p95 {:.2} ms                      over {:.2}s",
                     report.summary.iops,
@@ -803,7 +803,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             }
             Ok(())
         }
-        Command::Convert { srt: srt_path, file, name, repo, v3 } => {
+        Command::Convert { srt: srt_path, file, name, repo } => {
             let trace = match (&srt_path, &file) {
                 (Some(p), _) => srt::convert_file(
                     p,
@@ -811,31 +811,22 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                     srt::ConvertOptions::default(),
                 )
                 .map_err(io_err)?,
-                (None, Some(p)) => tracer_trace::replay_format::read_file_any(p).map_err(io_err)?,
+                (None, Some(p)) => tracer_trace::replay_format::read_file(p).map_err(io_err)?,
                 (None, None) => return Err(CliError("convert needs --srt or --file".into())),
             };
             let path = match (&name, &repo) {
-                (Some(name), Some(repo)) => {
-                    let repo = TraceRepository::open(repo).map_err(io_err)?;
-                    if v3 {
-                        repo.store_v3_named(name, &trace).map_err(io_err)?
-                    } else {
-                        repo.store_named(name, &trace).map_err(io_err)?
-                    }
-                }
+                (Some(name), Some(repo)) => TraceRepository::open(repo)
+                    .map_err(io_err)?
+                    .store_v3_named(name, &trace)
+                    .map_err(io_err)?,
                 _ => {
                     // Nameless --file conversion: re-encode over the source.
                     let p = file.expect("parse guarantees --file when --name is absent");
-                    if v3 {
-                        tracer_trace::v3::write_file(&trace, &p).map_err(io_err)?;
-                    } else {
-                        tracer_trace::replay_format::write_file(&trace, &p).map_err(io_err)?;
-                    }
+                    tracer_trace::v3::write_file(&trace, &p).map_err(io_err)?;
                     p
                 }
             };
-            let format = if v3 { " (v3 columnar)" } else { "" };
-            println!("converted {} IOs -> {}{format}", trace.io_count(), path.display());
+            println!("converted {} IOs -> {} (v3 columnar)", trace.io_count(), path.display());
             Ok(())
         }
         Command::Stats { name, repo, obs } => {
@@ -1267,16 +1258,19 @@ mod tests {
 
     #[test]
     fn parses_convert_forms_and_rejects_ambiguous_ones() {
-        let cmd = parse(&argv("convert --file /tmp/t.replay --v3")).unwrap();
+        let cmd = parse(&argv("convert --file /tmp/t.replay")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Convert { srt: None, file: Some(_), name: None, repo: None, v3: true }
+            Command::Convert { srt: None, file: Some(_), name: None, repo: None }
         ));
         let cmd = parse(&argv("convert --srt a.srt --name cello --repo /tmp/r")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Convert { srt: Some(_), file: None, name: Some(_), repo: Some(_), v3: false }
+            Command::Convert { srt: Some(_), file: None, name: Some(_), repo: Some(_) }
         ));
+        // Every conversion writes v3, so the old switch is an unknown flag.
+        let err = parse(&argv("convert --file /tmp/t.replay --v3")).unwrap_err();
+        assert!(err.0.contains("unknown flag --v3"), "{err}");
         assert!(parse(&argv("convert")).is_err(), "needs a source");
         assert!(parse(&argv("convert --srt a.srt --file b.replay --name x --repo /r")).is_err());
         assert!(parse(&argv("convert --srt a.srt --repo /r")).is_err(), "--srt needs --name");
@@ -1295,20 +1289,53 @@ mod tests {
                 .map(|i| Bunch::new(i * 1_000_000, vec![IoPackage::read(i * 8, 4096)]))
                 .collect(),
         );
-        replay_format::write_file(&trace, &path).unwrap();
-        run(Command::Convert {
-            srt: None,
-            file: Some(path.clone()),
-            name: None,
-            repo: None,
-            v3: true,
-        })
-        .unwrap();
+        // A legacy v2 file, as an older release stored it.
+        let legacy = tracer_trace::compact::to_bytes(&trace);
+        replay_format::write_bytes_atomic(&legacy, &path).unwrap();
+        run(Command::Convert { srt: None, file: Some(path.clone()), name: None, repo: None })
+            .unwrap();
         // The file is now v3 on disk and decodes to the identical trace.
         let head = std::fs::read(&path).unwrap();
         assert_eq!(u16::from_le_bytes([head[4], head[5]]), 3, "not re-encoded as v3");
-        assert_eq!(replay_format::read_file_any(&path).unwrap(), trace);
+        assert_eq!(replay_format::read_file(&path).unwrap(), trace);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn afap_replay_of_a_corrupt_v3_file_is_an_error() {
+        use tracer_trace::{Bunch, IoPackage, Trace, TraceView};
+        let repo = std::env::temp_dir().join(format!("tracer_cli_afap_bad_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&repo);
+        let mode = WorkloadMode::peak(4096, 0, 100);
+        let trace = Trace::from_bunches(
+            "raid5-hdd4",
+            (0..20)
+                .map(|i| Bunch::new(i * 1_000_000, vec![IoPackage::read(i * 8, 4096)]))
+                .collect(),
+        );
+        let path = TraceRepository::open(&repo).unwrap().store_v3(&mode, &trace).unwrap();
+        // The last size/kind byte sits just before the one 56-byte index
+        // entry. With its continuation bit set the final varint never ends:
+        // the header still validates, only the column decoder notices.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last_size_byte = bytes.len() - 56 - 1;
+        bytes[last_size_byte] |= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(TraceView::open(&path).is_ok(), "the corruption must survive the open");
+        let err = run(Command::Replay {
+            mode,
+            intensity: 100,
+            repo: repo.clone(),
+            array: ArrayChoice::Hdd4,
+            db: None,
+            afap_depth: Some(8),
+            loads: vec![],
+            workers: 1,
+            obs: None,
+        })
+        .unwrap_err();
+        assert!(err.0.contains("varint"), "{err}");
+        std::fs::remove_dir_all(&repo).unwrap();
     }
 
     #[test]

@@ -36,8 +36,7 @@ pub struct EvaluationJob {
 
 impl EvaluationJob {
     /// Job at original pacing. Accepts an owned `Trace`, a pre-shared
-    /// `Arc<Trace>` (e.g. from [`tracer_trace::TraceRepository::load_shared`]),
-    /// or a [`TraceHandle`] from
+    /// `Arc<Trace>`, or a [`TraceHandle`] from
     /// [`tracer_trace::TraceRepository::load_view`], whose v3 views replay
     /// straight off the mapped file.
     pub fn new(

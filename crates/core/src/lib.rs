@@ -76,10 +76,7 @@ pub use host::{CommandSession, EvaluationHost, MeasuredTest, SessionError, TestO
 pub use messages::{format_command, parse_command, HostCommand, ParseError, Report};
 pub use metrics::{load_accuracy, load_proportion, AccuracyRow, EfficiencyMetrics};
 pub use net::{GeneratorServer, HostClient};
-pub use orchestrate::{
-    load_sweep, repeated_trials, run_sweep, LoadSweepResult, SweepBuilder, SweepConfig, TrialStat,
-    TrialSummary,
-};
+pub use orchestrate::{LoadSweepResult, SweepBuilder, SweepConfig, TrialStat, TrialSummary};
 pub use scenario::{run_scenario, ScenarioCell, ScenarioOutcome, ScenarioSpec, WorkloadSpec};
 pub use techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
 
@@ -87,10 +84,10 @@ pub use techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
 pub mod prelude {
     pub use crate::techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
     pub use crate::{
-        load_accuracy, load_proportion, load_sweep, run_scenario, run_sweep, AccuracyRow,
-        CommandSession, Database, EfficiencyMetrics, EvaluationHost, EvaluationJob,
-        LoadSweepResult, MeasuredTest, ScenarioCell, ScenarioOutcome, ScenarioSpec, SweepBuilder,
-        SweepConfig, SweepExecutor, TestRecord, TracerError,
+        load_accuracy, load_proportion, run_scenario, AccuracyRow, CommandSession, Database,
+        EfficiencyMetrics, EvaluationHost, EvaluationJob, LoadSweepResult, MeasuredTest,
+        ScenarioCell, ScenarioOutcome, ScenarioSpec, SweepBuilder, SweepConfig, SweepExecutor,
+        TestRecord, TracerError,
     };
     pub use tracer_power::{Channel, EnergyReport, NoiseModel, PowerAnalyzer, PowerMeter};
     pub use tracer_replay::{

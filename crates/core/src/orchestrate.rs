@@ -121,26 +121,6 @@ where
     merge_mode(host, levels, cells)
 }
 
-/// Replay `trace` on fresh arrays at each load level and build the accuracy
-/// table. `loads` need not include 100 — the baseline run is added
-/// automatically (and reported as the final row, like the paper's tables).
-///
-/// The serial convenience form of [`SweepBuilder::load_sweep`].
-pub fn load_sweep<F, S>(
-    host: &mut EvaluationHost,
-    build_array: F,
-    trace: &S,
-    mode: WorkloadMode,
-    loads: &[u32],
-    label: &str,
-) -> LoadSweepResult
-where
-    F: Fn() -> ArraySim + Sync,
-    S: BunchSource + Sync + ?Sized,
-{
-    SweepBuilder::new().loads(loads).label(label).load_sweep(host, build_array, trace, mode)
-}
-
 /// Configuration of a synthetic mode × load sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepConfig {
@@ -303,9 +283,11 @@ impl<'a> SweepBuilder<'a> {
         self.progress.take().unwrap_or_else(|| Box::new(|_, _| {}))
     }
 
-    /// Terminal: sweep the configured load levels over one trace — any
-    /// [`BunchSource`], so an mmap-backed view sweeps without ever decoding
-    /// into the heap (see [`load_sweep`]).
+    /// Terminal: replay `trace` on fresh arrays at each configured load level
+    /// and build the accuracy table. The 100 % baseline run is added
+    /// automatically (and reported as the final row, like the paper's
+    /// tables). `trace` is any [`BunchSource`], so an mmap-backed view sweeps
+    /// without ever decoding into the heap.
     pub fn load_sweep<F, S>(
         mut self,
         host: &mut EvaluationHost,
@@ -334,7 +316,8 @@ impl<'a> SweepBuilder<'a> {
         result
     }
 
-    /// Terminal: run the full mode × load grid of `cfg` (see [`run_sweep`]).
+    /// Terminal: run the full mode × load grid of `cfg` — for each mode,
+    /// resolve its trace, then run every load level on a fresh array.
     /// Traces resolve on the caller's thread in mode order. Under
     /// parallelism modes finish out of order, so progress reports the
     /// *count* of completed modes, not which one.
@@ -358,8 +341,11 @@ impl<'a> SweepBuilder<'a> {
         result
     }
 
-    /// Terminal: repeat one mode over freshly seeded traces
-    /// (see [`repeated_trials`]).
+    /// Terminal: run `mode` `trials` times, each with the trace
+    /// `trace_for_seed(trial)` on a fresh array, and aggregate the metrics.
+    /// Seeding each trial's trace differently varies the workload
+    /// realisation, so the spread measures how sensitive the result is to
+    /// trace sampling — the simulator itself is deterministic.
     pub fn trials<F, T, A>(
         mut self,
         host: &mut EvaluationHost,
@@ -492,26 +478,6 @@ where
     results
 }
 
-/// Run a full synthetic sweep: for each mode, resolve its trace, then run
-/// every load level on a fresh array. `progress` is invoked after each mode
-/// with (modes done, total modes).
-///
-/// The serial convenience form of [`SweepBuilder::sweep`].
-pub fn run_sweep<F, T, A>(
-    host: &mut EvaluationHost,
-    build_array: F,
-    trace_for_mode: T,
-    cfg: &SweepConfig,
-    progress: impl FnMut(usize, usize),
-) -> Vec<LoadSweepResult>
-where
-    F: Fn() -> ArraySim + Sync,
-    T: FnMut(&WorkloadMode) -> A,
-    A: Into<TraceHandle>,
-{
-    SweepBuilder::new().on_progress(progress).sweep(host, build_array, trace_for_mode, cfg)
-}
-
 /// Mean ± standard deviation of a repeated measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrialStat {
@@ -617,29 +583,6 @@ where
     }
 }
 
-/// Run `mode` `trials` times, each with a freshly generated trace (seeded
-/// `base_seed + trial`) on a fresh array, and aggregate the metrics. The
-/// per-trial seeds vary the workload realisation, so the spread measures how
-/// sensitive the result is to trace sampling — the simulator itself is
-/// deterministic.
-///
-/// The serial convenience form of [`SweepBuilder::trials`].
-pub fn repeated_trials<F, T, A>(
-    host: &mut EvaluationHost,
-    build_array: F,
-    trace_for_seed: T,
-    mode: WorkloadMode,
-    trials: usize,
-    label: &str,
-) -> TrialSummary
-where
-    F: Fn() -> ArraySim + Sync,
-    T: FnMut(u64) -> A,
-    A: Into<TraceHandle>,
-{
-    SweepBuilder::new().label(label).trials(host, build_array, trace_for_seed, mode, trials)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,13 +608,11 @@ mod tests {
         let mut host = EvaluationHost::new();
         let trace = fixed_trace(200, 4096);
         let mode = WorkloadMode::peak(4096, 50, 100);
-        let result = load_sweep(
+        let result = SweepBuilder::new().loads(&[20, 50, 80]).label("unit").load_sweep(
             &mut host,
             || ArraySpec::hdd_raid5(4).build(),
             &trace,
             mode,
-            &[20, 50, 80],
-            "unit",
         );
         assert_eq!(result.loads, vec![20, 50, 80, 100]);
         assert_eq!(result.record_ids.len(), 4);
@@ -687,13 +628,11 @@ mod tests {
     #[test]
     fn baseline_is_added_when_missing() {
         let mut host = EvaluationHost::new();
-        let result = load_sweep(
+        let result = SweepBuilder::new().loads(&[50]).label("unit").load_sweep(
             &mut host,
             || ArraySpec::hdd_raid5(4).build(),
             &fixed_trace(50, 4096),
             WorkloadMode::peak(4096, 0, 100),
-            &[50],
-            "unit",
         );
         assert_eq!(result.loads, vec![50, 100]);
     }
@@ -703,13 +642,11 @@ mod tests {
         let trace = fixed_trace(120, 8192);
         let mode = WorkloadMode::peak(8192, 50, 50);
         let mut serial_host = EvaluationHost::new();
-        let serial = load_sweep(
+        let serial = SweepBuilder::new().loads(&sweep::LOAD_PCTS).label("det").load_sweep(
             &mut serial_host,
             || ArraySpec::hdd_raid5(4).build(),
             &trace,
             mode,
-            &sweep::LOAD_PCTS,
-            "det",
         );
         let mut par_host = EvaluationHost::new();
         let parallel = SweepBuilder::new()
@@ -730,13 +667,9 @@ mod tests {
         };
         assert_eq!(cfg.run_count(), 4);
         let mut calls = Vec::new();
-        let results = run_sweep(
-            &mut host,
-            || ArraySpec::hdd_raid5(3).build(),
-            |_| fixed_trace(30, 4096),
-            &cfg,
-            |done, total| calls.push((done, total)),
-        );
+        let results = SweepBuilder::new()
+            .on_progress(|done, total| calls.push((done, total)))
+            .sweep(&mut host, || ArraySpec::hdd_raid5(3).build(), |_| fixed_trace(30, 4096), &cfg);
         assert_eq!(results.len(), 2);
         assert_eq!(calls, vec![(1, 2), (2, 2)]);
         assert_eq!(host.db.len(), 4);
@@ -770,7 +703,7 @@ mod tests {
         use tracer_workload::iometer::{run_peak_workload, IometerConfig};
         let mut host = EvaluationHost::new();
         let mode = WorkloadMode::peak(8192, 50, 50);
-        let summary = repeated_trials(
+        let summary = SweepBuilder::new().label("trials").trials(
             &mut host,
             || ArraySpec::hdd_raid5(4).build(),
             |seed| {
@@ -786,7 +719,6 @@ mod tests {
             },
             mode,
             4,
-            "trials",
         );
         assert_eq!(summary.trials, 4);
         assert_eq!(host.db.len(), 4);

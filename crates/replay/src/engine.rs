@@ -234,12 +234,16 @@ fn replay_bunches(
 /// order) as each completes — the closed-loop "AFAP" mode classic replay
 /// tools (blkreplay's `--no-delay`, fio's trace replay) offer for peak
 /// measurement from recorded workloads.
+///
+/// Returns the source's [`TraceError`] if it reports corruption while being
+/// read (a corrupt v3 file discovered mid-scan); nothing has been submitted
+/// to `sim` by then.
 pub fn replay_afap<S: BunchSource + ?Sized>(
     sim: &mut ArraySim,
     source: &S,
     depth: usize,
     address_policy: AddressPolicy,
-) -> ReplayReport {
+) -> Result<ReplayReport, TraceError> {
     let _span = tracer_obs::span("replay.drive_ns");
     let started = sim.now();
     let capacity = sim.data_capacity_sectors();
@@ -252,9 +256,7 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
     // flat copy of the IO descriptors (not the bunches) is inherent to the
     // mode; this does not count as a bunch materialization.
     let mut ios: Vec<IoPackage> = Vec::new();
-    source
-        .try_for_each_bunch(&mut |_, bunch| ios.extend_from_slice(bunch))
-        .unwrap_or_else(|e| panic!("trace source failed during AFAP replay: {e}"));
+    source.try_for_each_bunch(&mut |_, bunch| ios.extend_from_slice(bunch))?;
     let mut next = 0usize;
     let mut issue = |sim: &mut ArraySim, at: SimTime, next: &mut usize| -> bool {
         while *next < ios.len() {
@@ -296,7 +298,7 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
     let finished = completions.last().map_or(started, |c| c.completed);
     let summary = PerformanceMonitor::summarize(&completions, started, bump(finished));
     let samples = PerformanceMonitor::default().bin(&completions, started, bump(finished));
-    ReplayReport {
+    Ok(ReplayReport {
         started,
         measured_from: started,
         finished,
@@ -306,7 +308,7 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
         completions,
         summary,
         samples,
-    }
+    })
 }
 
 /// The array sector `io` is submitted at on an array of `capacity` data
@@ -509,7 +511,7 @@ mod tests {
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let timed = replay(&mut sim, &t, &ReplayConfig::default());
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let afap = replay_afap(&mut sim, &t, 8, AddressPolicy::Wrap);
+        let afap = replay_afap(&mut sim, &t, 8, AddressPolicy::Wrap).unwrap();
         assert_eq!(afap.completions.len(), 30);
         assert_eq!(afap.issued_bytes, timed.issued_bytes);
         assert!(
@@ -526,7 +528,7 @@ mod tests {
         let t = uniform_trace(200, 1, 8192);
         let run = |depth: usize| {
             let mut sim = ArraySpec::hdd_raid5(4).build();
-            replay_afap(&mut sim, &t, depth, AddressPolicy::Wrap).summary.iops
+            replay_afap(&mut sim, &t, depth, AddressPolicy::Wrap).unwrap().summary.iops
         };
         let shallow = run(1);
         let deep = run(16);
@@ -536,7 +538,7 @@ mod tests {
     #[test]
     fn afap_on_empty_trace() {
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let report = replay_afap(&mut sim, &Trace::new("e"), 8, AddressPolicy::Wrap);
+        let report = replay_afap(&mut sim, &Trace::new("e"), 8, AddressPolicy::Wrap).unwrap();
         assert_eq!(report.issued_ios, 0);
         assert_eq!(report.completions.len(), 0);
     }

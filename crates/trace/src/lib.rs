@@ -7,7 +7,10 @@
 //!   the blktrace-derived file structure of the paper's Fig. 4 — a trace is a
 //!   sequence of *bunches*, each bunch carrying an arrival timestamp and a set
 //!   of concurrent *IO packages* (start sector, size in bytes, read/write);
-//! * a binary on-disk encoding (`.replay` files, [`replay_format`]);
+//! * a binary on-disk encoding (`.replay` files): the program writes the
+//!   mmap-replayable columnar [`v3`] format only, and [`replay_format`]'s
+//!   version-negotiating reader still loads the legacy v1/v2 encodings
+//!   ([`compact`]);
 //! * a converter from the HP-labs style `.srt` text format ([`srt`]) — the
 //!   paper converts cello96/cello99 traces to the replay format before use;
 //! * a trace [`repository`] whose file-naming convention encodes the workload

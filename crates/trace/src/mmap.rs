@@ -16,7 +16,7 @@
 //! A mapping of a file that later *shrinks* raises `SIGBUS` on access. The
 //! repository sidesteps this by construction: every `.replay` writer in this
 //! crate writes to a temporary file and `rename(2)`s it into place
-//! ([`crate::replay_format::write_file`]), so a path is only ever replaced by
+//! ([`crate::replay_format::write_bytes_atomic`]), so a path is only ever replaced by
 //! a new inode — existing mappings keep the old inode alive until unmapped,
 //! and no inode backing a live [`Mmap`] is ever truncated by this codebase.
 //! The mapping is `PROT_READ`/`MAP_PRIVATE`: nothing is ever written through

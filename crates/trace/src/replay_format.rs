@@ -1,13 +1,21 @@
-//! Binary `.replay` trace format.
+//! Binary `.replay` trace format: the shared header, the version-negotiating
+//! reader, and the atomic file writer.
 //!
 //! This is the load format of TRACER: "TRACER can only load trace files with
 //! the blktrace format (i.e., trace files with the extension name replay)"
-//! (§III-A2). The layout follows the paper's Fig. 4 — bunches of IO packages —
-//! with a small self-describing header:
+//! (§III-A2). Every version starts with the same magic and version word;
+//! [`from_bytes`] / [`read_file`] accept all three. The program writes only
+//! the columnar v3 encoding ([`crate::v3::write_file`]); v1 (below) and the
+//! compact v2 ([`crate::compact`]) are read-only legacy formats whose
+//! encoders ([`to_bytes`], [`crate::compact::to_bytes`]) remain as the
+//! reference implementations the decoder tests round-trip against.
+//!
+//! Version 1 follows the paper's Fig. 4 — bunches of IO packages — at fixed
+//! width:
 //!
 //! ```text
 //! magic   : b"TRCR"                  (4 bytes)
-//! version : u16 LE                   (currently 1)
+//! version : u16 LE                   (1)
 //! dev_len : u16 LE
 //! device  : dev_len bytes, UTF-8
 //! nbunch  : u64 LE
@@ -15,9 +23,9 @@
 //!           (sector u64 LE, bytes u32 LE, kind u8 {0=read,1=write})*
 //! ```
 //!
-//! All multi-byte values are little-endian. Readers and writers are buffered;
-//! the reader validates counts against the stream and rejects structural
-//! corruption with [`TraceError::Corrupt`].
+//! All multi-byte values are little-endian. The reader validates counts
+//! against the stream and rejects structural corruption with
+//! [`TraceError::Corrupt`].
 
 use crate::error::TraceError;
 use crate::model::{Bunch, IoPackage, OpKind, Trace};
@@ -28,14 +36,15 @@ use std::path::Path;
 
 /// Magic bytes at the start of every `.replay` file.
 pub const MAGIC: [u8; 4] = *b"TRCR";
-/// Current on-disk format version.
+/// Version tag of the fixed-width legacy encoding.
 pub const VERSION: u16 = 1;
 
 /// Sanity bound: a single bunch may not claim more than this many packages.
 /// (The paper's 2-minute RAID-5 traces average eight packages per bunch.)
 const MAX_IOS_PER_BUNCH: u32 = 1 << 24;
 
-/// Serialize a trace into a freshly allocated byte buffer.
+/// Serialize a trace in the fixed-width v1 encoding — the reference encoder
+/// the legacy decoder's tests compare against; the program writes v3.
 pub fn to_bytes(trace: &Trace) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + trace.io_count() * 13 + trace.bunch_count() * 12);
     buf.put_slice(&MAGIC);
@@ -61,7 +70,7 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
     buf.freeze()
 }
 
-/// Deserialize a trace from an in-memory buffer.
+/// Deserialize a trace of any supported version from an in-memory buffer.
 pub fn from_bytes(mut data: &[u8]) -> Result<Trace, TraceError> {
     let corrupt = |why: &str| TraceError::Corrupt(why.to_string());
     if data.remaining() < 8 {
@@ -150,42 +159,14 @@ pub fn write_bytes_atomic(bytes: &[u8], path: &Path) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Write a trace to `path` in `.replay` format (compact v2 encoding; see
-/// [`crate::compact`]). Readers auto-detect the version.
-pub fn write_file(trace: &Trace, path: &Path) -> Result<(), TraceError> {
-    write_bytes_atomic(&crate::compact::to_bytes(trace), path)
-}
-
-/// Write a trace in the fixed-width version-1 encoding (interoperability /
-/// debugging; larger but trivially seekable).
-pub fn write_file_v1(trace: &Trace, path: &Path) -> Result<(), TraceError> {
-    write_bytes_atomic(&to_bytes(trace), path)
-}
-
-/// Read a `.replay` file from `path`.
+/// Read a `.replay` file of any supported version from `path` and
+/// materialize it as a heap trace (see [`from_bytes`]). Callers that want to
+/// *stream* a v3 file open a [`crate::TraceView`] (or go through
+/// [`crate::TraceRepository::load_view`]) instead.
 pub fn read_file(path: &Path) -> Result<Trace, TraceError> {
     let mut r = BufReader::new(File::open(path)?);
     let mut data = Vec::new();
     r.read_to_end(&mut data)?;
-    from_bytes(&data)
-}
-
-/// Read a `.replay` file in **any** supported version — v1/v2 through
-/// [`from_bytes`], the v3 columnar format through [`crate::v3`] — and
-/// materialize it as a heap trace. Callers that want to *stream* a v3 file
-/// should open a [`crate::TraceView`] (or go through
-/// [`crate::TraceRepository::load_view`]) instead.
-pub fn read_file_any(path: &Path) -> Result<Trace, TraceError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut data = Vec::new();
-    r.read_to_end(&mut data)?;
-    if data.len() >= 6
-        && data[..4] == MAGIC
-        && u16::from_le_bytes([data[4], data[5]]) == crate::v3::VERSION
-    {
-        let (device, body) = crate::v3::split_file(&data)?;
-        return crate::v3::decode_body(body, device.to_string());
-    }
     from_bytes(&data)
 }
 
@@ -218,9 +199,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.replay");
         let t = sample();
-        write_file(&t, &path).unwrap();
-        let back = read_file(&path).unwrap();
-        assert_eq!(back, t);
+        for bytes in [to_bytes(&t), crate::compact::to_bytes(&t), crate::v3::to_bytes(&t)] {
+            write_bytes_atomic(&bytes, &path).unwrap();
+            assert_eq!(read_file(&path).unwrap(), t);
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

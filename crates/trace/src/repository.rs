@@ -6,18 +6,26 @@
 //! (§III-A2). The replay module later asks the repository for the trace that
 //! matches the workload mode configured at the evaluation host.
 //!
+//! # One format written, every format read
+//!
+//! Every store writes the columnar v3 format ([`crate::v3`]) through an
+//! atomic temp-file-plus-rename. Loads negotiate: v3 files map as
+//! zero-copy [`TraceView`]s, and legacy v1/v2 files (written by older
+//! releases) still decode onto the heap. `tracer convert --file` migrates
+//! a legacy file to v3 in place.
+//!
 //! # Cache
 //!
 //! The repository keeps a bounded in-process cache over everything it hands
-//! out. Heap-decoded traces ([`TraceRepository::load_shared`]) and mmap-backed
-//! v3 views ([`TraceRepository::load_view`]) share one LRU with byte-level
-//! accounting: decoded traces are charged their approximate heap footprint,
-//! views their mapped length. When the cache would exceed its budget the
+//! out: one map from path to [`TraceHandle`], with byte-level accounting —
+//! views are charged their mapped length, decoded legacy traces their
+//! approximate heap footprint. When the cache would exceed its budget the
 //! least-recently-used entries are evicted (the entry being inserted is never
-//! evicted, so a single over-budget trace still loads). Cached views are keyed
-//! by file identity — device, inode, size, and mtime — so a store that
-//! atomically replaces the file is detected on the next load and the stale
-//! view is dropped, while live replays keep their mapping of the old inode.
+//! evicted, so a single over-budget trace still loads). Every entry records
+//! the identity of the file it was read from — device, inode, size, and
+//! mtime — and a load checks it before using the entry, so a file replaced
+//! behind the repository's back is detected on the next load and the stale
+//! entry is dropped, while live replays keep their mapping of the old inode.
 //!
 //! Cache behaviour is observable through `tracer-obs`: gauges
 //! `repo.views_open` and `repo.cache_bytes` track the current view count and
@@ -87,30 +95,24 @@ impl FileId {
     }
 }
 
+/// One cached handle: the decoded trace or mapped view, plus the identity of
+/// the file it was read from.
 #[derive(Debug)]
-struct CachedTrace {
-    trace: Arc<Trace>,
-    bytes: usize,
-    used: u64,
-}
-
-#[derive(Debug)]
-struct CachedView {
-    view: Arc<TraceView>,
+struct CacheEntry {
+    handle: TraceHandle,
     id: FileId,
     bytes: usize,
     used: u64,
 }
 
-/// Unified LRU over decoded traces and mapped views.
+/// LRU over every handle the repository has handed out.
 #[derive(Debug)]
 struct CacheState {
-    traces: BTreeMap<PathBuf, CachedTrace>,
-    views: BTreeMap<PathBuf, CachedView>,
+    entries: BTreeMap<PathBuf, CacheEntry>,
     /// Logical clock; bumped on every hit or insert. Entries carry the clock
     /// value of their last use, making "least recently used" a min() scan.
     clock: u64,
-    /// Accounted bytes across both maps.
+    /// Accounted bytes across all entries.
     bytes: usize,
     budget: usize,
     evictions: u64,
@@ -118,14 +120,7 @@ struct CacheState {
 
 impl CacheState {
     fn new(budget: usize) -> Self {
-        Self {
-            traces: BTreeMap::new(),
-            views: BTreeMap::new(),
-            clock: 0,
-            bytes: 0,
-            budget,
-            evictions: 0,
-        }
+        Self { entries: BTreeMap::new(), clock: 0, bytes: 0, budget, evictions: 0 }
     }
 
     fn tick(&mut self) -> u64 {
@@ -133,21 +128,14 @@ impl CacheState {
         self.clock
     }
 
-    fn get_trace(&mut self, path: &Path) -> Option<Arc<Trace>> {
+    /// Return the cached handle for `path` iff its recorded file identity
+    /// still matches `id`; a mismatched (stale) entry is dropped.
+    fn get(&mut self, path: &Path, id: FileId) -> Option<TraceHandle> {
         let stamp = self.tick();
-        let hit = self.traces.get_mut(path)?;
-        hit.used = stamp;
-        Some(Arc::clone(&hit.trace))
-    }
-
-    /// Return the cached view for `path` iff its recorded file identity still
-    /// matches `id`; a mismatched (stale) entry is dropped.
-    fn get_view(&mut self, path: &Path, id: FileId) -> Option<Arc<TraceView>> {
-        let stamp = self.tick();
-        match self.views.get_mut(path) {
+        match self.entries.get_mut(path) {
             Some(hit) if hit.id == id => {
                 hit.used = stamp;
-                Some(Arc::clone(&hit.view))
+                Some(hit.handle.clone())
             }
             Some(_) => {
                 self.remove(path);
@@ -158,32 +146,24 @@ impl CacheState {
         }
     }
 
-    fn insert_trace(&mut self, path: PathBuf, trace: Arc<Trace>) {
+    /// Cache `handle`, charged its mapped length (views) or its approximate
+    /// decoded heap footprint (legacy traces).
+    fn insert(&mut self, path: PathBuf, handle: TraceHandle, id: FileId) {
         let stamp = self.tick();
         self.remove(&path);
-        let bytes = trace.approx_heap_bytes();
+        let bytes = match &handle {
+            TraceHandle::Owned(trace) => trace.approx_heap_bytes(),
+            TraceHandle::View(view) => view.mapped_len(),
+        };
         self.bytes += bytes;
-        self.traces.insert(path.clone(), CachedTrace { trace, bytes, used: stamp });
+        self.entries.insert(path.clone(), CacheEntry { handle, id, bytes, used: stamp });
         self.evict_to_budget(&path);
         self.publish();
     }
 
-    fn insert_view(&mut self, path: PathBuf, view: Arc<TraceView>, id: FileId) {
-        let stamp = self.tick();
-        self.remove(&path);
-        let bytes = view.mapped_len();
-        self.bytes += bytes;
-        self.views.insert(path.clone(), CachedView { view, id, bytes, used: stamp });
-        self.evict_to_budget(&path);
-        self.publish();
-    }
-
-    /// Drop `path` from whichever map holds it, fixing byte accounting.
+    /// Drop `path`'s entry, fixing byte accounting.
     fn remove(&mut self, path: &Path) {
-        if let Some(old) = self.traces.remove(path) {
-            self.bytes -= old.bytes;
-        }
-        if let Some(old) = self.views.remove(path) {
+        if let Some(old) = self.entries.remove(path) {
             self.bytes -= old.bytes;
         }
     }
@@ -193,13 +173,11 @@ impl CacheState {
     fn evict_to_budget(&mut self, keep: &Path) {
         while self.bytes > self.budget {
             let victim = self
-                .traces
+                .entries
                 .iter()
-                .map(|(p, e)| (e.used, p))
-                .chain(self.views.iter().map(|(p, e)| (e.used, p)))
-                .filter(|(_, p)| p.as_path() != keep)
-                .min()
-                .map(|(_, p)| p.clone());
+                .filter(|(p, _)| p.as_path() != keep)
+                .min_by_key(|(_, e)| e.used)
+                .map(|(p, _)| p.clone());
             let Some(victim) = victim else { break };
             self.remove(&victim);
             self.evictions += 1;
@@ -207,26 +185,30 @@ impl CacheState {
         }
     }
 
+    fn views_open(&self) -> usize {
+        self.entries.values().filter(|e| e.handle.is_view()).count()
+    }
+
     /// Push the current occupancy into the obs gauges. Called on every cache
-    /// mutation — these are cold paths (file loads and stores), so the two
-    /// registry lookups are negligible next to the I/O they accompany.
+    /// mutation — these are cold paths (file loads and stores), so the
+    /// registry lookups and the entry scan are negligible next to the I/O
+    /// they accompany.
     fn publish(&self) {
-        tracer_obs::gauge("repo.views_open").set(self.views.len() as u64);
+        tracer_obs::gauge("repo.views_open").set(self.views_open() as u64);
         tracer_obs::gauge("repo.cache_bytes").set(self.bytes as u64);
     }
 }
 
 /// A directory-backed trace repository.
 ///
-/// [`TraceRepository::load_shared`] / [`TraceRepository::load_named_shared`]
-/// return `Arc<Trace>` handles backed by an in-process cache, so a sweep
-/// asking for the same trace for every one of its cells decodes the file
-/// once and shares one immutable copy across all workers.
-/// [`TraceRepository::load_view`] / [`TraceRepository::load_view_named`]
-/// negotiate the on-disk format: v3 files come back as shared mmap-backed
-/// [`TraceView`]s that replay without materializing bunches, older formats
-/// fall back to the decoded-trace cache. Stores invalidate the cached entry
-/// for the written path.
+/// Stores write the columnar v3 format; [`TraceRepository::load_view`] /
+/// [`TraceRepository::load_view_named`] negotiate the on-disk format: v3
+/// files come back as shared mmap-backed [`TraceView`]s that replay without
+/// materializing bunches, legacy v1/v2 files as shared decoded traces. Both
+/// kinds sit in one in-process cache, so a sweep asking for the same trace
+/// for every one of its cells opens the file once and shares one immutable
+/// copy across all workers. Stores invalidate the cached entry for the
+/// written path.
 #[derive(Debug)]
 pub struct TraceRepository {
     root: PathBuf,
@@ -282,27 +264,10 @@ impl TraceRepository {
         self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Store a trace under the naming convention. Overwrites silently, as the
-    /// collector re-collects traces for the same mode.
-    pub fn store(&self, mode: &WorkloadMode, trace: &Trace) -> Result<PathBuf, TraceError> {
-        let path = self.path_for(&trace.device, mode);
-        replay_format::write_file(trace, &path)?;
-        self.invalidate(&path);
-        Ok(path)
-    }
-
-    /// Store a trace under an explicit free-form name (used for real-world
-    /// traces such as converted cello files, which have no mode vector).
-    pub fn store_named(&self, name: &str, trace: &Trace) -> Result<PathBuf, TraceError> {
-        let path = self.path_named(name);
-        replay_format::write_file(trace, &path)?;
-        self.invalidate(&path);
-        Ok(path)
-    }
-
     /// Store a trace in the columnar v3 format under the naming convention.
-    /// Subsequent [`TraceRepository::load_view`] calls for the same mode
-    /// replay it straight from the mapped file.
+    /// Overwrites silently, as the collector re-collects traces for the same
+    /// mode. Subsequent [`TraceRepository::load_view`] calls for the same
+    /// mode replay it straight from the mapped file.
     pub fn store_v3(&self, mode: &WorkloadMode, trace: &Trace) -> Result<PathBuf, TraceError> {
         let path = self.path_for(&trace.device, mode);
         v3::write_file(trace, &path)?;
@@ -310,7 +275,9 @@ impl TraceRepository {
         Ok(path)
     }
 
-    /// Store a trace in the columnar v3 format under a free-form name.
+    /// Store a trace in the columnar v3 format under an explicit free-form
+    /// name (used for real-world traces such as converted cello files, which
+    /// have no mode vector).
     pub fn store_v3_named(&self, name: &str, trace: &Trace) -> Result<PathBuf, TraceError> {
         let path = self.path_named(name);
         v3::write_file(trace, &path)?;
@@ -318,98 +285,49 @@ impl TraceRepository {
         Ok(path)
     }
 
-    /// Load the trace collected for (`device`, `mode`).
-    pub fn load(&self, device: &str, mode: &WorkloadMode) -> Result<Trace, TraceError> {
-        let path = self.path_for(device, mode);
-        if !path.exists() {
-            return Err(TraceError::NotFound(mode.file_stem(device)));
-        }
-        replay_format::read_file(&path)
-    }
-
-    /// Load a trace stored under a free-form name.
-    pub fn load_named(&self, name: &str) -> Result<Trace, TraceError> {
-        let path = self.path_named(name);
-        if !path.exists() {
-            return Err(TraceError::NotFound(name.to_string()));
-        }
-        replay_format::read_file(&path)
-    }
-
-    /// Load the trace for (`device`, `mode`) as a shared, cached handle.
-    ///
-    /// The first call decodes the file; later calls for the same path hand
-    /// out clones of the same `Arc`, so a 1,250-cell sweep holds one copy of
-    /// each mode's trace no matter how many workers replay it concurrently.
-    pub fn load_shared(&self, device: &str, mode: &WorkloadMode) -> Result<Arc<Trace>, TraceError> {
-        let path = self.path_for(device, mode);
-        if let Some(hit) = self.lock().get_trace(&path) {
-            return Ok(hit);
-        }
-        let trace = Arc::new(self.load(device, mode)?);
-        self.lock().insert_trace(path, Arc::clone(&trace));
-        Ok(trace)
-    }
-
-    /// Load a free-form-named trace as a shared, cached handle (see
-    /// [`TraceRepository::load_shared`]).
-    pub fn load_named_shared(&self, name: &str) -> Result<Arc<Trace>, TraceError> {
-        let path = self.path_named(name);
-        if let Some(hit) = self.lock().get_trace(&path) {
-            return Ok(hit);
-        }
-        let trace = Arc::new(self.load_named(name)?);
-        self.lock().insert_trace(path, Arc::clone(&trace));
-        Ok(trace)
-    }
-
     /// Load the trace for (`device`, `mode`), negotiating the on-disk format.
     ///
     /// v3 files come back as [`TraceHandle::View`] — an mmap-backed view
-    /// replayed with zero bunch materialization; v1/v2 files come back as
-    /// [`TraceHandle::Owned`] through the decoded-trace cache. Views are
-    /// cached keyed by file identity, so replacing the file (all stores are
-    /// atomic renames) transparently remaps on the next load.
+    /// replayed with zero bunch materialization; legacy v1/v2 files come back
+    /// as a decoded [`TraceHandle::Owned`]. A caller that needs an owned
+    /// [`Trace`] calls [`TraceHandle::to_trace`]. Handles are cached keyed by
+    /// file identity, so replacing the file (all stores are atomic renames)
+    /// transparently reloads on the next call.
     pub fn load_view(&self, device: &str, mode: &WorkloadMode) -> Result<TraceHandle, TraceError> {
-        let path = self.path_for(device, mode);
-        if !path.exists() {
-            return Err(TraceError::NotFound(mode.file_stem(device)));
-        }
-        self.open_handle(&path, || self.load(device, mode))
+        self.open_handle(&self.path_for(device, mode), || mode.file_stem(device))
     }
 
     /// Load a free-form-named trace, negotiating the on-disk format (see
     /// [`TraceRepository::load_view`]).
     pub fn load_view_named(&self, name: &str) -> Result<TraceHandle, TraceError> {
-        let path = self.path_named(name);
-        if !path.exists() {
-            return Err(TraceError::NotFound(name.to_string()));
-        }
-        self.open_handle(&path, || self.load_named(name))
+        self.open_handle(&self.path_named(name), || name.to_string())
     }
 
-    /// Format-negotiating open: v3 gets a cached view, everything else a
-    /// cached decoded trace produced by `fallback`.
+    /// Format-negotiating, cached open. A hit is validated against the file's
+    /// current identity before anything else; only a miss sniffs the version
+    /// and reads the file — v3 as a view, v1/v2 decoded onto the heap.
     fn open_handle(
         &self,
         path: &Path,
-        fallback: impl FnOnce() -> Result<Trace, TraceError>,
+        missing: impl FnOnce() -> String,
     ) -> Result<TraceHandle, TraceError> {
-        if peek_version(path)? != v3::VERSION {
-            if let Some(hit) = self.lock().get_trace(path) {
-                return Ok(TraceHandle::Owned(hit));
+        let id = match FileId::of(path) {
+            Ok(id) => id,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(TraceError::NotFound(missing()))
             }
-            let trace = Arc::new(fallback()?);
-            self.lock().insert_trace(path.to_path_buf(), Arc::clone(&trace));
-            return Ok(TraceHandle::Owned(trace));
+            Err(e) => return Err(e.into()),
+        };
+        if let Some(hit) = self.lock().get(path, id) {
+            return Ok(hit);
         }
-        let id = FileId::of(path)?;
-        if let Some(hit) = self.lock().get_view(path, id) {
-            return Ok(TraceHandle::View(hit));
-        }
-        let view = Arc::new(TraceView::open(path)?);
-        self.lock().insert_view(path.to_path_buf(), Arc::clone(&view), id);
-        Ok(TraceHandle::View(view))
+        let handle = if peek_version(path)? == v3::VERSION {
+            TraceHandle::View(Arc::new(TraceView::open(path)?))
+        } else {
+            TraceHandle::Owned(Arc::new(replay_format::read_file(path)?))
+        };
+        self.lock().insert(path.to_path_buf(), handle.clone(), id);
+        Ok(handle)
     }
 
     /// Drop the cached handle for `path` (called on every store).
@@ -419,14 +337,15 @@ impl TraceRepository {
         cache.publish();
     }
 
-    /// Bytes currently accounted to the cache (decoded traces + mapped views).
+    /// Bytes currently accounted to the cache (mapped views + decoded legacy
+    /// traces).
     pub fn cache_bytes(&self) -> usize {
         self.lock().bytes
     }
 
     /// Number of mmap-backed views currently cached.
     pub fn views_open(&self) -> usize {
-        self.lock().views.len()
+        self.lock().views_open()
     }
 
     /// LRU evictions performed since the repository was opened.
@@ -506,16 +425,31 @@ mod tests {
         Trace::from_bunches(device, vec![Bunch::new(0, vec![IoPackage::read(0, 4096)])])
     }
 
+    /// Write `trace` as a legacy v2 file, the way an older release stored it.
+    fn store_legacy(repo: &TraceRepository, name: &str, trace: &Trace) {
+        let path = repo.root().join(format!("{name}.{EXTENSION}"));
+        replay_format::write_bytes_atomic(&crate::compact::to_bytes(trace), &path).unwrap();
+    }
+
+    fn same_handle(a: &TraceHandle, b: &TraceHandle) -> bool {
+        match (a, b) {
+            (TraceHandle::Owned(a), TraceHandle::Owned(b)) => Arc::ptr_eq(a, b),
+            (TraceHandle::View(a), TraceHandle::View(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     #[test]
     fn store_and_load_by_mode() {
         let repo = tmp_repo("mode");
         let mode = WorkloadMode::peak(4096, 50, 0);
         let t = tiny_trace("raid5");
-        let path = repo.store(&mode, &t).unwrap();
+        let path = repo.store_v3(&mode, &t).unwrap();
         assert!(path.file_name().unwrap().to_str().unwrap().contains("rs4096"));
         assert!(repo.contains("raid5", &mode));
-        let back = repo.load("raid5", &mode).unwrap();
-        assert_eq!(back, t);
+        let back = repo.load_view("raid5", &mode).unwrap();
+        assert!(back.is_view(), "stores write v3");
+        assert_eq!(back.to_trace().unwrap(), t);
         fs::remove_dir_all(repo.root()).unwrap();
     }
 
@@ -524,8 +458,6 @@ mod tests {
         let repo = tmp_repo("missing");
         let mode = WorkloadMode::peak(512, 0, 0);
         assert!(!repo.contains("x", &mode));
-        assert!(matches!(repo.load("x", &mode), Err(TraceError::NotFound(_))));
-        assert!(matches!(repo.load_named("webserver"), Err(TraceError::NotFound(_))));
         assert!(matches!(repo.load_view("x", &mode), Err(TraceError::NotFound(_))));
         assert!(matches!(repo.load_view_named("webserver"), Err(TraceError::NotFound(_))));
         fs::remove_dir_all(repo.root()).unwrap();
@@ -536,9 +468,9 @@ mod tests {
         let repo = tmp_repo("catalog");
         for (size, rnd, rd) in [(512u32, 0u8, 0u8), (4096, 50, 25)] {
             let mode = WorkloadMode::peak(size, rnd, rd);
-            repo.store(&mode, &tiny_trace("raid5")).unwrap();
+            repo.store_v3(&mode, &tiny_trace("raid5")).unwrap();
         }
-        repo.store_named("cello99_week1", &tiny_trace("cello")).unwrap();
+        repo.store_v3_named("cello99_week1", &tiny_trace("cello")).unwrap();
 
         let cat = repo.catalog().unwrap();
         assert_eq!(cat.len(), 2);
@@ -546,8 +478,8 @@ mod tests {
 
         let named = repo.named_traces().unwrap();
         assert_eq!(named, vec!["cello99_week1".to_string()]);
-        let back = repo.load_named("cello99_week1").unwrap();
-        assert_eq!(back.device, "cello");
+        let back = repo.load_view_named("cello99_week1").unwrap();
+        assert_eq!(back.device(), "cello");
         fs::remove_dir_all(repo.root()).unwrap();
     }
 
@@ -555,26 +487,26 @@ mod tests {
     fn shared_loads_hand_out_one_arc_until_a_store_invalidates() {
         let repo = tmp_repo("shared");
         let mode = WorkloadMode::peak(4096, 50, 0);
-        repo.store(&mode, &tiny_trace("raid5")).unwrap();
+        repo.store_v3(&mode, &tiny_trace("raid5")).unwrap();
 
-        let a = repo.load_shared("raid5", &mode).unwrap();
-        let b = repo.load_shared("raid5", &mode).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "cache must share one allocation");
-        assert_eq!(*a, tiny_trace("raid5"));
+        let a = repo.load_view("raid5", &mode).unwrap();
+        let b = repo.load_view("raid5", &mode).unwrap();
+        assert!(same_handle(&a, &b), "cache must share one allocation");
+        assert_eq!(a.to_trace().unwrap(), tiny_trace("raid5"));
 
         // Re-storing the same path must invalidate the cached handle.
         let other =
             Trace::from_bunches("raid5", vec![Bunch::new(7, vec![IoPackage::write(64, 8192)])]);
-        repo.store(&mode, &other).unwrap();
-        let c = repo.load_shared("raid5", &mode).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "store must drop the stale entry");
-        assert_eq!(*c, other);
+        repo.store_v3(&mode, &other).unwrap();
+        let c = repo.load_view("raid5", &mode).unwrap();
+        assert!(!same_handle(&a, &c), "store must drop the stale entry");
+        assert_eq!(c.to_trace().unwrap(), other);
 
-        repo.store_named("freeform", &tiny_trace("cello")).unwrap();
-        let n1 = repo.load_named_shared("freeform").unwrap();
-        let n2 = repo.load_named_shared("freeform").unwrap();
-        assert!(Arc::ptr_eq(&n1, &n2));
-        assert!(matches!(repo.load_named_shared("absent"), Err(TraceError::NotFound(_))));
+        repo.store_v3_named("freeform", &tiny_trace("cello")).unwrap();
+        let n1 = repo.load_view_named("freeform").unwrap();
+        let n2 = repo.load_view_named("freeform").unwrap();
+        assert!(same_handle(&n1, &n2));
+        assert!(matches!(repo.load_view_named("absent"), Err(TraceError::NotFound(_))));
         fs::remove_dir_all(repo.root()).unwrap();
     }
 
@@ -587,7 +519,6 @@ mod tests {
         // junk.replay has a stem that doesn't parse as a mode -> named trace,
         // but loading it reports corruption.
         assert_eq!(repo.named_traces().unwrap(), vec!["junk".to_string()]);
-        assert!(repo.load_named("junk").is_err());
         assert!(repo.load_view_named("junk").is_err());
         fs::remove_dir_all(repo.root()).unwrap();
     }
@@ -598,12 +529,13 @@ mod tests {
         let mode = WorkloadMode::peak(4096, 0, 0);
         let t = tiny_trace("raid5");
 
-        // v2 store -> owned handle, shared with the load_shared cache.
-        repo.store(&mode, &t).unwrap();
+        // Legacy v2 file -> owned handle, shared through the cache.
+        store_legacy(&repo, &mode.file_stem("raid5"), &t);
         let h = repo.load_view("raid5", &mode).unwrap();
         assert!(!h.is_view());
-        let shared = repo.load_shared("raid5", &mode).unwrap();
-        assert!(Arc::ptr_eq(h.as_trace().unwrap(), &shared));
+        let again = repo.load_view("raid5", &mode).unwrap();
+        assert!(same_handle(&h, &again));
+        assert_eq!(h.to_trace().unwrap(), t);
 
         // v3 store over the same path -> view handle, old entry invalidated.
         repo.store_v3(&mode, &t).unwrap();
@@ -611,12 +543,7 @@ mod tests {
         assert!(v.is_view());
         assert_eq!(repo.views_open(), 1);
         let v2 = repo.load_view("raid5", &mode).unwrap();
-        match (&v, &v2) {
-            (TraceHandle::View(a), TraceHandle::View(b)) => {
-                assert!(Arc::ptr_eq(a, b), "view cache must share one mapping");
-            }
-            _ => panic!("expected view handles"),
-        }
+        assert!(same_handle(&v, &v2), "view cache must share one mapping");
         assert_eq!(v.to_trace().unwrap(), t);
 
         // Named v3 stores round-trip too.
@@ -646,6 +573,23 @@ mod tests {
     }
 
     #[test]
+    fn stale_legacy_traces_are_dropped_when_the_file_is_replaced() {
+        let repo = tmp_repo("stale_legacy");
+        let a = tiny_trace("dev");
+        let b = Trace::from_bunches("dev", vec![Bunch::new(9, vec![IoPackage::write(8, 512)])]);
+        let path = repo.root().join("w.replay");
+        replay_format::write_bytes_atomic(&replay_format::to_bytes(&a), &path).unwrap();
+        let first = repo.load_view_named("w").unwrap();
+        assert_eq!(first.to_trace().unwrap(), a);
+
+        // Same replacement as above, but of a decoded legacy entry.
+        replay_format::write_bytes_atomic(&replay_format::to_bytes(&b), &path).unwrap();
+        let second = repo.load_view_named("w").unwrap();
+        assert_eq!(second.to_trace().unwrap(), b, "a replaced legacy file must not load stale");
+        fs::remove_dir_all(repo.root()).unwrap();
+    }
+
+    #[test]
     fn cache_accounts_bytes_and_evicts_least_recently_used() {
         let repo_dir = std::env::temp_dir().join(format!("tracer_repo_lru_{}", std::process::id()));
         let _ = fs::remove_dir_all(&repo_dir);
@@ -654,16 +598,16 @@ mod tests {
         let budget = tiny_trace("d").approx_heap_bytes() + 16;
         let repo = TraceRepository::with_cache_budget(&repo_dir, budget).unwrap();
 
-        repo.store_named("a", &tiny_trace("d")).unwrap();
-        repo.store_named("b", &tiny_trace("d")).unwrap();
-        let _a = repo.load_named_shared("a").unwrap();
+        store_legacy(&repo, "a", &tiny_trace("d"));
+        store_legacy(&repo, "b", &tiny_trace("d"));
+        let a = repo.load_view_named("a").unwrap();
         let before = repo.cache_bytes();
         assert!(before > 0);
-        let _b = repo.load_named_shared("b").unwrap();
+        let _b = repo.load_view_named("b").unwrap();
         assert_eq!(repo.evictions(), 1, "loading b must evict a");
         // Evicting `a` means a reload decodes afresh (different Arc).
-        let a2 = repo.load_named_shared("a").unwrap();
-        assert!(!Arc::ptr_eq(&_a, &a2));
+        let a2 = repo.load_view_named("a").unwrap();
+        assert!(!same_handle(&a, &a2));
 
         // Views participate in the same accounting.
         repo.store_v3_named("v", &tiny_trace("d")).unwrap();

@@ -89,7 +89,9 @@ fn corrupt(why: &'static str) -> TraceError {
     TraceError::Corrupt(why.to_string())
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+/// LEB128 varint encoder shared by the v3 writer and the v2 reference
+/// encoder ([`crate::compact`]).
+pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -101,7 +103,8 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-fn zigzag(v: i64) -> u64 {
+/// Zig-zag map of a signed delta onto an unsigned varint payload.
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
@@ -248,9 +251,10 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
     enc.finish()
 }
 
-/// Write `trace` to `path` in v3. Like every `.replay` writer, this goes
-/// through a temp file + atomic rename so live [`TraceView`] mappings of an
-/// older version keep their inode (see [`crate::mmap`]'s safety argument).
+/// Write `trace` to `path` in v3 — the program's only `.replay` file writer.
+/// It goes through a temp file + atomic rename so live [`TraceView`]
+/// mappings of an older version keep their inode (see [`crate::mmap`]'s
+/// safety argument).
 pub fn write_file(trace: &Trace, path: &Path) -> Result<(), TraceError> {
     crate::replay_format::write_bytes_atomic(&to_bytes(trace), path)
 }
@@ -453,8 +457,9 @@ pub mod decode {
         }
     }
 
+    /// Inverse of [`super::zigzag`].
     #[inline]
-    fn unzigzag(v: u64) -> i64 {
+    pub(crate) fn unzigzag(v: u64) -> i64 {
         ((v >> 1) as i64) ^ -((v & 1) as i64)
     }
 

@@ -59,7 +59,7 @@ where
             seed: self.seed ^ mode_seed(&mode),
         };
         let out = run_peak_workload(&mut sim, &cfg);
-        self.repo.store(&mode, &out.trace)?;
+        self.repo.store_v3(&mode, &out.trace)?;
         Ok(out)
     }
 
@@ -134,7 +134,7 @@ where
                             seed: 0x7ace ^ mode_seed(&mode),
                         };
                         let out = run_peak_workload(&mut sim, &cfg);
-                        repo.store(&mode, &out.trace)?;
+                        repo.store_v3(&mode, &out.trace)?;
                     }
                     Ok(())
                 })
@@ -169,8 +169,9 @@ mod tests {
         let mode = WorkloadMode::peak(65536, 0, 100);
         let out = collector.collect(mode).unwrap();
         assert!(out.peak_iops > 0.0);
-        let back = repo.load("raid5-hdd4", &mode).unwrap();
-        assert_eq!(back, out.trace);
+        let back = repo.load_view("raid5-hdd4", &mode).unwrap();
+        assert!(back.is_view(), "collected traces are stored as v3");
+        assert_eq!(back.to_trace().unwrap(), out.trace);
         std::fs::remove_dir_all(repo.root()).unwrap();
     }
 
@@ -224,8 +225,8 @@ mod tests {
         // Same seeds, same arrays: byte-identical traces regardless of the
         // collection schedule.
         for entry in repo_seq.catalog().unwrap() {
-            let seq = repo_seq.load(&entry.device, &entry.mode).unwrap();
-            let par = repo_par.load(&entry.device, &entry.mode).unwrap();
+            let seq = repo_seq.load_view(&entry.device, &entry.mode).unwrap().to_trace().unwrap();
+            let par = repo_par.load_view(&entry.device, &entry.mode).unwrap().to_trace().unwrap();
             assert_eq!(seq, par, "mode {:?}", entry.mode);
         }
         std::fs::remove_dir_all(repo_seq.root()).unwrap();

@@ -31,7 +31,7 @@ fn main() {
             ..IometerConfig::two_minutes(mode, 42)
         },
     );
-    repo.store(&mode, &generated.trace).expect("store trace");
+    repo.store_v3(&mode, &generated.trace).expect("store trace");
     let stats = TraceStats::compute(&generated.trace);
     println!(
         "collected trace  : {} bunches / {} IOs, peak {:.0} IOPS, {:.1} MBPS",
@@ -42,7 +42,7 @@ fn main() {
     );
 
     // --- 3 & 4. Replay under load control and evaluate ------------------
-    let trace = repo.load(&array().config().name, &mode).expect("load trace");
+    let trace = repo.load_view(&array().config().name, &mode).expect("load trace");
     let mut host = EvaluationHost::new();
     println!(
         "\n{:>6} {:>10} {:>10} {:>10} {:>12} {:>14}",

@@ -56,17 +56,18 @@ fn main() {
     // Replay each at every load level (paper §III-B step 3).
     let mut host = EvaluationHost::new();
     let device = ArraySpec::hdd_raid5(4).build().config().name.clone();
-    let results = run_sweep(
-        &mut host,
-        || ArraySpec::hdd_raid5(4).build(),
-        |mode| repo.load(&device, mode).expect("trace collected above"),
-        &cfg,
-        |done, total| {
+    let results = SweepBuilder::new()
+        .on_progress(|done, total| {
             if done % 25 == 0 || done == total {
                 println!("  ... {done}/{total} modes evaluated");
             }
-        },
-    );
+        })
+        .sweep(
+            &mut host,
+            || ArraySpec::hdd_raid5(4).build(),
+            |mode| repo.load_view(&device, mode).expect("trace collected above"),
+            &cfg,
+        );
 
     // Report: one line per mode with peak efficiency and control error.
     println!(

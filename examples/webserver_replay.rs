@@ -50,13 +50,11 @@ fn main() {
     let mut host = EvaluationHost::new();
     let mode = WorkloadMode::peak(22 * 1024, 50, 90);
     let loads: Vec<u32> = (1..=10).map(|i| i * 10).collect();
-    let result = load_sweep(
+    let result = SweepBuilder::new().loads(&loads).label("webserver").load_sweep(
         &mut host,
         || ArraySpec::hdd_raid5(6).build(),
         &trace,
         mode,
-        &loads,
-        "webserver",
     );
 
     println!("\nTable IV analogue — load-control accuracy (web-server trace):");

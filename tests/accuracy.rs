@@ -25,13 +25,11 @@ fn fixed_size_trace_control_error_is_tiny() {
     let mode = WorkloadMode::peak(4096, 50, 0);
     let trace = collect(mode, 4);
     let mut host = EvaluationHost::new();
-    let result = load_sweep(
+    let result = SweepBuilder::new().loads(&sweep::LOAD_PCTS).label("fig8").load_sweep(
         &mut host,
         || ArraySpec::hdd_raid5(4).build(),
         &trace,
         mode,
-        &sweep::LOAD_PCTS,
-        "fig8",
     );
     assert_eq!(result.rows.len(), 10);
     assert!(result.max_error() < 0.03, "max error {}", result.max_error());
@@ -51,13 +49,11 @@ fn web_trace_control_error_is_bounded_like_table_iv() {
         WebServerTraceBuilder { duration_s: 120.0, mean_iops: 200.0, ..Default::default() }.build();
     let mut host = EvaluationHost::new();
     let mode = WorkloadMode::peak(22 * 1024, 50, 90);
-    let result = load_sweep(
+    let result = SweepBuilder::new().loads(&sweep::LOAD_PCTS).label("table4").load_sweep(
         &mut host,
         || ArraySpec::hdd_raid5(6).build(),
         &trace,
         mode,
-        &sweep::LOAD_PCTS,
-        "table4",
     );
     assert!(result.max_error() < 0.08, "max error {}", result.max_error());
 }
@@ -70,13 +66,11 @@ fn uneven_sizes_degrade_mbps_accuracy_more_than_iops_accuracy() {
     let cello = CelloTraceBuilder { duration_s: 60.0, ..Default::default() }.build();
     let mut host = EvaluationHost::new();
     let mode = WorkloadMode::peak(8192, 50, 58);
-    let result = load_sweep(
+    let result = SweepBuilder::new().loads(&[10, 30, 50, 70, 90]).label("table5").load_sweep(
         &mut host,
         || ArraySpec::hdd_raid5(6).build(),
         &cello,
         mode,
-        &[10, 30, 50, 70, 90],
-        "table5",
     );
     let mbps_err: f64 =
         result.rows.iter().map(|r| (r.accuracy_mbps - 1.0).abs()).fold(0.0, f64::max);
@@ -87,14 +81,10 @@ fn uneven_sizes_degrade_mbps_accuracy_more_than_iops_accuracy() {
     // Compare against a fixed-size trace replayed over the same machinery:
     // its MBPS error must be strictly smaller.
     let fixed = collect(WorkloadMode::peak(8192, 50, 58), 3);
-    let fixed_result = load_sweep(
-        &mut host,
-        || ArraySpec::hdd_raid5(6).build(),
-        &fixed,
-        mode,
-        &[10, 30, 50, 70, 90],
-        "table5-fixed",
-    );
+    let fixed_result = SweepBuilder::new()
+        .loads(&[10, 30, 50, 70, 90])
+        .label("table5-fixed")
+        .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &fixed, mode);
     let fixed_err: f64 =
         fixed_result.rows.iter().map(|r| (r.accuracy_mbps - 1.0).abs()).fold(0.0, f64::max);
     assert!(

@@ -88,9 +88,9 @@ fn repository_overwrite_replaces_content() {
         "d",
         (0..50u64).map(|i| Bunch::new(i, vec![IoPackage::read(i, 4096)])).collect(),
     );
-    repo.store(&mode, &small).unwrap();
-    repo.store(&mode, &big).unwrap();
-    assert_eq!(repo.load("d", &mode).unwrap(), big, "second store wins");
+    repo.store_v3(&mode, &small).unwrap();
+    repo.store_v3(&mode, &big).unwrap();
+    assert_eq!(repo.load_view("d", &mode).unwrap().to_trace().unwrap(), big, "second store wins");
     assert_eq!(repo.catalog().unwrap().len(), 1, "still one catalogue entry");
     std::fs::remove_dir_all(&dir).unwrap();
 }

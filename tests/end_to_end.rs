@@ -59,11 +59,11 @@ fn repository_round_trip_preserves_replay_results() {
 
     let mode = WorkloadMode::peak(4096, 100, 50);
     let trace = collect_trace(mode, 2);
-    repo.store(&mode, &trace).unwrap();
-    let loaded = repo.load("raid5-hdd4", &mode).unwrap();
-    assert_eq!(loaded, trace);
+    repo.store_v3(&mode, &trace).unwrap();
+    let loaded = repo.load_view("raid5-hdd4", &mode).unwrap();
+    assert_eq!(loaded.to_trace().unwrap(), trace);
 
-    let run = |t: &Trace| {
+    let run = |t: &dyn tracer_trace::BunchSource| {
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let report = replay(&mut sim, t, &ReplayConfig::default());
         (report.issued_ios, report.summary.total_bytes, report.finished)

@@ -19,8 +19,12 @@ fn parallel_load_sweep_matches_serial_bit_for_bit() {
     let loads = [10, 30, 50, 70, 90];
 
     let mut serial = EvaluationHost::new();
-    let want =
-        load_sweep(&mut serial, || ArraySpec::hdd_raid5(4).build(), &trace(80), mode, &loads, "ps");
+    let want = SweepBuilder::new().loads(&loads).label("ps").load_sweep(
+        &mut serial,
+        || ArraySpec::hdd_raid5(4).build(),
+        &trace(80),
+        mode,
+    );
 
     for workers in [2usize, 4, 7] {
         let mut par = EvaluationHost::new();

@@ -62,9 +62,9 @@ fn repository_catalog_reflects_collected_sweep() {
         WorkloadMode::peak(1 << 20, 50, 50),
     ];
     for mode in &modes {
-        repo.store(mode, &tiny_trace()).unwrap();
+        repo.store_v3(mode, &tiny_trace()).unwrap();
     }
-    repo.store_named("webserver_week", &tiny_trace()).unwrap();
+    repo.store_v3_named("webserver_week", &tiny_trace()).unwrap();
 
     let catalog = repo.catalog().unwrap();
     assert_eq!(catalog.len(), 3);
@@ -114,7 +114,7 @@ fn sweep_results_replayed_from_repository_are_reproducible() {
     collector.collect(mode).unwrap();
 
     let run = || {
-        let trace = repo.load("raid5-hdd4", &mode).unwrap();
+        let trace = repo.load_view("raid5-hdd4", &mode).unwrap();
         let mut host = EvaluationHost::new();
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let measured = EvaluationHost::measure_test(

@@ -26,9 +26,9 @@ fn cello_trace_survives_the_srt_conversion_pipeline() {
     assert!((before.avg_request_bytes - after.avg_request_bytes).abs() < 1e-6);
 
     let repo = TraceRepository::open(dir.join("repo")).unwrap();
-    repo.store_named("cello99", &converted).unwrap();
-    let reloaded = repo.load_named("cello99").unwrap();
-    assert_eq!(reloaded, converted);
+    repo.store_v3_named("cello99", &converted).unwrap();
+    let reloaded = repo.load_view_named("cello99").unwrap();
+    assert_eq!(reloaded.to_trace().unwrap(), converted);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -134,11 +134,11 @@ fn blkparse_text_flows_into_the_replay_pipeline() {
     let stats = TraceStats::compute(&trace);
     assert!((stats.read_ratio - 0.75).abs() < 1e-9);
 
-    // Store it in the repository (compact v2 on disk) and replay it.
+    // Store it in the repository (columnar v3 on disk) and replay it.
     let repo = TraceRepository::open(dir.join("repo")).unwrap();
-    repo.store_named("imported", &trace).unwrap();
-    let loaded = repo.load_named("imported").unwrap();
-    assert_eq!(loaded, trace);
+    repo.store_v3_named("imported", &trace).unwrap();
+    let loaded = repo.load_view_named("imported").unwrap();
+    assert_eq!(loaded.to_trace().unwrap(), trace);
     let mut sim = ArraySpec::hdd_raid5(4).build();
     let report = replay(&mut sim, &loaded, &ReplayConfig::default());
     assert_eq!(report.issued_ios, 200);
@@ -154,12 +154,14 @@ fn compact_encoding_shrinks_repository_files() {
     let v1 = replay_format::to_bytes(&trace).len();
     let v2 = compact::to_bytes(&trace).len();
     assert!(v2 * 2 < v1, "v2 {v2} should be well under half of v1 {v1}");
-    // The repository writes v2; loading still round-trips.
+    // The repository writes v3, which applies v2's encodings per column:
+    // no larger than v2 beyond its fixed header and bunch index.
     let dir = std::env::temp_dir().join(format!("tracer_v2_{}", std::process::id()));
     let repo = TraceRepository::open(&dir).unwrap();
-    let path = repo.store_named("web", &trace).unwrap();
-    assert!(std::fs::metadata(&path).unwrap().len() as usize <= v2 + 64);
-    assert_eq!(repo.load_named("web").unwrap(), trace);
+    let path = repo.store_v3_named("web", &trace).unwrap();
+    let index = 56 * (trace.bunch_count() / 1024 + 1);
+    assert!(std::fs::metadata(&path).unwrap().len() as usize <= v2 + 100 + index + 64);
+    assert_eq!(repo.load_view_named("web").unwrap().to_trace().unwrap(), trace);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -169,18 +171,18 @@ fn corrupt_repository_files_fail_loudly_not_silently() {
     let repo = TraceRepository::open(&dir).unwrap();
     let mode = WorkloadMode::peak(4096, 0, 0);
     let trace = Trace::from_bunches("d", vec![Bunch::new(0, vec![IoPackage::read(0, 512)])]);
-    let path = repo.store(&mode, &trace).unwrap();
+    let path = repo.store_v3(&mode, &trace).unwrap();
 
     // Truncate the stored file.
     let data = std::fs::read(&path).unwrap();
     std::fs::write(&path, &data[..data.len() - 3]).unwrap();
-    assert!(repo.load("d", &mode).is_err());
+    assert!(repo.load_view("d", &mode).is_err());
 
     // Flip the magic.
     let mut data2 = data.clone();
     data2[0] = b'X';
     std::fs::write(&path, &data2).unwrap();
-    assert!(repo.load("d", &mode).is_err());
+    assert!(repo.load_view("d", &mode).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -4,10 +4,17 @@
 //! sweep executor — and the v3 path must do it with zero `Bunch` heap
 //! materializations.
 //!
+//! The program writes only v3, so the legacy inputs are checked-in bytes:
+//! `tests/fixtures/gold_v1.replay` and `gold_v2.replay` hold [`golden`]
+//! exactly as the since-removed v1 and v2 file writers encoded it, so this
+//! test also proves that files written by older releases still load and
+//! replay identically.
+//!
 //! The whole file is one `#[test]` on purpose: the materialization counter
 //! in `tracer_trace::source` is process-global, so concurrent tests in the
 //! same binary would race on its deltas (same pattern as `zero_copy.rs`).
 
+use std::path::Path;
 use tracer_core::executor::SweepExecutor;
 use tracer_core::host::EvaluationHost;
 use tracer_core::orchestrate::SweepBuilder;
@@ -54,8 +61,11 @@ fn every_format_replays_bit_identically() {
 
     // The same trace in all three on-disk formats, loaded through the one
     // format-negotiating entry point.
-    replay_format::write_file_v1(&trace, &dir.join("gold_v1.replay")).unwrap();
-    repo.store_named("gold_v2", &trace).unwrap();
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    for name in ["gold_v1", "gold_v2"] {
+        let file = format!("{name}.replay");
+        std::fs::copy(fixtures.join(&file), dir.join(&file)).unwrap();
+    }
     repo.store_v3_named("gold_v3", &trace).unwrap();
     let v1 = repo.load_view_named("gold_v1").unwrap();
     let v2 = repo.load_view_named("gold_v2").unwrap();
