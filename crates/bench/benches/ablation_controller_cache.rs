@@ -52,7 +52,8 @@ fn main() {
         ]);
         for (name, cache) in configs {
             let mut sim = build(cache);
-            let report = replay(&mut sim, &trace, &ReplayConfig::default());
+            let report =
+                try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
             let joules = sim.power_log().energy_joules(report.started, report.finished);
             let hit_pct = sim.cache().map_or(0.0, |c| c.hit_ratio() * 100.0);
             row(&[

@@ -71,6 +71,7 @@ fn main() {
             &policies(),
             "policies-archival",
         )
+        .expect("in-memory trace")
     });
     print_outcomes(&archival);
 
@@ -86,6 +87,7 @@ fn main() {
             &policies(),
             "policies-web",
         )
+        .expect("in-memory trace")
     });
     print_outcomes(&busy);
 

@@ -38,7 +38,8 @@ fn main() {
             mode.at_load(100),
             100,
             "fine-100",
-        );
+        )
+        .expect("in-memory trace");
         host.commit(measured).metrics
     };
 
@@ -58,7 +59,8 @@ fn main() {
                 mode.at_load(pct),
                 100,
                 "fine",
-            );
+            )
+            .expect("in-memory trace");
             let m = host.commit(measured).metrics;
             let measured = m.iops / baseline.iops * 100.0;
             let acc = measured / f64::from(pct);

@@ -40,7 +40,8 @@ fn main() {
             [("fifo", QueueDiscipline::Fifo), ("elevator", QueueDiscipline::Elevator)]
         {
             let mut sim = build(disc);
-            let report = replay(&mut sim, &trace, &ReplayConfig::default());
+            let report =
+                try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
             let joules = sim.power_log().energy_joules(report.started, report.finished);
             row(&[
                 name.to_string(),

@@ -48,7 +48,8 @@ fn main() {
         ]);
         for (name, build) in schemes {
             let mut sim = build();
-            let report = replay(&mut sim, &trace, &ReplayConfig::default());
+            let report =
+                try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
             let joules = sim.power_log().energy_joules(report.started, report.finished);
             let gb = report.issued_bytes as f64 / 1e9;
             row(&[

@@ -31,7 +31,7 @@ fn main() {
         for &load in &LOADS {
             let mut sim = ArraySpec::hdd_raid5(6).build();
             let cfg = ReplayConfig { load: LoadControl::proportion(load), ..Default::default() };
-            let report = replay(&mut sim, &trace, &cfg);
+            let report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
             let bins = PerformanceMonitor::with_cycle(SimDuration::from_secs(60)).bin(
                 &report.completions,
                 report.started,

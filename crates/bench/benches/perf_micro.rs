@@ -14,7 +14,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use tracer_bench::json_result;
 use tracer_core::{EvaluationHost, SweepBuilder, SweepExecutor};
-use tracer_replay::{replay, LoadControl, ProportionalFilter, ReplayConfig};
+use tracer_replay::{try_replay, LoadControl, ProportionalFilter, ReplayConfig};
 use tracer_sim::{
     ArrayRequest, ArraySim, ArraySpec, Geometry, QueueDiscipline, SimDuration, SimTime,
 };
@@ -107,7 +107,12 @@ fn bench_engine(c: &mut Criterion) {
     g.bench_function("replay_8k_ios_raid5_hdd6", |b| {
         b.iter_batched(
             || ArraySpec::hdd_raid5(6).build(),
-            |mut sim| black_box(replay(&mut sim, &trace, &ReplayConfig::default())),
+            |mut sim| {
+                black_box(
+                    try_replay(&mut sim, &trace, &ReplayConfig::default())
+                        .expect("in-memory trace"),
+                )
+            },
             BatchSize::SmallInput,
         )
     });
@@ -214,12 +219,12 @@ fn bench_load_sweep(c: &mut Criterion) {
         let mut host = EvaluationHost::new();
         let exec = SweepExecutor::new(workers);
         let t0 = Instant::now();
-        let res = SweepBuilder::new().executor(exec).loads(&loads).label("perf").load_sweep(
-            &mut host,
-            || ArraySpec::hdd_raid5(6).build(),
-            &trace,
-            mode,
-        );
+        let res = SweepBuilder::new()
+            .executor(exec)
+            .loads(&loads)
+            .label("perf")
+            .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &trace, mode)
+            .expect("in-memory trace");
         black_box(&res);
         t0.elapsed().as_secs_f64()
     };
@@ -261,12 +266,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let time_sweep = || {
         let mut host = EvaluationHost::new();
         let t0 = Instant::now();
-        let res = SweepBuilder::new().loads(&[40]).label("obs-gate").load_sweep(
-            &mut host,
-            || ArraySpec::hdd_raid5(6).build(),
-            &trace,
-            mode,
-        );
+        let res = SweepBuilder::new()
+            .loads(&[40])
+            .label("obs-gate")
+            .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &trace, mode)
+            .expect("in-memory trace");
         black_box(&res);
         t0.elapsed().as_secs_f64()
     };
@@ -416,7 +420,10 @@ fn bench_replay_plan(c: &mut Criterion) {
             || ArraySpec::hdd_raid5(6).build(),
             |mut sim| {
                 let prepared = load.apply(&trace);
-                black_box(replay(&mut sim, &prepared, &ReplayConfig::default()))
+                black_box(
+                    try_replay(&mut sim, &prepared, &ReplayConfig::default())
+                        .expect("in-memory trace"),
+                )
             },
             BatchSize::SmallInput,
         )
@@ -424,7 +431,7 @@ fn bench_replay_plan(c: &mut Criterion) {
     g.bench_function("zero_copy_40pct_20k_bunches", |b| {
         b.iter_batched(
             || ArraySpec::hdd_raid5(6).build(),
-            |mut sim| black_box(replay(&mut sim, &trace, &cfg)),
+            |mut sim| black_box(try_replay(&mut sim, &trace, &cfg).expect("in-memory trace")),
             BatchSize::SmallInput,
         )
     });
@@ -433,13 +440,14 @@ fn bench_replay_plan(c: &mut Criterion) {
     let bunches = trace.bunch_count() as f64;
     let mut sim = ArraySpec::hdd_raid5(6).build();
     let t0 = Instant::now();
-    let zc_report = replay(&mut sim, &trace, &cfg);
+    let zc_report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
     let zc = t0.elapsed().as_secs_f64();
     let rss_after_zero_copy = peak_rss_kb();
     let mut sim = ArraySpec::hdd_raid5(6).build();
     let t0 = Instant::now();
     let prepared = load.apply(&trace);
-    let mat_report = replay(&mut sim, &prepared, &ReplayConfig::default());
+    let mat_report =
+        try_replay(&mut sim, &prepared, &ReplayConfig::default()).expect("in-memory trace");
     let mat = t0.elapsed().as_secs_f64();
     let rss_after_materialized = peak_rss_kb();
     assert_eq!(zc_report.issued_ios, mat_report.issued_ios, "paths must agree");

@@ -25,7 +25,8 @@ fn measure(
     .trace;
     let mut sim = build();
     let measured =
-        EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, &trace, mode, 100, "ssd");
+        EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, &trace, mode, 100, "ssd")
+            .expect("in-memory trace");
     host.commit(measured).metrics
 }
 

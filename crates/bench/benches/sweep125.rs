@@ -74,9 +74,10 @@ fn main() {
             .sweep(
                 &mut host,
                 || ArraySpec::hdd_raid5(6).build(),
-                |mode| repo.load_view(&device, mode).expect("collected"),
+                |mode| Ok(repo.load_view(&device, mode)?),
                 &cfg,
             )
+            .expect("collected traces")
     });
     let sweep_seconds = sweep_t0.elapsed().as_secs_f64();
 

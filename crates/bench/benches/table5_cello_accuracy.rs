@@ -66,12 +66,12 @@ fn main() {
     );
     let mut host = EvaluationHost::new();
     let fixed_result = timed("fixed-baseline", || {
-        SweepBuilder::new().workers(4).loads(&sweep::LOAD_PCTS).label("table5f").load_sweep(
-            &mut host,
-            || spec.array.build(),
-            &fixed,
-            mode,
-        )
+        SweepBuilder::new()
+            .workers(4)
+            .loads(&sweep::LOAD_PCTS)
+            .label("table5f")
+            .load_sweep(&mut host, || spec.array.build(), &fixed, mode)
+            .expect("in-memory trace")
     });
     let fixed_err =
         fixed_result.rows.iter().map(|r| (r.accuracy_mbps - 1.0).abs()).fold(0.0f64, f64::max);

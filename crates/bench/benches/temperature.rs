@@ -48,7 +48,7 @@ fn main() {
         for load in [10u32, 40, 70, 100] {
             let mut sim = ArraySpec::hdd_raid5(6).build();
             let cfg = ReplayConfig { load: LoadControl::proportion(load), ..Default::default() };
-            let report = replay(&mut sim, &trace, &cfg);
+            let report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
             let peak = hottest_disk_c(&sim, report.finished, &model);
             let watts = sim.power_log().avg_watts(report.started, report.finished);
             row(&[load.to_string(), f(peak), f(watts)]);
@@ -72,7 +72,8 @@ fn main() {
             )
             .trace;
             let mut sim = ArraySpec::hdd_raid5(6).build();
-            let report = replay(&mut sim, &t, &ReplayConfig::default());
+            let report =
+                try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
             let peak = hottest_disk_c(&sim, report.finished, &model);
             row(&[rnd.to_string(), f(peak)]);
             rnd_temps.push(peak);

@@ -569,6 +569,22 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// Run `f` with `tracer-obs` on if `obs` names a sink, then append the
+/// snapshot there and restore the enable flag, whatever `f` returned.
+fn with_obs<R>(obs: Option<&PathBuf>, f: impl FnOnce() -> R) -> R {
+    let Some(path) = obs else { return f() };
+    let was_enabled = tracer_obs::enabled();
+    tracer_obs::enable();
+    let out = f();
+    if let Err(e) = tracer_obs::dump_to(&tracer_obs::Sink::file(path)) {
+        eprintln!("obs: failed to write snapshot: {e}");
+    }
+    if !was_enabled {
+        tracer_obs::disable();
+    }
+    out
+}
+
 /// Execute a parsed command, writing human-readable output to stdout.
 pub fn run(cmd: Command) -> Result<(), CliError> {
     let io_err = |e: tracer_trace::TraceError| CliError(e.to_string());
@@ -643,8 +659,9 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 if let Some(path) = &obs {
                     builder = builder.obs(tracer_obs::Sink::file(path));
                 }
-                let result =
-                    builder.load_sweep(&mut host, || array.build(), &trace, mode.at_load(100));
+                let result = builder
+                    .load_sweep(&mut host, || array.build(), &trace, mode.at_load(100))
+                    .map_err(|e| CliError(e.to_string()))?;
                 println!(
                     "load sweep over {} levels ({} workers):",
                     result.loads.len(),
@@ -666,30 +683,19 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 }
                 println!("worst error {:.4}", result.max_error());
             } else {
-                // A single cell still honours --obs: turn instrumentation on
-                // for the replay and append the snapshot afterwards.
-                let obs_was = tracer_obs::enabled();
-                if obs.is_some() && !obs_was {
-                    tracer_obs::enable();
-                }
+                // A single cell still honours --obs.
                 let mut sim = array.build();
-                let outcome = host.commit(EvaluationHost::measure_test(
-                    host.meter_cycle_ms,
-                    &mut sim,
-                    &trace,
-                    mode,
-                    intensity,
-                    "cli-replay",
-                ));
-                if let Some(path) = &obs {
-                    if let Err(e) = tracer_obs::dump_to(&tracer_obs::Sink::file(path)) {
-                        eprintln!("obs: failed to write snapshot: {e}");
-                    }
-                    if !obs_was {
-                        tracer_obs::disable();
-                    }
-                }
-                let m = outcome.metrics;
+                let measured = with_obs(obs.as_ref(), || {
+                    EvaluationHost::measure_test(
+                        host.meter_cycle_ms,
+                        &mut sim,
+                        &trace,
+                        mode,
+                        intensity,
+                        "cli-replay",
+                    )
+                });
+                let m = host.commit(measured.map_err(|e| CliError(e.to_string()))?).metrics;
                 println!(
                     "load {}% intensity {intensity}%: {:.1} IOPS, {:.2} MBPS, {:.2} ms avg, \
                      {:.2} W, {:.3} IOPS/Watt, {:.1} MBPS/Kilowatt",
@@ -712,20 +718,8 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             if let Some(path) = scenario {
                 let spec = crate::scenario::ScenarioSpec::from_file(&path)
                     .map_err(|e| CliError(e.to_string()))?;
-                let obs_was = tracer_obs::enabled();
-                if obs.is_some() && !obs_was {
-                    tracer_obs::enable();
-                }
-                let outcome =
-                    crate::scenario::run_scenario(&spec).map_err(|e| CliError(e.to_string()))?;
-                if let Some(path) = &obs {
-                    if let Err(e) = tracer_obs::dump_to(&tracer_obs::Sink::file(path)) {
-                        eprintln!("obs: failed to write snapshot: {e}");
-                    }
-                    if !obs_was {
-                        tracer_obs::disable();
-                    }
-                }
+                let outcome = with_obs(obs.as_ref(), || crate::scenario::run_scenario(&spec))
+                    .map_err(|e| CliError(e.to_string()))?;
                 // Only the deterministic report reaches stdout, so shell
                 // redirection captures byte-comparable output; bookkeeping
                 // goes to stderr.
@@ -783,18 +777,11 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             if let Some(path) = &obs {
                 builder = builder.obs(tracer_obs::Sink::file(path));
             }
-            let results = builder.sweep(
-                &mut host,
-                || array.build(),
-                |m| {
-                    // Shared handles: the sweep grid holds one decoded copy
-                    // (or one mapped view) of each mode's trace, not one
-                    // clone per cell.
-                    repo.load_view(&device, m)
-                        .unwrap_or_else(|e| panic!("trace for {m} vanished from repository: {e}"))
-                },
-                &cfg,
-            );
+            // Shared handles: the sweep grid holds one decoded copy (or one
+            // mapped view) of each mode's trace, not one clone per cell.
+            let results = builder
+                .sweep(&mut host, || array.build(), |m| Ok(repo.load_view(&device, m)?), &cfg)
+                .map_err(|e| CliError(e.to_string()))?;
             let worst = results.iter().map(|r| r.max_error()).fold(0.0, f64::max);
             println!("{} records; worst load-control error {:.4}", host.db.len(), worst);
             if let Some(path) = db {
@@ -934,7 +921,8 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                     ConservationPolicy::WriteBackCache,
                 ],
                 "cli-policies",
-            );
+            )
+            .map_err(|e| CliError(e.to_string()))?;
             println!(
                 "{:<28} {:>10} {:>9} {:>9} {:>10} {:>10}",
                 "policy", "energy J", "watts", "avg ms", "saving %", "penalty %"
@@ -1301,40 +1289,83 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn afap_replay_of_a_corrupt_v3_file_is_an_error() {
-        use tracer_trace::{Bunch, IoPackage, Trace, TraceView};
-        let repo = std::env::temp_dir().join(format!("tracer_cli_afap_bad_{}", std::process::id()));
+    /// A fresh repository holding `tests/fixtures/corrupt_v3.replay` as the
+    /// `raid5-hdd4` trace of `mode`. The fixture is a 20-bunch rs4096/rn0/rd100
+    /// v3 file whose last size/kind byte (just before the one 56-byte index
+    /// entry) has its continuation bit set: the header still validates, so
+    /// the file opens, and only the column decoder finds the endless varint.
+    fn corrupt_repo(tag: &str, mode: &WorkloadMode) -> PathBuf {
+        let repo =
+            std::env::temp_dir().join(format!("tracer_cli_corrupt_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&repo);
-        let mode = WorkloadMode::peak(4096, 0, 100);
-        let trace = Trace::from_bunches(
-            "raid5-hdd4",
-            (0..20)
-                .map(|i| Bunch::new(i * 1_000_000, vec![IoPackage::read(i * 8, 4096)]))
-                .collect(),
+        let path = TraceRepository::open(&repo).unwrap().path_for("raid5-hdd4", mode);
+        let fixture =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/corrupt_v3.replay");
+        std::fs::copy(fixture, &path).unwrap();
+        assert!(
+            tracer_trace::TraceView::open(&path).is_ok(),
+            "the corruption must survive the open"
         );
-        let path = TraceRepository::open(&repo).unwrap().store_v3(&mode, &trace).unwrap();
-        // The last size/kind byte sits just before the one 56-byte index
-        // entry. With its continuation bit set the final varint never ends:
-        // the header still validates, only the column decoder notices.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last_size_byte = bytes.len() - 56 - 1;
-        bytes[last_size_byte] |= 0x80;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(TraceView::open(&path).is_ok(), "the corruption must survive the open");
+        repo
+    }
+
+    /// `tracer replay` of the corrupt fixture: the error it returns.
+    fn replay_corrupt(tag: &str, afap_depth: Option<usize>, loads: Vec<u32>) -> CliError {
+        let mode = WorkloadMode::peak(4096, 0, 100).at_load(60);
+        let repo = corrupt_repo(tag, &mode);
         let err = run(Command::Replay {
             mode,
             intensity: 100,
             repo: repo.clone(),
             array: ArrayChoice::Hdd4,
             db: None,
-            afap_depth: Some(8),
-            loads: vec![],
+            afap_depth,
+            loads,
             workers: 1,
             obs: None,
         })
         .unwrap_err();
+        std::fs::remove_dir_all(&repo).unwrap();
+        err
+    }
+
+    #[test]
+    fn afap_replay_of_a_corrupt_v3_file_is_an_error() {
+        let err = replay_corrupt("afap", Some(8), vec![]);
         assert!(err.0.contains("varint"), "{err}");
+    }
+
+    #[test]
+    fn replay_of_a_corrupt_v3_file_is_an_error() {
+        let err = replay_corrupt("cell", None, vec![]);
+        assert!(err.0.starts_with("corrupt trace file:") && err.0.contains("varint"), "{err}");
+    }
+
+    #[test]
+    fn load_sweep_of_a_corrupt_v3_file_is_an_error() {
+        let err = replay_corrupt("loads", None, sweep::LOAD_PCTS.to_vec());
+        assert!(err.0.starts_with("corrupt trace file:") && err.0.contains("varint"), "{err}");
+    }
+
+    #[test]
+    fn sweep_over_a_corrupt_v3_file_is_an_error() {
+        // `--modes 1` sweeps only the grid's first mode, so the fixture
+        // stands in for that mode's trace and nothing needs collecting.
+        let repo = corrupt_repo("sweep", &sweep::all_modes()[0]);
+        for workers in [1, 2] {
+            let err = run(Command::Sweep {
+                repo: Some(repo.clone()),
+                array: ArrayChoice::Hdd4,
+                workers,
+                seconds: 1,
+                modes: 1,
+                db: None,
+                obs: None,
+                scenario: None,
+            })
+            .unwrap_err();
+            assert!(err.0.starts_with("corrupt trace file:") && err.0.contains("varint"), "{err}");
+        }
         std::fs::remove_dir_all(&repo).unwrap();
     }
 

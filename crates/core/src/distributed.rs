@@ -9,12 +9,13 @@
 //! database.
 
 use crate::db::{PowerData, TestRecord};
+use crate::error::TracerError;
 use crate::executor::SweepExecutor;
 use crate::host::EvaluationHost;
 use crate::metrics::EfficiencyMetrics;
 use std::sync::Mutex;
 use tracer_power::{Channel, PowerAnalyzer};
-use tracer_replay::{replay, LoadControl, PerfSummary, ReplayConfig};
+use tracer_replay::{try_replay_observed, LoadControl, PerfSummary, ReplayConfig};
 use tracer_sim::{ArrayPowerLog, ArraySim, SimTime};
 use tracer_trace::{TraceHandle, WorkloadMode};
 
@@ -66,17 +67,18 @@ struct JobResult {
 
 /// Run `jobs` on `exec`, measure each on its own analyzer channel, and
 /// store one record per job in `host`'s database, in job order at any
-/// worker count. Returns the record ids in job order; `progress` fires on
-/// the caller's thread per completed job. Behind
+/// worker count. Returns the record ids in job order, or the first failed
+/// job's error with nothing stored; `progress` fires on the caller's thread
+/// per completed job. Behind
 /// [`SweepBuilder::jobs`](crate::orchestrate::SweepBuilder::jobs).
 pub(crate) fn run_jobs(
     host: &mut EvaluationHost,
     exec: &SweepExecutor,
     jobs: Vec<EvaluationJob>,
     progress: &mut dyn FnMut(usize, usize),
-) -> Vec<u64> {
+) -> Result<Vec<u64>, TracerError> {
     if jobs.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     // Simulated time is per-array, so every job replays over its own clock;
     // the analyzer channels share the measurement window [0, max_end).
@@ -86,9 +88,9 @@ pub(crate) fn run_jobs(
         jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let total = slots.len();
     let mut done = 0usize;
-    let results: Vec<JobResult> = exec.run_indexed(
+    let results = exec.run_indexed(
         slots.len(),
-        |i| {
+        |i| -> Result<JobResult, TracerError> {
             let job = slots[i].lock().unwrap().take().expect("job claimed once");
             let mut sim = (job.build)();
             let cfg = ReplayConfig {
@@ -98,21 +100,23 @@ pub(crate) fn run_jobs(
                 },
                 ..Default::default()
             };
-            let report = replay(&mut sim, &job.trace, &cfg);
-            JobResult {
+            // The shared analyzer below meters the whole kept power log.
+            let report = try_replay_observed(&mut sim, &job.trace, &cfg, |_, _| {})?;
+            Ok(JobResult {
                 name: job.name,
                 device: sim.config().name.clone(),
                 mode: job.mode,
                 perf: report.summary,
                 window: (report.started, report.finished),
                 log: sim.power_log().clone(),
-            }
+            })
         },
         |_| {
             done += 1;
             progress(done, total);
         },
     );
+    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     // One multi-channel analyzer finalizes every system at once.
     let mut analyzer = PowerAnalyzer::new();
@@ -129,7 +133,7 @@ pub(crate) fn run_jobs(
     let logs: Vec<&ArrayPowerLog> = results.iter().map(|r| &r.log).collect();
     let energy_reports = analyzer.finalize(max_end, &logs);
 
-    results
+    Ok(results
         .into_iter()
         .zip(energy_reports)
         .map(|(r, energy)| {
@@ -157,7 +161,7 @@ pub(crate) fn run_jobs(
             };
             host.db.insert(record)
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -204,7 +208,10 @@ mod tests {
                 WorkloadMode::peak(8192, 50, 100).at_load(50),
             ),
         ];
-        let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut host, jobs);
+        let ids = SweepBuilder::new()
+            .executor(SweepExecutor::auto())
+            .jobs(&mut host, jobs)
+            .expect("in-memory trace");
         assert_eq!(ids.len(), 3);
         assert_eq!(host.db.len(), 3);
         let hdd = host.db.get(ids[0]).unwrap();
@@ -221,27 +228,33 @@ mod tests {
     fn parallel_matches_sequential_results() {
         // Determinism: the same job run on a thread or inline must agree.
         let mut host = EvaluationHost::new();
-        let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(
-            &mut host,
-            vec![EvaluationJob::new(
-                "par",
-                || ArraySpec::hdd_raid5(4).build(),
-                trace(30),
-                WorkloadMode::peak(8192, 50, 100),
-            )],
-        );
+        let ids = SweepBuilder::new()
+            .executor(SweepExecutor::auto())
+            .jobs(
+                &mut host,
+                vec![EvaluationJob::new(
+                    "par",
+                    || ArraySpec::hdd_raid5(4).build(),
+                    trace(30),
+                    WorkloadMode::peak(8192, 50, 100),
+                )],
+            )
+            .expect("in-memory trace");
         let par = host.db.get(ids[0]).unwrap().clone();
 
         let mut host2 = EvaluationHost::new();
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let seq = host2.commit(EvaluationHost::measure_test(
-            host2.meter_cycle_ms,
-            &mut sim,
-            &trace(30),
-            WorkloadMode::peak(8192, 50, 100),
-            100,
-            "seq",
-        ));
+        let seq = host2.commit(
+            EvaluationHost::measure_test(
+                host2.meter_cycle_ms,
+                &mut sim,
+                &trace(30),
+                WorkloadMode::peak(8192, 50, 100),
+                100,
+                "seq",
+            )
+            .expect("in-memory trace"),
+        );
         assert_eq!(par.perf.total_ios, seq.report.summary.total_ios);
         assert!((par.efficiency.iops - seq.metrics.iops).abs() < 1e-9);
         assert!((par.efficiency.avg_watts - seq.metrics.avg_watts).abs() < 1e-9);
@@ -262,9 +275,12 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut wide = EvaluationHost::new();
-        SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut wide, make_jobs());
+        SweepBuilder::new()
+            .executor(SweepExecutor::auto())
+            .jobs(&mut wide, make_jobs())
+            .expect("in-memory trace");
         let mut bounded = EvaluationHost::new();
-        SweepBuilder::new().workers(2).jobs(&mut bounded, make_jobs());
+        SweepBuilder::new().workers(2).jobs(&mut bounded, make_jobs()).expect("in-memory trace");
         assert_eq!(wide.db.records(), bounded.db.records());
     }
 
@@ -274,6 +290,7 @@ mod tests {
         assert!(SweepBuilder::new()
             .executor(SweepExecutor::auto())
             .jobs(&mut host, vec![])
+            .expect("in-memory trace")
             .is_empty());
         assert!(host.db.is_empty());
     }

@@ -12,6 +12,7 @@
 //! match on the exact text. Each variant documents the string it preserves.
 
 use crate::messages::ParseError;
+use tracer_trace::TraceError;
 
 /// Unified error for TRACER's fallible public operations.
 #[derive(Debug)]
@@ -33,6 +34,9 @@ pub enum TracerError {
     Io(std::io::Error),
     /// Service-level failure (worker pool, job queue, shutdown).
     Config(String),
+    /// A trace source failed mid-scan (a corrupt v3 file). Displays as the
+    /// [`TraceError`] it wraps (`corrupt trace file: ...`).
+    Trace(TraceError),
 }
 
 impl std::fmt::Display for TracerError {
@@ -43,6 +47,7 @@ impl std::fmt::Display for TracerError {
             TracerError::NoTrace(s) => write!(f, "no trace available: {s}"),
             TracerError::Io(e) => write!(f, "{e}"),
             TracerError::Config(s) => write!(f, "{s}"),
+            TracerError::Trace(e) => write!(f, "{e}"),
         }
     }
 }
@@ -52,6 +57,7 @@ impl std::error::Error for TracerError {
         match self {
             TracerError::Parse(e) => Some(e),
             TracerError::Io(e) => Some(e),
+            TracerError::Trace(e) => Some(e),
             _ => None,
         }
     }
@@ -66,6 +72,12 @@ impl From<ParseError> for TracerError {
 impl From<std::io::Error> for TracerError {
     fn from(e: std::io::Error) -> Self {
         TracerError::Io(e)
+    }
+}
+
+impl From<TraceError> for TracerError {
+    fn from(e: TraceError) -> Self {
+        TracerError::Trace(e)
     }
 }
 
@@ -88,6 +100,8 @@ mod tests {
         assert_eq!(TracerError::Config("queue full".into()).to_string(), "queue full");
         let io = TracerError::Io(std::io::Error::other("boom"));
         assert_eq!(io.to_string(), "boom");
+        let trace = TracerError::Trace(TraceError::Corrupt("truncated varint".into()));
+        assert_eq!(trace.to_string(), "corrupt trace file: truncated varint");
     }
 
     #[test]
@@ -96,5 +110,8 @@ mod tests {
         assert!(matches!(io, TracerError::Io(_)));
         assert!(std::error::Error::source(&io).is_some());
         assert!(std::error::Error::source(&TracerError::State("x".into())).is_none());
+        let trace: TracerError = TraceError::NotFound("x".into()).into();
+        assert!(matches!(trace, TracerError::Trace(_)));
+        assert!(std::error::Error::source(&trace).is_some());
     }
 }

@@ -9,6 +9,7 @@
 //! messenger), which is how the paper's GUI front-end reaches the machinery.
 
 use crate::db::{Database, PowerData, TestRecord};
+use crate::error::TracerError;
 use crate::messages::{parse_command, HostCommand};
 use crate::metrics::EfficiencyMetrics;
 use tracer_power::{Channel, PowerAnalyzer};
@@ -74,7 +75,8 @@ impl EvaluationHost {
     /// The source is any [`BunchSource`]: an in-memory
     /// [`Trace`](tracer_trace::Trace), or an mmap-backed view handed out by
     /// `TraceRepository::load_view`, which replays straight off the mapped
-    /// file.
+    /// file — and fails the test with [`TracerError::Trace`] if it turns out
+    /// corrupt mid-scan.
     ///
     /// The run is metered as it happens and nothing of it is kept: afterwards
     /// `sim` holds no completions and its power log only the breakpoints
@@ -86,7 +88,7 @@ impl EvaluationHost {
         mode: WorkloadMode,
         intensity_pct: u32,
         label: &str,
-    ) -> MeasuredTest {
+    ) -> Result<MeasuredTest, TracerError> {
         let _span = tracer_obs::span("host.measure_ns");
         let cfg = ReplayConfig {
             load: LoadControl { proportion_pct: mode.load_pct, intensity_pct },
@@ -107,8 +109,7 @@ impl EvaluationHost {
             let upto = batch.last().expect("batches are never empty").completed;
             let needed = analyzer.advance(upto, &[sim.power_log()]);
             sim.discard_power_before(needed);
-        })
-        .unwrap_or_else(|e| panic!("trace source failed during replay: {e}"));
+        })?;
         let window_end = if report.finished > report.started {
             report.finished
         } else {
@@ -135,7 +136,7 @@ impl EvaluationHost {
             perf: report.summary,
             efficiency: metrics,
         };
-        MeasuredTest { record, report, metrics }
+        Ok(MeasuredTest { record, report, metrics })
     }
 
     /// Store a finished measurement, assigning its record id. The merge half
@@ -178,7 +179,7 @@ impl EvaluationHost {
 /// Errors from the command session.
 ///
 /// Historical alias: session errors are now the workspace-wide
-/// [`TracerError`](crate::error::TracerError); the `Parse` / `State` /
+/// [`TracerError`]; the `Parse` / `State` /
 /// `NoTrace` variants (and their `Display` strings) are unchanged, so
 /// existing matches keep compiling and protocol `err` lines are identical.
 pub type SessionError = crate::error::TracerError;
@@ -243,7 +244,7 @@ where
                     mode,
                     intensity,
                     &label,
-                );
+                )?;
                 let outcome = self.host.commit(measured);
                 Ok(format!(
                     "ok test id={} iops={:.2} mbps={:.3} watts={:.2} iops_per_watt={:.3}",
@@ -303,7 +304,10 @@ mod tests {
         mode: WorkloadMode,
         label: &str,
     ) -> TestOutcome {
-        host.commit(EvaluationHost::measure_test(host.meter_cycle_ms, sim, trace, mode, 100, label))
+        host.commit(
+            EvaluationHost::measure_test(host.meter_cycle_ms, sim, trace, mode, 100, label)
+                .expect("in-memory trace"),
+        )
     }
 
     #[test]

@@ -44,7 +44,8 @@
 //! let mut host = EvaluationHost::new();
 //! let mode = WorkloadMode::peak(4096, 100, 100).at_load(50);
 //! let measured =
-//!     EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, &trace, mode, 100, "quickstart");
+//!     EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, &trace, mode, 100, "quickstart")
+//!         .expect("in-memory traces cannot fail");
 //! let outcome = host.commit(measured);
 //! assert!(outcome.metrics.iops_per_watt > 0.0);
 //! ```
@@ -91,7 +92,7 @@ pub mod prelude {
     };
     pub use tracer_power::{Channel, EnergyReport, NoiseModel, PowerAnalyzer, PowerMeter};
     pub use tracer_replay::{
-        replay, scale_intensity, AddressPolicy, LoadControl, PerformanceMonitor,
+        scale_intensity, try_replay, AddressPolicy, LoadControl, PerformanceMonitor,
         ProportionalFilter, RealTimeReplayer, ReplayConfig,
     };
     pub use tracer_sim::{

@@ -17,6 +17,7 @@
 //! behind one builder.
 
 use crate::distributed::EvaluationJob;
+use crate::error::TracerError;
 use crate::executor::SweepExecutor;
 use crate::host::{EvaluationHost, MeasuredTest};
 use crate::metrics::AccuracyRow;
@@ -90,7 +91,7 @@ fn load_sweep_impl<F, S>(
     loads: &[u32],
     label: &str,
     progress: &mut dyn FnMut(usize, usize),
-) -> LoadSweepResult
+) -> Result<LoadSweepResult, TracerError>
 where
     F: Fn() -> ArraySim + Sync,
     S: BunchSource + Sync + ?Sized,
@@ -118,7 +119,8 @@ where
             progress(done, total);
         },
     );
-    merge_mode(host, levels, cells)
+    let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(merge_mode(host, levels, cells))
 }
 
 /// Configuration of a synthetic mode × load sweep.
@@ -149,7 +151,9 @@ impl SweepConfig {
 /// Cells fan out over the executor's workers, but results merge — and
 /// database record ids are assigned — in deterministic cell order, so every
 /// shape is bit-identical at any worker count (asserted in
-/// `tests/parallel_sweep.rs`).
+/// `tests/parallel_sweep.rs`). So are failures: a trace that fails mid-scan
+/// fails the terminal with the first failed cell's error in cell order, and
+/// nothing of the failed load sweep, trial set or job batch is committed.
 ///
 /// With [`SweepBuilder::obs`] set, `tracer-obs` instrumentation is enabled
 /// for the duration of the run and a JSON-lines snapshot (counters, span
@@ -172,7 +176,8 @@ impl SweepConfig {
 ///     .workers(2)
 ///     .loads(&[50])
 ///     .label("doc")
-///     .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace, WorkloadMode::peak(4096, 0, 100));
+///     .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace, WorkloadMode::peak(4096, 0, 100))
+///     .expect("in-memory trace");
 /// assert_eq!(result.loads, vec![50, 100]);
 /// ```
 pub struct SweepBuilder<'a> {
@@ -246,41 +251,25 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Turn instrumentation on for the run if a sink is configured; returns
-    /// whether it was already on (so we restore, not clobber, global state).
-    fn obs_begin(&self, kind: &str, cells: usize) -> bool {
-        let was = tracer_obs::enabled();
+    /// Run a terminal's `body` with the progress callback, inside the obs
+    /// bracket ([`ObsRun`]).
+    fn run<R>(
+        mut self,
+        kind: &'static str,
+        cells: usize,
+        body: impl FnOnce(&Self, &mut dyn FnMut(usize, usize)) -> R,
+    ) -> R {
+        let mut progress = self.progress.take().unwrap_or_else(|| Box::new(|_, _| {}));
+        let was_enabled = tracer_obs::enabled();
         if self.obs_sink.is_some() {
-            if !was {
-                tracer_obs::enable();
-            }
-            tracer_obs::event(
-                "sweep.start",
-                &[
-                    ("shape", kind.into()),
-                    ("cells", cells.into()),
-                    ("workers", self.exec.workers().into()),
-                ],
-            );
+            tracer_obs::enable();
+            let workers = self.exec.workers();
+            let fields =
+                [("shape", kind.into()), ("cells", cells.into()), ("workers", workers.into())];
+            tracer_obs::event("sweep.start", &fields);
         }
-        was
-    }
-
-    /// Flush the snapshot to the sink and restore the enable flag.
-    fn obs_end(&self, was_enabled: bool, kind: &str, cells: usize) {
-        let Some(sink) = &self.obs_sink else { return };
-        tracer_obs::counter("sweep.cells").add(cells as u64);
-        tracer_obs::event("sweep.done", &[("shape", kind.into()), ("cells", cells.into())]);
-        if let Err(e) = tracer_obs::dump_to(sink) {
-            eprintln!("obs: failed to write snapshot: {e}");
-        }
-        if !was_enabled {
-            tracer_obs::disable();
-        }
-    }
-
-    fn take_progress(&mut self) -> Box<dyn FnMut(usize, usize) + 'a> {
-        self.progress.take().unwrap_or_else(|| Box::new(|_, _| {}))
+        let _obs = ObsRun { sink: self.obs_sink.as_ref(), was_enabled, kind, cells };
+        body(&self, &mut progress)
     }
 
     /// Terminal: replay `trace` on fresh arrays at each configured load level
@@ -289,56 +278,44 @@ impl<'a> SweepBuilder<'a> {
     /// tables). `trace` is any [`BunchSource`], so an mmap-backed view sweeps
     /// without ever decoding into the heap.
     pub fn load_sweep<F, S>(
-        mut self,
+        self,
         host: &mut EvaluationHost,
         build_array: F,
         trace: &S,
         mode: WorkloadMode,
-    ) -> LoadSweepResult
+    ) -> Result<LoadSweepResult, TracerError>
     where
         F: Fn() -> ArraySim + Sync,
         S: BunchSource + Sync + ?Sized,
     {
         let cells = resolve_levels(&self.loads).len();
-        let was = self.obs_begin("load_sweep", cells);
-        let mut progress = self.take_progress();
-        let result = load_sweep_impl(
-            host,
-            &self.exec,
-            build_array,
-            trace,
-            mode,
-            &self.loads,
-            &self.label,
-            &mut progress,
-        );
-        self.obs_end(was, "load_sweep", cells);
-        result
+        self.run("load_sweep", cells, |b, p| {
+            load_sweep_impl(host, &b.exec, build_array, trace, mode, &b.loads, &b.label, p)
+        })
     }
 
     /// Terminal: run the full mode × load grid of `cfg` — for each mode,
     /// resolve its trace, then run every load level on a fresh array.
     /// Traces resolve on the caller's thread in mode order. Under
     /// parallelism modes finish out of order, so progress reports the
-    /// *count* of completed modes, not which one.
+    /// *count* of completed modes, not which one. A failing loader fails the
+    /// sweep as its mode's first cell would.
     pub fn sweep<F, T, A>(
-        mut self,
+        self,
         host: &mut EvaluationHost,
         build_array: F,
         trace_for_mode: T,
         cfg: &SweepConfig,
-    ) -> Vec<LoadSweepResult>
+    ) -> Result<Vec<LoadSweepResult>, TracerError>
     where
         F: Fn() -> ArraySim + Sync,
-        T: FnMut(&WorkloadMode) -> A,
+        T: FnMut(&WorkloadMode) -> Result<A, TracerError>,
         A: Into<TraceHandle>,
     {
         let cells = cfg.modes.len() * resolve_levels(&cfg.loads).len();
-        let was = self.obs_begin("sweep", cells);
-        let mut progress = self.take_progress();
-        let result = sweep_impl(host, &self.exec, build_array, trace_for_mode, cfg, &mut progress);
-        self.obs_end(was, "sweep", cells);
-        result
+        self.run("sweep", cells, |b, p| {
+            sweep_impl(host, &b.exec, build_array, trace_for_mode, cfg, p)
+        })
     }
 
     /// Terminal: run `mode` `trials` times, each with the trace
@@ -347,45 +324,62 @@ impl<'a> SweepBuilder<'a> {
     /// realisation, so the spread measures how sensitive the result is to
     /// trace sampling — the simulator itself is deterministic.
     pub fn trials<F, T, A>(
-        mut self,
+        self,
         host: &mut EvaluationHost,
         build_array: F,
         trace_for_seed: T,
         mode: WorkloadMode,
         trials: usize,
-    ) -> TrialSummary
+    ) -> Result<TrialSummary, TracerError>
     where
         F: Fn() -> ArraySim + Sync,
         T: FnMut(u64) -> A,
         A: Into<TraceHandle>,
     {
-        let was = self.obs_begin("trials", trials);
-        let mut progress = self.take_progress();
-        let result = trials_impl(
-            host,
-            &self.exec,
-            build_array,
-            trace_for_seed,
-            mode,
-            trials,
-            &self.label,
-            &mut progress,
-        );
-        self.obs_end(was, "trials", trials);
-        result
+        self.run("trials", trials, |b, p| {
+            trials_impl(host, &b.exec, build_array, trace_for_seed, mode, trials, &b.label, p)
+        })
     }
 
     /// Terminal: run heterogeneous [`EvaluationJob`]s in parallel and merge
     /// them on one multi-channel analyzer (§III-C's distributed deployment;
     /// `SweepExecutor::auto()` gives one worker per core). Returns record
     /// ids in job order.
-    pub fn jobs(mut self, host: &mut EvaluationHost, jobs: Vec<EvaluationJob>) -> Vec<u64> {
-        let n = jobs.len();
-        let was = self.obs_begin("jobs", n);
-        let mut progress = self.take_progress();
-        let ids = crate::distributed::run_jobs(host, &self.exec, jobs, &mut progress);
-        self.obs_end(was, "jobs", n);
-        ids
+    pub fn jobs(
+        self,
+        host: &mut EvaluationHost,
+        jobs: Vec<EvaluationJob>,
+    ) -> Result<Vec<u64>, TracerError> {
+        self.run("jobs", jobs.len(), |b, p| crate::distributed::run_jobs(host, &b.exec, jobs, p))
+    }
+}
+
+/// The end of a terminal's obs bracket: dropping it appends the snapshot to
+/// the sink and restores, not clobbers, the global enable flag — on every
+/// exit, `Err` included (unwinding restores the flag only).
+struct ObsRun<'s> {
+    sink: Option<&'s tracer_obs::Sink>,
+    was_enabled: bool,
+    kind: &'static str,
+    cells: usize,
+}
+
+impl Drop for ObsRun<'_> {
+    fn drop(&mut self) {
+        let Some(sink) = self.sink else { return };
+        // The registry's locks may panic, which aborts an unwinding thread:
+        // a panicking run only restores the flag.
+        if !std::thread::panicking() {
+            tracer_obs::counter("sweep.cells").add(self.cells as u64);
+            let fields = [("shape", self.kind.into()), ("cells", self.cells.into())];
+            tracer_obs::event("sweep.done", &fields);
+            if let Err(e) = tracer_obs::dump_to(sink) {
+                eprintln!("obs: failed to write snapshot: {e}");
+            }
+        }
+        if !self.was_enabled {
+            tracer_obs::disable();
+        }
     }
 }
 
@@ -397,10 +391,10 @@ fn sweep_impl<F, T, A>(
     mut trace_for_mode: T,
     cfg: &SweepConfig,
     progress: &mut dyn FnMut(usize, usize),
-) -> Vec<LoadSweepResult>
+) -> Result<Vec<LoadSweepResult>, TracerError>
 where
     F: Fn() -> ArraySim + Sync,
-    T: FnMut(&WorkloadMode) -> A,
+    T: FnMut(&WorkloadMode) -> Result<A, TracerError>,
     A: Into<TraceHandle>,
 {
     let total = cfg.modes.len();
@@ -415,7 +409,7 @@ where
         // most one trace is held in memory at a time.
         let mut results = Vec::with_capacity(total);
         for (i, &mode) in cfg.modes.iter().enumerate() {
-            let trace: TraceHandle = trace_for_mode(&mode).into();
+            let trace: TraceHandle = trace_for_mode(&mode)?.into();
             let label = label_for(&mode);
             results.push(load_sweep_impl(
                 host,
@@ -426,25 +420,27 @@ where
                 &cfg.loads,
                 &label,
                 &mut |_, _| {},
-            ));
+            )?);
             progress(i + 1, total);
         }
-        return results;
+        return Ok(results);
     }
 
-    // Parallel path: resolve every trace up front (serially, in mode order),
-    // then fan the whole mode × load grid out so the worker pool stays
-    // saturated even when a mode has fewer levels than there are workers.
-    // Traces are held as shared handles (decoded `Arc<Trace>`s or mmap
-    // views), so a loader that hands out repository-cached traces keeps a
-    // single copy in memory for the whole grid instead of one clone per mode.
-    let traces: Vec<TraceHandle> = cfg.modes.iter().map(|m| trace_for_mode(m).into()).collect();
+    // Parallel path: resolve the traces up front (serially, in mode order, up
+    // to the first loader failure), then fan the grid of those modes out so
+    // the worker pool stays saturated even when a mode has fewer levels than
+    // there are workers. Traces are held as shared handles (decoded
+    // `Arc<Trace>`s or mmap views), so a loader handing out repository-cached
+    // traces keeps one copy for the whole grid, not one clone per mode.
+    let mut traces: Vec<TraceHandle> = Vec::with_capacity(total);
+    let load_err =
+        cfg.modes.iter().try_for_each(|m| trace_for_mode(m).map(|t| traces.push(t.into()))).err();
     let labels: Vec<String> = cfg.modes.iter().map(label_for).collect();
     let cycle = host.meter_cycle_ms;
     let mut remaining: Vec<usize> = vec![per_mode; total];
     let mut modes_done = 0usize;
     let cells = exec.run_indexed(
-        total * per_mode,
+        traces.len() * per_mode,
         |i| {
             let (m, l) = (i / per_mode, i % per_mode);
             let (mode, pct) = (cfg.modes[m], levels[l]);
@@ -468,14 +464,15 @@ where
         },
     );
 
-    // Deterministic merge: mode-major, level-ascending — the serial order.
-    let mut results = Vec::with_capacity(total);
+    // Deterministic merge: mode-major, level-ascending — the serial order,
+    // failing where it fails with the same modes committed.
+    let mut results = Vec::with_capacity(traces.len());
     let mut cells = cells.into_iter();
-    for _ in 0..total {
-        let chunk: Vec<_> = cells.by_ref().take(per_mode).collect();
+    for _ in 0..traces.len() {
+        let chunk = cells.by_ref().take(per_mode).collect::<Result<Vec<_>, _>>()?;
         results.push(merge_mode(host, levels.clone(), chunk));
     }
-    results
+    load_err.map_or(Ok(results), Err)
 }
 
 /// Mean ± standard deviation of a repeated measurement.
@@ -535,7 +532,7 @@ fn trials_impl<F, T, A>(
     trials: usize,
     label: &str,
     progress: &mut dyn FnMut(usize, usize),
-) -> TrialSummary
+) -> Result<TrialSummary, TracerError>
 where
     F: Fn() -> ArraySim + Sync,
     T: FnMut(u64) -> A,
@@ -567,20 +564,20 @@ where
     let mut mbps = Vec::with_capacity(trials);
     let mut watts = Vec::with_capacity(trials);
     let mut ipw = Vec::with_capacity(trials);
-    for cell in cells {
+    for cell in cells.into_iter().collect::<Result<Vec<_>, _>>()? {
         let m = host.commit(cell).metrics;
         iops.push(m.iops);
         mbps.push(m.mbps);
         watts.push(m.avg_watts);
         ipw.push(m.iops_per_watt);
     }
-    TrialSummary {
+    Ok(TrialSummary {
         trials,
         iops: TrialStat::from_samples(&iops),
         mbps: TrialStat::from_samples(&mbps),
         avg_watts: TrialStat::from_samples(&watts),
         iops_per_watt: TrialStat::from_samples(&ipw),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -608,12 +605,11 @@ mod tests {
         let mut host = EvaluationHost::new();
         let trace = fixed_trace(200, 4096);
         let mode = WorkloadMode::peak(4096, 50, 100);
-        let result = SweepBuilder::new().loads(&[20, 50, 80]).label("unit").load_sweep(
-            &mut host,
-            || ArraySpec::hdd_raid5(4).build(),
-            &trace,
-            mode,
-        );
+        let result = SweepBuilder::new()
+            .loads(&[20, 50, 80])
+            .label("unit")
+            .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace, mode)
+            .expect("in-memory trace");
         assert_eq!(result.loads, vec![20, 50, 80, 100]);
         assert_eq!(result.record_ids.len(), 4);
         assert_eq!(host.db.len(), 4);
@@ -628,12 +624,16 @@ mod tests {
     #[test]
     fn baseline_is_added_when_missing() {
         let mut host = EvaluationHost::new();
-        let result = SweepBuilder::new().loads(&[50]).label("unit").load_sweep(
-            &mut host,
-            || ArraySpec::hdd_raid5(4).build(),
-            &fixed_trace(50, 4096),
-            WorkloadMode::peak(4096, 0, 100),
-        );
+        let result = SweepBuilder::new()
+            .loads(&[50])
+            .label("unit")
+            .load_sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(4).build(),
+                &fixed_trace(50, 4096),
+                WorkloadMode::peak(4096, 0, 100),
+            )
+            .expect("in-memory trace");
         assert_eq!(result.loads, vec![50, 100]);
     }
 
@@ -642,18 +642,18 @@ mod tests {
         let trace = fixed_trace(120, 8192);
         let mode = WorkloadMode::peak(8192, 50, 50);
         let mut serial_host = EvaluationHost::new();
-        let serial = SweepBuilder::new().loads(&sweep::LOAD_PCTS).label("det").load_sweep(
-            &mut serial_host,
-            || ArraySpec::hdd_raid5(4).build(),
-            &trace,
-            mode,
-        );
+        let serial = SweepBuilder::new()
+            .loads(&sweep::LOAD_PCTS)
+            .label("det")
+            .load_sweep(&mut serial_host, || ArraySpec::hdd_raid5(4).build(), &trace, mode)
+            .expect("in-memory trace");
         let mut par_host = EvaluationHost::new();
         let parallel = SweepBuilder::new()
             .workers(4)
             .loads(&sweep::LOAD_PCTS)
             .label("det")
-            .load_sweep(&mut par_host, || ArraySpec::hdd_raid5(4).build(), &trace, mode);
+            .load_sweep(&mut par_host, || ArraySpec::hdd_raid5(4).build(), &trace, mode)
+            .expect("in-memory trace");
         assert_eq!(serial, parallel);
         assert_eq!(serial_host.db.records(), par_host.db.records());
     }
@@ -669,7 +669,13 @@ mod tests {
         let mut calls = Vec::new();
         let results = SweepBuilder::new()
             .on_progress(|done, total| calls.push((done, total)))
-            .sweep(&mut host, || ArraySpec::hdd_raid5(3).build(), |_| fixed_trace(30, 4096), &cfg);
+            .sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(3).build(),
+                |_| Ok(fixed_trace(30, 4096)),
+                &cfg,
+            )
+            .expect("in-memory trace");
         assert_eq!(results.len(), 2);
         assert_eq!(calls, vec![(1, 2), (2, 2)]);
         assert_eq!(host.db.len(), 4);
@@ -690,7 +696,13 @@ mod tests {
         let results = SweepBuilder::new()
             .workers(4)
             .on_progress(|done, total| calls.push((done, total)))
-            .sweep(&mut host, || ArraySpec::hdd_raid5(3).build(), |_| fixed_trace(30, 4096), &cfg);
+            .sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(3).build(),
+                |_| Ok(fixed_trace(30, 4096)),
+                &cfg,
+            )
+            .expect("in-memory trace");
         assert_eq!(results.len(), 3);
         // Completion order varies, but each mode reports exactly once and the
         // done-count climbs 1..=3.
@@ -703,23 +715,26 @@ mod tests {
         use tracer_workload::iometer::{run_peak_workload, IometerConfig};
         let mut host = EvaluationHost::new();
         let mode = WorkloadMode::peak(8192, 50, 50);
-        let summary = SweepBuilder::new().label("trials").trials(
-            &mut host,
-            || ArraySpec::hdd_raid5(4).build(),
-            |seed| {
-                let mut sim = ArraySpec::hdd_raid5(4).build();
-                run_peak_workload(
-                    &mut sim,
-                    &IometerConfig {
-                        duration: tracer_sim::SimDuration::from_secs(2),
-                        ..IometerConfig::two_minutes(mode, seed)
-                    },
-                )
-                .trace
-            },
-            mode,
-            4,
-        );
+        let summary = SweepBuilder::new()
+            .label("trials")
+            .trials(
+                &mut host,
+                || ArraySpec::hdd_raid5(4).build(),
+                |seed| {
+                    let mut sim = ArraySpec::hdd_raid5(4).build();
+                    run_peak_workload(
+                        &mut sim,
+                        &IometerConfig {
+                            duration: tracer_sim::SimDuration::from_secs(2),
+                            ..IometerConfig::two_minutes(mode, seed)
+                        },
+                    )
+                    .trace
+                },
+                mode,
+                4,
+            )
+            .expect("in-memory trace");
         assert_eq!(summary.trials, 4);
         assert_eq!(host.db.len(), 4);
         assert!(summary.iops.mean > 0.0);
@@ -734,13 +749,17 @@ mod tests {
         let mode = WorkloadMode::peak(4096, 50, 100);
         let run = |exec: SweepExecutor| {
             let mut host = EvaluationHost::new();
-            let summary = SweepBuilder::new().executor(exec).label("ptrials").trials(
-                &mut host,
-                || ArraySpec::hdd_raid5(4).build(),
-                |seed| fixed_trace(60 + seed as usize, 4096),
-                mode,
-                3,
-            );
+            let summary = SweepBuilder::new()
+                .executor(exec)
+                .label("ptrials")
+                .trials(
+                    &mut host,
+                    || ArraySpec::hdd_raid5(4).build(),
+                    |seed| fixed_trace(60 + seed as usize, 4096),
+                    mode,
+                    3,
+                )
+                .expect("in-memory trace");
             (summary, host.db.records().to_vec())
         };
         let (serial, serial_records) = run(SweepExecutor::serial());

@@ -773,7 +773,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, TracerError>
                 "{}-rs{}-rn{}-rd{}",
                 spec.name, mode.request_bytes, mode.random_pct, mode.read_pct
             ))
-            .load_sweep(&mut host, || spec.array.build(), &trace, *mode);
+            .load_sweep(&mut host, || spec.array.build(), &trace, *mode)?;
         results.push((*mode, result));
     }
     let trials = if spec.trials > 1 {
@@ -788,7 +788,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, TracerError>
                     |seed| spec.workload.trace(&spec.array, mode, seed),
                     mode,
                     spec.trials,
-                ),
+                )?,
         )
     } else {
         None

@@ -11,6 +11,7 @@
 //! scored with the same metrics (energy saving versus response-time
 //! penalty — the two columns every row of Table I reports).
 
+use crate::error::TracerError;
 use crate::host::EvaluationHost;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -137,7 +138,7 @@ pub fn compare_policies<F>(
     mode: WorkloadMode,
     policies: &[ConservationPolicy],
     label: &str,
-) -> Vec<PolicyOutcome>
+) -> Result<Vec<PolicyOutcome>, TracerError>
 where
     F: Fn() -> (ArrayConfig, Vec<Device>),
 {
@@ -158,7 +159,7 @@ where
             mode,
             100,
             &format!("{label}/{policy}"),
-        ));
+        )?);
         let m = outcome.metrics;
         let (baseline_energy, baseline_resp) = outcomes
             .first()
@@ -184,7 +185,7 @@ where
             },
         });
     }
-    outcomes
+    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -223,7 +224,8 @@ mod tests {
             WorkloadMode::peak(8192, 50, 100),
             &[ConservationPolicy::SpinDown { idle_timeout: SimDuration::from_secs(5) }],
             "maid",
-        );
+        )
+        .expect("in-memory trace");
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].policy, "always-on");
         assert_eq!(outcomes[0].energy_saving_pct, 0.0);
@@ -243,7 +245,8 @@ mod tests {
             WorkloadMode::peak(16384, 50, 100),
             &[ConservationPolicy::DegradedParity { parked_disk: 0 }],
             "eraid",
-        );
+        )
+        .expect("in-memory trace");
         let degraded = &outcomes[1];
         assert!(degraded.energy_saving_pct > 1.0, "saving {}", degraded.energy_saving_pct);
         assert!(degraded.response_penalty_pct > 0.0, "penalty {}", degraded.response_penalty_pct);
@@ -259,7 +262,8 @@ mod tests {
             WorkloadMode::peak(16384, 50, 100),
             &[ConservationPolicy::WriteBackCache],
             "cache",
-        );
+        )
+        .expect("in-memory trace");
         let cached = &outcomes[1];
         assert!(
             cached.response_penalty_pct < -50.0,
@@ -279,7 +283,8 @@ mod tests {
             WorkloadMode::peak(8192, 0, 100),
             &[ConservationPolicy::AlwaysOn],
             "base",
-        );
+        )
+        .expect("in-memory trace");
         assert_eq!(outcomes.len(), 1);
     }
 
@@ -293,7 +298,8 @@ mod tests {
             WorkloadMode::peak(16384, 50, 100),
             &[ConservationPolicy::LowRpm { factor_pct: 50 }],
             "drpm",
-        );
+        )
+        .expect("in-memory trace");
         let low = &outcomes[1];
         assert!(low.energy_saving_pct > 5.0, "saving {}", low.energy_saving_pct);
         assert!(low.response_penalty_pct > 5.0, "penalty {}", low.response_penalty_pct);

@@ -281,8 +281,8 @@ pub fn run_campaign(
                     }
                     Ok(Err(reply)) if reply.head == "pending" => j += 1,
                     Ok(Err(reply)) if reply.head == "failed" => {
-                        // Evaluations are deterministic: a panic here would
-                        // panic on every node, so retrying elsewhere loops.
+                        // Evaluations are deterministic: a job that failed
+                        // here fails on every node, so retrying elsewhere loops.
                         return Err(TracerError::Config(format!(
                             "cell {ci} failed on {}: {reply:?}",
                             node.addr
@@ -480,7 +480,7 @@ pub fn serial_report(
             cell.mode,
             cell.intensity_pct,
             &cell.name,
-        );
+        )?;
         let out = host.commit(measured);
         results.push(CellResult::from_metrics(&out.metrics));
     }

@@ -61,8 +61,8 @@ pub struct ReplayReport {
     pub issued_bytes: u64,
     /// Requests skipped by [`AddressPolicy::Skip`].
     pub skipped_ios: u64,
-    /// All completions, in completion order — collected by [`replay`],
-    /// [`try_replay`] and [`replay_afap`]; left empty by
+    /// All completions, in completion order — collected by [`try_replay`]
+    /// and [`replay_afap`]; left empty by
     /// [`try_replay_observed`], whose observer has already seen them.
     pub completions: Vec<Completion>,
     /// Whole-run summary over `[started, finished)`.
@@ -94,21 +94,8 @@ impl ReplayReport {
 /// completion instant of the final request, so its power log covers exactly
 /// the replay window.
 ///
-/// # Panics
-/// Panics if `cfg.load.intensity_pct` is zero, or if the source reports
-/// corruption mid-replay (use [`try_replay`] to handle that as an error —
-/// relevant only for on-disk views; in-memory traces cannot fail).
-pub fn replay<S: BunchSource + ?Sized>(
-    sim: &mut ArraySim,
-    source: &S,
-    cfg: &ReplayConfig,
-) -> ReplayReport {
-    try_replay(sim, source, cfg)
-        .unwrap_or_else(|e| panic!("trace source failed during replay: {e}"))
-}
-
-/// Replay a bunch source into `sim` under `cfg.load`, surfacing source
-/// errors (a corrupt v3 file discovered mid-scan) instead of panicking.
+/// Returns the source's [`TraceError`] if it reports corruption mid-scan (a
+/// corrupt v3 file; in-memory traces cannot fail).
 ///
 /// # Panics
 /// Panics if `cfg.load.intensity_pct` is zero.
@@ -366,7 +353,7 @@ mod tests {
     fn full_replay_completes_everything() {
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let t = uniform_trace(50, 20, 4096);
-        let report = replay(&mut sim, &t, &ReplayConfig::default());
+        let report = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         assert_eq!(report.issued_ios, 50);
         assert_eq!(report.completions.len(), 50);
         assert_eq!(report.summary.total_ios, 50);
@@ -380,7 +367,7 @@ mod tests {
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let t = uniform_trace(100, 10, 4096);
         let cfg = ReplayConfig { load: LoadControl::proportion(30), ..Default::default() };
-        let report = replay(&mut sim, &t, &cfg);
+        let report = try_replay(&mut sim, &t, &cfg).expect("in-memory trace");
         assert_eq!(report.issued_ios, 30);
     }
 
@@ -392,7 +379,7 @@ mod tests {
             let mut sim = ArraySpec::hdd_raid5(4).build();
             let t = uniform_trace(200, 10, 4096);
             let cfg = ReplayConfig { load: LoadControl::proportion(pct), ..Default::default() };
-            replay(&mut sim, &t, &cfg).summary.iops
+            try_replay(&mut sim, &t, &cfg).expect("in-memory trace").summary.iops
         };
         let full = measure(100);
         for pct in [20u32, 50, 80] {
@@ -409,10 +396,10 @@ mod tests {
     fn intensity_scaling_compresses_time() {
         let t = uniform_trace(100, 10, 4096);
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let slow = replay(&mut sim, &t, &ReplayConfig::default());
+        let slow = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let cfg = ReplayConfig { load: LoadControl::intensity(200), ..Default::default() };
-        let fast = replay(&mut sim, &t, &cfg);
+        let fast = try_replay(&mut sim, &t, &cfg).expect("in-memory trace");
         assert!(fast.span().as_secs_f64() < slow.span().as_secs_f64() * 0.6);
         assert_eq!(fast.issued_ios, slow.issued_ios);
     }
@@ -425,7 +412,7 @@ mod tests {
             "big",
             vec![Bunch::new(0, vec![IoPackage::read(cap + 12_345, 4096)])],
         );
-        let report = replay(&mut sim, &t, &ReplayConfig::default());
+        let report = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         assert_eq!(report.issued_ios, 1);
         assert_eq!(report.skipped_ios, 0);
     }
@@ -442,7 +429,7 @@ mod tests {
             ],
         );
         let cfg = ReplayConfig { address_policy: AddressPolicy::Skip, ..Default::default() };
-        let report = replay(&mut sim, &t, &cfg);
+        let report = try_replay(&mut sim, &t, &cfg).expect("in-memory trace");
         assert_eq!(report.issued_ios, 1);
         assert_eq!(report.skipped_ios, 1);
     }
@@ -450,7 +437,8 @@ mod tests {
     #[test]
     fn empty_trace_report_is_empty() {
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let report = replay(&mut sim, &Trace::new("e"), &ReplayConfig::default());
+        let report = try_replay(&mut sim, &Trace::new("e"), &ReplayConfig::default())
+            .expect("in-memory trace");
         assert_eq!(report.issued_ios, 0);
         assert_eq!(report.completions.len(), 0);
         assert_eq!(report.started, report.finished);
@@ -465,7 +453,7 @@ mod tests {
         let ios: Vec<IoPackage> =
             (0..3).map(|i| IoPackage::read(i * strip + 500_000, 4096)).collect();
         let t = Trace::from_bunches("c", vec![Bunch::new(0, ios)]);
-        let report = replay(&mut sim, &t, &ReplayConfig::default());
+        let report = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         let serial_estimate: f64 =
             report.completions.iter().map(|c| c.latency().as_millis_f64()).sum();
         let makespan = report.completions.last().unwrap().completed.as_secs_f64() * 1e3;
@@ -479,10 +467,10 @@ mod tests {
     fn warmup_trims_the_measurement_window() {
         let t = uniform_trace(100, 10, 4096);
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let full = replay(&mut sim, &t, &ReplayConfig::default());
+        let full = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let cfg = ReplayConfig { warmup: SimDuration::from_millis(500), ..Default::default() };
-        let trimmed = replay(&mut sim, &t, &cfg);
+        let trimmed = try_replay(&mut sim, &t, &cfg).expect("in-memory trace");
         // Same work replayed; roughly half the completions measured.
         assert_eq!(trimmed.issued_ios, full.issued_ios);
         assert!(trimmed.summary.total_ios < full.summary.total_ios);
@@ -498,7 +486,7 @@ mod tests {
         let t = uniform_trace(5, 10, 4096);
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let cfg = ReplayConfig { warmup: SimDuration::from_secs(3600), ..Default::default() };
-        let report = replay(&mut sim, &t, &cfg);
+        let report = try_replay(&mut sim, &t, &cfg).expect("in-memory trace");
         assert_eq!(report.summary.total_ios, 0);
         assert!(report.measured_from > report.finished);
     }
@@ -509,7 +497,7 @@ mod tests {
         // fraction of its nominal duration and completes every request.
         let t = uniform_trace(30, 1_000, 8192);
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let timed = replay(&mut sim, &t, &ReplayConfig::default());
+        let timed = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let afap = replay_afap(&mut sim, &t, 8, AddressPolicy::Wrap).unwrap();
         assert_eq!(afap.completions.len(), 30);
@@ -549,12 +537,12 @@ mod tests {
         // Disabled: spans and counters stay untouched by this replay.
         let drive_before = tracer_obs::histogram("replay.drive_ns").snapshot().count;
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        replay(&mut sim, &t, &ReplayConfig::default());
+        try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
 
         tracer_obs::enable();
         let ios_before = tracer_obs::counter("replay.issued_ios").value();
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let report = replay(&mut sim, &t, &ReplayConfig::default());
+        let report = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         tracer_obs::disable();
 
         assert!(tracer_obs::counter("replay.issued_ios").value() >= ios_before + report.issued_ios);
@@ -568,13 +556,15 @@ mod tests {
         let t = uniform_trace(60, 5, 8192);
         let filtered = ProportionalFilter::default().filter(&t, 50);
         let mut sim_a = ArraySpec::hdd_raid5(4).build();
-        let a = replay(
+        let a = try_replay(
             &mut sim_a,
             &t,
             &ReplayConfig { load: LoadControl::proportion(50), ..Default::default() },
-        );
+        )
+        .expect("in-memory trace");
         let mut sim_b = ArraySpec::hdd_raid5(4).build();
-        let b = replay(&mut sim_b, &filtered, &ReplayConfig::default());
+        let b =
+            try_replay(&mut sim_b, &filtered, &ReplayConfig::default()).expect("in-memory trace");
         assert_eq!(a.issued_ios, b.issued_ios);
         assert_eq!(a.summary.total_bytes, b.summary.total_bytes);
     }

@@ -11,7 +11,7 @@
 //!   above 100 % (1 %, 200 %, 1000 %…), composable with the filter via
 //!   [`scale::LoadControl`];
 //! * [`plan`] — the zero-copy [`plan::ReplayPlan`]: a lazy view applying
-//!   both load controls per bunch during iteration, so `replay` never clones
+//!   both load controls per bunch during iteration, so a replay never clones
 //!   a trace (the materialization counter proves it);
 //! * [`engine`] — the virtual-time replayer driving the array simulator:
 //!   bunches replay at their original (controlled) timestamps, intra-bunch
@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use tracer_replay::{replay, LoadControl, ReplayConfig};
+//! use tracer_replay::{try_replay, LoadControl, ReplayConfig};
 //! use tracer_sim::ArraySpec;
 //! use tracer_trace::{Bunch, IoPackage, Trace};
 //!
@@ -35,7 +35,7 @@
 //! );
 //! let mut sim = ArraySpec::hdd_raid5(4).build();
 //! let cfg = ReplayConfig { load: LoadControl::proportion(50), ..Default::default() };
-//! let report = replay(&mut sim, &trace, &cfg);
+//! let report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
 //! assert_eq!(report.issued_ios, 10); // half of the bunches replayed
 //! ```
 
@@ -47,7 +47,7 @@ pub mod realtime;
 pub mod scale;
 
 pub use engine::{
-    replay, replay_afap, try_replay, try_replay_observed, AddressPolicy, ReplayConfig, ReplayReport,
+    replay_afap, try_replay, try_replay_observed, AddressPolicy, ReplayConfig, ReplayReport,
 };
 pub use filter::{ProportionalFilter, RandomFilter};
 pub use monitor::{PerfAccumulator, PerfSample, PerfSummary, PerformanceMonitor};

@@ -10,7 +10,7 @@
 //! sample bin, and summary float must match bit for bit.
 
 use proptest::prelude::*;
-use tracer_replay::{replay, AddressPolicy, LoadControl, ReplayConfig, ReplayPlan};
+use tracer_replay::{try_replay, AddressPolicy, LoadControl, ReplayConfig, ReplayPlan};
 use tracer_sim::{ArraySpec, SimDuration};
 use tracer_trace::{Bunch, IoPackage, Trace};
 
@@ -59,14 +59,14 @@ proptest! {
         let cfg = ReplayConfig { load, address_policy: policy, warmup: SimDuration::ZERO };
 
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let zero_copy = replay(&mut sim, &trace, &cfg);
+        let zero_copy = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
 
         // The pre-change path, kept as the oracle: materialize the
         // controlled trace, then replay the copy.
         let controlled = load.apply(&trace);
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let prepared = ReplayConfig { address_policy: policy, ..Default::default() };
-        let materialized = replay(&mut sim, &controlled, &prepared);
+        let materialized = try_replay(&mut sim, &controlled, &prepared).expect("in-memory trace");
 
         prop_assert_eq!(
             serde_json::to_string(&zero_copy).unwrap(),
@@ -88,12 +88,12 @@ proptest! {
         let cfg = ReplayConfig { load, address_policy: AddressPolicy::Wrap, warmup };
 
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let zero_copy = replay(&mut sim, &trace, &cfg);
+        let zero_copy = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
 
         let controlled = load.apply(&trace);
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let prepared = ReplayConfig { warmup, ..Default::default() };
-        let materialized = replay(&mut sim, &controlled, &prepared);
+        let materialized = try_replay(&mut sim, &controlled, &prepared).expect("in-memory trace");
 
         prop_assert_eq!(
             serde_json::to_string(&zero_copy).unwrap(),

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use tracer_replay::{
-    replay, try_replay_observed, AddressPolicy, PerfSample, PerfSummary, PerformanceMonitor,
+    try_replay, try_replay_observed, AddressPolicy, PerfSample, PerfSummary, PerformanceMonitor,
     ReplayConfig,
 };
 use tracer_sim::{ArraySim, ArraySpec, Completion, SimDuration, SimTime};
@@ -224,7 +224,7 @@ fn trace(sim: &ArraySim, n: usize, gap_us: u64, in_range: usize) -> Trace {
 fn check_replay(trace_of: impl Fn(&ArraySim) -> Trace, cfg: &ReplayConfig) -> usize {
     let mut sim = ArraySpec::ssd_raid5(4).build();
     let trace = trace_of(&sim);
-    let collected = replay(&mut sim, &trace, cfg);
+    let collected = try_replay(&mut sim, &trace, cfg).expect("in-memory trace");
 
     let mut sim = ArraySpec::ssd_raid5(4).build();
     let mut batches = 0;

@@ -95,7 +95,7 @@ pub enum JobState {
     Running,
     /// Finished; metrics and a record id exist.
     Done,
-    /// The evaluation panicked; the error text is kept.
+    /// The evaluation failed or panicked; the error text is kept.
     Failed,
     /// Cancelled: either while queued (never ran) or while running (the
     /// result was discarded at the commit boundary).
@@ -130,7 +130,7 @@ pub struct JobSnapshot {
     pub record_id: Option<u64>,
     /// Efficiency metrics once done.
     pub metrics: Option<EfficiencyMetrics>,
-    /// Panic message when failed.
+    /// Error or panic message when failed.
     pub error: Option<String>,
     /// Wall-clock milliseconds spent waiting in the queue, once a worker
     /// picked the job up.
@@ -240,7 +240,7 @@ pub struct ServiceStats {
     pub running: usize,
     /// Jobs finished with a result.
     pub done: usize,
-    /// Jobs that panicked.
+    /// Jobs that failed or panicked.
     pub failed: usize,
     /// Jobs cancelled (queued or mid-run).
     pub cancelled: usize,
@@ -719,7 +719,9 @@ fn worker_loop(shared: &Shared) {
         }
         let EvaluationJob { name, build, trace, mode, intensity_pct } = job;
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        // A trace that fails mid-scan and a `build` closure that panics both
+        // end the job `failed` with their message; the worker lives on.
+        let outcome = match catch_unwind(AssertUnwindSafe(|| {
             let mut sim = build();
             EvaluationHost::measure_test(
                 DEFAULT_METER_CYCLE_MS,
@@ -729,7 +731,12 @@ fn worker_loop(shared: &Shared) {
                 intensity_pct,
                 &name,
             )
-        }));
+        })) {
+            Ok(measured) => measured.map_err(|e| e.to_string()),
+            // `&*` reborrows the payload itself; a plain `&panic` would
+            // coerce the Box into `dyn Any` and defeat the downcasts.
+            Err(panic) => Err(panic_message(&*panic)),
+        };
         let elapsed = started.elapsed();
         if tracer_obs::enabled() {
             tracer_obs::histogram("serve.run_ns").record(elapsed.as_nanos() as u64);
@@ -759,11 +766,8 @@ fn worker_loop(shared: &Shared) {
                 drop(jobs);
                 shared.journal(journaled, &LogRecord::Done { id, record, queue_ms, run_ms });
             }
-            Err(panic) => {
+            Err(reason) => {
                 entry.state = JobState::Failed;
-                // `&*` reborrows the payload itself; a plain `&panic` would
-                // coerce the Box into `dyn Any` and defeat the downcasts.
-                let reason = panic_message(&*panic);
                 entry.error = Some(reason.clone());
                 drop(jobs);
                 shared.journal(journaled, &LogRecord::Failed { id, reason });
@@ -880,7 +884,8 @@ mod tests {
                 mode,
                 100,
                 name,
-            );
+            )
+            .expect("in-memory trace");
             assert_eq!(metrics, serial.metrics, "job {id}");
             // The full record lives in the journal's `Done` frame, under the
             // id the registry answers with.
@@ -1069,6 +1074,29 @@ mod tests {
         let snap = service.status(bad).unwrap();
         assert_eq!(snap.state, JobState::Failed);
         assert!(snap.error.unwrap().contains("device exploded"));
+        assert_eq!(service.status(good).unwrap().state, JobState::Done, "worker survived");
+    }
+
+    #[test]
+    fn a_job_over_a_corrupt_trace_fails_without_killing_the_worker() {
+        // The fixture opens (intact header) and fails in the column decoder.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/corrupt_v3.replay");
+        let view = tracer_trace::TraceView::open(std::path::Path::new(path)).unwrap();
+        let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 4 });
+        let bad = service
+            .submit(EvaluationJob::new(
+                "corrupt",
+                || ArraySpec::hdd_raid5(4).build(),
+                view,
+                WorkloadMode::peak(4096, 0, 100),
+            ))
+            .unwrap();
+        let good = service.submit(job("good", 20, 100)).unwrap();
+        service.shutdown();
+        let snap = service.status(bad).unwrap();
+        assert_eq!(snap.state, JobState::Failed);
+        let reason = snap.error.unwrap();
+        assert!(reason.starts_with("corrupt trace file:") && reason.contains("varint"), "{reason}");
         assert_eq!(service.status(good).unwrap().state, JobState::Done, "worker survived");
     }
 

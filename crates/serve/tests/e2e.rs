@@ -166,7 +166,8 @@ fn concurrent_clients_fill_the_queue_and_match_the_serial_baseline() {
             mode_at(load),
             100,
             "baseline",
-        );
+        )
+        .expect("in-memory trace");
         let baseline = baseline_host.commit(measured).metrics;
         let close = |key: &str, want: f64| {
             let got = reply.num(key).unwrap_or_else(|| panic!("missing {key} in {reply:?}"));

@@ -42,7 +42,11 @@ fn main() {
             EvaluationJob::new(name, build, oltp.clone(), WorkloadMode::peak(4096, 80, 66))
         })
         .collect();
-    for id in SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut host, jobs) {
+    for id in SweepBuilder::new()
+        .executor(SweepExecutor::auto())
+        .jobs(&mut host, jobs)
+        .expect("in-memory trace")
+    {
         let r = host.db.get(id).expect("record").clone();
         println!(
             "{:<16} {:>10.1} {:>10.2} {:>10.2} {:>12.3}",
@@ -70,14 +74,17 @@ fn main() {
         .trace;
         let mut sim = build();
         let m = host
-            .commit(EvaluationHost::measure_test(
-                host.meter_cycle_ms,
-                &mut sim,
-                &trace,
-                mode,
-                100,
-                name,
-            ))
+            .commit(
+                EvaluationHost::measure_test(
+                    host.meter_cycle_ms,
+                    &mut sim,
+                    &trace,
+                    mode,
+                    100,
+                    name,
+                )
+                .expect("in-memory trace"),
+            )
             .metrics;
         println!(
             "{:<16} {:>10.1} {:>10.2} {:>14.1}",

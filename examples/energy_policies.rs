@@ -44,7 +44,8 @@ fn main() {
             mode,
             &policies,
             &format!("policies-load{load}"),
-        );
+        )
+        .expect("in-memory trace");
         println!(
             "{:<28} {:>10} {:>8} {:>9} {:>9} {:>10} {:>10}",
             "policy", "joules", "watts", "avg ms", "p95 ms", "saving %", "penalty %"
@@ -85,7 +86,8 @@ fn main() {
         WorkloadMode::peak(65536, 50, 100),
         &policies,
         "policies-archival",
-    );
+    )
+    .expect("in-memory trace");
     println!(
         "{:<28} {:>10} {:>8} {:>9} {:>10} {:>10}",
         "policy", "joules", "watts", "avg ms", "saving %", "penalty %"

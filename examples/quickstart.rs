@@ -50,14 +50,17 @@ fn main() {
     );
     for load in [20u32, 40, 60, 80, 100] {
         let mut sim = array();
-        let outcome = host.commit(EvaluationHost::measure_test(
-            host.meter_cycle_ms,
-            &mut sim,
-            &trace,
-            mode.at_load(load),
-            100,
-            "quickstart",
-        ));
+        let outcome = host.commit(
+            EvaluationHost::measure_test(
+                host.meter_cycle_ms,
+                &mut sim,
+                &trace,
+                mode.at_load(load),
+                100,
+                "quickstart",
+            )
+            .expect("stored trace"),
+        );
         let m = outcome.metrics;
         println!(
             "{load:>6} {:>10.1} {:>10.2} {:>10.2} {:>12.3} {:>14.1}",

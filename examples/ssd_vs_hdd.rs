@@ -43,23 +43,26 @@ fn main() {
         let mode = WorkloadMode::peak(16 * 1024, random, 50);
         let hdd_trace = peak_trace(|| ArraySpec::hdd_raid5(6).build(), mode, 5);
         let ssd_trace = peak_trace(|| ArraySpec::ssd_raid5(4).build(), mode, 5);
-        let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(
-            &mut host,
-            vec![
-                EvaluationJob::new(
-                    format!("hdd-rn{random}"),
-                    || ArraySpec::hdd_raid5(6).build(),
-                    hdd_trace,
-                    mode,
-                ),
-                EvaluationJob::new(
-                    format!("ssd-rn{random}"),
-                    || ArraySpec::ssd_raid5(4).build(),
-                    ssd_trace,
-                    mode,
-                ),
-            ],
-        );
+        let ids = SweepBuilder::new()
+            .executor(SweepExecutor::auto())
+            .jobs(
+                &mut host,
+                vec![
+                    EvaluationJob::new(
+                        format!("hdd-rn{random}"),
+                        || ArraySpec::hdd_raid5(6).build(),
+                        hdd_trace,
+                        mode,
+                    ),
+                    EvaluationJob::new(
+                        format!("ssd-rn{random}"),
+                        || ArraySpec::ssd_raid5(4).build(),
+                        ssd_trace,
+                        mode,
+                    ),
+                ],
+            )
+            .expect("in-memory trace");
         let hdd = host.db.get(ids[0]).expect("hdd record").efficiency.mbps_per_kilowatt;
         let ssd = host.db.get(ids[1]).expect("ssd record").efficiency.mbps_per_kilowatt;
         println!("{random:>8} {hdd:>14.1} {ssd:>14.1} {:>8.2}", ssd / hdd.max(1e-9));
@@ -72,23 +75,26 @@ fn main() {
         let mode = WorkloadMode::peak(16 * 1024, 0, read);
         let hdd_trace = peak_trace(|| ArraySpec::hdd_raid5(6).build(), mode, 5);
         let ssd_trace = peak_trace(|| ArraySpec::ssd_raid5(4).build(), mode, 5);
-        let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(
-            &mut host,
-            vec![
-                EvaluationJob::new(
-                    format!("hdd-rd{read}"),
-                    || ArraySpec::hdd_raid5(6).build(),
-                    hdd_trace,
-                    mode,
-                ),
-                EvaluationJob::new(
-                    format!("ssd-rd{read}"),
-                    || ArraySpec::ssd_raid5(4).build(),
-                    ssd_trace,
-                    mode,
-                ),
-            ],
-        );
+        let ids = SweepBuilder::new()
+            .executor(SweepExecutor::auto())
+            .jobs(
+                &mut host,
+                vec![
+                    EvaluationJob::new(
+                        format!("hdd-rd{read}"),
+                        || ArraySpec::hdd_raid5(6).build(),
+                        hdd_trace,
+                        mode,
+                    ),
+                    EvaluationJob::new(
+                        format!("ssd-rd{read}"),
+                        || ArraySpec::ssd_raid5(4).build(),
+                        ssd_trace,
+                        mode,
+                    ),
+                ],
+            )
+            .expect("in-memory trace");
         let hdd = host.db.get(ids[0]).expect("hdd record").efficiency.mbps_per_kilowatt;
         let ssd = host.db.get(ids[1]).expect("ssd record").efficiency.mbps_per_kilowatt;
         println!("{read:>8} {hdd:>14.1} {ssd:>14.1} {:>8.2}", ssd / hdd.max(1e-9));

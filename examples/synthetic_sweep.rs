@@ -65,9 +65,10 @@ fn main() {
         .sweep(
             &mut host,
             || ArraySpec::hdd_raid5(4).build(),
-            |mode| repo.load_view(&device, mode).expect("trace collected above"),
+            |mode| Ok(repo.load_view(&device, mode)?),
             &cfg,
-        );
+        )
+        .expect("traces collected above");
 
     // Report: one line per mode with peak efficiency and control error.
     println!(

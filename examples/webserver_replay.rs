@@ -13,7 +13,7 @@
 use tracer_core::prelude::*;
 use tracer_trace::srt;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let minutes = args
         .iter()
@@ -39,11 +39,10 @@ fn main() {
 
     // --- Round-trip through the srt converter (format transformer) ------
     let dir = std::env::temp_dir().join("tracer_webserver_example");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::create_dir_all(&dir)?;
     let srt_path = dir.join("webserver.srt");
-    srt::write_srt(&trace, &srt_path).expect("write srt");
-    let trace = srt::convert_file(&srt_path, "fiu-webserver", srt::ConvertOptions::default())
-        .expect("convert srt");
+    srt::write_srt(&trace, &srt_path)?;
+    let trace = srt::convert_file(&srt_path, "fiu-webserver", srt::ConvertOptions::default())?;
     println!("  srt round-trip   : {} IOs", trace.io_count());
 
     // --- Replay at load proportions 10..100 % ---------------------------
@@ -55,7 +54,7 @@ fn main() {
         || ArraySpec::hdd_raid5(6).build(),
         &trace,
         mode,
-    );
+    )?;
 
     println!("\nTable IV analogue — load-control accuracy (web-server trace):");
     println!(
@@ -85,7 +84,7 @@ fn main() {
     for load in [20u32, 40, 60, 80, 100] {
         let mut sim = ArraySpec::hdd_raid5(6).build();
         let cfg = ReplayConfig { load: LoadControl::proportion(load), ..Default::default() };
-        let report = replay(&mut sim, &trace, &cfg);
+        let report = try_replay(&mut sim, &trace, &cfg)?;
         let monitor = PerformanceMonitor::with_cycle(SimDuration::from_secs(60));
         series.push(monitor.bin(&report.completions, report.started, report.finished));
     }
@@ -101,4 +100,5 @@ fn main() {
         println!();
     }
     println!("\n(the workload trend is preserved as load proportion drops — §VI-F)");
+    Ok(())
 }

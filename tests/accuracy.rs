@@ -25,12 +25,11 @@ fn fixed_size_trace_control_error_is_tiny() {
     let mode = WorkloadMode::peak(4096, 50, 0);
     let trace = collect(mode, 4);
     let mut host = EvaluationHost::new();
-    let result = SweepBuilder::new().loads(&sweep::LOAD_PCTS).label("fig8").load_sweep(
-        &mut host,
-        || ArraySpec::hdd_raid5(4).build(),
-        &trace,
-        mode,
-    );
+    let result = SweepBuilder::new()
+        .loads(&sweep::LOAD_PCTS)
+        .label("fig8")
+        .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace, mode)
+        .expect("in-memory trace");
     assert_eq!(result.rows.len(), 10);
     assert!(result.max_error() < 0.03, "max error {}", result.max_error());
     // IOPS and MBPS accuracies agree for fixed-size requests.
@@ -49,12 +48,11 @@ fn web_trace_control_error_is_bounded_like_table_iv() {
         WebServerTraceBuilder { duration_s: 120.0, mean_iops: 200.0, ..Default::default() }.build();
     let mut host = EvaluationHost::new();
     let mode = WorkloadMode::peak(22 * 1024, 50, 90);
-    let result = SweepBuilder::new().loads(&sweep::LOAD_PCTS).label("table4").load_sweep(
-        &mut host,
-        || ArraySpec::hdd_raid5(6).build(),
-        &trace,
-        mode,
-    );
+    let result = SweepBuilder::new()
+        .loads(&sweep::LOAD_PCTS)
+        .label("table4")
+        .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &trace, mode)
+        .expect("in-memory trace");
     assert!(result.max_error() < 0.08, "max error {}", result.max_error());
 }
 
@@ -66,12 +64,11 @@ fn uneven_sizes_degrade_mbps_accuracy_more_than_iops_accuracy() {
     let cello = CelloTraceBuilder { duration_s: 60.0, ..Default::default() }.build();
     let mut host = EvaluationHost::new();
     let mode = WorkloadMode::peak(8192, 50, 58);
-    let result = SweepBuilder::new().loads(&[10, 30, 50, 70, 90]).label("table5").load_sweep(
-        &mut host,
-        || ArraySpec::hdd_raid5(6).build(),
-        &cello,
-        mode,
-    );
+    let result = SweepBuilder::new()
+        .loads(&[10, 30, 50, 70, 90])
+        .label("table5")
+        .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &cello, mode)
+        .expect("in-memory trace");
     let mbps_err: f64 =
         result.rows.iter().map(|r| (r.accuracy_mbps - 1.0).abs()).fold(0.0, f64::max);
     // Uneven sizes: noticeable MBPS error (cello's Table V shows up to 32 %),
@@ -84,7 +81,8 @@ fn uneven_sizes_degrade_mbps_accuracy_more_than_iops_accuracy() {
     let fixed_result = SweepBuilder::new()
         .loads(&[10, 30, 50, 70, 90])
         .label("table5-fixed")
-        .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &fixed, mode);
+        .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &fixed, mode)
+        .expect("in-memory trace");
     let fixed_err: f64 =
         fixed_result.rows.iter().map(|r| (r.accuracy_mbps - 1.0).abs()).fold(0.0, f64::max);
     assert!(
@@ -109,7 +107,8 @@ fn efficiency_grows_with_load_across_request_sizes() {
             mode.at_load(load),
             100,
             "fig9",
-        );
+        )
+        .expect("in-memory trace");
         host.commit(measured).metrics
     };
     for size in [4096u32, 65536] {
@@ -146,7 +145,8 @@ fn random_ratio_lowers_efficiency_monotonically_in_trend() {
         let trace = collect(mode, 2);
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let measured =
-            EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, &trace, mode, 100, "fig10");
+            EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, &trace, mode, 100, "fig10")
+                .expect("in-memory trace");
         let m = host.commit(measured).metrics;
         eff.push(m.mbps_per_kilowatt);
     }

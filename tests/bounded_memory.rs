@@ -72,7 +72,8 @@ fn check_cell(trace: &Trace, load: u32) -> (u64, usize, usize) {
     // The product.
     let mut sim = array();
     let measured =
-        EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, trace, mode, 100, "cell");
+        EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, trace, mode, 100, "cell")
+            .expect("in-memory trace");
     assert!(sim.completions().is_empty());
     assert!(measured.report.completions.is_empty());
     assert_eq!(measured.record, record);

@@ -25,12 +25,14 @@ fn degraded_lifecycle_end_to_end() {
     let mut sim = ArraySpec::hdd_raid5(4).build();
 
     // Phase 1: healthy service.
-    let healthy = replay(&mut sim, &workload(100), &ReplayConfig::default());
+    let healthy =
+        try_replay(&mut sim, &workload(100), &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(healthy.summary.total_ios, 100);
 
     // Phase 2: a member fails; the same workload replays degraded.
     sim.fail_disk(2);
-    let degraded = replay(&mut sim, &workload(100), &ReplayConfig::default());
+    let degraded =
+        try_replay(&mut sim, &workload(100), &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(degraded.summary.total_ios, 100, "no request may be lost degraded");
     assert!(
         degraded.summary.avg_response_ms > healthy.summary.avg_response_ms,
@@ -45,13 +47,15 @@ fn degraded_lifecycle_end_to_end() {
         max_stripes: 300,
     });
     assert_eq!(status.disk, 2);
-    let during = replay(&mut sim, &workload(100), &ReplayConfig::default());
+    let during =
+        try_replay(&mut sim, &workload(100), &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(during.summary.total_ios, 100, "foreground survives the rebuild");
     sim.run_to_idle();
     assert!(sim.rebuild_status().is_none(), "rebuild finished");
 
     // Phase 4: healthy again — latency returns to (near) the healthy level.
-    let after = replay(&mut sim, &workload(100), &ReplayConfig::default());
+    let after =
+        try_replay(&mut sim, &workload(100), &ReplayConfig::default()).expect("in-memory trace");
     assert!(
         after.summary.avg_response_ms < degraded.summary.avg_response_ms,
         "post-rebuild {} must beat degraded {}",
@@ -68,7 +72,8 @@ fn degraded_array_draws_less_power_than_healthy() {
         if let Some(d) = fail {
             sim.fail_disk(d);
         }
-        let report = replay(&mut sim, &trace, &ReplayConfig::default());
+        let report =
+            try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
         sim.power_log().avg_watts(report.started, report.finished)
     };
     let healthy_w = run(None);
@@ -121,10 +126,11 @@ fn eraid_policy_uses_degraded_machinery_consistently() {
         WorkloadMode::peak(16384, 50, 75),
         &[ConservationPolicy::DegradedParity { parked_disk: 1 }],
         "consistency",
-    );
+    )
+    .expect("in-memory trace");
     let mut sim = ArraySpec::hdd_raid5(4).build();
     sim.fail_disk(1);
-    let raw = replay(&mut sim, &trace, &ReplayConfig::default());
+    let raw = try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
     assert!((outcomes[1].avg_response_ms - raw.summary.avg_response_ms).abs() < 1e-9);
     assert!((outcomes[1].iops - raw.summary.iops).abs() < 1e-9);
 }

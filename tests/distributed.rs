@@ -28,7 +28,10 @@ fn heterogeneous_fleet_evaluates_in_parallel() {
             mode.at_load(50),
         ),
     ];
-    let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut host, jobs);
+    let ids = SweepBuilder::new()
+        .executor(SweepExecutor::auto())
+        .jobs(&mut host, jobs)
+        .expect("in-memory trace");
     assert_eq!(ids.len(), 4);
 
     let by_label = |l: &str| {
@@ -56,13 +59,16 @@ fn heterogeneous_fleet_evaluates_in_parallel() {
 fn distributed_results_match_sequential_bit_for_bit() {
     let mode = WorkloadMode::peak(16384, 100, 0);
     let mut host_par = EvaluationHost::new();
-    let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(
-        &mut host_par,
-        vec![
-            EvaluationJob::new("a", || ArraySpec::hdd_raid5(4).build(), trace(40, 16384), mode),
-            EvaluationJob::new("b", || ArraySpec::hdd_raid5(4).build(), trace(40, 16384), mode),
-        ],
-    );
+    let ids = SweepBuilder::new()
+        .executor(SweepExecutor::auto())
+        .jobs(
+            &mut host_par,
+            vec![
+                EvaluationJob::new("a", || ArraySpec::hdd_raid5(4).build(), trace(40, 16384), mode),
+                EvaluationJob::new("b", || ArraySpec::hdd_raid5(4).build(), trace(40, 16384), mode),
+            ],
+        )
+        .expect("in-memory trace");
     let a = host_par.db.get(ids[0]).unwrap();
     let b = host_par.db.get(ids[1]).unwrap();
     // Identical jobs on separate threads: identical results.
@@ -78,7 +84,8 @@ fn distributed_results_match_sequential_bit_for_bit() {
         mode,
         100,
         "seq",
-    );
+    )
+    .expect("in-memory trace");
     let seq = host_seq.commit(measured);
     assert_eq!(a.perf.total_ios, seq.report.summary.total_ios);
     assert_eq!(a.efficiency.iops.to_bits(), seq.metrics.iops.to_bits());
@@ -124,7 +131,10 @@ fn many_small_jobs_scale() {
             )
         })
         .collect();
-    let ids = SweepBuilder::new().executor(SweepExecutor::auto()).jobs(&mut host, jobs);
+    let ids = SweepBuilder::new()
+        .executor(SweepExecutor::auto())
+        .jobs(&mut host, jobs)
+        .expect("in-memory trace");
     assert_eq!(ids.len(), 16);
     let first = host.db.get(ids[0]).unwrap().perf;
     for id in &ids[1..] {

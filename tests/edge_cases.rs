@@ -48,7 +48,7 @@ fn extreme_load_controls_compose() {
         load: LoadControl { proportion_pct: 1, intensity_pct: 1000 },
         ..Default::default()
     };
-    let report = replay(&mut sim, &trace, &cfg);
+    let report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
     assert_eq!(report.issued_ios, 2);
     assert_eq!(report.completions.len(), 2);
 }
@@ -106,7 +106,7 @@ fn sub_sector_and_multi_megabyte_requests_replay() {
         ],
     );
     let mut sim = ArraySpec::hdd_raid5(6).build();
-    let report = replay(&mut sim, &trace, &ReplayConfig::default());
+    let report = try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(report.completions.len(), 3);
     // The 8 MiB read fans out over many strips and beats serial time.
     let big = report.completions.iter().find(|c| c.bytes == 8 << 20).unwrap();
@@ -129,7 +129,7 @@ fn single_disk_target_works_end_to_end() {
             .collect(),
     );
     let mut sim = ArraySpec::single_hdd().build();
-    let report = replay(&mut sim, &trace, &ReplayConfig::default());
+    let report = try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(report.completions.len(), 100);
     assert!((sim.stats().write_amplification() - 1.0).abs() < 1e-9, "no parity on one disk");
 }

@@ -33,7 +33,8 @@ fn generator_to_replay_to_database() {
             mode.at_load(load),
             100,
             "e2e",
-        );
+        )
+        .expect("in-memory trace");
         host.commit(measured);
     }
     assert_eq!(host.db.len(), 3);
@@ -65,7 +66,7 @@ fn repository_round_trip_preserves_replay_results() {
 
     let run = |t: &dyn tracer_trace::BunchSource| {
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let report = replay(&mut sim, t, &ReplayConfig::default());
+        let report = try_replay(&mut sim, t, &ReplayConfig::default()).expect("intact trace file");
         (report.issued_ios, report.summary.total_bytes, report.finished)
     };
     assert_eq!(run(&trace), run(&loaded));
@@ -80,7 +81,8 @@ fn virtual_and_realtime_replayers_issue_identical_workloads() {
 
     // Virtual replay.
     let mut sim = ArraySpec::hdd_raid5(4).build();
-    let report = replay(&mut sim, &filtered, &ReplayConfig::default());
+    let report =
+        try_replay(&mut sim, &filtered, &ReplayConfig::default()).expect("in-memory trace");
 
     // Real-time replay of the same filtered trace against a memory target.
     let target = MemTarget::instant();
@@ -129,7 +131,8 @@ fn spin_down_policy_saves_energy_on_idle_heavy_trace() {
             })
             .collect();
         let mut sim = ArraySim::new(cfg, devices);
-        let report = replay(&mut sim, &sparse, &ReplayConfig::default());
+        let report =
+            try_replay(&mut sim, &sparse, &ReplayConfig::default()).expect("in-memory trace");
         sim.power_log().energy_joules(report.started, report.finished)
     };
     let always_on = energy(None);

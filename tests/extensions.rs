@@ -13,7 +13,7 @@ fn thermal_metric_tracks_a_replayed_workload() {
     let trace =
         OltpTraceBuilder { duration_s: 120.0, mean_iops: 250.0, ..Default::default() }.build();
     let mut sim = ArraySpec::hdd_raid5(6).build();
-    let report = replay(&mut sim, &trace, &ReplayConfig::default());
+    let report = try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
 
     let model = ThermalModel::default();
     let temps: Vec<f64> =
@@ -46,9 +46,9 @@ fn cached_array_improves_oltp_latency_with_hot_index() {
         ArraySim::new(cfg, devices)
     };
     let mut plain = build(None);
-    let cold = replay(&mut plain, &trace, &ReplayConfig::default());
+    let cold = try_replay(&mut plain, &trace, &ReplayConfig::default()).expect("in-memory trace");
     let mut cached = build(Some(CacheConfig::paper_300mb()));
-    let warm = replay(&mut cached, &trace, &ReplayConfig::default());
+    let warm = try_replay(&mut cached, &trace, &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(cold.summary.total_ios, warm.summary.total_ios);
     assert!(
         warm.summary.avg_response_ms < cold.summary.avg_response_ms,
@@ -64,7 +64,7 @@ fn warmup_window_composes_with_host_measurement() {
     let trace = OltpTraceBuilder { duration_s: 30.0, ..Default::default() }.build();
     let mut sim = ArraySpec::hdd_raid5(4).build();
     let cfg = ReplayConfig { warmup: SimDuration::from_secs(5), ..Default::default() };
-    let report = replay(&mut sim, &trace, &cfg);
+    let report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
     assert!(report.summary.window_s < 26.0);
     assert!(report.summary.total_ios > 0);
     // Energy over the measured window only.
@@ -91,15 +91,15 @@ fn trace_surgery_flows_through_replay() {
     assert!(window.io_count() > 0);
 
     let mut sim = ArraySpec::hdd_raid5(6).build();
-    let report = replay(&mut sim, &window, &ReplayConfig::default());
+    let report = try_replay(&mut sim, &window, &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(report.issued_ios as usize, window.io_count());
 
     // Read/write halves replayed separately account for the same volume.
     let (reads, writes) = transform::split_by_kind(&window);
     let mut sim_r = ArraySpec::hdd_raid5(6).build();
-    let r = replay(&mut sim_r, &reads, &ReplayConfig::default());
+    let r = try_replay(&mut sim_r, &reads, &ReplayConfig::default()).expect("in-memory trace");
     let mut sim_w = ArraySpec::hdd_raid5(6).build();
-    let w = replay(&mut sim_w, &writes, &ReplayConfig::default());
+    let w = try_replay(&mut sim_w, &writes, &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(r.issued_bytes + w.issued_bytes, report.issued_bytes);
 }
 
@@ -115,7 +115,8 @@ fn analysis_helpers_certify_fig9_linearity_end_to_end() {
         let mut sim = ArraySpec::hdd_raid5(6).build();
         let mode = WorkloadMode::peak(4096, 80, 66).at_load(load as u32);
         let measured =
-            EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, &trace, mode, 100, "lin");
+            EvaluationHost::measure_test(host.meter_cycle_ms, &mut sim, &trace, mode, 100, "lin")
+                .expect("in-memory trace");
         let outcome = host.commit(measured);
         effs.push(outcome.metrics.iops_per_watt);
     }

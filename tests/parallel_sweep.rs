@@ -19,21 +19,20 @@ fn parallel_load_sweep_matches_serial_bit_for_bit() {
     let loads = [10, 30, 50, 70, 90];
 
     let mut serial = EvaluationHost::new();
-    let want = SweepBuilder::new().loads(&loads).label("ps").load_sweep(
-        &mut serial,
-        || ArraySpec::hdd_raid5(4).build(),
-        &trace(80),
-        mode,
-    );
+    let want = SweepBuilder::new()
+        .loads(&loads)
+        .label("ps")
+        .load_sweep(&mut serial, || ArraySpec::hdd_raid5(4).build(), &trace(80), mode)
+        .expect("in-memory trace");
 
     for workers in [2usize, 4, 7] {
         let mut par = EvaluationHost::new();
-        let got = SweepBuilder::new().workers(workers).loads(&loads).label("ps").load_sweep(
-            &mut par,
-            || ArraySpec::hdd_raid5(4).build(),
-            &trace(80),
-            mode,
-        );
+        let got = SweepBuilder::new()
+            .workers(workers)
+            .loads(&loads)
+            .label("ps")
+            .load_sweep(&mut par, || ArraySpec::hdd_raid5(4).build(), &trace(80), mode)
+            .expect("in-memory trace");
         assert_eq!(got, want, "sweep result diverged at {workers} workers");
         assert_eq!(par.db.records(), serial.db.records(), "db diverged at {workers} workers");
     }
@@ -54,16 +53,19 @@ fn parallel_mode_sweep_matches_serial_bit_for_bit() {
 
     let run = |workers: usize| {
         let mut host = EvaluationHost::new();
-        let results = SweepBuilder::new().workers(workers).sweep(
-            &mut host,
-            || ArraySpec::hdd_raid5(4).build(),
-            |mode| {
-                // Trace derived deterministically from the mode.
-                let n = 40 + u64::from(mode.request_bytes / 4096);
-                trace(n)
-            },
-            &cfg,
-        );
+        let results = SweepBuilder::new()
+            .workers(workers)
+            .sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(4).build(),
+                |mode| {
+                    // Trace derived deterministically from the mode.
+                    let n = 40 + u64::from(mode.request_bytes / 4096);
+                    Ok(trace(n))
+                },
+                &cfg,
+            )
+            .expect("in-memory trace");
         (results, host)
     };
 
@@ -79,13 +81,11 @@ fn parallel_trials_match_serial_bit_for_bit() {
     let mode = WorkloadMode::peak(8192, 50, 100);
     let run = |workers: usize| {
         let mut host = EvaluationHost::new();
-        let summary = SweepBuilder::new().workers(workers).label("trial").trials(
-            &mut host,
-            || ArraySpec::hdd_raid5(4).build(),
-            |seed| trace(30 + seed),
-            mode,
-            5,
-        );
+        let summary = SweepBuilder::new()
+            .workers(workers)
+            .label("trial")
+            .trials(&mut host, || ArraySpec::hdd_raid5(4).build(), |seed| trace(30 + seed), mode, 5)
+            .expect("in-memory trace");
         (summary, host)
     };
     let (want, serial) = run(1);
@@ -110,7 +110,8 @@ fn parallel_jobs_match_serial_bit_for_bit() {
     };
     let run = |workers: usize| {
         let mut host = EvaluationHost::new();
-        let ids = SweepBuilder::new().workers(workers).jobs(&mut host, jobs());
+        let ids =
+            SweepBuilder::new().workers(workers).jobs(&mut host, jobs()).expect("in-memory trace");
         (ids, host)
     };
     let (want, serial) = run(1);

@@ -34,7 +34,8 @@ fn database_survives_save_load_cycle_with_live_records() {
             WorkloadMode::peak(4096, 0, 100).at_load(load),
             100,
             "p",
-        );
+        )
+        .expect("in-memory trace");
         host.commit(measured);
     }
     let path = dir.join("db.json");
@@ -124,7 +125,8 @@ fn sweep_results_replayed_from_repository_are_reproducible() {
             mode.at_load(50),
             100,
             "r",
-        );
+        )
+        .expect("intact trace file");
         let outcome = host.commit(measured);
         (
             outcome.report.issued_ios,

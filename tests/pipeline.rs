@@ -140,7 +140,8 @@ fn blkparse_text_flows_into_the_replay_pipeline() {
     let loaded = repo.load_view_named("imported").unwrap();
     assert_eq!(loaded.to_trace().unwrap(), trace);
     let mut sim = ArraySpec::hdd_raid5(4).build();
-    let report = replay(&mut sim, &loaded, &ReplayConfig::default());
+    let report =
+        try_replay(&mut sim, &loaded, &ReplayConfig::default()).expect("intact trace file");
     assert_eq!(report.issued_ios, 200);
     assert_eq!(report.completions.len(), 200);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -197,20 +198,22 @@ fn intensity_scaling_composes_with_filtering_through_replay() {
     // 50 % of the bunches, twice the pacing: same data volume as 50 %, in
     // half the time.
     let mut sim = ArraySpec::hdd_raid5(4).build();
-    let normal = replay(
+    let normal = try_replay(
         &mut sim,
         &trace,
         &ReplayConfig { load: LoadControl::proportion(50), ..Default::default() },
-    );
+    )
+    .expect("in-memory trace");
     let mut sim = ArraySpec::hdd_raid5(4).build();
-    let compressed = replay(
+    let compressed = try_replay(
         &mut sim,
         &trace,
         &ReplayConfig {
             load: LoadControl { proportion_pct: 50, intensity_pct: 200 },
             ..Default::default()
         },
-    );
+    )
+    .expect("in-memory trace");
     assert_eq!(normal.issued_bytes, compressed.issued_bytes);
     assert!(compressed.span().as_secs_f64() < normal.span().as_secs_f64() * 0.6);
     // Twice the pacing ≈ twice the throughput on an unsaturated array.

@@ -18,7 +18,7 @@ use std::path::Path;
 use tracer_core::executor::SweepExecutor;
 use tracer_core::host::EvaluationHost;
 use tracer_core::orchestrate::SweepBuilder;
-use tracer_replay::{replay, LoadControl, ReplayConfig};
+use tracer_replay::{try_replay, LoadControl, ReplayConfig};
 use tracer_sim::ArraySpec;
 use tracer_trace::{
     bunch_materializations, replay_format, Bunch, IoPackage, Trace, TraceRepository, WorkloadMode,
@@ -91,7 +91,7 @@ fn every_format_replays_bit_identically() {
         for handle in [&v1, &v2, &v3] {
             let mut sim = ArraySpec::hdd_raid5(4).build();
             let before = bunch_materializations();
-            let report = replay(&mut sim, handle, &cfg);
+            let report = try_replay(&mut sim, handle, &cfg).expect("intact trace file");
             let delta = bunch_materializations() - before;
             if handle.is_view() {
                 assert_eq!(delta, 0, "v3 replay must stream straight off the mapping");
@@ -112,7 +112,8 @@ fn every_format_replays_bit_identically() {
                 .executor(SweepExecutor::new(workers))
                 .loads(&[30, 60, 100])
                 .label("formats")
-                .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), handle, mode);
+                .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), handle, mode)
+                .expect("intact trace file");
             serde_json::to_string(&result).unwrap()
         };
         let from_v2 = sweep(&v2);

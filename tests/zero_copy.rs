@@ -12,7 +12,7 @@ use std::sync::Arc;
 use tracer_core::executor::SweepExecutor;
 use tracer_core::host::EvaluationHost;
 use tracer_core::orchestrate::{SweepBuilder, SweepConfig};
-use tracer_replay::{replay, trace_materializations, LoadControl, ReplayConfig};
+use tracer_replay::{trace_materializations, try_replay, LoadControl, ReplayConfig};
 use tracer_sim::ArraySpec;
 use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
 
@@ -47,7 +47,7 @@ fn sweeps_replay_without_materializing_the_trace() {
             load: LoadControl { proportion_pct, intensity_pct },
             ..Default::default()
         };
-        let report = replay(&mut sim, &trace, &cfg);
+        let report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
         assert!(report.issued_ios <= 150);
     }
 
@@ -58,12 +58,14 @@ fn sweeps_replay_without_materializing_the_trace() {
         .executor(SweepExecutor::serial())
         .loads(&[20, 50, 80])
         .label("zc-serial")
-        .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace, mode);
+        .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace, mode)
+        .expect("in-memory trace");
     SweepBuilder::new()
         .executor(SweepExecutor::new(4))
         .loads(&[20, 50, 80])
         .label("zc-pooled")
-        .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace, mode);
+        .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace, mode)
+        .expect("in-memory trace");
 
     // A full mode × load sweep whose loader hands out one shared Arc —
     // the closure performs no clone and the plan performs no materialize.
@@ -71,12 +73,10 @@ fn sweeps_replay_without_materializing_the_trace() {
         modes: vec![WorkloadMode::peak(4096, 0, 100), WorkloadMode::peak(8192, 50, 50)],
         loads: vec![30, 60, 100],
     };
-    SweepBuilder::new().executor(SweepExecutor::new(4)).sweep(
-        &mut host,
-        || ArraySpec::hdd_raid5(4).build(),
-        |_| Arc::clone(&shared),
-        &cfg,
-    );
+    SweepBuilder::new()
+        .executor(SweepExecutor::new(4))
+        .sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), |_| Ok(Arc::clone(&shared)), &cfg)
+        .expect("in-memory trace");
 
     assert_eq!(
         trace_materializations() - before,
@@ -96,9 +96,12 @@ fn sweeps_replay_without_materializing_the_trace() {
     // Bit-identical results: the zero-copy plan path and the materialized
     // path must produce byte-for-byte equal reports.
     let mut sim_plan = ArraySpec::hdd_raid5(4).build();
-    let plan_report = replay(&mut sim_plan, &trace, &ReplayConfig { load, ..Default::default() });
+    let plan_report =
+        try_replay(&mut sim_plan, &trace, &ReplayConfig { load, ..Default::default() })
+            .expect("in-memory trace");
     let mut sim_mat = ArraySpec::hdd_raid5(4).build();
-    let mat_report = replay(&mut sim_mat, &materialized, &ReplayConfig::default());
+    let mat_report =
+        try_replay(&mut sim_mat, &materialized, &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(
         serde_json::to_string(&plan_report).unwrap(),
         serde_json::to_string(&mat_report).unwrap(),
