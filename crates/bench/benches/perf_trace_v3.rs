@@ -75,9 +75,8 @@ fn main() {
 
     // In-memory v2 body for the scan loop: the decoder is measured against
     // warm bytes, so the comparison cannot hide page-cache effects.
-    let mut body = bytes::BytesMut::new();
+    let mut body = Vec::new();
     encode_body(&trace, &mut body);
-    let body = body.freeze();
 
     // Decode-to-first-bunch: best of 7 cold opens per format.
     let mut v2_first = f64::MAX;

@@ -28,8 +28,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use tracer_sim::{ArrayConfig, ArraySim, ArraySpec, Device, SimDuration};
-use tracer_trace::{srt, sweep, TraceRepository, TraceStats, WorkloadMode};
-use tracer_workload::iometer::{run_peak_workload, IometerConfig};
+use tracer_trace::{srt, sweep, TraceRepository, TraceStats, V3Encoder, WorkloadMode};
+use tracer_workload::iometer::{run_peak_workload_into, IometerConfig};
 use tracer_workload::{TraceCollector, WebServerTraceBuilder};
 
 /// Which testbed preset to build.
@@ -603,17 +603,21 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
         Command::Collect { mode, seconds, repo, array } => {
             let repo = TraceRepository::open(&repo).map_err(io_err)?;
             let mut sim = array.build();
-            let out = run_peak_workload(
+            // Encoded as it is generated; the repository stores these bytes.
+            let encoder = V3Encoder::new(sim.config().name.as_str());
+            let out = run_peak_workload_into(
                 &mut sim,
                 &IometerConfig {
                     duration: SimDuration::from_secs(seconds),
                     ..IometerConfig::two_minutes(mode, 0x7ace)
                 },
+                encoder,
             );
-            let path = repo.store_v3(&mode, &out.trace).map_err(io_err)?;
+            let view = out.trace.into_view().map_err(io_err)?;
+            let path = repo.store_v3(&mode, &view).map_err(io_err)?;
             println!(
                 "collected {} IOs at peak {:.1} IOPS / {:.2} MBPS -> {}",
-                out.trace.io_count(),
+                view.io_count(),
                 out.peak_iops,
                 out.peak_mbps,
                 path.display()

@@ -50,8 +50,8 @@ use crate::metrics::{AccuracyRow, EfficiencyMetrics};
 use crate::orchestrate::{LoadSweepResult, SweepBuilder, TrialSummary};
 use std::path::Path;
 use tracer_sim::{ArraySpec, DeviceSpec, Layout, PowerPolicy, QueueDiscipline, SimDuration};
-use tracer_trace::{sweep, Trace, WorkloadMode};
-use tracer_workload::iometer::{run_peak_workload, IometerConfig};
+use tracer_trace::{sweep, v3, Trace, TraceHandle, TraceView, V3Encoder, WorkloadMode};
+use tracer_workload::iometer::{run_peak_workload, run_peak_workload_into, IometerConfig};
 use tracer_workload::{CelloTraceBuilder, WebServerTraceBuilder};
 
 /// Which synthetic workload a scenario replays.
@@ -140,21 +140,14 @@ impl WorkloadSpec {
         }
     }
 
-    /// Synthesize the trace for one mode (serve nodes call this per job;
-    /// the mode's load level is ignored — synthesis always runs at peak).
+    /// Synthesize the trace for one mode as an owned [`Trace`], for tests
+    /// and benchmarks that inspect it; the product replays [`Self::view`].
+    /// The mode's load level is ignored — synthesis always runs at peak.
     /// `trial` offsets the seed so repeated trials see fresh arrivals.
     pub fn trace(&self, array: &ArraySpec, mode: WorkloadMode, trial: u64) -> Trace {
         match self.kind {
             WorkloadKind::Peak => {
-                let mut sim = array.build();
-                run_peak_workload(
-                    &mut sim,
-                    &IometerConfig {
-                        duration: SimDuration::from_secs(self.seconds),
-                        ..IometerConfig::two_minutes(mode, self.seed.unwrap_or(0x7ace) + trial)
-                    },
-                )
-                .trace
+                run_peak_workload(&mut array.build(), &self.peak_config(mode, trial)).trace
             }
             WorkloadKind::Web => WebServerTraceBuilder {
                 duration_s: self.seconds as f64,
@@ -170,6 +163,39 @@ impl WorkloadSpec {
                 ..Default::default()
             }
             .build(),
+        }
+    }
+
+    /// Synthesize the trace for one mode as an in-memory v3 view — the same
+    /// bunches as [`Self::trace`] at ~9 B/IO instead of ~80. Run, serve and
+    /// coordinate all replay this. A closed-loop peak run encodes as it
+    /// issues; the web and cello builders sort their bunches, so they are
+    /// encoded after `build()` and the owned trace is dropped here.
+    pub fn view(
+        &self,
+        array: &ArraySpec,
+        mode: WorkloadMode,
+        trial: u64,
+    ) -> Result<TraceView, TracerError> {
+        let bytes = match self.kind {
+            WorkloadKind::Peak => {
+                let mut sim = array.build();
+                let encoder = V3Encoder::new(sim.config().name.as_str());
+                run_peak_workload_into(&mut sim, &self.peak_config(mode, trial), encoder)
+                    .trace
+                    .finish()
+            }
+            WorkloadKind::Web | WorkloadKind::Cello => {
+                v3::to_bytes(&self.trace(array, mode, trial))
+            }
+        };
+        Ok(TraceView::from_bytes(bytes)?)
+    }
+
+    fn peak_config(&self, mode: WorkloadMode, trial: u64) -> IometerConfig {
+        IometerConfig {
+            duration: SimDuration::from_secs(self.seconds),
+            ..IometerConfig::two_minutes(mode, self.seed.unwrap_or(0x7ace) + trial)
         }
     }
 }
@@ -738,6 +764,10 @@ pub struct ScenarioOutcome {
     pub trials: Option<TrialSummary>,
     /// The results database backing the cells.
     pub db: Database,
+    /// Bytes of the in-memory v3 views the mode grid replayed, summed.
+    pub trace_bytes: usize,
+    /// IOs in those views, summed.
+    pub trace_ios: usize,
 }
 
 /// The scenario-file keyword of a resolved power policy, for the report.
@@ -764,8 +794,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, TracerError>
     }
     let mut host = EvaluationHost::new();
     let mut results = Vec::with_capacity(modes.len());
+    let (mut trace_bytes, mut trace_ios) = (0, 0);
     for mode in &modes {
-        let trace = spec.workload.trace(&spec.array, *mode, 0);
+        // One mode's view at a time: dropped before the next is synthesised.
+        let trace = spec.workload.view(&spec.array, *mode, 0)?;
+        trace_bytes += trace.mapped_len();
+        trace_ios += trace.io_count();
         let result = SweepBuilder::new()
             .workers(spec.workers)
             .loads(&spec.loads)
@@ -778,6 +812,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, TracerError>
     }
     let trials = if spec.trials > 1 {
         let mode = modes[0];
+        let views = (0..spec.trials as u64)
+            .map(|seed| Ok(TraceHandle::from(spec.workload.view(&spec.array, mode, seed)?)))
+            .collect::<Result<Vec<_>, TracerError>>()?;
         Some(
             SweepBuilder::new()
                 .workers(spec.workers)
@@ -785,7 +822,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, TracerError>
                 .trials(
                     &mut host,
                     || spec.array.build(),
-                    |seed| spec.workload.trace(&spec.array, mode, seed),
+                    |seed| views[seed as usize].clone(),
                     mode,
                     spec.trials,
                 )?,
@@ -813,7 +850,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioOutcome, TracerError>
         }
     }
     let report = render_report(spec, &modes, &cells, trials.as_ref());
-    Ok(ScenarioOutcome { report, results, cells, trials, db: host.db })
+    Ok(ScenarioOutcome { report, results, cells, trials, db: host.db, trace_bytes, trace_ios })
 }
 
 /// Render the plain-text report. Floats print with `{}` (shortest round

@@ -123,7 +123,10 @@ fn coordinate(cmd: Command) -> Result<(), TracerError> {
                 &spec,
                 || scn.array.build(),
                 |dev, mode| {
-                    (dev == scn.array.name).then(|| scn.workload.trace(&scn.array, *mode, 0).into())
+                    if dev != scn.array.name {
+                        return None;
+                    }
+                    scn.workload.view(&scn.array, *mode, 0).ok().map(Into::into)
                 },
             )?,
             None => {

@@ -19,6 +19,12 @@
 //!   `.to_owned()`/`.to_string()`, `Vec::new`/`with_capacity`/`from`
 //!   (likewise `String`, `Box`), and the `vec!`/`format!` macros on the
 //!   replay-plan iterator path guarded by the materialization counter.
+//! * **`no-alloc-hot`** — active in scopes tagged
+//!   `tracer-invariant: no-alloc-hot`: the same token bans as `zero-copy`,
+//!   applied to the per-IO and per-event hot functions (the `ArraySim` event
+//!   handlers, each `service_into`, `Geometry::plan_into`, the v3 cursor and
+//!   encoder). The tag goes inside a function body, so it covers that
+//!   function only; it is the static twin of `tests/alloc_free.rs`.
 //! * **`double-lock`** — always active: a `.lock()` on a mutex whose guard
 //!   (by field name) is still held in the same function is a deadlock.
 //! * **`lock-order`** — always active: if one function in a crate acquires
@@ -99,14 +105,23 @@ pub struct FileAnalysis {
 const DETERMINISM: &str = "determinism";
 const NO_PANIC: &str = "no-panic-wire";
 const ZERO_COPY: &str = "zero-copy";
+const NO_ALLOC_HOT: &str = "no-alloc-hot";
 const DOUBLE_LOCK: &str = "double-lock";
 const LOCK_ORDER: &str = "lock-order";
 const BARE_ALLOW: &str = "bare-allow";
 const MISSING_TAG: &str = "missing-tag";
 
 /// Every rule id the checker can emit, for `--help` and docs.
-pub const ALL_RULES: &[&str] =
-    &[DETERMINISM, NO_PANIC, ZERO_COPY, DOUBLE_LOCK, LOCK_ORDER, BARE_ALLOW, MISSING_TAG];
+pub const ALL_RULES: &[&str] = &[
+    DETERMINISM,
+    NO_PANIC,
+    ZERO_COPY,
+    NO_ALLOC_HOT,
+    DOUBLE_LOCK,
+    LOCK_ORDER,
+    BARE_ALLOW,
+    MISSING_TAG,
+];
 
 /// A held lock guard (real binding or expression-temporary).
 struct Guard {
@@ -444,8 +459,15 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
             }
         }
 
-        // ---- zero-copy -----------------------------------------------------
-        if has("zero-copy") {
+        // ---- zero-copy / no-alloc-hot ---------------------------------------
+        let alloc_ban = if has("zero-copy") {
+            Some((ZERO_COPY, "on the zero-copy replay path"))
+        } else if has("no-alloc-hot") {
+            Some((NO_ALLOC_HOT, "in a no-alloc-hot function"))
+        } else {
+            None
+        };
+        if let Some((rule, place)) = alloc_ban {
             if t.kind == TokKind::Punct
                 && t.text == "."
                 && toks.get(i + 1).is_some_and(|n| {
@@ -456,9 +478,9 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
             {
                 let line = toks[i + 1].line;
                 emit!(
-                    ZERO_COPY,
+                    rule,
                     line,
-                    format!(".{}() allocates on the zero-copy replay path", toks[i + 1].text),
+                    format!(".{}() allocates {place}", toks[i + 1].text),
                     "borrow from the source trace; materialization must stay opt-in"
                 );
             }
@@ -472,13 +494,9 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
                 })
             {
                 emit!(
-                    ZERO_COPY,
+                    rule,
                     t.line,
-                    format!(
-                        "{}::{} allocates on the zero-copy replay path",
-                        t.text,
-                        toks[i + 3].text
-                    ),
+                    format!("{}::{} allocates {place}", t.text, toks[i + 3].text),
                     "yield borrowed slices instead of building owned containers"
                 );
             }
@@ -487,9 +505,9 @@ pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
                 && punct_at(i + 1, "!")
             {
                 emit!(
-                    ZERO_COPY,
+                    rule,
                     t.line,
-                    format!("{}! allocates on the zero-copy replay path", t.text),
+                    format!("{}! allocates {place}", t.text),
                     "yield borrowed slices instead of building owned values"
                 );
             }

@@ -80,6 +80,19 @@ fn zero_copy_fail_fixture_fires_for_every_ban() {
 }
 
 #[test]
+fn no_alloc_hot_fail_fixture_fires_inside_the_tagged_function_only() {
+    let report = lint_fixture("no_alloc_hot_fail.rs");
+    let rules = rules_of(&report);
+    assert!(rules.iter().all(|r| *r == "no-alloc-hot"), "{rules:?}");
+    let messages: Vec<&str> = report.violations.iter().map(|v| v.message.as_str()).collect();
+    for needle in [".to_vec()", ".to_string()", "Vec::new", "vec!", "format!", ".clone()"] {
+        assert!(messages.iter().any(|m| m.contains(needle)), "missing {needle}: {messages:?}");
+    }
+    // `cold_setup` (line 16 on) makes the same calls untagged.
+    assert!(report.violations.iter().all(|v| v.line < 16), "{:?}", report.violations);
+}
+
+#[test]
 fn zero_copy_allow_fixture_is_clean_with_an_audited_escape() {
     let report = lint_fixture("zero_copy_allow.rs");
     assert!(report.is_clean(), "{:?}", report.violations);

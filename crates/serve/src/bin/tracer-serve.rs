@@ -73,7 +73,10 @@ fn job_sources(
         });
         let load: tracer_serve::server::LoadTrace =
             Arc::new(move |dev: &str, mode: &WorkloadMode| {
-                (dev == device).then(|| spec.workload.trace(&spec.array, *mode, 0).into())
+                if dev != device {
+                    return None;
+                }
+                spec.workload.view(&spec.array, *mode, 0).ok().map(Into::into)
             });
         return Ok((build, load));
     }

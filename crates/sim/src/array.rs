@@ -568,6 +568,7 @@ impl ArraySim {
     }
 
     fn on_rebuild_next(&mut self) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         let Some(rb) = self.rebuild.as_mut() else { return };
         if rb.inflight.is_some() {
             return;
@@ -768,6 +769,7 @@ impl ArraySim {
     }
 
     fn handle(&mut self, ev: Event) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         match ev {
             Event::Arrival(slot) => self.on_arrival(slot),
             Event::PhaseReady(slot) => self.on_phase_ready(slot),
@@ -779,6 +781,7 @@ impl ArraySim {
     }
 
     fn on_arrival(&mut self, slot: Slot) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         debug_assert!(self.requests.occupied(slot), "arrival for unknown request");
         let req = self.requests.request(slot);
 
@@ -832,6 +835,7 @@ impl ArraySim {
     }
 
     fn on_phase_ready(&mut self, slot: Slot) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         let i = slot as usize;
         debug_assert!(self.requests.occupied(slot), "phase for unknown request");
         // Internal (rebuild) work queues behind foreground traffic.
@@ -867,6 +871,7 @@ impl ArraySim {
     }
 
     fn try_dispatch(&mut self, disk: usize) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         if self.busy[disk] {
             return;
         }
@@ -913,6 +918,7 @@ impl ArraySim {
     /// Append an op's service phases to `disk`'s power timeline, restore idle
     /// power at the end, and return the service time walked.
     fn log_plan(&mut self, disk: usize, phases: &[Phase]) -> SimDuration {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         let mut t = self.now;
         let tl = &mut self.power.devices[disk];
         for phase in phases {
@@ -927,6 +933,7 @@ impl ArraySim {
     }
 
     fn on_disk_free(&mut self, disk: usize, slot: Slot) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         self.busy[disk] = false;
         self.idle_since[disk] = self.now;
         self.try_dispatch(disk);
@@ -974,6 +981,7 @@ impl ArraySim {
     }
 
     fn on_request_done(&mut self, slot: Slot) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         let i = slot as usize;
         debug_assert!(self.requests.occupied(slot), "done for unknown request");
         if self.requests.internal(slot) {
@@ -1012,6 +1020,7 @@ impl ArraySim {
     }
 
     fn on_spin_down_check(&mut self, disk: usize, since: SimTime) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         if self.busy[disk] || self.idle_since[disk] != since || self.devices[disk].in_standby() {
             return;
         }

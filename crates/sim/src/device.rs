@@ -179,6 +179,7 @@ impl DeviceModel for Device {
     }
 
     fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         match self {
             Device::Hdd(d) => d.service_into(op, phases),
             Device::Ssd(d) => d.service_into(op, phases),

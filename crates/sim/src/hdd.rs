@@ -246,6 +246,7 @@ impl DeviceModel for HddModel {
     }
 
     fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         let p = &self.params;
 
         if self.standby {

@@ -111,6 +111,7 @@ impl DeviceModel for NvmeModel {
     }
 
     fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         let p = &self.params;
         let (latency_us, rate_mbps, chan_w) = if op.kind.is_read() {
             (p.read_latency_us, p.channel_read_mbps, p.channel_read_w)

@@ -265,6 +265,7 @@ impl Geometry {
         failed: Option<usize>,
         plan: &mut IoPlan,
     ) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         assert!(sectors > 0, "zero-length request");
         if let Some(f) = failed {
             assert!(f < self.disks, "failed disk index out of range");

@@ -147,6 +147,7 @@ impl DeviceModel for SsdModel {
     }
 
     fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         let p = &self.params;
         let (latency_us, rate_mbps, active_w) = if op.kind.is_read() {
             (p.read_latency_us, p.read_mbps, p.read_w)

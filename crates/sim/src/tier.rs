@@ -156,6 +156,7 @@ impl DeviceModel for TieredModel {
     }
 
     fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         let region = op.sector / self.cfg.region_sectors;
 
         if let Some(pos) = self.resident_pos(region) {

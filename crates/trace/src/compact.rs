@@ -23,7 +23,7 @@ use crate::error::TraceError;
 use crate::model::{Bunch, IoPackage, OpKind, Trace};
 use crate::v3::decode::unzigzag;
 use crate::v3::{put_varint, zigzag};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 /// Format version tag for the compact encoding.
 pub const VERSION: u16 = 2;
@@ -54,7 +54,7 @@ fn get_varint(data: &mut &[u8]) -> Result<u64, TraceError> {
 
 /// Encode the body (after the shared header) of a v2 trace (reference
 /// encoder; see the module docs).
-pub fn encode_body(trace: &Trace, buf: &mut BytesMut) {
+pub fn encode_body(trace: &Trace, buf: &mut Vec<u8>) {
     put_varint(buf, trace.bunch_count() as u64);
     let mut last_ts = 0u64;
     let mut last_end: i64 = 0;
@@ -82,10 +82,9 @@ pub fn encode_body(trace: &Trace, buf: &mut BytesMut) {
 /// ```
 /// use tracer_trace::compact::{encode_body, BunchDecoder};
 /// use tracer_trace::{Bunch, IoPackage, Trace};
-/// use bytes::BytesMut;
 ///
 /// let t = Trace::from_bunches("d", vec![Bunch::new(5, vec![IoPackage::read(8, 4096)])]);
-/// let mut buf = BytesMut::new();
+/// let mut buf = Vec::new();
 /// encode_body(&t, &mut buf);
 /// let mut dec = BunchDecoder::new(&buf).unwrap();
 /// assert_eq!(dec.remaining_bunches(), 1);
@@ -168,7 +167,7 @@ pub fn decode_body(data: &[u8], device: String) -> Result<Trace, TraceError> {
 /// Serialize with the compact encoding (shared magic + version-2 header) —
 /// the reference encoder; see the module docs.
 pub fn to_bytes(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + trace.io_count() * 4);
+    let mut buf = Vec::with_capacity(32 + trace.io_count() * 4);
     buf.put_slice(&crate::replay_format::MAGIC);
     buf.put_u16_le(VERSION);
     let dev = trace.device.as_bytes();
@@ -176,7 +175,7 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
     buf.put_u16_le(dev_len as u16);
     buf.put_slice(&dev[..dev_len]);
     encode_body(trace, &mut buf);
-    buf.freeze()
+    buf.into()
 }
 
 #[cfg(test)]
@@ -205,7 +204,7 @@ mod tests {
     #[test]
     fn varint_round_trip() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
             let mut slice: &[u8] = &buf;
             assert_eq!(get_varint(&mut slice).unwrap(), v);
@@ -235,7 +234,7 @@ mod tests {
     #[test]
     fn streaming_decoder_matches_whole_trace_decode() {
         let t = sequentialish_trace(300);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_body(&t, &mut buf);
         let whole = decode_body(&buf, "seq".to_string()).unwrap();
         let mut dec = BunchDecoder::new(&buf).unwrap();
@@ -253,7 +252,7 @@ mod tests {
     #[test]
     fn streaming_decoder_supports_partial_consumption() {
         let t = sequentialish_trace(10);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_body(&t, &mut buf);
         let mut dec = BunchDecoder::new(&buf).unwrap();
         let first = dec.next_bunch().unwrap().unwrap();
@@ -282,7 +281,7 @@ mod tests {
         // Body starts after magic+ver+len+dev(1): flip the sector delta to -1e9-ish
         // by corrupting; easier: construct body by hand.
         bytes.truncate(9); // header for device "d"
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         put_varint(&mut body, 1); // one bunch
         put_varint(&mut body, 0); // dt
         put_varint(&mut body, 1); // one io

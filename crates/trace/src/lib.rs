@@ -56,6 +56,6 @@ pub use mmap::Mmap;
 pub use mode::{sweep, WorkloadMode};
 pub use model::{Bunch, IoPackage, Nanos, OpKind, Sector, Trace, SECTOR_BYTES};
 pub use repository::TraceRepository;
-pub use source::{bunch_materializations, BunchSource, TraceHandle};
+pub use source::{bunch_materializations, BunchSink, BunchSource, TraceHandle};
 pub use stats::{TraceFingerprint, TraceStats};
-pub use v3::TraceView;
+pub use v3::{TraceView, V3Encoder};

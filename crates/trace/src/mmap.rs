@@ -28,7 +28,8 @@ use std::io;
 use std::path::Path;
 
 /// A read-only view of a whole file, memory-mapped where the platform
-/// supports it (Linux x86_64/aarch64) and heap-buffered elsewhere.
+/// supports it (Linux x86_64/aarch64) and heap-buffered elsewhere — or of an
+/// in-memory image handed over by [`Mmap::from_vec`].
 pub struct Mmap {
     ptr: *const u8,
     len: usize,
@@ -64,6 +65,13 @@ impl Mmap {
             });
         }
         sys::map_file(file, len)
+    }
+
+    /// Take ownership of bytes already on the heap: the fallback arm with no
+    /// file behind it. A synthesised trace encoded in memory replays through
+    /// this without touching the filesystem.
+    pub fn from_vec(bytes: Vec<u8>) -> Self {
+        Self { ptr: bytes.as_ptr(), len: bytes.len(), fallback: Some(bytes) }
     }
 
     /// `true` when the bytes come from a kernel mapping (shared page cache),
@@ -289,6 +297,17 @@ mod tests {
         let map = Mmap::open(&path).unwrap();
         assert!(map.is_mapped());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn heap_bytes_are_viewed_in_place() {
+        let bytes: Vec<u8> = (0..=255u8).collect();
+        let ptr = bytes.as_ptr();
+        let map = Mmap::from_vec(bytes);
+        assert_eq!(map.as_ptr(), ptr, "no copy");
+        assert_eq!(map.len(), 256);
+        assert!(!map.is_mapped());
+        assert!(Mmap::from_vec(Vec::new()).is_empty());
     }
 
     #[test]

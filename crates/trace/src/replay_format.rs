@@ -199,7 +199,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.replay");
         let t = sample();
-        for bytes in [to_bytes(&t), crate::compact::to_bytes(&t), crate::v3::to_bytes(&t)] {
+        for bytes in [to_bytes(&t), crate::compact::to_bytes(&t), crate::v3::to_bytes(&t).into()] {
             write_bytes_atomic(&bytes, &path).unwrap();
             assert_eq!(read_file(&path).unwrap(), t);
         }

@@ -33,9 +33,8 @@
 
 use crate::error::TraceError;
 use crate::mode::WorkloadMode;
-use crate::model::Trace;
 use crate::replay_format;
-use crate::source::TraceHandle;
+use crate::source::{BunchSource, TraceHandle};
 use crate::v3::{self, TraceView};
 use std::collections::BTreeMap;
 use std::fs;
@@ -265,11 +264,17 @@ impl TraceRepository {
     }
 
     /// Store a trace in the columnar v3 format under the naming convention.
-    /// Overwrites silently, as the collector re-collects traces for the same
-    /// mode. Subsequent [`TraceRepository::load_view`] calls for the same
-    /// mode replay it straight from the mapped file.
-    pub fn store_v3(&self, mode: &WorkloadMode, trace: &Trace) -> Result<PathBuf, TraceError> {
-        let path = self.path_for(&trace.device, mode);
+    /// Any [`BunchSource`] stores: an owned [`crate::Trace`] is encoded, an
+    /// in-memory [`TraceView`] (the collector's output) is written as the
+    /// bytes it already is. Overwrites silently, as the collector re-collects
+    /// traces for the same mode. Subsequent [`TraceRepository::load_view`]
+    /// calls for the same mode replay it straight from the mapped file.
+    pub fn store_v3<S: BunchSource + ?Sized>(
+        &self,
+        mode: &WorkloadMode,
+        trace: &S,
+    ) -> Result<PathBuf, TraceError> {
+        let path = self.path_for(trace.device(), mode);
         v3::write_file(trace, &path)?;
         self.invalidate(&path);
         Ok(path)
@@ -278,7 +283,11 @@ impl TraceRepository {
     /// Store a trace in the columnar v3 format under an explicit free-form
     /// name (used for real-world traces such as converted cello files, which
     /// have no mode vector).
-    pub fn store_v3_named(&self, name: &str, trace: &Trace) -> Result<PathBuf, TraceError> {
+    pub fn store_v3_named<S: BunchSource + ?Sized>(
+        &self,
+        name: &str,
+        trace: &S,
+    ) -> Result<PathBuf, TraceError> {
         let path = self.path_named(name);
         v3::write_file(trace, &path)?;
         self.invalidate(&path);
@@ -290,9 +299,9 @@ impl TraceRepository {
     /// v3 files come back as [`TraceHandle::View`] — an mmap-backed view
     /// replayed with zero bunch materialization; legacy v1/v2 files come back
     /// as a decoded [`TraceHandle::Owned`]. A caller that needs an owned
-    /// [`Trace`] calls [`TraceHandle::to_trace`]. Handles are cached keyed by
-    /// file identity, so replacing the file (all stores are atomic renames)
-    /// transparently reloads on the next call.
+    /// [`Trace`](crate::Trace) calls [`TraceHandle::to_trace`]. Handles are
+    /// cached keyed by file identity, so replacing the file (all stores are
+    /// atomic renames) transparently reloads on the next call.
     pub fn load_view(&self, device: &str, mode: &WorkloadMode) -> Result<TraceHandle, TraceError> {
         self.open_handle(&self.path_for(device, mode), || mode.file_stem(device))
     }
@@ -412,8 +421,7 @@ fn peek_version(path: &Path) -> Result<u16, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Bunch, IoPackage};
-    use crate::source::BunchSource;
+    use crate::model::{Bunch, IoPackage, Trace};
 
     fn tmp_repo(tag: &str) -> TraceRepository {
         let dir = std::env::temp_dir().join(format!("tracer_repo_{tag}_{}", std::process::id()));

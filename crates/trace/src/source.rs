@@ -22,7 +22,7 @@
 //! `Bunch` heap objects while the v2 path serves as the positive control.
 
 use crate::error::TraceError;
-use crate::model::{IoPackage, Nanos, Trace};
+use crate::model::{Bunch, IoPackage, Nanos, Trace};
 use crate::v3::TraceView;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,6 +64,29 @@ pub trait BunchSource {
     /// Visit every bunch in order. In-memory sources cannot fail; sources
     /// decoding from stored bytes return [`TraceError`] on corruption.
     fn try_for_each_bunch(&self, f: &mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), TraceError>;
+
+    /// The complete v3 file image behind this source, when it already is
+    /// one: [`crate::v3::write_file`] then stores these bytes instead of
+    /// encoding the bunches again.
+    fn v3_image(&self) -> Option<&[u8]> {
+        None
+    }
+}
+
+/// The write side of [`BunchSource`]: bunches pushed in non-decreasing
+/// timestamp order. The trace synthesisers emit through it, so one
+/// generator loop serves both representations — a
+/// [`V3Encoder`](crate::v3::V3Encoder) (the product path: bytes, ~9 B/IO)
+/// and an owned [`Trace`] (one heap `Vec` per bunch, for tests and ingest).
+pub trait BunchSink {
+    /// Append one bunch. The slice is only borrowed for the call.
+    fn push(&mut self, timestamp: Nanos, ios: &[IoPackage]);
+}
+
+impl BunchSink for Trace {
+    fn push(&mut self, timestamp: Nanos, ios: &[IoPackage]) {
+        self.push_bunch(Bunch::new(timestamp, ios.to_vec()));
+    }
 }
 
 impl BunchSource for Trace {
@@ -97,6 +120,10 @@ impl<T: BunchSource + ?Sized> BunchSource for Arc<T> {
     fn try_for_each_bunch(&self, f: &mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), TraceError> {
         (**self).try_for_each_bunch(f)
     }
+
+    fn v3_image(&self) -> Option<&[u8]> {
+        (**self).v3_image()
+    }
 }
 
 impl<T: BunchSource + ?Sized> BunchSource for &T {
@@ -110,6 +137,10 @@ impl<T: BunchSource + ?Sized> BunchSource for &T {
 
     fn try_for_each_bunch(&self, f: &mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), TraceError> {
         (**self).try_for_each_bunch(f)
+    }
+
+    fn v3_image(&self) -> Option<&[u8]> {
+        (**self).v3_image()
     }
 }
 
@@ -188,6 +219,13 @@ impl BunchSource for TraceHandle {
             TraceHandle::View(v) => v.try_for_each_bunch(f),
         }
     }
+
+    fn v3_image(&self) -> Option<&[u8]> {
+        match self {
+            TraceHandle::Owned(_) => None,
+            TraceHandle::View(v) => v.v3_image(),
+        }
+    }
 }
 
 impl From<Trace> for TraceHandle {
@@ -217,7 +255,6 @@ impl From<Arc<TraceView>> for TraceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Bunch;
 
     fn sample() -> Trace {
         Trace::from_bunches(

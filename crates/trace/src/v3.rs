@@ -41,8 +41,8 @@
 use crate::error::TraceError;
 use crate::mmap::Mmap;
 use crate::model::{Bunch, IoPackage, Nanos, OpKind, Trace};
-use crate::source::{record_bunch_materializations, BunchSource};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::source::{record_bunch_materializations, BunchSink, BunchSource};
+use bytes::BufMut;
 use std::path::Path;
 
 /// Format version tag for the columnar encoding.
@@ -63,14 +63,33 @@ pub const DEFAULT_INDEX_STRIDE: u32 = 1024;
 const MAX_IOS_PER_BUNCH: u64 = 1 << 24;
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) — same codec the fabric job log
-/// frames use, byte-at-a-time table-driven.
+/// frames use, table-driven eight bytes at a time (slicing-by-8): the encoder
+/// checksums every column it writes, so this runs once per synthesised byte.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    !data.iter().fold(!0u32, |crc, &b| (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize])
+    const T: [[u32; 256]; 8] = crc32_tables();
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = T[7][(lo & 0xFF) as usize]
+            ^ T[6][((lo >> 8) & 0xFF) as usize]
+            ^ T[5][((lo >> 16) & 0xFF) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][w[4] as usize]
+            ^ T[2][w[5] as usize]
+            ^ T[1][w[6] as usize]
+            ^ T[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ T[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the byte-at-a-time table; `T[k]` advances a byte's CRC through
+/// `k` more zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -79,10 +98,20 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 fn corrupt(why: &'static str) -> TraceError {
@@ -90,17 +119,32 @@ fn corrupt(why: &'static str) -> TraceError {
 }
 
 /// LEB128 varint encoder shared by the v3 writer and the v2 reference
-/// encoder ([`crate::compact`]).
-pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+/// encoder ([`crate::compact`]). A varint of up to 8 bytes (a value below
+/// 2^56) is spread into one word, its continuation bits set by length, and
+/// written whole — one fixed 8-byte append trimmed to length, with no branch
+/// per byte. Larger values take the byte loop.
+#[inline]
+pub(crate) fn put_varint(buf: &mut Vec<u8>, v: u64) {
+    if v >> 56 != 0 {
+        return put_varint_bytewise(buf, v);
     }
+    let len = (64 - (v | 1).leading_zeros()).div_ceil(7); // 1..=8 bytes
+    let mut x = ((v & 0x00FF_FFFF_F000_0000) << 4) | (v & 0x0FFF_FFFF);
+    x = ((x & 0x0FFF_C000_0FFF_C000) << 2) | (x & 0x0000_3FFF_0000_3FFF);
+    x = ((x & 0x3F80_3F80_3F80_3F80) << 1) | (x & 0x007F_007F_007F_007F);
+    x |= 0x8080_8080_8080_8080 & ((1u64 << (8 * (len - 1))) - 1);
+    let end = buf.len() + len as usize;
+    buf.extend_from_slice(&x.to_le_bytes());
+    buf.truncate(end);
+}
+
+#[cold]
+fn put_varint_bytewise(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
 /// Zig-zag map of a signed delta onto an unsigned varint payload.
@@ -112,16 +156,17 @@ pub(crate) fn zigzag(v: i64) -> u64 {
 /// timestamps, the [`Trace`] invariant), then [`V3Encoder::finish`] to get
 /// the complete file image. Column blocks grow incrementally, so the encoder
 /// holds roughly the *compressed* size in memory — it never materializes the
-/// trace it is fed.
+/// trace it is fed. It is the [`BunchSink`] the synthesisers write into, so a
+/// generated trace exists only as v3 bytes.
 #[derive(Debug)]
 pub struct V3Encoder {
     device: String,
     stride: u32,
-    ts: BytesMut,
-    cnt: BytesMut,
-    sec: BytesMut,
-    sz: BytesMut,
-    index: BytesMut,
+    ts: Vec<u8>,
+    cnt: Vec<u8>,
+    sec: Vec<u8>,
+    sz: Vec<u8>,
+    index: Vec<u8>,
     bunch_count: u64,
     io_count: u64,
     total_bytes: u64,
@@ -145,11 +190,11 @@ impl V3Encoder {
         Self {
             device: device.into(),
             stride,
-            ts: BytesMut::new(),
-            cnt: BytesMut::new(),
-            sec: BytesMut::new(),
-            sz: BytesMut::new(),
-            index: BytesMut::new(),
+            ts: Vec::new(),
+            cnt: Vec::new(),
+            sec: Vec::new(),
+            sz: Vec::new(),
+            index: Vec::new(),
             bunch_count: 0,
             io_count: 0,
             total_bytes: 0,
@@ -163,6 +208,7 @@ impl V3Encoder {
     /// ordering invariant); the debug assertion mirrors
     /// [`Trace::push_bunch`].
     pub fn push_bunch(&mut self, timestamp: Nanos, ios: &[IoPackage]) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
         debug_assert!(
             timestamp >= self.last_ts || self.bunch_count == 0,
             "bunches must be encoded in non-decreasing timestamp order"
@@ -195,55 +241,60 @@ impl V3Encoder {
         self.max_bunch_len = self.max_bunch_len.max(ios.len() as u32);
     }
 
-    /// Finish the stream and return the complete `.replay` v3 file image.
-    pub fn finish(self) -> Bytes {
-        let mut header = BytesMut::with_capacity(FIXED_HEADER_LEN);
-        header.put_u64_le(self.bunch_count);
-        header.put_u64_le(self.io_count);
-        header.put_u64_le(self.last_ts); // duration: timestamp of the final bunch
-        header.put_u64_le(self.total_bytes);
-        header.put_u32_le(self.max_bunch_len);
-        header.put_u32_le(self.stride);
-        header.put_u64_le(self.ts.len() as u64);
-        header.put_u64_le(self.cnt.len() as u64);
-        header.put_u64_le(self.sec.len() as u64);
-        header.put_u64_le(self.sz.len() as u64);
-        header.put_u64_le(self.index.len() as u64);
-        header.put_u32_le(crc32(&self.ts));
-        header.put_u32_le(crc32(&self.cnt));
-        header.put_u32_le(crc32(&self.sec));
-        header.put_u32_le(crc32(&self.sz));
-        let hcrc = crc32(&header);
-        header.put_u32_le(hcrc);
-        debug_assert_eq!(header.len(), FIXED_HEADER_LEN);
-
+    /// Finish the stream and return the complete `.replay` v3 file image,
+    /// in one allocation of exactly its size. Each column is freed as soon
+    /// as it is copied in, so the image and the columns are never both
+    /// whole in memory.
+    pub fn finish(self) -> Vec<u8> {
         let dev = self.device.as_bytes();
-        let dev_len = dev.len().min(u16::MAX as usize);
-        let mut out = BytesMut::with_capacity(
-            8 + dev_len
-                + FIXED_HEADER_LEN
-                + self.ts.len()
-                + self.cnt.len()
-                + self.sec.len()
-                + self.sz.len()
-                + self.index.len(),
-        );
+        let dev = &dev[..dev.len().min(u16::MAX as usize)];
+        let columns = [self.ts, self.cnt, self.sec, self.sz, self.index];
+        let len = 8 + dev.len() + FIXED_HEADER_LEN + columns.iter().map(Vec::len).sum::<usize>();
+        let mut out = Vec::with_capacity(len);
         out.put_slice(&crate::replay_format::MAGIC);
         out.put_u16_le(VERSION);
-        out.put_u16_le(dev_len as u16);
-        out.put_slice(&dev[..dev_len]);
-        out.put_slice(&header);
-        out.put_slice(&self.ts);
-        out.put_slice(&self.cnt);
-        out.put_slice(&self.sec);
-        out.put_slice(&self.sz);
-        out.put_slice(&self.index);
-        out.freeze()
+        out.put_u16_le(dev.len() as u16);
+        out.put_slice(dev);
+
+        let header_start = out.len();
+        out.put_u64_le(self.bunch_count);
+        out.put_u64_le(self.io_count);
+        out.put_u64_le(self.last_ts); // duration: timestamp of the final bunch
+        out.put_u64_le(self.total_bytes);
+        out.put_u32_le(self.max_bunch_len);
+        out.put_u32_le(self.stride);
+        for column in &columns {
+            out.put_u64_le(column.len() as u64);
+        }
+        for column in &columns[..4] {
+            out.put_u32_le(crc32(column));
+        }
+        let hcrc = crc32(&out[header_start..]);
+        out.put_u32_le(hcrc);
+        debug_assert_eq!(out.len() - header_start, FIXED_HEADER_LEN);
+
+        for column in columns {
+            out.put_slice(&column);
+        }
+        debug_assert_eq!(out.len(), out.capacity());
+        out
+    }
+
+    /// Finish into an in-memory [`TraceView`] over the image, with no file.
+    pub fn into_view(self) -> Result<TraceView, TraceError> {
+        TraceView::from_bytes(self.finish())
+    }
+}
+
+impl BunchSink for V3Encoder {
+    #[inline]
+    fn push(&mut self, timestamp: Nanos, ios: &[IoPackage]) {
+        self.push_bunch(timestamp, ios);
     }
 }
 
 /// Serialize a whole trace with the columnar encoding.
-pub fn to_bytes(trace: &Trace) -> Bytes {
+pub fn to_bytes(trace: &Trace) -> Vec<u8> {
     let mut enc = V3Encoder::new(trace.device.as_str());
     for bunch in &trace.bunches {
         enc.push_bunch(bunch.timestamp, &bunch.ios);
@@ -252,11 +303,17 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
 }
 
 /// Write `trace` to `path` in v3 — the program's only `.replay` file writer.
-/// It goes through a temp file + atomic rename so live [`TraceView`]
-/// mappings of an older version keep their inode (see [`crate::mmap`]'s
-/// safety argument).
-pub fn write_file(trace: &Trace, path: &Path) -> Result<(), TraceError> {
-    crate::replay_format::write_bytes_atomic(&to_bytes(trace), path)
+/// A source that already is a v3 image ([`BunchSource::v3_image`]) is
+/// written as it stands; any other is encoded on the way. It goes through a
+/// temp file + atomic rename so live [`TraceView`] mappings of an older
+/// version keep their inode (see [`crate::mmap`]'s safety argument).
+pub fn write_file<S: BunchSource + ?Sized>(trace: &S, path: &Path) -> Result<(), TraceError> {
+    if let Some(image) = trace.v3_image() {
+        return crate::replay_format::write_bytes_atomic(image, path);
+    }
+    let mut enc = V3Encoder::new(trace.device());
+    trace.try_for_each_bunch(&mut |ts, ios| enc.push_bunch(ts, ios))?;
+    crate::replay_format::write_bytes_atomic(&enc.finish(), path)
 }
 
 /// Parsed v3 header: counts plus the byte ranges of the blocks *relative to
@@ -437,8 +494,38 @@ pub mod decode {
     use crate::error::TraceError;
     use crate::model::{IoPackage, Nanos, OpKind};
 
+    /// Decode one LEB128 varint from the front of `data`.
+    ///
+    /// Fast path: with at least eight bytes left, one little-endian word
+    /// load finds the terminating byte and packs the 7-bit groups of a
+    /// 1–8-byte varint (≤ 56 bits, so it cannot overflow). Longer varints
+    /// and the last few bytes of a column take [`get_varint_bytewise`], which
+    /// owns every error. Both consume the same bytes and return the same
+    /// value or error.
     #[inline]
-    fn get_varint(data: &mut &[u8]) -> Result<u64, TraceError> {
+    pub(crate) fn get_varint(data: &mut &[u8]) -> Result<u64, TraceError> {
+        if let Some(word) = data.first_chunk::<8>() {
+            let word = u64::from_le_bytes(*word);
+            let stops = !word & 0x8080_8080_8080_8080;
+            if stops != 0 {
+                let len = stops.trailing_zeros() / 8 + 1;
+                let mut x = (word & (u64::MAX >> (64 - 8 * len))) & 0x7F7F_7F7F_7F7F_7F7F;
+                x = ((x & 0x7F00_7F00_7F00_7F00) >> 1) | (x & 0x007F_007F_007F_007F);
+                x = ((x & 0x3FFF_0000_3FFF_0000) >> 2) | (x & 0x0000_3FFF_0000_3FFF);
+                x = ((x & 0x0FFF_FFFF_0000_0000) >> 4) | (x & 0x0000_0000_0FFF_FFFF);
+                *data = &data[len as usize..];
+                return Ok(x);
+            }
+        }
+        get_varint_bytewise(data)
+    }
+
+    /// The byte-at-a-time LEB128 decoder: the fallback for 9–10-byte
+    /// varints and short tails, and the reference the fast path is tested
+    /// against.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn get_varint_bytewise(data: &mut &[u8]) -> Result<u64, TraceError> {
         let mut out = 0u64;
         let mut shift = 0u32;
         loop {
@@ -530,6 +617,7 @@ pub mod decode {
             &mut self,
             scratch: &mut Vec<IoPackage>,
         ) -> Result<Option<Nanos>, TraceError> {
+            #![doc = "tracer-invariant: no-alloc-hot"]
             if self.remaining == 0 {
                 return Ok(None);
             }
@@ -608,11 +696,13 @@ pub fn split_file(data: &[u8]) -> Result<(&str, &[u8]), TraceError> {
     Ok((device, &data[body_start..]))
 }
 
-/// An mmap-backed, zero-materialization view of a v3 `.replay` file.
+/// A zero-materialization view of a v3 `.replay` image: an mmap of a stored
+/// file ([`TraceView::open`]) or an encoded image on the heap
+/// ([`TraceView::from_bytes`], what synthesised traces replay from).
 ///
 /// Opening parses and structurally validates the header (O(1)); iteration
 /// ([`BunchSource::try_for_each_bunch`]) decodes the columns straight out of
-/// the mapping into one reusable scratch buffer — no [`Bunch`] heap object is
+/// the bytes into one reusable scratch buffer — no [`Bunch`] heap object is
 /// ever built, which `tests/trace_formats.rs` asserts through
 /// [`crate::source::bunch_materializations`].
 #[derive(Debug)]
@@ -626,7 +716,15 @@ pub struct TraceView {
 impl TraceView {
     /// Map and open the v3 file at `path`.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let data = Mmap::open(path)?;
+        Self::over(Mmap::open(path)?)
+    }
+
+    /// View an in-memory v3 image (a [`V3Encoder::finish`] result) in place.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, TraceError> {
+        Self::over(Mmap::from_vec(bytes))
+    }
+
+    fn over(data: Mmap) -> Result<Self, TraceError> {
         let (device, body) = split_file(&data)?;
         let meta = V3Meta::parse(body)?;
         let device = device.to_string();
@@ -664,7 +762,8 @@ impl TraceView {
         self.meta.total_bytes
     }
 
-    /// Bytes of file backing this view (what the repository cache accounts).
+    /// Bytes of the image backing this view (what the repository cache
+    /// accounts, and all an in-memory view holds).
     pub fn mapped_len(&self) -> usize {
         self.data.len()
     }
@@ -720,6 +819,10 @@ impl BunchSource for TraceView {
         }
         Ok(())
     }
+
+    fn v3_image(&self) -> Option<&[u8]> {
+        Some(&self.data)
+    }
 }
 
 #[cfg(test)]
@@ -751,10 +854,113 @@ mod tests {
         (TraceView::open(&path).unwrap(), path)
     }
 
+    /// Run both varint decoders over `bytes` until the first error or the
+    /// end: every step must agree on the value (or error) and on how many
+    /// bytes it consumed.
+    fn assert_varint_decoders_agree(bytes: &[u8]) {
+        let (mut fast, mut slow) = (bytes, bytes);
+        loop {
+            let a = decode::get_varint(&mut fast);
+            let b = decode::get_varint_bytewise(&mut slow);
+            match (&a, &b) {
+                (Ok(x), Ok(y)) => assert_eq!(x, y, "value over {bytes:02x?}"),
+                (Err(x), Err(y)) => {
+                    assert_eq!(format!("{x:?}"), format!("{y:?}"), "error over {bytes:02x?}");
+                    return;
+                }
+                _ => panic!("fast {a:?} vs bytewise {b:?} over {bytes:02x?}"),
+            }
+            assert_eq!(fast.len(), slow.len(), "bytes consumed over {bytes:02x?}");
+            if fast.is_empty() {
+                return;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The word-at-a-time `get_varint` is the byte loop, faster: on any
+        /// bytes — every truncation, 9–10-byte and overflowing varints
+        /// (forced by a run of continuation bytes) included.
+        #[test]
+        fn fast_varint_matches_the_byte_loop(
+            run in 0usize..12,
+            low in proptest::prelude::any::<u8>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+        ) {
+            let mut bytes: Vec<u8> = (0..run).map(|i| low.rotate_left(i as u32) | 0x80).collect();
+            bytes.extend_from_slice(&tail);
+            for cut in 0..=bytes.len() {
+                assert_varint_decoders_agree(&bytes[..cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_length() {
+        let mut values: Vec<u64> = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+        for bits in (7..64).step_by(7) {
+            values.extend([(1u64 << bits) - 1, 1u64 << bits]);
+        }
+        for v in values {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            let mut bytewise = Vec::new();
+            put_varint_bytewise(&mut bytewise, v);
+            assert_eq!(buf, bytewise, "{v}");
+            let len = buf.len();
+            buf.extend_from_slice(&[0xFF; 12]);
+            for padded in [&buf[..len], &buf[..]] {
+                let mut data = padded;
+                assert_eq!(decode::get_varint(&mut data).unwrap(), v);
+                assert_eq!(padded.len() - data.len(), len, "{v} consumed {len} bytes");
+                assert_varint_decoders_agree(padded);
+            }
+        }
+    }
+
+    #[test]
+    fn heap_view_replays_like_the_mapped_file() {
+        let t = sequentialish_trace(2500);
+        let (mapped, path) = view_of(&t, "heap");
+        let heap = TraceView::from_bytes(to_bytes(&t)).unwrap();
+        assert!(!heap.is_mapped());
+        assert_eq!(heap.mapped_len(), mapped.mapped_len());
+        assert_eq!(heap.meta(), mapped.meta());
+        heap.verify().unwrap();
+        let before = crate::source::bunch_materializations();
+        let mut got: Vec<Bunch> = Vec::new();
+        heap.try_for_each_bunch(&mut |ts, ios| got.push(Bunch::new(ts, ios.to_vec()))).unwrap();
+        assert_eq!(crate::source::bunch_materializations(), before);
+        assert_eq!(got, t.bunches);
+        assert_eq!(heap.v3_image(), Some(&std::fs::read(&path).unwrap()[..]));
+        assert!(TraceView::from_bytes(b"TRCR".to_vec()).is_err());
+        drop(mapped);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn finish_is_one_exact_allocation() {
+        let t = sequentialish_trace(3000);
+        let bytes = to_bytes(&t);
+        assert_eq!(bytes.len(), bytes.capacity());
+    }
+
     #[test]
     fn crc32_matches_the_reference_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Every length and alignment of the 8-byte path against the byte loop.
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        let table = crc32_tables()[0];
+        for start in 0..9 {
+            for end in start..data.len() {
+                let slice = &data[start..end];
+                let bytewise = !slice.iter().fold(!0u32, |crc, &b| {
+                    (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize]
+                });
+                assert_eq!(crc32(slice), bytewise, "{start}..{end}");
+            }
+        }
     }
 
     #[test]

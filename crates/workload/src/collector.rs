@@ -8,9 +8,9 @@
 //! freshly-built simulated array per workload mode and stores the recorded
 //! trace under the mode-encoding file name.
 
-use crate::iometer::{run_peak_workload, GeneratedWorkload, IometerConfig};
+use crate::iometer::{run_peak_workload_into, GeneratedWorkload, IometerConfig};
 use tracer_sim::{ArraySim, SimDuration};
-use tracer_trace::{sweep, TraceError, TraceRepository, WorkloadMode};
+use tracer_trace::{sweep, TraceError, TraceRepository, TraceView, V3Encoder, WorkloadMode};
 
 /// Collects peak-workload traces into a repository.
 pub struct TraceCollector<'a, F>
@@ -48,8 +48,13 @@ where
     }
 
     /// Collect one mode's trace (overwriting any existing file) and return
-    /// the generated workload (with its peak rates).
-    pub fn collect(&mut self, mode: WorkloadMode) -> Result<GeneratedWorkload, TraceError> {
+    /// the generated workload (with its peak rates). The trace is encoded as
+    /// it is generated and stored as those bytes; the returned view holds
+    /// the same image in memory.
+    pub fn collect(
+        &mut self,
+        mode: WorkloadMode,
+    ) -> Result<GeneratedWorkload<TraceView>, TraceError> {
         let mut sim = (self.build_array)();
         let cfg = IometerConfig {
             mode,
@@ -58,9 +63,7 @@ where
             span_sectors: self.span_sectors,
             seed: self.seed ^ mode_seed(&mode),
         };
-        let out = run_peak_workload(&mut sim, &cfg);
-        self.repo.store_v3(&mode, &out.trace)?;
-        Ok(out)
+        collect_into(self.repo, &mut sim, &cfg)
     }
 
     /// Collect a trace only if the repository does not already hold one.
@@ -73,6 +76,20 @@ where
         drop(sim);
         self.collect(mode).map(|_| ())
     }
+}
+
+/// Run one collection straight into a v3 encoder and store its bytes.
+fn collect_into(
+    repo: &TraceRepository,
+    sim: &mut ArraySim,
+    cfg: &IometerConfig,
+) -> Result<GeneratedWorkload<TraceView>, TraceError> {
+    let encoder = V3Encoder::new(sim.config().name.as_str());
+    let GeneratedWorkload { trace, completed_ios, window_bytes, peak_iops, peak_mbps } =
+        run_peak_workload_into(sim, cfg, encoder);
+    let view = trace.into_view()?;
+    repo.store_v3(&cfg.mode, &view)?;
+    Ok(GeneratedWorkload { trace: view, completed_ios, window_bytes, peak_iops, peak_mbps })
 }
 
 /// Stable per-mode seed derivation.
@@ -133,8 +150,7 @@ where
                             span_sectors: 16 * 1024 * 1024,
                             seed: 0x7ace ^ mode_seed(&mode),
                         };
-                        let out = run_peak_workload(&mut sim, &cfg);
-                        repo.store_v3(&mode, &out.trace)?;
+                        collect_into(repo, &mut sim, &cfg)?;
                     }
                     Ok(())
                 })
@@ -171,7 +187,7 @@ mod tests {
         assert!(out.peak_iops > 0.0);
         let back = repo.load_view("raid5-hdd4", &mode).unwrap();
         assert!(back.is_view(), "collected traces are stored as v3");
-        assert_eq!(back.to_trace().unwrap(), out.trace);
+        assert_eq!(back.to_trace().unwrap(), out.trace.to_trace().unwrap());
         std::fs::remove_dir_all(repo.root()).unwrap();
     }
 
@@ -202,7 +218,7 @@ mod tests {
         collector.duration = SimDuration::from_secs(2);
         let mode = WorkloadMode::peak(16384, 50, 50);
         let out = collector.collect(mode).unwrap();
-        let stats = TraceStats::compute(&out.trace);
+        let stats = TraceStats::compute(&out.trace.to_trace().unwrap());
         assert!((stats.avg_request_bytes - 16384.0).abs() < 1.0);
         assert!((stats.read_ratio - 0.5).abs() < 0.05, "read ratio {}", stats.read_ratio);
         std::fs::remove_dir_all(repo.root()).unwrap();

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tracer_sim::{ArrayRequest, ArraySim, SimDuration, SimTime};
-use tracer_trace::{Bunch, IoPackage, OpKind, Trace, WorkloadMode};
+use tracer_trace::{BunchSink, IoPackage, Nanos, OpKind, Trace, WorkloadMode};
 
 /// Configuration of one IOmeter-style run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,11 +45,15 @@ impl IometerConfig {
 }
 
 /// Outcome of a generator run: the recorded trace and the measured peak rates.
+///
+/// `trace` is the [`BunchSink`] the run wrote into: an owned [`Trace`] by
+/// default ([`run_peak_workload`]), or a [`V3Encoder`](tracer_trace::V3Encoder)
+/// on the product paths, which keep a synthesised trace only as v3 bytes.
 #[derive(Debug, Clone)]
-pub struct GeneratedWorkload {
+pub struct GeneratedWorkload<T = Trace> {
     /// The trace a block-level tracer would have recorded (arrival times of
     /// issued requests, grouped into bunches by arrival instant).
-    pub trace: Trace,
+    pub trace: T,
     /// Requests completed during the run (including drain) — every issued
     /// request completes, so this equals the trace's IO count.
     pub completed_ios: u64,
@@ -168,37 +172,44 @@ impl MixedRequestFactory {
 /// Completions between trims of the generator simulator's power log.
 const POWER_TRIM_EVERY: u64 = 4096;
 
-/// Drive `sim` with a closed-loop workload from an arbitrary request source.
-/// This is the generic engine behind [`run_peak_workload`] and
+/// Drive `sim` with a closed-loop workload from an arbitrary request source,
+/// pushing each bunch of issued requests into `sink` as it closes. This is
+/// the generic engine behind [`run_peak_workload`] and
 /// [`run_peak_workload_mixed`].
 ///
 /// The simulator here is a load source, not a device under measurement:
 /// completions are consumed as they land and its power history is trimmed
-/// along the way, so generating a trace costs memory for the trace only.
-pub fn run_closed_loop(
+/// along the way, so generating a trace costs memory for the sink only. The
+/// open bunch lives in one reused buffer; the loop itself allocates nothing
+/// per bunch.
+pub fn run_closed_loop<S: BunchSink>(
     sim: &mut ArraySim,
     next_request: &mut dyn FnMut() -> ArrayRequest,
     outstanding: usize,
     duration: SimDuration,
-) -> GeneratedWorkload {
+    mut sink: S,
+) -> GeneratedWorkload<S> {
     let base = sim.now();
     let deadline = base + duration;
 
-    // Issue instants never decrease, so the trace is bunched as it is issued.
-    let mut trace = Trace::new(sim.config().name.clone());
-    let mut issue = |sim: &mut ArraySim, at: SimTime| {
+    // Issue instants never decrease, so the trace is bunched as it is issued:
+    // a request at a new instant closes the open bunch.
+    let mut open: Vec<IoPackage> = Vec::with_capacity(outstanding.max(1));
+    let mut open_at: Nanos = 0;
+    let mut issue = |sim: &mut ArraySim, sink: &mut S, at: SimTime| {
         let req = next_request();
         sim.submit(at, req).expect("generated request must be in range");
-        let io = IoPackage::new(req.sector, req.bytes, req.kind);
         let timestamp = (at - base).as_nanos();
-        match trace.bunches.last_mut() {
-            Some(bunch) if bunch.timestamp == timestamp => bunch.ios.push(io),
-            _ => trace.push_bunch(Bunch::new(timestamp, vec![io])),
+        if timestamp != open_at && !open.is_empty() {
+            sink.push(open_at, &open);
+            open.clear();
         }
+        open_at = timestamp;
+        open.push(IoPackage::new(req.sector, req.bytes, req.kind));
     };
 
     for _ in 0..outstanding.max(1) {
-        issue(sim, base);
+        issue(sim, &mut sink, base);
     }
 
     let mut completed_ios = 0u64;
@@ -218,17 +229,20 @@ pub fn run_closed_loop(
             if done.completed < deadline {
                 window_ios += 1;
                 window_bytes += u64::from(done.bytes);
-                issue(sim, done.completed);
+                issue(sim, &mut sink, done.completed);
             }
             if completed_ios % POWER_TRIM_EVERY == 0 {
                 sim.discard_power_before(done.completed);
             }
         }
     }
+    if !open.is_empty() {
+        sink.push(open_at, &open);
+    }
 
     let window = duration.as_secs_f64();
     GeneratedWorkload {
-        trace,
+        trace: sink,
         completed_ios,
         window_bytes,
         peak_iops: window_ios as f64 / window,
@@ -247,18 +261,32 @@ pub fn run_peak_workload_mixed(
 ) -> GeneratedWorkload {
     let span = span_sectors.min(sim.data_capacity_sectors());
     let mut factory = MixedRequestFactory::new(spec, span, seed);
-    run_closed_loop(sim, &mut || factory.next_request(), outstanding, duration)
+    let sink = Trace::new(sim.config().name.clone());
+    run_closed_loop(sim, &mut || factory.next_request(), outstanding, duration, sink)
 }
 
-/// Drive `sim` with a closed-loop peak workload and record the issued trace.
+/// Drive `sim` with a closed-loop peak workload and record the issued trace
+/// as an owned [`Trace`] (see [`run_peak_workload_into`]).
+pub fn run_peak_workload(sim: &mut ArraySim, cfg: &IometerConfig) -> GeneratedWorkload {
+    let sink = Trace::new(sim.config().name.clone());
+    run_peak_workload_into(sim, cfg, sink)
+}
+
+/// Drive `sim` with a closed-loop peak workload, pushing the issued trace
+/// into `sink` — a [`V3Encoder`](tracer_trace::V3Encoder) on the product
+/// paths, so the trace is v3 bytes from the start.
 ///
 /// The simulator should be freshly constructed; issuing begins at its current
 /// clock. After `cfg.duration` no further requests are issued and the
 /// remaining outstanding requests drain.
-pub fn run_peak_workload(sim: &mut ArraySim, cfg: &IometerConfig) -> GeneratedWorkload {
+pub fn run_peak_workload_into<S: BunchSink>(
+    sim: &mut ArraySim,
+    cfg: &IometerConfig,
+    sink: S,
+) -> GeneratedWorkload<S> {
     let span = cfg.span_sectors.min(sim.data_capacity_sectors());
     let mut factory = RequestFactory::new(cfg.mode, span, cfg.seed);
-    run_closed_loop(sim, &mut || factory.next_request(), cfg.outstanding, cfg.duration)
+    run_closed_loop(sim, &mut || factory.next_request(), cfg.outstanding, cfg.duration, sink)
 }
 
 #[cfg(test)]

@@ -36,3 +36,18 @@ goldens!(
     fig08, fig09a, fig09b, fig10a, fig10b, fig11, nvme, raid6, smoke, spindown, table4, table5,
     tiered,
 );
+
+/// The deterministic twin of the peak-RSS claim: a `peak` scenario replays
+/// every cell from an in-memory v3 view of at most 12 B/IO (an owned trace
+/// costs ~80), and nothing decodes that view back into `Bunch` objects.
+#[test]
+fn peak_scenario_replays_a_v3_view_without_materializing() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+    let spec = ScenarioSpec::from_file(dir.join("fig08.toml")).expect("fig08.toml parses");
+    let before = tracer_trace::bunch_materializations();
+    let outcome = run_scenario(&spec).expect("fig08 runs");
+    assert_eq!(tracer_trace::bunch_materializations(), before, "a cell decoded the view");
+    assert!(outcome.trace_ios > 5_000, "fig08 replays {} IOs", outcome.trace_ios);
+    let bytes_per_io = outcome.trace_bytes as f64 / outcome.trace_ios as f64;
+    assert!(bytes_per_io <= 12.0, "the replayed view holds {bytes_per_io:.2} B/IO");
+}
