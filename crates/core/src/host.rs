@@ -99,7 +99,7 @@ impl EvaluationHost {
         // window, like the host's init/finalize commands around a physical
         // run. In between it meters each batch of the run as it completes and
         // the simulator forgets the power history already metered, so the
-        // cell holds O(meter cycles), not O(IOs).
+        // log holds only what was written since the last batch.
         let mut analyzer = PowerAnalyzer::new();
         let mut channel = Channel::ac_220v(sim.config().name.clone());
         channel.meter.cycle = SimDuration::from_millis(meter_cycle_ms.max(1));

@@ -158,7 +158,7 @@ impl PowerAnalyzer {
         if self.progress.is_empty() {
             self.progress = (self.channels.iter().zip(logs))
                 .map(|(ch, log)| ChannelProgress {
-                    meter: ch.meter.cursor(from),
+                    meter: ch.meter.cursor(log, from),
                     samples: Vec::new(),
                     energy: log.energy_cursor(from),
                 })
@@ -175,9 +175,10 @@ impl PowerAnalyzer {
     /// never a part of one, so the final figures have the bits the one-shot
     /// [`PowerAnalyzer::finalize`] gives.
     ///
-    /// Returns the earliest instant still needed: the caller may discard
-    /// each log before the segment containing it
-    /// ([`ArrayPowerLog::discard_before`]).
+    /// Returns the earliest instant still needed, the one just before
+    /// `upto`: the caller may discard each log before the segment containing
+    /// it ([`ArrayPowerLog::discard_before`]). The open meter cycle is
+    /// integrated as it goes, so nothing earlier is read again.
     ///
     /// # Panics
     /// Panics if the analyzer was never started or if `logs` does not match
@@ -185,15 +186,13 @@ impl PowerAnalyzer {
     pub fn advance(&mut self, upto: SimTime, logs: &[&ArrayPowerLog]) -> SimTime {
         self.running(logs);
         self.advanced_to = self.advanced_to.max(upto);
-        // Every unfinished segment contains or follows the instant just
-        // before `upto`; an unfinished cycle may start earlier still.
-        let mut needed = SimTime::from_nanos(upto.as_nanos().saturating_sub(1));
         for ((ch, log), p) in self.channels.iter().zip(logs).zip(&mut self.progress) {
             ch.meter.sample_whole_cycles(&mut p.meter, log, upto, &mut p.samples);
             log.integrate_whole_segments(&mut p.energy, upto);
-            needed = needed.min(p.meter.next());
         }
-        needed
+        // Both passes stand in the segment containing the instant just
+        // before `upto`, or in a later one.
+        SimTime::from_nanos(upto.as_nanos().saturating_sub(1))
     }
 
     /// Finalize the measurement at `to`, producing one report per channel.

@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tracer_sim::{ArrayPowerLog, SimDuration, SimTime};
+use tracer_sim::{ArrayEnergyCursor, ArrayPowerLog, SimDuration, SimTime};
 
 /// One meter record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,19 +45,18 @@ pub struct NoiseModel {
     pub seed: u64,
 }
 
-/// Resumable state of one [`PowerMeter::sample`] pass: the start of the next
-/// cycle to report and the noise generator's position.
+/// Resumable state of one [`PowerMeter::sample`] pass: the start of the open
+/// cycle, its exact integral so far and the noise generator's position.
+///
+/// `energy` is the pass [`ArrayPowerLog::avg_watts`] makes over the open
+/// cycle, advanced over whole segments only, so a cycle closed piecemeal has
+/// the bits of the one-shot record and the log before the segment `energy`
+/// stands in is no longer needed.
 #[derive(Debug, Clone)]
 pub(crate) struct SampleCursor {
     next: SimTime,
+    energy: ArrayEnergyCursor,
     rng: Option<StdRng>,
-}
-
-impl SampleCursor {
-    /// Start of the next cycle to report; the pass needs nothing earlier.
-    pub(crate) fn next(&self) -> SimTime {
-        self.next
-    }
 }
 
 /// The sampling meter.
@@ -90,22 +89,27 @@ impl PowerMeter {
     /// reported with its true, shorter length so that summed sample energy
     /// equals integrated energy when noise is disabled.
     pub fn sample(&self, log: &ArrayPowerLog, from: SimTime, to: SimTime) -> Vec<PowerSample> {
-        let mut cursor = self.cursor(from);
+        let mut cursor = self.cursor(log, from);
         let mut out = Vec::new();
         self.sample_to(&mut cursor, log, to, &mut out);
         out
     }
 
-    /// Start a resumable [`PowerMeter::sample`] pass at `from`.
-    pub(crate) fn cursor(&self, from: SimTime) -> SampleCursor {
+    /// Start a resumable [`PowerMeter::sample`] pass over `log` at `from`.
+    pub(crate) fn cursor(&self, log: &ArrayPowerLog, from: SimTime) -> SampleCursor {
         assert!(!self.cycle.is_zero(), "sampling cycle must be positive");
-        SampleCursor { next: from, rng: self.noise.map(|n| StdRng::seed_from_u64(n.seed)) }
+        SampleCursor {
+            next: from,
+            energy: log.energy_cursor(from),
+            rng: self.noise.map(|n| StdRng::seed_from_u64(n.seed)),
+        }
     }
 
-    /// Append the record of every whole cycle ending at or before `upto`.
-    /// `log` must be final before `upto` (no later than the clock of the
-    /// simulator writing it); what it held before `cursor.next()` may already
-    /// be discarded.
+    /// Append the record of every whole cycle ending at or before `upto`,
+    /// then integrate the open cycle over the whole segments ending before
+    /// `upto`. `log` must be final before `upto` (no later than the clock of
+    /// the simulator writing it); afterwards the pass needs nothing of it
+    /// before the segment containing the instant just before `upto`.
     pub(crate) fn sample_whole_cycles(
         &self,
         cursor: &mut SampleCursor,
@@ -116,6 +120,7 @@ impl PowerMeter {
         while cursor.next + self.cycle <= upto {
             out.push(self.record(cursor, log, cursor.next + self.cycle));
         }
+        log.integrate_whole_segments(&mut cursor.energy, upto);
     }
 
     /// Finish `cursor`'s pass at `to`: the remaining whole cycles, then the
@@ -132,10 +137,12 @@ impl PowerMeter {
         }
     }
 
-    /// The meter record of `[cursor.next, end)`; moves the cursor to `end`.
+    /// The meter record of `[cursor.next, end)`; restarts the cursor at `end`.
     fn record(&self, cursor: &mut SampleCursor, log: &ArrayPowerLog, end: SimTime) -> PowerSample {
         let at = cursor.next;
-        let mut watts = log.avg_watts(at, end);
+        // `avg_watts(at, end)`, finishing the pass the cursor has carried.
+        let mut watts = log.integrate_to(&mut cursor.energy, end) / (end - at).as_secs_f64();
+        cursor.energy.restart(end);
         if let (Some(rng), Some(noise)) = (cursor.rng.as_mut(), self.noise.as_ref()) {
             watts *= 1.0 + gaussian(rng) * noise.relative_sigma;
             watts = watts.max(0.0);

@@ -18,7 +18,7 @@ use crate::monitor::{PerfSample, PerfSummary, PerformanceMonitor};
 use crate::plan::ReplayPlan;
 use crate::scale::LoadControl;
 use serde::{Deserialize, Serialize};
-use tracer_sim::{ArrayRequest, ArraySim, Completion, SimDuration, SimTime};
+use tracer_sim::{ArrayRequest, ArraySim, Completion, SimDuration, SimTime, DRAIN_BATCH};
 use tracer_trace::{BunchSource, IoPackage, Nanos, TraceError};
 
 /// How trace sectors outside the array's data space are handled.
@@ -136,12 +136,6 @@ pub fn try_replay_observed<S: BunchSource + ?Sized>(
     };
     replay_bunches(sim, |f| plan.try_for_each(f), cfg.address_policy, cfg.warmup, observe)
 }
-
-/// Completions the driver lets the simulator accumulate before handing them
-/// to the monitor and the observer. Large enough that a batch amortizes the
-/// hand-off, small enough that a batch and the power breakpoints written
-/// alongside it stay cache-sized.
-const DRAIN_BATCH: usize = 4096;
 
 /// The timed replay loop behind every timestamp-paced entry point, for
 /// in-memory traces and mmap views alike: `drive` pushes

@@ -86,7 +86,8 @@ impl PerformanceMonitor {
             total_bytes: 0,
             read_ios: 0,
             max_response_ms: 0.0,
-            latencies_ms: Vec::new(),
+            response_ms_sum: 0.0,
+            latencies: LatencyColumn::Narrow(Vec::new()),
             cycles: Vec::new(),
         }
     }
@@ -119,8 +120,9 @@ impl PerformanceMonitor {
 
 /// The monitor's running state: what [`PerformanceMonitor::summarize`] and
 /// [`PerformanceMonitor::bin`] compute, built up one completion at a time in
-/// completion order — O(cycles) tallies plus one 8-byte latency per measured
-/// request, which the exact nearest-rank percentiles need.
+/// completion order — O(cycles) tallies plus one 4-byte latency per measured
+/// request (8 bytes once any reaches 2^32 ns), which the exact nearest-rank
+/// percentiles need.
 ///
 /// The window's end need not be known while accumulating: every completion
 /// pushed must precede the `to` eventually given to
@@ -133,8 +135,50 @@ pub struct PerfAccumulator {
     total_bytes: u64,
     read_ios: u64,
     max_response_ms: f64,
-    latencies_ms: Vec<f64>,
+    /// Sum of the measured latencies in milliseconds, in completion order.
+    response_ms_sum: f64,
+    latencies: LatencyColumn,
     cycles: Vec<CycleTally>,
+}
+
+/// Every measured latency in integer nanoseconds: 4 bytes each until the
+/// first one of 2^32 ns (4.29 s) or more arrives, 8 bytes each from then on.
+#[derive(Debug, Clone)]
+enum LatencyColumn {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl LatencyColumn {
+    fn push(&mut self, ns: u64) {
+        match self {
+            Self::Narrow(column) => match u32::try_from(ns) {
+                Ok(ns) => column.push(ns),
+                Err(_) => {
+                    let mut wide: Vec<u64> = column.iter().map(|&v| u64::from(v)).collect();
+                    wide.push(ns);
+                    *self = Self::Wide(wide);
+                }
+            },
+            Self::Wide(column) => column.push(ns),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Self::Narrow(column) => column.len(),
+            Self::Wide(column) => column.len(),
+        }
+    }
+
+    /// The nearest-rank `pcts` (ascending) in nanoseconds; reorders the
+    /// column.
+    fn percentiles<const N: usize>(&mut self, pcts: [f64; N]) -> [u64; N] {
+        match self {
+            Self::Narrow(column) => select_ranks(column, pcts),
+            Self::Wide(column) => select_ranks(column, pcts),
+        }
+    }
 }
 
 /// One sampling cycle's running figures.
@@ -151,9 +195,11 @@ impl PerfAccumulator {
         if c.completed < self.from {
             return;
         }
-        let ms = c.latency().as_millis_f64();
+        let latency = c.latency();
+        let ms = latency.as_millis_f64();
         self.total_bytes += u64::from(c.bytes);
-        self.latencies_ms.push(ms);
+        self.latencies.push(latency.as_nanos());
+        self.response_ms_sum += ms;
         if ms > self.max_response_ms {
             self.max_response_ms = ms;
         }
@@ -175,13 +221,14 @@ impl PerfAccumulator {
         self.from.min(to)
     }
 
-    /// Whole-window summary over `[from, to)`. Sorts the latency column in
-    /// place (the mean is taken first, in completion order).
+    /// Whole-window summary over `[from, to)`. Picks the percentiles by
+    /// selection, which reorders the latency column in place (the mean is
+    /// summed at push, in completion order).
     pub fn summary(&mut self, to: SimTime) -> PerfSummary {
         let window_s = (to - self.window_start(to)).as_secs_f64();
         let mut s = PerfSummary {
             window_s,
-            total_ios: self.latencies_ms.len() as u64,
+            total_ios: self.latencies.len() as u64,
             total_bytes: self.total_bytes,
             max_response_ms: self.max_response_ms,
             read_ios: self.read_ios,
@@ -191,13 +238,15 @@ impl PerfAccumulator {
             s.iops = s.total_ios as f64 / window_s;
             s.mbps = s.total_bytes as f64 / 1e6 / window_s;
         }
-        let latencies = &mut self.latencies_ms;
-        if !latencies.is_empty() {
-            s.avg_response_ms = latencies.iter().sum::<f64>() / latencies.len() as f64;
-            latencies.sort_by(f64::total_cmp);
-            s.p50_response_ms = percentile(latencies, 50.0);
-            s.p95_response_ms = percentile(latencies, 95.0);
-            s.p99_response_ms = percentile(latencies, 99.0);
+        if s.total_ios > 0 {
+            s.avg_response_ms = self.response_ms_sum / s.total_ios as f64;
+            // `as_millis_f64` is monotone, so the selected nanoseconds convert
+            // to the element a selection over milliseconds would pick.
+            let [p50, p95, p99] =
+                self.latencies.percentiles([50.0, 95.0, 99.0]).map(SimDuration::from_nanos);
+            s.p50_response_ms = p50.as_millis_f64();
+            s.p95_response_ms = p95.as_millis_f64();
+            s.p99_response_ms = p99.as_millis_f64();
         }
         s
     }
@@ -229,11 +278,24 @@ impl PerfAccumulator {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], pct: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+/// The nearest-rank `pcts` (ascending) of a non-empty `column`, by
+/// selection: O(n) and no scratch. Each pick leaves the smaller values
+/// before it, so the next, lower rank searches only that prefix.
+fn select_ranks<T, const N: usize>(column: &mut [T], pcts: [f64; N]) -> [u64; N]
+where
+    T: Ord + Copy + Into<u64>,
+{
+    debug_assert!(!column.is_empty());
+    let n = column.len();
+    let mut out = [0; N];
+    let mut end = n;
+    for (slot, pct) in out.iter_mut().zip(pcts).rev() {
+        let rank = ((pct / 100.0) * n as f64).ceil() as usize;
+        let k = rank.clamp(1, n) - 1;
+        *slot = (*column[..end].select_nth_unstable(k).1).into();
+        end = k + 1;
+    }
+    out
 }
 
 #[cfg(test)]

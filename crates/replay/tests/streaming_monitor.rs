@@ -141,8 +141,74 @@ fn arb_completions() -> impl Strategy<Value = Vec<Completion>> {
     })
 }
 
+/// Latencies of 2^32 ns (4.29 s) or more: what widens the monitor's 4-byte
+/// latency column to 8 bytes.
+const WIDE: std::ops::Range<u64> = (1 << 32)..(1 << 32) + 20_000_000_000;
+
+/// Completions whose latencies are wide at `wide_pct` percent of the
+/// positions (rolled per completion), and additionally at the first and/or
+/// the last one. Starts late enough that every latency fits before it.
+fn with_wide_latencies(
+    raw: Vec<(u64, u64, u64, u64, bool)>,
+    wide_pct: u64,
+    first: bool,
+    last: bool,
+) -> Vec<Completion> {
+    let mut at = 100_000_000_000u64;
+    let n = raw.len();
+    raw.into_iter()
+        .enumerate()
+        .map(|(i, (gap, narrow, wide, roll, write))| {
+            at += gap;
+            let is_wide = roll < wide_pct || (first && i == 0) || (last && i + 1 == n);
+            let latency = if is_wide { wide } else { narrow };
+            Completion {
+                id: i as u64,
+                submitted: SimTime::from_nanos(at - latency),
+                completed: SimTime::from_nanos(at),
+                bytes: 4096,
+                kind: if write { OpKind::Write } else { OpKind::Read },
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The monitor keeps latencies as integer nanoseconds, 4 bytes each
+    /// until a 2^32 ns one widens the column, and picks percentiles by
+    /// selection: every figure must still be the sort-based oracle's, bit for
+    /// bit, whether the column stayed narrow or widened first, last or
+    /// mid-stream.
+    #[test]
+    fn narrow_and_widened_latency_columns_match_the_oracle(
+        raw in proptest::collection::vec(
+            (0u64..40_000_000, 1u64..90_000_000, WIDE, 0u64..100, any::<bool>()),
+            1..300,
+        ),
+        wide_pct in 0u64..60,
+        narrow_only in any::<bool>(),
+        first in any::<bool>(),
+        last in any::<bool>(),
+    ) {
+        let completions = if narrow_only {
+            with_wide_latencies(raw, 0, false, false)
+        } else {
+            with_wide_latencies(raw, wide_pct, first, last)
+        };
+        let mut acc = PerformanceMonitor::default().accumulate(SimTime::ZERO);
+        for c in &completions {
+            acc.push(c);
+        }
+        let to = completions.last().map_or(SimTime::ZERO, |c| c.completed)
+            + SimDuration::from_nanos(1);
+        let got = acc.summary(to);
+        let want = summarize_oracle(&completions, SimTime::ZERO, to);
+        prop_assert_eq!(summary_bits(&got), summary_bits(&want));
+        // Asked again, the reordered column gives the same figures.
+        prop_assert_eq!(summary_bits(&acc.summary(to)), summary_bits(&want));
+    }
 
     /// Any window — starting before, inside or after the completions, ending
     /// before or after them, empty or inverted — through the slice entries.
@@ -255,10 +321,42 @@ fn check_replay(trace_of: impl Fn(&ArraySim) -> Trace, cfg: &ReplayConfig) -> us
 }
 
 #[test]
+fn latencies_either_side_of_the_narrow_column_limit() {
+    let limit = 1u64 << 32;
+    for latencies in [
+        vec![limit - 1, 5, limit - 1, 7],
+        vec![limit, 5, limit - 1, 7],
+        vec![3, limit - 1, limit, limit + 1, 1],
+    ] {
+        let completions: Vec<Completion> = latencies
+            .iter()
+            .enumerate()
+            .map(|(i, &latency)| {
+                let at = 10 * limit + i as u64;
+                Completion {
+                    id: i as u64,
+                    submitted: SimTime::from_nanos(at - latency),
+                    completed: SimTime::from_nanos(at),
+                    bytes: 512,
+                    kind: OpKind::Read,
+                }
+            })
+            .collect();
+        let to = completions.last().expect("non-empty").completed + SimDuration::from_nanos(1);
+        assert_eq!(
+            summary_bits(&PerformanceMonitor::summarize(&completions, SimTime::ZERO, to)),
+            summary_bits(&summarize_oracle(&completions, SimTime::ZERO, to)),
+            "{latencies:?}"
+        );
+    }
+}
+
+#[test]
 fn driver_batches_match_the_oracle() {
-    // ~3.3 s of 2-IO bunches: three batch hand-offs before the idle one.
+    // ~3.3 s of 2-IO bunches: batch hand-offs every 512 completions, then
+    // the idle one.
     let batches = check_replay(|sim| trace(sim, 6_500, 500, 6_500), &ReplayConfig::default());
-    assert_eq!(batches, 4, "13 000 completions in batches of 4 096");
+    assert_eq!(batches, 26, "13 000 completions in batches of 512");
 }
 
 #[test]

@@ -7,9 +7,10 @@
 //! everything finished, stop accepting).
 //!
 //! The server is a handler on [`tracer_core::net::LineServer`], the loop the
-//! single-session generator also runs on, here with no connection cap:
-//! concurrency control happens at the job queue (`err busy queue=N`), not at
-//! the accept loop.
+//! single-session generator also runs on. Concurrency control happens at the
+//! job queue (`err busy queue=N`); the accept loop only caps connections at
+//! [`JOB_SERVER_CONNECTIONS`] so a connection flood cannot spawn threads
+//! without bound.
 //!
 //! Wire discipline: a panic in a connection thread takes the whole node out
 //! of the fleet, so nothing on the command/reply path may `unwrap`, `expect`,
@@ -40,6 +41,11 @@ pub type BuildArray = Arc<dyn Fn(&str) -> Option<ArraySim> + Send + Sync>;
 /// one decoded copy or one mapped v3 view (pair with
 /// [`tracer_trace::TraceRepository::load_view`]).
 pub type LoadTrace = Arc<dyn Fn(&str, &WorkloadMode) -> Option<TraceHandle> + Send + Sync>;
+
+/// Connections the job server serves at once; one more is answered
+/// `err busy` and closed. A coordinator holds one connection per node and a
+/// client usually one, so this only turns away a flood.
+pub const JOB_SERVER_CONNECTIONS: usize = 256;
 
 /// The multi-client job server.
 pub struct JobServer {
@@ -94,15 +100,16 @@ impl JobServer {
         };
         let service = Arc::new(service);
         let handler_service = Arc::clone(&service);
-        let server = LineServer::serve(listener, usize::MAX, move |line: &str| match line {
-            "quit" => (None, Then::Close),
-            "shutdown" => {
-                handler_service.shutdown();
-                let done = handler_service.stats().done;
-                (Some(format!("ok stopped done={done}")), Then::Stop)
-            }
-            _ => (Some(dispatch(line, &handler_service, &build, &load)), Then::Continue),
-        })?;
+        let server =
+            LineServer::serve(listener, JOB_SERVER_CONNECTIONS, move |line: &str| match line {
+                "quit" => (None, Then::Close),
+                "shutdown" => {
+                    handler_service.shutdown();
+                    let done = handler_service.stats().done;
+                    (Some(format!("ok stopped done={done}")), Then::Stop)
+                }
+                _ => (Some(dispatch(line, &handler_service, &build, &load)), Then::Continue),
+            })?;
         Ok((Self { server, service }, report))
     }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracer_core::host::EvaluationHost;
 use tracer_core::net::HostClient;
-use tracer_serve::server::{BuildArray, JobServer, LoadTrace};
+use tracer_serve::server::{BuildArray, JobServer, LoadTrace, JOB_SERVER_CONNECTIONS};
 use tracer_serve::{JobState, ServiceConfig};
 use tracer_sim::ArraySpec;
 use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
@@ -295,6 +295,45 @@ fn an_overlong_line_is_refused_while_other_clients_are_served() {
     }
     flooder.join().expect("flood thread");
     assert!(client.ping().expect("io"), "the server outlives the hostile peer");
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn connections_past_the_cap_are_busy_until_a_slot_frees() {
+    let server = spawn_server(1, 2);
+    let addr = server.addr();
+    let mut held: Vec<_> = (0..JOB_SERVER_CONNECTIONS)
+        .map(|_| {
+            let c = HostClient::connect(addr).expect("connect");
+            c.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            c
+        })
+        .collect();
+    // Every held connection is served, so the next one is over capacity.
+    for c in &mut held {
+        assert!(c.ping().expect("io"));
+    }
+    let extra = TcpStream::connect(addr).expect("connect extra");
+    extra.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut reply = String::new();
+    BufReader::new(&extra).read_line(&mut reply).expect("busy reply");
+    assert_eq!(reply, "err busy\n");
+
+    // A freed slot is served again once the server has seen the hang-up.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut c = HostClient::connect(addr).expect("connect");
+        c.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        match c.send_line("stats") {
+            Ok(r) if r.starts_with("ok stats") => break,
+            Ok(r) => assert_eq!(r, "err busy", "unexpected reply {r}"),
+            Err(_) => {}
+        }
+        assert!(Instant::now() < deadline, "the freed slot was never reused");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(held);
     server.shutdown().expect("graceful shutdown");
 }
 

@@ -360,6 +360,13 @@ impl DesObs {
     }
 }
 
+/// Completions a consumer lets the simulator accumulate before it drains
+/// them ([`ArraySim::drain_completions_into`]) and trims the power log
+/// ([`ArraySim::discard_power_before`]). The replay engine and the workload
+/// generator both drain at this size, so it bounds the completion buffers and
+/// the power breakpoints a run holds between trims.
+pub const DRAIN_BATCH: usize = 512;
+
 /// The discrete-event array simulator.
 pub struct ArraySim {
     cfg: ArrayConfig,

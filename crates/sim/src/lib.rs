@@ -56,7 +56,7 @@ pub mod time;
 
 pub use array::{
     ArrayConfig, ArrayRequest, ArraySim, ArrayStats, Completion, OpRecord, QueueDiscipline,
-    RebuildConfig, RebuildStatus, RequestId,
+    RebuildConfig, RebuildStatus, RequestId, DRAIN_BATCH,
 };
 pub use cache::{CacheConfig, ControllerCache};
 pub use calibrate::{calibrate, CalibrationReport};

@@ -249,6 +249,15 @@ pub struct ArrayEnergyCursor {
     devices: Vec<EnergyCursor>,
 }
 
+impl ArrayEnergyCursor {
+    /// Start a fresh pass at `from` over the same devices, in place: what
+    /// [`ArrayPowerLog::energy_cursor`] returns, without allocating.
+    pub fn restart(&mut self, from: SimTime) {
+        self.from = from;
+        self.devices.fill(EnergyCursor::new(from));
+    }
+}
+
 /// Convenience: watts → joules over a duration.
 pub fn joules(watts: f64, dur: SimDuration) -> f64 {
     watts * dur.as_secs_f64()

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tracer_sim::{ArrayRequest, ArraySim, SimDuration, SimTime};
+use tracer_sim::{ArrayRequest, ArraySim, SimDuration, SimTime, DRAIN_BATCH};
 use tracer_trace::{BunchSink, IoPackage, Nanos, OpKind, Trace, WorkloadMode};
 
 /// Configuration of one IOmeter-style run.
@@ -169,9 +169,6 @@ impl MixedRequestFactory {
     }
 }
 
-/// Completions between trims of the generator simulator's power log.
-const POWER_TRIM_EVERY: u64 = 4096;
-
 /// Drive `sim` with a closed-loop workload from an arbitrary request source,
 /// pushing each bunch of issued requests into `sink` as it closes. This is
 /// the generic engine behind [`run_peak_workload`] and
@@ -231,7 +228,7 @@ pub fn run_closed_loop<S: BunchSink>(
                 window_bytes += u64::from(done.bytes);
                 issue(sim, &mut sink, done.completed);
             }
-            if completed_ios % POWER_TRIM_EVERY == 0 {
+            if completed_ios % DRAIN_BATCH as u64 == 0 {
                 sim.discard_power_before(done.completed);
             }
         }

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tracer_sim::{
-    ArrayRequest, ArraySim, ArraySpec, Completion, RebuildConfig, SimDuration, SimTime,
+    ArrayRequest, ArraySim, ArraySpec, Completion, RebuildConfig, SimDuration, SimTime, DRAIN_BATCH,
 };
 use tracer_trace::OpKind;
 
@@ -71,8 +71,6 @@ fn allocations() -> u64 {
 const WARMUP_IOS: u64 = 100_000;
 /// IOs replayed while counting.
 const MEASURED_IOS: u64 = 50_000;
-/// Completions per drain, as in the replay engine.
-const DRAIN_BATCH: usize = 4096;
 
 /// An open-loop random stream: fixed size and direction, arrivals every
 /// `mean_gap` on average (uniformly jittered over `[gap/2, 3·gap/2)`).

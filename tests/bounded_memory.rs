@@ -1,9 +1,12 @@
-//! A measured cell holds O(meter cycles), not O(IOs): `measure_test` streams
-//! completions through the monitor and power breakpoints through the
-//! analyzer, keeps neither, and still produces — field for field, with `==`
-//! on every float — what the collecting path (`try_replay` + one-shot
-//! `finalize`) produces. The perf ladder's "mirrored records == product's"
-//! check rests on the same identity.
+//! A measured cell keeps no completions and no power history: `measure_test`
+//! streams completions through the monitor (which keeps one 4-byte latency
+//! per measured IO for the exact percentiles, bounded by `tests/cell_heap.rs`)
+//! and power breakpoints through the analyzer (which integrates as it goes,
+//! so the log keeps only what was written since the last drain), and still
+//! produces — field for field, with `==` on every float — what the
+//! collecting path (`try_replay` + one-shot `finalize`) produces. The perf
+//! ladder's "mirrored records == product's" check rests on the same
+//! identity.
 
 use tracer_core::prelude::*;
 use tracer_core::{PowerData, TestRecord};
