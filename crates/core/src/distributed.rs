@@ -3,20 +3,16 @@
 //! §III-C of the paper deploys TRACER across an FC-SAN: several workload
 //! generators drive several storage systems while "multi-channel power
 //! analyzers … monitor power dissipation in multiple storage devices in
-//! parallel". Here each job (array + trace + mode) runs on its own thread;
-//! when all finish, one multi-channel [`PowerAnalyzer`] produces the
-//! per-system energy reports and everything is merged into the shared
-//! database.
+//! parallel". Here each job (array + trace + mode) is one cell on the sweep
+//! executor: it is measured by [`EvaluationHost::measure_test`] on its own
+//! clock and its own analyzer channel, exactly as a standalone test, and the
+//! records are merged into the shared database in job order.
 
-use crate::db::{PowerData, TestRecord};
 use crate::error::TracerError;
 use crate::executor::SweepExecutor;
 use crate::host::EvaluationHost;
-use crate::metrics::EfficiencyMetrics;
 use std::sync::Mutex;
-use tracer_power::{Channel, PowerAnalyzer};
-use tracer_replay::{try_replay_observed, LoadControl, PerfSummary, ReplayConfig};
-use tracer_sim::{ArrayPowerLog, ArraySim, SimTime};
+use tracer_sim::ArraySim;
 use tracer_trace::{TraceHandle, WorkloadMode};
 
 /// One evaluation job: a storage system plus the workload to replay on it.
@@ -56,20 +52,11 @@ impl EvaluationJob {
     }
 }
 
-struct JobResult {
-    name: String,
-    device: String,
-    mode: WorkloadMode,
-    perf: PerfSummary,
-    log: ArrayPowerLog,
-    window: (SimTime, SimTime),
-}
-
-/// Run `jobs` on `exec`, measure each on its own analyzer channel, and
-/// store one record per job in `host`'s database, in job order at any
-/// worker count. Returns the record ids in job order, or the first failed
-/// job's error with nothing stored; `progress` fires on the caller's thread
-/// per completed job. Behind
+/// Run `jobs` on `exec`, measure each with
+/// [`EvaluationHost::measure_test`], and store one record per job in
+/// `host`'s database, in job order at any worker count. Returns the record
+/// ids in job order, or the first failed job's error with nothing stored;
+/// `progress` fires on the caller's thread per completed job. Behind
 /// [`SweepBuilder::jobs`](crate::orchestrate::SweepBuilder::jobs).
 pub(crate) fn run_jobs(
     host: &mut EvaluationHost,
@@ -77,91 +64,34 @@ pub(crate) fn run_jobs(
     jobs: Vec<EvaluationJob>,
     progress: &mut dyn FnMut(usize, usize),
 ) -> Result<Vec<u64>, TracerError> {
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Simulated time is per-array, so every job replays over its own clock;
-    // the analyzer channels share the measurement window [0, max_end).
     // Each job is taken out of its slot exactly once, by whichever worker
     // claims that index (the build closure is FnOnce).
     let slots: Vec<Mutex<Option<EvaluationJob>>> =
         jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let total = slots.len();
+    let cycle = host.meter_cycle_ms;
     let mut done = 0usize;
-    let results = exec.run_indexed(
-        slots.len(),
-        |i| -> Result<JobResult, TracerError> {
+    let cells = exec.run_indexed(
+        total,
+        |i| {
             let job = slots[i].lock().unwrap().take().expect("job claimed once");
             let mut sim = (job.build)();
-            let cfg = ReplayConfig {
-                load: LoadControl {
-                    proportion_pct: job.mode.load_pct,
-                    intensity_pct: job.intensity_pct,
-                },
-                ..Default::default()
-            };
-            // The shared analyzer below meters the whole kept power log.
-            let report = try_replay_observed(&mut sim, &job.trace, &cfg, |_, _| {})?;
-            Ok(JobResult {
-                name: job.name,
-                device: sim.config().name.clone(),
-                mode: job.mode,
-                perf: report.summary,
-                window: (report.started, report.finished),
-                log: sim.power_log().clone(),
-            })
+            EvaluationHost::measure_test(
+                cycle,
+                &mut sim,
+                &job.trace,
+                job.mode,
+                job.intensity_pct,
+                &job.name,
+            )
         },
         |_| {
             done += 1;
             progress(done, total);
         },
     );
-    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    // One multi-channel analyzer finalizes every system at once.
-    let mut analyzer = PowerAnalyzer::new();
-    for r in &results {
-        analyzer.add_channel(Channel::ac_220v(r.device.clone()));
-    }
-    analyzer.start(SimTime::ZERO);
-    let max_end = results
-        .iter()
-        .map(|r| r.window.1)
-        .max()
-        .filter(|t| *t > SimTime::ZERO)
-        .unwrap_or(SimTime::from_secs(1));
-    let logs: Vec<&ArrayPowerLog> = results.iter().map(|r| &r.log).collect();
-    let energy_reports = analyzer.finalize(max_end, &logs);
-
-    Ok(results
-        .into_iter()
-        .zip(energy_reports)
-        .map(|(r, energy)| {
-            // Efficiency uses each job's own replay window for power, so jobs
-            // of different lengths are not diluted by the shared window.
-            let own = tracer_power::PowerAnalyzer::measure_window(
-                &r.log,
-                r.window.0,
-                r.window.1.max(r.window.0 + tracer_sim::SimDuration::from_nanos(1)),
-            );
-            let metrics = EfficiencyMetrics::from_parts(&r.perf, &own);
-            let record = TestRecord {
-                id: 0,
-                label: r.name,
-                device: r.device,
-                mode: r.mode,
-                power: PowerData {
-                    volts: 220.0,
-                    avg_amps: metrics.avg_watts / 220.0,
-                    avg_watts: metrics.avg_watts,
-                    energy_joules: energy.exact_joules,
-                },
-                perf: r.perf,
-                efficiency: metrics,
-            };
-            host.db.insert(record)
-        })
-        .collect())
+    let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(cells.into_iter().map(|cell| host.commit(cell).record_id).collect())
 }
 
 #[cfg(test)]

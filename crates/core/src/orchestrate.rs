@@ -341,10 +341,11 @@ impl<'a> SweepBuilder<'a> {
         })
     }
 
-    /// Terminal: run heterogeneous [`EvaluationJob`]s in parallel and merge
-    /// them on one multi-channel analyzer (§III-C's distributed deployment;
-    /// `SweepExecutor::auto()` gives one worker per core). Returns record
-    /// ids in job order.
+    /// Terminal: run heterogeneous [`EvaluationJob`]s in parallel, each
+    /// measured by [`EvaluationHost::measure_test`] on its own clock and
+    /// analyzer channel, so a job stores the record it would store alone
+    /// (§III-C's distributed deployment; `SweepExecutor::auto()` gives one
+    /// worker per core). Returns record ids in job order.
     pub fn jobs(
         self,
         host: &mut EvaluationHost,

@@ -61,9 +61,10 @@ pub struct ReplayReport {
     pub issued_bytes: u64,
     /// Requests skipped by [`AddressPolicy::Skip`].
     pub skipped_ios: u64,
-    /// All completions, in completion order — collected by [`try_replay`]
-    /// and [`replay_afap`]; left empty by
-    /// [`try_replay_observed`], whose observer has already seen them.
+    /// All completions, in completion order — collected by [`try_replay`];
+    /// left empty by [`try_replay_observed`], whose observer has already
+    /// seen them, and by [`replay_afap`], which streams them through the
+    /// monitor.
     pub completions: Vec<Completion>,
     /// Whole-run summary over `[started, finished)`.
     pub summary: PerfSummary,
@@ -261,24 +262,22 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
             break;
         }
     }
-    let mut completions = Vec::new();
+    let mut monitor = PerformanceMonitor::default().accumulate(started);
+    let mut finished = started;
     let mut batch = Vec::new();
     loop {
         while sim.completions().is_empty() && sim.step() {}
         sim.drain_completions_into(&mut batch);
-        if batch.is_empty() {
-            break;
-        }
+        let Some(last) = batch.last() else { break };
+        finished = last.completed;
         for c in &batch {
             issue(sim, c.completed, &mut next);
+            monitor.push(c);
         }
-        completions.extend_from_slice(&batch);
     }
 
     publish_issue_tallies(sim, issued_ios, issued_bytes, skipped);
-    let finished = completions.last().map_or(started, |c| c.completed);
-    let summary = PerformanceMonitor::summarize(&completions, started, bump(finished));
-    let samples = PerformanceMonitor::default().bin(&completions, started, bump(finished));
+    let to = bump(finished);
     Ok(ReplayReport {
         started,
         measured_from: started,
@@ -286,9 +285,9 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
         issued_ios,
         issued_bytes,
         skipped_ios: skipped,
-        completions,
-        summary,
-        samples,
+        completions: Vec::new(),
+        summary: monitor.summary(to),
+        samples: monitor.samples(to),
     })
 }
 
@@ -494,7 +493,7 @@ mod tests {
         let timed = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let afap = replay_afap(&mut sim, &t, 8, AddressPolicy::Wrap).unwrap();
-        assert_eq!(afap.completions.len(), 30);
+        assert_eq!(afap.summary.total_ios, 30);
         assert_eq!(afap.issued_bytes, timed.issued_bytes);
         assert!(
             afap.span().as_secs_f64() < timed.span().as_secs_f64() / 10.0,
@@ -522,7 +521,72 @@ mod tests {
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let report = replay_afap(&mut sim, &Trace::new("e"), 8, AddressPolicy::Wrap).unwrap();
         assert_eq!(report.issued_ios, 0);
-        assert_eq!(report.completions.len(), 0);
+        assert_eq!(report.summary.total_ios, 0);
+    }
+
+    #[test]
+    fn afap_streams_its_monitor_to_the_collected_bits() {
+        // 300 8 KB reads at depth 1 span two sampling cycles. The expected
+        // bits are what summarising and binning the collected completions
+        // after the run produced.
+        let t = uniform_trace(300, 1, 8192);
+        let mut sim = ArraySpec::hdd_raid5(4).build();
+        let r = replay_afap(&mut sim, &t, 1, AddressPolicy::Wrap).unwrap();
+        assert!(r.completions.is_empty());
+        assert_eq!(r.finished, SimTime::from_nanos(1_668_059_437));
+        let s = r.summary;
+        assert_eq!((s.total_ios, s.total_bytes, s.read_ios), (300, 2_457_600, 300));
+        let bits = [
+            s.window_s,
+            s.iops,
+            s.mbps,
+            s.avg_response_ms,
+            s.max_response_ms,
+            s.p50_response_ms,
+            s.p95_response_ms,
+            s.p99_response_ms,
+        ]
+        .map(f64::to_bits);
+        assert_eq!(
+            bits,
+            [
+                0x3ffa_b05f_17df_e7ff,
+                0x4066_7b30_cb3f_4e9f,
+                0x3ff7_92c1_36a3_46fc,
+                0x4016_3da4_93ab_fd31,
+                0x4016_f3cc_d0fe_8ab5,
+                0x4016_2db4_8909_289e,
+                0x4016_dcce_e5ab_c0e4,
+                0x4016_f09e_55c0_fcb5,
+            ]
+        );
+        let samples: Vec<_> = r
+            .samples
+            .iter()
+            .map(|x| {
+                let rates = [x.iops, x.mbps, x.avg_response_ms].map(f64::to_bits);
+                (x.at.as_nanos(), x.cycle.as_nanos(), x.ios, x.bytes, rates)
+            })
+            .collect();
+        assert_eq!(
+            samples,
+            [
+                (
+                    0,
+                    1_000_000_000,
+                    179,
+                    1_466_368,
+                    [0x4066_6000_0000_0000, 0x3ff7_763e_4abe_6a33, 0x4016_395d_c328_82b6]
+                ),
+                (
+                    1_000_000_000,
+                    668_059_438,
+                    121,
+                    991_232,
+                    [0x4066_a3e4_378f_06cd, 0x3ff7_bd6e_c53a_02c6, 0x4016_43f8_2db0_139f]
+                ),
+            ]
+        );
     }
 
     #[test]

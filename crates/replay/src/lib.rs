@@ -18,7 +18,9 @@
 //!   requests in parallel;
 //! * [`monitor`] — per-sampling-cycle IOPS/MBPS/response-time tracking;
 //! * [`realtime`] — the wall-clock replayer used against live storage
-//!   targets, with worker-thread parallelism and failure accounting.
+//!   targets: it reads the same [`plan::ReplayPlan`] and reports through
+//!   the same [`monitor::PerfAccumulator`] as the engine, with
+//!   worker-thread parallelism and failure accounting.
 //!
 //! # Example
 //!

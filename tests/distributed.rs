@@ -141,3 +141,44 @@ fn many_small_jobs_scale() {
         assert_eq!(host.db.get(*id).unwrap().perf, first, "identical jobs agree");
     }
 }
+
+#[test]
+fn each_job_stores_the_record_measure_test_stores() {
+    // Jobs of different lengths run side by side; none is billed for
+    // another's time: every field but the id and label matches a solo run.
+    let mode = WorkloadMode::peak(8192, 50, 100);
+    let lengths = [20u64, 200];
+    let mut host = EvaluationHost::new();
+    let jobs = lengths
+        .iter()
+        .map(|&n| {
+            EvaluationJob::new(
+                format!("len{n}"),
+                || ArraySpec::hdd_raid5(4).build(),
+                trace(n, 8192),
+                mode,
+            )
+        })
+        .collect();
+    let ids = SweepBuilder::new().workers(2).jobs(&mut host, jobs).expect("in-memory trace");
+    for (&n, id) in lengths.iter().zip(ids) {
+        let mut solo = EvaluationHost::new();
+        let mut sim = ArraySpec::hdd_raid5(4).build();
+        let measured = EvaluationHost::measure_test(
+            solo.meter_cycle_ms,
+            &mut sim,
+            &trace(n, 8192),
+            mode,
+            100,
+            "solo",
+        )
+        .expect("in-memory trace");
+        let solo_id = solo.commit(measured).record_id;
+        let strip = |r: &TestRecord| TestRecord { id: 0, label: String::new(), ..r.clone() };
+        assert_eq!(
+            strip(host.db.get(id).unwrap()),
+            strip(solo.db.get(solo_id).unwrap()),
+            "{n}-bunch job"
+        );
+    }
+}

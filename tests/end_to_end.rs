@@ -2,7 +2,7 @@
 //! through load-controlled replay to energy-efficiency records.
 
 use tracer_core::prelude::*;
-use tracer_replay::MemTarget;
+use tracer_replay::{MemTarget, ReplayPlan};
 use tracer_workload::iometer::run_peak_workload;
 
 fn collect_trace(mode: WorkloadMode, secs: u64) -> Trace {
@@ -77,20 +77,25 @@ fn repository_round_trip_preserves_replay_results() {
 fn virtual_and_realtime_replayers_issue_identical_workloads() {
     let mode = WorkloadMode::peak(16384, 50, 50);
     let trace = collect_trace(mode, 1);
-    let filtered = ProportionalFilter::default().filter(&trace, 40);
+    for (proportion_pct, intensity_pct) in [(10, 100), (40, 100), (100, 100), (40, 400)] {
+        let load = LoadControl { proportion_pct, intensity_pct };
 
-    // Virtual replay.
-    let mut sim = ArraySpec::hdd_raid5(4).build();
-    let report =
-        try_replay(&mut sim, &filtered, &ReplayConfig::default()).expect("in-memory trace");
+        // Virtual replay.
+        let mut sim = ArraySpec::hdd_raid5(4).build();
+        let cfg = ReplayConfig { load, ..Default::default() };
+        let report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
 
-    // Real-time replay of the same filtered trace against a memory target.
-    let target = MemTarget::instant();
-    let rt = RealTimeReplayer { speedup: 10_000.0, workers: 4 }.replay(&target, &filtered);
+        // Real-time replay of the same plan against a memory target.
+        let target = MemTarget::instant();
+        let rt = RealTimeReplayer { workers: 4 }
+            .replay(&target, &ReplayPlan::new(&trace, load))
+            .expect("in-memory trace");
 
-    assert_eq!(report.issued_ios, rt.issued);
-    assert_eq!(report.issued_bytes, target.bytes());
-    assert_eq!(rt.failed, 0);
+        assert_eq!(report.issued_ios, rt.issued, "{load:?}");
+        assert_eq!(report.issued_bytes, target.bytes(), "{load:?}");
+        assert_eq!(rt.failed, 0);
+        assert_eq!(rt.summary.total_ios, rt.issued);
+    }
 }
 
 #[test]

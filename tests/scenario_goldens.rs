@@ -8,19 +8,21 @@
 //!    > examples/scenarios/golden/$(basename $f .toml).report; done`
 
 use std::path::Path;
-use tracer_core::scenario::{run_scenario, ScenarioSpec};
+use tracer_core::scenario::{run_scenario, ScenarioOutcome, ScenarioSpec};
 
-fn check(name: &str) {
+fn check(name: &str) -> ScenarioOutcome {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
     let spec = ScenarioSpec::from_file(dir.join(format!("{name}.toml")))
         .unwrap_or_else(|e| panic!("{name}.toml: {e}"));
     let golden = std::fs::read_to_string(dir.join(format!("golden/{name}.report")))
         .unwrap_or_else(|e| panic!("golden/{name}.report: {e}"));
-    let report = run_scenario(&spec).unwrap_or_else(|e| panic!("{name}: {e}")).report;
+    let outcome = run_scenario(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let report = &outcome.report;
     assert!(
-        report == golden,
+        *report == golden,
         "{name}: report differs from golden\n--- got\n{report}--- want\n{golden}"
     );
+    outcome
 }
 
 macro_rules! goldens {
@@ -32,10 +34,23 @@ macro_rules! goldens {
     )*};
 }
 
-goldens!(
-    fig08, fig09a, fig09b, fig10a, fig10b, fig11, nvme, raid6, smoke, spindown, table4, table5,
-    tiered,
-);
+goldens!(fig09a, fig09b, fig10a, fig10b, fig11, nvme, raid6, smoke, spindown, table5, tiered);
+
+/// Fig. 8's claim: on a fixed-size trace, measured throughput tracks the
+/// configured load proportion to within 3 % at every level.
+#[test]
+fn fig08() {
+    let max_error = check("fig08").results[0].1.max_error();
+    assert!(max_error < 0.03, "fixed-size control error too large: {max_error}");
+}
+
+/// Table IV's claim: on the web trace, whose request sizes vary, the
+/// control error stays under 8 % at every level.
+#[test]
+fn table4() {
+    let max_error = check("table4").results[0].1.max_error();
+    assert!(max_error < 0.08, "web-trace control error exceeds Table IV bound: {max_error}");
+}
 
 /// The deterministic twin of the peak-RSS claim: a `peak` scenario replays
 /// every cell from an in-memory v3 view of at most 12 B/IO (an owned trace
