@@ -27,7 +27,7 @@ use crate::techniques::{compare_policies, ConservationPolicy};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use tracer_sim::{ArrayConfig, ArraySim, ArraySpec, Device, SimDuration};
+use tracer_sim::{ArraySim, ArraySpec, SimDuration};
 use tracer_trace::{srt, sweep, TraceRepository, TraceStats, V3Encoder, WorkloadMode};
 use tracer_workload::iometer::{run_peak_workload_into, IometerConfig};
 use tracer_workload::{TraceCollector, WebServerTraceBuilder};
@@ -53,22 +53,18 @@ impl ArrayChoice {
         }
     }
 
-    /// Build the simulator.
-    pub fn build(self) -> ArraySim {
+    /// The testbed's specification.
+    pub fn spec(self) -> ArraySpec {
         match self {
-            ArrayChoice::Hdd4 => ArraySpec::hdd_raid5(4).build(),
-            ArrayChoice::Hdd6 => ArraySpec::hdd_raid5(6).build(),
-            ArrayChoice::Ssd4 => ArraySpec::ssd_raid5(4).build(),
+            ArrayChoice::Hdd4 => ArraySpec::hdd_raid5(4),
+            ArrayChoice::Hdd6 => ArraySpec::hdd_raid5(6),
+            ArrayChoice::Ssd4 => ArraySpec::ssd_raid5(4),
         }
     }
 
-    /// Configuration + members, for policy application.
-    pub fn parts(self) -> (ArrayConfig, Vec<Device>) {
-        match self {
-            ArrayChoice::Hdd4 => ArraySpec::hdd_raid5(4).parts(),
-            ArrayChoice::Hdd6 => ArraySpec::hdd_raid5(6).parts(),
-            ArrayChoice::Ssd4 => ArraySpec::ssd_raid5(4).parts(),
-        }
+    /// Build the simulator.
+    pub fn build(self) -> ArraySim {
+        self.spec().build()
     }
 }
 
@@ -658,14 +654,15 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             }
             if !loads.is_empty() {
                 let exec = SweepExecutor::new(workers);
-                let mut builder =
-                    SweepBuilder::new().executor(exec).loads(&loads).label("cli-replay");
-                if let Some(path) = &obs {
-                    builder = builder.obs(tracer_obs::Sink::file(path));
-                }
-                let result = builder
-                    .load_sweep(&mut host, || array.build(), &trace, mode.at_load(100))
-                    .map_err(|e| CliError(e.to_string()))?;
+                let result = with_obs(obs.as_ref(), || {
+                    SweepBuilder::new().executor(exec).loads(&loads).label("cli-replay").load_sweep(
+                        &mut host,
+                        || array.build(),
+                        &trace,
+                        mode.at_load(100),
+                    )
+                })
+                .map_err(|e| CliError(e.to_string()))?;
                 println!(
                     "load sweep over {} levels ({} workers):",
                     result.loads.len(),
@@ -775,17 +772,15 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 exec.workers()
             );
             let mut host = EvaluationHost::new();
-            let mut builder = SweepBuilder::new()
-                .executor(exec)
-                .on_progress(|done, total| println!("mode {done}/{total}"));
-            if let Some(path) = &obs {
-                builder = builder.obs(tracer_obs::Sink::file(path));
-            }
             // Shared handles: the sweep grid holds one decoded copy (or one
             // mapped view) of each mode's trace, not one clone per cell.
-            let results = builder
-                .sweep(&mut host, || array.build(), |m| Ok(repo.load_view(&device, m)?), &cfg)
-                .map_err(|e| CliError(e.to_string()))?;
+            let results = with_obs(obs.as_ref(), || {
+                SweepBuilder::new()
+                    .executor(exec)
+                    .on_progress(|done, total| println!("mode {done}/{total}"))
+                    .sweep(&mut host, || array.build(), |m| Ok(repo.load_view(&device, m)?), &cfg)
+            })
+            .map_err(|e| CliError(e.to_string()))?;
             let worst = results.iter().map(|r| r.max_error()).fold(0.0, f64::max);
             println!("{} records; worst load-control error {:.4}", host.db.len(), worst);
             if let Some(path) = db {
@@ -1349,6 +1344,28 @@ mod tests {
     fn load_sweep_of_a_corrupt_v3_file_is_an_error() {
         let err = replay_corrupt("loads", None, sweep::LOAD_PCTS.to_vec());
         assert!(err.0.starts_with("corrupt trace file:") && err.0.contains("varint"), "{err}");
+    }
+
+    #[test]
+    fn a_failed_load_sweep_still_writes_its_obs_snapshot() {
+        let mode = WorkloadMode::peak(4096, 0, 100).at_load(60);
+        let repo = corrupt_repo("obs", &mode);
+        let obs = repo.join("obs.jsonl");
+        let err = run(Command::Replay {
+            mode,
+            intensity: 100,
+            repo: repo.clone(),
+            array: ArrayChoice::Hdd4,
+            db: None,
+            afap_depth: None,
+            loads: vec![20, 60],
+            workers: 1,
+            obs: Some(obs.clone()),
+        })
+        .unwrap_err();
+        assert!(err.0.contains("varint"), "{err}");
+        assert!(obs.exists(), "the --obs snapshot is written on the error path too");
+        std::fs::remove_dir_all(&repo).unwrap();
     }
 
     #[test]

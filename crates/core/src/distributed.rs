@@ -3,15 +3,12 @@
 //! §III-C of the paper deploys TRACER across an FC-SAN: several workload
 //! generators drive several storage systems while "multi-channel power
 //! analyzers … monitor power dissipation in multiple storage devices in
-//! parallel". Here each job (array + trace + mode) is one cell on the sweep
-//! executor: it is measured by [`EvaluationHost::measure_test`] on its own
-//! clock and its own analyzer channel, exactly as a standalone test, and the
-//! records are merged into the shared database in job order.
+//! parallel". Here each job (array + trace + mode) is one cell of
+//! [`SweepBuilder::jobs`](crate::orchestrate::SweepBuilder::jobs): it is
+//! measured by [`EvaluationHost::measure_test`](crate::host::EvaluationHost::measure_test)
+//! on its own clock and its own analyzer channel, exactly as a standalone
+//! test, and the records are merged into the shared database in job order.
 
-use crate::error::TracerError;
-use crate::executor::SweepExecutor;
-use crate::host::EvaluationHost;
-use std::sync::Mutex;
 use tracer_sim::ArraySim;
 use tracer_trace::{TraceHandle, WorkloadMode};
 
@@ -52,51 +49,11 @@ impl EvaluationJob {
     }
 }
 
-/// Run `jobs` on `exec`, measure each with
-/// [`EvaluationHost::measure_test`], and store one record per job in
-/// `host`'s database, in job order at any worker count. Returns the record
-/// ids in job order, or the first failed job's error with nothing stored;
-/// `progress` fires on the caller's thread per completed job. Behind
-/// [`SweepBuilder::jobs`](crate::orchestrate::SweepBuilder::jobs).
-pub(crate) fn run_jobs(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    jobs: Vec<EvaluationJob>,
-    progress: &mut dyn FnMut(usize, usize),
-) -> Result<Vec<u64>, TracerError> {
-    // Each job is taken out of its slot exactly once, by whichever worker
-    // claims that index (the build closure is FnOnce).
-    let slots: Vec<Mutex<Option<EvaluationJob>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let total = slots.len();
-    let cycle = host.meter_cycle_ms;
-    let mut done = 0usize;
-    let cells = exec.run_indexed(
-        total,
-        |i| {
-            let job = slots[i].lock().unwrap().take().expect("job claimed once");
-            let mut sim = (job.build)();
-            EvaluationHost::measure_test(
-                cycle,
-                &mut sim,
-                &job.trace,
-                job.mode,
-                job.intensity_pct,
-                &job.name,
-            )
-        },
-        |_| {
-            done += 1;
-            progress(done, total);
-        },
-    );
-    let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(cells.into_iter().map(|cell| host.commit(cell).record_id).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::SweepExecutor;
+    use crate::host::EvaluationHost;
     use crate::orchestrate::SweepBuilder;
     use tracer_sim::ArraySpec;
     use tracer_trace::{Bunch, IoPackage, Trace};

@@ -3,18 +3,18 @@
 //! The paper's evaluation replays every trace "ten times with load proportions
 //! varied from 10 % to 100 %" and derives accuracy tables (Tables IV/V) and
 //! efficiency curves (Figs. 8–11) from the records. This module packages those
-//! loops: a load sweep over one trace, a full mode × load sweep, and the
-//! accuracy-table computation against the 100 % baseline.
+//! loops: a load sweep over one trace, a full mode × load sweep, repeated
+//! trials, heterogeneous jobs, and the accuracy-table computation against the
+//! 100 % baseline.
 //!
-//! Every sweep cell (one mode at one load level) builds a fresh [`ArraySim`],
-//! so cells are independent and the loops parallelise: cells fan out over a
+//! Every sweep shape is a list of cells (one trace replayed in one mode on a
+//! fresh [`ArraySim`]), measured in one place: the cells fan out over a
 //! [`SweepExecutor`]'s worker threads, then results merge — and database
-//! record ids are assigned — in deterministic cell order, so a parallel sweep
-//! is bit-identical to the serial one.
+//! record ids are assigned — in deterministic cell order, so a sweep is
+//! bit-identical at any worker count.
 //!
 //! [`SweepBuilder`] is the single entry point for every sweep shape: it
-//! composes loads × modes × trials × workers × progress × observability sink
-//! behind one builder.
+//! composes loads × modes × trials × workers × progress behind one builder.
 
 use crate::distributed::EvaluationJob;
 use crate::error::TracerError;
@@ -22,6 +22,7 @@ use crate::executor::SweepExecutor;
 use crate::host::{EvaluationHost, MeasuredTest};
 use crate::metrics::AccuracyRow;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 use tracer_sim::ArraySim;
 use tracer_trace::{sweep, BunchSource, TraceHandle, WorkloadMode};
 
@@ -56,7 +57,8 @@ fn resolve_levels(loads: &[u32]) -> Vec<u32> {
 }
 
 /// Commit one mode's measured cells in level order and derive the accuracy
-/// rows — the merge step shared by the serial and parallel paths.
+/// rows — the merge step of [`SweepBuilder::load_sweep`] and
+/// [`SweepBuilder::sweep`].
 fn merge_mode(
     host: &mut EvaluationHost,
     levels: Vec<u32>,
@@ -79,50 +81,6 @@ fn merge_mode(
     LoadSweepResult { loads: levels, record_ids, rows }
 }
 
-/// The load-sweep implementation shared by [`SweepBuilder::load_sweep`] and
-/// the serial path of [`SweepBuilder::sweep`].
-#[allow(clippy::too_many_arguments)]
-fn load_sweep_impl<F, S>(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    build_array: F,
-    trace: &S,
-    mode: WorkloadMode,
-    loads: &[u32],
-    label: &str,
-    progress: &mut dyn FnMut(usize, usize),
-) -> Result<LoadSweepResult, TracerError>
-where
-    F: Fn() -> ArraySim + Sync,
-    S: BunchSource + Sync + ?Sized,
-{
-    let levels = resolve_levels(loads);
-    let total = levels.len();
-    let cycle = host.meter_cycle_ms;
-    let mut done = 0usize;
-    let cells = exec.run_indexed(
-        levels.len(),
-        |i| {
-            let pct = levels[i];
-            let mut sim = build_array();
-            EvaluationHost::measure_test(
-                cycle,
-                &mut sim,
-                trace,
-                mode.at_load(pct),
-                100,
-                &format!("{label}-load{pct}"),
-            )
-        },
-        |_| {
-            done += 1;
-            progress(done, total);
-        },
-    );
-    let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(merge_mode(host, levels, cells))
-}
-
 /// Configuration of a synthetic mode × load sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepConfig {
@@ -139,27 +97,38 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// Total number of test runs the sweep performs.
+    /// Total number of test runs the sweep performs, the 100 % baseline
+    /// included.
     pub fn run_count(&self) -> usize {
-        self.modes.len() * self.loads.len()
+        self.modes.len() * resolve_levels(&self.loads).len()
     }
 }
 
+/// One sweep cell: `trace` replayed in `mode` at `intensity_pct` on a fresh
+/// array, measured under the record label `label`.
+struct Cell<'t, S: ?Sized> {
+    trace: &'t S,
+    mode: WorkloadMode,
+    intensity_pct: u32,
+    label: String,
+}
+
 /// The single entry point for every sweep shape: loads × modes × trials ×
-/// workers × progress × observability sink, composed as a builder.
+/// workers × progress, composed as a builder.
 ///
-/// Cells fan out over the executor's workers, but results merge — and
+/// Each terminal builds its list of cells and hands it to one cell runner;
+/// cells fan out over the executor's workers, but results merge — and
 /// database record ids are assigned — in deterministic cell order, so every
 /// shape is bit-identical at any worker count (asserted in
 /// `tests/parallel_sweep.rs`). So are failures: a trace that fails mid-scan
 /// fails the terminal with the first failed cell's error in cell order, and
 /// nothing of the failed load sweep, trial set or job batch is committed.
 ///
-/// With [`SweepBuilder::obs`] set, `tracer-obs` instrumentation is enabled
-/// for the duration of the run and a JSON-lines snapshot (counters, span
-/// histograms, events) is appended to the sink when the terminal method
-/// returns. Instrumentation never alters results — an obs-enabled sweep
-/// reports bit-identically to a disabled one.
+/// The builder never switches `tracer-obs` on or off: the caller owns that
+/// bracket (the CLI's `--obs`). While instrumentation is on, a terminal
+/// emits `sweep.start` and `sweep.done` events and adds its cells to the
+/// `sweep.cells` counter. Instrumentation never alters results — an
+/// obs-enabled sweep reports bit-identically to a disabled one.
 ///
 /// ```
 /// use tracer_core::orchestrate::SweepBuilder;
@@ -185,7 +154,6 @@ pub struct SweepBuilder<'a> {
     loads: Vec<u32>,
     label: String,
     progress: Option<Box<dyn FnMut(usize, usize) + 'a>>,
-    obs_sink: Option<tracer_obs::Sink>,
 }
 
 impl Default for SweepBuilder<'_> {
@@ -195,15 +163,14 @@ impl Default for SweepBuilder<'_> {
 }
 
 impl<'a> SweepBuilder<'a> {
-    /// A serial builder with the paper's load levels and no progress or obs
-    /// sink configured.
+    /// A serial builder with the paper's load levels and no progress
+    /// callback.
     pub fn new() -> Self {
         Self {
             exec: SweepExecutor::serial(),
             loads: sweep::LOAD_PCTS.to_vec(),
             label: "sweep".to_string(),
             progress: None,
-            obs_sink: None,
         }
     }
 
@@ -244,32 +211,56 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Enable `tracer-obs` for the run and append a JSON-lines
-    /// instrumentation snapshot to `sink` when the terminal method returns.
-    pub fn obs(mut self, sink: tracer_obs::Sink) -> Self {
-        self.obs_sink = Some(sink);
-        self
-    }
-
-    /// Run a terminal's `body` with the progress callback, inside the obs
-    /// bracket ([`ObsRun`]).
-    fn run<R>(
-        mut self,
+    /// The one cell runner: measure cell `i` of `cells` on the array
+    /// `build(i)`, on the builder's executor, and return the results in cell
+    /// order. Progress fires as `(done, total)` once per `group` consecutive
+    /// cells (`cells.len()` is a multiple of `group`).
+    fn measure_cells<S: BunchSource + Sync + ?Sized>(
+        self,
         kind: &'static str,
-        cells: usize,
-        body: impl FnOnce(&Self, &mut dyn FnMut(usize, usize)) -> R,
-    ) -> R {
-        let mut progress = self.progress.take().unwrap_or_else(|| Box::new(|_, _| {}));
-        let was_enabled = tracer_obs::enabled();
-        if self.obs_sink.is_some() {
-            tracer_obs::enable();
+        meter_cycle_ms: u64,
+        cells: &[Cell<'_, S>],
+        build: impl Fn(usize) -> ArraySim + Sync,
+        group: usize,
+    ) -> Vec<Result<MeasuredTest, TracerError>> {
+        debug_assert_eq!(cells.len() % group, 0);
+        let obs_on = tracer_obs::enabled();
+        let count = cells.len();
+        if obs_on {
             let workers = self.exec.workers();
             let fields =
-                [("shape", kind.into()), ("cells", cells.into()), ("workers", workers.into())];
+                [("shape", kind.into()), ("cells", count.into()), ("workers", workers.into())];
             tracer_obs::event("sweep.start", &fields);
         }
-        let _obs = ObsRun { sink: self.obs_sink.as_ref(), was_enabled, kind, cells };
-        body(&self, &mut progress)
+        let mut progress = self.progress.unwrap_or_else(|| Box::new(|_, _| {}));
+        let mut remaining = vec![group; count / group];
+        let (total, mut done) = (remaining.len(), 0);
+        let measured = self.exec.run_indexed(
+            count,
+            |i| {
+                let cell = &cells[i];
+                EvaluationHost::measure_test(
+                    meter_cycle_ms,
+                    &mut build(i),
+                    cell.trace,
+                    cell.mode,
+                    cell.intensity_pct,
+                    &cell.label,
+                )
+            },
+            |i| {
+                remaining[i / group] -= 1;
+                if remaining[i / group] == 0 {
+                    done += 1;
+                    progress(done, total);
+                }
+            },
+        );
+        if obs_on {
+            tracer_obs::counter("sweep.cells").add(count as u64);
+            tracer_obs::event("sweep.done", &[("shape", kind.into()), ("cells", count.into())]);
+        }
+        measured
     }
 
     /// Terminal: replay `trace` on fresh arrays at each configured load level
@@ -288,23 +279,36 @@ impl<'a> SweepBuilder<'a> {
         F: Fn() -> ArraySim + Sync,
         S: BunchSource + Sync + ?Sized,
     {
-        let cells = resolve_levels(&self.loads).len();
-        self.run("load_sweep", cells, |b, p| {
-            load_sweep_impl(host, &b.exec, build_array, trace, mode, &b.loads, &b.label, p)
-        })
+        let levels = resolve_levels(&self.loads);
+        let cells: Vec<_> = levels
+            .iter()
+            .map(|&pct| Cell {
+                trace,
+                mode: mode.at_load(pct),
+                intensity_pct: 100,
+                label: format!("{}-load{pct}", self.label),
+            })
+            .collect();
+        let measured =
+            self.measure_cells("load_sweep", host.meter_cycle_ms, &cells, |_| build_array(), 1);
+        let measured = measured.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(merge_mode(host, levels, measured))
     }
 
     /// Terminal: run the full mode × load grid of `cfg` — for each mode,
     /// resolve its trace, then run every load level on a fresh array.
-    /// Traces resolve on the caller's thread in mode order. Under
+    /// Traces resolve on the caller's thread in mode order, up to the first
+    /// loader failure, and are all held for the grid: shared handles, so a
+    /// loader handing out repository views keeps one mapping per mode. Under
     /// parallelism modes finish out of order, so progress reports the
-    /// *count* of completed modes, not which one. A failing loader fails the
-    /// sweep as its mode's first cell would.
+    /// *count* of completed modes, not which one. Results commit
+    /// mode-major, level-ascending; a failing loader or cell fails the sweep
+    /// after the modes before it have committed.
     pub fn sweep<F, T, A>(
         self,
         host: &mut EvaluationHost,
         build_array: F,
-        trace_for_mode: T,
+        mut trace_for_mode: T,
         cfg: &SweepConfig,
     ) -> Result<Vec<LoadSweepResult>, TracerError>
     where
@@ -312,10 +316,43 @@ impl<'a> SweepBuilder<'a> {
         T: FnMut(&WorkloadMode) -> Result<A, TracerError>,
         A: Into<TraceHandle>,
     {
-        let cells = cfg.modes.len() * resolve_levels(&cfg.loads).len();
-        self.run("sweep", cells, |b, p| {
-            sweep_impl(host, &b.exec, build_array, trace_for_mode, cfg, p)
-        })
+        let levels = resolve_levels(&cfg.loads);
+        let mut traces: Vec<TraceHandle> = Vec::with_capacity(cfg.modes.len());
+        let load_err = cfg
+            .modes
+            .iter()
+            .try_for_each(|m| trace_for_mode(m).map(|t| traces.push(t.into())))
+            .err();
+        let cells: Vec<_> = cfg
+            .modes
+            .iter()
+            .zip(&traces)
+            .flat_map(|(mode, trace)| {
+                levels.iter().map(move |&pct| Cell {
+                    trace,
+                    mode: mode.at_load(pct),
+                    intensity_pct: 100,
+                    label: format!(
+                        "sweep-rs{}-rn{}-rd{}-load{pct}",
+                        mode.request_bytes, mode.random_pct, mode.read_pct
+                    ),
+                })
+            })
+            .collect();
+        let measured = self.measure_cells(
+            "sweep",
+            host.meter_cycle_ms,
+            &cells,
+            |_| build_array(),
+            levels.len(),
+        );
+        let mut measured = measured.into_iter();
+        let mut results = Vec::with_capacity(traces.len());
+        for _ in 0..traces.len() {
+            let chunk = measured.by_ref().take(levels.len()).collect::<Result<Vec<_>, _>>()?;
+            results.push(merge_mode(host, levels.clone(), chunk));
+        }
+        load_err.map_or(Ok(results), Err)
     }
 
     /// Terminal: run `mode` `trials` times, each with the trace
@@ -327,7 +364,7 @@ impl<'a> SweepBuilder<'a> {
         self,
         host: &mut EvaluationHost,
         build_array: F,
-        trace_for_seed: T,
+        mut trace_for_seed: T,
         mode: WorkloadMode,
         trials: usize,
     ) -> Result<TrialSummary, TracerError>
@@ -336,144 +373,75 @@ impl<'a> SweepBuilder<'a> {
         T: FnMut(u64) -> A,
         A: Into<TraceHandle>,
     {
-        self.run("trials", trials, |b, p| {
-            trials_impl(host, &b.exec, build_array, trace_for_seed, mode, trials, &b.label, p)
+        assert!(trials >= 1, "at least one trial required");
+        let traces: Vec<TraceHandle> =
+            (0..trials).map(|t| trace_for_seed(t as u64).into()).collect();
+        let cells: Vec<_> = traces
+            .iter()
+            .enumerate()
+            .map(|(trial, trace)| Cell {
+                trace,
+                mode,
+                intensity_pct: 100,
+                label: format!("{}-trial{trial}", self.label),
+            })
+            .collect();
+        let measured =
+            self.measure_cells("trials", host.meter_cycle_ms, &cells, |_| build_array(), 1);
+        let mut iops = Vec::with_capacity(trials);
+        let mut mbps = Vec::with_capacity(trials);
+        let mut watts = Vec::with_capacity(trials);
+        let mut ipw = Vec::with_capacity(trials);
+        for cell in measured.into_iter().collect::<Result<Vec<_>, _>>()? {
+            let m = host.commit(cell).metrics;
+            iops.push(m.iops);
+            mbps.push(m.mbps);
+            watts.push(m.avg_watts);
+            ipw.push(m.iops_per_watt);
+        }
+        Ok(TrialSummary {
+            trials,
+            iops: TrialStat::from_samples(&iops),
+            mbps: TrialStat::from_samples(&mbps),
+            avg_watts: TrialStat::from_samples(&watts),
+            iops_per_watt: TrialStat::from_samples(&ipw),
         })
     }
 
     /// Terminal: run heterogeneous [`EvaluationJob`]s in parallel, each
-    /// measured by [`EvaluationHost::measure_test`] on its own clock and
-    /// analyzer channel, so a job stores the record it would store alone
+    /// metered on its own clock and analyzer channel, as a standalone test,
+    /// so a job stores the record it would store alone
     /// (§III-C's distributed deployment; `SweepExecutor::auto()` gives one
-    /// worker per core). Returns record ids in job order.
+    /// worker per core). Returns record ids in job order, or the first
+    /// failed job's error with nothing stored.
     pub fn jobs(
         self,
         host: &mut EvaluationHost,
         jobs: Vec<EvaluationJob>,
     ) -> Result<Vec<u64>, TracerError> {
-        self.run("jobs", jobs.len(), |b, p| crate::distributed::run_jobs(host, &b.exec, jobs, p))
+        // A build closure is FnOnce: whichever worker claims a job takes it
+        // out of its slot, exactly once.
+        let (slots, specs): (Vec<_>, Vec<_>) = jobs
+            .into_iter()
+            .map(|j| (Mutex::new(Some(j.build)), (j.trace, j.mode, j.intensity_pct, j.name)))
+            .unzip();
+        let cells: Vec<_> = specs
+            .iter()
+            .map(|(trace, mode, intensity_pct, name)| Cell {
+                trace,
+                mode: *mode,
+                intensity_pct: *intensity_pct,
+                label: name.clone(),
+            })
+            .collect();
+        let build = |i: usize| {
+            let build = slots[i].lock().expect("no slot holder panics").take();
+            build.expect("each job is claimed once")()
+        };
+        let measured = self.measure_cells("jobs", host.meter_cycle_ms, &cells, build, 1);
+        let measured = measured.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(measured.into_iter().map(|cell| host.commit(cell).record_id).collect())
     }
-}
-
-/// The end of a terminal's obs bracket: dropping it appends the snapshot to
-/// the sink and restores, not clobbers, the global enable flag — on every
-/// exit, `Err` included (unwinding restores the flag only).
-struct ObsRun<'s> {
-    sink: Option<&'s tracer_obs::Sink>,
-    was_enabled: bool,
-    kind: &'static str,
-    cells: usize,
-}
-
-impl Drop for ObsRun<'_> {
-    fn drop(&mut self) {
-        let Some(sink) = self.sink else { return };
-        // The registry's locks may panic, which aborts an unwinding thread:
-        // a panicking run only restores the flag.
-        if !std::thread::panicking() {
-            tracer_obs::counter("sweep.cells").add(self.cells as u64);
-            let fields = [("shape", self.kind.into()), ("cells", self.cells.into())];
-            tracer_obs::event("sweep.done", &fields);
-            if let Err(e) = tracer_obs::dump_to(sink) {
-                eprintln!("obs: failed to write snapshot: {e}");
-            }
-        }
-        if !self.was_enabled {
-            tracer_obs::disable();
-        }
-    }
-}
-
-/// The mode × load grid implementation behind [`SweepBuilder::sweep`].
-fn sweep_impl<F, T, A>(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    build_array: F,
-    mut trace_for_mode: T,
-    cfg: &SweepConfig,
-    progress: &mut dyn FnMut(usize, usize),
-) -> Result<Vec<LoadSweepResult>, TracerError>
-where
-    F: Fn() -> ArraySim + Sync,
-    T: FnMut(&WorkloadMode) -> Result<A, TracerError>,
-    A: Into<TraceHandle>,
-{
-    let total = cfg.modes.len();
-    let levels = resolve_levels(&cfg.loads);
-    let per_mode = levels.len();
-    let label_for = |mode: &WorkloadMode| {
-        format!("sweep-rs{}-rn{}-rd{}", mode.request_bytes, mode.random_pct, mode.read_pct)
-    };
-
-    if exec.is_serial() {
-        // Serial path: resolve each trace just before its mode runs, so at
-        // most one trace is held in memory at a time.
-        let mut results = Vec::with_capacity(total);
-        for (i, &mode) in cfg.modes.iter().enumerate() {
-            let trace: TraceHandle = trace_for_mode(&mode)?.into();
-            let label = label_for(&mode);
-            results.push(load_sweep_impl(
-                host,
-                exec,
-                &build_array,
-                &trace,
-                mode,
-                &cfg.loads,
-                &label,
-                &mut |_, _| {},
-            )?);
-            progress(i + 1, total);
-        }
-        return Ok(results);
-    }
-
-    // Parallel path: resolve the traces up front (serially, in mode order, up
-    // to the first loader failure), then fan the grid of those modes out so
-    // the worker pool stays saturated even when a mode has fewer levels than
-    // there are workers. Traces are held as shared handles (decoded
-    // `Arc<Trace>`s or mmap views), so a loader handing out repository-cached
-    // traces keeps one copy for the whole grid, not one clone per mode.
-    let mut traces: Vec<TraceHandle> = Vec::with_capacity(total);
-    let load_err =
-        cfg.modes.iter().try_for_each(|m| trace_for_mode(m).map(|t| traces.push(t.into()))).err();
-    let labels: Vec<String> = cfg.modes.iter().map(label_for).collect();
-    let cycle = host.meter_cycle_ms;
-    let mut remaining: Vec<usize> = vec![per_mode; total];
-    let mut modes_done = 0usize;
-    let cells = exec.run_indexed(
-        traces.len() * per_mode,
-        |i| {
-            let (m, l) = (i / per_mode, i % per_mode);
-            let (mode, pct) = (cfg.modes[m], levels[l]);
-            let mut sim = build_array();
-            EvaluationHost::measure_test(
-                cycle,
-                &mut sim,
-                &traces[m],
-                mode.at_load(pct),
-                100,
-                &format!("{}-load{pct}", labels[m]),
-            )
-        },
-        |i| {
-            let m = i / per_mode;
-            remaining[m] -= 1;
-            if remaining[m] == 0 {
-                modes_done += 1;
-                progress(modes_done, total);
-            }
-        },
-    );
-
-    // Deterministic merge: mode-major, level-ascending — the serial order,
-    // failing where it fails with the same modes committed.
-    let mut results = Vec::with_capacity(traces.len());
-    let mut cells = cells.into_iter();
-    for _ in 0..traces.len() {
-        let chunk = cells.by_ref().take(per_mode).collect::<Result<Vec<_>, _>>()?;
-        results.push(merge_mode(host, levels.clone(), chunk));
-    }
-    load_err.map_or(Ok(results), Err)
 }
 
 /// Mean ± standard deviation of a repeated measurement.
@@ -520,65 +488,6 @@ pub struct TrialSummary {
     pub avg_watts: TrialStat,
     /// IOPS/Watt across trials.
     pub iops_per_watt: TrialStat,
-}
-
-/// The repeated-trials implementation behind [`SweepBuilder::trials`].
-#[allow(clippy::too_many_arguments)]
-fn trials_impl<F, T, A>(
-    host: &mut EvaluationHost,
-    exec: &SweepExecutor,
-    build_array: F,
-    mut trace_for_seed: T,
-    mode: WorkloadMode,
-    trials: usize,
-    label: &str,
-    progress: &mut dyn FnMut(usize, usize),
-) -> Result<TrialSummary, TracerError>
-where
-    F: Fn() -> ArraySim + Sync,
-    T: FnMut(u64) -> A,
-    A: Into<TraceHandle>,
-{
-    assert!(trials >= 1, "at least one trial required");
-    let traces: Vec<TraceHandle> = (0..trials).map(|t| trace_for_seed(t as u64).into()).collect();
-    let cycle = host.meter_cycle_ms;
-    let mut done = 0usize;
-    let cells = exec.run_indexed(
-        trials,
-        |trial| {
-            let mut sim = build_array();
-            EvaluationHost::measure_test(
-                cycle,
-                &mut sim,
-                &traces[trial],
-                mode,
-                100,
-                &format!("{label}-trial{trial}"),
-            )
-        },
-        |_| {
-            done += 1;
-            progress(done, trials);
-        },
-    );
-    let mut iops = Vec::with_capacity(trials);
-    let mut mbps = Vec::with_capacity(trials);
-    let mut watts = Vec::with_capacity(trials);
-    let mut ipw = Vec::with_capacity(trials);
-    for cell in cells.into_iter().collect::<Result<Vec<_>, _>>()? {
-        let m = host.commit(cell).metrics;
-        iops.push(m.iops);
-        mbps.push(m.mbps);
-        watts.push(m.avg_watts);
-        ipw.push(m.iops_per_watt);
-    }
-    Ok(TrialSummary {
-        trials,
-        iops: TrialStat::from_samples(&iops),
-        mbps: TrialStat::from_samples(&mbps),
-        avg_watts: TrialStat::from_samples(&watts),
-        iops_per_watt: TrialStat::from_samples(&ipw),
-    })
 }
 
 #[cfg(test)]
@@ -680,6 +589,25 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert_eq!(calls, vec![(1, 2), (2, 2)]);
         assert_eq!(host.db.len(), 4);
+    }
+
+    #[test]
+    fn run_count_includes_the_implied_baseline() {
+        let mut host = EvaluationHost::new();
+        let cfg = SweepConfig {
+            modes: vec![WorkloadMode::peak(4096, 0, 100), WorkloadMode::peak(65536, 100, 0)],
+            loads: vec![50],
+        };
+        assert_eq!(cfg.run_count(), 4);
+        SweepBuilder::new()
+            .sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(3).build(),
+                |_| Ok(fixed_trace(30, 4096)),
+                &cfg,
+            )
+            .expect("in-memory trace");
+        assert_eq!(host.db.len(), cfg.run_count());
     }
 
     #[test]

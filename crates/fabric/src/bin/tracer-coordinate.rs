@@ -7,9 +7,10 @@
 //! * `--expect N [--port P]` — open a registrar, wait for `N` nodes started
 //!   with `tracer-serve --join`, then dispatch to whoever joined (plus any
 //!   `--nodes` given explicitly).
-//! * `--serial REPO_DIR` — run the same cells locally, in order, on one
-//!   host, and print the serial baseline report. A fleet run over the same
-//!   campaign produces a byte-identical report, whatever the node count.
+//! * `--serial REPO_DIR` — run the same cells locally, in order, over the
+//!   campaign's one trace, and print the serial baseline report. A fleet run
+//!   over the same campaign produces a byte-identical report, whatever the
+//!   node count.
 //! * `--scenario FILE` — take the campaign from a declarative scenario file.
 //!   Alone it runs the scenario locally and prints the scenario report (the
 //!   byte-compare partner of `tracer sweep --scenario`); with `--nodes` or
@@ -116,25 +117,21 @@ fn coordinate(cmd: Command) -> Result<(), TracerError> {
     };
 
     if let Some(repo_dir) = serial {
-        let report = match &scn {
+        // Every cell replays the campaign's one trace: resolve it once.
+        let (array, trace) = match &scn {
             // Scenario cells need no repository: synthesize the trace the
             // same way the serve nodes do (the --serial value is unused).
-            Some(scn) => serial_report(
-                &spec,
-                || scn.array.build(),
-                |dev, mode| {
-                    if dev != scn.array.name {
-                        return None;
-                    }
-                    scn.workload.view(&scn.array, *mode, 0).ok().map(Into::into)
-                },
-            )?,
+            Some(scn) => (scn.array.clone(), scn.workload.view(&scn.array, spec.mode, 0)?.into()),
             None => {
                 let repo = TraceRepository::open(&repo_dir)
                     .map_err(|e| TracerError::Config(e.to_string()))?;
-                serial_report(&spec, || array.build(), |dev, mode| repo.load_view(dev, mode).ok())?
+                let trace = repo
+                    .load_view(&spec.device, &spec.mode)
+                    .map_err(|_| TracerError::NoTrace(spec.device.clone()))?;
+                (array.spec(), trace)
             }
         };
+        let report = serial_report(&spec, &array, &trace)?;
         print!("{report}");
         dump_obs(obs.as_deref())?;
         return Ok(());

@@ -26,7 +26,8 @@
 //! The report renders those values back with the same `{}` formatting, in
 //! cell order, with no node names, counts, or timings in it. A report is
 //! therefore byte-identical whether the campaign ran on 1 node, on 4, or
-//! serially in-process ([`serial_report`]).
+//! serially in-process over the campaign's one resolved trace
+//! ([`serial_report`]).
 
 use crate::joblog::JobSpec;
 use std::collections::VecDeque;
@@ -35,11 +36,11 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use tracer_core::error::TracerError;
-use tracer_core::host::EvaluationHost;
+use tracer_core::host::{EvaluationHost, DEFAULT_METER_CYCLE_MS};
 use tracer_core::messages::{parse_job_command, JobCommand, Reply};
 use tracer_core::metrics::EfficiencyMetrics;
 use tracer_core::net::{HostClient, LineServer, Then};
-use tracer_sim::ArraySim;
+use tracer_sim::ArraySpec;
 use tracer_trace::{TraceHandle, WorkloadMode};
 
 /// One sweep campaign: a device, a base workload mode, and the load levels
@@ -459,30 +460,26 @@ pub fn render_report(spec: &CampaignSpec, results: &[CellResult]) -> String {
     out
 }
 
-/// The serial baseline: run every cell in-process, in order, on one host,
-/// and render the identical report. `build` constructs the array under test
-/// and `load_trace` resolves the cell's trace exactly like a node would.
+/// The serial baseline: run every cell in-process, in order, and render the
+/// identical report. Every cell drives the same device with the same base
+/// mode, so one resolved `trace` serves them all; each is measured on a fresh
+/// `array.build()`.
 pub fn serial_report(
     spec: &CampaignSpec,
-    mut build: impl FnMut() -> ArraySim,
-    mut load_trace: impl FnMut(&str, &WorkloadMode) -> Option<TraceHandle>,
+    array: &ArraySpec,
+    trace: &TraceHandle,
 ) -> Result<String, TracerError> {
-    let mut host = EvaluationHost::new();
     let mut results = Vec::with_capacity(spec.loads.len());
     for cell in spec.cells() {
-        let trace = load_trace(&cell.device, &cell.mode)
-            .ok_or_else(|| TracerError::NoTrace(cell.device.clone()))?;
-        let mut sim = build();
         let measured = EvaluationHost::measure_test(
-            host.meter_cycle_ms,
-            &mut sim,
-            &trace,
+            DEFAULT_METER_CYCLE_MS,
+            &mut array.build(),
+            trace,
             cell.mode,
             cell.intensity_pct,
             &cell.name,
         )?;
-        let out = host.commit(measured);
-        results.push(CellResult::from_metrics(&out.metrics));
+        results.push(CellResult::from_metrics(&measured.metrics));
     }
     Ok(render_report(spec, &results))
 }

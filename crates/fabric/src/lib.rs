@@ -16,7 +16,8 @@
 //!   and re-dispatch of cells owned by a dead node. Reports are rendered in
 //!   cell order from wire values that round-trip `f64` exactly, so the same
 //!   campaign is **byte-identical at any node count** and identical to the
-//!   in-process [`coordinator::serial_report`] baseline.
+//!   in-process [`coordinator::serial_report`] baseline, which replays the
+//!   campaign's one resolved trace.
 //!
 //! The `tracer-coordinate` binary puts the coordinator on the command line;
 //! `tracer-serve --join/--log/--port` (in the serve crate) turns a node

@@ -53,12 +53,8 @@ fn campaign(loads: &[u32]) -> CampaignSpec {
 }
 
 fn baseline(spec: &CampaignSpec, bunches: u64) -> String {
-    serial_report(
-        spec,
-        || ArraySpec::hdd_raid5(4).build(),
-        |dev, _mode| (dev == DEVICE).then(|| fleet_trace(bunches).into()),
-    )
-    .expect("serial baseline")
+    serial_report(spec, &ArraySpec::hdd_raid5(4), &fleet_trace(bunches).into())
+        .expect("serial baseline")
 }
 
 fn config() -> FleetConfig {

@@ -1,8 +1,9 @@
 //! `SweepBuilder` contracts: turning the `tracer-obs` instrumentation on
-//! must not perturb any report bit, and a trace that fails mid-scan fails
-//! the sweep with the same error at any worker count, without leaving
-//! instrumentation switched on. (The builder's worker-count determinism for
-//! good runs is asserted in `tests/parallel_sweep.rs`.)
+//! must not perturb any report bit, a trace that fails mid-scan fails every
+//! terminal with the same error at any worker count, and a failed terminal
+//! still records its `sweep.done` event without touching the enable flag.
+//! (The builder's worker-count determinism for good runs is asserted in
+//! `tests/parallel_sweep.rs`.)
 
 use std::sync::Mutex;
 use tracer_core::prelude::*;
@@ -32,29 +33,26 @@ fn obs_instrumentation_does_not_perturb_sweep_reports() {
     let _obs = OBS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let mode = WorkloadMode::peak(8192, 50, 100);
     let loads = [25, 50, 75];
-    let run = |sink: Option<tracer_obs::Sink>| {
+    let run = || {
         let mut host = EvaluationHost::new();
-        let mut b = SweepBuilder::new().workers(2).loads(&loads).label("obs");
-        if let Some(sink) = sink {
-            b = b.obs(sink);
-        }
-        let result = b
+        let result = SweepBuilder::new()
+            .workers(2)
+            .loads(&loads)
+            .label("obs")
             .load_sweep(&mut host, || ArraySpec::hdd_raid5(4).build(), &trace(50), mode)
             .expect("in-memory trace");
         (result, host)
     };
 
-    let (plain, plain_host) = run(None);
-    let dir = std::env::temp_dir().join(format!("tracer-obs-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("obs dir");
-    let path = dir.join("sweep.jsonl");
-    let (observed, observed_host) = run(Some(tracer_obs::Sink::file(&path)));
+    let (plain, plain_host) = run();
+    tracer_obs::enable();
+    let (observed, observed_host) = run();
+    let snapshot = tracer_obs::dump_jsonl();
+    tracer_obs::disable();
 
     assert_eq!(observed, plain, "obs instrumentation must not change sweep results");
     assert_eq!(observed_host.db.records(), plain_host.db.records(), "db must match bit for bit");
-    let snapshot = std::fs::read_to_string(&path).expect("obs snapshot written");
-    assert!(snapshot.lines().count() > 0, "obs run must leave a snapshot behind");
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(snapshot.contains("sweep.done"), "the observed run records its events: {snapshot}");
 }
 
 #[test]
@@ -98,13 +96,43 @@ fn a_corrupt_trace_fails_load_sweep_and_jobs_alike_at_any_worker_count() {
     };
     assert_eq!(jobs(1), serial);
     assert_eq!(jobs(3), serial);
+
+    // A mode × load sweep whose second mode fails, by a corrupt trace or by
+    // its loader: the first mode commits, at any worker count, and nothing
+    // after it.
+    let cfg = SweepConfig {
+        modes: vec![mode, WorkloadMode::peak(4096, 50, 100), WorkloadMode::peak(4096, 100, 100)],
+        loads: vec![20, 60],
+    };
+    let sweep = |workers: usize, corrupt: bool| {
+        let mut host = EvaluationHost::new();
+        let err = SweepBuilder::new()
+            .workers(workers)
+            .sweep(
+                &mut host,
+                || ArraySpec::hdd_raid5(4).build(),
+                |m| match (*m == cfg.modes[1], corrupt) {
+                    (false, _) => Ok(TraceHandle::from(trace(20))),
+                    (true, true) => Ok(view.clone()),
+                    (true, false) => Err(TracerError::NoTrace("mode 2".into())),
+                },
+                &cfg,
+            )
+            .unwrap_err();
+        assert_eq!(host.db.len(), 3, "exactly the first mode's levels commit");
+        (err.to_string(), host.db.records().to_vec())
+    };
+    let (err, records) = sweep(1, true);
+    assert_eq!(err, serial);
+    assert_eq!(sweep(3, true), (err, records));
+    let (err, records) = sweep(1, false);
+    assert!(err.contains("mode 2"), "{err}");
+    assert_eq!(sweep(3, false), (err, records));
 }
 
 #[test]
-fn a_failed_sweep_still_flushes_obs_and_restores_the_enable_flag() {
+fn a_failed_sweep_still_records_its_done_event() {
     let _obs = OBS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let dir = std::env::temp_dir().join(format!("tracer-obs-err-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("obs dir");
     let view = corrupt_view();
     for prior in [false, true] {
         if prior {
@@ -112,36 +140,17 @@ fn a_failed_sweep_still_flushes_obs_and_restores_the_enable_flag() {
         } else {
             tracer_obs::disable();
         }
-        let path = dir.join(format!("failed-{prior}.jsonl"));
-        let mut host = EvaluationHost::new();
-        let result = SweepBuilder::new()
-            .workers(2)
-            .loads(&[50])
-            .obs(tracer_obs::Sink::file(&path))
-            .load_sweep(
-                &mut host,
-                || ArraySpec::hdd_raid5(4).build(),
-                &view,
-                WorkloadMode::peak(4096, 0, 100),
-            );
+        tracer_obs::drain_events();
+        let result = SweepBuilder::new().workers(2).loads(&[50]).load_sweep(
+            &mut EvaluationHost::new(),
+            || ArraySpec::hdd_raid5(4).build(),
+            &view,
+            WorkloadMode::peak(4096, 0, 100),
+        );
         assert!(result.is_err());
-        assert_eq!(tracer_obs::enabled(), prior, "the enable flag is restored, not clobbered");
-        let snapshot = std::fs::read_to_string(&path).expect("obs snapshot written");
-        assert!(snapshot.contains("sweep.done"), "the failed run still dumps its snapshot");
+        assert_eq!(tracer_obs::enabled(), prior, "the builder leaves the enable flag alone");
+        let done = tracer_obs::drain_events().iter().any(|e| e.name == "sweep.done");
+        assert_eq!(done, prior, "the failed run records sweep.done exactly when obs is on");
     }
     tracer_obs::disable();
-
-    // A panicking cell unwinds through the terminal: the flag is restored.
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let sink = tracer_obs::Sink::file(dir.join("panicked.jsonl"));
-        SweepBuilder::new().loads(&[50]).obs(sink).load_sweep(
-            &mut EvaluationHost::new(),
-            || -> ArraySim { panic!("device exploded") },
-            &trace(5),
-            WorkloadMode::peak(4096, 0, 100),
-        )
-    }));
-    assert!(panicked.is_err());
-    assert!(!tracer_obs::enabled(), "unwinding restores the enable flag");
-    std::fs::remove_dir_all(&dir).ok();
 }
