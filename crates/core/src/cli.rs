@@ -170,16 +170,16 @@ pub enum Command {
         /// Results-database file.
         db: PathBuf,
     },
-    /// Serve as a workload-generator machine over TCP (§III-C deployment).
+    /// Serve evaluation jobs over TCP (§III-C deployment). The service is
+    /// the `tracer-serve` binary, which takes these flags; `tracer serve`
+    /// only points there.
     Serve {
         /// Repository directory holding the collected traces. Exclusive
         /// with `scenario`, which synthesizes traces instead.
         repo: Option<PathBuf>,
         /// Testbed this machine drives.
         array: ArrayChoice,
-        /// Evaluation workers. 1 (default) = the classic single-session
-        /// generator; >1 selects the concurrent job service, which lives in
-        /// the `tracer-serve` binary.
+        /// Evaluation workers (default 1).
         workers: usize,
         /// Bounded job-queue capacity; 0 = 2 × workers.
         queue: usize,
@@ -187,14 +187,12 @@ pub enum Command {
         /// so the coordinator's node list is stable.
         port: u16,
         /// Durable job-log file: submitted/started/finished jobs are appended
-        /// as checksummed frames and replayed on restart (`tracer-serve`
-        /// binary only).
+        /// as checksummed frames and replayed on restart.
         log: Option<PathBuf>,
-        /// Coordinator `host:port` to register with after binding
-        /// (`tracer-serve` binary only).
+        /// Coordinator `host:port` to register with after binding.
         join: Option<String>,
         /// Scenario file naming the testbed and workload this node serves
-        /// (`tracer-serve` binary only; exclusive with `repo`).
+        /// (exclusive with `repo`).
         scenario: Option<PathBuf>,
     },
     /// Shard a sweep campaign across registered serve nodes (the fabric
@@ -282,10 +280,11 @@ names the testbed (device zoo keyword, layout, disks, power policy), the
 workload grid and the load levels, and the deterministic report goes to
 stdout. Serve and coordinate accept the same files (--scenario), so one
 scenario drives local sweeps, serve nodes and fleet campaigns alike.
-Serve with --workers > 1 is the concurrent job service (bounded queue,
-admission control); it is provided by the `tracer-serve` binary, which
-also takes --port (pinned listen port), --log (durable job log replayed
-on restart), and --join (register with a fabric coordinator).
+Serve is the evaluation service (bounded job queue, admission control,
+one testbed per node); it is provided by the `tracer-serve` binary, which
+takes the same flags: --port (pinned listen port), --log (durable job log
+replayed on restart), and --join (register with a fabric coordinator).
+`tracer serve` prints the matching `tracer-serve` command and exits.
 Coordinate shards one sweep campaign across serve nodes with work
 stealing and re-dispatch on node death; it is provided by the
 `tracer-coordinate` binary. Its --serial REPO_DIR mode runs the same
@@ -846,55 +845,36 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             Ok(())
         }
         Command::Serve { repo, array, workers, queue, port, log, join, scenario } => {
-            if workers > 1 || port != 0 || log.is_some() || join.is_some() || scenario.is_some() {
-                // Everything beyond the classic single-session generator —
-                // worker pools, pinned ports, durable logs, fabric
-                // registration, scenario-defined testbeds — lives in the
-                // tracer-serve binary.
-                let source = match (&repo, &scenario) {
-                    (_, Some(s)) => format!("--scenario {}", s.display()),
-                    (Some(r), None) => format!(
-                        "--repo {} --array {}",
-                        r.display(),
-                        match array {
-                            ArrayChoice::Hdd4 => "hdd4",
-                            ArrayChoice::Hdd6 => "hdd6",
-                            ArrayChoice::Ssd4 => "ssd4",
-                        }
-                    ),
-                    (None, None) => unreachable!("parse requires --repo or --scenario"),
-                };
-                return Err(CliError(format!(
-                    "the concurrent job service is the `tracer-serve` binary; run: \
-                     tracer-serve {source} --workers {}{}{}{}{}",
-                    workers.max(2),
-                    if queue > 0 { format!(" --queue {queue}") } else { String::new() },
-                    if port > 0 { format!(" --port {port}") } else { String::new() },
-                    match &log {
-                        Some(p) => format!(" --log {}", p.display()),
-                        None => String::new(),
-                    },
-                    match &join {
-                        Some(a) => format!(" --join {a}"),
-                        None => String::new(),
+            // The evaluation service is the tracer-serve binary; point there
+            // with the flags given.
+            let source = match (&repo, &scenario) {
+                (_, Some(s)) => format!("--scenario {}", s.display()),
+                (Some(r), None) => format!(
+                    "--repo {} --array {}",
+                    r.display(),
+                    match array {
+                        ArrayChoice::Hdd4 => "hdd4",
+                        ArrayChoice::Hdd6 => "hdd6",
+                        ArrayChoice::Ssd4 => "ssd4",
                     }
-                )));
-            }
-            let repo = repo.expect("parse requires --repo without --scenario");
-            let repo = TraceRepository::open(&repo).map_err(io_err)?;
-            let device = array.build().config().name.clone();
-            let server = crate::net::GeneratorServer::spawn(
-                move |requested: &str| (requested == device).then(|| array.build()),
-                move |dev: &str, mode: &WorkloadMode| repo.load_view(dev, mode).ok(),
-            )
-            .map_err(|e| CliError(e.to_string()))?;
-            println!("workload generator listening on {}", server.addr());
-            println!("send the line protocol (see `tracer help`); `quit` stops the server");
-            // Serve until the peer sends quit; the spawn thread owns the loop.
-            match server.shutdown_on_quit() {
-                Ok(()) => Ok(()),
-                Err(e) => Err(CliError(e.to_string())),
-            }
+                ),
+                (None, None) => unreachable!("parse requires --repo or --scenario"),
+            };
+            Err(CliError(format!(
+                "the concurrent job service is the `tracer-serve` binary; run: \
+                 tracer-serve {source}{}{}{}{}{}",
+                if workers > 1 { format!(" --workers {workers}") } else { String::new() },
+                if queue > 0 { format!(" --queue {queue}") } else { String::new() },
+                if port > 0 { format!(" --port {port}") } else { String::new() },
+                match &log {
+                    Some(p) => format!(" --log {}", p.display()),
+                    None => String::new(),
+                },
+                match &join {
+                    Some(a) => format!(" --join {a}"),
+                    None => String::new(),
+                }
+            )))
         }
         Command::Coordinate { nodes, .. } => Err(CliError(format!(
             "the fabric coordinator is the `tracer-coordinate` binary; run: \

@@ -1,32 +1,22 @@
 //! `TracerError` — the workspace-wide error type.
 //!
-//! Public fallible entry points across the evaluation stack used to return
-//! `Result<_, String>` (the serve binary) or module-local enums (the command
-//! session), which made errors impossible to match on and easy to stringify
-//! too early. This enum unifies them, hand-rolled in the `thiserror` style —
-//! explicit `Display` + `Error` impls, no proc-macro dependency — so the
-//! workspace stays buildable offline.
+//! Public fallible entry points across the evaluation stack share this one
+//! enum, so errors can be matched on instead of being stringified early. It
+//! is hand-rolled in the `thiserror` style — explicit `Display` + `Error`
+//! impls, no proc-macro dependency — so the workspace stays buildable
+//! offline.
 //!
 //! The `Display` strings are load-bearing: protocol `err` lines and CLI
 //! diagnostics are built from them, and clients (plus the serve e2e tests)
 //! match on the exact text. Each variant documents the string it preserves.
 
-use crate::messages::ParseError;
 use tracer_trace::TraceError;
 
 /// Unified error for TRACER's fallible public operations.
 #[derive(Debug)]
 pub enum TracerError {
-    /// A protocol line failed to parse. Displays as the underlying
-    /// [`ParseError`] (`protocol parse error: ...`).
-    Parse(ParseError),
-    /// A command is invalid in the current session state.
-    /// Displays as `invalid command sequence: ...` (unchanged from the old
-    /// `SessionError::State`).
-    State(String),
     /// No trace exists for the requested device/mode.
-    /// Displays as `no trace available: ...` (unchanged from the old
-    /// `SessionError::NoTrace`).
+    /// Displays as `no trace available: ...`.
     NoTrace(String),
     /// An underlying I/O operation failed (socket, repository, obs sink).
     /// Displays as the `std::io::Error` it wraps, matching the strings the
@@ -42,8 +32,6 @@ pub enum TracerError {
 impl std::fmt::Display for TracerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TracerError::Parse(e) => write!(f, "{e}"),
-            TracerError::State(s) => write!(f, "invalid command sequence: {s}"),
             TracerError::NoTrace(s) => write!(f, "no trace available: {s}"),
             TracerError::Io(e) => write!(f, "{e}"),
             TracerError::Config(s) => write!(f, "{s}"),
@@ -55,17 +43,10 @@ impl std::fmt::Display for TracerError {
 impl std::error::Error for TracerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TracerError::Parse(e) => Some(e),
             TracerError::Io(e) => Some(e),
             TracerError::Trace(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ParseError> for TracerError {
-    fn from(e: ParseError) -> Self {
-        TracerError::Parse(e)
     }
 }
 
@@ -90,10 +71,6 @@ mod tests {
         // These strings appear verbatim in protocol err lines; changing them
         // is a wire-format break.
         assert_eq!(
-            TracerError::State("start before configure".into()).to_string(),
-            "invalid command sequence: start before configure"
-        );
-        assert_eq!(
             TracerError::NoTrace("dev/mode".into()).to_string(),
             "no trace available: dev/mode"
         );
@@ -109,7 +86,7 @@ mod tests {
         let io: TracerError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
         assert!(matches!(io, TracerError::Io(_)));
         assert!(std::error::Error::source(&io).is_some());
-        assert!(std::error::Error::source(&TracerError::State("x".into())).is_none());
+        assert!(std::error::Error::source(&TracerError::NoTrace("x".into())).is_none());
         let trace: TracerError = TraceError::NotFound("x".into()).into();
         assert!(matches!(trace, TracerError::Trace(_)));
         assert!(std::error::Error::source(&trace).is_some());

@@ -1,21 +1,19 @@
-//! The evaluation host: test orchestration and the command session.
+//! The evaluation host: test orchestration.
 //!
 //! The evaluation host is "a kernel control part of the entire system"
 //! (§III-A1): it configures the workload generator, arms the power analyzer,
 //! runs the test, and stores an energy-efficiency record in the database.
 //! [`EvaluationHost::measure_test`] + [`EvaluationHost::commit`] is that
-//! sequence against a simulated array;
-//! [`CommandSession`] drives it through the GUI text protocol (parser →
-//! messenger), which is how the paper's GUI front-end reaches the machinery.
+//! sequence against a simulated array. Over TCP the same sequence is one
+//! `submit` job of the `tracer-serve` service.
 
 use crate::db::{Database, PowerData, TestRecord};
 use crate::error::TracerError;
-use crate::messages::{parse_command, HostCommand};
 use crate::metrics::EfficiencyMetrics;
 use tracer_power::{Channel, PowerAnalyzer};
 use tracer_replay::{try_replay_observed, LoadControl, ReplayConfig, ReplayReport};
 use tracer_sim::{ArraySim, SimDuration};
-use tracer_trace::{BunchSource, TraceHandle, WorkloadMode};
+use tracer_trace::{BunchSource, WorkloadMode};
 
 /// The paper's power-analyzer sampling cycle in milliseconds.
 pub const DEFAULT_METER_CYCLE_MS: u64 = 1000;
@@ -176,109 +174,9 @@ impl EvaluationHost {
     }
 }
 
-/// Errors from the command session.
-///
-/// Historical alias: session errors are now the workspace-wide
-/// [`TracerError`]; the `Parse` / `State` /
-/// `NoTrace` variants (and their `Display` strings) are unchanged, so
-/// existing matches keep compiling and protocol `err` lines are identical.
-pub type SessionError = crate::error::TracerError;
-
-/// A GUI-protocol session: text lines in, text responses out.
-///
-/// `build_array` constructs the device under test per run; `load_trace`
-/// resolves `(device, mode)` to a shared [`TraceHandle`] on the trace to
-/// replay (typically [`tracer_trace::TraceRepository::load_view`], so
-/// repeated `start` commands for the same mode reuse one decoded trace or
-/// mmap view, and v3 files replay without materialization).
-pub struct CommandSession<B, L>
-where
-    B: FnMut(&str) -> Option<ArraySim>,
-    L: FnMut(&str, &WorkloadMode) -> Option<TraceHandle>,
-{
-    host: EvaluationHost,
-    build_array: B,
-    load_trace: L,
-    pending: Option<(String, WorkloadMode, u32)>,
-    tests_run: u64,
-}
-
-impl<B, L> CommandSession<B, L>
-where
-    B: FnMut(&str) -> Option<ArraySim>,
-    L: FnMut(&str, &WorkloadMode) -> Option<TraceHandle>,
-{
-    /// New session around fresh host state.
-    pub fn new(build_array: B, load_trace: L) -> Self {
-        Self { host: EvaluationHost::new(), build_array, load_trace, pending: None, tests_run: 0 }
-    }
-
-    /// Access the results accumulated by this session.
-    pub fn host(&self) -> &EvaluationHost {
-        &self.host
-    }
-
-    /// Handle one protocol line, returning the textual response.
-    pub fn handle_line(&mut self, line: &str) -> Result<String, SessionError> {
-        let cmd = parse_command(line).map_err(SessionError::Parse)?;
-        match cmd {
-            HostCommand::Configure { device, mode, intensity_pct } => {
-                self.pending = Some((device.clone(), mode, intensity_pct));
-                Ok(format!("ok configured device={device} {mode}"))
-            }
-            HostCommand::Start => {
-                let (device, mode, intensity) = self
-                    .pending
-                    .clone()
-                    .ok_or_else(|| SessionError::State("start before configure".into()))?;
-                let mut sim = (self.build_array)(&device)
-                    .ok_or_else(|| SessionError::NoTrace(format!("unknown device {device}")))?;
-                let trace = (self.load_trace)(&device, &mode)
-                    .ok_or_else(|| SessionError::NoTrace(format!("{device}/{mode}")))?;
-                self.tests_run += 1;
-                let label = format!("session-test-{}", self.tests_run);
-                let measured = EvaluationHost::measure_test(
-                    self.host.meter_cycle_ms,
-                    &mut sim,
-                    &trace,
-                    mode,
-                    intensity,
-                    &label,
-                )?;
-                let outcome = self.host.commit(measured);
-                Ok(format!(
-                    "ok test id={} iops={:.2} mbps={:.3} watts={:.2} iops_per_watt={:.3}",
-                    outcome.record_id,
-                    outcome.metrics.iops,
-                    outcome.metrics.mbps,
-                    outcome.metrics.avg_watts,
-                    outcome.metrics.iops_per_watt
-                ))
-            }
-            HostCommand::Abort => {
-                self.pending = None;
-                Ok("ok aborted".to_string())
-            }
-            HostCommand::InitAnalyzer { cycle_ms } => {
-                if cycle_ms == 0 {
-                    return Err(SessionError::State("cycle must be positive".into()));
-                }
-                self.host.meter_cycle_ms = cycle_ms;
-                Ok(format!("ok analyzer cycle={cycle_ms}ms"))
-            }
-            HostCommand::FinalizeAnalyzer => Ok("ok analyzer finalized".to_string()),
-            HostCommand::Query { device } => {
-                let n = self.host.db.query(|r| r.device == device).len();
-                Ok(format!("ok records device={device} count={n}"))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use tracer_sim::ArraySpec;
     use tracer_trace::{Bunch, IoPackage, Trace};
 
@@ -342,51 +240,5 @@ mod tests {
         let outcome = run_test(&mut host, &mut sim, &Trace::new("empty"), mode, "empty");
         assert_eq!(outcome.metrics.iops, 0.0);
         assert!(outcome.metrics.iops_per_watt.is_finite());
-    }
-
-    #[test]
-    fn session_full_flow() {
-        let mut session = CommandSession::new(
-            |device| (device == "raid5-hdd4").then(|| ArraySpec::hdd_raid5(4).build()),
-            |_, _| Some(Arc::new(test_trace(50)).into()),
-        );
-        let r = session.handle_line("init-analyzer cycle=500").unwrap();
-        assert!(r.contains("500ms"));
-        let r = session
-            .handle_line("configure device=raid5-hdd4 rs=4096 rn=50 rd=100 load=20")
-            .unwrap();
-        assert!(r.contains("configured"));
-        let r = session.handle_line("start").unwrap();
-        assert!(r.contains("iops="), "{r}");
-        let r = session.handle_line("query device=raid5-hdd4").unwrap();
-        assert!(r.contains("count=1"));
-        let r = session.handle_line("finalize-analyzer").unwrap();
-        assert!(r.contains("finalized"));
-        assert_eq!(session.host().db.len(), 1);
-    }
-
-    #[test]
-    fn session_rejects_bad_sequences() {
-        let mut session = CommandSession::new(
-            |_| Some(ArraySpec::hdd_raid5(4).build()),
-            |_, _| Some(Arc::new(test_trace(10)).into()),
-        );
-        assert!(matches!(session.handle_line("start"), Err(SessionError::State(_))));
-        assert!(matches!(session.handle_line("nonsense"), Err(SessionError::Parse(_))));
-        assert!(matches!(
-            session.handle_line("init-analyzer cycle=0"),
-            Err(SessionError::State(_))
-        ));
-        session.handle_line("configure device=ghost rs=512 rn=0 rd=0 load=10").unwrap();
-        // Unknown device surfaces as NoTrace.
-        let mut ghost_session = CommandSession::new(
-            |_: &str| None::<ArraySim>,
-            |_, _| Some(Arc::new(test_trace(10)).into()),
-        );
-        ghost_session.handle_line("configure device=ghost rs=512 rn=0 rd=0 load=10").unwrap();
-        assert!(matches!(ghost_session.handle_line("start"), Err(SessionError::NoTrace(_))));
-        // Abort clears pending config.
-        session.handle_line("abort").unwrap();
-        assert!(matches!(session.handle_line("start"), Err(SessionError::State(_))));
     }
 }

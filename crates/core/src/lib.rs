@@ -10,11 +10,11 @@
 //!   and the load-proportion / accuracy equations (Eqs. 1–2);
 //! * [`db`] — the results database: one record per test with workload mode,
 //!   energy-dissipation data, performance, and efficiency;
-//! * [`messages`] — the typed host↔generator↔analyzer protocol plus the GUI
-//!   text-protocol parser;
+//! * [`messages`] — the job protocol spoken over TCP and its line parser;
+//! * [`net`] — the line server every TCP endpoint runs on, and the
+//!   evaluation-host client;
 //! * [`host`] — test orchestration ([`host::EvaluationHost::measure_test`] +
-//!   [`host::EvaluationHost::commit`]) and the protocol-driven
-//!   [`host::CommandSession`];
+//!   [`host::EvaluationHost::commit`]);
 //! * [`orchestrate`] — load sweeps, the 125-mode synthetic sweep, accuracy
 //!   tables;
 //! * [`distributed`] — parallel evaluation of multiple arrays with a
@@ -73,10 +73,10 @@ pub use db::{Database, DbError, PowerData, TestRecord};
 pub use distributed::EvaluationJob;
 pub use error::TracerError;
 pub use executor::SweepExecutor;
-pub use host::{CommandSession, EvaluationHost, MeasuredTest, SessionError, TestOutcome};
-pub use messages::{format_command, parse_command, HostCommand, ParseError, Report};
+pub use host::{EvaluationHost, MeasuredTest, TestOutcome};
+pub use messages::ParseError;
 pub use metrics::{load_accuracy, load_proportion, AccuracyRow, EfficiencyMetrics};
-pub use net::{GeneratorServer, HostClient};
+pub use net::HostClient;
 pub use orchestrate::{LoadSweepResult, SweepBuilder, SweepConfig, TrialStat, TrialSummary};
 pub use scenario::{run_scenario, ScenarioCell, ScenarioOutcome, ScenarioSpec, WorkloadSpec};
 pub use techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
@@ -85,10 +85,10 @@ pub use techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
 pub mod prelude {
     pub use crate::techniques::{compare_policies, ConservationPolicy, PolicyOutcome};
     pub use crate::{
-        load_accuracy, load_proportion, run_scenario, AccuracyRow, CommandSession, Database,
-        EfficiencyMetrics, EvaluationHost, EvaluationJob, LoadSweepResult, MeasuredTest,
-        ScenarioCell, ScenarioOutcome, ScenarioSpec, SweepBuilder, SweepConfig, SweepExecutor,
-        TestRecord, TracerError,
+        load_accuracy, load_proportion, run_scenario, AccuracyRow, Database, EfficiencyMetrics,
+        EvaluationHost, EvaluationJob, LoadSweepResult, MeasuredTest, ScenarioCell,
+        ScenarioOutcome, ScenarioSpec, SweepBuilder, SweepConfig, SweepExecutor, TestRecord,
+        TracerError,
     };
     pub use tracer_power::{Channel, EnergyReport, NoiseModel, PowerAnalyzer, PowerMeter};
     pub use tracer_replay::{

@@ -1,76 +1,19 @@
-//! Control-plane message types and the GUI-protocol parser.
+//! The job protocol spoken over TCP and its parser.
 //!
-//! The paper's evaluation host talks to the workload generator over TCP
-//! ("test control information mainly includes workload modes and I/O
-//! intensity levels") and to the power analyzer through a messenger module;
-//! a *parser* sits between the GUI's text protocol and the typed messenger
-//! protocol, "maintain\[ing\] the consistency between the two protocols"
-//! (§III-A1). This module defines the typed commands/reports and a
-//! line-oriented text encoding with a round-trippable parser.
+//! The paper's evaluation host sends the workload generator its "test
+//! control information", which "mainly includes workload modes and I/O
+//! intensity levels" (§III-A1); a *parser* sits between the text protocol
+//! and the typed messages, "maintain\[ing\] the consistency between the two
+//! protocols". Here one `submit` line of [`JobCommand`] carries that
+//! information for one test; this module defines the typed commands, their
+//! line encoding with a round-trippable parser, and the `ok …`/`err …`
+//! [`Reply`] parser.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tracer_replay::PerfSummary;
 use tracer_trace::WorkloadMode;
 
-/// Commands the evaluation host issues.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum HostCommand {
-    /// Configure the next test: target device and workload mode (including
-    /// load proportion).
-    Configure {
-        /// Device under test.
-        device: String,
-        /// Workload-mode vector.
-        mode: WorkloadMode,
-        /// Inter-arrival intensity in percent (100 = original pacing).
-        intensity_pct: u32,
-    },
-    /// Begin the configured test.
-    Start,
-    /// Abort the running test.
-    Abort,
-    /// Initialise the power analyzer with a sampling cycle in milliseconds.
-    InitAnalyzer {
-        /// Sampling cycle, milliseconds.
-        cycle_ms: u64,
-    },
-    /// Finalise the power measurement.
-    FinalizeAnalyzer,
-    /// Query stored results for a device.
-    Query {
-        /// Device whose records are requested.
-        device: String,
-    },
-}
-
-/// Reports flowing back to the host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Report {
-    /// Periodic progress from the workload generator.
-    Progress {
-        /// Seconds since test start.
-        at_s: f64,
-        /// IOPS over the last cycle.
-        iops: f64,
-        /// MBPS over the last cycle.
-        mbps: f64,
-    },
-    /// Generator finished; whole-run performance summary.
-    Finished {
-        /// Performance summary of the run.
-        perf: PerfSummary,
-    },
-    /// Power analyzer sample (watts over the last cycle).
-    Power {
-        /// Seconds since measurement start.
-        at_s: f64,
-        /// Mean watts over the cycle.
-        watts: f64,
-    },
-}
-
-/// Parse errors from the GUI text protocol.
+/// Parse errors from the line protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// What went wrong.
@@ -87,21 +30,6 @@ impl std::error::Error for ParseError {}
 
 fn err(reason: impl Into<String>) -> ParseError {
     ParseError { reason: reason.into() }
-}
-
-/// Encode a command as one GUI-protocol line.
-pub fn format_command(cmd: &HostCommand) -> String {
-    match cmd {
-        HostCommand::Configure { device, mode, intensity_pct } => format!(
-            "configure device={device} rs={} rn={} rd={} load={} intensity={intensity_pct}",
-            mode.request_bytes, mode.random_pct, mode.read_pct, mode.load_pct
-        ),
-        HostCommand::Start => "start".to_string(),
-        HostCommand::Abort => "abort".to_string(),
-        HostCommand::InitAnalyzer { cycle_ms } => format!("init-analyzer cycle={cycle_ms}"),
-        HostCommand::FinalizeAnalyzer => "finalize-analyzer".to_string(),
-        HostCommand::Query { device } => format!("query device={device}"),
-    }
 }
 
 /// Split the words after a verb into a `key=value` map, rejecting duplicate
@@ -150,38 +78,10 @@ fn mode_from_kv(kv: &std::collections::HashMap<&str, &str>) -> Result<WorkloadMo
     Ok(mode)
 }
 
-/// Parse one GUI-protocol line into a command.
-pub fn parse_command(line: &str) -> Result<HostCommand, ParseError> {
-    let mut words = line.split_whitespace();
-    let verb = words.next().ok_or_else(|| err("empty command"))?;
-    let kv = split_kv(words)?;
-    let get = |k: &str| kv.get(k).copied().ok_or_else(|| err(format!("missing key {k:?}")));
-    let num = |k: &str| -> Result<u32, ParseError> {
-        get(k)?.parse().map_err(|_| err(format!("key {k:?} is not a number")))
-    };
-    match verb {
-        "configure" => Ok(HostCommand::Configure {
-            device: get("device")?.to_string(),
-            mode: mode_from_kv(&kv)?,
-            intensity_pct: if kv.contains_key("intensity") {
-                checked_intensity(num("intensity")?)?
-            } else {
-                100
-            },
-        }),
-        "start" => Ok(HostCommand::Start),
-        "abort" => Ok(HostCommand::Abort),
-        "init-analyzer" => Ok(HostCommand::InitAnalyzer { cycle_ms: u64::from(num("cycle")?) }),
-        "finalize-analyzer" => Ok(HostCommand::FinalizeAnalyzer),
-        "query" => Ok(HostCommand::Query { device: get("device")?.to_string() }),
-        other => Err(err(format!("unknown verb {other:?}"))),
-    }
-}
-
-/// Commands of the job-service protocol spoken by the concurrent evaluation
-/// service (`tracer-serve`). They reuse the GUI line encoding: one verb plus
-/// `key=value` words. Unlike [`HostCommand`], a submission is self-contained —
-/// configure + start in one line — so many clients can interleave freely.
+/// Commands of the job protocol spoken by the evaluation service
+/// (`tracer-serve`): one verb plus `key=value` words per line. A submission
+/// is self-contained — device, mode and intensity in one line — so many
+/// clients can interleave freely.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobCommand {
     /// Enqueue one evaluation (device + workload mode + intensity).
@@ -224,7 +124,7 @@ pub enum JobCommand {
     /// Liveness probe; the service answers `ok pong`. The fabric coordinator
     /// uses it as the heartbeat for nodes with no work in flight.
     Ping,
-    /// Register a serve node with a fabric coordinator (`tracer serve
+    /// Register a serve node with a fabric coordinator (`tracer-serve
     /// --join`): the node announces the address clients should dial and its
     /// worker count. Sent *to* a coordinator, never to a serve node.
     Join {
@@ -364,68 +264,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_all_commands() {
-        let cmds = vec![
-            HostCommand::Configure {
-                device: "raid5-hdd6".into(),
-                mode: WorkloadMode::peak(4096, 50, 0).at_load(30),
-                intensity_pct: 200,
-            },
-            HostCommand::Start,
-            HostCommand::Abort,
-            HostCommand::InitAnalyzer { cycle_ms: 1000 },
-            HostCommand::FinalizeAnalyzer,
-            HostCommand::Query { device: "ssd".into() },
-        ];
-        for cmd in cmds {
-            let line = format_command(&cmd);
-            let back = parse_command(&line).unwrap();
-            assert_eq!(back, cmd, "line {line:?}");
-        }
-    }
-
-    #[test]
-    fn intensity_defaults_to_100() {
-        let cmd = parse_command("configure device=d rs=512 rn=0 rd=100 load=50").unwrap();
-        assert!(matches!(cmd, HostCommand::Configure { intensity_pct: 100, .. }));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        for bad in [
-            "",
-            "dance",
-            "configure device=d rs=512 rn=0 rd=100", // missing load
-            "configure device=d rs=512 rn=0 rd=100 load=x", // non-numeric
-            "configure device=d rs=512 rn=200 rd=0 load=10", // ratio > 100
-            "configure device=d rs=512 rn=0 rn=1 rd=0 load=1", // duplicate key
-            "configure device=d rs=512 rn=0 rd=100 load=50 intensity=0", // zero intensity
-            "init-analyzer",                         // missing cycle
-            "query",                                 // missing device
-            "configure device",                      // not key=value
-        ] {
-            assert!(parse_command(bad).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
     fn zero_intensity_is_rejected_with_a_clear_reason() {
-        for line in [
-            "configure device=d rs=512 rn=0 rd=100 load=50 intensity=0",
-            "submit device=d rs=512 rn=0 rd=100 load=50 intensity=0",
-        ] {
-            let e = if line.starts_with("configure") {
-                parse_command(line).unwrap_err()
-            } else {
-                parse_job_command(line).unwrap_err()
-            };
-            assert!(e.reason.contains("intensity must be positive"), "{line}: {e}");
-        }
+        let line = "submit device=d rs=512 rn=0 rd=100 load=50 intensity=0";
+        let e = parse_job_command(line).unwrap_err();
+        assert!(e.reason.contains("intensity must be positive"), "{line}: {e}");
     }
 
     #[test]
     fn parse_error_displays() {
-        let e = parse_command("blah").unwrap_err();
+        let e = parse_job_command("blah").unwrap_err();
         assert!(e.to_string().contains("unknown verb"));
     }
 

@@ -1,44 +1,33 @@
-//! The communicator: evaluation host ↔ workload generator over TCP, and the
-//! one line server every TCP endpoint of the workspace runs on.
+//! The communicator: the one line server every TCP endpoint of the workspace
+//! runs on, and the evaluation-host client that talks to it.
 //!
 //! In the paper's architecture "the communicator in the evaluation host
 //! interacts with the communicator in the workload generator through the TCP
-//! socket channel" (§III-A1) — the host and the generator are separate
-//! machines. This module reproduces that split faithfully: a
-//! [`GeneratorServer`] listens on a socket, parses the line protocol of
-//! [`crate::messages`] with the same [`CommandSession`] the in-process path
-//! uses, runs tests, and streams responses back; a [`HostClient`] is the
-//! evaluation-host side.
+//! socket channel" (§III-A1). The workload generator is the `tracer-serve`
+//! job service; [`HostClient`] is the evaluation-host side, and one `submit`
+//! line of [`crate::messages`] carries a test's control information (workload
+//! mode and I/O intensity). Responses are `ok …` or `err …` lines.
 //!
-//! The wire format is the GUI text protocol, one command per line; responses
-//! are `ok …` or `err …` lines. The extra verb `quit` (wire-only; not part of
-//! the command grammar) stops the generator.
-//!
-//! [`LineServer`] is the only accept-and-connection loop: the generator, the
-//! `tracer-serve` job server and the fleet registrar are each a handler on
-//! it and differ only in what they answer and in `capacity`. A generator
-//! drives one array and therefore serves **one host at a time** (capacity 1):
-//! while a connection is active, any further connection is answered with a
-//! single `err busy` line and closed immediately rather than silently queued
-//! behind the active session. Hosts that need concurrency use the job service
-//! in the `tracer-serve` crate instead.
+//! [`LineServer`] is the only accept-and-connection loop: the `tracer-serve`
+//! job server and the fleet registrar are each a handler on it and differ
+//! only in what they answer and in `capacity`. A connection beyond
+//! `capacity` is answered with a single `err busy` line and closed rather
+//! than silently queued.
 //!
 //! Wire discipline: a panic in a connection thread drops a host mid-session,
 //! so nothing on the accept/read/reply path may `unwrap`, `expect`, index, or
 //! `panic!`; a hostile peer gets an `err …` line or a closed connection.
 #![doc = "tracer-invariant: no-panic-wire"]
 
-use crate::host::CommandSession;
 use crate::messages::{format_job_command, parse_reply, JobCommand, Reply};
 use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tracer_sim::ArraySim;
-use tracer_trace::{TraceHandle, WorkloadMode};
+use tracer_trace::WorkloadMode;
 
 /// Longest line a server accepts or a client reads, newline included. A
 /// peer that sends more without a newline is answered `err line too long`
@@ -276,59 +265,6 @@ fn serve_connection(stream: &TcpStream, handler: &Handler, stop: &AtomicBool) ->
     Ok(())
 }
 
-/// The workload-generator machine: accepts one evaluation host at a time and
-/// executes its commands.
-pub struct GeneratorServer {
-    server: LineServer,
-}
-
-impl GeneratorServer {
-    /// Bind to an ephemeral localhost port and serve in a background thread.
-    /// `build_array` constructs the device under test per run; `load_trace`
-    /// resolves `(device, mode)` to a shared handle on the trace to replay.
-    ///
-    /// One connection is served at a time; a second concurrent connection
-    /// receives `err busy` and is closed.
-    pub fn spawn<B, L>(build_array: B, load_trace: L) -> io::Result<Self>
-    where
-        B: FnMut(&str) -> Option<ArraySim> + Send + 'static,
-        L: FnMut(&str, &WorkloadMode) -> Option<TraceHandle> + Send + 'static,
-    {
-        // One long-lived session: results accumulate across connections, like
-        // the generator machine's process does.
-        let session = Mutex::new(CommandSession::new(build_array, load_trace));
-        let server = LineServer::bind(0, 1, move |line: &str| {
-            if line == "quit" {
-                return (None, Then::Stop);
-            }
-            // A panicking test drops only its host's connection. Results
-            // are committed only after measuring, so the next host finds
-            // every earlier result intact; at most the `tests_run` counter
-            // behind the record labels has advanced.
-            let mut session = session.lock().unwrap_or_else(PoisonError::into_inner);
-            (Some(session.handle_line(line).unwrap_or_else(|e| format!("err {e}"))), Then::Continue)
-        })?;
-        Ok(Self { server })
-    }
-
-    /// The address the host connects to.
-    pub fn addr(&self) -> SocketAddr {
-        self.server.addr()
-    }
-
-    /// Block until a client ends the server with the `quit` verb (the
-    /// foreground deployment of `tracer serve`).
-    pub fn shutdown_on_quit(self) -> io::Result<()> {
-        self.server.join()
-    }
-
-    /// Stop the server (even mid-connection) and join its threads.
-    pub fn shutdown(self) -> io::Result<()> {
-        self.server.stop();
-        self.server.join()
-    }
-}
-
 /// The evaluation-host side of the communicator.
 pub struct HostClient {
     reader: LineReader<BufReader<TcpStream>>,
@@ -336,7 +272,7 @@ pub struct HostClient {
 }
 
 impl HostClient {
-    /// Connect to a generator.
+    /// Connect to a line server (a serve node or the fleet registrar).
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let reader = LineReader::new(BufReader::new(stream.try_clone()?));
@@ -360,20 +296,13 @@ impl HostClient {
         match self.reader.next_line() {
             LineRead::Line(reply) => Ok(reply.trim_end().to_string()),
             LineRead::Pending => Err(io::Error::new(io::ErrorKind::TimedOut, "no reply in time")),
-            LineRead::Closed => {
-                Err(io::Error::new(io::ErrorKind::UnexpectedEof, "generator closed"))
-            }
+            LineRead::Closed => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed")),
             LineRead::Failed(e) => Err(e),
             LineRead::TooLong => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("reply longer than {MAX_LINE} bytes"),
             )),
         }
-    }
-
-    /// Send a typed command (formatted onto the wire protocol).
-    pub fn send(&mut self, cmd: &crate::messages::HostCommand) -> io::Result<String> {
-        self.send_line(&crate::messages::format_command(cmd))
     }
 
     /// Send a typed job command (the `tracer-serve` protocol) and parse the
@@ -429,7 +358,7 @@ impl HostClient {
     }
 
     /// Query a job's lifecycle state (`queued`, `running`, `done`, `failed`,
-    /// `cancelled`); `Ok(Err(reply))` when the id is unknown.
+    /// `cancelled`, `expired`); `Ok(Err(reply))` when the id is unknown.
     pub fn job_status(&mut self, id: u64) -> io::Result<Result<String, Reply>> {
         let reply = self.send_job(&JobCommand::Status { id })?;
         match reply.field("state") {
@@ -466,190 +395,61 @@ impl HostClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::HostCommand;
-    use tracer_sim::ArraySpec;
-    use tracer_trace::{Bunch, IoPackage, Trace};
 
-    fn test_trace() -> Trace {
-        Trace::from_bunches(
-            "t",
-            (0..40u64)
-                .map(|i| {
-                    Bunch::new(i * 10_000_000, vec![IoPackage::read((i * 997) % 50_000, 4096)])
-                })
-                .collect(),
-        )
+    /// A capacity-1 server that echoes every line back.
+    fn echo_server() -> LineServer {
+        LineServer::bind(0, 1, |line: &str| (Some(format!("ok {line}")), Then::Continue))
+            .expect("bind localhost")
     }
 
-    fn spawn_server() -> GeneratorServer {
-        let shared = TraceHandle::from(test_trace());
-        GeneratorServer::spawn(
-            |device| (device == "raid5-hdd4").then(|| ArraySpec::hdd_raid5(4).build()),
-            move |_, _| Some(shared.clone()),
-        )
-        .expect("bind localhost")
-    }
-
-    #[test]
-    fn full_session_over_tcp() {
-        let server = spawn_server();
-        let mut client = HostClient::connect(server.addr()).unwrap();
-
-        let r = client.send_line("init-analyzer cycle=1000").unwrap();
-        assert!(r.starts_with("ok"), "{r}");
-        let r =
-            client.send_line("configure device=raid5-hdd4 rs=4096 rn=50 rd=100 load=50").unwrap();
-        assert!(r.contains("configured"), "{r}");
-        let r = client.send_line("start").unwrap();
-        assert!(r.contains("iops="), "{r}");
-        let r = client.send_line("query device=raid5-hdd4").unwrap();
-        assert!(r.contains("count=1"), "{r}");
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn typed_commands_cross_the_wire() {
-        let server = spawn_server();
-        let mut client = HostClient::connect(server.addr()).unwrap();
-        let mode = WorkloadMode::peak(4096, 0, 100).at_load(20);
-        let r = client
-            .send(&HostCommand::Configure { device: "raid5-hdd4".into(), mode, intensity_pct: 100 })
-            .unwrap();
-        assert!(r.contains("configured"));
-        let r = client.send(&HostCommand::Start).unwrap();
-        assert!(r.contains("iops="), "{r}");
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn errors_are_reported_not_fatal() {
-        let server = spawn_server();
-        let mut client = HostClient::connect(server.addr()).unwrap();
-        let r = client.send_line("gibberish").unwrap();
-        assert!(r.starts_with("err"), "{r}");
-        let r = client.send_line("start").unwrap();
-        assert!(r.starts_with("err"), "start before configure: {r}");
-        // The session survives errors.
-        let r = client.send_line("configure device=raid5-hdd4 rs=4096 rn=0 rd=0 load=100").unwrap();
-        assert!(r.starts_with("ok"));
-        server.shutdown().unwrap();
+    /// Connect until the server answers `ping` (a connection turned away
+    /// `err busy` while the server reaps the last one is retried).
+    fn wait_until_served(server: &LineServer, why: &str) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut next = HostClient::connect(server.addr()).unwrap();
+            match next.send_line("ping") {
+                Ok(r) if r == "ok ping" => break,
+                Ok(r) => assert_eq!(r, "err busy", "unexpected reply {r}"),
+                Err(_) => {} // rejected connection already closed
+            }
+            assert!(std::time::Instant::now() < deadline, "{why}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 
     #[test]
     fn second_concurrent_connection_is_rejected_busy() {
-        let server = spawn_server();
+        let server = echo_server();
         let mut first = HostClient::connect(server.addr()).unwrap();
-        let r = first.send_line("init-analyzer cycle=1000").unwrap();
-        assert!(r.starts_with("ok"), "{r}");
+        assert_eq!(first.send_line("one").unwrap(), "ok one");
 
-        // While the first session is active, a second host is turned away
+        // While the first connection is open, a second one is turned away
         // with a single busy line rather than queued.
         let mut second = HostClient::connect(server.addr()).unwrap();
-        let r = second.send_line("finalize-analyzer").unwrap();
-        assert_eq!(r, "err busy");
+        assert_eq!(second.send_line("two").unwrap(), "err busy");
 
-        // The first session is unaffected.
-        let r = first.send_line("finalize-analyzer").unwrap();
-        assert!(r.starts_with("ok"), "{r}");
+        // The first connection is unaffected.
+        assert_eq!(first.send_line("three").unwrap(), "ok three");
 
-        // Once the first host hangs up, a fresh connection is admitted.
+        // Once the first peer hangs up, a fresh connection is admitted.
         drop(first);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut next = HostClient::connect(server.addr()).unwrap();
-            match next.send_line("init-analyzer cycle=500") {
-                Ok(r) if r.starts_with("ok") => break,
-                Ok(r) => assert_eq!(r, "err busy", "unexpected reply {r}"),
-                Err(_) => {} // rejected connection already closed
-            }
-            assert!(std::time::Instant::now() < deadline, "server never freed the slot");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        server.shutdown().unwrap();
+        wait_until_served(&server, "server never freed the slot");
     }
 
     #[test]
     fn abrupt_disconnect_mid_command_keeps_server_alive() {
-        let server = spawn_server();
+        let server = echo_server();
         {
-            // Write half a command with no newline, then vanish.
+            // Write half a line with no newline, then vanish.
             let mut raw = TcpStream::connect(server.addr()).unwrap();
-            raw.write_all(b"configure device=raid5-hdd4 rs=4096").unwrap();
+            raw.write_all(b"submit device=raid5-hdd4 rs=4096").unwrap();
             raw.flush().unwrap();
             std::thread::sleep(Duration::from_millis(30));
         } // dropped: TCP reset/EOF mid-line
 
-        // The server must shrug it off and admit the next host.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut next = HostClient::connect(server.addr()).unwrap();
-            match next.send_line("init-analyzer cycle=1000") {
-                Ok(r) if r.starts_with("ok") => break,
-                Ok(r) => assert_eq!(r, "err busy", "unexpected reply {r}"),
-                Err(_) => {}
-            }
-            assert!(std::time::Instant::now() < deadline, "server wedged after abrupt disconnect");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn a_command_split_across_a_read_timeout_is_reassembled() {
-        let server = spawn_server();
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        raw.write_all(b"init-ana").unwrap();
-        // Longer than the server's 100 ms read timeout: the prefix must
-        // survive the timed-out reads in between.
-        std::thread::sleep(Duration::from_millis(250));
-        raw.write_all(b"lyzer cycle=1000\n").unwrap();
-        let mut reply = String::new();
-        BufReader::new(&raw).read_line(&mut reply).unwrap();
-        assert!(reply.starts_with("ok"), "{reply:?}");
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn an_overlong_line_is_refused_and_the_next_host_is_served() {
-        let server = spawn_server();
-        let hostile = TcpStream::connect(server.addr()).unwrap();
-        hostile.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        // From a thread: once the server stops reading, this write only
-        // returns when the connection is torn down.
-        let mut flood = hostile.try_clone().unwrap();
-        let flooder = std::thread::spawn(move || {
-            let _ = flood.write_all(&vec![b'x'; 1 << 20]);
-        });
-        // Another host is answered meanwhile: turned away busy while the
-        // flood holds the session, served once it was refused.
-        let mut second = HostClient::connect(server.addr()).unwrap();
-        if let Ok(r) = second.send_line("init-analyzer cycle=1000") {
-            assert!(r == "err busy" || r.starts_with("ok"), "{r}");
-        }
-        drop(second);
-        // Answered and disconnected instead of buffered while the server
-        // waits for a newline. Closing with the flood's tail unread resets
-        // the connection, which may overtake the reply.
-        let mut reply = String::new();
-        match BufReader::new(&hostile).read_line(&mut reply) {
-            Ok(_) => assert!(reply.is_empty() || reply == "err line too long\n", "{reply:?}"),
-            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset, "{e}"),
-        }
-        flooder.join().unwrap();
-        // The session slot is free again for the next host.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut next = HostClient::connect(server.addr()).unwrap();
-            match next.send_line("init-analyzer cycle=1000") {
-                Ok(r) if r.starts_with("ok") => break,
-                Ok(r) => assert_eq!(r, "err busy", "unexpected reply {r}"),
-                Err(_) => {}
-            }
-            assert!(std::time::Instant::now() < deadline, "server never freed the slot");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        server.shutdown().unwrap();
+        // The server shrugs it off and frees the slot for the next peer.
+        wait_until_served(&server, "server wedged after abrupt disconnect");
     }
 
     #[test]
@@ -694,32 +494,5 @@ mod tests {
         let err = client.send_line("stats").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "{err}");
         fake.join().unwrap();
-    }
-
-    #[test]
-    fn session_state_survives_reconnection() {
-        let server = spawn_server();
-        {
-            let mut c1 = HostClient::connect(server.addr()).unwrap();
-            c1.send_line("configure device=raid5-hdd4 rs=4096 rn=0 rd=100 load=100").unwrap();
-            let r = c1.send_line("start").unwrap();
-            assert!(r.contains("iops="), "{r}");
-        } // c1 disconnects
-          // The server may reject with `err busy` until it reaps c1's EOF.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut c2 = HostClient::connect(server.addr()).unwrap();
-            match c2.send_line("query device=raid5-hdd4") {
-                Ok(r) if r.starts_with("ok") => {
-                    assert!(r.contains("count=1"), "results persisted across connections: {r}");
-                    break;
-                }
-                Ok(r) => assert_eq!(r, "err busy", "unexpected reply {r}"),
-                Err(_) => {}
-            }
-            assert!(std::time::Instant::now() < deadline, "server never freed the slot");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        server.shutdown().unwrap();
     }
 }

@@ -9,7 +9,7 @@ use tracer_core::net::HostClient;
 use tracer_fabric::coordinator::{
     fleet_stats, run_campaign, serial_report, CampaignSpec, FleetConfig,
 };
-use tracer_serve::server::{BuildArray, JobServer, LoadTrace};
+use tracer_serve::server::{JobServer, LoadTrace};
 use tracer_serve::ServiceConfig;
 use tracer_sim::ArraySpec;
 use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
@@ -34,13 +34,16 @@ fn fleet_trace(bunches: u64) -> Arc<Trace> {
     ))
 }
 
+/// The testbed every node serves and the serial baseline measures.
+fn fleet_array() -> ArraySpec {
+    ArraySpec { name: DEVICE.into(), ..ArraySpec::hdd_raid5(4) }
+}
+
 fn spawn_node(workers: usize, bunches: u64) -> JobServer {
-    let build: BuildArray =
-        Arc::new(|req: &str| (req == DEVICE).then(|| ArraySpec::hdd_raid5(4).build()));
     let trace = fleet_trace(bunches);
-    let load: LoadTrace =
-        Arc::new(move |dev: &str, _mode| (dev == DEVICE).then(|| Arc::clone(&trace).into()));
-    JobServer::spawn(ServiceConfig { workers, queue_capacity: 4 }, build, load).expect("spawn node")
+    let load: LoadTrace = Arc::new(move |_mode| Some(Arc::clone(&trace).into()));
+    JobServer::spawn(ServiceConfig { workers, queue_capacity: 4 }, fleet_array(), load)
+        .expect("spawn node")
 }
 
 fn campaign(loads: &[u32]) -> CampaignSpec {
@@ -53,8 +56,7 @@ fn campaign(loads: &[u32]) -> CampaignSpec {
 }
 
 fn baseline(spec: &CampaignSpec, bunches: u64) -> String {
-    serial_report(spec, &ArraySpec::hdd_raid5(4), &fleet_trace(bunches).into())
-        .expect("serial baseline")
+    serial_report(spec, &fleet_array(), &fleet_trace(bunches).into()).expect("serial baseline")
 }
 
 fn config() -> FleetConfig {

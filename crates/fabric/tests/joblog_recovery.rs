@@ -161,6 +161,17 @@ fn rec_trace() -> Arc<Trace> {
     ))
 }
 
+/// The testbed a `recdev` serve node drives.
+fn rec_array() -> ArraySpec {
+    ArraySpec { name: "recdev".into(), ..ArraySpec::hdd_raid5(4) }
+}
+
+/// Every mode of the node's device replays [`rec_trace`].
+fn rec_load() -> tracer_serve::server::LoadTrace {
+    let t = rec_trace();
+    Arc::new(move |_mode| Some(Arc::clone(&t).into()))
+}
+
 /// The acceptance property: after a crash, finished jobs are *restored*
 /// (never re-run) and interrupted jobs are re-run exactly once — no lost
 /// jobs, no duplicated results.
@@ -309,19 +320,13 @@ fn unresolvable_recovered_jobs_are_marked_failed() {
 #[test]
 fn wire_submissions_are_journalled_and_replayable() {
     use tracer_core::net::HostClient;
-    use tracer_serve::server::{BuildArray, JobServer, LoadTrace};
+    use tracer_serve::server::JobServer;
 
     let path = tmp("wire");
-    let build: BuildArray =
-        Arc::new(|req: &str| (req == "recdev").then(|| ArraySpec::hdd_raid5(4).build()));
-    let load: LoadTrace = {
-        let t = rec_trace();
-        Arc::new(move |dev: &str, _mode| (dev == "recdev").then(|| Arc::clone(&t).into()))
-    };
     let (server, report) = JobServer::spawn_with(
         ServiceConfig { workers: 1, queue_capacity: 8 },
-        Arc::clone(&build),
-        Arc::clone(&load),
+        rec_array(),
+        rec_load(),
         0,
         Some(&path),
     )
@@ -362,7 +367,7 @@ fn wire_submissions_are_journalled_and_replayable() {
 /// appended to a journal another node may still be writing.
 #[test]
 fn an_occupied_port_fails_before_the_log_is_touched() {
-    use tracer_serve::server::{BuildArray, JobServer, LoadTrace};
+    use tracer_serve::server::JobServer;
 
     let path = tmp("occupied");
     {
@@ -376,21 +381,67 @@ fn an_occupied_port_fails_before_the_log_is_touched() {
 
     let taken = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let port = taken.local_addr().unwrap().port();
-    let build: BuildArray =
-        Arc::new(|req: &str| (req == "recdev").then(|| ArraySpec::hdd_raid5(4).build()));
-    let load: LoadTrace = {
-        let t = rec_trace();
-        Arc::new(move |dev: &str, _mode| (dev == "recdev").then(|| Arc::clone(&t).into()))
-    };
     let spawned = JobServer::spawn_with(
         ServiceConfig { workers: 1, queue_capacity: 8 },
-        build,
-        load,
+        rec_array(),
+        rec_load(),
         port,
         Some(&path),
     );
     assert!(spawned.is_err(), "bound a port that is taken");
     assert_eq!(fs::read(&path).unwrap(), bytes, "log touched by a node that failed to bind");
     drop(taken);
+    fs::remove_file(&path).unwrap();
+}
+
+/// An array that does not validate is refused before the node binds a port
+/// or opens its log: no log file appears.
+#[test]
+fn an_invalid_array_is_refused_before_the_log_is_created() {
+    use tracer_serve::server::JobServer;
+
+    let path = tmp("invalid_array");
+    let two_disk_raid5 = ArraySpec { disks: 2, ..rec_array() };
+    let spawned = JobServer::spawn_with(
+        ServiceConfig { workers: 1, queue_capacity: 8 },
+        two_disk_raid5,
+        rec_load(),
+        0,
+        Some(&path),
+    );
+    let err = spawned.err().expect("RAID-5 over 2 disks must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(!path.exists(), "log created by a node that refused its array");
+}
+
+/// A journalled spec for a device this node does not serve is refused by
+/// name alone: it recovers as unresolved and no trace is loaded for it.
+#[test]
+fn a_spec_for_another_device_recovers_unresolved_without_loading_a_trace() {
+    use tracer_serve::server::{JobServer, LoadTrace};
+
+    let path = tmp("foreign");
+    {
+        let (log, _) = JobLog::open(&path).unwrap();
+        log.append(&LogRecord::Submitted { id: 1, spec: spec(1, "otherdev") }).unwrap();
+    }
+    let loads = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&loads);
+    let load: LoadTrace = Arc::new(move |_mode| {
+        counter.fetch_add(1, Ordering::SeqCst);
+        Some(rec_trace().into())
+    });
+    let (server, report) = JobServer::spawn_with(
+        ServiceConfig { workers: 1, queue_capacity: 8 },
+        rec_array(),
+        load,
+        0,
+        Some(&path),
+    )
+    .expect("spawn with log");
+    assert_eq!((report.requeued, report.unresolved), (0, 1));
+    assert_eq!(loads.load(Ordering::SeqCst), 0, "a foreign spec loaded a trace");
+    assert_eq!(server.service().status(1).expect("known").state, JobState::Failed);
+    server.shutdown().unwrap();
     fs::remove_file(&path).unwrap();
 }

@@ -46,9 +46,9 @@ fn every_allow_escape_carries_a_reason() {
             allow.rules.join(", ")
         );
     }
-    // The six day-one escapes (plan materialize x2, crc32 x2, serve build
-    // closures x2) are audited; new ones must be deliberate.
-    assert!(report.allows.len() >= 6, "expected the documented escapes: {:?}", report.allows);
+    // The four day-one escapes (plan materialize x2, crc32 x2) are audited;
+    // new ones must be deliberate.
+    assert!(report.allows.len() >= 4, "expected the documented escapes: {:?}", report.allows);
 }
 
 #[test]

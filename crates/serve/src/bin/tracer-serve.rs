@@ -23,8 +23,9 @@ use tracer_core::messages::JobCommand;
 use tracer_core::net::HostClient;
 use tracer_core::scenario::ScenarioSpec;
 use tracer_core::TracerError;
-use tracer_serve::server::JobServer;
+use tracer_serve::server::{JobServer, LoadTrace};
 use tracer_serve::ServiceConfig;
+use tracer_sim::ArraySpec;
 use tracer_trace::{TraceRepository, WorkloadMode};
 
 fn main() -> ExitCode {
@@ -56,29 +57,22 @@ fn main() -> ExitCode {
     }
 }
 
-/// Resolve the job sources: either a trace repository with an `--array`
-/// testbed, or a scenario file naming both the testbed and the workload.
+/// Resolve what the node serves: either a trace repository with an
+/// `--array` testbed, or a scenario file naming both the testbed and the
+/// workload.
 fn job_sources(
     repo: Option<std::path::PathBuf>,
     scenario: Option<std::path::PathBuf>,
     array: ArrayChoice,
-) -> Result<(tracer_serve::server::BuildArray, tracer_serve::server::LoadTrace), TracerError> {
+) -> Result<(ArraySpec, LoadTrace), TracerError> {
     if let Some(path) = scenario {
         let spec = ScenarioSpec::from_file(&path)?;
-        let device = spec.array.name.clone();
-        eprintln!("scenario {}: serving device {device}", spec.name);
-        let build_spec = spec.array.clone();
-        let build: tracer_serve::server::BuildArray = Arc::new(move |requested: &str| {
-            (requested == build_spec.name).then(|| build_spec.build())
+        eprintln!("scenario {}: serving device {}", spec.name, spec.array.name);
+        let array = spec.array.clone();
+        let load: LoadTrace = Arc::new(move |mode: &WorkloadMode| {
+            spec.workload.view(&spec.array, *mode, 0).ok().map(Into::into)
         });
-        let load: tracer_serve::server::LoadTrace =
-            Arc::new(move |dev: &str, mode: &WorkloadMode| {
-                if dev != device {
-                    return None;
-                }
-                spec.workload.view(&spec.array, *mode, 0).ok().map(Into::into)
-            });
-        return Ok((build, load));
+        return Ok((array, load));
     }
     // The parser enforces the flag, but a wire binary never panics on input.
     let Some(repo) = repo else {
@@ -86,12 +80,10 @@ fn job_sources(
     };
     // Config wraps the Display string verbatim, so stderr output is unchanged.
     let repo = TraceRepository::open(&repo).map_err(|e| TracerError::Config(e.to_string()))?;
-    let device = array.build().config().name.clone();
-    let build: tracer_serve::server::BuildArray =
-        Arc::new(move |requested: &str| (requested == device).then(|| array.build()));
-    let load: tracer_serve::server::LoadTrace =
-        Arc::new(move |dev: &str, mode: &WorkloadMode| repo.load_view(dev, mode).ok());
-    Ok((build, load))
+    let array = array.spec();
+    let device = array.name.clone();
+    let load: LoadTrace = Arc::new(move |mode: &WorkloadMode| repo.load_view(&device, mode).ok());
+    Ok((array, load))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -107,12 +99,12 @@ fn serve(
 ) -> Result<(), TracerError> {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     retain_freed_job_memory();
-    let (build, load) = job_sources(repo, scenario, array)?;
+    let (array, load) = job_sources(repo, scenario, array)?;
     let config = ServiceConfig {
         workers: workers.max(1),
         queue_capacity: ServiceConfig::resolved_capacity(workers.max(1), queue),
     };
-    let (server, recovery) = JobServer::spawn_with(config, build, load, port, log.as_deref())?;
+    let (server, recovery) = JobServer::spawn_with(config, array, load, port, log.as_deref())?;
     println!(
         "evaluation service on {} ({} workers, queue capacity {})",
         server.addr(),

@@ -1,10 +1,10 @@
-//! `tracer-serve`: a multi-client concurrent evaluation service.
+//! `tracer-serve`: the workload-generator machine, as a multi-client
+//! concurrent evaluation service.
 //!
-//! The paper's deployment pairs one evaluation host with one workload
-//! generator (§III-A1); the generator in [`tracer_core::net`] therefore
-//! serves a single session and turns extra hosts away with `err busy`. This
-//! crate scales that deployment up: many hosts submit evaluation jobs over
-//! TCP, a **bounded priority queue** admits or rejects them (no unbounded
+//! In the paper the evaluation host sends the workload generator its test
+//! control information — workload mode and I/O intensity — over TCP
+//! (§III-A1). Here many hosts submit such tests as evaluation jobs, a
+//! **bounded priority queue** admits or rejects them (no unbounded
 //! buffering), and a **worker pool** drains the queue, building a fresh
 //! [`ArraySim`](tracer_sim::ArraySim) per job and measuring it with
 //! [`EvaluationHost::measure_test`].

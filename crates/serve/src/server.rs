@@ -6,9 +6,13 @@
 //! graceful server shutdown (refuse new jobs, drain the queue, reply once
 //! everything finished, stop accepting).
 //!
+//! A node serves one testbed, given as an [`ArraySpec`]: a `submit` whose
+//! `device` is not the spec's name is refused before any trace is loaded,
+//! and every job builds a fresh simulator from the spec.
+//!
 //! The server is a handler on [`tracer_core::net::LineServer`], the loop the
-//! single-session generator also runs on. Concurrency control happens at the
-//! job queue (`err busy queue=N`); the accept loop only caps connections at
+//! fleet registrar also runs on. Concurrency control happens at the job
+//! queue (`err busy queue=N`); the accept loop only caps connections at
 //! [`JOB_SERVER_CONNECTIONS`] so a connection flood cannot spawn threads
 //! without bound.
 //!
@@ -31,16 +35,14 @@ use tracer_core::distributed::EvaluationJob;
 use tracer_core::messages::{parse_job_command, JobCommand};
 use tracer_core::net::{LineServer, Then};
 use tracer_fabric::joblog::JobSpec;
-use tracer_sim::ArraySim;
+use tracer_sim::ArraySpec;
 use tracer_trace::{TraceHandle, WorkloadMode};
 
-/// Resolves a device name to a fresh simulator instance.
-pub type BuildArray = Arc<dyn Fn(&str) -> Option<ArraySim> + Send + Sync>;
-/// Resolves `(device, mode)` to a shared handle on the trace to replay.
-/// Returning [`TraceHandle`] lets every queued job over the same trace share
-/// one decoded copy or one mapped v3 view (pair with
+/// Resolves a workload mode of the node's device to a shared handle on the
+/// trace to replay. Returning [`TraceHandle`] lets every queued job over the
+/// same trace share one decoded copy or one mapped v3 view (pair with
 /// [`tracer_trace::TraceRepository::load_view`]).
-pub type LoadTrace = Arc<dyn Fn(&str, &WorkloadMode) -> Option<TraceHandle> + Send + Sync>;
+pub type LoadTrace = Arc<dyn Fn(&WorkloadMode) -> Option<TraceHandle> + Send + Sync>;
 
 /// Connections the job server serves at once; one more is answered
 /// `err busy` and closed. A coordinator holds one connection per node and a
@@ -54,9 +56,10 @@ pub struct JobServer {
 }
 
 impl JobServer {
-    /// Bind an ephemeral localhost port and serve in background threads.
-    pub fn spawn(config: ServiceConfig, build: BuildArray, load: LoadTrace) -> io::Result<Self> {
-        Self::spawn_with(config, build, load, 0, None).map(|(server, _)| server)
+    /// Bind an ephemeral localhost port and serve `array` in background
+    /// threads.
+    pub fn spawn(config: ServiceConfig, array: ArraySpec, load: LoadTrace) -> io::Result<Self> {
+        Self::spawn_with(config, array, load, 0, None).map(|(server, _)| server)
     }
 
     /// [`JobServer::spawn`] with a fixed `port` (0 = ephemeral) and an
@@ -64,39 +67,28 @@ impl JobServer {
     /// wire-submitted job and replays the log on startup: finished jobs are
     /// restored without re-running, interrupted ones re-enqueue under their
     /// original ids (the returned [`RecoveryReport`] says what happened).
+    ///
+    /// An `array` that does not validate is [`io::ErrorKind::InvalidInput`],
+    /// returned before the port is bound or the log is opened.
     pub fn spawn_with(
         config: ServiceConfig,
-        build: BuildArray,
+        array: ArraySpec,
         load: LoadTrace,
         port: u16,
         log: Option<&Path>,
     ) -> io::Result<(Self, RecoveryReport)> {
+        array.try_parts().map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidInput, format!("array {}: {e}", array.name))
+        })?;
         // Bind before the log is opened: a port already taken must fail
         // before recovery can truncate a torn tail or re-run a job.
         let listener = TcpListener::bind(("127.0.0.1", port))?;
+        let array = Arc::new(array);
         let (service, report) = match log {
             None => (EvalService::start(config), RecoveryReport::default()),
-            Some(path) => {
-                let resolve_build = Arc::clone(&build);
-                let resolve_load = Arc::clone(&load);
-                EvalService::start_recovered(config, path, move |spec: &JobSpec| {
-                    let trace = resolve_load(&spec.device, &spec.mode)?;
-                    resolve_build(&spec.device)?;
-                    let builder = Arc::clone(&resolve_build);
-                    let device = spec.device.clone();
-                    Some(EvaluationJob {
-                        name: spec.name.clone(),
-                        build: Box::new(move || match builder(&device) {
-                            Some(sim) => sim,
-                            // tracer-lint: allow(no-panic-wire) -- runs inside the worker's catch_unwind, not on the wire; device was validated two lines up
-                            None => panic!("device validated during recovery"),
-                        }),
-                        trace,
-                        mode: spec.mode,
-                        intensity_pct: spec.intensity_pct,
-                    })
-                })?
-            }
+            Some(path) => EvalService::start_recovered(config, path, |spec: &JobSpec| {
+                resolve(&array, &load, spec).ok()
+            })?,
         };
         let service = Arc::new(service);
         let handler_service = Arc::clone(&service);
@@ -108,7 +100,7 @@ impl JobServer {
                     let done = handler_service.stats().done;
                     (Some(format!("ok stopped done={done}")), Then::Stop)
                 }
-                _ => (Some(dispatch(line, &handler_service, &build, &load)), Then::Continue),
+                _ => (Some(dispatch(line, &handler_service, &array, &load)), Then::Continue),
             })?;
         Ok((Self { server, service }, report))
     }
@@ -148,10 +140,35 @@ impl JobServer {
     }
 }
 
+/// The job a submitted or recovered `spec` describes on the node's `array`,
+/// or the `err` reply for a device this node does not serve or a mode with no
+/// trace. The device is checked first, so a foreign spec loads no trace.
+fn resolve(
+    array: &Arc<ArraySpec>,
+    load: &LoadTrace,
+    spec: &JobSpec,
+) -> Result<EvaluationJob, String> {
+    let device = &spec.device;
+    if *device != array.name {
+        return Err(format!("err unknown device={device}"));
+    }
+    let Some(trace) = load(&spec.mode) else {
+        return Err(format!("err no-trace device={device}"));
+    };
+    let array = Arc::clone(array);
+    Ok(EvaluationJob {
+        name: spec.name.clone(),
+        build: Box::new(move || array.build()),
+        trace,
+        mode: spec.mode,
+        intensity_pct: spec.intensity_pct,
+    })
+}
+
 fn dispatch(
     line: &str,
     service: &Arc<EvalService>,
-    build: &BuildArray,
+    array: &Arc<ArraySpec>,
     load: &LoadTrace,
 ) -> String {
     let cmd = match parse_job_command(line) {
@@ -160,33 +177,19 @@ fn dispatch(
     };
     match cmd {
         JobCommand::Submit { device, mode, intensity_pct, name, priority, deadline_ms } => {
-            // Validate up front so a bad device or missing trace fails at the
-            // protocol boundary, not inside a worker.
-            if build(&device).is_none() {
-                return format!("err unknown device={device}");
-            }
-            let Some(trace) = load(&device, &mode) else {
-                return format!("err no-trace device={device}");
-            };
-            let builder = Arc::clone(build);
             let spec = JobSpec {
-                device: device.clone(),
+                device,
                 mode,
                 intensity_pct,
-                name: name.clone().unwrap_or_default(),
+                name: name.unwrap_or_default(),
                 priority,
                 deadline_ms,
             };
-            let job = EvaluationJob {
-                name: name.unwrap_or_default(),
-                build: Box::new(move || match builder(&device) {
-                    Some(sim) => sim,
-                    // tracer-lint: allow(no-panic-wire) -- runs inside the worker's catch_unwind, not on the wire; device was validated at the protocol boundary above
-                    None => panic!("device validated at submission"),
-                }),
-                trace,
-                mode,
-                intensity_pct,
+            // Validate up front so a bad device or missing trace fails at the
+            // protocol boundary, not inside a worker.
+            let job = match resolve(array, load, &spec) {
+                Ok(job) => job,
+                Err(reply) => return reply,
             };
             let opts = SubmitOpts {
                 priority,

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracer_core::host::EvaluationHost;
 use tracer_core::net::HostClient;
-use tracer_serve::server::{BuildArray, JobServer, LoadTrace, JOB_SERVER_CONNECTIONS};
+use tracer_serve::server::{JobServer, LoadTrace, JOB_SERVER_CONNECTIONS};
 use tracer_serve::{JobState, ServiceConfig};
 use tracer_sim::ArraySpec;
 use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
@@ -33,12 +33,13 @@ fn busy_trace() -> Trace {
 
 fn spawn_server(workers: usize, queue: usize) -> JobServer {
     let trace = Arc::new(busy_trace());
-    let build: BuildArray =
-        Arc::new(|device| (device == DEVICE).then(|| ArraySpec::hdd_raid5(4).build()));
-    let load: LoadTrace =
-        Arc::new(move |device, _mode| (device == DEVICE).then(|| Arc::clone(&trace).into()));
-    JobServer::spawn(ServiceConfig { workers, queue_capacity: queue }, build, load)
-        .expect("bind localhost")
+    let load: LoadTrace = Arc::new(move |_mode| Some(Arc::clone(&trace).into()));
+    JobServer::spawn(
+        ServiceConfig { workers, queue_capacity: queue },
+        ArraySpec::hdd_raid5(4),
+        load,
+    )
+    .expect("bind localhost")
 }
 
 fn mode_at(load: u32) -> WorkloadMode {

@@ -99,22 +99,6 @@ fn virtual_and_realtime_replayers_issue_identical_workloads() {
 }
 
 #[test]
-fn command_session_drives_full_test() {
-    let mode = WorkloadMode::peak(8192, 0, 100);
-    let trace = std::sync::Arc::new(collect_trace(mode, 1));
-    let mut session = CommandSession::new(
-        |device: &str| (device == "raid5-hdd4").then(|| ArraySpec::hdd_raid5(4).build()),
-        move |_: &str, _: &WorkloadMode| Some(std::sync::Arc::clone(&trace).into()),
-    );
-    session.handle_line("init-analyzer cycle=1000").unwrap();
-    session.handle_line("configure device=raid5-hdd4 rs=8192 rn=0 rd=100 load=50").unwrap();
-    let response = session.handle_line("start").unwrap();
-    assert!(response.contains("iops="), "{response}");
-    let query = session.handle_line("query device=raid5-hdd4").unwrap();
-    assert!(query.contains("count=1"));
-}
-
-#[test]
 fn spin_down_policy_saves_energy_on_idle_heavy_trace() {
     // A MAID-style ablation: a sparse trace on an array with aggressive
     // spin-down should burn less energy than the always-on array.
