@@ -15,6 +15,7 @@
 use tracer_bench::{banner, f, json_result, row, timed};
 use tracer_core::prelude::*;
 use tracer_replay::RandomFilter;
+use tracer_trace::BunchSink;
 
 /// Coefficient of variation of the bunch inter-arrival gaps.
 fn gap_cv(trace: &Trace) -> f64 {
@@ -68,7 +69,10 @@ fn main() {
         ]);
         for (name, trace) in [("steady", &steady), ("web", &web)] {
             for pct in [10u32, 30] {
-                let uniform = ProportionalFilter::default().filter(trace, pct);
+                let mut uniform = Trace::new(name);
+                ReplayPlan::new(trace, LoadControl::proportion(pct))
+                    .try_for_each(&mut |ts, ios| uniform.push(ts, ios))
+                    .expect("in-memory trace");
                 let u_cv = gap_cv(&uniform);
                 let u_var = short_window_variance(&uniform);
                 let (mut r_cv, mut r_var) = (0.0, 0.0);

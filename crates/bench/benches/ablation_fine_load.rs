@@ -48,9 +48,12 @@ fn main() {
     let mut results = Vec::new();
     timed("levels", || {
         for &pct in &levels {
-            let filtered = ProportionalFilter::default().filter(&trace, pct);
+            let mut selected = 0u64;
+            ReplayPlan::new(&trace, LoadControl::proportion(pct))
+                .try_for_each(&mut |_, _| selected += 1)
+                .expect("in-memory trace");
             let exact = total * u64::from(pct) / 100;
-            assert_eq!(filtered.bunch_count() as u64, exact, "Bresenham count at {pct}%");
+            assert_eq!(selected, exact, "Bresenham count at {pct}%");
             let mut sim = ArraySpec::hdd_raid5(6).build();
             let measured = EvaluationHost::measure_test(
                 host.meter_cycle_ms,
@@ -65,13 +68,7 @@ fn main() {
             let measured = m.iops / baseline.iops * 100.0;
             let acc = measured / f64::from(pct);
             worst = worst.max((acc - 1.0).abs());
-            row(&[
-                pct.to_string(),
-                filtered.bunch_count().to_string(),
-                exact.to_string(),
-                f(measured),
-                f(acc),
-            ]);
+            row(&[pct.to_string(), selected.to_string(), exact.to_string(), f(measured), f(acc)]);
             results.push((pct, measured, acc));
         }
     });

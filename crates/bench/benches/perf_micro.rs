@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks of the framework's hot paths: the proportional
-//! filter, trace (de)serialisation, RAID-5 planning, the DES engine (request
-//! store and elevator dispatch), the closed-loop generator, the end-to-end
-//! load sweep (serial vs pooled), blkparse ingest (serial vs chunked
-//! parallel), and replay planning (materializing pipeline vs zero-copy plan).
+//! Criterion micro-benchmarks of the framework's hot paths: trace
+//! (de)serialisation, RAID-5 planning, the DES engine (request store and
+//! elevator dispatch), the closed-loop generator, the end-to-end load sweep
+//! (serial vs pooled), blkparse ingest, and a load-controlled replay through
+//! the zero-copy plan.
 //!
 //! Each DES-engine benchmark also emits a machine-readable `RESULT` line
 //! (events/sec, sweep seconds) so EXPERIMENTS.md can track the hot-path
@@ -14,13 +14,11 @@ use std::hint::black_box;
 use std::time::Instant;
 use tracer_bench::json_result;
 use tracer_core::{EvaluationHost, SweepBuilder, SweepExecutor};
-use tracer_replay::{try_replay, LoadControl, ProportionalFilter, ReplayConfig};
+use tracer_replay::{try_replay, LoadControl, ReplayConfig};
 use tracer_sim::{
     ArrayRequest, ArraySim, ArraySpec, Geometry, QueueDiscipline, SimDuration, SimTime,
 };
-use tracer_trace::blkparse::{
-    convert, convert_parallel, parse_str, parse_str_parallel, BlkparseOptions,
-};
+use tracer_trace::blkparse::{convert, parse_str, BlkparseOptions};
 use tracer_trace::WorkloadMode;
 use tracer_trace::{replay_format, Bunch, IoPackage, OpKind, Trace};
 use tracer_workload::iometer::{run_peak_workload, IometerConfig};
@@ -41,17 +39,6 @@ fn big_trace(bunches: usize) -> Trace {
             })
             .collect(),
     )
-}
-
-fn bench_filter(c: &mut Criterion) {
-    let trace = big_trace(100_000);
-    let filter = ProportionalFilter::default();
-    let mut g = c.benchmark_group("filter");
-    g.throughput(Throughput::Elements(trace.bunch_count() as u64));
-    g.bench_function("proportional_30pct_100k_bunches", |b| {
-        b.iter(|| black_box(filter.filter(black_box(&trace), 30)))
-    });
-    g.finish();
 }
 
 fn bench_serialization(c: &mut Criterion) {
@@ -359,8 +346,8 @@ fn synthetic_dump(events: usize) -> String {
     out
 }
 
-/// Serial versus chunked-parallel blkparse ingest (parse + bunching) over an
-/// in-memory dump. The RESULT line records events/sec for both paths.
+/// blkparse ingest (parse + bunching) over an in-memory dump. The RESULT line
+/// records events/sec.
 fn bench_trace_ingest(c: &mut Criterion) {
     let dump = synthetic_dump(50_000);
     let opts = BlkparseOptions::default();
@@ -372,62 +359,33 @@ fn bench_trace_ingest(c: &mut Criterion) {
             black_box(convert(&events, "bench", &opts))
         })
     });
-    g.bench_function("parallel4_parse_convert_50k", |b| {
-        b.iter(|| {
-            let events = parse_str_parallel(black_box(&dump), &opts, 4).unwrap();
-            black_box(convert_parallel(&events, "bench", &opts, 4))
-        })
-    });
     g.finish();
 
-    // One deterministic pass per path for the RESULT line, on a bigger dump
-    // so thread spawn costs amortize the way real ingests see them.
+    // One deterministic pass for the RESULT line, on a bigger dump.
     let dump = synthetic_dump(200_000);
     let t0 = Instant::now();
     let events = parse_str(&dump, &opts).unwrap();
-    let serial_trace = convert(&events, "bench", &opts);
+    black_box(convert(&events, "bench", &opts));
     let serial = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let events = parse_str_parallel(&dump, &opts, 4).unwrap();
-    let parallel_trace = convert_parallel(&events, "bench", &opts, 4);
-    let parallel = t0.elapsed().as_secs_f64();
-    assert_eq!(serial_trace, parallel_trace, "parallel ingest must be bit-identical");
     json_result(
         "perf_trace_ingest",
         &serde_json::json!({
             "events": 200_000,
             "serial_seconds": serial,
-            "parallel4_seconds": parallel,
             "serial_events_per_sec": 200_000.0 / serial.max(1e-9),
-            "parallel_events_per_sec": 200_000.0 / parallel.max(1e-9),
-            "speedup": serial / parallel.max(1e-9),
         }),
     );
 }
 
-/// Materializing replay pipeline (filter + scale clones, then replay) versus
-/// the zero-copy `ReplayPlan` path. The RESULT line records ns/bunch for both
-/// plus the process peak RSS, measured zero-copy-first so the materialized
-/// path owns any high-water-mark growth.
+/// A load-controlled replay through the zero-copy `ReplayPlan` (40 %
+/// proportion at 200 % intensity). The RESULT line records ns/bunch plus the
+/// process peak RSS after the run.
 fn bench_replay_plan(c: &mut Criterion) {
     let trace = big_trace(20_000);
     let load = LoadControl { proportion_pct: 40, intensity_pct: 200 };
     let cfg = ReplayConfig { load, ..Default::default() };
     let mut g = c.benchmark_group("replay_plan");
     g.throughput(Throughput::Elements(trace.bunch_count() as u64));
-    g.bench_function("materialized_40pct_20k_bunches", |b| {
-        b.iter_batched(
-            || ArraySpec::hdd_raid5(6).build(),
-            |mut sim| {
-                let prepared = load.apply(&trace);
-                black_box(
-                    try_replay(&mut sim, &prepared, &ReplayConfig::default())
-                        .expect("in-memory trace"),
-                )
-            },
-            BatchSize::SmallInput,
-        )
-    });
     g.bench_function("zero_copy_40pct_20k_bunches", |b| {
         b.iter_batched(
             || ArraySpec::hdd_raid5(6).build(),
@@ -440,26 +398,14 @@ fn bench_replay_plan(c: &mut Criterion) {
     let bunches = trace.bunch_count() as f64;
     let mut sim = ArraySpec::hdd_raid5(6).build();
     let t0 = Instant::now();
-    let zc_report = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
+    black_box(try_replay(&mut sim, &trace, &cfg).expect("in-memory trace"));
     let zc = t0.elapsed().as_secs_f64();
-    let rss_after_zero_copy = peak_rss_kb();
-    let mut sim = ArraySpec::hdd_raid5(6).build();
-    let t0 = Instant::now();
-    let prepared = load.apply(&trace);
-    let mat_report =
-        try_replay(&mut sim, &prepared, &ReplayConfig::default()).expect("in-memory trace");
-    let mat = t0.elapsed().as_secs_f64();
-    let rss_after_materialized = peak_rss_kb();
-    assert_eq!(zc_report.issued_ios, mat_report.issued_ios, "paths must agree");
     json_result(
         "perf_replay_plan",
         &serde_json::json!({
             "bunches": trace.bunch_count(),
-            "materialized_ns_per_bunch": mat * 1e9 / bunches,
             "zero_copy_ns_per_bunch": zc * 1e9 / bunches,
-            "speedup": mat / zc.max(1e-9),
-            "peak_rss_kb_after_zero_copy": rss_after_zero_copy,
-            "peak_rss_kb_after_materialized": rss_after_materialized,
+            "peak_rss_kb": peak_rss_kb(),
         }),
     );
 }
@@ -485,7 +431,7 @@ fn bench_generator(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(samples_from_env());
-    targets = bench_filter, bench_serialization, bench_raid_planning, bench_engine,
+    targets = bench_serialization, bench_raid_planning, bench_engine,
         bench_request_store, bench_elevator_dispatch, bench_generator, bench_load_sweep,
         bench_obs_overhead, bench_trace_ingest, bench_replay_plan
 }

@@ -627,13 +627,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             let trace = repo.load_view(&device, &mode).map_err(io_err)?;
             if let Some(depth) = afap_depth {
                 let mut sim = array.build();
-                let report = tracer_replay::replay_afap(
-                    &mut sim,
-                    &trace,
-                    depth,
-                    tracer_replay::AddressPolicy::Wrap,
-                )
-                .map_err(io_err)?;
+                let report = tracer_replay::replay_afap(&mut sim, &trace, depth).map_err(io_err)?;
                 println!(
                     "afap depth {depth}: {:.1} IOPS, {:.2} MBPS, avg {:.2} ms, p95 {:.2} ms                      over {:.2}s",
                     report.summary.iops,
@@ -1268,19 +1262,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A fresh repository holding `tests/fixtures/corrupt_v3.replay` as the
-    /// `raid5-hdd4` trace of `mode`. The fixture is a 20-bunch rs4096/rn0/rd100
-    /// v3 file whose last size/kind byte (just before the one 56-byte index
+    /// `tests/fixtures/corrupt_v3.replay`: a 20-bunch rs4096/rn0/rd100 v3
+    /// file whose last size/kind byte (just before the one 56-byte index
     /// entry) has its continuation bit set: the header still validates, so
     /// the file opens, and only the column decoder finds the endless varint.
-    fn corrupt_repo(tag: &str, mode: &WorkloadMode) -> PathBuf {
+    fn corrupt_fixture() -> Vec<u8> {
+        std::fs::read(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/corrupt_v3.replay"
+        ))
+        .unwrap()
+    }
+
+    /// An intact v3 image (its column CRCs hold) of ten bunches, each one
+    /// zero-size IO, which only the column decoder rejects.
+    fn zero_size_image() -> Vec<u8> {
+        use tracer_trace::{v3, Bunch, IoPackage, Trace};
+        let bunches = (0..10).map(|i| Bunch::new(i * 1_000, vec![IoPackage::read(i * 8, 0)]));
+        v3::to_bytes(&Trace::from_bunches("raid5-hdd4", bunches.collect()))
+    }
+
+    /// A fresh repository holding `image` as the `raid5-hdd4` trace of `mode`.
+    fn corrupt_repo(tag: &str, mode: &WorkloadMode, image: &[u8]) -> PathBuf {
         let repo =
             std::env::temp_dir().join(format!("tracer_cli_corrupt_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&repo);
         let path = TraceRepository::open(&repo).unwrap().path_for("raid5-hdd4", mode);
-        let fixture =
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/corrupt_v3.replay");
-        std::fs::copy(fixture, &path).unwrap();
+        std::fs::write(&path, image).unwrap();
         assert!(
             tracer_trace::TraceView::open(&path).is_ok(),
             "the corruption must survive the open"
@@ -1288,10 +1296,15 @@ mod tests {
         repo
     }
 
-    /// `tracer replay` of the corrupt fixture: the error it returns.
-    fn replay_corrupt(tag: &str, afap_depth: Option<usize>, loads: Vec<u32>) -> CliError {
+    /// `tracer replay` of `image`: the error it returns.
+    fn replay_corrupt(
+        tag: &str,
+        image: &[u8],
+        afap_depth: Option<usize>,
+        loads: Vec<u32>,
+    ) -> CliError {
         let mode = WorkloadMode::peak(4096, 0, 100).at_load(60);
-        let repo = corrupt_repo(tag, &mode);
+        let repo = corrupt_repo(tag, &mode, image);
         let err = run(Command::Replay {
             mode,
             intensity: 100,
@@ -1310,26 +1323,32 @@ mod tests {
 
     #[test]
     fn afap_replay_of_a_corrupt_v3_file_is_an_error() {
-        let err = replay_corrupt("afap", Some(8), vec![]);
+        let err = replay_corrupt("afap", &corrupt_fixture(), Some(8), vec![]);
         assert!(err.0.contains("varint"), "{err}");
+        let err = replay_corrupt("afap_zero", &zero_size_image(), Some(8), vec![]);
+        assert_eq!(err.0, "corrupt trace file: zero-size io");
     }
 
     #[test]
     fn replay_of_a_corrupt_v3_file_is_an_error() {
-        let err = replay_corrupt("cell", None, vec![]);
-        assert!(err.0.starts_with("corrupt trace file:") && err.0.contains("varint"), "{err}");
+        for (tag, image, why) in
+            [("cell", corrupt_fixture(), "varint"), ("zero", zero_size_image(), "zero-size io")]
+        {
+            let err = replay_corrupt(tag, &image, None, vec![]);
+            assert!(err.0.starts_with("corrupt trace file:") && err.0.contains(why), "{err}");
+        }
     }
 
     #[test]
     fn load_sweep_of_a_corrupt_v3_file_is_an_error() {
-        let err = replay_corrupt("loads", None, sweep::LOAD_PCTS.to_vec());
+        let err = replay_corrupt("loads", &corrupt_fixture(), None, sweep::LOAD_PCTS.to_vec());
         assert!(err.0.starts_with("corrupt trace file:") && err.0.contains("varint"), "{err}");
     }
 
     #[test]
     fn a_failed_load_sweep_still_writes_its_obs_snapshot() {
         let mode = WorkloadMode::peak(4096, 0, 100).at_load(60);
-        let repo = corrupt_repo("obs", &mode);
+        let repo = corrupt_repo("obs", &mode, &corrupt_fixture());
         let obs = repo.join("obs.jsonl");
         let err = run(Command::Replay {
             mode,
@@ -1352,7 +1371,7 @@ mod tests {
     fn sweep_over_a_corrupt_v3_file_is_an_error() {
         // `--modes 1` sweeps only the grid's first mode, so the fixture
         // stands in for that mode's trace and nothing needs collecting.
-        let repo = corrupt_repo("sweep", &sweep::all_modes()[0]);
+        let repo = corrupt_repo("sweep", &sweep::all_modes()[0], &corrupt_fixture());
         for workers in [1, 2] {
             let err = run(Command::Sweep {
                 repo: Some(repo.clone()),

@@ -92,8 +92,8 @@ pub mod prelude {
     };
     pub use tracer_power::{Channel, EnergyReport, NoiseModel, PowerAnalyzer, PowerMeter};
     pub use tracer_replay::{
-        scale_intensity, try_replay, AddressPolicy, LoadControl, PerformanceMonitor,
-        ProportionalFilter, RealTimeReplayer, ReplayConfig,
+        try_replay, LoadControl, PerformanceMonitor, ProportionalFilter, RealTimeReplayer,
+        ReplayConfig, ReplayPlan,
     };
     pub use tracer_sim::{
         ArrayConfig, ArrayRequest, ArraySim, ArraySpec, Completion, DeviceSpec, Geometry, Layout,
@@ -103,6 +103,6 @@ pub mod prelude {
         sweep, Bunch, IoPackage, OpKind, Trace, TraceRepository, TraceStats, WorkloadMode,
     };
     pub use tracer_workload::{
-        collect_sweep, CelloTraceBuilder, IometerConfig, TraceCollector, WebServerTraceBuilder,
+        CelloTraceBuilder, IometerConfig, TraceCollector, WebServerTraceBuilder,
     };
 }

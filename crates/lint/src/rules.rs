@@ -18,7 +18,7 @@
 //!   `tracer-invariant: zero-copy`. Bans `.clone()`/`.to_vec()`/
 //!   `.to_owned()`/`.to_string()`, `Vec::new`/`with_capacity`/`from`
 //!   (likewise `String`, `Box`), and the `vec!`/`format!` macros on the
-//!   replay-plan iterator path guarded by the materialization counter.
+//!   replay-plan path every replay runs.
 //! * **`no-alloc-hot`** — active in scopes tagged
 //!   `tracer-invariant: no-alloc-hot`: the same token bans as `zero-copy`,
 //!   applied to the per-IO and per-event hot functions (the `ArraySim` event

@@ -46,9 +46,9 @@ fn every_allow_escape_carries_a_reason() {
             allow.rules.join(", ")
         );
     }
-    // The four day-one escapes (plan materialize x2, crc32 x2) are audited;
-    // new ones must be deliberate.
-    assert!(report.allows.len() >= 4, "expected the documented escapes: {:?}", report.allows);
+    // The two escapes (the job log's crc32 table lookup and its const-fn
+    // table builder) are audited; new ones must be deliberate.
+    assert!(report.allows.len() >= 2, "expected the documented escapes: {:?}", report.allows);
 }
 
 #[test]

@@ -6,12 +6,12 @@
 //! (§IV-A). All IO packages of a bunch are submitted at the same simulated
 //! instant; the array engine services them concurrently across its disks.
 //!
-//! Traces collected on larger devices than the target are handled by the
-//! [`AddressPolicy`]: real-world traces address spaces the simulated array
-//! does not have, so the default policy wraps sectors into the array's data
-//! space while preserving run contiguity (the paper replays traces "to test
-//! any disk device whose bandwidth is equal to or smaller" — address
-//! translation is implicit in their tooling).
+//! A trace collected on a device larger than the target addresses sectors
+//! the simulated array does not have, so the engine wraps each starting
+//! sector into the array's data space while preserving run contiguity (the
+//! paper replays traces "to test any disk device whose bandwidth is equal to
+//! or smaller" — address translation is implicit in their tooling). A
+//! request larger than the whole data space is skipped and counted.
 #![doc = "tracer-invariant: deterministic"]
 
 use crate::monitor::{PerfSample, PerfSummary, PerformanceMonitor};
@@ -21,24 +21,11 @@ use serde::{Deserialize, Serialize};
 use tracer_sim::{ArrayRequest, ArraySim, Completion, SimDuration, SimTime, DRAIN_BATCH};
 use tracer_trace::{BunchSource, IoPackage, Nanos, TraceError};
 
-/// How trace sectors outside the array's data space are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AddressPolicy {
-    /// Wrap the starting sector modulo the usable space (contiguity within a
-    /// request is preserved; requests never straddle the wrap point).
-    #[default]
-    Wrap,
-    /// Skip out-of-range requests and count them in the report.
-    Skip,
-}
-
 /// Replay configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct ReplayConfig {
     /// Load control (proportional filter + intensity scaling).
     pub load: LoadControl,
-    /// Out-of-range handling.
-    pub address_policy: AddressPolicy,
     /// Warm-up period excluded from the summary and samples (requests still
     /// replay; their completions are simply not measured). Energy
     /// measurements made by callers should use [`ReplayReport::measured_from`]
@@ -59,7 +46,7 @@ pub struct ReplayReport {
     pub issued_ios: u64,
     /// Bytes issued.
     pub issued_bytes: u64,
-    /// Requests skipped by [`AddressPolicy::Skip`].
+    /// Requests skipped because they are larger than the array's data space.
     pub skipped_ios: u64,
     /// All completions, in completion order — collected by [`try_replay`];
     /// left empty by [`try_replay_observed`], whose observer has already
@@ -135,7 +122,7 @@ pub fn try_replay_observed<S: BunchSource + ?Sized>(
         let _span = tracer_obs::span("replay.plan_ns");
         ReplayPlan::new(source, cfg.load)
     };
-    replay_bunches(sim, |f| plan.try_for_each(f), cfg.address_policy, cfg.warmup, observe)
+    replay_bunches(sim, |f| plan.try_for_each(f), cfg.warmup, observe)
 }
 
 /// The timed replay loop behind every timestamp-paced entry point, for
@@ -151,7 +138,6 @@ pub fn try_replay_observed<S: BunchSource + ?Sized>(
 fn replay_bunches(
     sim: &mut ArraySim,
     drive: impl FnOnce(&mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), TraceError>,
-    address_policy: AddressPolicy,
     warmup: SimDuration,
     mut observe: impl FnMut(&mut ArraySim, &[Completion]),
 ) -> Result<ReplayReport, TraceError> {
@@ -180,7 +166,7 @@ fn replay_bunches(
             flush(sim);
         }
         for io in ios {
-            let Some(sector) = translate(io, capacity, address_policy) else {
+            let Some(sector) = translate(io, capacity) else {
                 skipped += 1;
                 continue;
             };
@@ -224,7 +210,6 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
     sim: &mut ArraySim,
     source: &S,
     depth: usize,
-    address_policy: AddressPolicy,
 ) -> Result<ReplayReport, TraceError> {
     let _span = tracer_obs::span("replay.drive_ns");
     let started = sim.now();
@@ -244,7 +229,7 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
         while *next < ios.len() {
             let io = ios[*next];
             *next += 1;
-            let Some(sector) = translate(&io, capacity, address_policy) else {
+            let Some(sector) = translate(&io, capacity) else {
                 skipped += 1;
                 continue;
             };
@@ -292,13 +277,11 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
 }
 
 /// The array sector `io` is submitted at on an array of `capacity` data
-/// sectors under `policy`, or `None` if the request is skipped.
-fn translate(io: &IoPackage, capacity: u64, policy: AddressPolicy) -> Option<u64> {
+/// sectors: the starting sector wrapped so the whole request fits, or `None`
+/// if the request is larger than the array and is skipped.
+fn translate(io: &IoPackage, capacity: u64) -> Option<u64> {
     let sectors = io.sectors().max(1);
-    match policy {
-        AddressPolicy::Wrap => (sectors <= capacity).then(|| io.sector % (capacity - sectors + 1)),
-        AddressPolicy::Skip => (io.sector + sectors <= capacity).then_some(io.sector),
-    }
+    (sectors <= capacity).then(|| io.sector % (capacity - sectors + 1))
 }
 
 /// One nanosecond past `t`, so half-open windows include the final completion.
@@ -324,9 +307,8 @@ fn publish_issue_tallies(sim: &mut ArraySim, ios: u64, bytes: u64, skipped: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::ProportionalFilter;
     use tracer_sim::ArraySpec;
-    use tracer_trace::{Bunch, IoPackage, OpKind, Trace};
+    use tracer_trace::{Bunch, BunchSink, IoPackage, OpKind, Trace};
 
     fn uniform_trace(n: usize, gap_ms: u64, bytes: u32) -> Trace {
         Trace::from_bunches(
@@ -411,23 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_policy_counts_out_of_range() {
-        let mut sim = ArraySpec::hdd_raid5(4).build();
-        let cap = sim.data_capacity_sectors();
-        let t = Trace::from_bunches(
-            "big",
-            vec![
-                Bunch::new(0, vec![IoPackage::read(cap + 1, 4096)]),
-                Bunch::new(1_000, vec![IoPackage::read(0, 4096)]),
-            ],
-        );
-        let cfg = ReplayConfig { address_policy: AddressPolicy::Skip, ..Default::default() };
-        let report = try_replay(&mut sim, &t, &cfg).expect("in-memory trace");
-        assert_eq!(report.issued_ios, 1);
-        assert_eq!(report.skipped_ios, 1);
-    }
-
-    #[test]
     fn empty_trace_report_is_empty() {
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let report = try_replay(&mut sim, &Trace::new("e"), &ReplayConfig::default())
@@ -492,7 +457,7 @@ mod tests {
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let timed = try_replay(&mut sim, &t, &ReplayConfig::default()).expect("in-memory trace");
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let afap = replay_afap(&mut sim, &t, 8, AddressPolicy::Wrap).unwrap();
+        let afap = replay_afap(&mut sim, &t, 8).unwrap();
         assert_eq!(afap.summary.total_ios, 30);
         assert_eq!(afap.issued_bytes, timed.issued_bytes);
         assert!(
@@ -509,7 +474,7 @@ mod tests {
         let t = uniform_trace(200, 1, 8192);
         let run = |depth: usize| {
             let mut sim = ArraySpec::hdd_raid5(4).build();
-            replay_afap(&mut sim, &t, depth, AddressPolicy::Wrap).unwrap().summary.iops
+            replay_afap(&mut sim, &t, depth).unwrap().summary.iops
         };
         let shallow = run(1);
         let deep = run(16);
@@ -519,7 +484,7 @@ mod tests {
     #[test]
     fn afap_on_empty_trace() {
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let report = replay_afap(&mut sim, &Trace::new("e"), 8, AddressPolicy::Wrap).unwrap();
+        let report = replay_afap(&mut sim, &Trace::new("e"), 8).unwrap();
         assert_eq!(report.issued_ios, 0);
         assert_eq!(report.summary.total_ios, 0);
     }
@@ -531,7 +496,7 @@ mod tests {
         // after the run produced.
         let t = uniform_trace(300, 1, 8192);
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let r = replay_afap(&mut sim, &t, 1, AddressPolicy::Wrap).unwrap();
+        let r = replay_afap(&mut sim, &t, 1).unwrap();
         assert!(r.completions.is_empty());
         assert_eq!(r.finished, SimTime::from_nanos(1_668_059_437));
         let s = r.summary;
@@ -612,7 +577,10 @@ mod tests {
     #[test]
     fn filter_then_replay_matches_prepared_replay() {
         let t = uniform_trace(60, 5, 8192);
-        let filtered = ProportionalFilter::default().filter(&t, 50);
+        let mut filtered = Trace::new("t");
+        ReplayPlan::new(&t, LoadControl::proportion(50))
+            .try_for_each(&mut |ts, ios| filtered.push(ts, ios))
+            .unwrap();
         let mut sim_a = ArraySpec::hdd_raid5(4).build();
         let a = try_replay(
             &mut sim_a,

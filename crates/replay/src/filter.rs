@@ -12,7 +12,9 @@
 //! selected iff `⌊j·p/100⌋ > ⌊(j−1)·p/100⌋`. For the paper's multiples of
 //! 10 % with groups of ten this reproduces Fig. 5 exactly, and it extends to
 //! arbitrary percentages with at most one bunch of rounding drift across the
-//! entire trace.
+//! entire trace. [`ReplayPlan`](crate::ReplayPlan) applies it per bunch
+//! during every replay; [`RandomFilter`] is the strawman the paper argues
+//! against, kept for the §IV-A ablation.
 
 use serde::{Deserialize, Serialize};
 use tracer_trace::Trace;
@@ -55,32 +57,6 @@ impl ProportionalFilter {
     pub fn group_mask(&self, percent: u32) -> Vec<bool> {
         (1..=self.group_size as u64).map(|j| Self::selects(percent, j)).collect()
     }
-
-    /// Indices (0-based) of the selected bunches among `n` bunches.
-    pub fn select_indices(&self, n: usize, percent: u32) -> Vec<usize> {
-        (0..n).filter(|&i| Self::selects(percent, i as u64 + 1)).collect()
-    }
-
-    /// Filter a trace: selected bunches keep their original timestamps;
-    /// unselected bunches are ignored entirely.
-    ///
-    /// This materializes an owned copy (it counts toward
-    /// [`crate::plan::trace_materializations`]); replay paths use
-    /// [`crate::plan::ReplayPlan`] instead and never call it.
-    pub fn filter(&self, trace: &Trace, percent: u32) -> Trace {
-        crate::plan::record_materialization();
-        if percent >= 100 {
-            return trace.clone();
-        }
-        let bunches = trace
-            .bunches
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| Self::selects(percent, *i as u64 + 1))
-            .map(|(_, b)| b.clone())
-            .collect();
-        Trace { device: trace.device.clone(), bunches }
-    }
 }
 
 /// The strawman the paper argues against: per-group *random* selection.
@@ -108,7 +84,6 @@ impl RandomFilter {
     /// Filter a trace: per group of `group_size` bunches, keep
     /// `round(percent·group_size/100)` members chosen uniformly at random.
     pub fn filter(&self, trace: &Trace, percent: u32) -> Trace {
-        crate::plan::record_materialization();
         if percent >= 100 {
             return trace.clone();
         }
@@ -142,8 +117,9 @@ impl RandomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LoadControl, ReplayPlan};
     use proptest::prelude::*;
-    use tracer_trace::{Bunch, IoPackage};
+    use tracer_trace::{Bunch, BunchSink, IoPackage};
 
     fn trace_of(n: usize) -> Trace {
         Trace::from_bunches(
@@ -154,6 +130,19 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// The trace a replay of `t` at `pct` % load sees.
+    fn uniform(t: &Trace, pct: u32) -> Trace {
+        let mut out = Trace::new(t.device.clone());
+        let plan = ReplayPlan::new(t, LoadControl::proportion(pct));
+        plan.try_for_each(&mut |ts, ios| out.push(ts, ios)).unwrap();
+        out
+    }
+
+    /// 0-based indices of the bunches selected among `n` at `pct` %.
+    fn selected(n: usize, pct: u32) -> Vec<usize> {
+        (0..n).filter(|&i| ProportionalFilter::selects(pct, i as u64 + 1)).collect()
     }
 
     #[test]
@@ -183,9 +172,8 @@ mod tests {
     #[test]
     fn per_group_counts_are_equal() {
         // "equal number of bunches in each bunch group are chosen" (§IV-A).
-        let f = ProportionalFilter::default();
         for pct in [10u32, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-            let idx = f.select_indices(100, pct);
+            let idx = selected(100, pct);
             for g in 0..10 {
                 let in_group = idx.iter().filter(|&&i| i / 10 == g).count();
                 assert_eq!(in_group, pct as usize / 10, "pct {pct} group {g}");
@@ -195,9 +183,8 @@ mod tests {
 
     #[test]
     fn filter_keeps_original_timestamps() {
-        let f = ProportionalFilter::default();
         let t = trace_of(30);
-        let filtered = f.filter(&t, 20);
+        let filtered = uniform(&t, 20);
         assert_eq!(filtered.bunch_count(), 6);
         // 1-based positions 5,10,15,20,25,30 -> timestamps (j-1)*1ms.
         let ts: Vec<u64> = filtered.bunches.iter().map(|b| b.timestamp).collect();
@@ -207,27 +194,24 @@ mod tests {
 
     #[test]
     fn hundred_percent_is_identity() {
-        let f = ProportionalFilter::default();
         let t = trace_of(17);
-        assert_eq!(f.filter(&t, 100), t);
-        assert_eq!(f.filter(&t, 150), t, "percent clamps at 100");
+        assert_eq!(uniform(&t, 100), t);
+        assert_eq!(uniform(&t, 150), t, "percent clamps at 100");
     }
 
     #[test]
     fn zero_percent_is_empty() {
-        let f = ProportionalFilter::default();
-        assert!(f.filter(&trace_of(25), 0).is_empty());
+        assert!(uniform(&trace_of(25), 0).is_empty());
     }
 
     #[test]
     fn throughput_manipulation_for_fixed_size_requests() {
         // §IV-B: "for trace files with fixed size of IO_packages … this filter
         // algorithm can manipulate I/O throughput as user demands".
-        let f = ProportionalFilter::default();
         let t = trace_of(1000);
         let full_bytes = t.total_bytes() as f64;
         for pct in [10u32, 30, 50, 70, 90] {
-            let kept = f.filter(&t, pct).total_bytes() as f64;
+            let kept = uniform(&t, pct).total_bytes() as f64;
             let ratio = kept / full_bytes;
             assert!((ratio - f64::from(pct) / 100.0).abs() < 0.005, "pct {pct}: kept {ratio}");
         }
@@ -254,7 +238,7 @@ mod tests {
         assert_eq!(a, b, "same seed, same selection");
         let c = RandomFilter::new(8).filter(&t, 30);
         assert_ne!(a, c, "different seeds differ");
-        let uniform = ProportionalFilter::default().filter(&t, 30);
+        let uniform = uniform(&t, 30);
         assert_ne!(a, uniform, "random selection is not the uniform pattern");
         assert_eq!(a.bunch_count(), uniform.bunch_count());
     }
@@ -272,7 +256,7 @@ mod tests {
             let mean = v.iter().sum::<i64>() as f64 / v.len() as f64;
             v.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / v.len() as f64
         };
-        let uniform = variance(&gaps(&ProportionalFilter::default().filter(&t, 20)));
+        let uniform = variance(&gaps(&uniform(&t, 20)));
         let random = variance(&gaps(&RandomFilter::new(3).filter(&t, 20)));
         assert!(
             random > uniform * 2.0,
@@ -298,8 +282,7 @@ mod tests {
 
         #[test]
         fn prop_selected_count_is_exact(n in 1usize..5_000, pct in 0u32..=100) {
-            let f = ProportionalFilter::default();
-            let count = f.select_indices(n, pct).len() as u64;
+            let count = selected(n, pct).len() as u64;
             // Bresenham guarantees ⌊n·p/100⌋ selections.
             prop_assert_eq!(count, n as u64 * u64::from(pct) / 100);
         }
@@ -308,8 +291,7 @@ mod tests {
         fn prop_selection_is_uniform(n in 100usize..2_000, pct_step in 1u32..=10) {
             // Gaps between consecutive selections differ by at most one slot.
             let pct = pct_step * 10;
-            let f = ProportionalFilter::default();
-            let idx = f.select_indices(n, pct);
+            let idx = selected(n, pct);
             prop_assume!(idx.len() >= 2);
             let gaps: Vec<usize> = idx.windows(2).map(|w| w[1] - w[0]).collect();
             let min = *gaps.iter().min().unwrap();
@@ -319,16 +301,14 @@ mod tests {
 
         #[test]
         fn prop_monotone_in_percent(n in 1usize..500, p1 in 0u32..=100, p2 in 0u32..=100) {
-            let f = ProportionalFilter::default();
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(f.select_indices(n, lo).len() <= f.select_indices(n, hi).len());
+            prop_assert!(selected(n, lo).len() <= selected(n, hi).len());
         }
 
         #[test]
         fn prop_filter_preserves_bunch_contents(n in 1usize..200, pct in 1u32..=100) {
-            let f = ProportionalFilter::default();
             let t = trace_of(n);
-            let filtered = f.filter(&t, pct);
+            let filtered = uniform(&t, pct);
             // Every surviving bunch appears unmodified in the original.
             for b in &filtered.bunches {
                 prop_assert!(t.bunches.contains(b));

@@ -8,11 +8,11 @@
 //!   in-group selection, Fig. 5's patterns) that realises load proportions of
 //!   10 %…100 %;
 //! * [`scale`] — inter-arrival-time scaling for intensities below 10 % or
-//!   above 100 % (1 %, 200 %, 1000 %…), composable with the filter via
-//!   [`scale::LoadControl`];
+//!   above 100 % (1 %, 200 %, 1000 %…), named together with the filter's
+//!   proportion by [`scale::LoadControl`];
 //! * [`plan`] — the zero-copy [`plan::ReplayPlan`]: a lazy view applying
-//!   both load controls per bunch during iteration, so a replay never clones
-//!   a trace (the materialization counter proves it);
+//!   both load controls per bunch while a replay scans its source, so no
+//!   replay clones a trace;
 //! * [`engine`] — the virtual-time replayer driving the array simulator:
 //!   bunches replay at their original (controlled) timestamps, intra-bunch
 //!   requests in parallel;
@@ -48,11 +48,9 @@ pub mod plan;
 pub mod realtime;
 pub mod scale;
 
-pub use engine::{
-    replay_afap, try_replay, try_replay_observed, AddressPolicy, ReplayConfig, ReplayReport,
-};
+pub use engine::{replay_afap, try_replay, try_replay_observed, ReplayConfig, ReplayReport};
 pub use filter::{ProportionalFilter, RandomFilter};
 pub use monitor::{PerfAccumulator, PerfSample, PerfSummary, PerformanceMonitor};
-pub use plan::{trace_materializations, ReplayPlan};
+pub use plan::ReplayPlan;
 pub use realtime::{MemTarget, RealTimeReplayer, RealTimeReport, SimTarget, StorageTarget};
-pub use scale::{scale_intensity, LoadControl};
+pub use scale::LoadControl;

@@ -1,85 +1,43 @@
-//! Zero-copy replay planning: a lazy, allocation-free view of a
-//! load-controlled trace.
+//! Replay planning: the one load-control step every replay runs.
 //!
-//! Before this module existed, every replay materialized its load-controlled
-//! trace: [`LoadControl::apply`] deep-clones each surviving bunch once in the
-//! proportional filter and (for non-unit intensities) once more in the
-//! intensity scaler. Harmless for a single replay; for the paper's 125-mode ×
-//! 10-load campaign it meant 1,250 full trace copies whose only purpose was
-//! to be iterated once and dropped.
+//! [`ReplayPlan`] borrows a bunch source and applies both load controls per
+//! bunch, on the fly, while the source is scanned:
 //!
-//! [`ReplayPlan`] replaces the copy with a view. It borrows the trace and
-//! applies both load controls *per bunch, on the fly* during iteration:
+//! * selection is [`ProportionalFilter::selects`]: bunch `j` (1-based) of
+//!   every group of ten survives at `p` % iff `⌊j·p/100⌋ > ⌊(j−1)·p/100⌋`,
+//!   keeping its original timestamp (§IV);
+//! * timestamps are scaled by the intensity as `⌊ts · 100 / intensity⌋` in
+//!   128-bit arithmetic, saturating at `u64::MAX` (§III-B);
+//! * IO packages are handed on as `&[IoPackage]` slices borrowed from the
+//!   source, so no bunch is cloned at any (proportion, intensity) pair.
 //!
-//! * selection is [`ProportionalFilter::selects`] — the same Bresenham spread
-//!   the materializing filter uses, evaluated per index;
-//! * timestamps go through the identical 128-bit scaling expression
-//!   `⌊ts · 100 / intensity⌋` (saturating at `u64::MAX`), so the scaled
-//!   instants are bit-identical to [`scale_intensity`]'s output;
-//! * IO packages are yielded as `&[IoPackage]` slices straight out of the
-//!   borrowed trace — nothing is cloned, ever, at any (proportion,
-//!   intensity) pair, including the former fast paths (100 % proportion and
-//!   100 % intensity) which still cloned the whole trace.
-//!
-//! Equivalence with the materialized path is property-tested with the old
-//! code as the oracle (`tests/plan_oracle.rs`), and the zero-clone claim is
-//! enforced by [`trace_materializations`]: every materializing function in
-//! this crate bumps a process-wide counter, and the sweep integration tests
-//! assert the counter stays flat across entire campaigns.
-//!
-//! [`LoadControl::apply`]: crate::scale::LoadControl::apply
-//! [`scale_intensity`]: crate::scale::scale_intensity
+//! The virtual-time engine and the wall-clock replayer both read a plan
+//! through [`ReplayPlan::try_for_each`]; a caller that wants the controlled
+//! trace as a value collects it into a [`BunchSink`](tracer_trace::BunchSink).
+//! `tests/plan_oracle.rs` checks the plan against a test-local copy written
+//! straight from the paper's rule.
 #![doc = "tracer-invariant: deterministic"]
 #![doc = "tracer-invariant: zero-copy"]
 
 use crate::filter::ProportionalFilter;
 use crate::scale::LoadControl;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use tracer_trace::{Bunch, BunchSource, IoPackage, Nanos, Trace, TraceError};
-
-/// Process-wide count of trace materializations (see
-/// [`trace_materializations`]).
-static MATERIALIZATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Record one trace materialization. Called by every function in this crate
-/// that produces an owned, load-controlled copy of a trace.
-pub(crate) fn record_materialization() {
-    MATERIALIZATIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Process-wide count of trace materializations performed by this crate
-/// ([`ProportionalFilter::filter`], [`RandomFilter::filter`],
-/// [`scale_intensity`], [`ReplayPlan::materialize`]) since the process
-/// started.
-///
-/// The counter exists so tests can assert the *absence* of copies: snapshot
-/// it, run a sweep, and require the delta to be zero. It is monotone and
-/// relaxed — use deltas, never absolute values, and keep positive controls
-/// in the same test as the zero assertion.
-///
-/// [`RandomFilter::filter`]: crate::filter::RandomFilter::filter
-/// [`scale_intensity`]: crate::scale::scale_intensity
-pub fn trace_materializations() -> u64 {
-    MATERIALIZATIONS.load(Ordering::Relaxed)
-}
+use tracer_trace::{BunchSource, IoPackage, Nanos, Trace, TraceError};
 
 /// A lazy, zero-allocation view of a bunch source under a [`LoadControl`].
 ///
 /// Construction validates the load (a zero intensity is not replayable);
-/// iteration applies the proportional filter and intensity scaling per bunch
-/// without cloning. The view is `Copy` — it is two words plus the borrow.
+/// [`ReplayPlan::try_for_each`] applies the proportional filter and
+/// intensity scaling per bunch without cloning. The view is `Copy` — it is
+/// two words plus the borrow.
 ///
 /// The source is anything implementing [`BunchSource`]: an in-memory
-/// [`Trace`] (the default type parameter, so `ReplayPlan<'_>` keeps meaning
-/// what it always has), an mmap-backed `TraceView`, or a `TraceHandle`
-/// wrapping either. [`ReplayPlan::try_for_each`] drives any source;
-/// [`ReplayPlan::iter`] and [`ReplayPlan::materialize`] remain available when
-/// the source is a `Trace`.
+/// [`Trace`] (the default type parameter), an mmap-backed `TraceView`, or a
+/// `TraceHandle` wrapping either.
 ///
 /// ```
 /// use tracer_replay::{LoadControl, ReplayPlan};
-/// use tracer_trace::{Bunch, IoPackage, Trace};
+/// use tracer_trace::{Bunch, BunchSink, IoPackage, Trace};
 ///
 /// let trace = Trace::from_bunches(
 ///     "demo",
@@ -88,7 +46,9 @@ pub fn trace_materializations() -> u64 {
 /// let plan = ReplayPlan::new(&trace, LoadControl { proportion_pct: 50, intensity_pct: 200 });
 /// assert_eq!(plan.len(), 5);
 /// // Bunch 2 (1-based) survives at 50 %; its 1 ms timestamp halves at 200 %.
-/// assert_eq!(plan.iter().next().unwrap().0, 500_000);
+/// let mut controlled = Trace::new("demo");
+/// plan.try_for_each(&mut |ts, ios| controlled.push(ts, ios)).expect("in-memory trace");
+/// assert_eq!(controlled.bunches[0].timestamp, 500_000);
 /// ```
 pub struct ReplayPlan<'a, S: BunchSource + ?Sized = Trace> {
     source: &'a S,
@@ -120,10 +80,7 @@ impl<'a, S: BunchSource + ?Sized> ReplayPlan<'a, S> {
     ///
     /// # Panics
     /// Panics if `load.intensity_pct` is zero (an intensity of zero is not
-    /// replayable) — the same contract as [`scale_intensity`], enforced
-    /// before any replay work starts.
-    ///
-    /// [`scale_intensity`]: crate::scale::scale_intensity
+    /// replayable), before any replay work starts.
     pub fn new(source: &'a S, load: LoadControl) -> Self {
         assert!(load.intensity_pct > 0, "intensity must be positive");
         Self { source, load }
@@ -152,10 +109,7 @@ impl<'a, S: BunchSource + ?Sized> ReplayPlan<'a, S> {
         self.len() == 0
     }
 
-    /// The intensity-scaled timestamp — bit-identical to
-    /// [`scale_intensity`]'s per-bunch arithmetic.
-    ///
-    /// [`scale_intensity`]: crate::scale::scale_intensity
+    /// The intensity-scaled timestamp.
     #[inline]
     fn scale_ts(&self, ts: Nanos) -> Nanos {
         if self.load.intensity_pct == 100 {
@@ -168,8 +122,7 @@ impl<'a, S: BunchSource + ?Sized> ReplayPlan<'a, S> {
 
     /// Visit the selected bunches as `(scaled timestamp, IO packages)` pairs,
     /// borrowing everything from the source. The filter index is 1-based,
-    /// matching [`ReplayPlan::iter`] and the materializing filter, so all
-    /// three paths select identical bunches. The only error source is the
+    /// as in [`ProportionalFilter::selects`]. The only error source is the
     /// underlying [`BunchSource`] (e.g. a corrupt v3 file discovered
     /// mid-scan); an in-memory trace cannot fail.
     pub fn try_for_each(&self, f: &mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), TraceError> {
@@ -184,43 +137,10 @@ impl<'a, S: BunchSource + ?Sized> ReplayPlan<'a, S> {
     }
 }
 
-impl<'a> ReplayPlan<'a, Trace> {
-    /// The borrowed source trace.
-    pub fn trace(&self) -> &'a Trace {
-        self.source
-    }
-
-    /// Iterate the selected bunches as `(scaled timestamp, IO packages)`
-    /// pairs, borrowing everything from the source trace.
-    pub fn iter(&self) -> impl Iterator<Item = (Nanos, &'a [IoPackage])> {
-        let plan = *self;
-        self.source
-            .bunches
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| {
-                ProportionalFilter::selects(plan.load.proportion_pct, *i as u64 + 1)
-            })
-            .map(move |(_, b)| (plan.scale_ts(b.timestamp), b.ios.as_slice()))
-    }
-
-    /// Materialize the plan into an owned trace — the same trace
-    /// [`LoadControl::apply`] produces. This is the *opt-in* copy (it counts
-    /// toward [`trace_materializations`]); replay itself never calls it.
-    pub fn materialize(&self) -> Trace {
-        record_materialization();
-        let bunches =
-            // tracer-lint: allow(zero-copy) -- materialize IS the opt-in copy, counted above
-            self.iter().map(|(timestamp, ios)| Bunch { timestamp, ios: ios.to_vec() }).collect();
-        // tracer-lint: allow(zero-copy) -- materialize IS the opt-in copy, counted above
-        Trace { device: self.source.device.clone(), bunches }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracer_trace::IoPackage;
+    use tracer_trace::{Bunch, BunchSink, IoPackage};
 
     fn trace_of(n: usize) -> Trace {
         Trace::from_bunches(
@@ -234,28 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_apply_across_the_grid() {
-        let t = trace_of(37);
-        for proportion in [0u32, 1, 10, 33, 50, 99, 100, 150] {
-            for intensity in [1u32, 10, 100, 250, 1000] {
-                let load = LoadControl { proportion_pct: proportion, intensity_pct: intensity };
-                let plan = ReplayPlan::new(&t, load);
-                assert_eq!(
-                    plan.materialize(),
-                    load.apply(&t),
-                    "proportion {proportion} intensity {intensity}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn len_is_the_bresenham_count() {
         let t = trace_of(101);
         for pct in 0..=120u32 {
             let plan = ReplayPlan::new(&t, LoadControl::proportion(pct));
             assert_eq!(plan.len() as u64, 101 * u64::from(pct.min(100)) / 100, "pct {pct}");
-            assert_eq!(plan.iter().count(), plan.len(), "pct {pct}");
+            let mut visited = 0;
+            plan.try_for_each(&mut |_, _| visited += 1).unwrap();
+            assert_eq!(visited, plan.len(), "pct {pct}");
             #[allow(clippy::len_zero)] // the point is that is_empty agrees with len
             {
                 assert_eq!(plan.is_empty(), plan.len() == 0);
@@ -267,40 +173,13 @@ mod tests {
     fn iteration_borrows_the_source_ios() {
         let t = trace_of(10);
         let plan = ReplayPlan::new(&t, LoadControl::proportion(50));
-        for (_, ios) in plan.iter() {
-            // Yielded slices point into the source trace's allocations.
+        plan.try_for_each(&mut |_, ios| {
+            // Visited slices point into the source trace's allocations.
             let owns =
                 t.bunches.iter().any(|b| std::ptr::eq(b.ios.as_slice().as_ptr(), ios.as_ptr()));
             assert!(owns, "plan must not copy IO packages");
-        }
-    }
-
-    #[test]
-    fn iteration_does_not_count_as_materialization() {
-        let t = trace_of(25);
-        let plan = ReplayPlan::new(&t, LoadControl { proportion_pct: 40, intensity_pct: 300 });
-        let before = trace_materializations();
-        let total: usize = plan.iter().map(|(_, ios)| ios.len()).sum();
-        assert_eq!(total, 10);
-        assert_eq!(trace_materializations(), before, "iteration must be copy-free");
-        let _ = plan.materialize();
-        assert!(trace_materializations() > before, "materialize is the opt-in copy");
-    }
-
-    #[test]
-    fn try_for_each_agrees_with_iter_across_sources() {
-        let t = trace_of(37);
-        for proportion in [0u32, 33, 50, 100] {
-            for intensity in [50u32, 100, 200] {
-                let load = LoadControl { proportion_pct: proportion, intensity_pct: intensity };
-                let plan = ReplayPlan::new(&t, load);
-                let via_iter: Vec<(u64, Vec<IoPackage>)> =
-                    plan.iter().map(|(ts, ios)| (ts, ios.to_vec())).collect();
-                let mut via_visit = Vec::new();
-                plan.try_for_each(&mut |ts, ios| via_visit.push((ts, ios.to_vec()))).unwrap();
-                assert_eq!(via_iter, via_visit, "p{proportion} i{intensity}");
-            }
-        }
+        })
+        .unwrap();
     }
 
     #[test]
@@ -311,14 +190,15 @@ mod tests {
     }
 
     #[test]
-    fn saturating_scale_matches_scale_intensity() {
+    fn saturating_scale_clamps_at_u64_max() {
         let t = Trace::from_bunches(
             "sat",
             vec![Bunch::new(u64::MAX - 5, vec![IoPackage::read(0, 512)])],
         );
-        let plan = ReplayPlan::new(&t, LoadControl::intensity(1));
-        let (ts, _) = plan.iter().next().unwrap();
-        assert_eq!(ts, u64::MAX);
-        assert_eq!(crate::scale::scale_intensity(&t, 1).bunches[0].timestamp, ts);
+        let mut out = Trace::new("sat");
+        ReplayPlan::new(&t, LoadControl::intensity(1))
+            .try_for_each(&mut |ts, ios| out.push(ts, ios))
+            .unwrap();
+        assert_eq!(out.bunches[0].timestamp, u64::MAX);
     }
 }

@@ -6,36 +6,15 @@
 //! 30 % or 200 %, 1000 %, 1 % of original intensity" (§III-B, Fig. 2). An
 //! intensity of 200 % halves every idle gap; 1 % stretches the trace a
 //! hundredfold. Bunch contents are untouched — only timestamps move.
+//!
+//! [`LoadControl`] names both knobs; [`ReplayPlan`](crate::ReplayPlan)
+//! applies them per bunch while a replay scans its source.
 
 use serde::{Deserialize, Serialize};
-use tracer_trace::{Bunch, Trace};
-
-/// Scale a trace's intensity to `percent` of the original (100 = unchanged).
-/// Timestamps are multiplied by `100 / percent` with 128-bit intermediate
-/// precision, so arbitrarily long traces cannot overflow.
-///
-/// # Panics
-/// Panics if `percent` is zero (an intensity of zero is not replayable).
-pub fn scale_intensity(trace: &Trace, percent: u32) -> Trace {
-    assert!(percent > 0, "intensity must be positive");
-    crate::plan::record_materialization();
-    if percent == 100 {
-        return trace.clone();
-    }
-    let bunches = trace
-        .bunches
-        .iter()
-        .map(|b| Bunch {
-            timestamp: (u128::from(b.timestamp) * 100 / u128::from(percent))
-                .min(u128::from(u64::MAX)) as u64,
-            ios: b.ios.clone(),
-        })
-        .collect();
-    Trace { device: trace.device.clone(), bunches }
-}
 
 /// Combined load control: the proportional filter followed by intensity
-/// scaling — the two mechanisms TRACER's GUI exposes.
+/// scaling — the two mechanisms TRACER's GUI exposes. A
+/// [`ReplayPlan`](crate::ReplayPlan) applies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadControl {
     /// Proportion of bunches replayed, 0–100 (the filter of §IV).
@@ -61,24 +40,14 @@ impl LoadControl {
     pub fn intensity(pct: u32) -> Self {
         Self { proportion_pct: 100, intensity_pct: pct }
     }
-
-    /// Apply both controls to a trace.
-    pub fn apply(&self, trace: &Trace) -> Trace {
-        let filtered =
-            crate::filter::ProportionalFilter::default().filter(trace, self.proportion_pct);
-        if self.intensity_pct == 100 {
-            filtered
-        } else {
-            scale_intensity(&filtered, self.intensity_pct)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReplayPlan;
     use proptest::prelude::*;
-    use tracer_trace::IoPackage;
+    use tracer_trace::{Bunch, BunchSink, IoPackage, Trace};
 
     fn trace_of(n: usize) -> Trace {
         Trace::from_bunches(
@@ -89,10 +58,17 @@ mod tests {
         )
     }
 
+    /// The trace a replay of `t` under `load` sees.
+    fn controlled(t: &Trace, load: LoadControl) -> Trace {
+        let mut out = Trace::new(t.device.clone());
+        ReplayPlan::new(t, load).try_for_each(&mut |ts, ios| out.push(ts, ios)).unwrap();
+        out
+    }
+
     #[test]
     fn double_intensity_halves_gaps() {
         let t = trace_of(10);
-        let fast = scale_intensity(&t, 200);
+        let fast = controlled(&t, LoadControl::intensity(200));
         assert_eq!(fast.bunches[1].timestamp, 1_000_000);
         assert_eq!(fast.duration(), t.duration() / 2);
         assert_eq!(fast.io_count(), t.io_count());
@@ -101,7 +77,7 @@ mod tests {
     #[test]
     fn one_percent_stretches_hundredfold() {
         let t = trace_of(5);
-        let slow = scale_intensity(&t, 1);
+        let slow = controlled(&t, LoadControl::intensity(1));
         assert_eq!(slow.bunches[1].timestamp, 200_000_000);
         assert_eq!(slow.duration(), t.duration() * 100);
     }
@@ -109,20 +85,19 @@ mod tests {
     #[test]
     fn hundred_percent_is_identity() {
         let t = trace_of(7);
-        assert_eq!(scale_intensity(&t, 100), t);
+        assert_eq!(controlled(&t, LoadControl::intensity(100)), t);
     }
 
     #[test]
     #[should_panic(expected = "intensity must be positive")]
     fn zero_intensity_panics() {
-        scale_intensity(&trace_of(1), 0);
+        controlled(&trace_of(1), LoadControl::intensity(0));
     }
 
     #[test]
     fn load_control_composes() {
         let t = trace_of(100);
-        let lc = LoadControl { proportion_pct: 50, intensity_pct: 200 };
-        let out = lc.apply(&t);
+        let out = controlled(&t, LoadControl { proportion_pct: 50, intensity_pct: 200 });
         assert_eq!(out.bunch_count(), 50);
         // Selected bunch 2 (1-based) has original ts 2ms, scaled to 1ms.
         assert_eq!(out.bunches[0].timestamp, 1_000_000);
@@ -139,7 +114,7 @@ mod tests {
             LoadControl::intensity(500),
             LoadControl { proportion_pct: 100, intensity_pct: 500 }
         );
-        assert_eq!(LoadControl::default().apply(&trace_of(3)), trace_of(3));
+        assert_eq!(controlled(&trace_of(3), LoadControl::default()), trace_of(3));
     }
 
     proptest! {
@@ -149,7 +124,7 @@ mod tests {
             pct in 1u32..1000,
         ) {
             let t = trace_of(n);
-            let out = scale_intensity(&t, pct);
+            let out = controlled(&t, LoadControl::intensity(pct));
             prop_assert!(out.validate().is_ok());
             prop_assert_eq!(out.io_count(), t.io_count());
             prop_assert_eq!(out.total_bytes(), t.total_bytes());
@@ -164,7 +139,8 @@ mod tests {
                 [1, 2, 4, 5, 8, 10, 16, 20, 25, 40, 50, 80, 100, 125, 200, 250, 400];
             let pct = EXACT[pct_idx];
             let t = trace_of(n);
-            let back = scale_intensity(&scale_intensity(&t, pct), 10_000 / pct);
+            let scaled = controlled(&t, LoadControl::intensity(pct));
+            let back = controlled(&scaled, LoadControl::intensity(10_000 / pct));
             // Each floor division loses < 1 output unit; the round trip
             // recovers every timestamp to within ⌈pct/100⌉ ns and never
             // overshoots the original.

@@ -1,22 +1,38 @@
 //! Oracle tests for the zero-copy replay plan: the lazy path must produce
-//! reports **byte-identical** to the materialize-then-replay path
-//! (`LoadControl::apply`, then a replay of the copy at the default 100 %
-//! load, which selects every bunch and leaves timestamps unscaled) for
-//! arbitrary traces at any (proportion, intensity) pair — the same oracle
-//! technique the elevator index used against the linear scan.
+//! reports **byte-identical** to replaying a controlled copy (built by
+//! [`controlled_copy`] straight from the paper's rule, then replayed at the
+//! default 100 % load, which selects every bunch and leaves timestamps
+//! unscaled) for arbitrary traces at any (proportion, intensity) pair.
 //!
 //! "Byte-identical" is literal: the two [`ReplayReport`]s are serialized
 //! with `serde_json` and the strings compared, so every completion instant,
 //! sample bin, and summary float must match bit for bit.
 
 use proptest::prelude::*;
-use tracer_replay::{try_replay, AddressPolicy, LoadControl, ReplayConfig, ReplayPlan};
+use tracer_replay::{try_replay, LoadControl, ReplayConfig, ReplayPlan};
 use tracer_sim::{ArraySpec, SimDuration};
-use tracer_trace::{Bunch, IoPackage, Trace};
+use tracer_trace::{Bunch, BunchSink, IoPackage, Trace};
+
+/// The controlled trace, written from the paper's rule (§IV, §III-B): bunch
+/// `j` (1-based) survives at `p` % iff `⌊j·p/100⌋ > ⌊(j−1)·p/100⌋` with `p`
+/// clamped to 100, and keeps its timestamp scaled to `⌊ts·100/intensity⌋`,
+/// saturating at `u64::MAX`.
+fn controlled_copy(trace: &Trace, load: LoadControl) -> Trace {
+    let p = u128::from(load.proportion_pct.min(100));
+    let bunches = (1u128..)
+        .zip(&trace.bunches)
+        .filter(|(j, _)| j * p / 100 > (j - 1) * p / 100)
+        .map(|(_, b)| {
+            let ts = u128::from(b.timestamp) * 100 / u128::from(load.intensity_pct);
+            Bunch::new(ts.min(u128::from(u64::MAX)) as u64, b.ios.clone())
+        })
+        .collect();
+    Trace::from_bunches(trace.device.clone(), bunches)
+}
 
 /// Arbitrary traces: up to 40 bunches of up to 5 IOs each, with arbitrary
-/// (possibly zero) inter-arrival gaps, mixed reads/writes, and sectors that
-/// exercise both address policies.
+/// (possibly zero) inter-arrival gaps, mixed reads/writes, and sectors spread
+/// over the first 2 M sectors.
 fn arb_trace() -> impl Strategy<Value = Trace> {
     let io = (0u64..2_000_000u64, 512u32..65_536u32, any::<bool>()).prop_map(
         |(sector, bytes, write)| {
@@ -44,28 +60,23 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The tentpole contract: zero-copy replay == filter→scale→replay,
-    /// byte for byte, including >100 % intensities and proportions beyond
-    /// the 100 % clamp.
+    /// The contract: zero-copy replay == copy→replay, byte for byte,
+    /// including >100 % intensities and proportions beyond the 100 % clamp.
     #[test]
     fn plan_report_is_byte_identical_to_materialized_path(
         trace in arb_trace(),
         proportion in 0u32..=150,
         intensity in 1u32..=1000,
-        skip_policy in any::<bool>(),
     ) {
         let load = LoadControl { proportion_pct: proportion, intensity_pct: intensity };
-        let policy = if skip_policy { AddressPolicy::Skip } else { AddressPolicy::Wrap };
-        let cfg = ReplayConfig { load, address_policy: policy, warmup: SimDuration::ZERO };
+        let cfg = ReplayConfig { load, warmup: SimDuration::ZERO };
 
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let zero_copy = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
 
-        // The pre-change path, kept as the oracle: materialize the
-        // controlled trace, then replay the copy.
-        let controlled = load.apply(&trace);
+        let controlled = controlled_copy(&trace, load);
         let mut sim = ArraySpec::hdd_raid5(4).build();
-        let prepared = ReplayConfig { address_policy: policy, ..Default::default() };
+        let prepared = ReplayConfig::default();
         let materialized = try_replay(&mut sim, &controlled, &prepared).expect("in-memory trace");
 
         prop_assert_eq!(
@@ -85,12 +96,12 @@ proptest! {
     ) {
         let load = LoadControl { proportion_pct: proportion, intensity_pct: intensity };
         let warmup = SimDuration::from_millis(warmup_ms);
-        let cfg = ReplayConfig { load, address_policy: AddressPolicy::Wrap, warmup };
+        let cfg = ReplayConfig { load, warmup };
 
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let zero_copy = try_replay(&mut sim, &trace, &cfg).expect("in-memory trace");
 
-        let controlled = load.apply(&trace);
+        let controlled = controlled_copy(&trace, load);
         let mut sim = ArraySpec::hdd_raid5(4).build();
         let prepared = ReplayConfig { warmup, ..Default::default() };
         let materialized = try_replay(&mut sim, &controlled, &prepared).expect("in-memory trace");
@@ -101,17 +112,17 @@ proptest! {
         );
     }
 
-    /// `ReplayPlan::materialize` and `LoadControl::apply` build the same
-    /// owned trace (so the lazy view selects and scales exactly like the
-    /// materializing code it replaces).
+    /// The plan visits exactly the controlled copy's bunches, timestamps
+    /// and IO packages, in order.
     #[test]
-    fn plan_materialize_equals_load_control_apply(
+    fn plan_visits_exactly_the_controlled_copy(
         trace in arb_trace(),
         proportion in 0u32..=150,
         intensity in 1u32..=1000,
     ) {
         let load = LoadControl { proportion_pct: proportion, intensity_pct: intensity };
-        let plan = ReplayPlan::new(&trace, load);
-        prop_assert_eq!(plan.materialize(), load.apply(&trace));
+        let mut visited = Trace::new(trace.device.clone());
+        ReplayPlan::new(&trace, load).try_for_each(&mut |ts, ios| visited.push(ts, ios)).unwrap();
+        prop_assert_eq!(visited, controlled_copy(&trace, load));
     }
 }

@@ -8,10 +8,9 @@
 
 use proptest::prelude::*;
 use tracer_replay::{
-    try_replay, try_replay_observed, AddressPolicy, PerfSample, PerfSummary, PerformanceMonitor,
-    ReplayConfig,
+    try_replay, try_replay_observed, PerfSample, PerfSummary, PerformanceMonitor, ReplayConfig,
 };
-use tracer_sim::{ArraySim, ArraySpec, Completion, SimDuration, SimTime};
+use tracer_sim::{ArraySpec, Completion, SimDuration, SimTime};
 use tracer_trace::{Bunch, IoPackage, OpKind, Trace};
 
 fn bin_oracle(
@@ -264,16 +263,13 @@ proptest! {
     }
 }
 
-/// `n` bunches `gap_us` apart; from `in_range` on, every sector lies past the
-/// array (so `AddressPolicy::Skip` issues nothing for the tail).
-fn trace(sim: &ArraySim, n: usize, gap_us: u64, in_range: usize) -> Trace {
-    let capacity = sim.data_capacity_sectors();
+/// `n` bunches of two IOs, `gap_us` apart.
+fn trace(n: usize, gap_us: u64) -> Trace {
     Trace::from_bunches(
         "t",
         (0..n)
             .map(|i| {
-                let sector =
-                    if i < in_range { (i as u64 * 7_919) % 1_000_000 } else { capacity + i as u64 };
+                let sector = (i as u64 * 7_919) % 1_000_000;
                 let io = if i % 3 == 0 {
                     IoPackage::write(sector, 4096)
                 } else {
@@ -287,15 +283,14 @@ fn trace(sim: &ArraySim, n: usize, gap_us: u64, in_range: usize) -> Trace {
 
 /// Replay both ways and check the streamed report against the oracle applied
 /// to the collected completions; returns how many batches the observer saw.
-fn check_replay(trace_of: impl Fn(&ArraySim) -> Trace, cfg: &ReplayConfig) -> usize {
+fn check_replay(trace: &Trace, cfg: &ReplayConfig) -> usize {
     let mut sim = ArraySpec::ssd_raid5(4).build();
-    let trace = trace_of(&sim);
-    let collected = try_replay(&mut sim, &trace, cfg).expect("in-memory trace");
+    let collected = try_replay(&mut sim, trace, cfg).expect("in-memory trace");
 
     let mut sim = ArraySpec::ssd_raid5(4).build();
     let mut batches = 0;
     let mut seen = Vec::new();
-    let streamed = try_replay_observed(&mut sim, &trace, cfg, |sim, batch| {
+    let streamed = try_replay_observed(&mut sim, trace, cfg, |sim, batch| {
         assert!(sim.completions().is_empty(), "a batch is handed over drained");
         assert!(!batch.is_empty());
         batches += 1;
@@ -355,7 +350,7 @@ fn latencies_either_side_of_the_narrow_column_limit() {
 fn driver_batches_match_the_oracle() {
     // ~3.3 s of 2-IO bunches: batch hand-offs every 512 completions, then
     // the idle one.
-    let batches = check_replay(|sim| trace(sim, 6_500, 500, 6_500), &ReplayConfig::default());
+    let batches = check_replay(&trace(6_500, 500), &ReplayConfig::default());
     assert_eq!(batches, 26, "13 000 completions in batches of 512");
 }
 
@@ -364,17 +359,6 @@ fn warmup_inside_and_beyond_the_run() {
     for warmup_ms in [700, 3_600_000] {
         let cfg =
             ReplayConfig { warmup: SimDuration::from_millis(warmup_ms), ..Default::default() };
-        check_replay(|sim| trace(sim, 3_000, 500, 3_000), &cfg);
+        check_replay(&trace(3_000, 500), &cfg);
     }
-}
-
-#[test]
-fn skip_policy_tail_that_issues_nothing() {
-    // The last 400 bunches (200 ms) lie out of range: the window still ends
-    // at the last completion, not at the last bunch.
-    let cfg = ReplayConfig { address_policy: AddressPolicy::Skip, ..Default::default() };
-    check_replay(|sim| trace(sim, 3_000, 500, 2_600), &cfg);
-    // Nothing in range at all: an empty run.
-    let batches = check_replay(|sim| trace(sim, 50, 500, 0), &cfg);
-    assert_eq!(batches, 0);
 }

@@ -15,28 +15,14 @@
 //! saw) becomes an IO package; events inside the bunch window coalesce.
 //! Lengths are in 512-byte sectors, timestamps in seconds.
 //!
-//! # Ingest performance
-//!
-//! Real blkparse dumps run to tens of millions of lines, so the hot path is
-//! allocation-free and parallel:
-//!
-//! * [`parse_line`] walks the whitespace-separated fields with an iterator —
-//!   no per-line `Vec<&str>` — and [`parse_str`] drives it over `str::lines`
-//!   without per-line `String`s;
-//! * [`parse_str_parallel`] splits the input at line boundaries into one
-//!   chunk per worker, parses chunks on scoped threads, and merges in chunk
-//!   order (identical to serial order). The earliest failing chunk wins and
-//!   its error line number is rebased by the line counts of the preceding
-//!   chunks, so errors too are byte-identical to the serial path;
-//! * [`convert_parallel`] bunches in parallel by cutting the sorted event
-//!   stream only at *guaranteed* bunch boundaries — gaps wider than the
-//!   bunch window, which force a flush regardless of any prior state — so
-//!   independently bunched chunks concatenate into exactly the serial trace
-//!   at every worker count.
+//! [`parse_line`] walks the whitespace-separated fields with an iterator —
+//! no per-line `Vec<&str>` — and [`parse_str`] drives it over `str::lines`
+//! without per-line `String`s; [`convert`] hands the events to
+//! [`Trace::from_timed_ios`], the bunching step it shares with the `.srt`
+//! converter.
 
 use crate::error::TraceError;
-use crate::model::{Bunch, IoPackage, Nanos, OpKind, Trace};
-use std::io::BufRead;
+use crate::model::{IoPackage, Nanos, OpKind, Trace};
 use std::path::Path;
 
 /// Which blktrace action to import.
@@ -103,7 +89,11 @@ pub fn parse_line(
     action: Action,
     lineno: usize,
 ) -> Result<Option<BlkEvent>, TraceError> {
-    let err = |reason: &str| TraceError::SrtParse { line: lineno, reason: reason.to_string() };
+    let err = |reason: &str| TraceError::Parse {
+        format: "blkparse",
+        line: lineno,
+        reason: reason.to_string(),
+    };
     let body = line.trim();
     if body.is_empty() || !body.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         return Ok(None); // blkparse summary sections, headers
@@ -143,6 +133,9 @@ pub fn parse_line(
     if sectors == 0 {
         return Ok(None);
     }
+    if sectors > u32::MAX / 512 {
+        return Err(err("length exceeds 4 GiB"));
+    }
     let is_write = rwbs.contains('W');
     let is_read = rwbs.contains('R');
     if !is_write && !is_read {
@@ -151,12 +144,13 @@ pub fn parse_line(
     Ok(Some(BlkEvent { major, minor, timestamp_s, sector, sectors, is_write }))
 }
 
-/// Parse a whole `blkparse` text stream into events.
-pub fn parse<R: BufRead>(reader: R, opts: &BlkparseOptions) -> Result<Vec<BlkEvent>, TraceError> {
+/// Parse an in-memory `blkparse` text dump into the events
+/// [`BlkparseOptions`] selects. Lines are borrowed from `input` and fields
+/// are walked by iterator, so nothing is allocated per line.
+pub fn parse_str(input: &str, opts: &BlkparseOptions) -> Result<Vec<BlkEvent>, TraceError> {
     let mut events = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        if let Some(ev) = parse_line(&line, opts.action, idx + 1)? {
+    for (idx, line) in input.lines().enumerate() {
+        if let Some(ev) = parse_line(line, opts.action, idx + 1)? {
             if opts.device_filter.is_none_or(|(mj, mn)| ev.major == mj && ev.minor == mn) {
                 events.push(ev);
             }
@@ -165,210 +159,21 @@ pub fn parse<R: BufRead>(reader: R, opts: &BlkparseOptions) -> Result<Vec<BlkEve
     Ok(events)
 }
 
-/// Parse an in-memory `blkparse` text dump. Unlike [`parse`] this allocates
-/// nothing per line: lines are borrowed from `input` and fields are walked
-/// by iterator.
-pub fn parse_str(input: &str, opts: &BlkparseOptions) -> Result<Vec<BlkEvent>, TraceError> {
-    parse_chunk(input, opts, 1).1
-}
-
-/// Parse one chunk whose first line is global line `first_lineno`. Returns
-/// the number of lines seen alongside the events, so callers can rebase the
-/// line numbers of later chunks.
-fn parse_chunk(
-    chunk: &str,
-    opts: &BlkparseOptions,
-    first_lineno: usize,
-) -> (usize, Result<Vec<BlkEvent>, TraceError>) {
-    let mut events = Vec::new();
-    let mut lines = 0usize;
-    for (idx, line) in chunk.lines().enumerate() {
-        lines = idx + 1;
-        match parse_line(line, opts.action, first_lineno + idx) {
-            Ok(Some(ev)) => {
-                if opts.device_filter.is_none_or(|(mj, mn)| ev.major == mj && ev.minor == mn) {
-                    events.push(ev);
-                }
-            }
-            Ok(None) => {}
-            Err(e) => return (lines, Err(e)),
-        }
-    }
-    (lines, Ok(events))
-}
-
-/// Split `input` into roughly `parts` chunks, cutting only just past a
-/// newline so every chunk is a whole number of lines.
-fn split_at_line_boundaries(input: &str, parts: usize) -> Vec<&str> {
-    let bytes = input.as_bytes();
-    let len = input.len();
-    let target = len.div_ceil(parts.max(1)).max(1);
-    let mut chunks = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    while start < len {
-        let mut end = (start + target).min(len);
-        while end < len && bytes[end - 1] != b'\n' {
-            end += 1;
-        }
-        chunks.push(&input[start..end]);
-        start = end;
-    }
-    chunks
-}
-
-/// Parse an in-memory dump on `workers` scoped threads.
-///
-/// The input splits at line boundaries into one chunk per worker; chunks
-/// parse independently (each with chunk-relative line numbers) and merge in
-/// chunk order, which *is* serial order. The result — events or error,
-/// including the error's absolute line number — is identical to
-/// [`parse_str`] at every worker count.
-pub fn parse_str_parallel(
-    input: &str,
-    opts: &BlkparseOptions,
-    workers: usize,
-) -> Result<Vec<BlkEvent>, TraceError> {
-    if workers <= 1 {
-        return parse_str(input, opts);
-    }
-    let chunks = split_at_line_boundaries(input, workers);
-    if chunks.len() <= 1 {
-        return parse_str(input, opts);
-    }
-    let results: Vec<(usize, Result<Vec<BlkEvent>, TraceError>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            chunks.iter().map(|chunk| scope.spawn(move || parse_chunk(chunk, opts, 1))).collect();
-        handles.into_iter().map(|h| h.join().expect("parse worker panicked")).collect()
-    });
-    // Merge in chunk order. The earliest errored chunk wins; every chunk
-    // before it parsed fully, so their line counts rebase its relative line
-    // number to the absolute one the serial parser would report.
-    let mut events = Vec::new();
-    let mut lines_before = 0usize;
-    for (lines, res) in results {
-        match res {
-            Ok(mut evs) => {
-                events.append(&mut evs);
-                lines_before += lines;
-            }
-            Err(TraceError::SrtParse { line, reason }) => {
-                return Err(TraceError::SrtParse { line: lines_before + line, reason })
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(events)
-}
-
-/// The serial bunching loop over pre-sorted, pre-rebased events: greedy
-/// window coalescing, exactly as [`convert`] has always done it.
-fn bunch_events(evs: &[&BlkEvent], ts: &[Nanos], window: Nanos) -> Vec<Bunch> {
-    let mut bunches = Vec::new();
-    let mut bunch_start: Nanos = 0;
-    let mut pending: Vec<IoPackage> = Vec::new();
-    for (ev, &t) in evs.iter().zip(ts) {
-        if !pending.is_empty() && t.saturating_sub(bunch_start) > window {
-            bunches.push(Bunch::new(bunch_start, std::mem::take(&mut pending)));
-            bunch_start = t;
-        } else if pending.is_empty() {
-            bunch_start = t;
-        }
-        let kind = if ev.is_write { OpKind::Write } else { OpKind::Read };
-        pending.push(IoPackage::new(ev.sector, ev.sectors * 512, kind));
-    }
-    if !pending.is_empty() {
-        bunches.push(Bunch::new(bunch_start, pending));
-    }
-    bunches
-}
-
-/// Sort events by timestamp (stable, so equal timestamps keep input order)
-/// and rebase to nanoseconds from the first event.
-fn sorted_rebased(events: &[BlkEvent]) -> (Vec<&BlkEvent>, Vec<Nanos>) {
-    let mut evs: Vec<&BlkEvent> = events.iter().collect();
-    evs.sort_by(|a, b| a.timestamp_s.total_cmp(&b.timestamp_s));
-    let base = evs.first().map_or(0, |first| (first.timestamp_s * 1e9).round() as Nanos);
-    let ts = evs
-        .iter()
-        .map(|ev| ((ev.timestamp_s * 1e9).round() as Nanos).saturating_sub(base))
-        .collect();
-    (evs, ts)
-}
-
 /// Convert events into a replay-format trace (sorted, rebased to t = 0,
-/// bunched by the option window).
+/// bunched by the option window; see [`Trace::from_timed_ios`]).
 pub fn convert(events: &[BlkEvent], device: &str, opts: &BlkparseOptions) -> Trace {
-    let (evs, ts) = sorted_rebased(events);
-    let mut trace = Trace::new(device);
-    for bunch in bunch_events(&evs, &ts, opts.bunch_window_ns) {
-        trace.push_bunch(bunch);
-    }
-    trace
+    let ios = events
+        .iter()
+        .map(|ev| {
+            let kind = if ev.is_write { OpKind::Write } else { OpKind::Read };
+            (ev.timestamp_s, IoPackage::new(ev.sector, ev.sectors * 512, kind))
+        })
+        .collect();
+    Trace::from_timed_ios(device, opts.bunch_window_ns, ios)
 }
 
-/// Convert events on `workers` scoped threads, bit-identical to [`convert`].
-///
-/// The sorted stream is cut only where consecutive rebased timestamps are
-/// more than the bunch window apart. Such a gap forces the serial loop to
-/// flush no matter what precedes it (the open bunch started at or before the
-/// earlier timestamp), so each chunk bunches independently and the chunks
-/// concatenate into exactly the serial result. A stream with no wide gaps
-/// degrades gracefully to one chunk.
-pub fn convert_parallel(
-    events: &[BlkEvent],
-    device: &str,
-    opts: &BlkparseOptions,
-    workers: usize,
-) -> Trace {
-    if workers <= 1 {
-        return convert(events, device, opts);
-    }
-    let (evs, ts) = sorted_rebased(events);
-    let mut trace = Trace::new(device);
-
-    // Cut points: chunk k is evs[cuts[k]..cuts[k+1]). Each interior cut is a
-    // guaranteed bunch boundary at or after the even split point.
-    let mut cuts = vec![0usize];
-    let target = evs.len().div_ceil(workers).max(1);
-    let mut i = target;
-    while i < evs.len() {
-        while i < evs.len() && ts[i] - ts[i - 1] <= opts.bunch_window_ns {
-            i += 1;
-        }
-        if i < evs.len() {
-            cuts.push(i);
-        }
-        i += target;
-    }
-    cuts.push(evs.len());
-
-    if cuts.len() <= 2 {
-        for bunch in bunch_events(&evs, &ts, opts.bunch_window_ns) {
-            trace.push_bunch(bunch);
-        }
-        return trace;
-    }
-
-    let chunks: Vec<Vec<Bunch>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = cuts
-            .windows(2)
-            .map(|w| {
-                let (evs, ts) = (&evs[w[0]..w[1]], &ts[w[0]..w[1]]);
-                scope.spawn(move || bunch_events(evs, ts, opts.bunch_window_ns))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("bunch worker panicked")).collect()
-    });
-    for chunk in chunks {
-        for bunch in chunk {
-            trace.push_bunch(bunch);
-        }
-    }
-    trace
-}
-
-/// Parse and convert a `blkparse` text file in one step (the zero-alloc
-/// serial path: the file is read once and lines are borrowed from it).
+/// Parse and convert a `blkparse` text file in one step (the file is read
+/// once and lines are borrowed from it).
 pub fn convert_file(
     path: &Path,
     device: &str,
@@ -379,23 +184,9 @@ pub fn convert_file(
     Ok(convert(&events, device, opts))
 }
 
-/// Parse and convert a `blkparse` text file on `workers` threads. The trace
-/// is byte-identical to [`convert_file`]'s at every worker count.
-pub fn convert_file_parallel(
-    path: &Path,
-    device: &str,
-    opts: &BlkparseOptions,
-    workers: usize,
-) -> Result<Trace, TraceError> {
-    let input = std::fs::read_to_string(path)?;
-    let events = parse_str_parallel(&input, opts, workers)?;
-    Ok(convert_parallel(&events, device, opts, workers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     const SAMPLE: &str = "\
   8,0    3        1     0.000000000  4053  Q   R 9656328 + 8 [fio]
@@ -416,7 +207,7 @@ Total (8,0):
 
     #[test]
     fn parses_dispatch_rows_only() {
-        let events = parse(Cursor::new(SAMPLE), &opts()).unwrap();
+        let events = parse_str(SAMPLE, &opts()).unwrap();
         // Four D rows with data; the N (no-data) row and summaries skipped.
         assert_eq!(events.len(), 4);
         assert_eq!(events[0].sector, 9_656_328);
@@ -429,22 +220,22 @@ Total (8,0):
     #[test]
     fn queue_and_complete_actions_selectable() {
         let q = BlkparseOptions { action: Action::Queue, ..opts() };
-        assert_eq!(parse(Cursor::new(SAMPLE), &q).unwrap().len(), 1);
+        assert_eq!(parse_str(SAMPLE, &q).unwrap().len(), 1);
         let c = BlkparseOptions { action: Action::Complete, ..opts() };
-        assert_eq!(parse(Cursor::new(SAMPLE), &c).unwrap().len(), 1);
+        assert_eq!(parse_str(SAMPLE, &c).unwrap().len(), 1);
     }
 
     #[test]
     fn device_filter() {
         let f = BlkparseOptions { device_filter: Some((8, 0)), ..opts() };
-        let events = parse(Cursor::new(SAMPLE), &f).unwrap();
+        let events = parse_str(SAMPLE, &f).unwrap();
         assert_eq!(events.len(), 3);
         assert!(events.iter().all(|e| e.minor == 0));
     }
 
     #[test]
     fn converts_to_bunched_trace() {
-        let events = parse(Cursor::new(SAMPLE), &opts()).unwrap();
+        let events = parse_str(SAMPLE, &opts()).unwrap();
         let t = convert(&events, "sda", &opts());
         // (0.00001), (0.002, 0.00202), (0.0025 -> other disk, same trace
         // since convert doesn't filter) => windows: first alone; 0.002+0.00202
@@ -476,9 +267,17 @@ Total (8,0):
             "  8,0 0 1 -1.0 99 D R 100 + 8 [x]",
             "  8,0 0 1 0.1 99 D R badsector + 8 [x]",
             "  8,0 0 1 0.1 99 D R 100 + badlen [x]",
+            "  8,0 0 1 0.1 99 D R 100 + 8388608 [x]",
         ] {
             assert!(parse_line(bad, Action::Dispatch, 7).is_err(), "should reject {bad:?}");
         }
+        // The largest length whose byte count fits the IO package's u32.
+        let max = "  8,0 0 1 0.1 99 D R 100 + 8388607 [x]";
+        let ev = parse_line(max, Action::Dispatch, 1).unwrap().unwrap();
+        assert_eq!(ev.sectors * 512, u32::MAX - 511);
+        // Errors name the format and the line.
+        let err = parse_str("\n  8,0 0 1 notatime 99 D R 100 + 8 [x]\n", &opts()).unwrap_err();
+        assert_eq!(err.to_string(), "blkparse parse error at line 2: bad timestamp");
         // Rows that merely aren't events pass through as None.
         assert_eq!(parse_line("", Action::Dispatch, 1).unwrap(), None);
         assert_eq!(parse_line("CPU0 (8,0):", Action::Dispatch, 1).unwrap(), None);
@@ -497,153 +296,6 @@ Total (8,0):
         std::fs::write(&path, SAMPLE).unwrap();
         let t = convert_file(&path, "sda", &opts()).unwrap();
         assert_eq!(t.io_count(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Deterministic synthetic dump: `n` event rows with pseudo-random
-    /// spacing (some inside the bunch window, some far outside), junk rows
-    /// sprinkled in, and out-of-order timestamps every 13th row.
-    fn synthetic_dump(n: usize) -> String {
-        let mut out = String::new();
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut t_ns: u64 = 1_000;
-        for i in 0..n {
-            if i % 97 == 0 {
-                out.push_str("CPU0 (8,0):\n");
-            }
-            let gap = if rng() % 3 == 0 { rng() % 50_000 } else { 150_000 + rng() % 500_000 };
-            t_ns += gap;
-            // Out-of-order rows exercise the stable sort.
-            let t = if i % 13 == 0 { t_ns.saturating_sub(40_000) } else { t_ns };
-            let action = match rng() % 4 {
-                0 => "Q",
-                1 => "C",
-                _ => "D",
-            };
-            let rwbs = if rng() % 2 == 0 { "R" } else { "WS" };
-            let sector = rng() % 40_000_000;
-            let len = 8 + (rng() % 64) * 8;
-            out.push_str(&format!(
-                "  8,0    {}        {}     {}.{:09}  40{}  {}  {} {} + {} [fio]\n",
-                i % 4,
-                i + 1,
-                t / 1_000_000_000,
-                t % 1_000_000_000,
-                i % 10,
-                action,
-                rwbs,
-                sector,
-                len
-            ));
-        }
-        out
-    }
-
-    #[test]
-    fn parse_str_matches_bufread_parse() {
-        let dump = synthetic_dump(500);
-        let a = parse(Cursor::new(dump.as_bytes()), &opts()).unwrap();
-        let b = parse_str(&dump, &opts()).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_parse_matches_serial_at_every_worker_count() {
-        let dump = synthetic_dump(1_000);
-        let serial = parse_str(&dump, &opts()).unwrap();
-        for workers in [1, 2, 3, 8, 16] {
-            let par = parse_str_parallel(&dump, &opts(), workers).unwrap();
-            assert_eq!(serial, par, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_convert_is_bit_identical_to_serial() {
-        let dump = synthetic_dump(2_000);
-        let events = parse_str(&dump, &opts()).unwrap();
-        let serial = convert(&events, "sda", &opts());
-        for workers in [1, 2, 3, 8] {
-            let par = convert_parallel(&events, "sda", &opts(), workers);
-            assert_eq!(serial, par, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_convert_with_no_wide_gaps_degrades_to_one_chunk() {
-        // All events inside one window: no guaranteed cut exists, so the
-        // parallel path must fall back to a single chunk — and still match.
-        let events: Vec<BlkEvent> = (0..100)
-            .map(|i| BlkEvent {
-                major: 8,
-                minor: 0,
-                timestamp_s: 1.0 + i as f64 * 1e-9,
-                sector: i * 8,
-                sectors: 8,
-                is_write: false,
-            })
-            .collect();
-        let serial = convert(&events, "sda", &opts());
-        assert_eq!(serial.bunch_count(), 1);
-        for workers in [2, 8] {
-            assert_eq!(serial, convert_parallel(&events, "sda", &opts(), workers));
-        }
-    }
-
-    #[test]
-    fn parallel_parse_error_line_numbers_match_serial() {
-        let mut dump = synthetic_dump(400);
-        // Inject a malformed event row mid-stream.
-        let lines: Vec<&str> = dump.lines().collect();
-        let inject_at = 301;
-        let mut patched: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
-        patched.insert(inject_at, "  8,0 0 1 notatime 99 D R 100 + 8 [x]".to_string());
-        dump = patched.join("\n");
-        dump.push('\n');
-        let serial_err = parse_str(&dump, &opts()).unwrap_err();
-        let TraceError::SrtParse { line: serial_line, reason: serial_reason } = serial_err else {
-            panic!("expected SrtParse");
-        };
-        assert_eq!(serial_line, inject_at + 1);
-        for workers in [2, 5, 8] {
-            let par_err = parse_str_parallel(&dump, &opts(), workers).unwrap_err();
-            let TraceError::SrtParse { line, reason } = par_err else {
-                panic!("expected SrtParse");
-            };
-            assert_eq!(line, serial_line, "workers={workers}");
-            assert_eq!(reason, serial_reason, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn chunk_splitting_covers_input_exactly() {
-        let dump = synthetic_dump(137);
-        for parts in [1, 2, 3, 7, 50] {
-            let chunks = split_at_line_boundaries(&dump, parts);
-            let rejoined: String = chunks.concat();
-            assert_eq!(rejoined, dump, "parts={parts}");
-            for chunk in &chunks[..chunks.len().saturating_sub(1)] {
-                assert!(chunk.ends_with('\n'), "interior chunks end at line boundaries");
-            }
-            let total: usize = chunks.iter().map(|c| c.lines().count()).sum();
-            assert_eq!(total, dump.lines().count(), "parts={parts}");
-        }
-    }
-
-    #[test]
-    fn parallel_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("tracer_blkparse_par_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.txt");
-        std::fs::write(&path, synthetic_dump(800)).unwrap();
-        let serial = convert_file(&path, "sda", &opts()).unwrap();
-        let par = convert_file_parallel(&path, "sda", &opts(), 4).unwrap();
-        assert_eq!(serial, par);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -142,6 +142,9 @@ impl<'a> BunchDecoder<'a> {
             let size_kind = get_varint(&mut self.data)?;
             let bytes = u32::try_from(size_kind >> 1)
                 .map_err(|_| TraceError::Corrupt("size exceeds u32".into()))?;
+            if bytes == 0 {
+                return Err(TraceError::Corrupt("zero-size io".into()));
+            }
             let kind = if size_kind & 1 == 1 { OpKind::Write } else { OpKind::Read };
             let io = IoPackage::new(sector, bytes, kind);
             self.last_end = io.end_sector() as i64;

@@ -14,8 +14,9 @@ pub enum TraceError {
     UnsupportedVersion(u16),
     /// Structural corruption (truncation, impossible counts, …).
     Corrupt(String),
-    /// A `.srt` text record could not be parsed.
-    SrtParse { line: usize, reason: String },
+    /// A line of a text trace (`format` is `"srt"` or `"blkparse"`) could
+    /// not be parsed.
+    Parse { format: &'static str, line: usize, reason: String },
     /// A repository file name does not follow the workload-mode convention.
     BadTraceName(String),
     /// The requested trace does not exist in the repository.
@@ -29,8 +30,8 @@ impl fmt::Display for TraceError {
             TraceError::BadMagic(m) => write!(f, "bad magic bytes {m:?}, not a .replay file"),
             TraceError::UnsupportedVersion(v) => write!(f, "unsupported .replay version {v}"),
             TraceError::Corrupt(why) => write!(f, "corrupt trace file: {why}"),
-            TraceError::SrtParse { line, reason } => {
-                write!(f, "srt parse error at line {line}: {reason}")
+            TraceError::Parse { format, line, reason } => {
+                write!(f, "{format} parse error at line {line}: {reason}")
             }
             TraceError::BadTraceName(name) => {
                 write!(f, "trace file name {name:?} does not encode a workload mode")
@@ -63,7 +64,7 @@ mod tests {
     fn display_is_informative() {
         let e = TraceError::BadMagic(*b"NOPE");
         assert!(e.to_string().contains("magic"));
-        let e = TraceError::SrtParse { line: 7, reason: "too few fields".into() };
+        let e = TraceError::Parse { format: "srt", line: 7, reason: "too few fields".into() };
         assert!(e.to_string().contains("line 7"));
         let e = TraceError::UnsupportedVersion(9);
         assert!(e.to_string().contains('9'));

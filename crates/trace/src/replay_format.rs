@@ -127,6 +127,9 @@ pub fn from_bytes(mut data: &[u8]) -> Result<Trace, TraceError> {
         for _ in 0..nio {
             let sector = data.get_u64_le();
             let bytes = data.get_u32_le();
+            if bytes == 0 {
+                return Err(corrupt("zero-size io"));
+            }
             let kind = match data.get_u8() {
                 0 => OpKind::Read,
                 1 => OpKind::Write,

@@ -1,8 +1,8 @@
 //! [`BunchSource`] — the iteration surface replay consumes, making owned
 //! traces and mmap-backed views interchangeable.
 //!
-//! PR 4 made the *load-control* step zero-copy (`ReplayPlan` borrows the
-//! trace); this trait pushes the boundary all the way to disk. Anything that
+//! The *load-control* step is zero-copy (`ReplayPlan` borrows its source);
+//! this trait pushes the boundary all the way to disk. Anything that
 //! can walk its bunches in timestamp order as `(timestamp, &[IoPackage])` is
 //! replayable: the in-memory [`Trace`] (infallible iteration over its
 //! `Vec<Bunch>`), the columnar [`TraceView`] (streamed straight out of an
@@ -15,8 +15,8 @@
 //! gymnastics. The callback shape also lets the engine keep a single replay
 //! loop for every source (see `tracer-replay`'s `engine.rs`).
 //!
-//! [`bunch_materializations`] extends PR 4's materialization-counter pattern
-//! to the decode layer: every code path in this crate that builds an owned
+//! [`bunch_materializations`] counts the decode layer's copies: every code
+//! path in this crate that builds an owned
 //! [`Bunch`] from stored bytes (v1/v2 decode, [`TraceView::to_trace`]) bumps
 //! the counter, so tests can assert that replaying a v3 view allocates zero
 //! `Bunch` heap objects while the v2 path serves as the positive control.
@@ -40,8 +40,8 @@ pub(crate) fn record_bunch_materializations(n: u64) {
 /// Process-wide count of `Bunch` heap objects decoded from stored traces
 /// since the process started (v1/v2 decoding, [`TraceView::to_trace`]).
 ///
-/// Like `tracer_replay::trace_materializations`, this exists so tests can
-/// assert the *absence* of heap traffic: snapshot it, replay a v3 view, and
+/// It exists so tests can assert the *absence* of heap traffic: snapshot
+/// it, replay a v3 view, and
 /// require the delta to be zero. Monotone and relaxed — use deltas, never
 /// absolute values, and keep a positive control in the same test.
 pub fn bunch_materializations() -> u64 {

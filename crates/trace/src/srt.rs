@@ -18,7 +18,7 @@
 //! format.
 
 use crate::error::TraceError;
-use crate::model::{Bunch, IoPackage, Nanos, OpKind, Trace, SECTOR_BYTES};
+use crate::model::{IoPackage, Nanos, OpKind, Trace, SECTOR_BYTES};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -41,10 +41,6 @@ pub struct SrtRecord {
 impl SrtRecord {
     fn to_io_package(self) -> IoPackage {
         IoPackage::new(self.start_byte / SECTOR_BYTES, self.length, self.kind)
-    }
-
-    fn timestamp_ns(&self) -> Nanos {
-        (self.timestamp_s * 1e9).round().max(0.0) as Nanos
     }
 }
 
@@ -79,7 +75,7 @@ pub fn parse<R: BufRead>(reader: R) -> Result<Vec<SrtRecord>, TraceError> {
 }
 
 fn parse_record(body: &str, line: usize) -> Result<SrtRecord, TraceError> {
-    let err = |reason: &str| TraceError::SrtParse { line, reason: reason.to_string() };
+    let err = |reason: &str| TraceError::Parse { format: "srt", line, reason: reason.to_string() };
     let mut fields = body.split_whitespace();
     let mut next = |name: &str| fields.next().ok_or_else(|| err(&format!("missing {name}")));
     let timestamp_s: f64 =
@@ -108,33 +104,16 @@ fn parse_record(body: &str, line: usize) -> Result<SrtRecord, TraceError> {
 
 /// Convert parsed records into a replay-format [`Trace`].
 ///
-/// Records are sorted by timestamp, optionally filtered by device, shifted so
-/// the first record is at t = 0, and grouped into bunches by
-/// [`ConvertOptions::bunch_window_ns`].
+/// Records are optionally filtered by device, then sorted, shifted so the
+/// first record is at t = 0, and grouped into bunches by
+/// [`ConvertOptions::bunch_window_ns`] ([`Trace::from_timed_ios`]).
 pub fn convert(records: &[SrtRecord], device: &str, opts: ConvertOptions) -> Trace {
-    let mut recs: Vec<&SrtRecord> =
-        records.iter().filter(|r| opts.device_filter.is_none_or(|d| d == r.device_id)).collect();
-    recs.sort_by(|a, b| a.timestamp_s.total_cmp(&b.timestamp_s));
-    let mut trace = Trace::new(device);
-    let Some(first) = recs.first() else { return trace };
-    let base = first.timestamp_ns();
-
-    let mut bunch_start: Nanos = 0;
-    let mut pending: Vec<IoPackage> = Vec::new();
-    for r in &recs {
-        let t = r.timestamp_ns() - base;
-        if !pending.is_empty() && t.saturating_sub(bunch_start) > opts.bunch_window_ns {
-            trace.push_bunch(Bunch::new(bunch_start, std::mem::take(&mut pending)));
-            bunch_start = t;
-        } else if pending.is_empty() {
-            bunch_start = t;
-        }
-        pending.push(r.to_io_package());
-    }
-    if !pending.is_empty() {
-        trace.push_bunch(Bunch::new(bunch_start, pending));
-    }
-    trace
+    let ios = records
+        .iter()
+        .filter(|r| opts.device_filter.is_none_or(|d| d == r.device_id))
+        .map(|r| (r.timestamp_s, r.to_io_package()))
+        .collect();
+    Trace::from_timed_ios(device, opts.bunch_window_ns, ios)
 }
 
 /// Parse an `.srt` file and convert it in one step.
@@ -224,8 +203,10 @@ mod tests {
     fn parse_errors_carry_line_numbers() {
         let bad = "# ok\n0.0 0 0 4096 R\nnot a record\n";
         match parse(Cursor::new(bad)) {
-            Err(TraceError::SrtParse { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected SrtParse, got {other:?}"),
+            Err(e @ TraceError::Parse { format: "srt", line: 3, .. }) => {
+                assert_eq!(e.to_string(), "srt parse error at line 3: timestamp is not a number");
+            }
+            other => panic!("expected an srt parse error, got {other:?}"),
         }
     }
 

@@ -645,6 +645,9 @@ pub mod decode {
                 let size_kind = get_varint(&mut self.sz)?;
                 let bytes =
                     u32::try_from(size_kind >> 1).map_err(|_| corrupt("size exceeds u32"))?;
+                if bytes == 0 {
+                    return Err(corrupt("zero-size io"));
+                }
                 let kind = if size_kind & 1 == 1 { OpKind::Write } else { OpKind::Read };
                 let io = IoPackage::new(sector, bytes, kind);
                 self.last_end = io.end_sector() as i64;

@@ -10,7 +10,9 @@
 //! ```
 
 use proptest::prelude::*;
-use tracer_trace::{replay_format, v3, Bunch, IoPackage, Trace, TraceError};
+use tracer_trace::{
+    compact, replay_format, v3, Bunch, BunchSource, IoPackage, Trace, TraceError, TraceView,
+};
 
 /// Arbitrary well-formed trace: non-decreasing bunch timestamps (a collection
 /// invariant both encoders rely on), 0–40 bunches of 1–6 IOs each.
@@ -175,4 +177,30 @@ fn codec_indexed_resume_matches_the_full_scan() {
         }
         assert_eq!(at, trace.bunch_count());
     }
+}
+
+/// A zero-size IO is not a request the simulator can serve: every reader
+/// rejects it as corruption (v1, v2 and the v3 cursor behind a view), even
+/// though the v3 image's column CRCs hold.
+#[test]
+fn codec_a_zero_size_io_is_corrupt() {
+    let trace = Trace::from_bunches(
+        "t",
+        vec![
+            Bunch::new(0, vec![IoPackage::read(0, 4096)]),
+            Bunch::new(1_000, vec![IoPackage::read(8, 0)]),
+        ],
+    );
+    let zero_size = "corrupt trace file: zero-size io";
+    let why = |r: Result<Trace, TraceError>| r.expect_err("must not decode").to_string();
+    assert_eq!(why(replay_format::from_bytes(&replay_format::to_bytes(&trace))), zero_size);
+    assert_eq!(why(replay_format::from_bytes(&compact::to_bytes(&trace))), zero_size);
+    assert_eq!(why(decode_v3(&v3::to_bytes(&trace))), zero_size);
+
+    let view = TraceView::from_bytes(v3::to_bytes(&trace)).expect("the header is intact");
+    view.verify().expect("the column CRCs hold");
+    let mut visited = 0;
+    let scan = view.try_for_each_bunch(&mut |_, _| visited += 1);
+    assert_eq!(scan.expect_err("must not scan").to_string(), zero_size);
+    assert_eq!(visited, 1, "the intact first bunch is visited before the error");
 }

@@ -42,6 +42,6 @@ pub mod dist;
 pub mod iometer;
 pub mod realworld;
 
-pub use collector::{collect_sweep, collect_sweep_parallel, TraceCollector};
+pub use collector::TraceCollector;
 pub use iometer::{GeneratedWorkload, IometerConfig, MixedSpec};
 pub use realworld::{CelloTraceBuilder, OltpTraceBuilder, WebServerTraceBuilder};

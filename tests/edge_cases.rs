@@ -4,6 +4,7 @@
 
 use tracer_core::prelude::*;
 use tracer_power::NoiseModel;
+use tracer_trace::BunchSink;
 
 #[test]
 fn simultaneous_submissions_are_served_deterministically_in_order() {
@@ -36,11 +37,15 @@ fn extreme_load_controls_compose() {
             .map(|i| Bunch::new(i * 1_000_000, vec![IoPackage::read(i * 64, 4096)]))
             .collect(),
     );
+    let controlled = |load: LoadControl| {
+        let mut out = Trace::new("t");
+        ReplayPlan::new(&trace, load).try_for_each(&mut |ts, ios| out.push(ts, ios)).unwrap();
+        out
+    };
     // 1 % proportion of 200 bunches = 2 requests.
-    let one = ProportionalFilter::default().filter(&trace, 1);
-    assert_eq!(one.bunch_count(), 2);
+    assert_eq!(controlled(LoadControl::proportion(1)).bunch_count(), 2);
     // 1000 % intensity compresses time tenfold.
-    let fast = scale_intensity(&trace, 1000);
+    let fast = controlled(LoadControl::intensity(1000));
     assert_eq!(fast.duration(), trace.duration() / 10);
     // Combined: replay completes and the engine stays consistent.
     let mut sim = ArraySpec::hdd_raid5(4).build();

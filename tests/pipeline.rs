@@ -2,7 +2,15 @@
 //! with statistics preserved at each hop.
 
 use tracer_core::prelude::*;
-use tracer_trace::{replay_format, srt};
+use tracer_trace::{replay_format, srt, BunchSink};
+
+/// The trace a replay of `trace` at `pct` % load sees.
+fn filtered(trace: &Trace, pct: u32) -> Trace {
+    let mut out = Trace::new(trace.device.clone());
+    let plan = ReplayPlan::new(trace, LoadControl::proportion(pct));
+    plan.try_for_each(&mut |ts, ios| out.push(ts, ios)).unwrap();
+    out
+}
 
 #[test]
 fn cello_trace_survives_the_srt_conversion_pipeline() {
@@ -38,9 +46,8 @@ fn filter_preserves_trace_character_at_every_level() {
     let web =
         WebServerTraceBuilder { duration_s: 60.0, mean_iops: 150.0, ..Default::default() }.build();
     let full = TraceStats::compute(&web);
-    let filter = ProportionalFilter::default();
     for pct in [10u32, 30, 50, 70, 90] {
-        let stats = TraceStats::compute(&filter.filter(&web, pct));
+        let stats = TraceStats::compute(&filtered(&web, pct));
         assert!(
             (stats.read_ratio - full.read_ratio).abs() < 0.05,
             "{pct}%: read ratio {} vs {}",
@@ -68,12 +75,11 @@ fn fingerprint_quantifies_character_preservation() {
     let web =
         WebServerTraceBuilder { duration_s: 120.0, mean_iops: 200.0, ..Default::default() }.build();
     let original = TraceFingerprint::compute(&web);
-    let filter = ProportionalFilter::default();
     // The bound is generator-sensitive: at 10% retention the drift sits near
     // 0.12 and moves with the RNG stream, so leave headroom while staying far
     // below the 0.3 cross-workload separation asserted underneath.
     for pct in [10u32, 30, 50, 70, 90] {
-        let f = TraceFingerprint::compute(&filter.filter(&web, pct));
+        let f = TraceFingerprint::compute(&filtered(&web, pct));
         let d = original.distance(&f);
         assert!(d < 0.15, "load {pct}%: fingerprint drifted {d}");
     }
