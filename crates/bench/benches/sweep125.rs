@@ -61,7 +61,7 @@ fn main() {
     });
 
     let mut host = EvaluationHost::new();
-    let device = ArraySpec::hdd_raid5(6).build().config().name.clone();
+    let device = ArraySpec::hdd_raid5(6).name;
     let sweep_t0 = std::time::Instant::now();
     let results = timed("sweep", || {
         SweepBuilder::new()

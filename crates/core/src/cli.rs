@@ -20,16 +20,18 @@
 //! `--array` selects the testbed: `hdd4`, `hdd6` (default), or `ssd4`.
 //! `--workers` sets the sweep executor's thread count (0 = one per core).
 
+use crate::error::TracerError;
 use crate::executor::SweepExecutor;
 use crate::host::EvaluationHost;
 use crate::orchestrate::{SweepBuilder, SweepConfig};
 use crate::techniques::{compare_policies, ConservationPolicy};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use tracer_sim::{ArraySim, ArraySpec, SimDuration};
-use tracer_trace::{srt, sweep, TraceRepository, TraceStats, V3Encoder, WorkloadMode};
-use tracer_workload::iometer::{run_peak_workload_into, IometerConfig};
+use tracer_trace::{
+    srt, sweep, TraceError, TraceHandle, TraceRepository, TraceStats, WorkloadMode,
+};
 use tracer_workload::{TraceCollector, WebServerTraceBuilder};
 
 /// Which testbed preset to build.
@@ -65,6 +67,55 @@ impl ArrayChoice {
     /// Build the simulator.
     pub fn build(self) -> ArraySim {
         self.spec().build()
+    }
+}
+
+/// What a serve node or a serial fleet baseline evaluates, resolved from
+/// `--repo DIR` with `--array`, or from `--scenario FILE`: one testbed and
+/// the trace each of its modes replays.
+pub struct TestbedTraces {
+    /// The testbed; its `name` is the device a job names.
+    pub array: ArraySpec,
+    source: TraceSource,
+}
+
+enum TraceSource {
+    Repo(TraceRepository),
+    Scenario(crate::scenario::WorkloadSpec),
+}
+
+impl TestbedTraces {
+    /// A scenario names the testbed and synthesises each mode's trace on
+    /// demand (no repository is opened); otherwise `repo` holds the traces
+    /// of the `array` testbed.
+    pub fn resolve(
+        repo: Option<&Path>,
+        scenario: Option<&crate::scenario::ScenarioSpec>,
+        array: ArrayChoice,
+    ) -> Result<Self, TracerError> {
+        if let Some(spec) = scenario {
+            let source = TraceSource::Scenario(spec.workload.clone());
+            return Ok(Self { array: spec.array.clone(), source });
+        }
+        let Some(repo) = repo else {
+            return Err(TracerError::Config("a testbed needs --repo or --scenario".to_string()));
+        };
+        let repo = TraceRepository::open(repo).map_err(|e| TracerError::Config(e.to_string()))?;
+        Ok(Self { array: array.spec(), source: TraceSource::Repo(repo) })
+    }
+
+    /// The trace a job of `mode` replays: the repository's file for the
+    /// testbed and mode, or the scenario's first trial of the mode.
+    pub fn trace(&self, mode: &WorkloadMode) -> Result<TraceHandle, TracerError> {
+        match &self.source {
+            TraceSource::Repo(repo) => {
+                repo.load_view(&self.array.name, mode).map_err(|e| match e {
+                    TraceError::NotFound(_) => TracerError::NoTrace(self.array.name.clone()),
+                    e => e.into(),
+                })
+            }
+            TraceSource::Scenario(workload) => Ok(workload.view(&self.array, *mode, 0)?.into()),
+        }
     }
 }
 
@@ -597,33 +648,23 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
         }
         Command::Collect { mode, seconds, repo, array } => {
             let repo = TraceRepository::open(&repo).map_err(io_err)?;
-            let mut sim = array.build();
-            // Encoded as it is generated; the repository stores these bytes.
-            let encoder = V3Encoder::new(sim.config().name.as_str());
-            let out = run_peak_workload_into(
-                &mut sim,
-                &IometerConfig {
-                    duration: SimDuration::from_secs(seconds),
-                    ..IometerConfig::two_minutes(mode, 0x7ace)
-                },
-                encoder,
-            );
-            let view = out.trace.into_view().map_err(io_err)?;
-            let path = repo.store_v3(&mode, &view).map_err(io_err)?;
+            let mut collector = TraceCollector::new(&repo, || array.build());
+            collector.duration = SimDuration::from_secs(seconds);
+            let out = collector.collect(mode).map_err(io_err)?;
             println!(
                 "collected {} IOs at peak {:.1} IOPS / {:.2} MBPS -> {}",
-                view.io_count(),
+                out.trace.io_count(),
                 out.peak_iops,
                 out.peak_mbps,
-                path.display()
+                repo.path_for(out.trace.device(), &mode).display()
             );
             Ok(())
         }
         Command::Replay { mode, intensity, repo, array, db, afap_depth, loads, workers, obs } => {
             let repo = TraceRepository::open(&repo).map_err(io_err)?;
-            let device = array.build().config().name.clone();
+            let device = array.spec().name;
             // Format-negotiating load: v3 files map as zero-copy views,
-            // legacy v1/v2 files decode into the shared cache.
+            // legacy v1/v2 files load as in-memory v3 images.
             let trace = repo.load_view(&device, &mode).map_err(io_err)?;
             if let Some(depth) = afap_depth {
                 let mut sim = array.build();
@@ -731,7 +772,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             // Evenly strided subset so a partial sweep still spans the grid.
             let selected: Vec<WorkloadMode> =
                 (0..modes).map(|i| all[i * all.len() / modes]).collect();
-            let device = array.build().config().name.clone();
+            let device = array.spec().name;
             let missing: Vec<WorkloadMode> =
                 selected.iter().copied().filter(|m| !repo.contains(&device, m)).collect();
             if !missing.is_empty() {
@@ -818,7 +859,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             };
             let repo = TraceRepository::open(&repo).map_err(io_err)?;
             // Stats materializes regardless of format, so negotiate first and
-            // decode the handle (v3 views included) into a heap trace.
+            // decode the view into a heap trace.
             let trace = repo.load_view_named(&name).map_err(io_err)?.to_trace().map_err(io_err)?;
             let s = TraceStats::compute(&trace);
             println!("trace {name}:");

@@ -19,8 +19,7 @@ pub struct EvaluationJob {
     /// Builds the array under test (runs on the worker thread).
     pub build: Box<dyn FnOnce() -> ArraySim + Send>,
     /// The trace to replay, shared: many jobs over the same trace hold one
-    /// copy (decoded or mmap-backed), and the replay path reads it without
-    /// materializing a clone.
+    /// image, and the replay path reads it without materializing a clone.
     pub trace: TraceHandle,
     /// Workload mode (its load proportion applies).
     pub mode: WorkloadMode,
@@ -29,10 +28,11 @@ pub struct EvaluationJob {
 }
 
 impl EvaluationJob {
-    /// Job at original pacing. Accepts an owned `Trace`, a pre-shared
-    /// `Arc<Trace>`, or a [`TraceHandle`] from
-    /// [`tracer_trace::TraceRepository::load_view`], whose v3 views replay
-    /// straight off the mapped file.
+    /// Job at original pacing. Accepts a [`TraceView`](tracer_trace::TraceView)
+    /// or a shared [`TraceHandle`], such as one from
+    /// [`tracer_trace::TraceRepository::load_view`] (a stored v3 file replays
+    /// straight off its mapping). An owned `Trace` becomes a view through
+    /// [`TraceView::from_trace`](tracer_trace::TraceView::from_trace).
     pub fn new(
         name: impl Into<String>,
         build: impl FnOnce() -> ArraySim + Send + 'static,
@@ -56,20 +56,18 @@ mod tests {
     use crate::host::EvaluationHost;
     use crate::orchestrate::SweepBuilder;
     use tracer_sim::ArraySpec;
-    use tracer_trace::{Bunch, IoPackage, Trace};
+    use tracer_trace::{Bunch, IoPackage, Trace, TraceView};
 
-    fn trace(n: usize) -> Trace {
-        Trace::from_bunches(
-            "t",
-            (0..n)
-                .map(|i| {
-                    Bunch::new(
-                        i as u64 * 10_000_000,
-                        vec![IoPackage::read((i as u64 * 997) % 100_000, 8192)],
-                    )
-                })
-                .collect(),
-        )
+    fn trace(n: usize) -> TraceView {
+        let bunches = (0..n)
+            .map(|i| {
+                Bunch::new(
+                    i as u64 * 10_000_000,
+                    vec![IoPackage::read((i as u64 * 997) % 100_000, 8192)],
+                )
+            })
+            .collect();
+        TraceView::from_trace(&Trace::from_bunches("t", bunches)).unwrap()
     }
 
     #[test]

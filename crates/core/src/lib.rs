@@ -100,7 +100,8 @@ pub mod prelude {
         PowerPolicy, QueueDiscipline, SimDuration, SimTime,
     };
     pub use tracer_trace::{
-        sweep, Bunch, IoPackage, OpKind, Trace, TraceRepository, TraceStats, WorkloadMode,
+        sweep, Bunch, IoPackage, OpKind, Trace, TraceHandle, TraceRepository, TraceStats,
+        TraceView, WorkloadMode,
     };
     pub use tracer_workload::{
         CelloTraceBuilder, IometerConfig, TraceCollector, WebServerTraceBuilder,

@@ -494,7 +494,7 @@ pub struct TrialSummary {
 mod tests {
     use super::*;
     use tracer_sim::ArraySpec;
-    use tracer_trace::{Bunch, IoPackage, Trace};
+    use tracer_trace::{Bunch, IoPackage, Trace, TraceView};
 
     fn fixed_trace(n: usize, bytes: u32) -> Trace {
         Trace::from_bunches(
@@ -582,7 +582,7 @@ mod tests {
             .sweep(
                 &mut host,
                 || ArraySpec::hdd_raid5(3).build(),
-                |_| Ok(fixed_trace(30, 4096)),
+                |_| Ok(TraceView::from_trace(&fixed_trace(30, 4096))?),
                 &cfg,
             )
             .expect("in-memory trace");
@@ -603,7 +603,7 @@ mod tests {
             .sweep(
                 &mut host,
                 || ArraySpec::hdd_raid5(3).build(),
-                |_| Ok(fixed_trace(30, 4096)),
+                |_| Ok(TraceView::from_trace(&fixed_trace(30, 4096))?),
                 &cfg,
             )
             .expect("in-memory trace");
@@ -628,7 +628,7 @@ mod tests {
             .sweep(
                 &mut host,
                 || ArraySpec::hdd_raid5(3).build(),
-                |_| Ok(fixed_trace(30, 4096)),
+                |_| Ok(TraceView::from_trace(&fixed_trace(30, 4096))?),
                 &cfg,
             )
             .expect("in-memory trace");
@@ -641,7 +641,7 @@ mod tests {
 
     #[test]
     fn repeated_trials_aggregate_and_bound_variance() {
-        use tracer_workload::iometer::{run_peak_workload, IometerConfig};
+        use tracer_workload::iometer::{run_peak_view, IometerConfig};
         let mut host = EvaluationHost::new();
         let mode = WorkloadMode::peak(8192, 50, 50);
         let summary = SweepBuilder::new()
@@ -650,14 +650,14 @@ mod tests {
                 &mut host,
                 || ArraySpec::hdd_raid5(4).build(),
                 |seed| {
-                    let mut sim = ArraySpec::hdd_raid5(4).build();
-                    run_peak_workload(
-                        &mut sim,
+                    run_peak_view(
+                        ArraySpec::hdd_raid5(4).build(),
                         &IometerConfig {
                             duration: tracer_sim::SimDuration::from_secs(2),
                             ..IometerConfig::two_minutes(mode, seed)
                         },
                     )
+                    .unwrap()
                     .trace
                 },
                 mode,
@@ -684,7 +684,7 @@ mod tests {
                 .trials(
                     &mut host,
                     || ArraySpec::hdd_raid5(4).build(),
-                    |seed| fixed_trace(60 + seed as usize, 4096),
+                    |seed| TraceView::from_trace(&fixed_trace(60 + seed as usize, 4096)).unwrap(),
                     mode,
                     3,
                 )

@@ -50,8 +50,8 @@ use crate::metrics::{AccuracyRow, EfficiencyMetrics};
 use crate::orchestrate::{LoadSweepResult, SweepBuilder, TrialSummary};
 use std::path::Path;
 use tracer_sim::{ArraySpec, DeviceSpec, Layout, PowerPolicy, QueueDiscipline, SimDuration};
-use tracer_trace::{sweep, v3, Trace, TraceHandle, TraceView, V3Encoder, WorkloadMode};
-use tracer_workload::iometer::{run_peak_workload, run_peak_workload_into, IometerConfig};
+use tracer_trace::{sweep, Trace, TraceHandle, TraceView, WorkloadMode};
+use tracer_workload::iometer::{run_peak_view, run_peak_workload, IometerConfig, PEAK_SEED};
 use tracer_workload::{CelloTraceBuilder, WebServerTraceBuilder};
 
 /// Which synthetic workload a scenario replays.
@@ -170,32 +170,29 @@ impl WorkloadSpec {
     /// bunches as [`Self::trace`] at ~9 B/IO instead of ~80. Run, serve and
     /// coordinate all replay this. A closed-loop peak run encodes as it
     /// issues; the web and cello builders sort their bunches, so they are
-    /// encoded after `build()` and the owned trace is dropped here.
+    /// encoded after `build()` and the owned trace is dropped here. Trial 0
+    /// of a peak workload with no `seed` is the image `tracer collect` stores
+    /// for the same testbed and mode (both seed from [`PEAK_SEED`]).
     pub fn view(
         &self,
         array: &ArraySpec,
         mode: WorkloadMode,
         trial: u64,
     ) -> Result<TraceView, TracerError> {
-        let bytes = match self.kind {
+        Ok(match self.kind {
             WorkloadKind::Peak => {
-                let mut sim = array.build();
-                let encoder = V3Encoder::new(sim.config().name.as_str());
-                run_peak_workload_into(&mut sim, &self.peak_config(mode, trial), encoder)
-                    .trace
-                    .finish()
+                run_peak_view(array.build(), &self.peak_config(mode, trial))?.trace
             }
             WorkloadKind::Web | WorkloadKind::Cello => {
-                v3::to_bytes(&self.trace(array, mode, trial))
+                TraceView::from_trace(&self.trace(array, mode, trial))?
             }
-        };
-        Ok(TraceView::from_bytes(bytes)?)
+        })
     }
 
     fn peak_config(&self, mode: WorkloadMode, trial: u64) -> IometerConfig {
         IometerConfig {
             duration: SimDuration::from_secs(self.seconds),
-            ..IometerConfig::two_minutes(mode, self.seed.unwrap_or(0x7ace) + trial)
+            ..IometerConfig::two_minutes(mode, self.seed.unwrap_or(PEAK_SEED) + trial)
         }
     }
 }

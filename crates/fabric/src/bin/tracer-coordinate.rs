@@ -23,14 +23,13 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use tracer_core::cli::{self, Command};
+use tracer_core::cli::{self, Command, TestbedTraces};
 use tracer_core::error::TracerError;
 use tracer_core::scenario::{run_scenario, ScenarioSpec};
 use tracer_fabric::coordinator::{
     fleet_stats, run_campaign, serial_report, CampaignSpec, FleetConfig,
 };
 use tracer_fabric::Registrar;
-use tracer_trace::TraceRepository;
 
 /// How long the registrar waits for the expected fleet to assemble.
 const JOIN_TIMEOUT: Duration = Duration::from_secs(120);
@@ -108,30 +107,15 @@ fn coordinate(cmd: Command) -> Result<(), TracerError> {
             loads: scn.loads.clone(),
             intensity_pct: 100,
         },
-        None => CampaignSpec {
-            device: array.build().config().name.clone(),
-            mode,
-            loads,
-            intensity_pct: intensity,
-        },
+        None => CampaignSpec { device: array.spec().name, mode, loads, intensity_pct: intensity },
     };
 
     if let Some(repo_dir) = serial {
         // Every cell replays the campaign's one trace: resolve it once.
-        let (array, trace) = match &scn {
-            // Scenario cells need no repository: synthesize the trace the
-            // same way the serve nodes do (the --serial value is unused).
-            Some(scn) => (scn.array.clone(), scn.workload.view(&scn.array, spec.mode, 0)?.into()),
-            None => {
-                let repo = TraceRepository::open(&repo_dir)
-                    .map_err(|e| TracerError::Config(e.to_string()))?;
-                let trace = repo
-                    .load_view(&spec.device, &spec.mode)
-                    .map_err(|_| TracerError::NoTrace(spec.device.clone()))?;
-                (array.spec(), trace)
-            }
-        };
-        let report = serial_report(&spec, &array, &trace)?;
+        // Scenario cells need no repository: the trace is synthesized the
+        // same way the serve nodes do (the --serial value is unused).
+        let testbed = TestbedTraces::resolve(Some(&repo_dir), scn.as_ref(), array)?;
+        let report = serial_report(&spec, &testbed.array, &testbed.trace(&spec.mode)?)?;
         print!("{report}");
         dump_obs(obs.as_deref())?;
         return Ok(());

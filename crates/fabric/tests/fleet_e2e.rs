@@ -12,14 +12,14 @@ use tracer_fabric::coordinator::{
 use tracer_serve::server::{JobServer, LoadTrace};
 use tracer_serve::ServiceConfig;
 use tracer_sim::ArraySpec;
-use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
+use tracer_trace::{Bunch, IoPackage, Trace, TraceHandle, TraceView, WorkloadMode};
 
 const DEVICE: &str = "fleetdev";
 
 /// Deterministic synthetic trace; every call yields identical content, so
 /// every node (and the serial baseline) replays the same workload.
-fn fleet_trace(bunches: u64) -> Arc<Trace> {
-    Arc::new(Trace::from_bunches(
+fn fleet_trace(bunches: u64) -> TraceHandle {
+    let trace = Trace::from_bunches(
         "fleet",
         (0..bunches)
             .map(|i| {
@@ -31,7 +31,8 @@ fn fleet_trace(bunches: u64) -> Arc<Trace> {
                 Bunch::new(i * 3_000_000, vec![pkg])
             })
             .collect(),
-    ))
+    );
+    Arc::new(TraceView::from_trace(&trace).unwrap())
 }
 
 /// The testbed every node serves and the serial baseline measures.
@@ -41,7 +42,7 @@ fn fleet_array() -> ArraySpec {
 
 fn spawn_node(workers: usize, bunches: u64) -> JobServer {
     let trace = fleet_trace(bunches);
-    let load: LoadTrace = Arc::new(move |_mode| Some(Arc::clone(&trace).into()));
+    let load: LoadTrace = Arc::new(move |_mode| Some(Arc::clone(&trace)));
     JobServer::spawn(ServiceConfig { workers, queue_capacity: 4 }, fleet_array(), load)
         .expect("spawn node")
 }
@@ -56,7 +57,7 @@ fn campaign(loads: &[u32]) -> CampaignSpec {
 }
 
 fn baseline(spec: &CampaignSpec, bunches: u64) -> String {
-    serial_report(spec, &fleet_array(), &fleet_trace(bunches).into()).expect("serial baseline")
+    serial_report(spec, &fleet_array(), &fleet_trace(bunches)).expect("serial baseline")
 }
 
 fn config() -> FleetConfig {

@@ -17,7 +17,7 @@ use tracer_core::distributed::EvaluationJob;
 use tracer_fabric::joblog::{JobLog, JobSpec, LogRecord, RecoveredState};
 use tracer_serve::{EvalService, JobState, ServiceConfig};
 use tracer_sim::ArraySpec;
-use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
+use tracer_trace::{Bunch, IoPackage, Trace, TraceHandle, TraceView, WorkloadMode};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -152,13 +152,11 @@ proptest! {
     }
 }
 
-fn rec_trace() -> Arc<Trace> {
-    Arc::new(Trace::from_bunches(
-        "rec",
-        (0..40)
-            .map(|i| Bunch::new(i * 4_000_000, vec![IoPackage::read((i * 997) % 90_000, 8192)]))
-            .collect(),
-    ))
+fn rec_trace() -> TraceHandle {
+    let bunches = (0..40)
+        .map(|i| Bunch::new(i * 4_000_000, vec![IoPackage::read((i * 997) % 90_000, 8192)]))
+        .collect();
+    Arc::new(TraceView::from_trace(&Trace::from_bunches("rec", bunches)).unwrap())
 }
 
 /// The testbed a `recdev` serve node drives.
@@ -169,7 +167,7 @@ fn rec_array() -> ArraySpec {
 /// Every mode of the node's device replays [`rec_trace`].
 fn rec_load() -> tracer_serve::server::LoadTrace {
     let t = rec_trace();
-    Arc::new(move |_mode| Some(Arc::clone(&t).into()))
+    Arc::new(move |_mode| Some(Arc::clone(&t)))
 }
 
 /// The acceptance property: after a crash, finished jobs are *restored*
@@ -206,7 +204,7 @@ fn recovery_restores_done_jobs_and_reruns_pending_ones_exactly_once() {
             (spec.device == "recdev").then(|| EvaluationJob {
                 name: spec.name.clone(),
                 build: Box::new(|| ArraySpec::hdd_raid5(4).build()),
-                trace: rec_trace().into(),
+                trace: rec_trace(),
                 mode: spec.mode,
                 intensity_pct: spec.intensity_pct,
             })
@@ -237,7 +235,7 @@ fn recovery_restores_done_jobs_and_reruns_pending_ones_exactly_once() {
         .submit(EvaluationJob {
             name: "fresh".into(),
             build: Box::new(|| ArraySpec::hdd_raid5(4).build()),
-            trace: rec_trace().into(),
+            trace: rec_trace(),
             mode: WorkloadMode::peak(8192, 50, 100).at_load(40),
             intensity_pct: 100,
         })
@@ -429,7 +427,7 @@ fn a_spec_for_another_device_recovers_unresolved_without_loading_a_trace() {
     let counter = Arc::clone(&loads);
     let load: LoadTrace = Arc::new(move |_mode| {
         counter.fetch_add(1, Ordering::SeqCst);
-        Some(rec_trace().into())
+        Some(rec_trace())
     });
     let (server, report) = JobServer::spawn_with(
         ServiceConfig { workers: 1, queue_capacity: 8 },

@@ -83,7 +83,8 @@ impl ReplayReport {
 /// the replay window.
 ///
 /// Returns the source's [`TraceError`] if it reports corruption mid-scan (a
-/// corrupt v3 file; in-memory traces cannot fail).
+/// corrupt v3 file), and [`TraceError::Corrupt`]`("zero-size io")` at the
+/// first IO of no bytes, which an in-memory trace can hold.
 ///
 /// # Panics
 /// Panics if `cfg.load.intensity_pct` is zero.
@@ -150,6 +151,7 @@ fn replay_bunches(
     let mut monitor = PerformanceMonitor::default().accumulate(started + warmup);
     let mut finished = started;
     let mut batch = Vec::new();
+    let mut fault = None;
     let mut flush = |sim: &mut ArraySim| {
         sim.drain_completions_into(&mut batch);
         let Some(last) = batch.last() else { return };
@@ -159,6 +161,9 @@ fn replay_bunches(
     };
 
     drive(&mut |timestamp, ios| {
+        if fault.is_some() {
+            return;
+        }
         let at = started + SimDuration::from_nanos(timestamp);
         // Advance the engine so submissions cannot land in the past.
         sim.run_until(at);
@@ -166,9 +171,16 @@ fn replay_bunches(
             flush(sim);
         }
         for io in ios {
-            let Some(sector) = translate(io, capacity) else {
-                skipped += 1;
-                continue;
+            let sector = match translate(io, capacity) {
+                Ok(Some(sector)) => sector,
+                Ok(None) => {
+                    skipped += 1;
+                    continue;
+                }
+                Err(e) => {
+                    fault = Some(e);
+                    return;
+                }
             };
             sim.submit(at, ArrayRequest::new(sector, io.bytes, io.kind))
                 .expect("translated request must be valid");
@@ -176,6 +188,9 @@ fn replay_bunches(
             issued_bytes += u64::from(io.bytes);
         }
     })?;
+    if let Some(e) = fault {
+        return Err(e);
+    }
     sim.run_to_idle();
     flush(sim);
     publish_issue_tallies(sim, issued_ios, issued_bytes, skipped);
@@ -204,8 +219,9 @@ fn replay_bunches(
 /// measurement from recorded workloads.
 ///
 /// Returns the source's [`TraceError`] if it reports corruption while being
-/// read (a corrupt v3 file discovered mid-scan); nothing has been submitted
-/// to `sim` by then.
+/// read (a corrupt v3 file discovered mid-scan; nothing has been submitted
+/// to `sim` by then), and [`TraceError::Corrupt`]`("zero-size io")` when the
+/// issue order reaches an IO of no bytes.
 pub fn replay_afap<S: BunchSource + ?Sized>(
     sim: &mut ArraySim,
     source: &S,
@@ -225,11 +241,11 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
     let mut ios: Vec<IoPackage> = Vec::new();
     source.try_for_each_bunch(&mut |_, bunch| ios.extend_from_slice(bunch))?;
     let mut next = 0usize;
-    let mut issue = |sim: &mut ArraySim, at: SimTime, next: &mut usize| -> bool {
+    let mut issue = |sim: &mut ArraySim, at: SimTime, next: &mut usize| {
         while *next < ios.len() {
             let io = ios[*next];
             *next += 1;
-            let Some(sector) = translate(&io, capacity) else {
+            let Some(sector) = translate(&io, capacity)? else {
                 skipped += 1;
                 continue;
             };
@@ -237,13 +253,13 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
                 .expect("translated request must be valid");
             issued_ios += 1;
             issued_bytes += u64::from(io.bytes);
-            return true;
+            return Ok(true);
         }
-        false
+        Ok::<_, TraceError>(false)
     };
 
     for _ in 0..depth {
-        if !issue(sim, started, &mut next) {
+        if !issue(sim, started, &mut next)? {
             break;
         }
     }
@@ -256,7 +272,7 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
         let Some(last) = batch.last() else { break };
         finished = last.completed;
         for c in &batch {
-            issue(sim, c.completed, &mut next);
+            issue(sim, c.completed, &mut next)?;
             monitor.push(c);
         }
     }
@@ -278,10 +294,14 @@ pub fn replay_afap<S: BunchSource + ?Sized>(
 
 /// The array sector `io` is submitted at on an array of `capacity` data
 /// sectors: the starting sector wrapped so the whole request fits, or `None`
-/// if the request is larger than the array and is skipped.
-fn translate(io: &IoPackage, capacity: u64) -> Option<u64> {
+/// if the request is larger than the array and is skipped. A zero-size IO is
+/// the `zero-size io` fault the stored-trace readers report.
+pub(crate) fn translate(io: &IoPackage, capacity: u64) -> Result<Option<u64>, TraceError> {
+    if io.bytes == 0 {
+        return Err(TraceError::Corrupt("zero-size io".into()));
+    }
     let sectors = io.sectors().max(1);
-    (sectors <= capacity).then(|| io.sector % (capacity - sectors + 1))
+    Ok((sectors <= capacity).then(|| io.sector % (capacity - sectors + 1)))
 }
 
 /// One nanosecond past `t`, so half-open windows include the final completion.
@@ -400,6 +420,16 @@ mod tests {
         assert_eq!(report.issued_ios, 0);
         assert_eq!(report.completions.len(), 0);
         assert_eq!(report.started, report.finished);
+    }
+
+    #[test]
+    fn zero_size_io_is_a_trace_error_not_a_panic() {
+        let t = Trace::from_bunches("z", vec![Bunch::new(0, vec![IoPackage::read(0, 0)])]);
+        let zero_size = |r: Result<ReplayReport, TraceError>| matches!(r, Err(TraceError::Corrupt(m)) if m == "zero-size io");
+        let mut sim = ArraySpec::hdd_raid5(4).build();
+        assert!(zero_size(try_replay(&mut sim, &t, &ReplayConfig::default())));
+        let mut sim = ArraySpec::hdd_raid5(4).build();
+        assert!(zero_size(replay_afap(&mut sim, &t, 4)));
     }
 
     #[test]

@@ -86,16 +86,6 @@ impl<'a, S: BunchSource + ?Sized> ReplayPlan<'a, S> {
         Self { source, load }
     }
 
-    /// The borrowed bunch source.
-    pub fn source(&self) -> &'a S {
-        self.source
-    }
-
-    /// The load control this plan applies.
-    pub fn load(&self) -> LoadControl {
-        self.load
-    }
-
     /// Number of bunches the plan replays: the Bresenham filter selects
     /// exactly `⌊n · p / 100⌋` of `n` bunches.
     pub fn len(&self) -> usize {

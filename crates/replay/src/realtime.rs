@@ -17,6 +17,7 @@
 //! that the dispatcher/worker machinery is exercised end to end without
 //! hardware.
 
+use crate::engine::translate;
 use crate::monitor::{PerfSample, PerfSummary, PerformanceMonitor};
 use crate::plan::ReplayPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,11 +227,10 @@ impl StorageTarget for SimTarget {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let SimState { sim, drained } = &mut *state;
         let capacity = sim.data_capacity_sectors();
-        let sectors = io.sectors().max(1);
-        if sectors > capacity {
+        let Some(sector) = translate(io, capacity).map_err(|e| e.to_string())? else {
+            let sectors = io.sectors();
             return Err(format!("request of {sectors} sectors exceeds capacity {capacity}"));
-        }
-        let sector = io.sector % (capacity - sectors + 1);
+        };
         let now = sim.now();
         let id = sim
             .submit(now, tracer_sim::ArrayRequest::new(sector, io.bytes, io.kind))
@@ -415,6 +415,9 @@ mod tests {
         if u64::from(u32::MAX) > sim_capacity_bytes {
             assert!(target.execute(&huge).is_err());
         }
+        // A zero-size request is the readers' fault, as in the engine.
+        let err = target.execute(&IoPackage::read(0, 0)).unwrap_err();
+        assert_eq!(err, "corrupt trace file: zero-size io");
     }
 
     #[test]

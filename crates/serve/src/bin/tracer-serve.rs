@@ -18,15 +18,14 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use tracer_core::cli::{self, ArrayChoice, Command};
+use tracer_core::cli::{self, ArrayChoice, Command, TestbedTraces};
 use tracer_core::messages::JobCommand;
 use tracer_core::net::HostClient;
 use tracer_core::scenario::ScenarioSpec;
 use tracer_core::TracerError;
 use tracer_serve::server::{JobServer, LoadTrace};
 use tracer_serve::ServiceConfig;
-use tracer_sim::ArraySpec;
-use tracer_trace::{TraceRepository, WorkloadMode};
+use tracer_trace::WorkloadMode;
 
 fn main() -> ExitCode {
     // Reuse the core parser by prepending the verb it expects.
@@ -57,35 +56,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Resolve what the node serves: either a trace repository with an
-/// `--array` testbed, or a scenario file naming both the testbed and the
-/// workload.
-fn job_sources(
-    repo: Option<std::path::PathBuf>,
-    scenario: Option<std::path::PathBuf>,
-    array: ArrayChoice,
-) -> Result<(ArraySpec, LoadTrace), TracerError> {
-    if let Some(path) = scenario {
-        let spec = ScenarioSpec::from_file(&path)?;
-        eprintln!("scenario {}: serving device {}", spec.name, spec.array.name);
-        let array = spec.array.clone();
-        let load: LoadTrace = Arc::new(move |mode: &WorkloadMode| {
-            spec.workload.view(&spec.array, *mode, 0).ok().map(Into::into)
-        });
-        return Ok((array, load));
-    }
-    // The parser enforces the flag, but a wire binary never panics on input.
-    let Some(repo) = repo else {
-        return Err(TracerError::Config("serve needs --repo or --scenario".to_string()));
-    };
-    // Config wraps the Display string verbatim, so stderr output is unchanged.
-    let repo = TraceRepository::open(&repo).map_err(|e| TracerError::Config(e.to_string()))?;
-    let array = array.spec();
-    let device = array.name.clone();
-    let load: LoadTrace = Arc::new(move |mode: &WorkloadMode| repo.load_view(&device, mode).ok());
-    Ok((array, load))
-}
-
 #[allow(clippy::too_many_arguments)]
 fn serve(
     repo: Option<std::path::PathBuf>,
@@ -99,7 +69,13 @@ fn serve(
 ) -> Result<(), TracerError> {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     retain_freed_job_memory();
-    let (array, load) = job_sources(repo, scenario, array)?;
+    let scenario = scenario.map(ScenarioSpec::from_file).transpose()?;
+    if let Some(spec) = &scenario {
+        eprintln!("scenario {}: serving device {}", spec.name, spec.array.name);
+    }
+    let testbed = TestbedTraces::resolve(repo.as_deref(), scenario.as_ref(), array)?;
+    let array = testbed.array.clone();
+    let load: LoadTrace = Arc::new(move |mode: &WorkloadMode| testbed.trace(mode).ok());
     let config = ServiceConfig {
         workers: workers.max(1),
         queue_capacity: ServiceConfig::resolved_capacity(workers.max(1), queue),

@@ -793,17 +793,13 @@ mod tests {
     use tracer_core::db::TestRecord;
     use tracer_fabric::joblog::decode_frames;
     use tracer_sim::ArraySpec;
-    use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
+    use tracer_trace::{Bunch, IoPackage, Trace, TraceView, WorkloadMode};
 
-    fn small_trace(bunches: u64) -> Trace {
-        Trace::from_bunches(
-            "t",
-            (0..bunches)
-                .map(|i| {
-                    Bunch::new(i * 5_000_000, vec![IoPackage::read((i * 997) % 100_000, 4096)])
-                })
-                .collect(),
-        )
+    fn small_trace(bunches: u64) -> TraceView {
+        let bunches = (0..bunches)
+            .map(|i| Bunch::new(i * 5_000_000, vec![IoPackage::read((i * 997) % 100_000, 4096)]))
+            .collect();
+        TraceView::from_trace(&Trace::from_bunches("t", bunches)).unwrap()
     }
 
     /// Bunches in a job that must still be running when a test thread, which

@@ -16,24 +16,22 @@ use tracer_core::net::HostClient;
 use tracer_serve::server::{JobServer, LoadTrace, JOB_SERVER_CONNECTIONS};
 use tracer_serve::{JobState, ServiceConfig};
 use tracer_sim::ArraySpec;
-use tracer_trace::{Bunch, IoPackage, Trace, WorkloadMode};
+use tracer_trace::{Bunch, IoPackage, Trace, TraceHandle, TraceView, WorkloadMode};
 
 const DEVICE: &str = "raid5-hdd4";
 
 /// A trace big enough that a job occupies a worker for many milliseconds —
 /// long enough for a burst of submissions to find the queue full.
-fn busy_trace() -> Trace {
-    Trace::from_bunches(
-        DEVICE,
-        (0..15_000u64)
-            .map(|i| Bunch::new(i * 2_000_000, vec![IoPackage::read((i * 8191) % 2_000_000, 8192)]))
-            .collect(),
-    )
+fn busy_trace() -> TraceHandle {
+    let bunches = (0..15_000u64)
+        .map(|i| Bunch::new(i * 2_000_000, vec![IoPackage::read((i * 8191) % 2_000_000, 8192)]))
+        .collect();
+    Arc::new(TraceView::from_trace(&Trace::from_bunches(DEVICE, bunches)).unwrap())
 }
 
 fn spawn_server(workers: usize, queue: usize) -> JobServer {
-    let trace = Arc::new(busy_trace());
-    let load: LoadTrace = Arc::new(move |_mode| Some(Arc::clone(&trace).into()));
+    let trace = busy_trace();
+    let load: LoadTrace = Arc::new(move |_mode| Some(Arc::clone(&trace)));
     JobServer::spawn(
         ServiceConfig { workers, queue_capacity: queue },
         ArraySpec::hdd_raid5(4),

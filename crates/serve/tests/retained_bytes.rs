@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use tracer_core::distributed::EvaluationJob;
 use tracer_serve::{EvalService, JobState, ServiceConfig};
 use tracer_sim::ArraySpec;
-use tracer_trace::{Bunch, IoPackage, Trace, TraceHandle, WorkloadMode};
+use tracer_trace::{Bunch, IoPackage, Trace, TraceHandle, TraceView, WorkloadMode};
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
@@ -91,13 +91,11 @@ fn run_jobs(service: &EvalService, trace: &TraceHandle, count: u64) {
 
 #[test]
 fn a_finished_job_retains_no_more_than_its_registry_entry() {
-    let trace: TraceHandle = Trace::from_bunches(
-        "t",
-        (0..50u64)
-            .map(|i| Bunch::new(i * 5_000_000, vec![IoPackage::write((i * 997) % 100_000, 4096)]))
-            .collect(),
-    )
-    .into();
+    let bunches = (0..50u64)
+        .map(|i| Bunch::new(i * 5_000_000, vec![IoPackage::write((i * 997) % 100_000, 4096)]))
+        .collect();
+    let trace =
+        TraceHandle::from(TraceView::from_trace(&Trace::from_bunches("t", bunches)).unwrap());
     let service = EvalService::start(ServiceConfig { workers: 1, queue_capacity: 4 });
     run_jobs(&service, &trace, WARMUP_JOBS);
     let before = LIVE_BYTES.load(Ordering::SeqCst);

@@ -222,20 +222,6 @@ impl Trace {
         self.bunches.is_empty()
     }
 
-    /// Approximate heap footprint in bytes: the bunch vector plus every
-    /// bunch's IO vector plus the device name. Used by the repository cache
-    /// for memory accounting — an estimate (capacities may exceed lengths),
-    /// not an allocator-exact figure.
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.device.len()
-            + self.bunches.len() * std::mem::size_of::<Bunch>()
-            + self
-                .bunches
-                .iter()
-                .map(|b| b.ios.len() * std::mem::size_of::<IoPackage>())
-                .sum::<usize>()
-    }
-
     /// Iterate over all IO packages in timestamp order.
     pub fn iter_ios(&self) -> impl Iterator<Item = (Nanos, &IoPackage)> {
         self.bunches.iter().flat_map(|b| b.ios.iter().map(move |io| (b.timestamp, io)))

@@ -9,17 +9,17 @@
 //! # One format written, every format read
 //!
 //! Every store writes the columnar v3 format ([`crate::v3`]) through an
-//! atomic temp-file-plus-rename. Loads negotiate: v3 files map as
-//! zero-copy [`TraceView`]s, and legacy v1/v2 files (written by older
-//! releases) still decode onto the heap. `tracer convert --file` migrates
-//! a legacy file to v3 in place.
+//! atomic temp-file-plus-rename. Every load hands out one representation, a
+//! [`TraceHandle`] (a shared [`TraceView`]): a v3 file is mapped in place, and
+//! a legacy v1/v2 file (written by older releases) is decoded once and
+//! encoded into an in-memory v3 image. `tracer convert --file` migrates a
+//! legacy file to v3 in place.
 //!
 //! # Cache
 //!
 //! The repository keeps a bounded in-process cache over everything it hands
-//! out: one map from path to [`TraceHandle`], with byte-level accounting —
-//! views are charged their mapped length, decoded legacy traces their
-//! approximate heap footprint. When the cache would exceed its budget the
+//! out: one map from path to [`TraceHandle`], each entry charged the length
+//! of its image. When the cache would exceed its budget the
 //! least-recently-used entries are evicted (the entry being inserted is never
 //! evicted, so a single over-budget trace still loads). Every entry records
 //! the identity of the file it was read from — device, inode, size, and
@@ -28,8 +28,8 @@
 //! entry is dropped, while live replays keep their mapping of the old inode.
 //!
 //! Cache behaviour is observable through `tracer-obs`: gauges
-//! `repo.views_open` and `repo.cache_bytes` track the current view count and
-//! accounted bytes, and counter `repo.evictions` counts LRU evictions.
+//! `repo.views_open` and `repo.cache_bytes` track the mapped views cached and
+//! the accounted bytes, and counter `repo.evictions` counts LRU evictions.
 
 use crate::error::TraceError;
 use crate::mode::WorkloadMode;
@@ -94,13 +94,11 @@ impl FileId {
     }
 }
 
-/// One cached handle: the decoded trace or mapped view, plus the identity of
-/// the file it was read from.
+/// One cached view plus the identity of the file it was read from.
 #[derive(Debug)]
 struct CacheEntry {
     handle: TraceHandle,
     id: FileId,
-    bytes: usize,
     used: u64,
 }
 
@@ -145,17 +143,12 @@ impl CacheState {
         }
     }
 
-    /// Cache `handle`, charged its mapped length (views) or its approximate
-    /// decoded heap footprint (legacy traces).
+    /// Cache `handle`, charged the length of its image.
     fn insert(&mut self, path: PathBuf, handle: TraceHandle, id: FileId) {
         let stamp = self.tick();
         self.remove(&path);
-        let bytes = match &handle {
-            TraceHandle::Owned(trace) => trace.approx_heap_bytes(),
-            TraceHandle::View(view) => view.mapped_len(),
-        };
-        self.bytes += bytes;
-        self.entries.insert(path.clone(), CacheEntry { handle, id, bytes, used: stamp });
+        self.bytes += handle.mapped_len();
+        self.entries.insert(path.clone(), CacheEntry { handle, id, used: stamp });
         self.evict_to_budget(&path);
         self.publish();
     }
@@ -163,7 +156,7 @@ impl CacheState {
     /// Drop `path`'s entry, fixing byte accounting.
     fn remove(&mut self, path: &Path) {
         if let Some(old) = self.entries.remove(path) {
-            self.bytes -= old.bytes;
+            self.bytes -= old.handle.mapped_len();
         }
     }
 
@@ -185,7 +178,7 @@ impl CacheState {
     }
 
     fn views_open(&self) -> usize {
-        self.entries.values().filter(|e| e.handle.is_view()).count()
+        self.entries.values().filter(|e| e.handle.is_mapped()).count()
     }
 
     /// Push the current occupancy into the obs gauges. Called on every cache
@@ -201,10 +194,10 @@ impl CacheState {
 /// A directory-backed trace repository.
 ///
 /// Stores write the columnar v3 format; [`TraceRepository::load_view`] /
-/// [`TraceRepository::load_view_named`] negotiate the on-disk format: v3
-/// files come back as shared mmap-backed [`TraceView`]s that replay without
-/// materializing bunches, legacy v1/v2 files as shared decoded traces. Both
-/// kinds sit in one in-process cache, so a sweep asking for the same trace
+/// [`TraceRepository::load_view_named`] negotiate the on-disk format and
+/// return a shared [`TraceView`] that replays without materializing bunches:
+/// mapped for a v3 file, an in-memory v3 image for a legacy v1/v2 file. All
+/// sit in one in-process cache, so a sweep asking for the same trace
 /// for every one of its cells opens the file once and shares one immutable
 /// copy across all workers. Stores invalidate the cached entry for the
 /// written path.
@@ -296,10 +289,10 @@ impl TraceRepository {
 
     /// Load the trace for (`device`, `mode`), negotiating the on-disk format.
     ///
-    /// v3 files come back as [`TraceHandle::View`] — an mmap-backed view
-    /// replayed with zero bunch materialization; legacy v1/v2 files come back
-    /// as a decoded [`TraceHandle::Owned`]. A caller that needs an owned
-    /// [`Trace`](crate::Trace) calls [`TraceHandle::to_trace`]. Handles are
+    /// A v3 file comes back as an mmap-backed view replayed with zero bunch
+    /// materialization; a legacy v1/v2 file is decoded once and encoded into
+    /// an in-memory v3 image. A caller that needs an owned
+    /// [`Trace`](crate::Trace) calls [`TraceView::to_trace`]. Handles are
     /// cached keyed by file identity, so replacing the file (all stores are
     /// atomic renames) transparently reloads on the next call.
     pub fn load_view(&self, device: &str, mode: &WorkloadMode) -> Result<TraceHandle, TraceError> {
@@ -314,7 +307,7 @@ impl TraceRepository {
 
     /// Format-negotiating, cached open. A hit is validated against the file's
     /// current identity before anything else; only a miss sniffs the version
-    /// and reads the file — v3 as a view, v1/v2 decoded onto the heap.
+    /// and reads the file — v3 mapped, v1/v2 decoded and re-encoded as v3.
     fn open_handle(
         &self,
         path: &Path,
@@ -330,11 +323,11 @@ impl TraceRepository {
         if let Some(hit) = self.lock().get(path, id) {
             return Ok(hit);
         }
-        let handle = if peek_version(path)? == v3::VERSION {
-            TraceHandle::View(Arc::new(TraceView::open(path)?))
+        let handle = Arc::new(if peek_version(path)? == v3::VERSION {
+            TraceView::open(path)?
         } else {
-            TraceHandle::Owned(Arc::new(replay_format::read_file(path)?))
-        };
+            TraceView::from_trace(&replay_format::read_file(path)?)?
+        });
         self.lock().insert(path.to_path_buf(), handle.clone(), id);
         Ok(handle)
     }
@@ -346,8 +339,7 @@ impl TraceRepository {
         cache.publish();
     }
 
-    /// Bytes currently accounted to the cache (mapped views + decoded legacy
-    /// traces).
+    /// Bytes currently accounted to the cache (the images of its views).
     pub fn cache_bytes(&self) -> usize {
         self.lock().bytes
     }
@@ -439,14 +431,6 @@ mod tests {
         replay_format::write_bytes_atomic(&crate::compact::to_bytes(trace), &path).unwrap();
     }
 
-    fn same_handle(a: &TraceHandle, b: &TraceHandle) -> bool {
-        match (a, b) {
-            (TraceHandle::Owned(a), TraceHandle::Owned(b)) => Arc::ptr_eq(a, b),
-            (TraceHandle::View(a), TraceHandle::View(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
     #[test]
     fn store_and_load_by_mode() {
         let repo = tmp_repo("mode");
@@ -499,7 +483,7 @@ mod tests {
 
         let a = repo.load_view("raid5", &mode).unwrap();
         let b = repo.load_view("raid5", &mode).unwrap();
-        assert!(same_handle(&a, &b), "cache must share one allocation");
+        assert!(Arc::ptr_eq(&a, &b), "cache must share one allocation");
         assert_eq!(a.to_trace().unwrap(), tiny_trace("raid5"));
 
         // Re-storing the same path must invalidate the cached handle.
@@ -507,13 +491,13 @@ mod tests {
             Trace::from_bunches("raid5", vec![Bunch::new(7, vec![IoPackage::write(64, 8192)])]);
         repo.store_v3(&mode, &other).unwrap();
         let c = repo.load_view("raid5", &mode).unwrap();
-        assert!(!same_handle(&a, &c), "store must drop the stale entry");
+        assert!(!Arc::ptr_eq(&a, &c), "store must drop the stale entry");
         assert_eq!(c.to_trace().unwrap(), other);
 
         repo.store_v3_named("freeform", &tiny_trace("cello")).unwrap();
         let n1 = repo.load_view_named("freeform").unwrap();
         let n2 = repo.load_view_named("freeform").unwrap();
-        assert!(same_handle(&n1, &n2));
+        assert!(Arc::ptr_eq(&n1, &n2));
         assert!(matches!(repo.load_view_named("absent"), Err(TraceError::NotFound(_))));
         fs::remove_dir_all(repo.root()).unwrap();
     }
@@ -537,12 +521,12 @@ mod tests {
         let mode = WorkloadMode::peak(4096, 0, 0);
         let t = tiny_trace("raid5");
 
-        // Legacy v2 file -> owned handle, shared through the cache.
+        // Legacy v2 file -> in-memory view, shared through the cache.
         store_legacy(&repo, &mode.file_stem("raid5"), &t);
         let h = repo.load_view("raid5", &mode).unwrap();
         assert!(!h.is_view());
         let again = repo.load_view("raid5", &mode).unwrap();
-        assert!(same_handle(&h, &again));
+        assert!(Arc::ptr_eq(&h, &again));
         assert_eq!(h.to_trace().unwrap(), t);
 
         // v3 store over the same path -> view handle, old entry invalidated.
@@ -551,7 +535,7 @@ mod tests {
         assert!(v.is_view());
         assert_eq!(repo.views_open(), 1);
         let v2 = repo.load_view("raid5", &mode).unwrap();
-        assert!(same_handle(&v, &v2), "view cache must share one mapping");
+        assert!(Arc::ptr_eq(&v, &v2), "view cache must share one mapping");
         assert_eq!(v.to_trace().unwrap(), t);
 
         // Named v3 stores round-trip too.
@@ -601,9 +585,9 @@ mod tests {
     fn cache_accounts_bytes_and_evicts_least_recently_used() {
         let repo_dir = std::env::temp_dir().join(format!("tracer_repo_lru_{}", std::process::id()));
         let _ = fs::remove_dir_all(&repo_dir);
-        // Budget fits roughly one tiny trace's accounting, forcing eviction
-        // on the second distinct load.
-        let budget = tiny_trace("d").approx_heap_bytes() + 16;
+        // Budget fits one tiny trace's image, forcing eviction on the
+        // second distinct load.
+        let budget = TraceView::from_trace(&tiny_trace("d")).unwrap().mapped_len() + 16;
         let repo = TraceRepository::with_cache_budget(&repo_dir, budget).unwrap();
 
         store_legacy(&repo, "a", &tiny_trace("d"));
@@ -615,17 +599,16 @@ mod tests {
         assert_eq!(repo.evictions(), 1, "loading b must evict a");
         // Evicting `a` means a reload decodes afresh (different Arc).
         let a2 = repo.load_view_named("a").unwrap();
-        assert!(!same_handle(&a, &a2));
+        assert!(!Arc::ptr_eq(&a, &a2));
 
-        // Views participate in the same accounting.
+        // Mapped views participate in the same accounting.
         repo.store_v3_named("v", &tiny_trace("d")).unwrap();
         let h = repo.load_view_named("v").unwrap();
         assert!(h.is_view());
         assert!(repo.evictions() >= 2, "view insert must evict the older trace");
-        // The view exceeds the toy budget on its own, so it is the only
-        // survivor (the just-inserted entry is exempt from eviction).
-        let TraceHandle::View(view) = &h else { panic!("expected a view handle") };
-        assert_eq!(repo.cache_bytes(), view.mapped_len());
+        // The budget fits one image, so the view is the only survivor (the
+        // just-inserted entry is exempt from eviction).
+        assert_eq!(repo.cache_bytes(), h.mapped_len());
         assert_eq!(repo.views_open(), 1);
         fs::remove_dir_all(repo.root()).unwrap();
     }

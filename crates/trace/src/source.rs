@@ -5,9 +5,9 @@
 //! this trait pushes the boundary all the way to disk. Anything that
 //! can walk its bunches in timestamp order as `(timestamp, &[IoPackage])` is
 //! replayable: the in-memory [`Trace`] (infallible iteration over its
-//! `Vec<Bunch>`), the columnar [`TraceView`] (streamed straight out of an
-//! mmap), and the [`TraceHandle`] enum the repository hands out so callers
-//! need not be generic over which one they got.
+//! `Vec<Bunch>`) and the columnar [`TraceView`] (streamed straight out of an
+//! mmap or an in-memory image). The repository hands out every trace as a
+//! [`TraceHandle`], a shared view, whatever format the file is stored in.
 //!
 //! Iteration is *internal* (a visitor callback) rather than an `Iterator`:
 //! the view decodes each bunch into one reusable scratch buffer, which a
@@ -144,113 +144,13 @@ impl<T: BunchSource + ?Sized> BunchSource for &T {
     }
 }
 
-/// A shared, cheaply clonable trace of either representation: a decoded
-/// [`Trace`] (v1/v2, or anything built in memory) or an mmap-backed
-/// [`TraceView`] (v3). The repository's format-negotiating
-/// [`load_view`](crate::repository::TraceRepository::load_view) returns this,
-/// so sweeps, serve, and the fleet thread one type regardless of how the
-/// trace is stored.
-#[derive(Debug, Clone)]
-pub enum TraceHandle {
-    /// Fully decoded in-memory trace.
-    Owned(Arc<Trace>),
-    /// Zero-materialization columnar view.
-    View(Arc<TraceView>),
-}
-
-impl TraceHandle {
-    /// `true` when backed by an mmap view rather than a decoded trace.
-    pub fn is_view(&self) -> bool {
-        matches!(self, TraceHandle::View(_))
-    }
-
-    /// The decoded trace, when this handle owns one.
-    pub fn as_trace(&self) -> Option<&Arc<Trace>> {
-        match self {
-            TraceHandle::Owned(t) => Some(t),
-            TraceHandle::View(_) => None,
-        }
-    }
-
-    /// Materialize an owned [`Trace`] whichever representation is behind the
-    /// handle (the view path counts toward [`bunch_materializations`]).
-    pub fn to_trace(&self) -> Result<Trace, TraceError> {
-        match self {
-            TraceHandle::Owned(t) => Ok(Trace::clone(t)),
-            TraceHandle::View(v) => v.to_trace(),
-        }
-    }
-
-    /// Total IO packages in the trace.
-    pub fn io_count(&self) -> usize {
-        match self {
-            TraceHandle::Owned(t) => t.io_count(),
-            TraceHandle::View(v) => v.io_count(),
-        }
-    }
-
-    /// Timestamp of the final bunch (the trace duration), 0 when empty.
-    pub fn duration(&self) -> Nanos {
-        match self {
-            TraceHandle::Owned(t) => t.duration(),
-            TraceHandle::View(v) => v.duration(),
-        }
-    }
-}
-
-impl BunchSource for TraceHandle {
-    fn device(&self) -> &str {
-        match self {
-            TraceHandle::Owned(t) => &t.device,
-            TraceHandle::View(v) => v.device(),
-        }
-    }
-
-    fn bunch_count(&self) -> usize {
-        match self {
-            TraceHandle::Owned(t) => t.bunches.len(),
-            TraceHandle::View(v) => v.bunch_count(),
-        }
-    }
-
-    fn try_for_each_bunch(&self, f: &mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), TraceError> {
-        match self {
-            TraceHandle::Owned(t) => t.try_for_each_bunch(f),
-            TraceHandle::View(v) => v.try_for_each_bunch(f),
-        }
-    }
-
-    fn v3_image(&self) -> Option<&[u8]> {
-        match self {
-            TraceHandle::Owned(_) => None,
-            TraceHandle::View(v) => v.v3_image(),
-        }
-    }
-}
-
-impl From<Trace> for TraceHandle {
-    fn from(t: Trace) -> Self {
-        TraceHandle::Owned(Arc::new(t))
-    }
-}
-
-impl From<Arc<Trace>> for TraceHandle {
-    fn from(t: Arc<Trace>) -> Self {
-        TraceHandle::Owned(t)
-    }
-}
-
-impl From<TraceView> for TraceHandle {
-    fn from(v: TraceView) -> Self {
-        TraceHandle::View(Arc::new(v))
-    }
-}
-
-impl From<Arc<TraceView>> for TraceHandle {
-    fn from(v: Arc<TraceView>) -> Self {
-        TraceHandle::View(v)
-    }
-}
+/// The one shared trace representation: a [`TraceView`] over a v3 image.
+/// The repository's [`load_view`](crate::repository::TraceRepository::load_view)
+/// maps a stored v3 file and encodes a legacy v1/v2 file into an in-memory
+/// image once; a synthesised trace is an in-memory image too. Sweeps, jobs,
+/// serve nodes and the fleet all thread this one type, and a clone shares
+/// the image.
+pub type TraceHandle = Arc<TraceView>;
 
 #[cfg(test)]
 mod tests {
@@ -293,11 +193,10 @@ mod tests {
         let r: &Trace = &t;
         assert_eq!(collect(&r), collect(&*t));
 
-        let h = TraceHandle::from(Arc::clone(&t));
+        let h = TraceHandle::from(crate::v3::TraceView::from_trace(&t).unwrap());
         assert_eq!(collect(&h), collect(&*t));
         assert_eq!(BunchSource::device(&h), "dev");
-        assert!(!h.is_view());
-        assert!(h.as_trace().is_some());
+        assert!(!h.is_view(), "an in-memory image is not a mapped file");
         assert_eq!(h.to_trace().unwrap(), *t);
         assert_eq!(h.io_count(), 3);
         assert_eq!(h.duration(), 1_000);
@@ -313,7 +212,6 @@ mod tests {
         crate::v3::write_file(&t, &path).unwrap();
         let h = TraceHandle::from(crate::v3::TraceView::open(&path).unwrap());
         assert!(h.is_view());
-        assert!(h.as_trace().is_none());
         assert_eq!(BunchSource::device(&h), "dev");
         assert_eq!(BunchSource::bunch_count(&h), 2);
         assert_eq!(h.io_count(), 3);

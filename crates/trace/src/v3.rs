@@ -727,6 +727,11 @@ impl TraceView {
         Self::over(Mmap::from_vec(bytes))
     }
 
+    /// Encode an owned trace into an in-memory image and view it.
+    pub fn from_trace(trace: &Trace) -> Result<Self, TraceError> {
+        Self::from_bytes(to_bytes(trace))
+    }
+
     fn over(data: Mmap) -> Result<Self, TraceError> {
         let (device, body) = split_file(&data)?;
         let meta = V3Meta::parse(body)?;
@@ -774,6 +779,12 @@ impl TraceView {
     /// `true` when backed by a real kernel mapping (see [`Mmap::is_mapped`]).
     pub fn is_mapped(&self) -> bool {
         self.data.is_mapped()
+    }
+
+    /// `true` when the view maps a stored file (the repository's v3 path);
+    /// `false` for an in-memory image. Same as [`Self::is_mapped`].
+    pub fn is_view(&self) -> bool {
+        self.is_mapped()
     }
 
     fn body(&self) -> &[u8] {

@@ -40,7 +40,7 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 }
 
 /// Decode a full v3 byte image back into a heap trace (the same path
-/// `TraceRepository` and `TraceHandle::to_trace` use, minus the file).
+/// `TraceRepository` and `TraceView::to_trace` use, minus the file).
 fn decode_v3(bytes: &[u8]) -> Result<Trace, TraceError> {
     let (device, body) = v3::split_file(bytes)?;
     v3::decode_body(body, device.to_string())

@@ -5,14 +5,16 @@
 //! in the trace repository. … The trace collector is able to collect a full
 //! range of trace files automatically without users' manipulation" (§III-A2,
 //! §III-B). The collector here runs the closed-loop generator against a
-//! freshly-built simulated array per workload mode and stores the recorded
-//! trace under the mode-encoding file name. A full campaign is the CLI's
-//! `tracer sweep`, which collects each missing mode with
-//! [`TraceCollector::collect`] on its worker pool.
+//! freshly-built simulated array per workload mode, seeded with
+//! [`PEAK_SEED`], and stores the recorded trace under the mode-encoding file
+//! name. `tracer collect` collects one mode with [`TraceCollector::collect`];
+//! `tracer sweep --repo` collects each missing mode with it on its worker
+//! pool. Both store the bytes a scenario's first trial of the same mode and
+//! testbed replays.
 
-use crate::iometer::{run_peak_workload_into, GeneratedWorkload, IometerConfig};
+use crate::iometer::{run_peak_view, GeneratedWorkload, IometerConfig, PEAK_SEED};
 use tracer_sim::{ArraySim, SimDuration};
-use tracer_trace::{TraceError, TraceRepository, TraceView, V3Encoder, WorkloadMode};
+use tracer_trace::{TraceError, TraceRepository, TraceView, WorkloadMode};
 
 /// Collects peak-workload traces into a repository.
 pub struct TraceCollector<'a, F>
@@ -25,12 +27,6 @@ where
     build_array: F,
     /// Issue window per trace; the paper's collections take ~2 minutes.
     pub duration: SimDuration,
-    /// Closed-loop queue depth.
-    pub outstanding: usize,
-    /// Working-set span in sectors.
-    pub span_sectors: u64,
-    /// Base RNG seed; each mode derives its own stream.
-    pub seed: u64,
 }
 
 impl<'a, F> TraceCollector<'a, F>
@@ -39,14 +35,7 @@ where
 {
     /// New collector storing into `repo`, building arrays with `build_array`.
     pub fn new(repo: &'a TraceRepository, build_array: F) -> Self {
-        Self {
-            repo,
-            build_array,
-            duration: SimDuration::from_secs(120),
-            outstanding: 16,
-            span_sectors: 16 * 1024 * 1024,
-            seed: 0x7ace,
-        }
+        Self { repo, build_array, duration: SimDuration::from_secs(120) }
     }
 
     /// Collect one mode's trace (overwriting any existing file) and return
@@ -57,28 +46,14 @@ where
         &mut self,
         mode: WorkloadMode,
     ) -> Result<GeneratedWorkload<TraceView>, TraceError> {
-        let mut sim = (self.build_array)();
         let cfg = IometerConfig {
-            mode,
-            outstanding: self.outstanding,
             duration: self.duration,
-            span_sectors: self.span_sectors,
-            seed: self.seed ^ mode_seed(&mode),
+            ..IometerConfig::two_minutes(mode, PEAK_SEED)
         };
-        let encoder = V3Encoder::new(sim.config().name.as_str());
-        let GeneratedWorkload { trace, completed_ios, window_bytes, peak_iops, peak_mbps } =
-            run_peak_workload_into(&mut sim, &cfg, encoder);
-        let view = trace.into_view()?;
-        self.repo.store_v3(&cfg.mode, &view)?;
-        Ok(GeneratedWorkload { trace: view, completed_ios, window_bytes, peak_iops, peak_mbps })
+        let out = run_peak_view((self.build_array)(), &cfg)?;
+        self.repo.store_v3(&mode, &out.trace)?;
+        Ok(out)
     }
-}
-
-/// Stable per-mode seed derivation.
-fn mode_seed(mode: &WorkloadMode) -> u64 {
-    (u64::from(mode.request_bytes) << 16)
-        ^ (u64::from(mode.random_pct) << 8)
-        ^ u64::from(mode.read_pct)
 }
 
 #[cfg(test)]

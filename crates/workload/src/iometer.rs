@@ -12,7 +12,15 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tracer_sim::{ArrayRequest, ArraySim, SimDuration, SimTime, DRAIN_BATCH};
-use tracer_trace::{BunchSink, IoPackage, Nanos, OpKind, Trace, WorkloadMode};
+use tracer_trace::{
+    BunchSink, IoPackage, Nanos, OpKind, Trace, TraceError, TraceView, V3Encoder, WorkloadMode,
+};
+
+/// RNG seed of a mode's peak trace. `tracer collect`, the
+/// [`TraceCollector`](crate::TraceCollector) behind `tracer sweep --repo` and
+/// a scenario's first trial all synthesise from it, so the trace stored
+/// under a (testbed, mode) file name is the same whichever command wrote it.
+pub const PEAK_SEED: u64 = 0x7ace;
 
 /// Configuration of one IOmeter-style run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -267,6 +275,22 @@ pub fn run_peak_workload_mixed(
 pub fn run_peak_workload(sim: &mut ArraySim, cfg: &IometerConfig) -> GeneratedWorkload {
     let sink = Trace::new(sim.config().name.clone());
     run_peak_workload_into(sim, cfg, sink)
+}
+
+/// Drive `sim` with a closed-loop peak workload and keep the issued trace as
+/// an in-memory v3 view, encoded as it is issued: what the collector stores
+/// and a scenario replays. The simulator is only the load source, so it is
+/// dropped before the image is finished and never held beside it.
+pub fn run_peak_view(
+    mut sim: ArraySim,
+    cfg: &IometerConfig,
+) -> Result<GeneratedWorkload<TraceView>, TraceError> {
+    let encoder = V3Encoder::new(sim.config().name.as_str());
+    let GeneratedWorkload { trace, completed_ios, window_bytes, peak_iops, peak_mbps } =
+        run_peak_workload_into(&mut sim, cfg, encoder);
+    drop(sim);
+    let trace = trace.into_view()?;
+    Ok(GeneratedWorkload { trace, completed_ios, window_bytes, peak_iops, peak_mbps })
 }
 
 /// Drive `sim` with a closed-loop peak workload, pushing the issued trace

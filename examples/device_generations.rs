@@ -32,8 +32,8 @@ fn main() {
     let mut host = EvaluationHost::new();
 
     // --- OLTP: small random pages, the seek-bound regime -----------------
-    let oltp =
-        OltpTraceBuilder { duration_s: 120.0, mean_iops: 150.0, ..Default::default() }.build();
+    let oltp = OltpTraceBuilder { duration_s: 120.0, mean_iops: 150.0, ..Default::default() };
+    let oltp = TraceHandle::from(TraceView::from_trace(&oltp.build()).expect("encoded image"));
     println!("\nOLTP workload (4K-class random pages, 66% read):");
     println!("{:<16} {:>10} {:>10} {:>10} {:>12}", "array", "IOPS", "avg ms", "watts", "IOPS/Watt");
     let jobs: Vec<EvaluationJob> = ARRAYS

@@ -8,18 +8,18 @@
 //! Run with: `cargo run --release --example ssd_vs_hdd`
 
 use tracer_core::prelude::*;
-use tracer_workload::iometer::run_peak_workload;
+use tracer_workload::iometer::run_peak_view;
 
 /// Collect a fresh peak trace for `mode` on the array `build` produces.
-fn peak_trace(build: impl Fn() -> ArraySim, mode: WorkloadMode, seconds: u64) -> Trace {
-    let mut sim = build();
-    run_peak_workload(
-        &mut sim,
+fn peak_trace(build: impl Fn() -> ArraySim, mode: WorkloadMode, seconds: u64) -> TraceView {
+    run_peak_view(
+        build(),
         &IometerConfig {
             duration: SimDuration::from_secs(seconds),
             ..IometerConfig::two_minutes(mode, 99)
         },
     )
+    .expect("a freshly encoded image opens")
     .trace
 }
 

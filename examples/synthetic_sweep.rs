@@ -55,7 +55,7 @@ fn main() {
 
     // Replay each at every load level (paper §III-B step 3).
     let mut host = EvaluationHost::new();
-    let device = ArraySpec::hdd_raid5(4).build().config().name.clone();
+    let device = ArraySpec::hdd_raid5(4).name;
     let results = SweepBuilder::new()
         .on_progress(|done, total| {
             if done % 25 == 0 || done == total {

@@ -4,13 +4,11 @@
 use tracer_core::prelude::*;
 use tracer_core::EvaluationJob;
 
-fn trace(n: u64, bytes: u32) -> Trace {
-    Trace::from_bunches(
-        "t",
-        (0..n)
-            .map(|i| Bunch::new(i * 8_000_000, vec![IoPackage::read((i * 131) % 100_000, bytes)]))
-            .collect(),
-    )
+fn trace(n: u64, bytes: u32) -> TraceView {
+    let bunches = (0..n)
+        .map(|i| Bunch::new(i * 8_000_000, vec![IoPackage::read((i * 131) % 100_000, bytes)]))
+        .collect();
+    TraceView::from_trace(&Trace::from_bunches("t", bunches)).unwrap()
 }
 
 #[test]

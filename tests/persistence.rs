@@ -137,3 +137,55 @@ fn sweep_results_replayed_from_repository_are_reproducible() {
     assert_eq!(run(), run(), "bit-identical reproduction from stored trace");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn one_mode_names_one_trace_whichever_command_synthesises_it() {
+    // `tracer collect`, the collector behind `tracer sweep --repo`, and a
+    // scenario's first peak trial must agree byte for byte on the v3 image
+    // of one (testbed, mode).
+    use tracer_core::scenario::{Grid, WorkloadKind, WorkloadSpec};
+    let array = ArraySpec::hdd_raid5(4);
+    let mode = WorkloadMode::peak(16384, 50, 70);
+    let seconds = 2;
+
+    let cli_dir = tmp("one_trace_cli");
+    let args: Vec<String> = format!(
+        "collect --rs 16384 --rn 50 --rd 70 --seconds 2 --array hdd4 --repo {}",
+        cli_dir.display()
+    )
+    .split_whitespace()
+    .map(str::to_string)
+    .collect();
+    tracer_core::cli::run(tracer_core::cli::parse(&args).unwrap()).unwrap();
+    let cli_repo = TraceRepository::open(&cli_dir).unwrap();
+    let from_cli = std::fs::read(cli_repo.path_for(&array.name, &mode)).unwrap();
+
+    let collector_dir = tmp("one_trace_collector");
+    let repo = TraceRepository::open(&collector_dir).unwrap();
+    let mut collector = TraceCollector::new(&repo, || array.build());
+    collector.duration = SimDuration::from_secs(seconds);
+    collector.collect(mode).unwrap();
+    let from_collector = std::fs::read(repo.path_for(&array.name, &mode)).unwrap();
+
+    let workload = WorkloadSpec {
+        kind: WorkloadKind::Peak,
+        rs: vec![mode.request_bytes],
+        rn: vec![mode.random_pct],
+        rd: vec![mode.read_pct],
+        grid: Grid::Cross,
+        seconds,
+        seed: None,
+        mean_iops: None,
+    };
+    let view = workload.view(&array, mode, 0).unwrap();
+    let from_scenario = tracer_trace::BunchSource::v3_image(&view).unwrap();
+
+    assert!(!from_cli.is_empty());
+    assert!(from_cli == from_collector, "tracer collect and TraceCollector stored different bytes");
+    assert!(
+        from_collector == from_scenario,
+        "the scenario's peak view differs from the stored file"
+    );
+    std::fs::remove_dir_all(&cli_dir).unwrap();
+    std::fs::remove_dir_all(&collector_dir).unwrap();
+}

@@ -19,13 +19,11 @@ fn corrupt_view() -> TraceHandle {
     TraceView::open(std::path::Path::new(path)).expect("the corruption survives the open").into()
 }
 
-fn trace(n: u64) -> Trace {
-    Trace::from_bunches(
-        "t",
-        (0..n)
-            .map(|i| Bunch::new(i * 6_000_000, vec![IoPackage::read((i * 48_271) % 100_000, 8192)]))
-            .collect(),
-    )
+fn trace(n: u64) -> TraceView {
+    let bunches = (0..n)
+        .map(|i| Bunch::new(i * 6_000_000, vec![IoPackage::read((i * 48_271) % 100_000, 8192)]))
+        .collect();
+    TraceView::from_trace(&Trace::from_bunches("t", bunches)).unwrap()
 }
 
 #[test]

@@ -70,8 +70,8 @@ fn every_format_replays_bit_identically() {
     let v1 = repo.load_view_named("gold_v1").unwrap();
     let v2 = repo.load_view_named("gold_v2").unwrap();
     let v3 = repo.load_view_named("gold_v3").unwrap();
-    assert!(!v1.is_view(), "v1 decodes to a heap trace");
-    assert!(!v2.is_view(), "v2 decodes to a heap trace");
+    assert!(!v1.is_view(), "v1 decodes to an in-memory view");
+    assert!(!v2.is_view(), "v2 decodes to an in-memory view");
     assert!(v3.is_view(), "v3 negotiates to an mmap view");
 
     // All three decode to the identical heap trace.
@@ -103,7 +103,7 @@ fn every_format_replays_bit_identically() {
     }
 
     // Full load sweeps at 1 and 4 workers: identical accuracy tables from
-    // the heap trace and the mapped view, still zero v3 materializations.
+    // the in-memory v2 image and the mapped view, still zero v3 materializations.
     let mode = WorkloadMode::peak(4096, 50, 100);
     for workers in [1usize, 4] {
         let sweep = |handle| {
