@@ -1,24 +1,24 @@
-//! `perf_event_queue` — calendar queue versus binary heap on the DES hot
-//! path, isolated from the rest of the engine.
+//! `perf_event_queue` — the [`tracer_sim::equeue::EventQueue`] back-ends
+//! isolated from the rest of the engine.
 //!
-//! Two workloads drive both [`tracer_sim::equeue::EventQueue`] back-ends
-//! through the same operation sequence:
+//! Two workloads drive the back-ends through the same operation sequence:
 //!
 //! * **deep drain** — schedule a large pending set up front, then pop it dry:
-//!   the regime deep device queues put the engine in, where the heap pays
-//!   O(log n) sift-downs per pop and the calendar pays O(1) bucket hops;
+//!   the heap pays O(log n) sift-downs per pop and the calendar pays O(1)
+//!   bucket hops (calendar vs heap);
 //! * **hold model** — the classic event-queue benchmark: at steady depth,
 //!   each pop schedules a successor at `t + random increment`, matching how
-//!   `DiskFree` events beget future `DiskFree` events.
+//!   `DiskFree` events beget future `DiskFree` events. Run at depth 64 Ki
+//!   (calendar vs heap) and at the engine's measured depth, 16 pending
+//!   events at most, where the sorted ring `ArraySim` uses joins them.
 //!
 //! Emits `RESULT perf_event_queue` with events/sec per back-end and the
-//! calendar/heap speedup on the deep drain, which CI gates (the calendar must
-//! stay well ahead of the heap it replaced).
+//! calendar/heap speedup on the deep drain, which CI gates.
 
 use std::hint::black_box;
 use std::time::Instant;
 use tracer_bench::{banner, json_result};
-use tracer_sim::equeue::{CalendarQueue, EventQueue, HeapQueue};
+use tracer_sim::equeue::{CalendarQueue, EventQueue, HeapQueue, RingQueue};
 use tracer_sim::SimTime;
 
 /// Deterministic xorshift so both back-ends see the identical sequence.
@@ -79,13 +79,15 @@ fn hold<Q: EventQueue<u32>>(mut q: Q, depth: u64, holds: u64) -> (u64, f64, u64)
 }
 
 fn main() {
-    banner("perf_event_queue", "calendar vs heap event queue (deep drain + hold model)");
+    banner("perf_event_queue", "event queue back-ends (deep drain + hold model)");
     // Default depth sits firmly in the deep-queue regime the tentpole targets
     // (heap sift-downs ~log2(4M) ≈ 22 levels deep); override with N=… to
     // sweep other depths.
     let n = std::env::var("N").ok().and_then(|v| v.parse().ok()).unwrap_or(4_000_000u64);
     let depth = 65_536u64;
     let holds = 1_000_000u64;
+    // The most events `ArraySim` holds pending on the benchmark workloads.
+    let engine_depth = 16u64;
 
     // Interleave and keep the best of three so a scheduler blip on one side
     // cannot manufacture or mask a regression.
@@ -93,6 +95,7 @@ fn main() {
     let mut cal_drain = f64::MAX;
     let mut heap_hold = f64::MAX;
     let mut cal_hold = f64::MAX;
+    let mut shallow = [f64::MAX; 3]; // ring, heap, calendar at `engine_depth`
     let mut sum_heap = 0u64;
     let mut sum_cal = 0u64;
     for _ in 0..3 {
@@ -106,6 +109,15 @@ fn main() {
         heap_hold = heap_hold.min(secs / ops as f64);
         let (ops, secs, _) = hold(CalendarQueue::new(), depth, holds);
         cal_hold = cal_hold.min(secs / ops as f64);
+        let runs = [
+            hold(RingQueue::new(), engine_depth, holds),
+            hold(HeapQueue::new(), engine_depth, holds),
+            hold(CalendarQueue::new(), engine_depth, holds),
+        ];
+        assert!(runs.iter().all(|r| r.2 == runs[0].2), "back-ends held different orders");
+        for (best, (ops, secs, _)) in shallow.iter_mut().zip(runs) {
+            *best = best.min(secs / ops as f64);
+        }
     }
     assert_eq!(sum_heap, sum_cal, "back-ends popped different orders");
     black_box((sum_heap, sum_cal));
@@ -116,6 +128,8 @@ fn main() {
     let cal_hold_ops = 1.0 / cal_hold;
     println!("deep drain ({n} events): heap {heap_drain_ops:>12.0} ops/s  calendar {cal_drain_ops:>12.0} ops/s  ({:.2}x)", cal_drain_ops / heap_drain_ops);
     println!("hold model (depth {depth}): heap {heap_hold_ops:>12.0} ops/s  calendar {cal_hold_ops:>12.0} ops/s  ({:.2}x)", cal_hold_ops / heap_hold_ops);
+    let [ring_shallow_ops, heap_shallow_ops, cal_shallow_ops] = shallow.map(|s| 1.0 / s);
+    println!("hold model (depth {engine_depth}): ring {ring_shallow_ops:>12.0} ops/s  heap {heap_shallow_ops:>12.0} ops/s  calendar {cal_shallow_ops:>12.0} ops/s");
 
     json_result(
         "perf_event_queue",
@@ -128,6 +142,10 @@ fn main() {
             "heap_hold_ops_per_sec": heap_hold_ops,
             "calendar_hold_ops_per_sec": cal_hold_ops,
             "hold_speedup": cal_hold_ops / heap_hold_ops,
+            "engine_hold_depth": engine_depth,
+            "ring_engine_hold_ops_per_sec": ring_shallow_ops,
+            "heap_engine_hold_ops_per_sec": heap_shallow_ops,
+            "calendar_engine_hold_ops_per_sec": cal_shallow_ops,
         }),
     );
 }

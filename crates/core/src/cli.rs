@@ -28,6 +28,7 @@ use crate::techniques::{compare_policies, ConservationPolicy};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 use tracer_sim::{ArraySim, ArraySpec, SimDuration};
 use tracer_trace::{
     srt, sweep, TraceError, TraceHandle, TraceRepository, TraceStats, WorkloadMode,
@@ -81,7 +82,9 @@ pub struct TestbedTraces {
 
 enum TraceSource {
     Repo(TraceRepository),
-    Scenario(crate::scenario::WorkloadSpec),
+    /// The scenario's workload and one slot per mode it lists, filled by the
+    /// first job of that mode and shared by every later one.
+    Scenario(crate::scenario::WorkloadSpec, Vec<(WorkloadMode, Mutex<Option<TraceHandle>>)>),
 }
 
 impl TestbedTraces {
@@ -94,7 +97,8 @@ impl TestbedTraces {
         array: ArrayChoice,
     ) -> Result<Self, TracerError> {
         if let Some(spec) = scenario {
-            let source = TraceSource::Scenario(spec.workload.clone());
+            let slots = spec.workload.modes().into_iter().map(|m| (m, Mutex::new(None))).collect();
+            let source = TraceSource::Scenario(spec.workload.clone(), slots);
             return Ok(Self { array: spec.array.clone(), source });
         }
         let Some(repo) = repo else {
@@ -105,16 +109,33 @@ impl TestbedTraces {
     }
 
     /// The trace a job of `mode` replays: the repository's file for the
-    /// testbed and mode, or the scenario's first trial of the mode.
+    /// testbed and mode, or the scenario's first trial of the mode. A
+    /// scenario synthesises each mode it lists once, on first use, and hands
+    /// every later job the same handle; a mode it does not list has no
+    /// trace ([`TracerError::NoTrace`]), as a repository without the file.
     pub fn trace(&self, mode: &WorkloadMode) -> Result<TraceHandle, TracerError> {
+        let no_trace = || TracerError::NoTrace(self.array.name.clone());
         match &self.source {
             TraceSource::Repo(repo) => {
                 repo.load_view(&self.array.name, mode).map_err(|e| match e {
-                    TraceError::NotFound(_) => TracerError::NoTrace(self.array.name.clone()),
+                    TraceError::NotFound(_) => no_trace(),
                     e => e.into(),
                 })
             }
-            TraceSource::Scenario(workload) => Ok(workload.view(&self.array, *mode, 0)?.into()),
+            TraceSource::Scenario(workload, slots) => {
+                // Synthesis ignores the load level: one trace per peak mode.
+                let peak = mode.at_load(100);
+                let (_, slot) = slots.iter().find(|(m, _)| *m == peak).ok_or_else(no_trace)?;
+                // Held while synthesising, so concurrent first jobs of one
+                // mode wait for a single synthesis.
+                let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                if let Some(trace) = slot.as_ref() {
+                    return Ok(Arc::clone(trace));
+                }
+                let trace: TraceHandle = workload.view(&self.array, peak, 0)?.into();
+                *slot = Some(Arc::clone(&trace));
+                Ok(trace)
+            }
         }
     }
 }
@@ -1618,6 +1639,33 @@ mod tests {
         assert!(err.0.contains("conflicts with --scenario"), "{err}");
         let err = parse(&argv("coordinate --scenario f.toml --loads 20,50")).unwrap_err();
         assert!(err.0.contains("conflicts with --scenario"), "{err}");
+    }
+
+    #[test]
+    fn a_scenario_testbed_synthesises_each_listed_mode_once() {
+        let spec = crate::scenario::ScenarioSpec::parse(
+            "[scenario]\nname = \"once\"\n[array]\ndevice = \"memoright-slc\"\n\
+             layout = \"raid5\"\ndisks = 3\n[workload]\nrs = 4096\nrn = 100\nrd = [0, 100]\n\
+             seconds = 1\n[sweep]\nloads = [50]\n",
+        )
+        .unwrap();
+        let testbed = TestbedTraces::resolve(None, Some(&spec), ArrayChoice::Hdd6).unwrap();
+        let TraceSource::Scenario(_, slots) = &testbed.source else { panic!("scenario source") };
+        let synthesised =
+            || slots.iter().filter(|(_, slot)| slot.lock().unwrap().is_some()).count();
+        // An unlisted mode is refused before anything is synthesised.
+        let unlisted = WorkloadMode::peak(8192, 100, 100).at_load(40);
+        assert!(matches!(testbed.trace(&unlisted), Err(TracerError::NoTrace(_))));
+        assert_eq!(synthesised(), 0);
+        // Any load level of a listed mode shares one handle.
+        let listed = WorkloadMode::peak(4096, 100, 100);
+        let first = testbed.trace(&listed.at_load(40)).unwrap();
+        let again = testbed.trace(&listed).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(synthesised(), 1, "only the mode asked for is synthesised");
+        let other = testbed.trace(&WorkloadMode::peak(4096, 100, 0)).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert_eq!(synthesised(), 2);
     }
 
     #[test]

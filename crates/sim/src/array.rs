@@ -10,12 +10,15 @@
 //!
 //! Determinism: events at equal timestamps are processed in submission order
 //! (a monotonically increasing sequence number breaks ties), so simulations
-//! are bit-for-bit reproducible.
+//! are bit-for-bit reproducible. A zero-delay hop that would be the very next
+//! event popped runs inline instead of through the queue (DESIGN.md §13.1),
+//! which changes how many events pass through the queue but not the order
+//! in which handlers run.
 #![doc = "tracer-invariant: deterministic"]
 
 use crate::cache::{CacheConfig, ControllerCache};
 use crate::device::{Device, DeviceModel, DiskOp, Phase};
-use crate::equeue::{CalendarQueue, EventQueue};
+use crate::equeue::{EventQueue, RingQueue};
 use crate::error::SimError;
 use crate::powerlog::ArrayPowerLog;
 use crate::raid::{extents_disk_mask, DiskExtent, Geometry};
@@ -324,9 +327,6 @@ struct DesObs {
     published_dispatches: u64,
     published_hits: u64,
     published_wraps: u64,
-    published_rollovers: u64,
-    published_spills: u64,
-    published_rebuilds: u64,
     published_spindowns: u64,
 }
 
@@ -351,9 +351,6 @@ impl DesObs {
                 published_dispatches: 0,
                 published_hits: 0,
                 published_wraps: 0,
-                published_rollovers: 0,
-                published_spills: 0,
-                published_rebuilds: 0,
                 published_spindowns: 0,
             })
         })
@@ -376,8 +373,12 @@ pub struct ArraySim {
     busy: Vec<bool>,
     idle_since: Vec<SimTime>,
     last_sector: Vec<u64>,
-    events: CalendarQueue<Event>,
+    events: RingQueue<Event>,
     seq: u64,
+    /// Usable data capacity in sectors (fixed by the geometry and members).
+    data_capacity: u64,
+    /// `cfg.controller_overhead_us` as a duration, converted once.
+    controller_overhead: SimDuration,
     requests: ReqStore,
     /// Disks touched by the phase being fanned out (reused across events so
     /// `on_phase_ready` allocates nothing in steady state).
@@ -420,7 +421,10 @@ impl ArraySim {
         );
         let idle: Vec<f64> = devices.iter().map(|d| d.idle_watts()).collect();
         let n = devices.len();
+        let per_disk = devices.iter().map(|d| d.capacity_sectors()).min().unwrap_or(0);
         let mut sim = Self {
+            data_capacity: cfg.geometry.data_capacity_sectors(per_disk),
+            controller_overhead: SimDuration::from_micros_f64(cfg.controller_overhead_us),
             power: ArrayPowerLog::new(cfg.chassis_watts, &idle),
             cache: cfg.cache.map(ControllerCache::new),
             queues: (0..n).map(|_| DeviceQueue::new(cfg.queue_discipline)).collect(),
@@ -430,7 +434,7 @@ impl ArraySim {
             busy: vec![false; n],
             idle_since: vec![SimTime::ZERO; n],
             last_sector: vec![0; n],
-            events: CalendarQueue::new(),
+            events: RingQueue::new(),
             seq: 0,
             requests: ReqStore::default(),
             scratch_disks: Vec::new(),
@@ -622,8 +626,7 @@ impl ArraySim {
 
     /// Usable data capacity in sectors.
     pub fn data_capacity_sectors(&self) -> u64 {
-        let per_disk = self.devices.iter().map(|d| d.capacity_sectors()).min().unwrap_or(0);
-        self.cfg.geometry.data_capacity_sectors(per_disk)
+        self.data_capacity
     }
 
     /// Current simulation time.
@@ -646,7 +649,9 @@ impl ArraySim {
         &self.devices
     }
 
-    /// Submit `req` to arrive at time `at`.
+    /// Submit `req` to arrive at time `at`. A request arriving now, with
+    /// nothing else due by then, reaches the controller inline (its arrival
+    /// would be the next event popped).
     pub fn submit(&mut self, at: SimTime, req: ArrayRequest) -> Result<RequestId, SimError> {
         if req.bytes == 0 {
             return Err(SimError::EmptyRequest);
@@ -654,7 +659,7 @@ impl ArraySim {
         if at < self.now {
             return Err(SimError::SubmitInPast { at, now: self.now });
         }
-        let capacity = self.data_capacity_sectors();
+        let capacity = self.data_capacity;
         if req.sector + req.sectors() > capacity {
             return Err(SimError::OutOfRange {
                 sector: req.sector,
@@ -667,7 +672,11 @@ impl ArraySim {
         // The slot's retained plan is filled at arrival, when the phases are
         // planned.
         let slot = self.requests.insert(id, req, at, false);
-        self.schedule(at, Event::Arrival(slot));
+        if self.pops_next(at) {
+            self.on_arrival(slot);
+        } else {
+            self.schedule(at, Event::Arrival(slot));
+        }
         Ok(id)
     }
 
@@ -676,7 +685,9 @@ impl ArraySim {
         self.events.peek_time()
     }
 
-    /// Process a single event. Returns `false` when no events remain.
+    /// Process a single event, together with the zero-delay hops its handler
+    /// runs inline (a request finishing at the instant its last disk op
+    /// does). Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
         let Some((t, _, ev)) = self.events.pop() else {
             return false;
@@ -688,19 +699,20 @@ impl ArraySim {
         true
     }
 
-    /// Total DES events processed since construction (throughput metric for
-    /// benchmarks: events per wall-clock second).
+    /// Total DES events popped from the event queue since construction
+    /// (throughput metric for benchmarks: events per wall-clock second).
+    /// Hops run inline are not events: a healthy RAID-5 read pops 3, a
+    /// read-modify-write 6.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
     /// Publish this simulator's DES tallies to the global `tracer-obs`
     /// registry: `des.events`, `des.dispatches`, `des.elevator_hits`,
-    /// `des.elevator_wraps`, the event queue's `des.equeue_rollovers`,
-    /// `des.equeue_spills` and `des.equeue_rebuilds`, and
-    /// `power.spindowns` (the `des.queue_depth` histogram is sampled live at
-    /// dispatch). Deltas since the previous flush, so calling it twice is
-    /// harmless. No-op when instrumentation was disabled at construction.
+    /// `des.elevator_wraps` and `power.spindowns` (the `des.queue_depth`
+    /// histogram is sampled live at dispatch). Deltas since the previous
+    /// flush, so calling it twice is harmless. No-op when instrumentation
+    /// was disabled at construction.
     pub fn obs_flush(&mut self) {
         let Some(obs) = self.obs.as_mut() else { return };
         let (hits, wraps) = self
@@ -713,9 +725,6 @@ impl ArraySim {
             ("des.dispatches", self.stats.disk_ops, &mut obs.published_dispatches),
             ("des.elevator_hits", hits, &mut obs.published_hits),
             ("des.elevator_wraps", wraps, &mut obs.published_wraps),
-            ("des.equeue_rollovers", self.events.rollovers(), &mut obs.published_rollovers),
-            ("des.equeue_spills", self.events.ladder_spills(), &mut obs.published_spills),
-            ("des.equeue_rebuilds", self.events.rebuilds(), &mut obs.published_rebuilds),
             ("power.spindowns", self.stats.spin_downs, &mut obs.published_spindowns),
         ];
         for (name, current, published) in pairs {
@@ -775,6 +784,15 @@ impl ArraySim {
         self.events.schedule(at, self.seq, ev);
     }
 
+    /// Whether an event scheduled at `at` would be the very next one popped:
+    /// it is due now and nothing pending is due at or before it (its seq
+    /// would be the largest, so an equal-time event would go first). Its
+    /// handler can then run inline with the same effect, in the same order.
+    #[inline]
+    fn pops_next(&self, at: SimTime) -> bool {
+        at == self.now && self.events.peek_time().is_none_or(|t| t > at)
+    }
+
     fn handle(&mut self, ev: Event) {
         #![doc = "tracer-invariant: no-alloc-hot"]
         match ev {
@@ -808,7 +826,7 @@ impl ArraySim {
 
         // Controller command overhead, plus inbound link transfer for writes
         // (the payload must reach the controller before disks can be written).
-        let mut ready = self.now + SimDuration::from_micros_f64(self.cfg.controller_overhead_us);
+        let mut ready = self.now + self.controller_overhead;
         if !req.kind.is_read() {
             ready = self.reserve_link(ready, u64::from(req.bytes));
         }
@@ -973,13 +991,21 @@ impl ArraySim {
             // reconstruction) is spent now; reads then stream back over the
             // link.
             let after_xor = self.now + xor;
-            let done = if self.requests.kind[i].is_read() && !self.requests.internal(slot) {
+            let internal = self.requests.internal(slot);
+            let done = if self.requests.kind[i].is_read() && !internal {
                 let bytes = u64::from(self.requests.bytes[i]);
                 self.reserve_link(after_xor, bytes)
             } else {
                 after_xor
             };
-            self.schedule(done, Event::RequestDone(slot));
+            // A foreground request done now completes inline: its handler
+            // only records the completion, so running it here reorders
+            // nothing.
+            if !internal && self.pops_next(done) {
+                self.on_request_done(slot);
+            } else {
+                self.schedule(done, Event::RequestDone(slot));
+            }
         } else {
             // Parity computation separates the RMW read and write phases.
             let at = self.now + xor;
@@ -1590,8 +1616,65 @@ mod tests {
         assert_eq!(sim.events_processed(), 0);
         sim.submit(SimTime::ZERO, ArrayRequest::new(0, 4096, OpKind::Read)).unwrap();
         sim.run_to_idle();
-        // Arrival + phase + disk-free + done, at minimum.
-        assert!(sim.events_processed() >= 4, "{:?}", sim);
+        // Phase + disk-free + done pop; the arrival, due now with nothing
+        // pending, runs inline. The done waits for the link, so it pops.
+        assert_eq!(sim.events_processed(), 3, "{:?}", sim);
+        assert_eq!(sim.stats().requests_completed, 1);
+    }
+
+    #[test]
+    fn rmw_write_pops_six_events() {
+        // Pre-read phase + 2 disk-frees + write phase + 2 disk-frees. The
+        // arrival runs inline, and so does the done: a write is acknowledged
+        // the instant its last disk op finishes, with nothing else due, so
+        // the step that pops that disk-free also completes the write.
+        let mut sim = small_hdd_array(6);
+        sim.submit(SimTime::ZERO, ArrayRequest::new(0, 4096, OpKind::Write)).unwrap();
+        let mut steps = 0;
+        while sim.completions().is_empty() {
+            assert!(sim.step());
+            steps += 1;
+        }
+        assert_eq!(steps, 6);
+        assert!(!sim.step(), "nothing left after the completing step");
+        assert_eq!(sim.events_processed(), 6, "{:?}", sim);
+        assert_eq!(sim.stats().disk_ops, 4);
+    }
+
+    #[test]
+    fn a_hop_tied_with_a_pending_event_goes_through_the_queue() {
+        // With no controller overhead the first read's phase is due the
+        // instant it arrived, so a second arrival at that instant queues
+        // behind it instead of running inline ahead of it: phase, arrival,
+        // phase, then 2 disk-frees and 2 dones pop.
+        let mut spec = ArraySpec::hdd_raid5(4);
+        spec.controller_overhead_us = 0.0;
+        let mut sim = spec.build();
+        for sector in [0, 256] {
+            sim.submit(SimTime::ZERO, ArrayRequest::new(sector, 4096, OpKind::Read)).unwrap();
+        }
+        sim.run_to_idle();
+        assert_eq!(sim.events_processed(), 7, "{:?}", sim);
+    }
+
+    #[test]
+    fn simultaneous_completions_keep_submission_order() {
+        // Two reads on different members of a RAID-0 pair, same disk-local
+        // sector, behind a link too fast to separate them: both finish at
+        // one instant. Whichever is submitted first completes first.
+        for sectors in [[0u64, 256], [256, 0]] {
+            let mut sim = ArraySpec::hdd_raid0(2).link_mbps(1e12).build();
+            let ids: Vec<RequestId> = sectors
+                .iter()
+                .map(|&s| sim.submit(SimTime::ZERO, ArrayRequest::new(s, 4096, OpKind::Read)))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            sim.run_to_idle();
+            let done = sim.completions();
+            assert_eq!(done.len(), 2);
+            assert_eq!(done[0].completed, done[1].completed, "not simultaneous");
+            assert_eq!([done[0].id, done[1].id], [ids[0], ids[1]]);
+        }
     }
 
     #[test]

@@ -2,25 +2,31 @@
 //!
 //! The engine orders events by `(time, seq)` — seq is a monotone counter that
 //! makes equal-timestamp events process in scheduling order, which is what
-//! keeps simulations bit-for-bit reproducible. Two interchangeable structures
-//! implement that contract behind [`EventQueue`]:
+//! keeps simulations bit-for-bit reproducible. Three interchangeable
+//! structures implement that contract behind [`EventQueue`]:
 //!
+//! * [`RingQueue`] — the engine's event set: a `VecDeque` kept ascending,
+//!   popped from the front, appended to at the back. `ArraySim` holds 1–9
+//!   pending events on average and never more than 21 on the checked-in
+//!   workloads, and a new event carries the largest seq and is usually due
+//!   last, so one comparison with the back places it; any other entry is
+//!   binary-searched into place.
 //! * [`HeapQueue`] — the classic binary min-heap. O(log n) per operation,
 //!   kept as the property-test oracle and the benchmark baseline.
 //! * [`CalendarQueue`] — a calendar queue with a far-future ladder: a
 //!   circular array of time buckets of width 2^k ns, scanned by a cursor
 //!   that sweeps one "year" (`buckets × width`) per lap. Events beyond the
 //!   current year wait on an unsorted ladder and are folded into buckets at
-//!   year rollover. For the near-uniform inter-arrival distributions replay
-//!   produces, enqueue and dequeue are amortised O(1): the queue resizes and
-//!   recalibrates its bucket width from the live event population whenever
-//!   occupancy drifts.
+//!   year rollover. Amortised O(1) at any depth, so it wins only when tens of
+//!   thousands of events are pending — a regime the engine never reaches;
+//!   it remains for the deep-drain benchmark and the perf ladder's hold row.
 //!
-//! Both structures pop the exact global minimum `(time, seq)`, so swapping
-//! one for the other cannot change a simulation's output — only its speed.
+//! All three pop the exact global minimum `(time, seq)`, so swapping one for
+//! another cannot change a simulation's output — only its speed.
 #![doc = "tracer-invariant: deterministic"]
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// One scheduled entry: `(time ns, seq, payload)`.
 type Entry<T> = (u64, u64, T);
@@ -121,6 +127,76 @@ impl<T> EventQueue<T> for HeapQueue<T> {
     fn reserve_events(&mut self, expected: usize) {
         let want = expected.saturating_sub(self.heap.len());
         self.heap.reserve(want);
+    }
+}
+
+/// Sorted-ring event queue: the engine's event set. Entries sit in a
+/// `VecDeque` ascending by `(time, seq)`; `pop` takes the front and
+/// `schedule` appends when the new entry sorts after the back, else
+/// binary-searches its place. The engine's pending population is tiny and a
+/// new event usually lands last (its seq is the largest, and it is rarely
+/// due before everything pending), so both ends cost O(1) in practice. The
+/// deque only grows to its high-water mark, so steady-state operation
+/// allocates nothing.
+#[derive(Debug)]
+pub struct RingQueue<T> {
+    ring: VecDeque<Entry<T>>,
+}
+
+impl<T> Default for RingQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> RingQueue<T> {
+    /// An empty ring.
+    pub fn new() -> Self {
+        Self { ring: VecDeque::new() }
+    }
+}
+
+impl<T> EventQueue<T> for RingQueue<T> {
+    #[inline]
+    fn schedule(&mut self, at: SimTime, seq: u64, ev: T) {
+        let t = at.as_nanos();
+        if self.ring.back().is_none_or(|&(bt, bs, _)| (bt, bs) < (t, seq)) {
+            self.ring.push_back((t, seq, ev));
+        } else {
+            // A deep pending set (a caller submitting far ahead of the
+            // clock) must not cost a linear scan: binary-search, and let
+            // `insert` shift the shorter side.
+            let pos = self.ring.partition_point(|&(et, es, _)| (et, es) < (t, seq));
+            self.ring.insert(pos, (t, seq, ev));
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        self.ring.pop_front().map(|(t, s, ev)| (SimTime::from_nanos(t), s, ev))
+    }
+
+    #[inline]
+    fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, u64, T)> {
+        if self.ring.front().is_some_and(|e| e.0 <= bound.as_nanos()) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    #[inline]
+    fn peek_time(&self) -> Option<SimTime> {
+        self.ring.front().map(|e| SimTime::from_nanos(e.0))
+    }
+
+    fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    fn reserve_events(&mut self, expected: usize) {
+        let want = expected.saturating_sub(self.ring.len());
+        self.ring.reserve(want);
     }
 }
 
@@ -524,84 +600,112 @@ mod tests {
         out
     }
 
-    /// Feed the same schedule to the calendar and the heap oracle, popping
-    /// (optionally time-bounded) every `pop_every` pushes, and assert every
-    /// observation matches.
-    fn differential(schedule: &[(u64, Option<u64>)], pop_every: usize) {
-        let mut cal = CalendarQueue::new();
+    /// Feed the same schedule to a queue under test and the heap oracle,
+    /// popping (optionally time-bounded) every `pop_every` pushes, and assert
+    /// every observation matches.
+    fn differential<Q: EventQueue<u32>>(
+        mut q: Q,
+        schedule: &[(u64, Option<u64>)],
+        pop_every: usize,
+    ) {
         let mut heap = HeapQueue::new();
         for (i, &(t, bound)) in schedule.iter().enumerate() {
             let seq = i as u64;
-            cal.schedule(SimTime::from_nanos(t), seq, i as u32);
+            q.schedule(SimTime::from_nanos(t), seq, i as u32);
             heap.schedule(SimTime::from_nanos(t), seq, i as u32);
-            assert_eq!(cal.peek_time(), heap.peek_time(), "peek after push {i}");
+            assert_eq!(q.peek_time(), heap.peek_time(), "peek after push {i}");
             if i % pop_every == 0 {
                 let got = match bound {
-                    Some(b) => cal.pop_at_or_before(SimTime::from_nanos(b)),
-                    None => cal.pop(),
+                    Some(b) => q.pop_at_or_before(SimTime::from_nanos(b)),
+                    None => q.pop(),
                 };
                 let want = match bound {
                     Some(b) => heap.pop_at_or_before(SimTime::from_nanos(b)),
                     None => heap.pop(),
                 };
                 assert_eq!(got, want, "pop {i} diverged");
-                assert_eq!(cal.len(), heap.len());
+                assert_eq!(q.len(), heap.len());
             }
         }
-        assert_eq!(drain(&mut cal), drain(&mut heap), "drain diverged");
-        assert!(cal.is_empty() && heap.is_empty());
+        assert_eq!(drain(&mut q), drain(&mut heap), "drain diverged");
+        assert!(q.is_empty() && heap.is_empty());
     }
 
-    /// Drive the calendar and the heap with the replay engine's pattern and
-    /// assert every observation matches: per step, advance the bound by
-    /// `gap`, drain with `pop_at_or_before(bound)` (each handled event
-    /// schedules one successor `delay` later while `fanout` lasts, like the
-    /// DES handlers), then schedule at the bound itself — which lands behind
-    /// a cursor the drain has already moved past it.
-    fn run_until_pattern(steps: &[(u64, u64, u8)]) {
-        let mut cal = CalendarQueue::new();
+    /// Drive a queue under test and the heap with the replay engine's
+    /// pattern and assert every observation matches: per step, advance the
+    /// bound by `gap`, drain with `pop_at_or_before(bound)` (each handled
+    /// event schedules one successor `delay` later while `fanout` lasts,
+    /// like the DES handlers), then schedule at the bound itself — which, for
+    /// the calendar, lands behind a cursor the drain has already moved past.
+    fn run_until_pattern<Q: EventQueue<u32>>(mut q: Q, steps: &[(u64, u64, u8)]) {
         let mut heap = HeapQueue::new();
         let (mut bound, mut seq) = (0u64, 0u64);
         for &(gap, delay, fanout) in steps {
             bound += gap;
             let b = SimTime::from_nanos(bound);
             loop {
-                let got = cal.pop_at_or_before(b);
+                let got = q.pop_at_or_before(b);
                 assert_eq!(got, heap.pop_at_or_before(b), "bounded pop diverged");
                 let Some((t, _, hops)) = got else { break };
                 if hops > 0 {
                     seq += 1;
                     let at = SimTime::from_nanos(t.as_nanos() + delay);
-                    cal.schedule(at, seq, hops - 1);
+                    q.schedule(at, seq, hops - 1);
                     heap.schedule(at, seq, hops - 1);
                 }
             }
             seq += 1;
-            cal.schedule(b, seq, u32::from(fanout));
+            q.schedule(b, seq, u32::from(fanout));
             heap.schedule(b, seq, u32::from(fanout));
-            assert_eq!(cal.peek_time(), heap.peek_time());
-            assert_eq!(cal.len(), heap.len());
+            assert_eq!(q.peek_time(), heap.peek_time());
+            assert_eq!(q.len(), heap.len());
         }
-        assert_eq!(drain(&mut cal), drain(&mut heap), "drain diverged");
+        assert_eq!(drain(&mut q), drain(&mut heap), "drain diverged");
     }
 
-    #[test]
-    fn empty_queue_behaviour() {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+    fn empty_queue<Q: EventQueue<u32>>(mut q: Q) {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop_at_or_before(SimTime::from_secs(1)), None);
     }
 
-    #[test]
-    fn same_timestamp_ties_pop_in_seq_order() {
-        let mut q = CalendarQueue::new();
+    fn ties_in_seq_order<Q: EventQueue<u32>>(mut q: Q) {
         for seq in [5u64, 1, 9, 3] {
             q.schedule(SimTime::from_millis(7), seq, seq as u32);
         }
         let seqs: Vec<u64> = drain(&mut q).into_iter().map(|(_, s, _)| s).collect();
         assert_eq!(seqs, vec![1, 3, 5, 9]);
+    }
+
+    #[test]
+    fn empty_queue_behaviour() {
+        empty_queue(CalendarQueue::new());
+        empty_queue(RingQueue::new());
+    }
+
+    #[test]
+    fn same_timestamp_ties_pop_in_seq_order() {
+        ties_in_seq_order(CalendarQueue::new());
+        ties_in_seq_order(RingQueue::new());
+    }
+
+    #[test]
+    fn ring_grows_only_to_its_high_water_mark() {
+        // The engine's shape: a handful pending, each pop scheduling one
+        // successor later. Capacity is set by the deepest moment, not by the
+        // number of events that pass through.
+        let mut q = RingQueue::new();
+        for seq in 0..16u64 {
+            q.schedule(SimTime::from_micros(seq * 7), seq, 0);
+        }
+        let cap = q.ring.capacity();
+        for seq in 16..100_000u64 {
+            let (t, _, v) = q.pop().unwrap();
+            q.schedule(t + SimDuration::from_micros(1 + seq % 97), seq, v);
+        }
+        assert_eq!(q.len(), 16);
+        assert_eq!(q.ring.capacity(), cap);
     }
 
     #[test]
@@ -717,7 +821,7 @@ mod tests {
     }
 
     proptest! {
-        /// Random schedules: the calendar matches the heap oracle
+        /// Random schedules: the calendar and the ring match the heap oracle
         /// observation-for-observation.
         #[test]
         fn calendar_matches_heap_oracle_random(
@@ -725,11 +829,13 @@ mod tests {
             pop_every in 1usize..5,
         ) {
             let schedule: Vec<(u64, Option<u64>)> = times.into_iter().map(|t| (t, None)).collect();
-            differential(&schedule, pop_every);
+            differential(CalendarQueue::new(), &schedule, pop_every);
+            differential(RingQueue::new(), &schedule, pop_every);
         }
 
         /// Adversarial schedules: heavy timestamp ties, far-future spikes
-        /// that spill to the ladder, and bounded pops at arbitrary bounds.
+        /// that spill to the calendar's ladder, and bounded pops at arbitrary
+        /// bounds.
         #[test]
         fn calendar_matches_heap_oracle_adversarial(
             raw in proptest::collection::vec((0u64..50, 0u64..4, 0u64..2_000_000), 1..300),
@@ -747,7 +853,8 @@ mod tests {
                     (t, (kind == 3).then_some(far / 2))
                 })
                 .collect();
-            differential(&schedule, pop_every);
+            differential(CalendarQueue::new(), &schedule, pop_every);
+            differential(RingQueue::new(), &schedule, pop_every);
         }
 
         /// The engine's `run_until(bound)` + schedule-at-bound interleaving,
@@ -759,7 +866,8 @@ mod tests {
                 1..200,
             ),
         ) {
-            run_until_pattern(&steps);
+            run_until_pattern(CalendarQueue::new(), &steps);
+            run_until_pattern(RingQueue::new(), &steps);
         }
     }
 }

@@ -165,12 +165,40 @@ pub struct HddModel {
     standby: bool,
     /// Cumulative seek count (diagnostics).
     seeks: u64,
+    /// Per-op constants derived from `params` once, by [`HddModel::new`]:
+    /// the same expressions the service path would evaluate per op.
+    overhead: SimDuration,
+    write_settle: SimDuration,
+    half_rotation: SimDuration,
+    /// Seek curve `t(d) = seek_a + seek_b·√d` milliseconds.
+    seek_a: f64,
+    seek_b: f64,
 }
 
 impl HddModel {
     /// New spun-up drive with the head at cylinder 0.
     pub fn new(params: HddParams) -> Self {
-        Self { params, head_cylinder: 0, last_end_sector: None, standby: false, seeks: 0 }
+        // t(1) = track_to_track and t(cylinders) = full_stroke.
+        let span = (params.cylinders as f64).sqrt() - 1.0;
+        let seek_b = if span > 0.0 {
+            (params.full_stroke_ms - params.track_to_track_ms) / span
+        } else {
+            0.0
+        };
+        let mut model = Self {
+            overhead: SimDuration::from_micros_f64(params.overhead_us),
+            write_settle: SimDuration::from_millis_f64(params.write_settle_ms),
+            half_rotation: SimDuration::ZERO,
+            seek_a: params.track_to_track_ms - seek_b,
+            seek_b,
+            params,
+            head_cylinder: 0,
+            last_end_sector: None,
+            standby: false,
+            seeks: 0,
+        };
+        model.half_rotation = SimDuration::from_nanos(model.rotation_time().as_nanos() / 2);
+        model
     }
 
     /// The drive's static parameters.
@@ -184,9 +212,13 @@ impl HddModel {
     }
 
     fn cylinder_of(&self, sector: u64) -> u64 {
-        // Linear LBA → cylinder mapping.
-        ((sector as u128 * self.params.cylinders as u128)
-            / self.params.capacity_sectors.max(1) as u128) as u64
+        // Linear LBA → cylinder mapping; widen to u128 only when the product
+        // overflows (the quotient is the same either way).
+        let capacity = self.params.capacity_sectors.max(1);
+        match sector.checked_mul(self.params.cylinders) {
+            Some(product) => product / capacity,
+            None => ((sector as u128 * self.params.cylinders as u128) / capacity as u128) as u64,
+        }
     }
 
     /// Seek time for a distance of `d` cylinders.
@@ -197,11 +229,7 @@ impl HddModel {
         if d == 0 {
             return SimDuration::ZERO;
         }
-        let p = &self.params;
-        let span = (p.cylinders as f64).sqrt() - 1.0;
-        let b = if span > 0.0 { (p.full_stroke_ms - p.track_to_track_ms) / span } else { 0.0 };
-        let a = p.track_to_track_ms - b;
-        SimDuration::from_millis_f64(a + b * (d as f64).sqrt())
+        SimDuration::from_millis_f64(self.seek_a + self.seek_b * (d as f64).sqrt())
     }
 
     /// One full revolution.
@@ -222,10 +250,7 @@ impl HddModel {
     pub fn expected_random_service_ms(&self) -> f64 {
         // E[sqrt(d)] for |X−Y| of two uniform cylinders is (8/15)·sqrt(C).
         let p = &self.params;
-        let span = (p.cylinders as f64).sqrt() - 1.0;
-        let b = if span > 0.0 { (p.full_stroke_ms - p.track_to_track_ms) / span } else { 0.0 };
-        let a = p.track_to_track_ms - b;
-        let seek = a + b * (8.0 / 15.0) * (p.cylinders as f64).sqrt();
+        let seek = self.seek_a + self.seek_b * (8.0 / 15.0) * (p.cylinders as f64).sqrt();
         let rot = 0.5 * 60_000.0 / p.rpm;
         let transfer = 4096.0 / ((p.outer_mbps + p.inner_mbps) / 2.0 * 1e6) * 1e3;
         seek + rot + transfer + p.overhead_us / 1e3
@@ -259,7 +284,7 @@ impl DeviceModel for HddModel {
         }
 
         phases.push(Phase {
-            duration: SimDuration::from_micros_f64(p.overhead_us),
+            duration: self.overhead,
             watts: p.idle_w,
             label: PhaseLabel::Overhead,
         });
@@ -271,15 +296,18 @@ impl DeviceModel for HddModel {
             let mut seek = self.seek_time(dist);
             if !seek.is_zero() {
                 if !op.kind.is_read() {
-                    seek += SimDuration::from_millis_f64(p.write_settle_ms);
+                    seek += self.write_settle;
                 }
                 self.seeks += 1;
                 phases.push(Phase { duration: seek, watts: p.seek_w, label: PhaseLabel::Seek });
             }
             // Expected rotational latency: half a revolution. Applied to any
             // non-sequential access, including same-cylinder jumps.
-            let half_rot = SimDuration::from_nanos(self.rotation_time().as_nanos() / 2);
-            phases.push(Phase { duration: half_rot, watts: p.idle_w, label: PhaseLabel::Rotation });
+            phases.push(Phase {
+                duration: self.half_rotation,
+                watts: p.idle_w,
+                label: PhaseLabel::Rotation,
+            });
         }
 
         let rate = self.media_rate(op.sector);
@@ -322,6 +350,26 @@ mod tests {
         assert!((tt - 1.0).abs() < 0.01, "track-to-track = {tt}");
         let fs = d.seek_time(d.params().cylinders).as_millis_f64();
         assert!((fs - 18.0).abs() < 0.01, "full stroke = {fs}");
+    }
+
+    #[test]
+    fn hoisted_constants_match_their_expressions() {
+        for params in [
+            HddParams::seagate_7200_12_500gb(),
+            HddParams::enterprise_15k_600gb(),
+            HddParams::eco_5400_2tb(),
+            HddParams::seagate_7200_12_500gb().derated(0.6),
+        ] {
+            let d = HddModel::new(params.clone());
+            let p = &params;
+            assert_eq!(d.overhead, SimDuration::from_micros_f64(p.overhead_us));
+            assert_eq!(d.write_settle, SimDuration::from_millis_f64(p.write_settle_ms));
+            assert_eq!(d.half_rotation.as_nanos(), d.rotation_time().as_nanos() / 2);
+            let span = (p.cylinders as f64).sqrt() - 1.0;
+            let b = (p.full_stroke_ms - p.track_to_track_ms) / span;
+            assert_eq!(d.seek_b.to_bits(), b.to_bits());
+            assert_eq!(d.seek_a.to_bits(), (p.track_to_track_ms - b).to_bits());
+        }
     }
 
     #[test]
@@ -484,6 +532,17 @@ mod tests {
             let ms = plan.total_duration().as_millis_f64();
             // Upper bound: full stroke + settle + rotation + worst transfer + overhead.
             prop_assert!(ms > 0.0 && ms < 18.0 + 0.5 + 8.4 + 35.0 + 1.0, "service {ms}ms");
+        }
+
+        #[test]
+        fn prop_cylinder_of_matches_the_wide_product(sector in any::<u64>(), shift in 0u32..64) {
+            // Small sectors take the u64 path, huge ones overflow into u128:
+            // both must give the u128 quotient.
+            let d = drive();
+            let sector = sector >> shift;
+            let wide = (sector as u128 * d.params.cylinders as u128
+                / d.params.capacity_sectors as u128) as u64;
+            prop_assert_eq!(d.cylinder_of(sector), wide);
         }
 
         #[test]

@@ -70,13 +70,20 @@ impl NvmeParams {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NvmeModel {
     params: NvmeParams,
+    /// Command latencies as durations, converted once by [`NvmeModel::new`].
+    read_latency: SimDuration,
+    write_latency: SimDuration,
 }
 
 impl NvmeModel {
     /// New drive.
     pub fn new(params: NvmeParams) -> Self {
         assert!(params.channels >= 1, "NVMe model needs at least one channel");
-        Self { params }
+        Self {
+            read_latency: SimDuration::from_micros_f64(params.read_latency_us),
+            write_latency: SimDuration::from_micros_f64(params.write_latency_us),
+            params,
+        }
     }
 
     /// The drive's static parameters.
@@ -113,19 +120,15 @@ impl DeviceModel for NvmeModel {
     fn service_into(&mut self, op: &DiskOp, phases: &mut Vec<Phase>) {
         #![doc = "tracer-invariant: no-alloc-hot"]
         let p = &self.params;
-        let (latency_us, rate_mbps, chan_w) = if op.kind.is_read() {
-            (p.read_latency_us, p.channel_read_mbps, p.channel_read_w)
+        let (latency, rate_mbps, chan_w) = if op.kind.is_read() {
+            (self.read_latency, p.channel_read_mbps, p.channel_read_w)
         } else {
-            (p.write_latency_us, p.channel_write_mbps, p.channel_write_w)
+            (self.write_latency, p.channel_write_mbps, p.channel_write_w)
         };
         let (busy, busiest_sectors) = self.spread(op);
         let busiest_bytes = busiest_sectors * tracer_trace::SECTOR_BYTES;
         phases.extend([
-            Phase {
-                duration: SimDuration::from_micros_f64(latency_us),
-                watts: p.idle_w + chan_w,
-                label: PhaseLabel::Overhead,
-            },
+            Phase { duration: latency, watts: p.idle_w + chan_w, label: PhaseLabel::Overhead },
             Phase {
                 duration: SimDuration::from_secs_f64(busiest_bytes as f64 / (rate_mbps * 1e6)),
                 watts: p.idle_w + chan_w * busy as f64,

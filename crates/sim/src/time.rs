@@ -95,13 +95,14 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Duration from fractional seconds, rounded to the nearest nanosecond.
-    /// Negative or non-finite inputs clamp to zero.
+    /// Duration from fractional seconds, rounded to the nearest nanosecond
+    /// (half away from zero). Negative or non-finite inputs clamp to zero.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_positive(s * 1e9))
     }
 
     /// Duration from fractional milliseconds (clamping like
@@ -139,6 +140,17 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+}
+
+/// `x.round() as u64` for `x > 0` without the libm call: truncate, then add
+/// one when the dropped fraction is at least a half. `x - t` is exact (below
+/// 2^53 `t` is exact and shares `x`'s binade or is zero; above it `x` is an
+/// integer and the fraction is zero), and past `u64::MAX` both the cast and
+/// the add saturate, as `round() as u64` does.
+#[inline]
+fn round_positive(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -201,6 +213,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn conversions() {
@@ -222,6 +235,84 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
         assert_eq!(SimDuration::from_millis_f64(0.5).as_nanos(), 500_000);
         assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
+    }
+
+    /// The rounding `from_secs_f64` must reproduce bit for bit.
+    fn reference(s: f64) -> u64 {
+        (s * 1e9).round() as u64
+    }
+
+    #[test]
+    fn float_rounding_matches_round_on_edges() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let two_53 = 2f64.powi(53);
+        let two_64 = 2f64.powi(64);
+        // Nanosecond counts around every rounding boundary that matters.
+        let nanos = [
+            f64::MIN_POSITIVE,
+            below(0.5),
+            0.5,
+            1.5,
+            2.5,
+            below(2.5),
+            below(two_53) - 0.5,
+            below(two_53),
+            two_53,
+            two_53 + 2.0,
+            below(two_64),
+            two_64,
+            two_64 * 2.0,
+            f64::MAX,
+        ];
+        for x in nanos {
+            assert_eq!(round_positive(x), x.round() as u64, "x = {x:e} ns");
+        }
+        for k in 0..10_000u64 {
+            let x = k as f64 + 0.5;
+            assert_eq!(round_positive(x), x.round() as u64, "x = {x} ns");
+            assert_eq!(round_positive(below(x)), below(x).round() as u64, "x < {x} ns");
+        }
+        // Seconds, including the clamped inputs.
+        let secs = [
+            0.0,
+            -0.0,
+            -1.0,
+            -1e-9,
+            f64::NAN,
+            below(0.5) * 1e-9,
+            0.5e-9,
+            1.5e-9,
+            1e-9,
+            two_53 * 1e-9,
+            two_64 * 1e-9,
+            1e11,
+            f64::MAX,
+        ];
+        for s in secs {
+            assert_eq!(SimDuration::from_secs_f64(s).as_nanos(), reference(s), "s = {s:e}");
+        }
+        // Non-finite seconds clamp to zero (where `round() as u64` would
+        // saturate +inf).
+        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_secs_f64(f64::NEG_INFINITY), SimDuration::ZERO);
+    }
+
+    proptest! {
+        #[test]
+        fn float_rounding_matches_round(
+            mantissa in 0.0f64..1.0,
+            exp in -12i32..12,
+            bits in any::<u64>(),
+        ) {
+            let s = mantissa * 10f64.powi(exp);
+            prop_assert_eq!(SimDuration::from_secs_f64(s).as_nanos(), reference(s));
+            prop_assert_eq!(SimDuration::from_secs_f64(-s).as_nanos(), reference(-s));
+            // Arbitrary bit patterns: subnormals, huge values, NaNs.
+            let x = f64::from_bits(bits);
+            if !x.is_infinite() {
+                prop_assert_eq!(SimDuration::from_secs_f64(x).as_nanos(), reference(x));
+            }
+        }
     }
 
     #[test]
