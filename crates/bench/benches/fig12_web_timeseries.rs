@@ -85,4 +85,23 @@ fn main() {
     assert!(trend_ok, "workload trend must be preserved under load control");
 }
 
-use tracer_core::{mean, pearson};
+fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// Pearson correlation of the paired prefixes of `a` and `b`.
+fn pearson(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len().min(b.len());
+    let (ma, mb) = (mean(&a[..n]), mean(&b[..n]));
+    let (mut num, mut da, mut db) = (0.0, 0.0, 0.0);
+    for i in 0..n {
+        num += (a[i] - ma) * (b[i] - mb);
+        da += (a[i] - ma).powi(2);
+        db += (b[i] - mb).powi(2);
+    }
+    if da > 0.0 && db > 0.0 {
+        num / (da * db).sqrt()
+    } else {
+        0.0
+    }
+}

@@ -36,11 +36,6 @@ fn main() {
 
     let max_err = result.max_error();
     println!("max error: {:.2} % (paper: ~7 %)", max_err * 100.0);
-    let csv = tracer_core::export::accuracy_rows_csv(&result.rows);
-    let out = std::path::Path::new("target").join("table4_accuracy.csv");
-    let _ = std::fs::create_dir_all("target");
-    std::fs::write(&out, csv).expect("write csv");
-    println!("rows exported to {}", out.display());
     json_result("table4", &serde_json::json!({ "rows": result.rows, "max_error": max_err }));
     assert!(max_err < 0.08, "web-trace control error exceeds Table IV bound: {max_err}");
 }

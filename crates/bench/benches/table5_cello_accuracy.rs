@@ -78,11 +78,6 @@ fn main() {
     println!("fixed-size baseline error: {:.2} %", fixed_err * 100.0);
     let ordering_ok = mbps_err > fixed_err;
     println!("uneven sizes degrade accuracy ... {}", if ordering_ok { "yes" } else { "NO" });
-    let csv = tracer_core::export::accuracy_rows_csv(&result.rows);
-    let out = std::path::Path::new("target").join("table5_accuracy.csv");
-    let _ = std::fs::create_dir_all("target");
-    std::fs::write(&out, csv).expect("write csv");
-    println!("rows exported to {}", out.display());
     json_result(
         "table5",
         &serde_json::json!({

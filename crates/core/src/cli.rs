@@ -28,7 +28,7 @@ use crate::techniques::{compare_policies, ConservationPolicy};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use tracer_sim::{ArraySim, ArraySpec, SimDuration};
 use tracer_trace::{
     srt, sweep, TraceError, TraceHandle, TraceRepository, TraceStats, WorkloadMode,
@@ -82,24 +82,28 @@ pub struct TestbedTraces {
 
 enum TraceSource {
     Repo(TraceRepository),
-    /// The scenario's workload and one slot per mode it lists, filled by the
-    /// first job of that mode and shared by every later one.
-    Scenario(crate::scenario::WorkloadSpec, Vec<(WorkloadMode, Mutex<Option<TraceHandle>>)>),
+    /// Each mode the scenario lists with its synthesised trace.
+    Scenario(Vec<(WorkloadMode, TraceHandle)>),
 }
 
 impl TestbedTraces {
-    /// A scenario names the testbed and synthesises each mode's trace on
-    /// demand (no repository is opened); otherwise `repo` holds the traces
-    /// of the `array` testbed.
+    /// A scenario names the testbed and synthesises the trace of every mode
+    /// it lists here, so a synthesis error surfaces before a node serves (no
+    /// repository is opened); otherwise `repo` holds the traces of the
+    /// `array` testbed.
     pub fn resolve(
         repo: Option<&Path>,
         scenario: Option<&crate::scenario::ScenarioSpec>,
         array: ArrayChoice,
     ) -> Result<Self, TracerError> {
         if let Some(spec) = scenario {
-            let slots = spec.workload.modes().into_iter().map(|m| (m, Mutex::new(None))).collect();
-            let source = TraceSource::Scenario(spec.workload.clone(), slots);
-            return Ok(Self { array: spec.array.clone(), source });
+            let traces = spec
+                .workload
+                .modes()
+                .into_iter()
+                .map(|m| Ok((m, spec.workload.view(&spec.array, m, 0)?.into())))
+                .collect::<Result<_, TracerError>>()?;
+            return Ok(Self { array: spec.array.clone(), source: TraceSource::Scenario(traces) });
         }
         let Some(repo) = repo else {
             return Err(TracerError::Config("a testbed needs --repo or --scenario".to_string()));
@@ -109,10 +113,10 @@ impl TestbedTraces {
     }
 
     /// The trace a job of `mode` replays: the repository's file for the
-    /// testbed and mode, or the scenario's first trial of the mode. A
-    /// scenario synthesises each mode it lists once, on first use, and hands
-    /// every later job the same handle; a mode it does not list has no
-    /// trace ([`TracerError::NoTrace`]), as a repository without the file.
+    /// testbed and mode, or the scenario's first trial of the mode. Every job
+    /// of a listed mode gets the same handle; a mode the scenario does not
+    /// list has no trace ([`TracerError::NoTrace`]), as a repository without
+    /// the file.
     pub fn trace(&self, mode: &WorkloadMode) -> Result<TraceHandle, TracerError> {
         let no_trace = || TracerError::NoTrace(self.array.name.clone());
         match &self.source {
@@ -122,19 +126,11 @@ impl TestbedTraces {
                     e => e.into(),
                 })
             }
-            TraceSource::Scenario(workload, slots) => {
+            TraceSource::Scenario(traces) => {
                 // Synthesis ignores the load level: one trace per peak mode.
                 let peak = mode.at_load(100);
-                let (_, slot) = slots.iter().find(|(m, _)| *m == peak).ok_or_else(no_trace)?;
-                // Held while synthesising, so concurrent first jobs of one
-                // mode wait for a single synthesis.
-                let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(trace) = slot.as_ref() {
-                    return Ok(Arc::clone(trace));
-                }
-                let trace: TraceHandle = workload.view(&self.array, peak, 0)?.into();
-                *slot = Some(Arc::clone(&trace));
-                Ok(trace)
+                let (_, trace) = traces.iter().find(|(m, _)| *m == peak).ok_or_else(no_trace)?;
+                Ok(Arc::clone(trace))
             }
         }
     }
@@ -1650,22 +1646,18 @@ mod tests {
         )
         .unwrap();
         let testbed = TestbedTraces::resolve(None, Some(&spec), ArrayChoice::Hdd6).unwrap();
-        let TraceSource::Scenario(_, slots) = &testbed.source else { panic!("scenario source") };
-        let synthesised =
-            || slots.iter().filter(|(_, slot)| slot.lock().unwrap().is_some()).count();
-        // An unlisted mode is refused before anything is synthesised.
+        let TraceSource::Scenario(traces) = &testbed.source else { panic!("scenario source") };
+        assert_eq!(traces.len(), 2, "both listed modes are synthesised up front");
+        // An unlisted mode has no trace.
         let unlisted = WorkloadMode::peak(8192, 100, 100).at_load(40);
         assert!(matches!(testbed.trace(&unlisted), Err(TracerError::NoTrace(_))));
-        assert_eq!(synthesised(), 0);
         // Any load level of a listed mode shares one handle.
         let listed = WorkloadMode::peak(4096, 100, 100);
         let first = testbed.trace(&listed.at_load(40)).unwrap();
         let again = testbed.trace(&listed).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(synthesised(), 1, "only the mode asked for is synthesised");
         let other = testbed.trace(&WorkloadMode::peak(4096, 100, 0)).unwrap();
         assert!(!Arc::ptr_eq(&first, &other));
-        assert_eq!(synthesised(), 2);
     }
 
     #[test]

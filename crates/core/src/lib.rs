@@ -50,13 +50,11 @@
 //! assert!(outcome.metrics.iops_per_watt > 0.0);
 //! ```
 
-pub mod analysis;
 pub mod cli;
 pub mod db;
 pub mod distributed;
 pub mod error;
 pub mod executor;
-pub mod export;
 pub mod host;
 pub mod messages;
 pub mod metrics;
@@ -66,9 +64,6 @@ pub mod report;
 pub mod scenario;
 pub mod techniques;
 
-pub use analysis::{
-    coefficient_of_variation, linear_fit, mean, pearson, relative_spread, LinearFit,
-};
 pub use db::{Database, DbError, PowerData, TestRecord};
 pub use distributed::EvaluationJob;
 pub use error::TracerError;

@@ -13,9 +13,7 @@
 //!   per storage system under test, AC or DC, with start/stop measurement
 //!   control and per-channel [`analyzer::EnergyReport`]s;
 //! * energy ground truth stays exact: reports carry both the sampled view and
-//!   the exact integral, so sampling error itself can be studied;
-//! * [`thermal::ThermalModel`] — the paper's future-work temperature metric:
-//!   a first-order RC model evaluated exactly over the power signal.
+//!   the exact integral, so sampling error itself can be studied.
 //!
 //! # Example
 //!
@@ -33,8 +31,6 @@
 
 pub mod analyzer;
 pub mod meter;
-pub mod thermal;
 
 pub use analyzer::{Channel, ChannelKind, EnergyReport, PowerAnalyzer};
 pub use meter::{NoiseModel, PowerMeter, PowerSample};
-pub use thermal::{TempSample, ThermalModel, ThermalReport};

@@ -399,6 +399,38 @@ mod tests {
     }
 
     #[test]
+    fn desktop_drive_matches_its_spec_sheet() {
+        // 64 back-to-back 1 MiB requests stream near the outer-zone rate.
+        let stream_mbps = |kind: OpKind| {
+            let mut d = drive();
+            let secs: f64 = (0..64u64)
+                .map(|i| {
+                    d.service(&DiskOp::new(i * 2048, 2048, kind)).total_duration().as_secs_f64()
+                })
+                .sum();
+            64.0 * 1_048_576.0 / 1e6 / secs
+        };
+        let (read, write) = (stream_mbps(OpKind::Read), stream_mbps(OpKind::Write));
+        assert!((100.0..126.0).contains(&read), "sequential read {read} MB/s");
+        assert!(write <= read, "sequential write {write} vs read {read} MB/s");
+        // 5 W idle; scattered 4 KiB reads take 10–20 ms and pull the seek
+        // power in.
+        let mut d = drive();
+        assert_eq!(d.idle_watts(), 5.0);
+        let (mut joules, mut secs) = (0.0, 0.0);
+        for i in 0..300u64 {
+            let sector = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (d.capacity_sectors() - 8);
+            let plan = d.service(&DiskOp::new(sector, 8, OpKind::Read));
+            joules += plan.energy_joules();
+            secs += plan.total_duration().as_secs_f64();
+        }
+        let ms = secs / 300.0 * 1e3;
+        assert!((10.0..20.0).contains(&ms), "random 4 KiB {ms} ms");
+        let watts = joules / secs;
+        assert!(watts > 7.0 && watts < 11.5, "active random {watts} W");
+    }
+
+    #[test]
     fn sequential_skips_seek_and_rotation() {
         let mut d = drive();
         let first = d.service(&DiskOp::new(1000, 8, OpKind::Read));
@@ -497,6 +529,7 @@ mod tests {
         let ms = |p: HddParams| HddModel::new(p).expected_random_service_ms();
         assert!(ms(HddParams::enterprise_15k_600gb()) < ms(HddParams::seagate_7200_12_500gb()));
         assert!(ms(HddParams::seagate_7200_12_500gb()) < ms(HddParams::eco_5400_2tb()));
+        assert!(enterprise.outer_mbps > desktop.outer_mbps, "15k streams faster");
         // Absolute sanity: enterprise random op ~5-8ms, eco ~15-25ms.
         assert!((4.0..9.0).contains(&ms(HddParams::enterprise_15k_600gb())));
         assert!((14.0..28.0).contains(&ms(HddParams::eco_5400_2tb())));

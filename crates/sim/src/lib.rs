@@ -38,7 +38,6 @@
 
 pub mod array;
 pub mod cache;
-pub mod calibrate;
 pub mod device;
 pub mod equeue;
 pub mod error;
@@ -59,7 +58,6 @@ pub use array::{
     RebuildConfig, RebuildStatus, RequestId, DRAIN_BATCH,
 };
 pub use cache::{CacheConfig, ControllerCache};
-pub use calibrate::{calibrate, CalibrationReport};
 pub use device::{Device, DeviceModel, DiskOp, Phase, PhaseLabel, ServicePlan};
 pub use error::SimError;
 pub use nvme::{NvmeModel, NvmeParams};

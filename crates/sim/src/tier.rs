@@ -104,17 +104,6 @@ impl TieredModel {
         self.demotions
     }
 
-    /// A fresh copy with the same members and policy but empty placement and
-    /// member state, for repeatable calibration phases.
-    pub fn clone_reset(&self) -> Self {
-        Self::new(
-            self.name.clone(),
-            SsdModel::new(self.ssd.params().clone()),
-            HddModel::new(self.hdd.params().clone()),
-            self.cfg,
-        )
-    }
-
     /// Flash-resident sector address of `op` within `slot`.
     fn flash_op(&self, slot: usize, op: &DiskOp) -> DiskOp {
         let offset = op.sector % self.cfg.region_sectors;

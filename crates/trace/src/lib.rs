@@ -48,7 +48,6 @@ pub mod repository;
 pub mod source;
 pub mod srt;
 pub mod stats;
-pub mod transform;
 pub mod v3;
 
 pub use error::TraceError;

@@ -135,6 +135,50 @@ fn efficiency_grows_with_load_across_request_sizes() {
 }
 
 #[test]
+fn efficiency_is_linear_in_load() {
+    // Fig. 9: efficiency is "linearly proportional to I/O load". Fit
+    // IOPS/Watt against the load proportion by least squares.
+    let trace = tracer_workload::OltpTraceBuilder {
+        duration_s: 40.0,
+        mean_iops: 300.0,
+        ..Default::default()
+    }
+    .build();
+    let mut host = EvaluationHost::new();
+    let loads = [20.0, 40.0, 60.0, 80.0, 100.0];
+    let effs: Vec<f64> = loads
+        .iter()
+        .map(|&load| {
+            let mut sim = ArraySpec::hdd_raid5(6).build();
+            let mode = WorkloadMode::peak(4096, 80, 66).at_load(load as u32);
+            let measured = EvaluationHost::measure_test(
+                host.meter_cycle_ms,
+                &mut sim,
+                &trace,
+                mode,
+                100,
+                "lin",
+            )
+            .expect("in-memory trace");
+            host.commit(measured).metrics.iops_per_watt
+        })
+        .collect();
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    let (mx, my) = (mean(&loads), mean(&effs));
+    let (mut sxx, mut sxy, mut syy) = (0.0, 0.0, 0.0);
+    for (x, y) in loads.iter().zip(&effs) {
+        sxx += (x - mx) * (x - mx);
+        sxy += (x - mx) * (y - my);
+        syy += (y - my) * (y - my);
+    }
+    let (slope, pearson) = (sxy / sxx, sxy / (sxx * syy).sqrt());
+    let r2 = pearson * pearson;
+    assert!(slope > 0.0, "efficiency grows with load");
+    assert!(r2 > 0.98, "linear to r2 {r2}");
+    assert!((pearson - 1.0).abs() < 0.05, "pearson {pearson}");
+}
+
+#[test]
 fn random_ratio_lowers_efficiency_monotonically_in_trend() {
     // Fig. 10: efficiency falls as random ratio rises (read 0 %, load 100 %),
     // and is less sensitive beyond ~30 %.
