@@ -12,7 +12,7 @@
 
 use tracer_bench::{banner, f, json_result, row, run_scenario_differential, scenario, timed};
 use tracer_core::prelude::*;
-use tracer_trace::srt;
+use tracer_trace::{ingest, srt};
 
 fn main() {
     banner("Table V", "load-proportion control accuracy, HP cello99-style trace");
@@ -27,7 +27,10 @@ fn main() {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("cello99.srt");
         srt::write_srt(&cello, &path).expect("write srt");
-        srt::convert_file(&path, "hp-cello99", srt::ConvertOptions::default()).expect("convert")
+        let mut converted = Trace::new("hp-cello99");
+        let text = std::io::BufReader::new(std::fs::File::open(&path).expect("open srt"));
+        ingest::convert(text, &mut converted).expect("convert");
+        converted
     });
     assert_eq!(converted.io_count(), cello.io_count(), "srt round-trip must keep every IO");
     let stats = TraceStats::compute(&cello);

@@ -18,6 +18,7 @@
 //! ```
 //!
 //! `--array` selects the testbed: `hdd4`, `hdd6` (default), or `ssd4`.
+//! `convert --srt` takes a text trace: srt or blkparse.
 //! `--workers` sets the sweep executor's thread count (0 = one per core).
 
 use crate::error::TracerError;
@@ -27,11 +28,14 @@ use crate::orchestrate::{SweepBuilder, SweepConfig};
 use crate::techniques::{compare_policies, ConservationPolicy};
 use std::collections::HashMap;
 use std::fmt;
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tracer_sim::{ArraySim, ArraySpec, SimDuration};
 use tracer_trace::{
-    srt, sweep, TraceError, TraceHandle, TraceRepository, TraceStats, WorkloadMode,
+    ingest, replay_format, sweep, TraceError, TraceHandle, TraceRepository, TraceStats, TraceView,
+    V3Encoder, WorkloadMode,
 };
 use tracer_workload::{TraceCollector, WebServerTraceBuilder};
 
@@ -203,10 +207,10 @@ pub enum Command {
         /// governs testbed, workload, loads and workers.
         scenario: Option<PathBuf>,
     },
-    /// Convert a trace to the v3 columnar format: an `.srt` source named into
+    /// Convert a trace to the v3 columnar format: a text trace named into
     /// the repository, or an existing `.replay` file of any version migrated.
     Convert {
-        /// Source `.srt` path (exclusive with `file`).
+        /// Source text trace, srt or blkparse (exclusive with `file`).
         srt: Option<PathBuf>,
         /// Existing `.replay` file in any version (exclusive with `srt`).
         /// Without `name`, the file is re-encoded in place.
@@ -333,9 +337,10 @@ USAGE:
                   [--scenario FILE]
   tracer help
 
-Convert ingests an .srt source (--srt, named into a repository) or
-re-encodes an existing .replay file of any version (--file; in place
-unless --name/--repo give it a new home). The output is always the
+Convert ingests a text trace: srt or blkparse (--srt, named into a
+repository; the first record line tells the two apart), or re-encodes
+an existing .replay file of any version (--file; in place unless
+--name/--repo give it a new home). The output is always the
 columnar v3 format, which replay maps and streams without decoding to
 heap; the repository still loads older v1/v2 files transparently.
 Replay accepts --db FILE to append its record to a results database, and
@@ -518,7 +523,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 (Some(_), Some(_)) => {
                     return Err(CliError("--srt and --file are mutually exclusive".into()));
                 }
-                // An .srt source has no .replay home yet, so it must be named
+                // A text trace has no .replay home yet, so it must be named
                 // into a repository; a .replay file can re-encode in place.
                 (Some(_), None) if name.is_none() => {
                     return Err(CliError("convert --srt needs --name".into()));
@@ -841,29 +846,33 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             Ok(())
         }
         Command::Convert { srt: srt_path, file, name, repo } => {
-            let trace = match (&srt_path, &file) {
-                (Some(p), _) => srt::convert_file(
-                    p,
-                    name.as_deref().unwrap_or("converted"),
-                    srt::ConvertOptions::default(),
-                )
-                .map_err(io_err)?,
-                (None, Some(p)) => tracer_trace::replay_format::read_file(p).map_err(io_err)?,
+            // A text trace streams straight into the encoder, so no owned
+            // trace exists on that path.
+            let view = match (&srt_path, &file) {
+                (Some(p), _) => File::open(p).map_err(TraceError::from).and_then(|text| {
+                    let mut enc = V3Encoder::new(name.as_deref().unwrap_or("converted"));
+                    ingest::convert(BufReader::new(text), &mut enc)?;
+                    enc.into_view()
+                }),
+                (None, Some(p)) => {
+                    replay_format::read_file(p).and_then(|t| TraceView::from_trace(&t))
+                }
                 (None, None) => return Err(CliError("convert needs --srt or --file".into())),
-            };
+            }
+            .map_err(io_err)?;
             let path = match (&name, &repo) {
                 (Some(name), Some(repo)) => TraceRepository::open(repo)
                     .map_err(io_err)?
-                    .store_v3_named(name, &trace)
+                    .store_v3_named(name, &view)
                     .map_err(io_err)?,
                 _ => {
                     // Nameless --file conversion: re-encode over the source.
                     let p = file.expect("parse guarantees --file when --name is absent");
-                    tracer_trace::v3::write_file(&trace, &p).map_err(io_err)?;
+                    tracer_trace::v3::write_file(&view, &p).map_err(io_err)?;
                     p
                 }
             };
-            println!("converted {} IOs -> {} (v3 columnar)", trace.io_count(), path.display());
+            println!("converted {} IOs -> {} (v3 columnar)", view.io_count(), path.display());
             Ok(())
         }
         Command::Stats { name, repo, obs } => {

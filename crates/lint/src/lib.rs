@@ -39,6 +39,7 @@ pub const REQUIRED_TAGS: &[(&str, &[&str])] = &[
     ("crates/replay/src/plan.rs", &["deterministic", "zero-copy"]),
     ("crates/trace/src/v3.rs", &["deterministic"]),
     ("crates/trace/src/mmap.rs", &["deterministic"]),
+    ("crates/trace/src/ingest.rs", &["deterministic"]),
     ("crates/core/src/report.rs", &["deterministic"]),
     ("crates/fabric/src/joblog.rs", &["deterministic", "no-panic-wire"]),
     ("crates/serve/src/server.rs", &["no-panic-wire"]),

@@ -11,8 +11,9 @@
 //!   mmap-replayable columnar [`v3`] format only, and [`replay_format`]'s
 //!   version-negotiating reader still loads the legacy v1/v2 encodings
 //!   ([`compact`]);
-//! * a converter from the HP-labs style `.srt` text format ([`srt`]) — the
-//!   paper converts cello96/cello99 traces to the replay format before use;
+//! * one streaming [`ingest`] of text traces, HP-labs style `.srt` ([`srt`])
+//!   or `blkparse` output, into any [`BunchSink`] — the paper converts
+//!   cello96/cello99 traces to the replay format before use;
 //! * a trace [`repository`] whose file-naming convention encodes the workload
 //!   mode (device type, request size, random rate, read rate), as described in
 //!   §III-A2 of the paper;
@@ -37,9 +38,10 @@
 //! assert_eq!(trace.total_bytes(), 16384);
 //! ```
 
-pub mod blkparse;
+mod blkparse;
 pub mod compact;
 pub mod error;
+pub mod ingest;
 pub mod mmap;
 pub mod mode;
 pub mod model;

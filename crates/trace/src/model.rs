@@ -155,38 +155,6 @@ impl Trace {
         Self { device: device.into(), bunches }
     }
 
-    /// Build a trace from IO packages stamped in seconds, the way both text
-    /// converters import: a stable sort by timestamp (equal stamps keep
-    /// input order), a rebase so the first IO is at t = 0, then greedy
-    /// bunching — an IO more than `window` after the open bunch's start
-    /// opens a new bunch.
-    pub fn from_timed_ios(
-        device: impl Into<String>,
-        window: Nanos,
-        mut ios: Vec<(f64, IoPackage)>,
-    ) -> Self {
-        ios.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let ns = |seconds: f64| (seconds * 1e9).round() as Nanos;
-        let base = ios.first().map_or(0, |&(t, _)| ns(t));
-        let mut trace = Trace::new(device);
-        let mut bunch_start: Nanos = 0;
-        let mut pending: Vec<IoPackage> = Vec::new();
-        for (seconds, io) in ios {
-            let t = ns(seconds).saturating_sub(base);
-            if !pending.is_empty() && t.saturating_sub(bunch_start) > window {
-                trace.push_bunch(Bunch::new(bunch_start, std::mem::take(&mut pending)));
-                bunch_start = t;
-            } else if pending.is_empty() {
-                bunch_start = t;
-            }
-            pending.push(io);
-        }
-        if !pending.is_empty() {
-            trace.push_bunch(Bunch::new(bunch_start, pending));
-        }
-        trace
-    }
-
     /// Append a bunch. Panics in debug builds if it violates timestamp order.
     pub fn push_bunch(&mut self, bunch: Bunch) {
         debug_assert!(

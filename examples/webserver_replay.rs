@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example webserver_replay [-- --minutes N]`
 
 use tracer_core::prelude::*;
-use tracer_trace::srt;
+use tracer_trace::{ingest, srt};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -42,7 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all(&dir)?;
     let srt_path = dir.join("webserver.srt");
     srt::write_srt(&trace, &srt_path)?;
-    let trace = srt::convert_file(&srt_path, "fiu-webserver", srt::ConvertOptions::default())?;
+    let mut trace = Trace::new("fiu-webserver");
+    ingest::convert(std::io::BufReader::new(std::fs::File::open(&srt_path)?), &mut trace)?;
     println!("  srt round-trip   : {} IOs", trace.io_count());
 
     // --- Replay at load proportions 10..100 % ---------------------------

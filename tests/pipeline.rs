@@ -1,8 +1,10 @@
 //! Format-pipeline integration: srt → replay format → repository → filter,
 //! with statistics preserved at each hop.
 
+use std::fs::File;
+use std::io::BufReader;
 use tracer_core::prelude::*;
-use tracer_trace::{replay_format, srt, BunchSink};
+use tracer_trace::{ingest, replay_format, srt, BunchSink};
 
 /// The trace a replay of `trace` at `pct` % load sees.
 fn filtered(trace: &Trace, pct: u32) -> Trace {
@@ -22,8 +24,8 @@ fn cello_trace_survives_the_srt_conversion_pipeline() {
 
     let srt_path = dir.join("cello.srt");
     srt::write_srt(&cello, &srt_path).unwrap();
-    let converted =
-        srt::convert_file(&srt_path, "hp-cello99", srt::ConvertOptions::default()).unwrap();
+    let mut converted = Trace::new("hp-cello99");
+    ingest::convert(BufReader::new(File::open(&srt_path).unwrap()), &mut converted).unwrap();
 
     // Conversion may regroup bunches but must preserve IOs and bytes.
     assert_eq!(converted.io_count(), cello.io_count());
@@ -113,7 +115,6 @@ fn binary_format_handles_the_paper_scale() {
 
 #[test]
 fn blkparse_text_flows_into_the_replay_pipeline() {
-    use tracer_trace::blkparse;
     // Render a synthetic blkparse capture, import it, replay it.
     let mut text = String::from("# fake blkparse capture\n");
     for i in 0..200u64 {
@@ -134,8 +135,8 @@ fn blkparse_text_flows_into_the_replay_pipeline() {
     let path = dir.join("capture.txt");
     std::fs::write(&path, &text).unwrap();
 
-    let trace =
-        blkparse::convert_file(&path, "sda", &blkparse::BlkparseOptions::default()).unwrap();
+    let mut trace = Trace::new("sda");
+    ingest::convert(BufReader::new(File::open(&path).unwrap()), &mut trace).unwrap();
     assert_eq!(trace.io_count(), 200);
     let stats = TraceStats::compute(&trace);
     assert!((stats.read_ratio - 0.75).abs() < 1e-9);
