@@ -10,7 +10,8 @@
 //!   each pop schedules a successor at `t + random increment`, matching how
 //!   `DiskFree` events beget future `DiskFree` events. Run at depth 64 Ki
 //!   (calendar vs heap) and at the engine's measured depth, 16 pending
-//!   events at most, where the sorted ring `ArraySim` uses joins them.
+//!   events at most, where the sorted ring of `ArraySim`'s event set (the
+//!   fallback for what its lanes and slots do not take) joins them.
 //!
 //! Emits `RESULT perf_event_queue` with events/sec per back-end and the
 //! calendar/heap speedup on the deep drain, which CI gates.
@@ -18,7 +19,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 use tracer_bench::{banner, json_result};
-use tracer_sim::equeue::{CalendarQueue, EventQueue, HeapQueue, RingQueue};
+use tracer_sim::equeue::{CalendarQueue, EventQueue, EventSet, HeapQueue};
 use tracer_sim::SimTime;
 
 /// Deterministic xorshift so both back-ends see the identical sequence.
@@ -110,7 +111,8 @@ fn main() {
         let (ops, secs, _) = hold(CalendarQueue::new(), depth, holds);
         cal_hold = cal_hold.min(secs / ops as f64);
         let runs = [
-            hold(RingQueue::new(), engine_depth, holds),
+            // An event set that only `schedule`s is its sorted ring.
+            hold(EventSet::new(0), engine_depth, holds),
             hold(HeapQueue::new(), engine_depth, holds),
             hold(CalendarQueue::new(), engine_depth, holds),
         ];

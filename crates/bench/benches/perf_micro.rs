@@ -255,18 +255,28 @@ fn bench_obs_overhead(c: &mut Criterion) {
         }
         t0.elapsed().as_secs_f64()
     };
+    // Likewise for the sweep half: with one ~8 ms one-load sweep per sample
+    // the ratio read 1.05-1.09 in 2 of 13 runs, and with five per sample
+    // 1.14 in 1 of 9; a sample is ten back-to-back sweeps, each builder and
+    // host made before the clock starts (0.98-1.03 in 6 runs).
     let trace = big_trace(5_000);
     let mode = WorkloadMode::peak(8192, 50, 100);
     let time_sweep = || {
-        let mut host = EvaluationHost::new();
+        let sweeps: Vec<(SweepBuilder, EvaluationHost)> = (0..10)
+            .map(|_| (SweepBuilder::new().loads(&[40]).label("obs-gate"), EvaluationHost::new()))
+            .collect();
         let t0 = Instant::now();
-        let res = SweepBuilder::new()
-            .loads(&[40])
-            .label("obs-gate")
-            .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &trace, mode)
-            .expect("in-memory trace");
-        black_box(&res);
-        t0.elapsed().as_secs_f64()
+        let results: Vec<_> = sweeps
+            .into_iter()
+            .map(|(builder, mut host)| {
+                builder
+                    .load_sweep(&mut host, || ArraySpec::hdd_raid5(6).build(), &trace, mode)
+                    .expect("in-memory trace")
+            })
+            .collect();
+        let elapsed = t0.elapsed().as_secs_f64();
+        black_box(&results);
+        elapsed
     };
 
     let (mut store_off, mut store_on) = (f64::MAX, f64::MAX);

@@ -2,7 +2,7 @@
 //! fibre-channel link.
 //!
 //! The engine owns the member devices, one queue per device, a shared host
-//! link, and the event heap. Logical requests ([`ArrayRequest`]) are
+//! link, and the event set. Logical requests ([`ArrayRequest`]) are
 //! decomposed by the [`Geometry`] into per-disk extents (two phases for RAID-5
 //! writes), dispatched to devices, and reported back as [`Completion`]s. Every
 //! device appends its power phases to the [`ArrayPowerLog`], which the power
@@ -18,10 +18,10 @@
 
 use crate::cache::{CacheConfig, ControllerCache};
 use crate::device::{Device, DeviceModel, DiskOp, Phase};
-use crate::equeue::{EventQueue, RingQueue};
+use crate::equeue::{EventQueue, EventSet};
 use crate::error::SimError;
 use crate::powerlog::ArrayPowerLog;
-use crate::raid::{extents_disk_mask, DiskExtent, Geometry};
+use crate::raid::{DiskExtent, Geometry};
 use crate::soa::{ReqStore, Slot, F_COMPLETED_EARLY, STAGE_OPS, STAGE_PRE_READS};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -212,21 +212,24 @@ impl ArrayStats {
     }
 }
 
+/// Member indices are `u32` here, so an event takes 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     /// A request reaches the controller.
     Arrival(Slot),
     /// A phase's disk extents become eligible for dispatch.
     PhaseReady(Slot),
-    /// The op at the head of `disk`'s service slot finishes.
-    DiskFree { disk: usize, slot: Slot },
+    /// The op in `disk`'s service slot finishes.
+    DiskFree { disk: u32, slot: Slot },
     /// The request's final byte reaches the host / is acknowledged.
     RequestDone(Slot),
     /// Check whether `disk`, idle since `since`, should spin down.
-    SpinDownCheck { disk: usize, since: SimTime },
+    SpinDownCheck { disk: u32, since: SimTime },
     /// Launch the next stripe-reconstruction job of a rebuild pass.
     RebuildNext,
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 /// A member disk's pending foreground ops, in the one container its
 /// discipline needs. The discipline is fixed at construction
@@ -304,6 +307,10 @@ impl DeviceQueue {
         self.len() == 0
     }
 
+    fn is_elevator(&self) -> bool {
+        matches!(self, DeviceQueue::Elevator { .. })
+    }
+
     /// `(hits, wraps)` of the C-LOOK probes so far; zero for FIFO.
     fn elevator_counters(&self) -> (u64, u64) {
         match self {
@@ -364,25 +371,31 @@ impl DesObs {
 /// the power breakpoints a run holds between trims.
 pub const DRAIN_BATCH: usize = 512;
 
+/// [`EventSet`] lane for `now + controller_overhead` (a read's phase-ready).
+const LANE_OVERHEAD: usize = 0;
+/// Lane for the instants [`ArraySim::reserve_link`] returns, which never
+/// decrease (a write's phase-ready, a read's done, a cache-hit done).
+const LANE_LINK: usize = 1;
+/// Lane for `now + xor` (an RMW's second phase, a write's done).
+const LANE_XOR: usize = 2;
+
 /// The discrete-event array simulator.
 pub struct ArraySim {
     cfg: ArrayConfig,
     devices: Vec<Device>,
     queues: Vec<DeviceQueue>,
     background_queues: Vec<VecDeque<(Slot, DiskOp)>>,
-    busy: Vec<bool>,
     idle_since: Vec<SimTime>,
     last_sector: Vec<u64>,
-    events: RingQueue<Event>,
+    /// Pending events; member `d`'s slot holds its in-service `DiskFree`, so
+    /// a member is busy exactly while its slot is set.
+    events: EventSet<Event>,
     seq: u64,
     /// Usable data capacity in sectors (fixed by the geometry and members).
     data_capacity: u64,
     /// `cfg.controller_overhead_us` as a duration, converted once.
     controller_overhead: SimDuration,
     requests: ReqStore,
-    /// Disks touched by the phase being fanned out (reused across events so
-    /// `on_phase_ready` allocates nothing in steady state).
-    scratch_disks: Vec<usize>,
     /// The dispatched op's service phases (reused across dispatches so
     /// `try_dispatch` allocates nothing in steady state).
     scratch_phases: Vec<Phase>,
@@ -431,13 +444,11 @@ impl ArraySim {
             cfg,
             devices,
             background_queues: (0..n).map(|_| VecDeque::new()).collect(),
-            busy: vec![false; n],
             idle_since: vec![SimTime::ZERO; n],
             last_sector: vec![0; n],
-            events: RingQueue::new(),
+            events: EventSet::new(n),
             seq: 0,
             requests: ReqStore::default(),
-            scratch_disks: Vec::new(),
             scratch_phases: Vec::new(),
             next_id: 0,
             now: SimTime::ZERO,
@@ -455,7 +466,7 @@ impl ArraySim {
             for disk in 0..n {
                 sim.schedule(
                     SimTime::ZERO + after,
-                    Event::SpinDownCheck { disk, since: SimTime::ZERO },
+                    Event::SpinDownCheck { disk: disk as u32, since: SimTime::ZERO },
                 );
             }
         }
@@ -779,9 +790,18 @@ impl ArraySim {
         self.power.discard_before(t);
     }
 
+    #[inline]
     fn schedule(&mut self, at: SimTime, ev: Event) {
         self.seq += 1;
         self.events.schedule(at, self.seq, ev);
+    }
+
+    /// [`ArraySim::schedule`] into `lane`, whose events come in time order
+    /// (one that does not falls back to the ring).
+    #[inline]
+    fn schedule_lane(&mut self, lane: usize, at: SimTime, ev: Event) {
+        self.seq += 1;
+        self.events.push_lane(lane, at, self.seq, ev);
     }
 
     /// Whether an event scheduled at `at` would be the very next one popped:
@@ -798,9 +818,9 @@ impl ArraySim {
         match ev {
             Event::Arrival(slot) => self.on_arrival(slot),
             Event::PhaseReady(slot) => self.on_phase_ready(slot),
-            Event::DiskFree { disk, slot } => self.on_disk_free(disk, slot),
+            Event::DiskFree { disk, slot } => self.on_disk_free(disk as usize, slot),
             Event::RequestDone(slot) => self.on_request_done(slot),
-            Event::SpinDownCheck { disk, since } => self.on_spin_down_check(disk, since),
+            Event::SpinDownCheck { disk, since } => self.on_spin_down_check(disk as usize, since),
             Event::RebuildNext => self.on_rebuild_next(),
         }
     }
@@ -827,15 +847,17 @@ impl ArraySim {
         // Controller command overhead, plus inbound link transfer for writes
         // (the payload must reach the controller before disks can be written).
         let mut ready = self.now + self.controller_overhead;
+        let mut lane = LANE_OVERHEAD;
         if !req.kind.is_read() {
             ready = self.reserve_link(ready, u64::from(req.bytes));
+            lane = LANE_LINK;
         }
 
         if cache_read_hit {
             self.stats.cache_hits += 1;
             // Serve from cache RAM: outbound link transfer only.
             let done = self.reserve_link(ready, u64::from(req.bytes));
-            self.schedule(done, Event::RequestDone(slot));
+            self.schedule_lane(LANE_LINK, done, Event::RequestDone(slot));
             return;
         }
 
@@ -852,7 +874,7 @@ impl ArraySim {
         self.requests.stage[i] =
             if plan.pre_reads.is_empty() { STAGE_OPS } else { STAGE_PRE_READS };
         self.requests.xor_pending[i] = xor_time;
-        self.schedule(ready, Event::PhaseReady(slot));
+        self.schedule_lane(lane, ready, Event::PhaseReady(slot));
         if write_back_ack {
             // The host sees the write complete once the payload is in cache.
             self.schedule(ready, Event::RequestDone(slot));
@@ -866,56 +888,70 @@ impl ArraySim {
         // Internal (rebuild) work queues behind foreground traffic.
         let background = self.requests.internal(slot);
         let stage = self.requests.stage[i];
-        let phase = match stage {
-            STAGE_PRE_READS => &self.requests.plans[i].pre_reads,
-            STAGE_OPS => &self.requests.plans[i].ops,
-            _ => panic!("phase ready with no phases"),
-        };
-        debug_assert!(!phase.is_empty(), "empty phase");
+        let n = self.requests.phase(slot, stage).len();
+        debug_assert!(n > 0, "empty phase");
         self.requests.stage[i] = stage + 1;
-        self.requests.outstanding[i] = phase.len() as u32;
-        self.requests.disk_mask[i] = extents_disk_mask(phase);
-        // The scratch buffer preserves extent order for the dispatch sweep
-        // (dispatch order assigns event seqs, so it is determinism-bearing)
-        // without allocating per phase.
-        let mut touched = std::mem::take(&mut self.scratch_disks);
-        touched.clear();
-        for ext in phase {
+        self.requests.outstanding[i] = n as u32;
+        // An idle member's queues are empty, so a FIFO or background extent
+        // on it starts at once: what pushing it and popping it again would
+        // dispatch. Elevator extents all queue first, so C-LOOK picks among
+        // every extent this phase puts on a member. Either way members start
+        // in extent order, which fixes the completions' seq order.
+        let mut deferred = false;
+        for k in 0..n {
+            let ext = self.requests.phase(slot, stage)[k];
             let op = DiskOp::new(ext.sector, ext.sectors, ext.kind);
-            if background {
+            let idle = !self.events.slot_busy(ext.disk);
+            if idle && (background || !self.queues[ext.disk].is_elevator()) {
+                debug_assert!(
+                    self.queues[ext.disk].is_empty() && self.background_queues[ext.disk].is_empty(),
+                    "idle member {} has queued ops",
+                    ext.disk
+                );
+                self.start(ext.disk, slot, op);
+            } else if background {
                 self.background_queues[ext.disk].push_back((slot, op));
             } else {
                 self.queues[ext.disk].push(slot, op);
+                deferred |= idle;
             }
-            touched.push(ext.disk);
         }
-        for &disk in &touched {
-            self.try_dispatch(disk);
+        if deferred {
+            for k in 0..n {
+                let disk = self.requests.phase(slot, stage)[k].disk;
+                self.try_dispatch(disk);
+            }
         }
-        self.scratch_disks = touched;
     }
 
+    /// Start `disk`'s next queued op if the member is idle.
     fn try_dispatch(&mut self, disk: usize) {
         #![doc = "tracer-invariant: no-alloc-hot"]
-        if self.busy[disk] {
+        if self.events.slot_busy(disk) {
             return;
         }
-        // Depth the dispatched op saw: foreground + background backlog,
-        // including itself. Sampled 1-in-64 (see `DesObs::sample_depth`) so
-        // the histogram stays cheap on the dispatch hot path.
-        let depth = self.obs.as_mut().and_then(|obs| {
-            obs.sample_depth().then(|| self.queues[disk].len() + self.background_queues[disk].len())
-        });
         let head = self.last_sector[disk];
         let Some((slot, op)) =
             self.queues[disk].pop(head).or_else(|| self.background_queues[disk].pop_front())
         else {
             return;
         };
-        if let (Some(obs), Some(depth)) = (&self.obs, depth) {
-            obs.queue_depth.record(depth as u64);
+        self.start(disk, slot, op);
+    }
+
+    /// Put `op` in service on the idle member `disk` and set its completion
+    /// in the member's slot.
+    fn start(&mut self, disk: usize, slot: Slot, op: DiskOp) {
+        #![doc = "tracer-invariant: no-alloc-hot"]
+        // Depth the dispatched op saw: foreground + background backlog,
+        // including itself. Sampled 1-in-64 (see `DesObs::sample_depth`) so
+        // the histogram stays cheap on the dispatch hot path.
+        if let Some(obs) = self.obs.as_mut() {
+            if obs.sample_depth() {
+                let depth = self.queues[disk].len() + self.background_queues[disk].len() + 1;
+                obs.queue_depth.record(depth as u64);
+            }
         }
-        self.busy[disk] = true;
         let mut phases = std::mem::take(&mut self.scratch_phases);
         phases.clear();
         self.devices[disk].service_into(&op, &mut phases);
@@ -937,7 +973,9 @@ impl ArraySim {
                 kind: op.kind,
             });
         }
-        self.schedule(self.now + dur, Event::DiskFree { disk, slot });
+        self.seq += 1;
+        let ev = Event::DiskFree { disk: disk as u32, slot };
+        self.events.set_slot(disk, self.now + dur, self.seq, ev);
     }
 
     /// Append an op's service phases to `disk`'s power timeline, restore idle
@@ -959,12 +997,13 @@ impl ArraySim {
 
     fn on_disk_free(&mut self, disk: usize, slot: Slot) {
         #![doc = "tracer-invariant: no-alloc-hot"]
-        self.busy[disk] = false;
+        // Popping the completion emptied the member's slot.
         self.idle_since[disk] = self.now;
         self.try_dispatch(disk);
-        if !self.busy[disk] {
+        if !self.events.slot_busy(disk) {
             if let Some(after) = self.cfg.spin_down_after {
-                self.schedule(self.now + after, Event::SpinDownCheck { disk, since: self.now });
+                let ev = Event::SpinDownCheck { disk: disk as u32, since: self.now };
+                self.schedule(self.now + after, ev);
             }
         }
 
@@ -972,8 +1011,8 @@ impl ArraySim {
         debug_assert!(self.requests.occupied(slot), "completion for unknown request");
         debug_assert!(self.requests.outstanding[i] > 0);
         debug_assert!(
-            disk >= 64 || self.requests.disk_mask[i] & (1 << disk) != 0,
-            "disk free outside the phase's disk mask"
+            self.requests.phase(slot, self.requests.stage[i] - 1).iter().any(|e| e.disk == disk),
+            "disk free outside the dispatched phase's members"
         );
         self.requests.outstanding[i] -= 1;
         if self.requests.outstanding[i] > 0 {
@@ -992,11 +1031,11 @@ impl ArraySim {
             // link.
             let after_xor = self.now + xor;
             let internal = self.requests.internal(slot);
-            let done = if self.requests.kind[i].is_read() && !internal {
+            let (done, lane) = if self.requests.kind[i].is_read() && !internal {
                 let bytes = u64::from(self.requests.bytes[i]);
-                self.reserve_link(after_xor, bytes)
+                (self.reserve_link(after_xor, bytes), LANE_LINK)
             } else {
-                after_xor
+                (after_xor, LANE_XOR)
             };
             // A foreground request done now completes inline: its handler
             // only records the completion, so running it here reorders
@@ -1004,12 +1043,12 @@ impl ArraySim {
             if !internal && self.pops_next(done) {
                 self.on_request_done(slot);
             } else {
-                self.schedule(done, Event::RequestDone(slot));
+                self.schedule_lane(lane, done, Event::RequestDone(slot));
             }
         } else {
             // Parity computation separates the RMW read and write phases.
             let at = self.now + xor;
-            self.schedule(at, Event::PhaseReady(slot));
+            self.schedule_lane(LANE_XOR, at, Event::PhaseReady(slot));
         }
     }
 
@@ -1054,7 +1093,10 @@ impl ArraySim {
 
     fn on_spin_down_check(&mut self, disk: usize, since: SimTime) {
         #![doc = "tracer-invariant: no-alloc-hot"]
-        if self.busy[disk] || self.idle_since[disk] != since || self.devices[disk].in_standby() {
+        if self.events.slot_busy(disk)
+            || self.idle_since[disk] != since
+            || self.devices[disk].in_standby()
+        {
             return;
         }
         self.devices[disk].enter_standby();
@@ -1655,6 +1697,40 @@ mod tests {
         }
         sim.run_to_idle();
         assert_eq!(sim.events_processed(), 7, "{:?}", sim);
+    }
+
+    #[test]
+    fn elevator_picks_among_a_phases_extents_on_an_idle_member() {
+        // A read over several stripes puts two extents on a member that
+        // holds parity in between. With the head parked at the later one,
+        // C-LOOK serves it first: the phase queues both before dispatching,
+        // where a FIFO phase would start the first extent at once.
+        let mut sim = ArraySpec::hdd_raid5(3).queue(QueueDiscipline::Elevator).build();
+        sim.enable_op_log();
+        let g = sim.config().geometry;
+        let plan = g.plan(0, 8 * g.strip_sectors, OpKind::Read);
+        let (first, later) = plan
+            .ops
+            .windows(2)
+            .map(|w| (w[0], w[1]))
+            .find(|(a, b)| a.disk == b.disk)
+            .expect("a member with two extents");
+        sim.last_sector[first.disk] = later.sector;
+        sim.submit(
+            SimTime::ZERO,
+            ArrayRequest::new(0, (8 * g.strip_sectors * 512) as u32, OpKind::Read),
+        )
+        .unwrap();
+        sim.run_to_idle();
+        let served: Vec<u64> = sim
+            .op_log()
+            .unwrap()
+            .iter()
+            .filter(|o| o.disk == first.disk)
+            .map(|o| o.sector)
+            .collect();
+        assert_eq!(served[0], later.sector, "{served:?}");
+        assert!(served.contains(&first.sector));
     }
 
     #[test]

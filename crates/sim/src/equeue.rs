@@ -2,15 +2,19 @@
 //!
 //! The engine orders events by `(time, seq)` — seq is a monotone counter that
 //! makes equal-timestamp events process in scheduling order, which is what
-//! keeps simulations bit-for-bit reproducible. Three interchangeable
-//! structures implement that contract behind [`EventQueue`]:
+//! keeps simulations bit-for-bit reproducible. Three structures implement that
+//! contract behind [`EventQueue`]:
 //!
-//! * [`RingQueue`] — the engine's event set: a `VecDeque` kept ascending,
-//!   popped from the front, appended to at the back. `ArraySim` holds 1–9
-//!   pending events on average and never more than 21 on the checked-in
-//!   workloads, and a new event carries the largest seq and is usually due
-//!   last, so one comparison with the back places it; any other entry is
-//!   binary-searched into place.
+//! * [`EventSet`] — `ArraySim`'s event set, which sorts only what arrives out
+//!   of order. Each member disk's in-service completion sits in a slot of its
+//!   own; FIFO lanes take events whose times never decrease by construction
+//!   (an entry earlier than its lane's back falls back to the ring); the
+//!   earliest `(time, seq)` and its source are cached, so `peek_time` is O(1)
+//!   and a pop compares at most five heads (the ring, three lanes, the
+//!   earliest slot). The ring — a `VecDeque` kept ascending, appended to at
+//!   the back, else binary-searched — takes future submits, spin-down
+//!   checks, rebuild steps and the rest; an [`EventSet`] with no members and
+//!   no lane traffic is just that ring.
 //! * [`HeapQueue`] — the classic binary min-heap. O(log n) per operation,
 //!   kept as the property-test oracle and the benchmark baseline.
 //! * [`CalendarQueue`] — a calendar queue with a far-future ladder: a
@@ -130,55 +134,174 @@ impl<T> EventQueue<T> for HeapQueue<T> {
     }
 }
 
-/// Sorted-ring event queue: the engine's event set. Entries sit in a
-/// `VecDeque` ascending by `(time, seq)`; `pop` takes the front and
-/// `schedule` appends when the new entry sorts after the back, else
-/// binary-searches its place. The engine's pending population is tiny and a
-/// new event usually lands last (its seq is the largest, and it is rarely
-/// due before everything pending), so both ends cost O(1) in practice. The
-/// deque only grows to its high-water mark, so steady-state operation
-/// allocates nothing.
+/// FIFO lanes in an [`EventSet`].
+pub const LANES: usize = 3;
+
+/// An entry's `(time, seq)` as one integer, so comparing two costs one
+/// compare; [`NONE`] marks an empty head.
+#[inline]
+fn key(t: u64, seq: u64) -> u128 {
+    u128::from(t) << 64 | u128::from(seq)
+}
+
+/// The key of no entry. [`EventSet`]'s callers keep `seq` below `u64::MAX`.
+const NONE: u128 = u128::MAX;
+
+/// Index of the earliest slot among an [`EventSet`]'s heads, after the ring
+/// (0) and the lanes.
+const COMPLETIONS: usize = 1 + LANES;
+
+/// Heads an [`EventSet`] compares: the ring, the lanes, the earliest slot.
+const HEADS: usize = COMPLETIONS + 1;
+
+/// The engine's event set: per-member completion slots, [`LANES`] FIFO lanes
+/// and a fallback ring, with the earliest entry cached. A slot holds one
+/// entry and a lane is appended to only when the entry is not earlier than
+/// its back, so each lane stays ascending; the ring sorts the rest. Every
+/// entry still takes its seq from the caller's one counter, so pops come out
+/// in exactly the `(time, seq)` order a single sorted queue would give. Seq
+/// `u64::MAX` is reserved.
+///
+/// The busy members are also listed in completion order. A member starts
+/// its op now and finishes one service time later, so where service times
+/// are alike a new completion sorts last there and is appended (every time
+/// on an NVMe read stream, ~55 % of the time on HDDs). Each source's head
+/// key sits in one five-element array, so finding the next head after a pop
+/// is a branch-free minimum over five integers.
 #[derive(Debug)]
-pub struct RingQueue<T> {
-    ring: VecDeque<Entry<T>>,
+pub struct EventSet<T> {
+    /// `queues[0]` is the ring, kept ascending by `schedule`;
+    /// `queues[1 + lane]` are the lanes.
+    queues: [VecDeque<Entry<T>>; 1 + LANES],
+    slots: Vec<Option<Entry<T>>>,
+    /// `(key, member)` of every occupied slot, ascending.
+    order: VecDeque<(u128, usize)>,
+    /// Head key of the ring, each lane and `order` (at [`COMPLETIONS`]), or
+    /// [`NONE`].
+    keys: [u128; HEADS],
+    /// The least of `keys`, and its index, or [`HEADS`] when the set is
+    /// empty (tested instead of `head`: a 16-byte load of a key just stored
+    /// as two 8-byte halves stalls).
+    head: u128,
+    head_src: usize,
 }
 
-impl<T> Default for RingQueue<T> {
-    fn default() -> Self {
-        Self::new()
+impl<T> EventSet<T> {
+    /// An empty set with one completion slot per member.
+    pub fn new(members: usize) -> Self {
+        Self {
+            queues: std::array::from_fn(|_| VecDeque::new()),
+            slots: (0..members).map(|_| None).collect(),
+            order: VecDeque::with_capacity(members),
+            keys: [NONE; HEADS],
+            head: NONE,
+            head_src: HEADS,
+        }
+    }
+
+    /// Append `ev` to `lane`, or file it in the ring when it is earlier than
+    /// the lane's back.
+    #[inline]
+    pub fn push_lane(&mut self, lane: usize, at: SimTime, seq: u64, ev: T) {
+        let (t, q) = (at.as_nanos(), 1 + lane);
+        if self.queues[q].back().is_none_or(|&(bt, bs, _)| key(bt, bs) < key(t, seq)) {
+            debug_assert!(key(t, seq) != NONE, "seq u64::MAX is reserved");
+            if self.queues[q].is_empty() {
+                self.keys[q] = key(t, seq);
+            }
+            self.queues[q].push_back((t, seq, ev));
+            self.offer(key(t, seq), q);
+        } else {
+            self.schedule(at, seq, ev);
+        }
+    }
+
+    /// Put `member`'s in-service completion in its slot.
+    ///
+    /// # Panics
+    /// In debug builds, if the slot is already occupied.
+    #[inline]
+    pub fn set_slot(&mut self, member: usize, at: SimTime, seq: u64, ev: T) {
+        debug_assert!(self.slots[member].is_none(), "member {member} is already busy");
+        let k = key(at.as_nanos(), seq);
+        debug_assert!(k != NONE, "seq u64::MAX is reserved");
+        self.slots[member] = Some((at.as_nanos(), seq, ev));
+        if self.order.back().is_none_or(|&(bk, _)| bk < k) {
+            self.order.push_back((k, member));
+        } else {
+            let pos = self.order.partition_point(|&(ok, _)| ok < k);
+            self.order.insert(pos, (k, member));
+        }
+        self.keys[COMPLETIONS] = self.keys[COMPLETIONS].min(k);
+        self.offer(k, COMPLETIONS);
+    }
+
+    /// Whether `member`'s slot holds a completion (the member is busy). A
+    /// slot empties when its entry pops.
+    #[inline]
+    pub fn slot_busy(&self, member: usize) -> bool {
+        self.slots[member].is_some()
+    }
+
+    #[inline]
+    fn offer(&mut self, k: u128, src: usize) {
+        if k < self.head {
+            self.head = k;
+            self.head_src = src;
+        }
     }
 }
 
-impl<T> RingQueue<T> {
-    /// An empty ring.
-    pub fn new() -> Self {
-        Self { ring: VecDeque::new() }
-    }
-}
-
-impl<T> EventQueue<T> for RingQueue<T> {
+impl<T> EventQueue<T> for EventSet<T> {
+    /// File `ev` in the fallback ring: append when it sorts after the back,
+    /// else binary-search its place. A deep pending set (a caller submitting
+    /// far ahead of the clock) must not cost a linear scan, and `insert`
+    /// shifts the shorter side. The ring only grows to its high-water mark,
+    /// so steady-state operation allocates nothing.
     #[inline]
     fn schedule(&mut self, at: SimTime, seq: u64, ev: T) {
-        let t = at.as_nanos();
-        if self.ring.back().is_none_or(|&(bt, bs, _)| (bt, bs) < (t, seq)) {
-            self.ring.push_back((t, seq, ev));
+        let k = key(at.as_nanos(), seq);
+        debug_assert!(k != NONE, "seq u64::MAX is reserved");
+        let ring = &mut self.queues[0];
+        if ring.back().is_none_or(|&(bt, bs, _)| key(bt, bs) < k) {
+            ring.push_back((at.as_nanos(), seq, ev));
         } else {
-            // A deep pending set (a caller submitting far ahead of the
-            // clock) must not cost a linear scan: binary-search, and let
-            // `insert` shift the shorter side.
-            let pos = self.ring.partition_point(|&(et, es, _)| (et, es) < (t, seq));
-            self.ring.insert(pos, (t, seq, ev));
+            let pos = ring.partition_point(|&(et, es, _)| key(et, es) < k);
+            ring.insert(pos, (at.as_nanos(), seq, ev));
         }
+        self.keys[0] = self.keys[0].min(k);
+        self.offer(k, 0);
     }
 
     #[inline]
     fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.ring.pop_front().map(|(t, s, ev)| (SimTime::from_nanos(t), s, ev))
+        let src = self.head_src;
+        if src == HEADS {
+            return None;
+        }
+        let entry = if let Some(q) = self.queues.get_mut(src) {
+            let e = q.pop_front();
+            self.keys[src] = q.front().map_or(NONE, |&(t, s, _)| key(t, s));
+            e
+        } else {
+            let (_, member) = self.order.pop_front().expect("a slot head is listed");
+            self.keys[src] = self.order.front().map_or(NONE, |&(k, _)| k);
+            self.slots[member].take()
+        };
+        let (mut head, mut head_src) = (NONE, HEADS);
+        for (i, &k) in self.keys.iter().enumerate() {
+            let earlier = k < head;
+            head = if earlier { k } else { head };
+            head_src = if earlier { i } else { head_src };
+        }
+        (self.head, self.head_src) = (head, head_src);
+        let (t, s, ev) = entry.expect("the cached head is pending");
+        Some((SimTime::from_nanos(t), s, ev))
     }
 
     #[inline]
     fn pop_at_or_before(&mut self, bound: SimTime) -> Option<(SimTime, u64, T)> {
-        if self.ring.front().is_some_and(|e| e.0 <= bound.as_nanos()) {
+        if self.head < key(bound.as_nanos(), u64::MAX) {
             self.pop()
         } else {
             None
@@ -187,16 +310,16 @@ impl<T> EventQueue<T> for RingQueue<T> {
 
     #[inline]
     fn peek_time(&self) -> Option<SimTime> {
-        self.ring.front().map(|e| SimTime::from_nanos(e.0))
+        (self.head_src != HEADS).then(|| SimTime::from_nanos((self.head >> 64) as u64))
     }
 
     fn len(&self) -> usize {
-        self.ring.len()
+        self.queues.iter().map(VecDeque::len).sum::<usize>() + self.order.len()
     }
 
     fn reserve_events(&mut self, expected: usize) {
-        let want = expected.saturating_sub(self.ring.len());
-        self.ring.reserve(want);
+        let want = expected.saturating_sub(self.queues[0].len());
+        self.queues[0].reserve(want);
     }
 }
 
@@ -663,6 +786,105 @@ mod tests {
         assert_eq!(drain(&mut q), drain(&mut heap), "drain diverged");
     }
 
+    /// Pop the same way from an [`EventSet`] and the heap and assert both
+    /// agree; a popped slot entry (payload `member + 1`) frees its member.
+    fn settle(
+        got: Option<(SimTime, u64, u32)>,
+        want: Option<(SimTime, u64, u32)>,
+        busy: &mut [bool],
+        now: &mut u64,
+    ) -> bool {
+        assert_eq!(got, want, "pop diverged");
+        let Some((t, _, payload)) = got else { return false };
+        *now = t.as_nanos();
+        if payload > 0 {
+            busy[payload as usize - 1] = false;
+        }
+        true
+    }
+
+    /// Drive an [`EventSet`] with `members` slots and the heap oracle with
+    /// one mixed schedule of `(kind, a, b)` steps and assert every
+    /// observation matches. Times sit on a coarse grid ahead of the last pop,
+    /// so equal-time ties across ring, lanes and slots are common. Kinds:
+    /// 0 appends to a lane at or after its back (a zero gap ties with it);
+    /// 1 pushes to a lane at any time ahead, so an entry earlier than the
+    /// back falls back to the ring; 2 sets a free member's slot (half of
+    /// them at the current instant, so several members finish at once);
+    /// 3 files a ring entry; 4 pops; 5 pops up to a bound; 6 is the engine's
+    /// `run_until(bound)` drain followed by an entry at the bound.
+    fn event_set_differential(members: usize, ops: &[(u8, u64, u64)]) {
+        let mut set = EventSet::new(members);
+        let mut heap = HeapQueue::new();
+        let mut busy = vec![false; members];
+        let (mut now, mut seq) = (0u64, 0u64);
+        for &(kind, a, b) in ops {
+            seq += 1;
+            let at = SimTime::from_nanos(now + (b % 10) * 1_000);
+            let lane = a as usize % LANES;
+            match kind {
+                0 => {
+                    let back = set.queues[1 + lane].back().map_or(0, |e| e.0);
+                    let t = SimTime::from_nanos(back.max(now) + (b % 3) * 1_000);
+                    let before = set.queues[1 + lane].len();
+                    set.push_lane(lane, t, seq, 0);
+                    heap.schedule(t, seq, 0);
+                    assert_eq!(
+                        set.queues[1 + lane].len(),
+                        before + 1,
+                        "in-order append left its lane"
+                    );
+                }
+                1 => {
+                    set.push_lane(lane, at, seq, 0);
+                    heap.schedule(at, seq, 0);
+                }
+                2 => {
+                    let free = (0..members).map(|k| (a as usize + k) % members).find(|&m| !busy[m]);
+                    if let Some(m) = free {
+                        let t = if b % 2 == 0 { SimTime::from_nanos(now) } else { at };
+                        busy[m] = true;
+                        set.set_slot(m, t, seq, m as u32 + 1);
+                        heap.schedule(t, seq, m as u32 + 1);
+                        assert!(set.slot_busy(m));
+                    }
+                }
+                3 => {
+                    set.schedule(at, seq, 0);
+                    heap.schedule(at, seq, 0);
+                }
+                4 => {
+                    settle(set.pop(), heap.pop(), &mut busy, &mut now);
+                }
+                5 => {
+                    settle(
+                        set.pop_at_or_before(at),
+                        heap.pop_at_or_before(at),
+                        &mut busy,
+                        &mut now,
+                    );
+                }
+                _ => {
+                    while settle(
+                        set.pop_at_or_before(at),
+                        heap.pop_at_or_before(at),
+                        &mut busy,
+                        &mut now,
+                    ) {}
+                    now = now.max(at.as_nanos());
+                    seq += 1;
+                    set.schedule(at, seq, 0);
+                    heap.schedule(at, seq, 0);
+                }
+            }
+            assert_eq!(set.peek_time(), heap.peek_time(), "peek diverged");
+            assert_eq!(set.len(), heap.len());
+            assert!((0..members).all(|m| set.slot_busy(m) == busy[m]));
+        }
+        assert_eq!(drain(&mut set), drain(&mut heap), "drain diverged");
+        assert!(set.is_empty() && (0..members).all(|m| !set.slot_busy(m)));
+    }
+
     fn empty_queue<Q: EventQueue<u32>>(mut q: Q) {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
@@ -681,13 +903,31 @@ mod tests {
     #[test]
     fn empty_queue_behaviour() {
         empty_queue(CalendarQueue::new());
-        empty_queue(RingQueue::new());
+        empty_queue(EventSet::new(4));
     }
 
     #[test]
     fn same_timestamp_ties_pop_in_seq_order() {
         ties_in_seq_order(CalendarQueue::new());
-        ties_in_seq_order(RingQueue::new());
+        ties_in_seq_order(EventSet::new(0));
+    }
+
+    #[test]
+    fn event_set_keeps_lanes_and_slots_off_the_ring() {
+        let mut q = EventSet::new(2);
+        q.push_lane(0, SimTime::from_micros(50), 1, 1);
+        q.push_lane(0, SimTime::from_micros(50), 2, 2); // a tie appends
+        q.set_slot(1, SimTime::from_micros(80), 3, 3);
+        q.push_lane(2, SimTime::from_micros(10), 4, 4);
+        assert_eq!(q.queues[0].len(), 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(10)));
+        // Earlier than lane 0's back: the ring takes it.
+        q.push_lane(0, SimTime::from_micros(20), 5, 5);
+        assert_eq!(q.queues[0].len(), 1);
+        assert!(q.slot_busy(1) && !q.slot_busy(0));
+        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, _, v)| v).collect();
+        assert_eq!(order, vec![4, 5, 1, 2, 3]);
+        assert!(!q.slot_busy(1));
     }
 
     #[test]
@@ -695,17 +935,17 @@ mod tests {
         // The engine's shape: a handful pending, each pop scheduling one
         // successor later. Capacity is set by the deepest moment, not by the
         // number of events that pass through.
-        let mut q = RingQueue::new();
+        let mut q = EventSet::new(0);
         for seq in 0..16u64 {
             q.schedule(SimTime::from_micros(seq * 7), seq, 0);
         }
-        let cap = q.ring.capacity();
+        let cap = q.queues[0].capacity();
         for seq in 16..100_000u64 {
             let (t, _, v) = q.pop().unwrap();
             q.schedule(t + SimDuration::from_micros(1 + seq % 97), seq, v);
         }
         assert_eq!(q.len(), 16);
-        assert_eq!(q.ring.capacity(), cap);
+        assert_eq!(q.queues[0].capacity(), cap);
     }
 
     #[test]
@@ -830,7 +1070,7 @@ mod tests {
         ) {
             let schedule: Vec<(u64, Option<u64>)> = times.into_iter().map(|t| (t, None)).collect();
             differential(CalendarQueue::new(), &schedule, pop_every);
-            differential(RingQueue::new(), &schedule, pop_every);
+            differential(EventSet::new(0), &schedule, pop_every);
         }
 
         /// Adversarial schedules: heavy timestamp ties, far-future spikes
@@ -854,7 +1094,19 @@ mod tests {
                 })
                 .collect();
             differential(CalendarQueue::new(), &schedule, pop_every);
-            differential(RingQueue::new(), &schedule, pop_every);
+            differential(EventSet::new(0), &schedule, pop_every);
+        }
+
+        /// The event set against the heap oracle on mixed schedules: lane
+        /// appends, lane pushes that fall back to the ring, slot set and
+        /// clear with several members busy at one instant, equal-time ties
+        /// and the `run_until(bound)` + schedule-at-bound pattern.
+        #[test]
+        fn event_set_matches_heap_oracle_mixed(
+            members in 1usize..7,
+            ops in proptest::collection::vec((0u8..7, any::<u64>(), any::<u64>()), 1..400),
+        ) {
+            event_set_differential(members, &ops);
         }
 
         /// The engine's `run_until(bound)` + schedule-at-bound interleaving,
@@ -867,7 +1119,7 @@ mod tests {
             ),
         ) {
             run_until_pattern(CalendarQueue::new(), &steps);
-            run_until_pattern(RingQueue::new(), &steps);
+            run_until_pattern(EventSet::new(0), &steps);
         }
     }
 }

@@ -493,17 +493,13 @@ pub struct StripLocation {
     pub disk_sector: u64,
 }
 
-/// Bitmask of the member disks a set of extents touches. Disks ≥ 64 (beyond
-/// the mask's width) all fold onto the top bit, so the mask is exact for
-/// realistic arrays and conservative for pathological ones.
-pub fn extents_disk_mask(extents: &[DiskExtent]) -> u64 {
-    extents.iter().fold(0u64, |m, e| m | 1u64 << e.disk.min(63))
-}
-
 /// Sort extents by `(disk, sector)` — stably, so equal keys keep planning
 /// order — and merge, in place, those contiguous on the same disk with the
 /// same kind.
 fn merge_extents(extents: &mut Vec<DiskExtent>) {
+    if extents.len() < 2 {
+        return;
+    }
     extents.sort_by_key(|e| (e.disk, e.sector));
     extents.dedup_by(|e, last| {
         let adjacent =

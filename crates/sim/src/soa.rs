@@ -18,7 +18,7 @@
 #![doc = "tracer-invariant: deterministic"]
 
 use crate::array::{ArrayRequest, RequestId};
-use crate::raid::IoPlan;
+use crate::raid::{DiskExtent, IoPlan};
 use crate::time::{SimDuration, SimTime};
 use tracer_trace::OpKind;
 
@@ -68,9 +68,6 @@ pub(crate) struct ReqStore {
     /// XOR time not yet charged (spent at the phase boundary or on the
     /// completion path).
     pub(crate) xor_pending: Vec<SimDuration>,
-    /// Bitmask of member disks touched by the current phase (disks ≥ 64 all
-    /// share the top bit; the mask only backs a debug assertion at disk-free).
-    pub(crate) disk_mask: Vec<u64>,
     /// `F_*` bits.
     pub(crate) flags: Vec<u8>,
     /// The request's disk phases (cold: touched only at phase edges).
@@ -109,7 +106,6 @@ impl ReqStore {
         self.submitted[i] = submitted;
         self.outstanding[i] = 0;
         self.xor_pending[i] = SimDuration::ZERO;
-        self.disk_mask[i] = 0;
         self.flags[i] = F_OCCUPIED | if internal { F_INTERNAL } else { 0 };
         slot
     }
@@ -131,7 +127,6 @@ impl ReqStore {
         self.submitted.resize(new, SimTime::ZERO);
         self.outstanding.resize(new, 0);
         self.xor_pending.resize(new, SimDuration::ZERO);
-        self.disk_mask.resize(new, 0);
         self.flags.resize(new, 0);
         self.plans.resize_with(new, || IoPlan {
             pre_reads: Vec::with_capacity(PLAN_EXTENTS),
@@ -172,6 +167,17 @@ impl ReqStore {
     /// Whether every phase of the slot's plan has been dispatched.
     pub(crate) fn phases_done(&self, slot: Slot) -> bool {
         self.stage[slot as usize] == STAGE_DONE
+    }
+
+    /// The extents of the plan's phase `stage` ([`STAGE_PRE_READS`] or
+    /// [`STAGE_OPS`]).
+    pub(crate) fn phase(&self, slot: Slot, stage: u8) -> &[DiskExtent] {
+        let plan = &self.plans[slot as usize];
+        match stage {
+            STAGE_PRE_READS => &plan.pre_reads,
+            STAGE_OPS => &plan.ops,
+            _ => panic!("phase ready with no phases"),
+        }
     }
 
     /// The slot's request, reassembled from the columns.
@@ -247,7 +253,6 @@ mod tests {
         let a = store.insert(0, req(1), SimTime::ZERO, false);
         store.outstanding[a as usize] = 7;
         store.xor_pending[a as usize] = SimDuration::from_millis(3);
-        store.disk_mask[a as usize] = 0b1010;
         store.flags[a as usize] |= F_COMPLETED_EARLY;
         store.retire(a);
         let b = store.insert(1, req(2), SimTime::from_secs(1), false);
@@ -255,7 +260,6 @@ mod tests {
         let i = b as usize;
         assert_eq!(store.outstanding[i], 0);
         assert_eq!(store.xor_pending[i], SimDuration::ZERO);
-        assert_eq!(store.disk_mask[i], 0);
         assert!(!store.completed_early(b));
         assert_eq!(store.submitted[i], SimTime::from_secs(1));
     }

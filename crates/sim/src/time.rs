@@ -57,7 +57,7 @@ impl SimTime {
     /// Seconds since simulation start as a float.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
+        to_f64(self.0) / 1e9
     }
 
     /// Duration elapsed since `earlier`; zero if `earlier` is later.
@@ -126,13 +126,13 @@ impl SimDuration {
     /// Length in seconds as a float.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
+        to_f64(self.0) / 1e9
     }
 
     /// Length in milliseconds as a float.
     #[inline]
     pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
+        to_f64(self.0) / 1e6
     }
 
     /// True for the zero duration.
@@ -142,15 +142,36 @@ impl SimDuration {
     }
 }
 
+/// 2^63 as a float: below it a value converts through `i64`.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `n as f64`. Baseline x86-64 has only a signed conversion, so `u64` → `f64`
+/// lowers to a branchy sequence; below 2^63 the `i64` conversion of the same
+/// value rounds identically.
+#[inline]
+fn to_f64(n: u64) -> f64 {
+    if n < 1 << 63 {
+        n as i64 as f64
+    } else {
+        n as f64
+    }
+}
+
 /// `x.round() as u64` for `x > 0` without the libm call: truncate, then add
 /// one when the dropped fraction is at least a half. `x - t` is exact (below
 /// 2^53 `t` is exact and shares `x`'s binade or is zero; above it `x` is an
 /// integer and the fraction is zero), and past `u64::MAX` both the cast and
-/// the add saturate, as `round() as u64` does.
+/// the add saturate, as `round() as u64` does. Below 2^63 the conversions go
+/// through `i64` (see [`to_f64`]), where the add cannot overflow.
 #[inline]
 fn round_positive(x: f64) -> u64 {
-    let t = x as u64;
-    t.saturating_add((x - t as f64 >= 0.5) as u64)
+    if x < TWO_63 {
+        let t = x as i64;
+        (t + (x - t as f64 >= 0.5) as i64) as u64
+    } else {
+        let t = x as u64;
+        t.saturating_add((x - t as f64 >= 0.5) as u64)
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -267,6 +288,12 @@ mod tests {
         for x in nanos {
             assert_eq!(round_positive(x), x.round() as u64, "x = {x:e} ns");
         }
+        for x in [below(TWO_63), TWO_63, TWO_63 - 0.5, TWO_63 + 2048.0] {
+            assert_eq!(round_positive(x), x.round() as u64, "x = {x:e} ns");
+        }
+        for n in [0, 1, (1 << 53) + 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, u64::MAX] {
+            assert_eq!(to_f64(n).to_bits(), (n as f64).to_bits(), "n = {n}");
+        }
         for k in 0..10_000u64 {
             let x = k as f64 + 0.5;
             assert_eq!(round_positive(x), x.round() as u64, "x = {x} ns");
@@ -311,6 +338,12 @@ mod tests {
             let x = f64::from_bits(bits);
             if !x.is_infinite() {
                 prop_assert_eq!(SimDuration::from_secs_f64(x).as_nanos(), reference(x));
+            }
+            // And back: float views of any nanosecond count, either side of 2^63.
+            for n in [bits, bits >> 1, bits >> 11, bits >> 40] {
+                prop_assert_eq!(SimTime(n).as_secs_f64().to_bits(), (n as f64 / 1e9).to_bits());
+                prop_assert_eq!(SimDuration(n).as_secs_f64().to_bits(), (n as f64 / 1e9).to_bits());
+                prop_assert_eq!(SimDuration(n).as_millis_f64().to_bits(), (n as f64 / 1e6).to_bits());
             }
         }
     }

@@ -6,10 +6,14 @@
 //! blkparse. Both are timestamped request lists, so both go through
 //! [`convert`]:
 //!
-//! 1. lines are read one at a time into one reused buffer;
+//! 1. lines are read one at a time into one reused buffer; a line longer
+//!    than [`MAX_LINE_BYTES`] is a [`TraceError::Parse`] naming it, so a
+//!    binary file passed as text is not read whole;
 //! 2. the first record line (not blank, not a `#` comment) picks the line
 //!    rule: a first field `maj,min` is a blkparse event row
-//!    (see `blkparse.rs`), anything else an srt record ([`crate::srt`]);
+//!    (see `blkparse.rs`), and so is blkparse's per-device summary header
+//!    `CPU<n> (<dev>):` or `Total (<dev>):`, which opens a capture without
+//!    events; anything else is an srt record ([`crate::srt`]);
 //! 3. records pass through a reorder window of [`REORDER_WINDOW`] records, a
 //!    heap keyed by (timestamp, input order): local disorder comes out
 //!    sorted and equal timestamps keep their input order. A record that
@@ -27,7 +31,7 @@ use crate::model::{IoPackage, Nanos};
 use crate::source::BunchSink;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::io::BufRead;
+use std::io::{self, BufRead, Read};
 
 /// Records closer together than this join one bunch: requests the kernel
 /// saw "at the same time".
@@ -40,6 +44,10 @@ pub const BUNCH_WINDOW_NS: Nanos = 100_000;
 /// skew in 512 KiB of heap (32 B per record), whatever the trace's length.
 pub const REORDER_WINDOW: usize = 1 << 14;
 
+/// Longest line accepted, its newline included. srt records and blkparse
+/// rows are under 200 bytes.
+pub const MAX_LINE_BYTES: usize = 4096;
+
 /// One parsed record: arrival time in seconds and the request.
 pub(crate) type Timed = (f64, IoPackage);
 
@@ -50,9 +58,10 @@ type LineRule = fn(&str, usize) -> Result<Option<Timed>, TraceError>;
 /// into `sink` as bunches in timestamp order.
 ///
 /// # Errors
-/// An I/O error from `reader`, or a [`TraceError::Parse`] naming the line of
-/// the first malformed record or of a record out of order by more than
-/// [`REORDER_WINDOW`] records.
+/// An I/O error from `reader` (also for text that is not UTF-8), or a
+/// [`TraceError::Parse`] naming the line of the first malformed record, of a
+/// line longer than [`MAX_LINE_BYTES`], or of a record out of order by more
+/// than [`REORDER_WINDOW`] records.
 pub fn convert<R: BufRead, S: BunchSink + ?Sized>(
     mut reader: R,
     sink: &mut S,
@@ -61,12 +70,22 @@ pub fn convert<R: BufRead, S: BunchSink + ?Sized>(
     let mut window = BinaryHeap::with_capacity(REORDER_WINDOW + 1);
     let mut last_emitted = f64::NEG_INFINITY;
     let mut bunches = Bunching { base: None, start: 0, ios: Vec::new() };
-    let mut line = String::new();
+    let mut buf = Vec::new();
     for lineno in 1.. {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        buf.clear();
+        if reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)? == 0 {
             break;
         }
+        if buf.len() > MAX_LINE_BYTES {
+            return Err(TraceError::Parse {
+                format: rule.map_or("text", |(format, _)| format),
+                line: lineno,
+                reason: format!("line longer than {MAX_LINE_BYTES} bytes"),
+            });
+        }
+        let line = std::str::from_utf8(&buf).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+        })?;
         let (format, parse) = match rule {
             Some(rule) => rule,
             None => {
@@ -77,7 +96,7 @@ pub fn convert<R: BufRead, S: BunchSink + ?Sized>(
                 *rule.insert(detect(body))
             }
         };
-        let Some((seconds, io)) = parse(&line, lineno)? else { continue };
+        let Some((seconds, io)) = parse(line, lineno)? else { continue };
         if seconds.total_cmp(&last_emitted) == Ordering::Less {
             return Err(TraceError::Parse {
                 format,
@@ -105,10 +124,16 @@ pub fn convert<R: BufRead, S: BunchSink + ?Sized>(
 /// The line rule for a trace whose first record line is `body`.
 fn detect(body: &str) -> (&'static str, LineRule) {
     let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    let first = body.split_whitespace().next().unwrap_or_default();
-    match first.split_once(',') {
-        Some((maj, min)) if digits(maj) && digits(min) => ("blkparse", crate::blkparse::parse_line),
-        _ => ("srt", crate::srt::parse_line),
+    let mut fields = body.split_whitespace();
+    let first = fields.next().unwrap_or_default();
+    let event = first.split_once(',').is_some_and(|(maj, min)| digits(maj) && digits(min));
+    // blkparse's per-device summary opens with `CPU<n> (<dev>):` or `Total (<dev>):`.
+    let header = first == "Total" || first.strip_prefix("CPU").is_some_and(digits);
+    let device = fields.next().and_then(|f| f.strip_prefix('(')?.strip_suffix("):"));
+    if event || (header && device.is_some_and(|d| !d.is_empty())) {
+        ("blkparse", crate::blkparse::parse_line)
+    } else {
+        ("srt", crate::srt::parse_line)
     }
 }
 

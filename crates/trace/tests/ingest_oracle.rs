@@ -9,7 +9,7 @@
 //! timestamps keep input order, also across the window's edge.
 
 use proptest::prelude::*;
-use tracer_trace::ingest::{self, BUNCH_WINDOW_NS, REORDER_WINDOW};
+use tracer_trace::ingest::{self, BUNCH_WINDOW_NS, MAX_LINE_BYTES, REORDER_WINDOW};
 use tracer_trace::{v3, Bunch, IoPackage, Nanos, OpKind, Trace, TraceError, V3Encoder};
 
 /// The whole-trace conversion: stable sort by timestamp (equal stamps keep
@@ -157,11 +157,8 @@ proptest! {
             text.push_str(&format!("  8,{minor} {cpu} {n} {ts} 0 C {io} [0]\n"));
             ios.push((ts.parse().unwrap(), IoPackage::new(sector, sectors * 512, kind)));
         }
-        if !ios.is_empty() {
-            // The summary follows the events (an empty capture would start
-            // with it, and read as srt).
-            text.push_str("CPU0 (8,0):\n Reads Queued:  1,  4KiB\n");
-        }
+        // The summary follows the events; an empty capture starts with it.
+        text.push_str("CPU0 (8,0):\n Reads Queued:  1,  4KiB\n");
         prop_assert_eq!(streamed("sda", &text).unwrap(), oracle("sda", ios));
     }
 }
@@ -231,4 +228,40 @@ fn checked_in_samples_convert() {
     assert_eq!((blk.io_count(), blk.bunch_count()), (12, 6));
     assert!(blk.validate().is_ok());
     assert_eq!(blk.duration(), 12_000_000 - 4_120);
+}
+
+#[test]
+fn a_summary_only_blkparse_capture_is_an_empty_trace() {
+    for text in [
+        "CPU0 (8,0):\n",
+        "CPU1 (sda):\n Reads Queued: 0, 0KiB\n\nTotal (sda):\n Writes Queued: 0, 0KiB\n",
+        "Total (8,0):\n Reads Queued: 0, 0KiB\n",
+    ] {
+        let trace = to_trace(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        assert_eq!(trace.io_count(), 0, "{text:?}");
+        assert_eq!(streamed("sda", text).unwrap(), oracle("sda", Vec::new()));
+    }
+    // Neither header shape is taken for anything else.
+    for text in ["CPUx (8,0):\n", "Total 8,0\n", "CPU0\n"] {
+        assert!(
+            matches!(to_trace(text), Err(TraceError::Parse { format: "srt", line: 1, .. })),
+            "{text:?}"
+        );
+    }
+}
+
+#[test]
+fn a_line_longer_than_the_cap_is_a_line_numbered_error() {
+    let fits = format!("# {}\n0.5 0 0 512 R\n", "x".repeat(MAX_LINE_BYTES - 3));
+    assert_eq!(to_trace(&fits).unwrap().io_count(), 1);
+    let long = format!("0.5 0 0 512 R\n0.6 0 0 512 R {}\n", "x".repeat(MAX_LINE_BYTES));
+    let err = to_trace(&long).unwrap_err();
+    assert!(matches!(err, TraceError::Parse { format: "srt", line: 2, .. }), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        format!("srt parse error at line 2: line longer than {MAX_LINE_BYTES} bytes")
+    );
+    // Before any record line the format is not known yet.
+    let err = to_trace(&"x".repeat(3 * MAX_LINE_BYTES)).unwrap_err();
+    assert!(matches!(err, TraceError::Parse { format: "text", line: 1, .. }), "{err:?}");
 }

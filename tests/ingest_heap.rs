@@ -15,8 +15,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tracer_trace::ingest::{self, REORDER_WINDOW};
-use tracer_trace::V3Encoder;
+use tracer_trace::ingest::{self, MAX_LINE_BYTES, REORDER_WINDOW};
+use tracer_trace::{TraceError, V3Encoder};
 
 thread_local! {
     // Per thread, so the harness and tests running in parallel do not count
@@ -120,4 +120,20 @@ fn streaming_an_srt_text_holds_the_image_and_the_window() {
         peak as f64 / n as f64,
         image.len()
     );
+}
+
+#[test]
+fn a_text_without_newlines_fails_at_line_one_without_reading_it_whole() {
+    // 4 MiB with no newline, as a binary file passed as text would be.
+    let text = vec![b'7'; 4 << 20];
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let mut enc = V3Encoder::new("srt");
+    let err = ingest::convert(text.as_slice(), &mut enc).unwrap_err();
+    let peak = PEAK.with(Cell::get) - before;
+    assert!(matches!(err, TraceError::Parse { line: 1, .. }), "{err:?}");
+    // The reorder window is allocated up front; the line buffer stays at
+    // the cap.
+    let bound = REORDER_WINDOW * 32 + 4 * MAX_LINE_BYTES + (1 << 16);
+    assert!(peak <= bound, "peak {peak} B; bound {bound} B");
 }
