@@ -367,6 +367,9 @@ a JSON-lines snapshot (counters, histograms, span timings, events) to FILE;
 `tracer stats --obs FILE` renders that snapshot as a table.
 ";
 
+/// What a flag that a scenario file already fixes conflicts with.
+const SCENARIO_GOVERNS: &str = "--scenario (the scenario file governs it)";
+
 /// Parse an argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some((verb, rest)) = args.split_first() else {
@@ -400,6 +403,21 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Some(v) => v.parse().map_err(|_| CliError(format!("--{k} must be a number"))),
             None => Ok(default),
         }
+    };
+    // A zero window, disk count, queue depth or intensity measures nothing
+    // (or divides by zero in the replay timestamp scaler): reject it at the
+    // boundary.
+    let positive = |k: &str, n: u64| -> Result<u64, CliError> {
+        if n == 0 {
+            return Err(CliError(format!("--{k} must be positive")));
+        }
+        Ok(n)
+    };
+    let seconds_or = |default: u64| positive("seconds", num_or("seconds", default)?);
+    // Flags that have nothing to say next to `with`.
+    let reject = |keys: &[&str], with: &str| match keys.iter().find(|k| flags.contains_key(**k)) {
+        Some(key) => Err(CliError(format!("--{key} conflicts with {with}"))),
+        None => Ok(()),
     };
     let array = || -> Result<ArrayChoice, CliError> {
         match flags.get("array") {
@@ -441,23 +459,30 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     };
 
     match verb.as_str() {
-        "idle" => {
-            Ok(Command::Idle { disks: num("disks")? as usize, seconds: num_or("seconds", 60)? })
-        }
+        "idle" => Ok(Command::Idle {
+            disks: positive("disks", num("disks")?)? as usize,
+            seconds: seconds_or(60)?,
+        }),
         "collect" => Ok(Command::Collect {
             mode: mode(false)?,
-            seconds: num_or("seconds", 120)?,
+            seconds: seconds_or(120)?,
             repo: PathBuf::from(get("repo")?),
             array: array()?,
         }),
         "replay" => {
             let loads = loads()?;
-            let intensity = num_or("intensity", 100)? as u32;
-            if intensity == 0 {
-                // 0 would divide by zero in the replay timestamp scaler;
-                // reject it at the boundary instead of panicking mid-run.
-                return Err(CliError("--intensity must be positive".into()));
-            }
+            let intensity = positive("intensity", num_or("intensity", 100)?)? as u32;
+            let afap_depth = match flags.get("afap") {
+                Some(v) => {
+                    // A closed-loop replay ignores timestamps, load levels
+                    // and the results database.
+                    reject(&["loads", "intensity", "db", "obs", "workers"], "--afap")?;
+                    let depth =
+                        v.parse().map_err(|_| CliError("--afap must be a queue depth".into()))?;
+                    Some(positive("afap", depth)? as usize)
+                }
+                None => None,
+            };
             Ok(Command::Replay {
                 // With --loads the sweep drives the level; --load is optional.
                 mode: mode(loads.is_empty())?,
@@ -465,12 +490,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 repo: PathBuf::from(get("repo")?),
                 array: array()?,
                 db: flags.get("db").map(PathBuf::from),
-                afap_depth: match flags.get("afap") {
-                    Some(v) => Some(
-                        v.parse().map_err(|_| CliError("--afap must be a queue depth".into()))?,
-                    ),
-                    None => None,
-                },
+                afap_depth,
                 loads,
                 workers: num_or("workers", 1)? as usize,
                 obs: flags.get("obs").map(PathBuf::from),
@@ -480,13 +500,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if let Some(scenario) = flags.get("scenario") {
                 // The file names the testbed, workload grid, loads and
                 // workers, so the synthetic-sweep flags have nothing to say.
-                for key in ["repo", "array", "modes", "seconds", "workers", "loads"] {
-                    if flags.contains_key(key) {
-                        return Err(CliError(format!(
-                            "--{key} conflicts with --scenario (the scenario file governs it)"
-                        )));
-                    }
-                }
+                reject(
+                    &["repo", "array", "modes", "seconds", "workers", "loads"],
+                    SCENARIO_GOVERNS,
+                )?;
                 return Ok(Command::Sweep {
                     repo: None,
                     array: ArrayChoice::Hdd6,
@@ -506,7 +523,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 repo: Some(PathBuf::from(get("repo")?)),
                 array: array()?,
                 workers: num_or("workers", 0)? as usize,
-                seconds: num_or("seconds", 10)?,
+                seconds: seconds_or(10)?,
                 modes,
                 db: flags.get("db").map(PathBuf::from),
                 obs: flags.get("obs").map(PathBuf::from),
@@ -545,7 +562,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Stats { name, repo, obs })
         }
         "policies" => Ok(Command::Policies {
-            seconds: num_or("seconds", 120)?,
+            seconds: seconds_or(120)?,
             db: flags.get("db").map(PathBuf::from),
         }),
         "report" => Ok(Command::Report { db: PathBuf::from(get("db")?) }),
@@ -590,23 +607,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let scenario = flags.get("scenario").map(PathBuf::from);
             if scenario.is_some() {
                 // The scenario file fixes the testbed, mode and load grid.
-                for key in ["rs", "rn", "rd", "loads", "intensity", "array"] {
-                    if flags.contains_key(key) {
-                        return Err(CliError(format!(
-                            "--{key} conflicts with --scenario (the scenario file governs it)"
-                        )));
-                    }
-                }
+                reject(&["rs", "rn", "rd", "loads", "intensity", "array"], SCENARIO_GOVERNS)?;
             }
             if nodes.is_empty() && expect == 0 && serial.is_none() && scenario.is_none() {
                 return Err(CliError(
                     "coordinate needs --nodes, --expect, --serial, or --scenario".into(),
                 ));
             }
-            let intensity = num_or("intensity", 100)? as u32;
-            if intensity == 0 {
-                return Err(CliError("--intensity must be positive".into()));
-            }
+            let intensity = positive("intensity", num_or("intensity", 100)?)? as u32;
             // The workload mode defaults to the paper's 8 KiB 50/100 point so
             // a two-node smoke test needs no mode flags at all.
             let mode = if flags.contains_key("rs") {
@@ -692,7 +700,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 let mut sim = array.build();
                 let report = tracer_replay::replay_afap(&mut sim, &trace, depth).map_err(io_err)?;
                 println!(
-                    "afap depth {depth}: {:.1} IOPS, {:.2} MBPS, avg {:.2} ms, p95 {:.2} ms                      over {:.2}s",
+                    "afap depth {depth}: {:.1} IOPS, {:.2} MBPS, avg {:.2} ms, p95 {:.2} ms over {:.2}s",
                     report.summary.iops,
                     report.summary.mbps,
                     report.summary.avg_response_ms,
@@ -1069,8 +1077,8 @@ mod tests {
     fn parses_idle() {
         let cmd = parse(&argv("idle --disks 6")).unwrap();
         assert_eq!(cmd, Command::Idle { disks: 6, seconds: 60 });
-        let cmd = parse(&argv("idle --disks 0 --seconds 5")).unwrap();
-        assert_eq!(cmd, Command::Idle { disks: 0, seconds: 5 });
+        let cmd = parse(&argv("idle --disks 2 --seconds 5")).unwrap();
+        assert_eq!(cmd, Command::Idle { disks: 2, seconds: 5 });
     }
 
     #[test]
@@ -1101,6 +1109,17 @@ mod tests {
             parse(&argv("replay --rs 4096 --rn 50 --rd 0 --load 100 --repo /tmp/r --afap 32"))
                 .unwrap();
         assert!(matches!(cmd, Command::Replay { afap_depth: Some(32), .. }));
+    }
+
+    #[test]
+    fn afap_conflicts_with_the_open_loop_flags() {
+        let afap = "replay --rs 4096 --rn 50 --rd 0 --load 100 --repo /tmp/r --afap";
+        for flag in
+            ["--loads 20,50", "--intensity 200", "--db /tmp/d.json", "--obs /tmp/o", "--workers 2"]
+        {
+            let err = parse(&argv(&format!("{afap} 4 {flag}"))).unwrap_err();
+            assert!(err.0.contains("conflicts with --afap"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -1513,6 +1532,13 @@ mod tests {
             "collect --rs 512 --rn 200 --rd 0 --repo /tmp/r", // ratio > 100
             "replay --rs 512 --rn 0 --rd 0 --repo /tmp/r",    // missing --load
             "replay --rs 512 --rn 0 --rd 0 --load 50 --intensity 0 --repo /tmp/r", // zero intensity
+            "replay --rs 512 --rn 0 --rd 0 --load 50 --afap 0 --repo /tmp/r", // zero depth
+            "replay --rs 512 --rn 0 --rd 0 --load 50 --afap four --repo /tmp/r", // non-numeric
+            "idle --disks 0",                                 // no disks
+            "idle --disks 6 --seconds 0",                     // zero window
+            "collect --rs 512 --rn 0 --rd 0 --repo /tmp/r --seconds 0",
+            "sweep --repo /tmp/r --seconds 0",
+            "policies --seconds 0",
             "collect --rs 512 --rn 0 --rd 0 --repo /tmp/r --array floppy",
         ] {
             assert!(parse(&argv(bad)).is_err(), "should reject {bad:?}");

@@ -21,7 +21,7 @@ use crate::device::{Device, DeviceModel, DiskOp, Phase};
 use crate::equeue::{EventQueue, EventSet};
 use crate::error::SimError;
 use crate::powerlog::ArrayPowerLog;
-use crate::raid::{DiskExtent, Geometry};
+use crate::raid::Geometry;
 use crate::soa::{ReqStore, Slot, F_COMPLETED_EARLY, STAGE_OPS, STAGE_PRE_READS};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -86,47 +86,6 @@ pub enum QueueDiscipline {
     /// C-LOOK elevator: ascending sector order, wrapping to the lowest
     /// pending sector at the end of a sweep.
     Elevator,
-}
-
-/// Configuration of a background rebuild pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RebuildConfig {
-    /// Throttle between stripe-reconstruction jobs (foreground I/O runs in
-    /// the gaps).
-    pub delay_between: SimDuration,
-    /// Rebuild at most this many stripes (callers evaluating short windows
-    /// bound the pass; `u64::MAX` rebuilds the whole array).
-    pub max_stripes: u64,
-}
-
-impl Default for RebuildConfig {
-    fn default() -> Self {
-        Self { delay_between: SimDuration::from_millis(10), max_stripes: u64::MAX }
-    }
-}
-
-/// Progress of a rebuild pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RebuildStatus {
-    /// Member being reconstructed.
-    pub disk: usize,
-    /// Stripes already reconstructed (the clean frontier).
-    pub stripes_done: u64,
-    /// Stripes the pass will reconstruct in total.
-    pub stripes_total: u64,
-    /// When the pass started.
-    pub started: SimTime,
-}
-
-impl RebuildStatus {
-    /// Completed fraction, 0.0–1.0.
-    pub fn progress(&self) -> f64 {
-        if self.stripes_total == 0 {
-            1.0
-        } else {
-            self.stripes_done as f64 / self.stripes_total as f64
-        }
-    }
 }
 
 /// Static configuration of the simulated array.
@@ -225,15 +184,13 @@ enum Event {
     RequestDone(Slot),
     /// Check whether `disk`, idle since `since`, should spin down.
     SpinDownCheck { disk: u32, since: SimTime },
-    /// Launch the next stripe-reconstruction job of a rebuild pass.
-    RebuildNext,
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
-/// A member disk's pending foreground ops, in the one container its
-/// discipline needs. The discipline is fixed at construction
-/// ([`ArraySim::new`] reads it from the config once).
+/// A member disk's pending ops, in the one container its discipline needs.
+/// The discipline is fixed at construction ([`ArraySim::new`] reads it from
+/// the config once).
 #[derive(Debug)]
 enum DeviceQueue {
     /// Arrival order.
@@ -384,7 +341,6 @@ pub struct ArraySim {
     cfg: ArrayConfig,
     devices: Vec<Device>,
     queues: Vec<DeviceQueue>,
-    background_queues: Vec<VecDeque<(Slot, DiskOp)>>,
     idle_since: Vec<SimTime>,
     last_sector: Vec<u64>,
     /// Pending events; member `d`'s slot holds its in-service `DiskFree`, so
@@ -408,17 +364,8 @@ pub struct ArraySim {
     events_processed: u64,
     failed_disk: Option<usize>,
     cache: Option<ControllerCache>,
-    rebuild: Option<RebuildState>,
     op_log: Option<Vec<OpRecord>>,
     obs: Option<Box<DesObs>>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RebuildState {
-    status: RebuildStatus,
-    cfg: RebuildConfig,
-    /// Request id of the in-flight stripe job, if any.
-    inflight: Option<RequestId>,
 }
 
 impl ArraySim {
@@ -443,7 +390,6 @@ impl ArraySim {
             queues: (0..n).map(|_| DeviceQueue::new(cfg.queue_discipline)).collect(),
             cfg,
             devices,
-            background_queues: (0..n).map(|_| VecDeque::new()).collect(),
             idle_since: vec![SimTime::ZERO; n],
             last_sector: vec![0; n],
             events: EventSet::new(n),
@@ -457,7 +403,6 @@ impl ArraySim {
             stats: ArrayStats { busy_ns: vec![0; n], ..Default::default() },
             events_processed: 0,
             failed_disk: None,
-            rebuild: None,
             op_log: None,
             obs: DesObs::attach(),
         };
@@ -505,11 +450,8 @@ impl ArraySim {
         );
         assert!(disk < self.devices.len(), "disk index out of range");
         assert!(self.failed_disk.is_none(), "a member is already failed");
-        assert!(self.rebuild.is_none(), "cannot fail a member during a rebuild");
         assert!(
-            self.requests.is_empty()
-                && self.queues.iter().all(DeviceQueue::is_empty)
-                && self.background_queues.iter().all(VecDeque::is_empty),
+            self.requests.is_empty() && self.queues.iter().all(DeviceQueue::is_empty),
             "fail_disk requires an idle array"
         );
         self.failed_disk = Some(disk);
@@ -518,116 +460,9 @@ impl ArraySim {
         self.power.devices[disk].set(self.now, w);
     }
 
-    /// Return the failed member to service *instantly* (re-attaching a
-    /// healthy drive whose contents are current — e.g. a transient cabling
-    /// failure). For the realistic replacement-drive path, which regenerates
-    /// the member's contents stripe by stripe, use
-    /// [`ArraySim::start_rebuild`]. The device stays in standby until its
-    /// next op pays the spin-up cost. Requires an idle array.
-    ///
-    /// # Panics
-    /// Panics if no member is failed or requests are in flight.
-    pub fn repair_disk(&mut self) {
-        assert!(self.failed_disk.is_some(), "no member is failed");
-        assert!(
-            self.requests.is_empty()
-                && self.queues.iter().all(DeviceQueue::is_empty)
-                && self.background_queues.iter().all(VecDeque::is_empty),
-            "repair_disk requires an idle array"
-        );
-        self.failed_disk = None;
-    }
-
     /// Index of the failed member, if the array runs degraded.
     pub fn failed_disk(&self) -> Option<usize> {
         self.failed_disk
-    }
-
-    /// Replace the failed member with a blank drive and start reconstructing
-    /// its contents stripe by stripe. Foreground I/O keeps running: requests
-    /// touching stripes beyond the rebuild frontier are still served through
-    /// parity; reconstructed stripes are served normally. The pass runs in
-    /// the background, throttled by [`RebuildConfig::delay_between`].
-    ///
-    /// # Panics
-    /// Panics if no member is failed or a rebuild is already running.
-    pub fn start_rebuild(&mut self, cfg: RebuildConfig) -> RebuildStatus {
-        let disk = self.failed_disk.take().expect("start_rebuild needs a failed member");
-        assert!(self.rebuild.is_none(), "a rebuild is already running");
-        let strips_per_disk = self
-            .devices
-            .iter()
-            .map(|d| d.capacity_sectors() / self.cfg.geometry.strip_sectors)
-            .min()
-            .unwrap_or(0);
-        let status = RebuildStatus {
-            disk,
-            stripes_done: 0,
-            stripes_total: strips_per_disk.min(cfg.max_stripes),
-            started: self.now,
-        };
-        self.rebuild = Some(RebuildState { status, cfg, inflight: None });
-        self.schedule(self.now, Event::RebuildNext);
-        status
-    }
-
-    /// Progress of the running rebuild pass, if any.
-    pub fn rebuild_status(&self) -> Option<RebuildStatus> {
-        self.rebuild.map(|r| r.status)
-    }
-
-    /// The member a request must be planned around: the failed disk, or the
-    /// rebuilding disk when the request reaches past the clean frontier.
-    fn effective_failure(&self, sector: u64, sectors: u64) -> Option<usize> {
-        if self.failed_disk.is_some() {
-            return self.failed_disk;
-        }
-        let rb = self.rebuild.as_ref()?;
-        let stripe_sectors =
-            self.cfg.geometry.strip_sectors * self.cfg.geometry.data_disks().max(1) as u64;
-        let last_stripe = (sector + sectors.max(1) - 1) / stripe_sectors;
-        (last_stripe >= rb.status.stripes_done).then_some(rb.status.disk)
-    }
-
-    fn on_rebuild_next(&mut self) {
-        #![doc = "tracer-invariant: no-alloc-hot"]
-        let Some(rb) = self.rebuild.as_mut() else { return };
-        if rb.inflight.is_some() {
-            return;
-        }
-        if rb.status.stripes_done >= rb.status.stripes_total {
-            self.rebuild = None;
-            return;
-        }
-        let stripe = rb.status.stripes_done;
-        let disk = rb.status.disk;
-        let strip = self.cfg.geometry.strip_sectors;
-        let disks = self.cfg.geometry.disks;
-        let id = self.next_id;
-        self.next_id += 1;
-        rb.inflight = Some(id);
-
-        let xor_bytes = (disks as u64 - 1) * strip * tracer_trace::SECTOR_BYTES;
-        let xor_pending = if self.cfg.xor_mbps > 0.0 {
-            SimDuration::from_secs_f64(xor_bytes as f64 / (self.cfg.xor_mbps * 1e6))
-        } else {
-            SimDuration::ZERO
-        };
-        let req = ArrayRequest::new(0, tracer_trace::SECTOR_BYTES as u32, OpKind::Write);
-        let slot = self.requests.insert(id, req, self.now, true);
-        let i = slot as usize;
-        self.requests.xor_pending[i] = xor_pending;
-        // Reconstruct: read the stripe's rows from every survivor, XOR, then
-        // write the regenerated strip onto the replacement.
-        let rows_on =
-            |disk, kind| DiskExtent { disk, sector: stripe * strip, sectors: strip, kind };
-        let plan = &mut self.requests.plans[i];
-        plan.pre_reads.clear();
-        plan.pre_reads.extend((0..disks).filter(|&d| d != disk).map(|d| rows_on(d, OpKind::Read)));
-        plan.ops.clear();
-        plan.ops.push(rows_on(disk, OpKind::Write));
-        self.requests.stage[i] = STAGE_PRE_READS;
-        self.schedule(self.now, Event::PhaseReady(slot));
     }
 
     /// The array configuration.
@@ -682,7 +517,7 @@ impl ArraySim {
         self.next_id += 1;
         // The slot's retained plan is filled at arrival, when the phases are
         // planned.
-        let slot = self.requests.insert(id, req, at, false);
+        let slot = self.requests.insert(id, req, at);
         if self.pops_next(at) {
             self.on_arrival(slot);
         } else {
@@ -821,7 +656,6 @@ impl ArraySim {
             Event::DiskFree { disk, slot } => self.on_disk_free(disk as usize, slot),
             Event::RequestDone(slot) => self.on_request_done(slot),
             Event::SpinDownCheck { disk, since } => self.on_spin_down_check(disk as usize, since),
-            Event::RebuildNext => self.on_rebuild_next(),
         }
     }
 
@@ -863,9 +697,8 @@ impl ArraySim {
 
         let i = slot as usize;
         debug_assert!(self.requests.phases_done(slot), "arrival into a slot with phases");
-        let failed = self.effective_failure(req.sector, req.sectors());
         let plan = &mut self.requests.plans[i];
-        self.cfg.geometry.plan_into(req.sector, req.sectors(), req.kind, failed, plan);
+        self.cfg.geometry.plan_into(req.sector, req.sectors(), req.kind, self.failed_disk, plan);
         let xor_time = if plan.parity_xor_bytes > 0 && self.cfg.xor_mbps > 0.0 {
             SimDuration::from_secs_f64(plan.parity_xor_bytes as f64 / (self.cfg.xor_mbps * 1e6))
         } else {
@@ -885,32 +718,24 @@ impl ArraySim {
         #![doc = "tracer-invariant: no-alloc-hot"]
         let i = slot as usize;
         debug_assert!(self.requests.occupied(slot), "phase for unknown request");
-        // Internal (rebuild) work queues behind foreground traffic.
-        let background = self.requests.internal(slot);
         let stage = self.requests.stage[i];
         let n = self.requests.phase(slot, stage).len();
         debug_assert!(n > 0, "empty phase");
         self.requests.stage[i] = stage + 1;
         self.requests.outstanding[i] = n as u32;
-        // An idle member's queues are empty, so a FIFO or background extent
-        // on it starts at once: what pushing it and popping it again would
-        // dispatch. Elevator extents all queue first, so C-LOOK picks among
-        // every extent this phase puts on a member. Either way members start
-        // in extent order, which fixes the completions' seq order.
+        // An idle member's queue is empty, so a FIFO extent on it starts at
+        // once: what pushing it and popping it again would dispatch.
+        // Elevator extents all queue first, so C-LOOK picks among every
+        // extent this phase puts on a member. Either way members start in
+        // extent order, which fixes the completions' seq order.
         let mut deferred = false;
         for k in 0..n {
             let ext = self.requests.phase(slot, stage)[k];
             let op = DiskOp::new(ext.sector, ext.sectors, ext.kind);
             let idle = !self.events.slot_busy(ext.disk);
-            if idle && (background || !self.queues[ext.disk].is_elevator()) {
-                debug_assert!(
-                    self.queues[ext.disk].is_empty() && self.background_queues[ext.disk].is_empty(),
-                    "idle member {} has queued ops",
-                    ext.disk
-                );
+            if idle && !self.queues[ext.disk].is_elevator() {
+                debug_assert!(self.queues[ext.disk].is_empty(), "idle member has queued ops");
                 self.start(ext.disk, slot, op);
-            } else if background {
-                self.background_queues[ext.disk].push_back((slot, op));
             } else {
                 self.queues[ext.disk].push(slot, op);
                 deferred |= idle;
@@ -931,9 +756,7 @@ impl ArraySim {
             return;
         }
         let head = self.last_sector[disk];
-        let Some((slot, op)) =
-            self.queues[disk].pop(head).or_else(|| self.background_queues[disk].pop_front())
-        else {
+        let Some((slot, op)) = self.queues[disk].pop(head) else {
             return;
         };
         self.start(disk, slot, op);
@@ -943,12 +766,12 @@ impl ArraySim {
     /// in the member's slot.
     fn start(&mut self, disk: usize, slot: Slot, op: DiskOp) {
         #![doc = "tracer-invariant: no-alloc-hot"]
-        // Depth the dispatched op saw: foreground + background backlog,
-        // including itself. Sampled 1-in-64 (see `DesObs::sample_depth`) so
+        // Depth the dispatched op saw: its member's backlog, including
+        // itself. Sampled 1-in-64 (see `DesObs::sample_depth`) so
         // the histogram stays cheap on the dispatch hot path.
         if let Some(obs) = self.obs.as_mut() {
             if obs.sample_depth() {
-                let depth = self.queues[disk].len() + self.background_queues[disk].len() + 1;
+                let depth = self.queues[disk].len() + 1;
                 obs.queue_depth.record(depth as u64);
             }
         }
@@ -1030,17 +853,15 @@ impl ArraySim {
             // reconstruction) is spent now; reads then stream back over the
             // link.
             let after_xor = self.now + xor;
-            let internal = self.requests.internal(slot);
-            let (done, lane) = if self.requests.kind[i].is_read() && !internal {
+            let (done, lane) = if self.requests.kind[i].is_read() {
                 let bytes = u64::from(self.requests.bytes[i]);
                 (self.reserve_link(after_xor, bytes), LANE_LINK)
             } else {
                 (after_xor, LANE_XOR)
             };
-            // A foreground request done now completes inline: its handler
-            // only records the completion, so running it here reorders
-            // nothing.
-            if !internal && self.pops_next(done) {
+            // A request done now completes inline: its handler only records
+            // the completion, so running it here reorders nothing.
+            if self.pops_next(done) {
                 self.on_request_done(slot);
             } else {
                 self.schedule_lane(lane, done, Event::RequestDone(slot));
@@ -1056,21 +877,6 @@ impl ArraySim {
         #![doc = "tracer-invariant: no-alloc-hot"]
         let i = slot as usize;
         debug_assert!(self.requests.occupied(slot), "done for unknown request");
-        if self.requests.internal(slot) {
-            let id = self.requests.id[i];
-            self.requests.retire(slot);
-            let Some(rb) = self.rebuild.as_mut() else { return };
-            debug_assert_eq!(rb.inflight, Some(id));
-            rb.inflight = None;
-            rb.status.stripes_done += 1;
-            if rb.status.stripes_done >= rb.status.stripes_total {
-                self.rebuild = None;
-            } else {
-                let delay = rb.cfg.delay_between;
-                self.schedule(self.now + delay, Event::RebuildNext);
-            }
-            return;
-        }
         let record = Completion {
             id: self.requests.id[i],
             submitted: self.requests.submitted[i],
@@ -1376,22 +1182,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_restores_service_with_spinup() {
-        let mut sim = small_hdd_array(4);
-        sim.fail_disk(0);
-        sim.submit(SimTime::ZERO, ArrayRequest::new(0, 4096, OpKind::Read)).unwrap();
-        sim.run_to_idle();
-        sim.repair_disk();
-        assert_eq!(sim.failed_disk(), None);
-        // Next request hitting disk 0 pays the spin-up.
-        let t0 = sim.now();
-        sim.submit(t0, ArrayRequest::new(0, 4096, OpKind::Read)).unwrap();
-        sim.run_to_idle();
-        let lat = sim.drain_completions().last().unwrap().latency();
-        assert!(lat.as_secs_f64() > 5.9, "spin-up expected, got {lat}");
-    }
-
-    #[test]
     #[should_panic(expected = "idle array")]
     fn fail_disk_rejects_inflight_requests() {
         let mut sim = small_hdd_array(4);
@@ -1474,143 +1264,6 @@ mod tests {
         // The presets reproduce the paper's cache-disabled configuration.
         let sim = ArraySpec::hdd_raid5(4).build();
         assert!(sim.cache().is_none());
-    }
-
-    #[test]
-    fn rebuild_reconstructs_and_finishes() {
-        let mut sim = small_hdd_array(4);
-        sim.fail_disk(1);
-        // Serve some degraded traffic first.
-        sim.submit(SimTime::ZERO, ArrayRequest::new(0, 4096, OpKind::Read)).unwrap();
-        sim.run_to_idle();
-        let status = sim.start_rebuild(RebuildConfig {
-            delay_between: SimDuration::from_millis(1),
-            max_stripes: 50,
-        });
-        assert_eq!(status.disk, 1);
-        assert_eq!(status.stripes_total, 50);
-        assert_eq!(sim.failed_disk(), None, "replacement drive is in the slot");
-        assert!(sim.rebuild_status().is_some());
-        sim.run_to_idle();
-        assert!(sim.rebuild_status().is_none(), "rebuild completed");
-        // 50 stripes x (3 reads + 1 write) of a 128 KiB strip, plus the
-        // earlier degraded read's reconstruction traffic.
-        assert!(sim.stats().disk_ops >= 200);
-        // The replacement disk received 50 strip writes.
-        assert!(sim.stats().busy_ns[1] > 0);
-    }
-
-    #[test]
-    fn foreground_io_runs_during_rebuild_with_correct_planning() {
-        let mut sim = small_hdd_array(4);
-        sim.fail_disk(0);
-        sim.start_rebuild(RebuildConfig {
-            delay_between: SimDuration::from_millis(5),
-            max_stripes: 200,
-        });
-        // Requests far beyond the frontier must still reconstruct (no read
-        // lands on disk 0 for dirty stripes); requests complete regardless.
-        for i in 0..20u64 {
-            let at = sim.now().max(SimTime::from_millis(i * 10));
-            sim.submit(at, ArrayRequest::new(500_000 + i * 64, 8192, OpKind::Read)).unwrap();
-            sim.run_until(at);
-        }
-        sim.run_to_idle();
-        let done = sim.drain_completions();
-        assert_eq!(done.len(), 20, "foreground requests complete during rebuild");
-        assert!(sim.rebuild_status().is_none());
-    }
-
-    #[test]
-    fn dirty_stripes_reconstruct_while_clean_stripes_read_directly() {
-        let mut sim = small_hdd_array(4);
-        sim.fail_disk(0);
-        // One stripe job, then a long pause before the next.
-        sim.start_rebuild(RebuildConfig {
-            delay_between: SimDuration::from_secs(3600),
-            max_stripes: 10,
-        });
-        sim.run_until(SimTime::from_secs(60));
-        assert_eq!(sim.rebuild_status().unwrap().stripes_done, 1, "one stripe rebuilt");
-
-        // A read inside the clean stripe 0, targeting the rebuilt disk 0
-        // (logical sector 0 maps to disk 0), is a single direct disk read.
-        let ops_before = sim.stats().disk_ops;
-        let t = sim.now();
-        sim.submit(t, ArrayRequest::new(0, 4096, OpKind::Read)).unwrap();
-        // Run until the request completes (ignore the pending rebuild tick).
-        while sim.completions().is_empty() {
-            assert!(sim.step());
-        }
-        let direct_ops = sim.stats().disk_ops - ops_before;
-        assert_eq!(direct_ops, 1, "clean stripe reads directly");
-
-        // A read in a dirty stripe whose data sits on disk 0 must
-        // reconstruct from the three survivors. Stripe 4 rotates parity back
-        // to disk 3, so its data index 0 is on disk 0; logical sector =
-        // 4 stripes * 3 data strips * 256 sectors.
-        let ops_before = sim.stats().disk_ops;
-        let t = sim.now();
-        sim.submit(t, ArrayRequest::new(4 * 3 * 256, 4096, OpKind::Read)).unwrap();
-        while sim.completions().len() < 2 {
-            assert!(sim.step());
-        }
-        let degraded_ops = sim.stats().disk_ops - ops_before;
-        assert_eq!(degraded_ops, 3, "dirty stripe reconstructs from survivors");
-    }
-
-    #[test]
-    fn rebuild_progress_is_monotone_and_throttled() {
-        let mut sim = small_hdd_array(4);
-        sim.fail_disk(2);
-        sim.start_rebuild(RebuildConfig {
-            delay_between: SimDuration::from_millis(50),
-            max_stripes: 20,
-        });
-        let mut last = 0;
-        while let Some(st) = sim.rebuild_status() {
-            assert!(st.stripes_done >= last);
-            last = st.stripes_done;
-            if !sim.step() {
-                break;
-            }
-        }
-        assert_eq!(sim.rebuild_status(), None);
-        // Throttling: 20 stripes at >=50ms spacing -> at least ~0.95s.
-        assert!(sim.now().as_secs_f64() > 0.9, "rebuild too fast: {}", sim.now());
-    }
-
-    #[test]
-    fn foreground_preempts_rebuild_in_the_queue() {
-        // With a rebuild saturating the disks, a foreground read should still
-        // complete in ~one service time because it jumps the background queue.
-        let mut sim = small_hdd_array(4);
-        sim.fail_disk(0);
-        sim.start_rebuild(RebuildConfig {
-            delay_between: SimDuration::ZERO, // back-to-back stripe jobs
-            max_stripes: 1_000,
-        });
-        // Let the rebuild get going.
-        sim.run_until(SimTime::from_millis(200));
-        let t0 = sim.now();
-        sim.submit(t0, ArrayRequest::new(5_000_000, 4096, OpKind::Read)).unwrap();
-        let id_done = loop {
-            if let Some(c) = sim.completions().last() {
-                break c.completed;
-            }
-            assert!(sim.step(), "drained without completing the foreground read");
-        };
-        let latency_ms = (id_done - t0).as_millis_f64();
-        // It waits at most for the in-flight strip op (~2-14ms) plus its own
-        // reconstruction (~3 disks), not for hundreds of queued stripe jobs.
-        assert!(latency_ms < 120.0, "foreground starved behind rebuild: {latency_ms}ms");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a failed member")]
-    fn rebuild_requires_failure() {
-        let mut sim = small_hdd_array(4);
-        sim.start_rebuild(RebuildConfig::default());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod time;
 
 pub use array::{
     ArrayConfig, ArrayRequest, ArraySim, ArrayStats, Completion, OpRecord, QueueDiscipline,
-    RebuildConfig, RebuildStatus, RequestId, DRAIN_BATCH,
+    RequestId, DRAIN_BATCH,
 };
 pub use cache::{CacheConfig, ControllerCache};
 pub use device::{Device, DeviceModel, DiskOp, Phase, PhaseLabel, ServicePlan};

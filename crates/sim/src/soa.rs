@@ -29,11 +29,9 @@ pub(crate) type Slot = u32;
 
 /// `flags` bit: the slot holds a live request.
 pub(crate) const F_OCCUPIED: u8 = 1;
-/// `flags` bit: internal traffic (rebuild jobs) — no host link, no completion.
-pub(crate) const F_INTERNAL: u8 = 1 << 1;
 /// `flags` bit: completion already reported (write-back ack); remaining
 /// phases are background destage work.
-pub(crate) const F_COMPLETED_EARLY: u8 = 1 << 2;
+pub(crate) const F_COMPLETED_EARLY: u8 = 1 << 1;
 
 /// Slots the store starts with at its first insert.
 const MIN_SLOTS: usize = 8;
@@ -84,13 +82,7 @@ impl ReqStore {
     /// File a new in-flight request and return its slot, at [`STAGE_DONE`]
     /// with the slot's retained plan — the caller plans into it and sets the
     /// stage when the phases are known.
-    pub(crate) fn insert(
-        &mut self,
-        id: RequestId,
-        req: ArrayRequest,
-        submitted: SimTime,
-        internal: bool,
-    ) -> Slot {
+    pub(crate) fn insert(&mut self, id: RequestId, req: ArrayRequest, submitted: SimTime) -> Slot {
         if self.free.is_empty() {
             self.grow();
         }
@@ -106,7 +98,7 @@ impl ReqStore {
         self.submitted[i] = submitted;
         self.outstanding[i] = 0;
         self.xor_pending[i] = SimDuration::ZERO;
-        self.flags[i] = F_OCCUPIED | if internal { F_INTERNAL } else { 0 };
+        self.flags[i] = F_OCCUPIED;
         slot
     }
 
@@ -152,11 +144,6 @@ impl ReqStore {
     /// Whether the slot holds a live request.
     pub(crate) fn occupied(&self, slot: Slot) -> bool {
         self.flags[slot as usize] & F_OCCUPIED != 0
-    }
-
-    /// Whether the slot's request is internal (rebuild) traffic.
-    pub(crate) fn internal(&self, slot: Slot) -> bool {
-        self.flags[slot as usize] & F_INTERNAL != 0
     }
 
     /// Whether the slot's completion was already reported (write-back ack).
@@ -216,11 +203,10 @@ mod tests {
     #[test]
     fn insert_retire_recycles_slots_and_plans() {
         let mut store = ReqStore::default();
-        let a = store.insert(0, req(10), SimTime::ZERO, false);
-        let b = store.insert(1, req(20), SimTime::from_millis(1), true);
+        let a = store.insert(0, req(10), SimTime::ZERO);
+        let b = store.insert(1, req(20), SimTime::from_millis(1));
         assert_eq!(store.len(), 2);
         assert!(store.occupied(a) && store.occupied(b));
-        assert!(!store.internal(a) && store.internal(b));
         assert!(store.phases_done(a), "a fresh slot has no phases to dispatch");
 
         // Plan into slot `a`, walk its stages to done, retire.
@@ -236,7 +222,7 @@ mod tests {
         assert_eq!(store.len(), 1);
 
         // The freed slot (and its warm plan) is reused before any other.
-        let c = store.insert(2, req(30), SimTime::from_millis(2), false);
+        let c = store.insert(2, req(30), SimTime::from_millis(2));
         assert_eq!(c, a);
         assert_eq!(store.slot_count(), MIN_SLOTS);
         assert_eq!(store.id[c as usize], 2);
@@ -250,12 +236,12 @@ mod tests {
     #[test]
     fn columns_reset_on_reuse() {
         let mut store = ReqStore::default();
-        let a = store.insert(0, req(1), SimTime::ZERO, false);
+        let a = store.insert(0, req(1), SimTime::ZERO);
         store.outstanding[a as usize] = 7;
         store.xor_pending[a as usize] = SimDuration::from_millis(3);
         store.flags[a as usize] |= F_COMPLETED_EARLY;
         store.retire(a);
-        let b = store.insert(1, req(2), SimTime::from_secs(1), false);
+        let b = store.insert(1, req(2), SimTime::from_secs(1));
         assert_eq!(b, a);
         let i = b as usize;
         assert_eq!(store.outstanding[i], 0);
@@ -269,15 +255,14 @@ mod tests {
         // Fresh slots come out lowest first across every doubling, and a
         // retired slot is always reused before a fresh one.
         let mut store = ReqStore::default();
-        let slots: Vec<Slot> =
-            (0..20).map(|id| store.insert(id, req(id), SimTime::ZERO, false)).collect();
+        let slots: Vec<Slot> = (0..20).map(|id| store.insert(id, req(id), SimTime::ZERO)).collect();
         assert_eq!(slots, (0..20).collect::<Vec<Slot>>());
         assert_eq!(store.slot_count(), 4 * MIN_SLOTS);
         store.retire(7);
         store.retire(3);
-        assert_eq!(store.insert(20, req(0), SimTime::ZERO, false), 3);
-        assert_eq!(store.insert(21, req(0), SimTime::ZERO, false), 7);
-        assert_eq!(store.insert(22, req(0), SimTime::ZERO, false), 20);
+        assert_eq!(store.insert(20, req(0), SimTime::ZERO), 3);
+        assert_eq!(store.insert(21, req(0), SimTime::ZERO), 7);
+        assert_eq!(store.insert(22, req(0), SimTime::ZERO), 20);
         assert_eq!(store.len(), 21);
     }
 }

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tracer_sim::{
-    ArrayRequest, ArraySim, ArraySpec, Completion, RebuildConfig, SimDuration, SimTime, DRAIN_BATCH,
+    ArrayRequest, ArraySim, ArraySpec, Completion, SimDuration, SimTime, DRAIN_BATCH,
 };
 use tracer_trace::OpKind;
 
@@ -133,8 +133,8 @@ impl Replayer {
 
 /// Warm `sim` up on `stream`, then assert the next [`MEASURED_IOS`] IOs
 /// allocate nothing — and that every one of them was really served within a
-/// minute of the last arrival. Returns the simulator for further checks.
-fn assert_allocation_free(name: &str, mut sim: ArraySim, stream: Stream) -> ArraySim {
+/// minute of the last arrival.
+fn assert_allocation_free(name: &str, mut sim: ArraySim, stream: Stream) {
     let mut replayer = Replayer::new();
     replayer.replay(&mut sim, &stream, WARMUP_IOS);
     let before = allocations();
@@ -144,7 +144,6 @@ fn assert_allocation_free(name: &str, mut sim: ArraySim, stream: Stream) -> Arra
     replayer.flush(&mut sim);
     assert_eq!(replayer.completed, replayer.submitted, "{name}: every request completes");
     assert_eq!(allocs, 0, "{name}: {allocs} allocations over {MEASURED_IOS} steady-state IOs");
-    sim
 }
 
 fn hdd_rmw(mean_gap: SimDuration) -> Stream {
@@ -192,17 +191,10 @@ fn degraded_hdd_raid5_writes() {
 }
 
 #[test]
-fn hdd_raid5_reads_during_rebuild() {
-    // Background stripe jobs run through the whole measurement, and
-    // foreground reads past the frontier reconstruct through parity.
+fn degraded_hdd_raid5_reads() {
+    // A read of a strip on the failed member is rebuilt from every survivor.
     let mut sim = ArraySpec::hdd_raid5(6).build();
     sim.fail_disk(0);
-    sim.start_rebuild(RebuildConfig {
-        delay_between: SimDuration::from_millis(20),
-        max_stripes: u64::MAX,
-    });
     let stream = Stream { kind: OpKind::Read, bytes: 4096, mean_gap: SimDuration::from_millis(20) };
-    let sim = assert_allocation_free("rebuild hdd read", sim, stream);
-    let status = sim.rebuild_status().expect("the rebuild outlasts the measurement");
-    assert!(status.stripes_done > 1_000, "the rebuild made progress: {status:?}");
+    assert_allocation_free("degraded hdd read", sim, stream);
 }

@@ -1,9 +1,7 @@
-//! Integration: the full degraded-operation lifecycle — fail, serve through
-//! parity, rebuild onto a replacement, return to healthy service — driven by
-//! the replay engine, with power accounted throughout.
+//! Integration: degraded operation — fail a member, then serve through
+//! parity — driven by the replay engine, with power accounted throughout.
 
 use tracer_core::prelude::*;
-use tracer_sim::RebuildConfig;
 
 fn workload(n: u64) -> Trace {
     Trace::from_bunches(
@@ -40,28 +38,6 @@ fn degraded_lifecycle_end_to_end() {
         degraded.summary.avg_response_ms,
         healthy.summary.avg_response_ms
     );
-
-    // Phase 3: replacement + rebuild while a third workload replays.
-    let status = sim.start_rebuild(RebuildConfig {
-        delay_between: SimDuration::from_millis(2),
-        max_stripes: 300,
-    });
-    assert_eq!(status.disk, 2);
-    let during =
-        try_replay(&mut sim, &workload(100), &ReplayConfig::default()).expect("in-memory trace");
-    assert_eq!(during.summary.total_ios, 100, "foreground survives the rebuild");
-    sim.run_to_idle();
-    assert!(sim.rebuild_status().is_none(), "rebuild finished");
-
-    // Phase 4: healthy again — latency returns to (near) the healthy level.
-    let after =
-        try_replay(&mut sim, &workload(100), &ReplayConfig::default()).expect("in-memory trace");
-    assert!(
-        after.summary.avg_response_ms < degraded.summary.avg_response_ms,
-        "post-rebuild {} must beat degraded {}",
-        after.summary.avg_response_ms,
-        degraded.summary.avg_response_ms
-    );
 }
 
 #[test]
@@ -84,33 +60,6 @@ fn degraded_array_draws_less_power_than_healthy() {
         degraded_w < healthy_w - 2.0,
         "degraded {degraded_w} W must undercut healthy {healthy_w} W"
     );
-}
-
-#[test]
-fn rebuild_consumes_energy_and_disk_time() {
-    let mut idle_sim = ArraySpec::hdd_raid5(4).build();
-    idle_sim.run_until(SimTime::from_secs(30));
-    let idle_joules = idle_sim.power_log().energy_joules(SimTime::ZERO, SimTime::from_secs(30));
-
-    let mut sim = ArraySpec::hdd_raid5(4).build();
-    sim.fail_disk(1);
-    sim.start_rebuild(RebuildConfig {
-        delay_between: SimDuration::from_millis(1),
-        max_stripes: 500,
-    });
-    sim.run_to_idle();
-    let span = sim.now();
-    sim.run_until(SimTime::from_secs(30).max(span));
-    let rebuild_joules = sim.power_log().energy_joules(SimTime::ZERO, SimTime::from_secs(30));
-    // Rebuild reads three survivors and writes the replacement; spin-up of
-    // the replacement plus transfers must exceed the all-idle baseline over
-    // the same wall window... except the parked standby time offsets it, so
-    // compare per-phase: survivors must have been busy.
-    let busy: u64 = sim.stats().busy_ns.iter().sum();
-    assert!(busy > 0);
-    assert!(sim.stats().physical_bytes >= 500 * 4 * 128 * 1024, "stripe traffic moved");
-    // Energy sanity: both are positive and the same order of magnitude.
-    assert!(rebuild_joules > idle_joules * 0.5);
 }
 
 #[test]
