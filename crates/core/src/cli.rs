@@ -320,7 +320,9 @@ USAGE:
   tracer collect  --rs BYTES --rn PCT --rd PCT --repo DIR [--seconds S] [--array hdd4|hdd6|ssd4]
   tracer replay   --rs BYTES --rn PCT --rd PCT --load PCT --repo DIR
                   [--loads a,b,c|all] [--workers N] [--intensity PCT]
-                  [--array ...] [--db FILE] [--afap DEPTH] [--obs FILE]
+                  [--array ...] [--db FILE] [--obs FILE]
+  tracer replay   --rs BYTES --rn PCT --rd PCT --repo DIR --afap DEPTH
+                  [--array ...]
   tracer sweep    --repo DIR [--modes N] [--seconds S] [--workers N]
                   [--array hdd4|hdd6|ssd4] [--db FILE] [--obs FILE]
   tracer sweep    --scenario FILE [--db FILE] [--obs FILE]
@@ -345,7 +347,9 @@ columnar v3 format, which replay maps and streams without decoding to
 heap; the repository still loads older v1/v2 files transparently.
 Replay accepts --db FILE to append its record to a results database, and
 --loads (comma-separated percentages, or `all` for the paper's ten) to run
-a whole load sweep and print the accuracy table. Sweep replays every
+a whole load sweep and print the accuracy table. Replay --afap DEPTH
+instead replays the trace closed-loop with DEPTH requests outstanding,
+ignoring its timestamps, and takes none of the load flags. Sweep replays every
 selected synthetic mode at every load level, collecting missing traces
 first; --workers 0 (the default for sweep) uses one worker per core.
 Sweep --scenario FILE runs a declarative scenario instead: the TOML file
@@ -476,7 +480,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 Some(v) => {
                     // A closed-loop replay ignores timestamps, load levels
                     // and the results database.
-                    reject(&["loads", "intensity", "db", "obs", "workers"], "--afap")?;
+                    reject(&["load", "loads", "intensity", "db", "obs", "workers"], "--afap")?;
                     let depth =
                         v.parse().map_err(|_| CliError("--afap must be a queue depth".into()))?;
                     Some(positive("afap", depth)? as usize)
@@ -484,8 +488,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 None => None,
             };
             Ok(Command::Replay {
-                // With --loads the sweep drives the level; --load is optional.
-                mode: mode(loads.is_empty())?,
+                // With --loads the sweep drives the level, and --afap has
+                // none; otherwise --load is required.
+                mode: mode(loads.is_empty() && afap_depth.is_none())?,
                 intensity,
                 repo: PathBuf::from(get("repo")?),
                 array: array()?,
@@ -1105,18 +1110,28 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let cmd =
-            parse(&argv("replay --rs 4096 --rn 50 --rd 0 --load 100 --repo /tmp/r --afap 32"))
-                .unwrap();
-        assert!(matches!(cmd, Command::Replay { afap_depth: Some(32), .. }));
+        // A closed-loop replay takes the mode without a load level.
+        let cmd = parse(&argv("replay --rs 4096 --rn 50 --rd 0 --repo /tmp/r --afap 32")).unwrap();
+        match cmd {
+            Command::Replay { mode, afap_depth, .. } => {
+                assert_eq!(mode, WorkloadMode::peak(4096, 50, 0));
+                assert_eq!(afap_depth, Some(32));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn afap_conflicts_with_the_open_loop_flags() {
-        let afap = "replay --rs 4096 --rn 50 --rd 0 --load 100 --repo /tmp/r --afap";
-        for flag in
-            ["--loads 20,50", "--intensity 200", "--db /tmp/d.json", "--obs /tmp/o", "--workers 2"]
-        {
+        let afap = "replay --rs 4096 --rn 50 --rd 0 --repo /tmp/r --afap";
+        for flag in [
+            "--load 10",
+            "--loads 20,50",
+            "--intensity 200",
+            "--db /tmp/d.json",
+            "--obs /tmp/o",
+            "--workers 2",
+        ] {
             let err = parse(&argv(&format!("{afap} 4 {flag}"))).unwrap_err();
             assert!(err.0.contains("conflicts with --afap"), "{flag}: {err}");
         }
@@ -1532,8 +1547,8 @@ mod tests {
             "collect --rs 512 --rn 200 --rd 0 --repo /tmp/r", // ratio > 100
             "replay --rs 512 --rn 0 --rd 0 --repo /tmp/r",    // missing --load
             "replay --rs 512 --rn 0 --rd 0 --load 50 --intensity 0 --repo /tmp/r", // zero intensity
-            "replay --rs 512 --rn 0 --rd 0 --load 50 --afap 0 --repo /tmp/r", // zero depth
-            "replay --rs 512 --rn 0 --rd 0 --load 50 --afap four --repo /tmp/r", // non-numeric
+            "replay --rs 512 --rn 0 --rd 0 --afap 0 --repo /tmp/r", // zero depth
+            "replay --rs 512 --rn 0 --rd 0 --afap four --repo /tmp/r", // non-numeric
             "idle --disks 0",                                 // no disks
             "idle --disks 6 --seconds 0",                     // zero window
             "collect --rs 512 --rn 0 --rd 0 --repo /tmp/r --seconds 0",

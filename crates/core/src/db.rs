@@ -122,18 +122,6 @@ impl Database {
         self.records.iter().filter(|r| pred(r)).collect()
     }
 
-    /// Records for a device + workload mode (ignoring load proportion).
-    pub fn by_mode<'a>(&'a self, device: &str, mode: &WorkloadMode) -> Vec<&'a TestRecord> {
-        let device = device.to_string();
-        let mode = *mode;
-        self.query(move |r| {
-            r.device == device
-                && r.mode.request_bytes == mode.request_bytes
-                && r.mode.random_pct == mode.random_pct
-                && r.mode.read_pct == mode.read_pct
-        })
-    }
-
     /// Persist as pretty JSON.
     pub fn save(&self, path: &Path) -> Result<(), DbError> {
         let json =
@@ -180,20 +168,6 @@ mod tests {
         assert!(!db.is_empty());
         assert_eq!(db.get(1).unwrap().perf.iops, 200.0);
         assert!(db.get(99).is_none());
-    }
-
-    #[test]
-    fn by_mode_ignores_load() {
-        let mut db = Database::new();
-        let m = WorkloadMode::peak(4096, 50, 0);
-        for load in [10, 50, 100] {
-            db.insert(record("raid5", m.at_load(load), f64::from(load)));
-        }
-        db.insert(record("raid5", WorkloadMode::peak(512, 50, 0), 1.0));
-        db.insert(record("ssd", m, 1.0));
-        let hits = db.by_mode("raid5", &m);
-        assert_eq!(hits.len(), 3);
-        assert!(hits.iter().all(|r| r.device == "raid5"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::db::{Database, PowerData, TestRecord};
 use crate::error::TracerError;
 use crate::metrics::EfficiencyMetrics;
-use tracer_power::{Channel, PowerAnalyzer};
+use tracer_power::{Channel, PowerAnalyzer, SUPPLY_VOLTS};
 use tracer_replay::{try_replay_observed, LoadControl, ReplayConfig, ReplayReport};
 use tracer_sim::{ArraySim, SimDuration};
 use tracer_trace::{BunchSource, WorkloadMode};
@@ -126,8 +126,8 @@ impl EvaluationHost {
             device: sim.config().name.clone(),
             mode,
             power: PowerData {
-                volts: 220.0,
-                avg_amps: metrics.avg_watts / 220.0,
+                volts: SUPPLY_VOLTS,
+                avg_amps: metrics.avg_watts / SUPPLY_VOLTS,
                 avg_watts: metrics.avg_watts,
                 energy_joules: metrics.energy_joules,
             },
@@ -157,8 +157,8 @@ impl EvaluationHost {
             device: sim.config().name.clone(),
             mode: WorkloadMode::peak(0, 0, 0).at_load(0),
             power: PowerData {
-                volts: 220.0,
-                avg_amps: report.avg_watts / 220.0,
+                volts: SUPPLY_VOLTS,
+                avg_amps: report.avg_watts / SUPPLY_VOLTS,
                 avg_watts: report.avg_watts,
                 energy_joules: report.exact_joules,
             },

@@ -85,10 +85,9 @@ pub mod prelude {
         ScenarioOutcome, ScenarioSpec, SweepBuilder, SweepConfig, SweepExecutor, TestRecord,
         TracerError,
     };
-    pub use tracer_power::{Channel, EnergyReport, NoiseModel, PowerAnalyzer, PowerMeter};
+    pub use tracer_power::{Channel, EnergyReport, PowerAnalyzer, PowerMeter};
     pub use tracer_replay::{
-        try_replay, LoadControl, PerformanceMonitor, ProportionalFilter, RealTimeReplayer,
-        ReplayConfig, ReplayPlan,
+        try_replay, LoadControl, PerformanceMonitor, RealTimeReplayer, ReplayConfig, ReplayPlan,
     };
     pub use tracer_sim::{
         ArrayConfig, ArrayRequest, ArraySim, ArraySpec, Completion, DeviceSpec, Geometry, Layout,

@@ -1,9 +1,9 @@
 //! Multi-channel power analyzer.
 //!
 //! The paper's instrument "has multiple channels that allow the energy
-//! efficiency of multiple storage systems to be tested simultaneously" and
-//! "different power testing channels for both DC and AC power supplies"
-//! (§III-A3). A [`PowerAnalyzer`] owns a set of named channels; a measurement
+//! efficiency of multiple storage systems to be tested simultaneously"
+//! (§III-A3); each channel meters one array's 220 V AC supply. A
+//! [`PowerAnalyzer`] owns a set of named channels; a measurement
 //! is started, the workload runs, and finalizing yields an [`EnergyReport`]
 //! per channel carrying the sampled records plus the exact integral.
 #![doc = "tracer-invariant: deterministic"]
@@ -12,37 +12,11 @@ use crate::meter::{PowerMeter, PowerSample, SampleCursor};
 use serde::{Deserialize, Serialize};
 use tracer_sim::{ArrayEnergyCursor, ArrayPowerLog, SimDuration, SimTime};
 
-/// Supply type of a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ChannelKind {
-    /// Mains AC channel (Hall-loop + probe pair), given supply voltage.
-    Ac {
-        /// Supply voltage, volts.
-        volts: f64,
-    },
-    /// DC channel, given rail voltage.
-    Dc {
-        /// Rail voltage, volts.
-        volts: f64,
-    },
-}
-
-impl ChannelKind {
-    /// The channel's measurement voltage.
-    pub fn volts(&self) -> f64 {
-        match *self {
-            ChannelKind::Ac { volts } | ChannelKind::Dc { volts } => volts,
-        }
-    }
-}
-
 /// One analyzer channel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Channel {
     /// Channel label (e.g. the array under test).
     pub name: String,
-    /// AC or DC measurement.
-    pub kind: ChannelKind,
     /// The sampling meter used on this channel.
     pub meter: PowerMeter,
 }
@@ -50,17 +24,7 @@ pub struct Channel {
 impl Channel {
     /// A 220 V AC channel with the default 1 s meter (the paper's setup).
     pub fn ac_220v(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            kind: ChannelKind::Ac { volts: 220.0 },
-            meter: PowerMeter::default(),
-        }
-    }
-
-    /// A DC channel at `volts` with the default meter.
-    pub fn dc(name: impl Into<String>, volts: f64) -> Self {
-        let meter = PowerMeter { volts, ..Default::default() };
-        Self { name: name.into(), kind: ChannelKind::Dc { volts }, meter }
+        Self { name: name.into(), meter: PowerMeter::default() }
     }
 }
 
@@ -87,15 +51,6 @@ impl EnergyReport {
     /// Measurement window length.
     pub fn span(&self) -> SimDuration {
         self.to - self.from
-    }
-
-    /// Relative sampling/noise error versus the exact integral.
-    pub fn sampling_error(&self) -> f64 {
-        if self.exact_joules > 0.0 {
-            (self.sampled_joules - self.exact_joules).abs() / self.exact_joules
-        } else {
-            0.0
-        }
     }
 }
 
@@ -132,22 +87,12 @@ impl PowerAnalyzer {
         self.channels.len() - 1
     }
 
-    /// Configured channels.
-    pub fn channels(&self) -> &[Channel] {
-        &self.channels
-    }
-
     /// Arm the measurement at `at` (the evaluation host's "initialize the
     /// power analyzer" command).
     pub fn start(&mut self, at: SimTime) {
         self.armed_at = Some(at);
         self.progress.clear();
         self.advanced_to = at;
-    }
-
-    /// Whether a measurement is in progress.
-    pub fn is_running(&self) -> bool {
-        self.armed_at.is_some()
     }
 
     /// The armed instant and the per-channel progress, created on first use
@@ -253,7 +198,6 @@ mod tests {
         assert!((report.exact_joules - 250.0).abs() < 1e-9);
         assert!((report.sampled_joules - 250.0).abs() < 1e-6);
         assert!((report.avg_watts - 25.0).abs() < 1e-9);
-        assert!(report.sampling_error() < 1e-9);
         assert_eq!(report.span(), SimDuration::from_secs(10));
     }
 
@@ -265,24 +209,12 @@ mod tests {
         let mut analyzer = PowerAnalyzer::new();
         analyzer.add_channel(Channel::ac_220v("raid5-hdd"));
         analyzer.add_channel(Channel::ac_220v("raid5-ssd"));
-        assert!(!analyzer.is_running());
         analyzer.start(SimTime::from_secs(1));
-        assert!(analyzer.is_running());
         let reports = analyzer.finalize(SimTime::from_secs(3), &[&l1, &l2]);
-        assert!(!analyzer.is_running());
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].channel, "raid5-hdd");
         assert!((reports[0].avg_watts - 15.0).abs() < 1e-9);
         assert!((reports[1].avg_watts - 35.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dc_channel_voltage() {
-        let ch = Channel::dc("ssd-rail", 12.0);
-        assert_eq!(ch.kind.volts(), 12.0);
-        assert_eq!(ch.meter.volts, 12.0);
-        let ch = Channel::ac_220v("x");
-        assert_eq!(ch.kind.volts(), 220.0);
     }
 
     #[test]
@@ -309,6 +241,6 @@ mod tests {
         assert!(report.samples.is_empty());
         assert_eq!(report.exact_joules, 0.0);
         assert_eq!(report.avg_watts, 0.0);
-        assert_eq!(report.sampling_error(), 0.0);
+        assert_eq!(report.sampled_joules, 0.0);
     }
 }

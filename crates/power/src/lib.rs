@@ -7,10 +7,10 @@
 //! measurement pipeline on top of the simulator's exact power timelines:
 //!
 //! * [`meter::PowerMeter`] — converts a [`tracer_sim::ArrayPowerLog`] into
-//!   periodic [`meter::PowerSample`]s (volts, amps, watts), optionally with
-//!   Hall-sensor gaussian noise;
+//!   periodic [`meter::PowerSample`]s (volts, amps, watts) on the 220 V AC
+//!   supply;
 //! * [`analyzer::PowerAnalyzer`] — the multi-channel instrument: one channel
-//!   per storage system under test, AC or DC, with start/stop measurement
+//!   per storage system under test, with start/stop measurement
 //!   control and per-channel [`analyzer::EnergyReport`]s;
 //! * energy ground truth stays exact: reports carry both the sampled view and
 //!   the exact integral, so sampling error itself can be studied.
@@ -32,5 +32,5 @@
 pub mod analyzer;
 pub mod meter;
 
-pub use analyzer::{Channel, ChannelKind, EnergyReport, PowerAnalyzer};
-pub use meter::{NoiseModel, PowerMeter, PowerSample};
+pub use analyzer::{Channel, EnergyReport, PowerAnalyzer};
+pub use meter::{PowerMeter, PowerSample, SUPPLY_VOLTS};

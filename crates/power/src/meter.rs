@@ -3,16 +3,17 @@
 //! A real meter integrates the instantaneous power over each sampling cycle
 //! and reports one record per cycle. [`PowerMeter`] does the same against the
 //! simulator's exact [`ArrayPowerLog`]: each sample's wattage is the true mean
-//! over the cycle, optionally perturbed by a gaussian sensor-noise model. The
-//! current reading is derived from the supply voltage (`amps = watts / volts`)
-//! exactly as the paper's record schema stores it (average current, voltage,
-//! and power per record, §III-A1).
+//! over the cycle. The current reading is derived from the supply voltage
+//! (`amps = watts / SUPPLY_VOLTS`) exactly as the paper's record schema stores
+//! it (average current, voltage, and power per record, §III-A1).
 #![doc = "tracer-invariant: deterministic"]
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tracer_sim::{ArrayEnergyCursor, ArrayPowerLog, SimDuration, SimTime};
+
+/// Supply voltage of the metered array, volts: the paper's array runs on
+/// 220 V AC (§III-A3).
+pub const SUPPLY_VOLTS: f64 = 220.0;
 
 /// One meter record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -36,17 +37,8 @@ impl PowerSample {
     }
 }
 
-/// Gaussian multiplicative sensor noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NoiseModel {
-    /// Relative standard deviation (e.g. 0.01 = 1 % of reading).
-    pub relative_sigma: f64,
-    /// RNG seed; a fixed seed keeps runs reproducible.
-    pub seed: u64,
-}
-
 /// Resumable state of one [`PowerMeter::sample`] pass: the start of the open
-/// cycle, its exact integral so far and the noise generator's position.
+/// cycle and its exact integral so far.
 ///
 /// `energy` is the pass [`ArrayPowerLog::avg_watts`] makes over the open
 /// cycle, advanced over whole segments only, so a cycle closed piecemeal has
@@ -56,7 +48,6 @@ pub struct NoiseModel {
 pub(crate) struct SampleCursor {
     next: SimTime,
     energy: ArrayEnergyCursor,
-    rng: Option<StdRng>,
 }
 
 /// The sampling meter.
@@ -64,30 +55,18 @@ pub(crate) struct SampleCursor {
 pub struct PowerMeter {
     /// Sampling cycle; the paper's default is one second, configurable.
     pub cycle: SimDuration,
-    /// Supply voltage, volts (the paper's array runs on 220 V AC).
-    pub volts: f64,
-    /// Optional sensor noise.
-    pub noise: Option<NoiseModel>,
-    /// Display resolution in watts (0 = continuous). Bench power meters
-    /// quantize their readout; the KS706 class reads to 0.1 W.
-    pub resolution_w: f64,
 }
 
 impl Default for PowerMeter {
     fn default() -> Self {
-        Self { cycle: SimDuration::from_secs(1), volts: 220.0, noise: None, resolution_w: 0.0 }
+        Self { cycle: SimDuration::from_secs(1) }
     }
 }
 
 impl PowerMeter {
-    /// Meter with a custom sampling cycle and the default 220 V supply.
-    pub fn with_cycle(cycle: SimDuration) -> Self {
-        Self { cycle, ..Default::default() }
-    }
-
     /// Sample `log` over `[from, to)`. The final partial cycle (if any) is
     /// reported with its true, shorter length so that summed sample energy
-    /// equals integrated energy when noise is disabled.
+    /// equals integrated energy.
     pub fn sample(&self, log: &ArrayPowerLog, from: SimTime, to: SimTime) -> Vec<PowerSample> {
         let mut cursor = self.cursor(log, from);
         let mut out = Vec::new();
@@ -98,11 +77,7 @@ impl PowerMeter {
     /// Start a resumable [`PowerMeter::sample`] pass over `log` at `from`.
     pub(crate) fn cursor(&self, log: &ArrayPowerLog, from: SimTime) -> SampleCursor {
         assert!(!self.cycle.is_zero(), "sampling cycle must be positive");
-        SampleCursor {
-            next: from,
-            energy: log.energy_cursor(from),
-            rng: self.noise.map(|n| StdRng::seed_from_u64(n.seed)),
-        }
+        SampleCursor { next: from, energy: log.energy_cursor(from) }
     }
 
     /// Append the record of every whole cycle ending at or before `upto`,
@@ -141,41 +116,16 @@ impl PowerMeter {
     fn record(&self, cursor: &mut SampleCursor, log: &ArrayPowerLog, end: SimTime) -> PowerSample {
         let at = cursor.next;
         // `avg_watts(at, end)`, finishing the pass the cursor has carried.
-        let mut watts = log.integrate_to(&mut cursor.energy, end) / (end - at).as_secs_f64();
+        let watts = log.integrate_to(&mut cursor.energy, end) / (end - at).as_secs_f64();
         cursor.energy.restart(end);
-        if let (Some(rng), Some(noise)) = (cursor.rng.as_mut(), self.noise.as_ref()) {
-            watts *= 1.0 + gaussian(rng) * noise.relative_sigma;
-            watts = watts.max(0.0);
-        }
-        if self.resolution_w > 0.0 {
-            watts = (watts / self.resolution_w).round() * self.resolution_w;
-        }
         cursor.next = end;
-        PowerSample { at, cycle: end - at, volts: self.volts, amps: watts / self.volts, watts }
+        PowerSample { at, cycle: end - at, volts: SUPPLY_VOLTS, amps: watts / SUPPLY_VOLTS, watts }
     }
 
     /// Total energy of a sample series, joules.
     pub fn sampled_energy(samples: &[PowerSample]) -> f64 {
         samples.iter().map(PowerSample::joules).sum()
     }
-
-    /// Mean power of a sample series, watts (cycle-weighted).
-    pub fn sampled_avg_watts(samples: &[PowerSample]) -> f64 {
-        let span: f64 = samples.iter().map(|s| s.cycle.as_secs_f64()).sum();
-        if span > 0.0 {
-            Self::sampled_energy(samples) / span
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Standard-normal deviate via Box–Muller (rand provides no distributions in
-/// the allowed dependency set).
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -204,7 +154,7 @@ mod tests {
 
     #[test]
     fn partial_final_cycle() {
-        let meter = PowerMeter::with_cycle(SimDuration::from_secs(2));
+        let meter = PowerMeter { cycle: SimDuration::from_secs(2) };
         let samples = meter.sample(&step_log(), SimTime::ZERO, SimTime::from_secs(5));
         assert_eq!(samples.len(), 3);
         assert_eq!(samples[2].cycle, SimDuration::from_secs(1));
@@ -213,13 +163,11 @@ mod tests {
     #[test]
     fn sampled_energy_matches_exact_integral_without_noise() {
         let log = step_log();
-        let meter = PowerMeter::with_cycle(SimDuration::from_millis(700));
+        let meter = PowerMeter { cycle: SimDuration::from_millis(700) };
         let samples = meter.sample(&log, SimTime::ZERO, SimTime::from_secs(6));
         let sampled = PowerMeter::sampled_energy(&samples);
         let exact = log.energy_joules(SimTime::ZERO, SimTime::from_secs(6));
         assert!((sampled - exact).abs() < 1e-6, "{sampled} vs {exact}");
-        let avg = PowerMeter::sampled_avg_watts(&samples);
-        assert!((avg - exact / 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -227,50 +175,15 @@ mod tests {
         let meter = PowerMeter::default();
         let samples = meter.sample(&step_log(), SimTime::ZERO, SimTime::from_secs(1));
         let s = samples[0];
+        assert_eq!(s.volts, SUPPLY_VOLTS);
         assert!((s.amps - s.watts / 220.0).abs() < 1e-12);
         assert!((s.joules() - s.watts).abs() < 1e-12, "1s cycle: joules == watts");
-    }
-
-    #[test]
-    fn noise_is_reproducible_and_bounded() {
-        let log = step_log();
-        let noisy = PowerMeter {
-            noise: Some(NoiseModel { relative_sigma: 0.01, seed: 42 }),
-            ..Default::default()
-        };
-        let a = noisy.sample(&log, SimTime::ZERO, SimTime::from_secs(5));
-        let b = noisy.sample(&log, SimTime::ZERO, SimTime::from_secs(5));
-        assert_eq!(a, b, "same seed, same samples");
-        let clean = PowerMeter::default().sample(&log, SimTime::ZERO, SimTime::from_secs(5));
-        let mut differs = false;
-        for (n, c) in a.iter().zip(&clean) {
-            assert!((n.watts - c.watts).abs() / c.watts < 0.10, "noise within 10 sigma");
-            differs |= (n.watts - c.watts).abs() > 1e-12;
-        }
-        assert!(differs, "noise must actually perturb readings");
-    }
-
-    #[test]
-    fn quantization_rounds_to_the_display_resolution() {
-        let mut log = ArrayPowerLog::new(10.0, &[5.0]);
-        log.devices[0].set(SimTime::from_millis(300), 5.07);
-        let meter = PowerMeter { resolution_w: 0.1, ..Default::default() };
-        let samples = meter.sample(&log, SimTime::ZERO, SimTime::from_secs(2));
-        for s in &samples {
-            let steps = s.watts / 0.1;
-            assert!((steps - steps.round()).abs() < 1e-9, "not quantized: {}", s.watts);
-        }
-        // Quantization error is bounded by half a step per sample.
-        let exact = log.energy_joules(SimTime::ZERO, SimTime::from_secs(2));
-        let sampled = PowerMeter::sampled_energy(&samples);
-        assert!((sampled - exact).abs() <= 0.05 * samples.len() as f64 + 1e-9);
     }
 
     #[test]
     fn empty_window_yields_no_samples() {
         let meter = PowerMeter::default();
         assert!(meter.sample(&step_log(), SimTime::from_secs(3), SimTime::from_secs(3)).is_empty());
-        assert_eq!(PowerMeter::sampled_avg_watts(&[]), 0.0);
     }
 
     proptest! {
@@ -281,20 +194,12 @@ mod tests {
             chassis in 0.0f64..100.0,
         ) {
             let log = ArrayPowerLog::new(chassis, &[5.0, 3.5]);
-            let meter = PowerMeter::with_cycle(SimDuration::from_millis(cycle_ms));
+            let meter = PowerMeter { cycle: SimDuration::from_millis(cycle_ms) };
             let to = SimTime::from_millis(window_ms);
             let samples = meter.sample(&log, SimTime::ZERO, to);
             let sampled = PowerMeter::sampled_energy(&samples);
             let exact = log.energy_joules(SimTime::ZERO, to);
             prop_assert!((sampled - exact).abs() < 1e-6);
-        }
-
-        #[test]
-        fn prop_gaussian_mean_is_near_zero(seed in 0u64..1000) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = 4000;
-            let mean: f64 = (0..n).map(|_| gaussian(&mut rng)).sum::<f64>() / n as f64;
-            prop_assert!(mean.abs() < 0.1, "mean {mean}");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! power history.
 
 use proptest::prelude::*;
-use tracer_power::{Channel, EnergyReport, NoiseModel, PowerAnalyzer};
+use tracer_power::{Channel, EnergyReport, PowerAnalyzer};
 use tracer_sim::{ArrayPowerLog, SimDuration, SimTime};
 
 /// Few distinct levels, so same-instant replacements often restore the
@@ -48,16 +48,11 @@ proptest! {
         arm_after in 0usize..12,
         cycle_ms in 1u64..12,
         tail_ms in 0u64..20,
-        noisy in any::<bool>(),
     ) {
         let mut whole = ArrayPowerLog::new(16.0, &[LEVELS[0], LEVELS[1]]);
         let mut live = whole.clone();
         let mut channel = Channel::ac_220v("array");
         channel.meter.cycle = SimDuration::from_millis(cycle_ms);
-        if noisy {
-            channel.meter.noise = Some(NoiseModel { relative_sigma: 0.02, seed: 9 });
-            channel.meter.resolution_w = 0.1;
-        }
         let mut streaming = PowerAnalyzer::new();
         streaming.add_channel(channel.clone());
 

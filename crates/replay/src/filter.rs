@@ -16,47 +16,23 @@
 //! during every replay; [`RandomFilter`] is the strawman the paper argues
 //! against, kept for the §IV-A ablation.
 
-use serde::{Deserialize, Serialize};
 use tracer_trace::Trace;
 
-/// Uniform proportional bunch filter.
+/// Is 1-based bunch index `j` selected at `percent` load? The uniform
+/// proportional filter, applied per bunch by [`ReplayPlan`](crate::ReplayPlan).
 ///
 /// ```
-/// use tracer_replay::ProportionalFilter;
+/// use tracer_replay::filter::selects;
 ///
 /// // Fig. 5's reference rows: 20 % keeps the 5th and 10th bunch per group.
-/// let filter = ProportionalFilter::default();
-/// let mask = filter.group_mask(20);
-/// assert_eq!(mask.iter().filter(|&&m| m).count(), 2);
-/// assert!(mask[4] && mask[9]);
+/// let group: Vec<u64> = (1..=10).filter(|&j| selects(20, j)).collect();
+/// assert_eq!(group, [5, 10]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProportionalFilter {
-    /// Group size used for reporting and the group-mask view; the paper
-    /// partitions bunches into groups of ten.
-    pub group_size: usize,
-}
-
-impl Default for ProportionalFilter {
-    fn default() -> Self {
-        Self { group_size: 10 }
-    }
-}
-
-impl ProportionalFilter {
-    /// Is 1-based bunch index `j` selected at `percent` load?
-    #[inline]
-    pub fn selects(percent: u32, j: u64) -> bool {
-        debug_assert!(j >= 1);
-        let p = u64::from(percent.min(100));
-        (j * p) / 100 > ((j - 1) * p) / 100
-    }
-
-    /// The selection mask of one group (Fig. 5's rows): `mask[i]` is whether
-    /// the `i+1`-th bunch of a group is replayed.
-    pub fn group_mask(&self, percent: u32) -> Vec<bool> {
-        (1..=self.group_size as u64).map(|j| Self::selects(percent, j)).collect()
-    }
+#[inline]
+pub fn selects(percent: u32, j: u64) -> bool {
+    debug_assert!(j >= 1);
+    let p = u64::from(percent.min(100));
+    (j * p) / 100 > ((j - 1) * p) / 100
 }
 
 /// The strawman the paper argues against: per-group *random* selection.
@@ -142,31 +118,24 @@ mod tests {
 
     /// 0-based indices of the bunches selected among `n` at `pct` %.
     fn selected(n: usize, pct: u32) -> Vec<usize> {
-        (0..n).filter(|&i| ProportionalFilter::selects(pct, i as u64 + 1)).collect()
+        (0..n).filter(|&i| selects(pct, i as u64 + 1)).collect()
     }
 
     #[test]
     fn fig5_patterns() {
-        let f = ProportionalFilter::default();
+        // One group of ten as Fig. 5 draws it: `mask[i]` is whether the
+        // `i+1`-th bunch of a group is replayed.
+        let mask = |pct: u32| -> Vec<bool> { (1..=10).map(|j| selects(pct, j)).collect() };
         // 10 %: only the 10th bunch of each group.
-        assert_eq!(
-            f.group_mask(10),
-            [false, false, false, false, false, false, false, false, false, true]
-        );
+        assert_eq!(mask(10), [false, false, false, false, false, false, false, false, false, true]);
         // 20 %: the 5th and the 10th.
-        assert_eq!(
-            f.group_mask(20),
-            [false, false, false, false, true, false, false, false, false, true]
-        );
+        assert_eq!(mask(20), [false, false, false, false, true, false, false, false, false, true]);
         // 50 %: every second bunch.
-        assert_eq!(
-            f.group_mask(50),
-            [false, true, false, true, false, true, false, true, false, true]
-        );
+        assert_eq!(mask(50), [false, true, false, true, false, true, false, true, false, true]);
         // 100 %: everything.
-        assert!(f.group_mask(100).iter().all(|&b| b));
+        assert!(mask(100).iter().all(|&b| b));
         // 0 %: nothing.
-        assert!(f.group_mask(0).iter().all(|&b| !b));
+        assert!(mask(0).iter().all(|&b| !b));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod realtime;
 pub mod scale;
 
 pub use engine::{replay_afap, try_replay, try_replay_observed, ReplayConfig, ReplayReport};
-pub use filter::{ProportionalFilter, RandomFilter};
+pub use filter::RandomFilter;
 pub use monitor::{PerfAccumulator, PerfSample, PerfSummary, PerformanceMonitor};
 pub use plan::ReplayPlan;
 pub use realtime::{MemTarget, RealTimeReplayer, RealTimeReport, SimTarget, StorageTarget};

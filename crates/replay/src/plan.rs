@@ -3,7 +3,7 @@
 //! [`ReplayPlan`] borrows a bunch source and applies both load controls per
 //! bunch, on the fly, while the source is scanned:
 //!
-//! * selection is [`ProportionalFilter::selects`]: bunch `j` (1-based) of
+//! * selection is [`selects`]: bunch `j` (1-based) of
 //!   every group of ten survives at `p` % iff `⌊j·p/100⌋ > ⌊(j−1)·p/100⌋`,
 //!   keeping its original timestamp (§IV);
 //! * timestamps are scaled by the intensity as `⌊ts · 100 / intensity⌋` in
@@ -19,7 +19,7 @@
 #![doc = "tracer-invariant: deterministic"]
 #![doc = "tracer-invariant: zero-copy"]
 
-use crate::filter::ProportionalFilter;
+use crate::filter::selects;
 use crate::scale::LoadControl;
 use std::fmt;
 use tracer_trace::{BunchSource, IoPackage, Nanos, Trace, TraceError};
@@ -112,7 +112,7 @@ impl<'a, S: BunchSource + ?Sized> ReplayPlan<'a, S> {
 
     /// Visit the selected bunches as `(scaled timestamp, IO packages)` pairs,
     /// borrowing everything from the source. The filter index is 1-based,
-    /// as in [`ProportionalFilter::selects`]. The only error source is the
+    /// as in [`selects`]. The only error source is the
     /// underlying [`BunchSource`] (e.g. a corrupt v3 file discovered
     /// mid-scan); an in-memory trace cannot fail.
     pub fn try_for_each(&self, f: &mut dyn FnMut(Nanos, &[IoPackage])) -> Result<(), TraceError> {
@@ -120,7 +120,7 @@ impl<'a, S: BunchSource + ?Sized> ReplayPlan<'a, S> {
         let mut index = 0u64;
         self.source.try_for_each_bunch(&mut |ts, ios| {
             index += 1;
-            if ProportionalFilter::selects(proportion, index) {
+            if selects(proportion, index) {
                 f(self.scale_ts(ts), ios);
             }
         })

@@ -526,11 +526,6 @@ impl ArraySim {
         Ok(id)
     }
 
-    /// Instant of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
-    }
-
     /// Process a single event, together with the zero-delay hops its handler
     /// runs inline (a request finishing at the instant its last disk op
     /// does). Returns `false` when no events remain.
@@ -1075,7 +1070,7 @@ mod tests {
         let mut sim = small_hdd_array(4);
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
-        assert!(sim.next_event_time().is_none());
+        assert!(!sim.step(), "no event pending");
     }
 
     #[test]

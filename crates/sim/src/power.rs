@@ -30,11 +30,6 @@ pub enum PowerPolicy {
 }
 
 impl PowerPolicy {
-    /// The paper's MAID-style 30-second timeout.
-    pub fn timeout_30s() -> Self {
-        PowerPolicy::FixedTimeout { idle: SimDuration::from_secs(30) }
-    }
-
     /// Resolve the policy to the engine's `spin_down_after` knob, given the
     /// member device's power figures.
     ///
@@ -72,7 +67,7 @@ mod tests {
 
     #[test]
     fn fixed_timeout_passes_through() {
-        let p = PowerPolicy::timeout_30s();
+        let p = PowerPolicy::FixedTimeout { idle: SimDuration::from_secs(30) };
         assert_eq!(p.spin_down_after(5.0, 0.8, 24.0, 6.0), Some(SimDuration::from_secs(30)));
     }
 

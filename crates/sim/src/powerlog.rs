@@ -230,15 +230,6 @@ impl ArrayPowerLog {
         }
         self.energy_joules(from, to) / (to - from).as_secs_f64()
     }
-
-    /// Duration-weighted breakdown: (chassis joules, per-device joules).
-    pub fn energy_breakdown(&self, from: SimTime, to: SimTime) -> (f64, Vec<f64>) {
-        let span = (to.saturating_since(from)).as_secs_f64();
-        (
-            self.chassis_watts * span,
-            self.devices.iter().map(|d| d.energy_joules(from, to)).collect(),
-        )
-    }
 }
 
 /// Resumable state of one [`ArrayPowerLog::energy_joules`] pass: one
@@ -350,9 +341,6 @@ mod tests {
         let e = log.energy_joules(SimTime::ZERO, SimTime::from_secs(3));
         // chassis 48 + dev0 (5+11+5) + dev1 15
         assert!((e - (48.0 + 21.0 + 15.0)).abs() < 1e-9);
-        let (chassis, devs) = log.energy_breakdown(SimTime::ZERO, SimTime::from_secs(3));
-        assert!((chassis - 48.0).abs() < 1e-9);
-        assert!((devs[0] - 21.0).abs() < 1e-9);
         assert!((log.avg_watts(SimTime::ZERO, SimTime::from_secs(3)) - 28.0).abs() < 1e-9);
     }
 

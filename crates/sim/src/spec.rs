@@ -420,11 +420,6 @@ impl ArraySpec {
         Self::new(format!("raid0-hdd{disks}"), Layout::Raid0, disks, DeviceSpec::HddSeagate7200)
     }
 
-    /// RAID-6 over `disks` desktop HDDs.
-    pub fn hdd_raid6(disks: usize) -> Self {
-        Self::new(format!("raid6-hdd{disks}"), Layout::Raid6, disks, DeviceSpec::HddSeagate7200)
-    }
-
     /// RAID-5 over `disks` 15 000 rpm enterprise drives.
     pub fn enterprise15k_raid5(disks: usize) -> Self {
         Self::new(format!("raid5-15k{disks}"), Layout::Raid5, disks, DeviceSpec::HddEnterprise15k)
@@ -443,21 +438,6 @@ impl ArraySpec {
     /// RAID-5 over `disks` datacenter NVMe drives.
     pub fn nvme_raid5(disks: usize) -> Self {
         Self::new(format!("raid5-nvme{disks}"), Layout::Raid5, disks, DeviceSpec::NvmeDatacenter)
-    }
-
-    /// RAID-0 over `disks` tiered SSD-over-HDD hybrids.
-    pub fn tiered_raid0(disks: usize) -> Self {
-        Self::new(
-            format!("raid0-tier{disks}"),
-            Layout::Raid0,
-            disks,
-            DeviceSpec::TieredHybrid(TierConfig::default()),
-        )
-    }
-
-    /// A single-HDD pass-through target.
-    pub fn single_hdd() -> Self {
-        Self::new("single-hdd", Layout::Raid0, 1, DeviceSpec::HddSeagate7200)
     }
 }
 
@@ -507,7 +487,8 @@ mod tests {
 
     #[test]
     fn single_hdd_capacity() {
-        let sim = ArraySpec::single_hdd().build();
+        let sim =
+            ArraySpec::new("single-hdd", Layout::Raid0, 1, DeviceSpec::HddSeagate7200).build();
         assert_eq!(sim.devices().len(), 1);
         assert!(sim.data_capacity_sectors() <= sim.devices()[0].capacity_sectors());
         assert!(sim.data_capacity_sectors() > 900_000_000);
@@ -547,7 +528,8 @@ mod tests {
 
     #[test]
     fn power_policy_resolves_against_member_spindle() {
-        let spec = ArraySpec::hdd_raid5(4).power(PowerPolicy::timeout_30s());
+        let spec = ArraySpec::hdd_raid5(4)
+            .power(PowerPolicy::FixedTimeout { idle: SimDuration::from_secs(30) });
         assert_eq!(spec.resolved_spin_down(), Some(SimDuration::from_secs(30)));
         let spec = ArraySpec::hdd_raid5(4).power(PowerPolicy::BreakEven);
         let t = spec.resolved_spin_down().unwrap().as_secs_f64();
@@ -559,11 +541,13 @@ mod tests {
 
     #[test]
     fn zoo_configurations_build_and_idle_sanely() {
-        let raid6 = ArraySpec::hdd_raid6(6).build();
+        let raid6 =
+            ArraySpec::new("raid6-hdd6", Layout::Raid6, 6, DeviceSpec::HddSeagate7200).build();
         assert_eq!(raid6.config().geometry.redundancy, Redundancy::Raid6);
         let nvme = ArraySpec::nvme_raid5(4).build();
         assert!(nvme.power_log().total_watts_at(SimTime::ZERO) > 16.0);
-        let tiered = ArraySpec::tiered_raid0(2).build();
+        let tier = DeviceSpec::TieredHybrid(TierConfig::default());
+        let tiered = ArraySpec::new("raid0-tier2", Layout::Raid0, 2, tier).build();
         assert_eq!(tiered.devices().len(), 2);
         assert!(tiered.devices()[0].capacity_sectors() > 900_000_000);
     }

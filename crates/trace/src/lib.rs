@@ -58,5 +58,5 @@ pub use mode::{sweep, WorkloadMode};
 pub use model::{Bunch, IoPackage, Nanos, OpKind, Sector, Trace, SECTOR_BYTES};
 pub use repository::TraceRepository;
 pub use source::{bunch_materializations, BunchSink, BunchSource, TraceHandle};
-pub use stats::{TraceFingerprint, TraceStats};
+pub use stats::TraceStats;
 pub use v3::{TraceView, V3Encoder};

@@ -78,11 +78,6 @@ impl WorkloadMode {
     pub fn random_ratio(&self) -> f64 {
         f64::from(self.random_pct) / 100.0
     }
-
-    /// Load proportion as a fraction (1.0 = peak).
-    pub fn load_fraction(&self) -> f64 {
-        f64::from(self.load_pct) / 100.0
-    }
 }
 
 impl fmt::Display for WorkloadMode {
@@ -158,7 +153,6 @@ mod tests {
         let m = WorkloadMode::peak(16384, 25, 75).at_load(40);
         assert!((m.read_ratio() - 0.75).abs() < 1e-12);
         assert!((m.random_ratio() - 0.25).abs() < 1e-12);
-        assert!((m.load_fraction() - 0.40).abs() < 1e-12);
         let s = m.to_string();
         assert!(s.contains("16384") && s.contains("load=40%"));
     }

@@ -377,23 +377,6 @@ impl TraceRepository {
         }
         Ok(entries.into_values().collect())
     }
-
-    /// Enumerate free-form trace names (files not following the mode naming).
-    pub fn named_traces(&self) -> Result<Vec<String>, TraceError> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(EXTENSION) {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else { continue };
-            if WorkloadMode::parse_stem(stem).is_err() {
-                names.push(stem.to_string());
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
 }
 
 /// Read just the shared header's version field without decoding the body.
@@ -468,8 +451,6 @@ mod tests {
         assert_eq!(cat.len(), 2);
         assert!(cat.iter().all(|e| e.device == "raid5"));
 
-        let named = repo.named_traces().unwrap();
-        assert_eq!(named, vec!["cello99_week1".to_string()]);
         let back = repo.load_view_named("cello99_week1").unwrap();
         assert_eq!(back.device(), "cello");
         fs::remove_dir_all(repo.root()).unwrap();
@@ -510,7 +491,6 @@ mod tests {
         assert!(repo.catalog().unwrap().is_empty());
         // junk.replay has a stem that doesn't parse as a mode -> named trace,
         // but loading it reports corruption.
-        assert_eq!(repo.named_traces().unwrap(), vec!["junk".to_string()]);
         assert!(repo.load_view_named("junk").is_err());
         fs::remove_dir_all(repo.root()).unwrap();
     }

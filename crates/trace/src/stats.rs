@@ -107,89 +107,6 @@ impl TraceStats {
     }
 }
 
-/// A compact workload-character fingerprint for comparing traces.
-///
-/// §IV-A's central claim is that the filter scales load "without
-/// significantly changing the characteristics of the original I/O traces".
-/// The fingerprint makes "characteristics" operational: read mix, request-
-/// size distribution (mean and two quantiles), sequentiality, and arrival
-/// burstiness (CV of inter-arrival gaps). [`TraceFingerprint::distance`]
-/// gives a normalized dissimilarity in `[0, ∞)`, ~0 for traces of the same
-/// character.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TraceFingerprint {
-    /// Fraction of read requests.
-    pub read_ratio: f64,
-    /// Mean request size, bytes.
-    pub avg_request_bytes: f64,
-    /// Median request size, bytes.
-    pub p50_request_bytes: f64,
-    /// 95th-percentile request size, bytes.
-    pub p95_request_bytes: f64,
-    /// Fraction of sequential-run continuations.
-    pub sequential_ratio: f64,
-    /// Coefficient of variation of bunch inter-arrival gaps.
-    pub arrival_cv: f64,
-}
-
-impl TraceFingerprint {
-    /// Compute the fingerprint of a trace.
-    pub fn compute(trace: &Trace) -> Self {
-        let stats = TraceStats::compute(trace);
-        let mut sizes: Vec<u32> = trace.iter_ios().map(|(_, io)| io.bytes).collect();
-        sizes.sort_unstable();
-        let q = |p: f64| -> f64 {
-            if sizes.is_empty() {
-                return 0.0;
-            }
-            let rank = ((p * sizes.len() as f64).ceil() as usize).clamp(1, sizes.len());
-            f64::from(sizes[rank - 1])
-        };
-        let gaps: Vec<f64> =
-            trace.bunches.windows(2).map(|w| (w[1].timestamp - w[0].timestamp) as f64).collect();
-        let arrival_cv = if gaps.is_empty() {
-            0.0
-        } else {
-            let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-            if mean > 0.0 {
-                let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
-                var.sqrt() / mean
-            } else {
-                0.0
-            }
-        };
-        Self {
-            read_ratio: stats.read_ratio,
-            avg_request_bytes: stats.avg_request_bytes,
-            p50_request_bytes: q(0.50),
-            p95_request_bytes: q(0.95),
-            sequential_ratio: stats.sequential_ratio,
-            arrival_cv,
-        }
-    }
-
-    /// Normalized dissimilarity: the mean relative difference over the six
-    /// components (each bounded to [0, 1] per component). 0 = identical
-    /// character; values ≳ 0.3 indicate a visibly different workload.
-    pub fn distance(&self, other: &Self) -> f64 {
-        let rel = |a: f64, b: f64| -> f64 {
-            let denom = a.abs().max(b.abs());
-            if denom < f64::EPSILON {
-                0.0
-            } else {
-                ((a - b).abs() / denom).min(1.0)
-            }
-        };
-        (rel(self.read_ratio, other.read_ratio)
-            + rel(self.avg_request_bytes, other.avg_request_bytes)
-            + rel(self.p50_request_bytes, other.p50_request_bytes)
-            + rel(self.p95_request_bytes, other.p95_request_bytes)
-            + rel(self.sequential_ratio, other.sequential_ratio)
-            + rel(self.arrival_cv, other.arrival_cv))
-            / 6.0
-    }
-}
-
 fn ratio(num: f64, den: f64) -> f64 {
     if den > 0.0 {
         num / den
@@ -296,63 +213,7 @@ mod tests {
         assert_eq!(union_length(&mut empty), 0);
     }
 
-    #[test]
-    fn fingerprint_is_reflexive_and_discriminative() {
-        let small_reads = Trace::from_bunches(
-            "a",
-            (0..500u64)
-                .map(|i| Bunch::new(i * 1_000_000, vec![IoPackage::read(i * 8, 4096)]))
-                .collect(),
-        );
-        let big_writes = Trace::from_bunches(
-            "b",
-            (0..500u64)
-                .map(|i| {
-                    Bunch::new(
-                        i * i * 10_000, // accelerating arrivals: different CV
-                        vec![IoPackage::write((i * 104_729) % 100_000, 1 << 20)],
-                    )
-                })
-                .collect(),
-        );
-        let fa = TraceFingerprint::compute(&small_reads);
-        let fb = TraceFingerprint::compute(&big_writes);
-        assert!(fa.distance(&fa) < 1e-12);
-        assert!(fb.distance(&fb) < 1e-12);
-        assert!(fa.distance(&fb) > 0.3, "distinct workloads: {}", fa.distance(&fb));
-        assert!((fa.distance(&fb) - fb.distance(&fa)).abs() < 1e-12, "symmetric");
-    }
-
-    #[test]
-    fn fingerprint_of_empty_trace() {
-        let f = TraceFingerprint::compute(&Trace::new("e"));
-        assert_eq!(f.read_ratio, 0.0);
-        assert_eq!(f.p95_request_bytes, 0.0);
-        assert_eq!(f.arrival_cv, 0.0);
-    }
-
     proptest! {
-        #[test]
-        fn prop_fingerprint_distance_bounded(
-            sizes_a in proptest::collection::vec(1u32..1 << 20, 2..50),
-            sizes_b in proptest::collection::vec(1u32..1 << 20, 2..50),
-        ) {
-            let build = |sizes: &[u32]| {
-                Trace::from_bunches(
-                    "p",
-                    sizes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &b)| Bunch::new(i as u64 * 500_000, vec![IoPackage::read(i as u64 * 64, b)]))
-                        .collect(),
-                )
-            };
-            let fa = TraceFingerprint::compute(&build(&sizes_a));
-            let fb = TraceFingerprint::compute(&build(&sizes_b));
-            let d = fa.distance(&fb);
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&d));
-        }
-
         #[test]
         fn prop_footprint_le_span_le_total_addressing(
             ios in proptest::collection::vec((0u64..10_000, 1u32..8192), 1..100)

@@ -126,83 +126,59 @@ impl RequestFactory {
     }
 }
 
-/// A weighted mixture of workload modes — IOmeter's "access specification"
-/// list, where e.g. 80 % of requests are 4 KiB random reads and 20 % are
-/// 64 KiB sequential writes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MixedSpec {
-    /// `(weight, mode)` entries; weights are relative and must be positive.
-    pub entries: Vec<(u32, WorkloadMode)>,
+/// Drive `sim` with a closed-loop peak workload and record the issued trace
+/// as an owned [`Trace`] (see [`run_peak_workload_into`]).
+pub fn run_peak_workload(sim: &mut ArraySim, cfg: &IometerConfig) -> GeneratedWorkload {
+    let sink = Trace::new(sim.config().name.clone());
+    run_peak_workload_into(sim, cfg, sink)
 }
 
-impl MixedSpec {
-    /// Build a spec; panics on empty input or zero weights.
-    pub fn new(entries: Vec<(u32, WorkloadMode)>) -> Self {
-        assert!(!entries.is_empty(), "a mixed spec needs at least one entry");
-        assert!(entries.iter().all(|(w, _)| *w > 0), "weights must be positive");
-        Self { entries }
-    }
+/// Drive `sim` with a closed-loop peak workload and keep the issued trace as
+/// an in-memory v3 view, encoded as it is issued: what the collector stores
+/// and a scenario replays. The simulator is only the load source, so it is
+/// dropped before the image is finished and never held beside it.
+pub fn run_peak_view(
+    mut sim: ArraySim,
+    cfg: &IometerConfig,
+) -> Result<GeneratedWorkload<TraceView>, TraceError> {
+    let encoder = V3Encoder::new(sim.config().name.as_str());
+    let GeneratedWorkload { trace, completed_ios, window_bytes, peak_iops, peak_mbps } =
+        run_peak_workload_into(&mut sim, cfg, encoder);
+    drop(sim);
+    let trace = trace.into_view()?;
+    Ok(GeneratedWorkload { trace, completed_ios, window_bytes, peak_iops, peak_mbps })
 }
 
-/// Request factory over a [`MixedSpec`]: each request draws a spec entry by
-/// weight, then uses that entry's per-mode factory (so each mode keeps its
-/// own sequential pointer, exactly like parallel IOmeter workers).
-#[derive(Debug)]
-pub struct MixedRequestFactory {
-    factories: Vec<RequestFactory>,
-    cumulative: Vec<u32>,
-    total: u32,
-    rng: StdRng,
-}
-
-impl MixedRequestFactory {
-    /// New factory over `[0, span_sectors)`.
-    pub fn new(spec: &MixedSpec, span_sectors: u64, seed: u64) -> Self {
-        let mut cumulative = Vec::with_capacity(spec.entries.len());
-        let mut total = 0u32;
-        let mut factories = Vec::with_capacity(spec.entries.len());
-        for (i, (w, mode)) in spec.entries.iter().enumerate() {
-            total += w;
-            cumulative.push(total);
-            factories.push(RequestFactory::new(*mode, span_sectors, seed ^ (i as u64) << 32));
-        }
-        Self { factories, cumulative, total, rng: StdRng::seed_from_u64(seed) }
-    }
-
-    /// Produce the next request.
-    pub fn next_request(&mut self) -> ArrayRequest {
-        let roll = self.rng.random_range(0..self.total);
-        let idx = self.cumulative.partition_point(|&c| c <= roll);
-        self.factories[idx].next_request()
-    }
-}
-
-/// Drive `sim` with a closed-loop workload from an arbitrary request source,
-/// pushing each bunch of issued requests into `sink` as it closes. This is
-/// the generic engine behind [`run_peak_workload`] and
-/// [`run_peak_workload_mixed`].
+/// Drive `sim` with a closed-loop peak workload, pushing the issued trace
+/// into `sink` — a [`V3Encoder`](tracer_trace::V3Encoder) on the product
+/// paths, so the trace is v3 bytes from the start.
+///
+/// The simulator should be freshly constructed; issuing begins at its current
+/// clock. After `cfg.duration` no further requests are issued and the
+/// remaining outstanding requests drain.
 ///
 /// The simulator here is a load source, not a device under measurement:
 /// completions are consumed as they land and its power history is trimmed
 /// along the way, so generating a trace costs memory for the sink only. The
 /// open bunch lives in one reused buffer; the loop itself allocates nothing
 /// per bunch.
-pub fn run_closed_loop<S: BunchSink>(
+pub fn run_peak_workload_into<S: BunchSink>(
     sim: &mut ArraySim,
-    next_request: &mut dyn FnMut() -> ArrayRequest,
-    outstanding: usize,
-    duration: SimDuration,
+    cfg: &IometerConfig,
     mut sink: S,
 ) -> GeneratedWorkload<S> {
+    let span = cfg.span_sectors.min(sim.data_capacity_sectors());
+    let mut factory = RequestFactory::new(cfg.mode, span, cfg.seed);
+    let (outstanding, duration) = (cfg.outstanding.max(1), cfg.duration);
     let base = sim.now();
     let deadline = base + duration;
 
     // Issue instants never decrease, so the trace is bunched as it is issued:
     // a request at a new instant closes the open bunch.
-    let mut open: Vec<IoPackage> = Vec::with_capacity(outstanding.max(1));
+    let mut open: Vec<IoPackage> = Vec::with_capacity(outstanding);
     let mut open_at: Nanos = 0;
     let mut issue = |sim: &mut ArraySim, sink: &mut S, at: SimTime| {
-        let req = next_request();
+        let req = factory.next_request();
         sim.submit(at, req).expect("generated request must be in range");
         let timestamp = (at - base).as_nanos();
         if timestamp != open_at && !open.is_empty() {
@@ -213,7 +189,7 @@ pub fn run_closed_loop<S: BunchSink>(
         open.push(IoPackage::new(req.sector, req.bytes, req.kind));
     };
 
-    for _ in 0..outstanding.max(1) {
+    for _ in 0..outstanding {
         issue(sim, &mut sink, base);
     }
 
@@ -253,61 +229,6 @@ pub fn run_closed_loop<S: BunchSink>(
         peak_iops: window_ios as f64 / window,
         peak_mbps: window_bytes as f64 / 1e6 / window,
     }
-}
-
-/// Closed-loop peak workload over a weighted spec mixture.
-pub fn run_peak_workload_mixed(
-    sim: &mut ArraySim,
-    spec: &MixedSpec,
-    outstanding: usize,
-    duration: SimDuration,
-    span_sectors: u64,
-    seed: u64,
-) -> GeneratedWorkload {
-    let span = span_sectors.min(sim.data_capacity_sectors());
-    let mut factory = MixedRequestFactory::new(spec, span, seed);
-    let sink = Trace::new(sim.config().name.clone());
-    run_closed_loop(sim, &mut || factory.next_request(), outstanding, duration, sink)
-}
-
-/// Drive `sim` with a closed-loop peak workload and record the issued trace
-/// as an owned [`Trace`] (see [`run_peak_workload_into`]).
-pub fn run_peak_workload(sim: &mut ArraySim, cfg: &IometerConfig) -> GeneratedWorkload {
-    let sink = Trace::new(sim.config().name.clone());
-    run_peak_workload_into(sim, cfg, sink)
-}
-
-/// Drive `sim` with a closed-loop peak workload and keep the issued trace as
-/// an in-memory v3 view, encoded as it is issued: what the collector stores
-/// and a scenario replays. The simulator is only the load source, so it is
-/// dropped before the image is finished and never held beside it.
-pub fn run_peak_view(
-    mut sim: ArraySim,
-    cfg: &IometerConfig,
-) -> Result<GeneratedWorkload<TraceView>, TraceError> {
-    let encoder = V3Encoder::new(sim.config().name.as_str());
-    let GeneratedWorkload { trace, completed_ios, window_bytes, peak_iops, peak_mbps } =
-        run_peak_workload_into(&mut sim, cfg, encoder);
-    drop(sim);
-    let trace = trace.into_view()?;
-    Ok(GeneratedWorkload { trace, completed_ios, window_bytes, peak_iops, peak_mbps })
-}
-
-/// Drive `sim` with a closed-loop peak workload, pushing the issued trace
-/// into `sink` — a [`V3Encoder`](tracer_trace::V3Encoder) on the product
-/// paths, so the trace is v3 bytes from the start.
-///
-/// The simulator should be freshly constructed; issuing begins at its current
-/// clock. After `cfg.duration` no further requests are issued and the
-/// remaining outstanding requests drain.
-pub fn run_peak_workload_into<S: BunchSink>(
-    sim: &mut ArraySim,
-    cfg: &IometerConfig,
-    sink: S,
-) -> GeneratedWorkload<S> {
-    let span = cfg.span_sectors.min(sim.data_capacity_sectors());
-    let mut factory = RequestFactory::new(cfg.mode, span, cfg.seed);
-    run_closed_loop(sim, &mut || factory.next_request(), cfg.outstanding, cfg.duration, sink)
 }
 
 #[cfg(test)]
@@ -414,39 +335,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mixed_spec_honours_weights_and_modes() {
-        use super::{run_peak_workload_mixed, MixedSpec};
-        let spec = MixedSpec::new(vec![
-            (8, WorkloadMode::peak(4096, 100, 100)), // 80 %: 4K random read
-            (2, WorkloadMode::peak(65536, 0, 0)),    // 20 %: 64K sequential write
-        ]);
-        let mut sim = ArraySpec::hdd_raid5(4).build();
-        let out = run_peak_workload_mixed(
-            &mut sim,
-            &spec,
-            8,
-            SimDuration::from_secs(3),
-            4 * 1024 * 1024,
-            9,
-        );
-        let total = out.trace.io_count() as f64;
-        assert!(total > 200.0, "mixed run produced {total} IOs");
-        let small = out.trace.iter_ios().filter(|(_, io)| io.bytes == 4096).count() as f64;
-        let large = out.trace.iter_ios().filter(|(_, io)| io.bytes == 65536).count() as f64;
-        assert!((small + large - total).abs() < 0.5, "only the two spec sizes appear");
-        let small_frac = small / total;
-        assert!((small_frac - 0.8).abs() < 0.06, "weight split {small_frac}");
-        // All 4K requests are reads, all 64K are writes.
-        assert!(out.trace.iter_ios().all(|(_, io)| (io.bytes == 4096) == io.kind.is_read()));
-    }
-
-    #[test]
-    #[should_panic(expected = "weights must be positive")]
-    fn mixed_spec_rejects_zero_weight() {
-        super::MixedSpec::new(vec![(0, WorkloadMode::peak(512, 0, 0))]);
     }
 
     #[test]

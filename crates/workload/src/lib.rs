@@ -43,5 +43,5 @@ pub mod iometer;
 pub mod realworld;
 
 pub use collector::TraceCollector;
-pub use iometer::{GeneratedWorkload, IometerConfig, MixedSpec};
+pub use iometer::{GeneratedWorkload, IometerConfig};
 pub use realworld::{CelloTraceBuilder, OltpTraceBuilder, WebServerTraceBuilder};

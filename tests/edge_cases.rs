@@ -1,9 +1,8 @@
 //! Edge-case integration tests: boundary behaviours a downstream user will
-//! hit — same-instant submissions, extreme load-control settings, noisy and
-//! quantized meters together, repository overwrites, tiny and huge requests.
+//! hit — same-instant submissions, extreme load-control settings, repository
+//! overwrites, tiny and huge requests.
 
 use tracer_core::prelude::*;
-use tracer_power::NoiseModel;
 use tracer_trace::BunchSink;
 
 #[test]
@@ -59,30 +58,6 @@ fn extreme_load_controls_compose() {
 }
 
 #[test]
-fn noisy_quantized_meter_still_integrates_close_to_truth() {
-    let mut sim = ArraySpec::hdd_raid5(6).build();
-    for i in 0..100u64 {
-        sim.submit(
-            SimTime::from_millis(i * 10),
-            ArrayRequest::new((i * 524_287) % 1_000_000, 8192, OpKind::Read),
-        )
-        .unwrap();
-    }
-    sim.run_to_idle();
-    let end = sim.now();
-    let meter = PowerMeter {
-        noise: Some(NoiseModel { relative_sigma: 0.01, seed: 7 }),
-        resolution_w: 0.1,
-        ..Default::default()
-    };
-    let samples = meter.sample(sim.power_log(), SimTime::ZERO, end);
-    let sampled = PowerMeter::sampled_energy(&samples);
-    let exact = sim.power_log().energy_joules(SimTime::ZERO, end);
-    let err = (sampled - exact).abs() / exact;
-    assert!(err < 0.02, "1% noise + 0.1W quantization => ~sub-2% energy error, got {err}");
-}
-
-#[test]
 fn repository_overwrite_replaces_content() {
     let dir = std::env::temp_dir().join(format!("tracer_edge_repo_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -133,7 +108,8 @@ fn single_disk_target_works_end_to_end() {
             })
             .collect(),
     );
-    let mut sim = ArraySpec::single_hdd().build();
+    let mut sim =
+        ArraySpec::new("single-hdd", Layout::Raid0, 1, DeviceSpec::HddSeagate7200).build();
     let report = try_replay(&mut sim, &trace, &ReplayConfig::default()).expect("in-memory trace");
     assert_eq!(report.completions.len(), 100);
     assert!((sim.stats().write_amplification() - 1.0).abs() < 1e-9, "no parity on one disk");

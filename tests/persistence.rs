@@ -73,7 +73,7 @@ fn repository_catalog_reflects_collected_sweep() {
         assert!(modes.contains(&entry.mode));
         assert!(entry.path.exists());
     }
-    assert_eq!(repo.named_traces().unwrap(), vec!["webserver_week".to_string()]);
+    assert_eq!(repo.load_view_named("webserver_week").unwrap().to_trace().unwrap(), tiny_trace());
 
     // Re-opening the repository sees the same state.
     let reopened = TraceRepository::open(&dir).unwrap();
